@@ -30,10 +30,11 @@ from .geometry import (
     SymTensor2,
     chart_point,
     christoffel,
+    christoffel_batch,
     hessian,
+    metric_bundle,
     ricci,
     scalar_d1,
-    _central_d1,
 )
 
 __all__ = [
@@ -75,45 +76,44 @@ def unit_sphere_metric(d: int) -> MetricField:
 
     g_ii = prod_{k<i} sin^2(theta_k), diagonal; the chart excludes a band
     of width POLE_BAND around theta_k in {0, pi} for k < d.  First and
-    second partials are supplied analytically.
+    second partials are supplied analytically.  The callbacks take points
+    of any leading shape: (d,) or a (P, d) stack.
     """
     if d < 1:
         raise BackgroundError(f"sphere dimension must be >= 1, got {d}")
+    eye = np.eye(d)
+    # (a, i) with a < i: d_a g_ii = 2 cot(theta_a) g_ii
+    pa, pi_ = np.triu_indices(d, 1)
+    # (a, b, i) with a != b both below i: d_a d_b g_ii = 4 cot_a cot_b g_ii
+    triples = [(a, b, i) for i in range(d) for a in range(i) for b in range(i) if a != b]
+    ta, tb, ti = np.array(triples, dtype=int).reshape(-1, 3).T
+
+    def diag(p):
+        s2 = np.sin(p[..., : d - 1]) ** 2
+        return np.concatenate((np.ones(p.shape[:-1] + (1,)), np.cumprod(s2, axis=-1)), axis=-1)
 
     def comps(p):
-        g = np.zeros((d, d))
-        s2 = np.sin(p[: d - 1]) ** 2
-        for i in range(d):
-            g[i, i] = float(np.prod(s2[:i]))
-        return g
+        return diag(p)[..., :, None] * eye
 
     def d1(p):
-        g = comps(p)
-        out = np.zeros((d, d, d))
-        cot = np.zeros(d)
-        cot[: d - 1] = 1.0 / np.tan(p[: d - 1])
-        for i in range(d):
-            for a in range(i):
-                out[a, i, i] = 2.0 * cot[a] * g[i, i]
+        g = diag(p)
+        cot = 1.0 / np.tan(p[..., : d - 1])
+        out = np.zeros(p.shape[:-1] + (d, d, d))
+        out[..., pa, pi_, pi_] = 2.0 * cot[..., pa] * g[..., pi_]
         return out
 
     def d2(p):
-        g = comps(p)
-        out = np.zeros((d, d, d, d))
-        cot = np.zeros(d)
-        csc2 = np.zeros(d)
-        cot[: d - 1] = 1.0 / np.tan(p[: d - 1])
-        csc2[: d - 1] = 1.0 / np.sin(p[: d - 1]) ** 2
-        for i in range(d):
-            for a in range(i):
-                out[a, a, i, i] = (4.0 * cot[a] ** 2 - 2.0 * csc2[a]) * g[i, i]
-                for b in range(i):
-                    if b != a:
-                        out[a, b, i, i] = 4.0 * cot[a] * cot[b] * g[i, i]
+        g = diag(p)
+        cot = 1.0 / np.tan(p[..., : d - 1])
+        csc2 = 1.0 / np.sin(p[..., : d - 1]) ** 2
+        out = np.zeros(p.shape[:-1] + (d, d, d, d))
+        out[..., pa, pa, pi_, pi_] = (4.0 * cot[..., pa] ** 2 - 2.0 * csc2[..., pa]) * g[..., pi_]
+        out[..., ta, tb, ti, ti] = 4.0 * cot[..., ta] * cot[..., tb] * g[..., ti]
         return out
 
     def in_domain(p):
-        return bool(np.all(p[: d - 1] > POLE_BAND) and np.all(p[: d - 1] < math.pi - POLE_BAND))
+        q = p[..., : d - 1]
+        return np.all((q > POLE_BAND) & (q < math.pi - POLE_BAND), axis=-1)
 
     return MetricField(dim=d, components=comps, d1=d1, d2=d2, in_domain=in_domain)
 
@@ -122,9 +122,9 @@ def _euclidean_metric(d: int) -> MetricField:
     eye = np.eye(d)
     return MetricField(
         dim=d,
-        components=lambda p: eye.copy(),
-        d1=lambda p: np.zeros((d, d, d)),
-        d2=lambda p: np.zeros((d, d, d, d)),
+        components=lambda p: np.zeros(p.shape[:-1] + (d, d)) + eye,
+        d1=lambda p: np.zeros(p.shape[:-1] + (d, d, d)),
+        d2=lambda p: np.zeros(p.shape[:-1] + (d, d, d, d)),
     )
 
 
@@ -234,9 +234,9 @@ class RicciFlowBackground:
         phi = c.phi(t)
         return MetricField(
             dim=self.dim,
-            components=lambda p, _f=phi: _f * c.sigma.components(p),
-            d1=lambda p, _f=phi: _f * np.asarray(c.sigma.d1(p)),
-            d2=lambda p, _f=phi: _f * np.asarray(c.sigma.d2(p)),
+            components=lambda p: phi * c.sigma.components(p),
+            d1=lambda p: phi * c.sigma.d1(p),
+            d2=lambda p: phi * c.sigma.d2(p),
             in_domain=c.sigma.in_domain,
             fd=c.sigma.fd,
         )
@@ -289,19 +289,23 @@ class RicciFlowBackground:
 
 @dataclass(frozen=True)
 class TimeScalarField:
-    """Scalar function of (point, time) with analytic partials."""
+    """Scalar function of (points, time) with analytic partials.
 
-    value: Callable[[np.ndarray, float], float]
+    The spatial callbacks follow the ``ScalarField`` contract: they take a
+    (P, d) stack of points and return (P,), (P, d) and (P, d, d) arrays.
+    """
+
+    value: Callable[[np.ndarray, float], np.ndarray]
     dy: Callable[[np.ndarray, float], np.ndarray] | None = None
     dyy: Callable[[np.ndarray, float], np.ndarray] | None = None
-    dt: Callable[[np.ndarray, float], float] | None = None
+    dt: Callable[[np.ndarray, float], np.ndarray] | None = None
     fd: FDConfig = field(default_factory=FDConfig)
 
     def at_time(self, t: float) -> ScalarField:
         return ScalarField(
             value=lambda p: self.value(p, t),
-            d1=None if self.dy is None else (lambda p: np.asarray(self.dy(p, t))),
-            d2=None if self.dyy is None else (lambda p: np.asarray(self.dyy(p, t))),
+            d1=None if self.dy is None else (lambda p: self.dy(p, t)),
+            d2=None if self.dyy is None else (lambda p: self.dyy(p, t)),
             fd=self.fd,
         )
 
@@ -400,15 +404,20 @@ def model_background(name: str, **params) -> RicciFlowBackground:
         _reject_extras(name, params)
         flat = model_background("euclidean_static", dim=dim, direction="backward", T=T)
         potential = TimeScalarField(
-            value=lambda y, t: float(y @ y) / (4.0 * t),
+            value=lambda y, t: _square(y) / (4.0 * t),
             dy=lambda y, t: y / (2.0 * t),
-            dyy=lambda y, t: np.eye(dim) / (2.0 * t),
-            dt=lambda y, t: -float(y @ y) / (4.0 * t**2),
+            dyy=lambda y, t: np.broadcast_to(np.eye(dim) / (2.0 * t), y.shape + (dim,)),
+            dt=lambda y, t: -_square(y) / (4.0 * t**2),
         )
         soliton = GradientSolitonData(potential, "shrinking")
         return RicciFlowBackground(flat.name, dim, "backward", (0.0, T), flat.conformal, soliton)
 
     raise BackgroundError(f"unknown background {name!r}; known: {catalog_background_names()}")
+
+
+def _square(y: np.ndarray) -> np.ndarray:
+    """|y|^2 over the last axis."""
+    return np.einsum("...i,...i->...", y, y)
 
 
 def _reject_extras(name, params):
@@ -672,13 +681,11 @@ def hypersurface_point_data(mcf: MCFSolution, x: np.ndarray, t: float) -> Hypers
     """Compute induced metric, normal, h, H and H-derivatives at (x, t)."""
     t = mcf.check_time(t)
     x = chart_point(x)
-    bg = mcf.ambient
-    snap = bg.metric_at(t)
-
     pos = np.asarray(mcf.immersion_at(x, t), dtype=float)
-    snap.check_point(pos)
+    amb = metric_bundle(mcf.ambient.metric_at(t), pos, order=1)
+    amb.raise_error()
     T = np.asarray(mcf.dx(x, t), dtype=float)
-    g_amb = snap.at(pos)
+    g_amb = amb.g[0]
     induced = T @ g_amb @ T.T
     induced = 0.5 * (induced + induced.T)
     cond = np.linalg.cond(induced)
@@ -688,7 +695,7 @@ def hypersurface_point_data(mcf: MCFSolution, x: np.ndarray, t: float) -> Hypers
 
     nu = _normal_vector(g_amb, T, np.asarray(mcf.orientation_hint(x, t), dtype=float))
 
-    gamma = christoffel(snap, pos).gamma
+    gamma = christoffel_batch(amb)[0]
     ddF = np.asarray(mcf.dxdx(x, t), dtype=float)
     # (D_{T_i} T_j)^c = dd_ij F^c + Gamma^c_ab T_i^a T_j^b
     cov = ddF + np.einsum("cab,ia,jb->ijc", gamma, T, T)
@@ -699,7 +706,10 @@ def hypersurface_point_data(mcf: MCFSolution, x: np.ndarray, t: float) -> Hypers
     if mcf.dx_mean_curvature is not None:
         dxH = np.asarray(mcf.dx_mean_curvature(x, t), dtype=float)
     else:
-        dxH = _central_d1(lambda xx: _mean_curvature_only(mcf, xx, t), x, FDConfig().h1)
+        H_of_x = ScalarField(
+            value=lambda xs: np.array([_mean_curvature_only(mcf, xx, t) for xx in xs])
+        )
+        dxH = scalar_d1(H_of_x, x)
     if mcf.dt_mean_curvature is not None:
         dtH = float(mcf.dt_mean_curvature(x, t))
     else:

@@ -35,9 +35,12 @@ from .geometry import (
     ScalarField,
     SymTensor2,
     christoffel,
-    hessian,
+    christoffel_batch,
+    hessian_batch,
+    metric_bundle,
     ricci,
-    tensor_norm,
+    ricci_batch,
+    tensor_norm_batch,
 )
 
 __all__ = [
@@ -52,6 +55,7 @@ __all__ = [
     "canonical_christoffel_closed_form",
     "christoffel_crosscheck",
     "ricci_soliton_residual",
+    "ricci_soliton_residuals",
     "canonical_ricci_quadratic",
     "limit_ricci",
 ]
@@ -210,56 +214,60 @@ def build_canonical_metric(
     # small overhang so FD stencils near the endpoint stay evaluable
     t_max = hi * (1.0 + 1e-3)
 
+    # t indexes the time-time entries; tb scales the per-point spatial blocks
     def comps(z):
-        t = z[0]
-        g = np.zeros((dim, dim))
-        g[0, 0] = w(t)
-        g[1:, 1:] = psi(t) * np.asarray(sigma.components(z[1:]))
+        t, y = z[..., 0], z[..., 1:]
+        g = np.zeros(z.shape[:-1] + (dim, dim))
+        g[..., 0, 0] = w(t)
+        g[..., 1:, 1:] = psi(t[..., None, None]) * sigma.components(y)
         return g
 
     def d1(z):
-        t, y = z[0], z[1:]
-        out = np.zeros((dim, dim, dim))
-        out[0, 0, 0] = dw(t)
-        out[0, 1:, 1:] = dpsi(t) * np.asarray(sigma.components(y))
-        out[1:, 1:, 1:] = psi(t) * np.asarray(sigma.d1(y))
+        t, y = z[..., 0], z[..., 1:]
+        tb = t[..., None, None]
+        out = np.zeros(z.shape[:-1] + (dim, dim, dim))
+        out[..., 0, 0, 0] = dw(t)
+        out[..., 0, 1:, 1:] = dpsi(tb) * sigma.components(y)
+        out[..., 1:, 1:, 1:] = psi(tb[..., None]) * sigma.d1(y)
         return out
 
     def d2(z):
-        t, y = z[0], z[1:]
-        out = np.zeros((dim, dim, dim, dim))
-        out[0, 0, 0, 0] = d2w(t)
-        out[0, 0, 1:, 1:] = d2psi(t) * np.asarray(sigma.components(y))
-        dsig = dpsi(t) * np.asarray(sigma.d1(y))
-        out[0, 1:, 1:, 1:] = dsig
-        out[1:, 0, 1:, 1:] = dsig
-        out[1:, 1:, 1:, 1:] = psi(t) * np.asarray(sigma.d2(y))
+        t, y = z[..., 0], z[..., 1:]
+        tb = t[..., None, None]
+        out = np.zeros(z.shape[:-1] + (dim, dim, dim, dim))
+        out[..., 0, 0, 0, 0] = d2w(t)
+        out[..., 0, 0, 1:, 1:] = d2psi(tb) * sigma.components(y)
+        dsig = dpsi(tb[..., None]) * sigma.d1(y)
+        out[..., 0, 1:, 1:, 1:] = dsig
+        out[..., 1:, 0, 1:, 1:] = dsig
+        out[..., 1:, 1:, 1:, 1:] = psi(tb[..., None, None]) * sigma.d2(y)
         return out
 
     def in_domain(z):
-        if not (0.0 < z[0] <= t_max):
-            return False
-        return sigma.in_domain is None or sigma.in_domain(z[1:])
+        inside = (0.0 < z[..., 0]) & (z[..., 0] <= t_max)
+        if sigma.in_domain is not None:
+            inside &= sigma.in_domain(z[..., 1:])
+        return inside
 
     field = MetricField(dim=dim, components=comps, d1=d1, d2=d2, in_domain=in_domain)
 
     if variant == "expanding":
         potential = ScalarField(
-            value=lambda z: -N / (2.0 * z[0]),
-            d1=lambda z: _time_covector(dim, N / (2.0 * z[0] ** 2)),
-            d2=lambda z: _time_matrix(dim, -N / z[0] ** 3),
+            value=lambda z: -N / (2.0 * z[..., 0]),
+            d1=lambda z: _time_covector(dim, N / (2.0 * z[..., 0] ** 2)),
+            d2=lambda z: _time_matrix(dim, -N / z[..., 0] ** 3),
         )
     elif variant == "shrinking":
         potential = ScalarField(
-            value=lambda z: N / (2.0 * z[0]),
-            d1=lambda z: _time_covector(dim, -N / (2.0 * z[0] ** 2)),
-            d2=lambda z: _time_matrix(dim, N / z[0] ** 3),
+            value=lambda z: N / (2.0 * z[..., 0]),
+            d1=lambda z: _time_covector(dim, -N / (2.0 * z[..., 0] ** 2)),
+            d2=lambda z: _time_matrix(dim, N / z[..., 0] ** 3),
         )
     else:
         potential = ScalarField(
-            value=lambda z: -N * z[0],
-            d1=lambda z: _time_covector(dim, -N),
-            d2=lambda z: np.zeros((dim, dim)),
+            value=lambda z: -N * z[..., 0],
+            d1=lambda z: _time_covector(dim, np.full(z.shape[:-1], -N)),
+            d2=lambda z: np.zeros(z.shape[:-1] + (dim, dim)),
         )
 
     return CanonicalMetric(
@@ -273,14 +281,14 @@ def build_canonical_metric(
 
 
 def _time_covector(dim, value):
-    v = np.zeros(dim)
-    v[0] = value
+    v = np.zeros(np.shape(value) + (dim,))
+    v[..., 0] = value
     return v
 
 
 def _time_matrix(dim, value):
-    a = np.zeros((dim, dim))
-    a[0, 0] = value
+    a = np.zeros(np.shape(value) + (dim, dim))
+    a[..., 0, 0] = value
     return a
 
 
@@ -289,31 +297,50 @@ def _time_matrix(dim, value):
 # ---------------------------------------------------------------------------
 
 
+def ricci_soliton_residuals(cm: CanonicalMetric, points, ts) -> list:
+    """``ricci_soliton_residual`` at every (p, t) pair, in one kernel call.
+
+    Returns one entry per pair, in order: the ``ResidualSample``, or the
+    exception the single-point call raises there (a time below t_min, a
+    point outside the chart, a degenerate metric).
+    """
+    ts = np.asarray(ts, dtype=float)
+    pts = np.asarray(points, dtype=float).reshape(len(ts), -1)
+    out = [
+        ChartDomainError(f"t={t} below sampling floor t_min={cm.t_min}") if t < cm.t_min else None
+        for t in ts.tolist()
+    ]
+    sampled = [i for i, exc in enumerate(out) if exc is None]
+    b = metric_bundle(cm.field, np.column_stack((ts, pts))[sampled], order=2)
+    E = ricci_batch(b) + hessian_batch(b, cm.potential) + cm.soliton_constant * b.g
+    E = 0.5 * (E + np.swapaxes(E, 1, 2))
+    norms = tensor_norm_batch(b, E).tolist()
+    for i, exc in zip(sampled, b.errors):
+        out[i] = exc
+    for j, i in enumerate(sampled[k] for k in b.index):
+        out[i] = ResidualSample(
+            point=pts[i],
+            t=float(ts[i]),
+            N=cm.N,
+            residual=SymTensor2(E[j]),
+            norm=norms[j],
+            scaled_norm=cm.N * norms[j],
+        )
+    return out
+
+
 def ricci_soliton_residual(cm: CanonicalMetric, p: np.ndarray, t: float) -> ResidualSample:
     """Engine evaluation of E_N = Ric + Hess(f) + c_var * metric at (p, t).
 
     Everything is computed by the numeric kernel on the space-time metric;
     the closed-form tables play no role here.  The returned sample carries
-    |E_N| in the metric's own norm and the scaled value N |E_N|.
+    |E_N| in the metric's own norm and the scaled value N |E_N|.  This is
+    the single-pair case of ``ricci_soliton_residuals``.
     """
-    t = float(t)
-    if t < cm.t_min:
-        raise ChartDomainError(f"t={t} below sampling floor t_min={cm.t_min}")
-    z = cm.spacetime_point(p, t)
-    z = cm.field.check_point(z)
-    ric = ricci(cm.field, z).entries
-    hess = hessian(cm.field, cm.potential, z).entries
-    g = cm.field.at(z)
-    E = SymTensor2.symmetrized(ric + hess + cm.soliton_constant * g)
-    norm = tensor_norm(cm.field, E, z)
-    return ResidualSample(
-        point=np.asarray(p, dtype=float),
-        t=t,
-        N=cm.N,
-        residual=E,
-        norm=norm,
-        scaled_norm=cm.N * norm,
-    )
+    [sample] = ricci_soliton_residuals(cm, [np.asarray(p, dtype=float)], [float(t)])
+    if isinstance(sample, Exception):
+        raise sample
+    return sample
 
 
 def canonical_ricci_quadratic(cm: CanonicalMetric, X: np.ndarray, p: np.ndarray, t: float) -> float:
@@ -500,9 +527,10 @@ def christoffel_crosscheck(cm: CanonicalMetric, samples, as_printed: bool = Fals
     """
     diff = {k: 0.0 for k in _SYMBOL_CLASSES}
     scale = {k: 0.0 for k in _SYMBOL_CLASSES}
-    for p, t in samples:
-        z = cm.spacetime_point(p, t)
-        engine = christoffel(cm.field, z).gamma
+    samples = list(samples)
+    b = metric_bundle(cm.field, [cm.spacetime_point(p, t) for p, t in samples], order=1)
+    b.raise_error()
+    for (p, t), engine in zip(samples, christoffel_batch(b)):
         closed = canonical_christoffel_closed_form(cm, p, t, as_printed=as_printed).gamma
         for name, idx in _SYMBOL_CLASSES.items():
             e = np.atleast_1d(engine[idx])

@@ -403,11 +403,9 @@ def _run_functionals(cfg: RunConfig, report: ResidualReport):
     def potential():
         if kind == "zero":
             return ScalarField.constant(0.0)
-        return ScalarField(
-            value=lambda p: float(p @ p) / 4.0,
-            d1=lambda p: p / 2.0,
-            d2=lambda p: np.eye(3) / 2.0,
-        )
+        # f = |y|^2 / 4, the Gaussian shrinker potential at tau = 1
+        gauss = model_background("gaussian_shrinker_flat", dim=3)
+        return gauss.soliton.potential.at_time(1.0)
 
     fine = tuple(2 * g for g in grid)
     values = {}

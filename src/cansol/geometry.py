@@ -1,16 +1,28 @@
 """Chart-based numerical Riemannian geometry.
 
-Everything here operates pointwise on a coordinate chart: a metric is a
-callable producing the component matrix g_ij at a point, optionally
-accompanied by analytic first/second partial derivatives.  When the
-analytic callbacks are absent, central finite differences (with optional
-one-level Richardson extrapolation) stand in, so the same curvature code
-doubles as an independent check of any closed-form input.
+A metric is a callable producing the component matrix g_ij at chart
+points, optionally accompanied by analytic first/second partial
+derivatives.  When the analytic callbacks are absent, central finite
+differences (with optional one-level Richardson extrapolation) stand in,
+so the same curvature code doubles as an independent check of any
+closed-form input.
+
+The kernel is batched over a leading sample axis.  ``metric_bundle``
+evaluates g, g^-1, dg and (when asked) ddg once for a stack of P points,
+and the ``*_batch`` operations contract those into (P, ...) arrays.  The
+single-point functions (``christoffel``, ``ricci``, ...) are the P = 1
+case of the same code.  Each point's result is independent of how many
+points share the call: contractions are per-point ``np.einsum`` calls,
+never BLAS over the stack.
 
 Conventions
 -----------
-* Points are 1-d float arrays of chart coordinates.  On space-time charts
-  index 0 is always the time coordinate.
+* Points are float arrays of chart coordinates: one point has shape (d,),
+  a stack has shape (P, d).  On space-time charts index 0 is always the
+  time coordinate.
+* Callbacks take a (P, d) stack and return arrays with a leading P axis.
+  A call on a single point (P = 1) may return the per-point shape instead;
+  any other shape raises ``GeometryError``.
 * ``christoffel`` returns Gamma[a, b, c] = Gamma^a_{bc}.
 * ``riemann`` returns R[a, b, c, d] = R^a_{bcd} with
   R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb}
@@ -35,21 +47,32 @@ __all__ = [
     "ScalarField",
     "SymTensor2",
     "ConnectionCoeffs",
+    "MetricBundle",
     "chart_point",
+    "metric_bundle",
     "metric_d1",
     "metric_d2",
     "scalar_d1",
     "scalar_d2",
     "inverse_metric",
     "christoffel",
+    "christoffel_batch",
     "christoffel_d1",
+    "christoffel_d1_batch",
     "riemann",
+    "riemann_batch",
     "ricci",
+    "ricci_batch",
     "scalar_curvature",
+    "scalar_curvature_batch",
     "hessian",
+    "hessian_batch",
     "laplacian",
+    "laplacian_batch",
     "tensor_norm",
+    "tensor_norm_batch",
     "gradient",
+    "gradient_batch",
     "directional_derivative",
     "check_metric_derivatives",
 ]
@@ -71,17 +94,91 @@ class ChartDomainError(GeometryError, ValueError):
     """Point lies outside the declared chart domain."""
 
 
+def _one_point(coords) -> np.ndarray:
+    p = np.asarray(coords, dtype=float)
+    if p.ndim != 1:
+        raise ChartDomainError(f"chart point must be a 1-d coordinate array, got shape {p.shape}")
+    return p
+
+
+def _point_stack(coords, dim: int | None = None) -> tuple[np.ndarray, bool]:
+    """(P, d) float stack of one point (d,) or a stack; also whether it was one point."""
+    pts = np.asarray(coords, dtype=float)
+    single = pts.ndim == 1
+    if single:
+        pts = pts[None]
+    if pts.ndim != 2:
+        raise ChartDomainError(f"chart points must have shape (d,) or (P, d), got {pts.shape}")
+    if dim is not None and pts.shape[1] != dim:
+        raise ChartDomainError(f"point has dimension {pts.shape[1]}, chart has {dim}")
+    return pts, single
+
+
+def _point_errors(pts: np.ndarray, in_domain=None) -> list:
+    """Per point of a (P, d) stack: None, or the ChartDomainError it raises.
+
+    The one point validator: non-finite coordinates, then the chart-domain
+    predicate (which only sees finite points).
+    """
+    finite = np.logical_and.reduce(np.isfinite(pts), axis=1)
+    if in_domain is None:
+        ok = finite
+    elif finite.all():
+        ok = _evaluate(in_domain, pts, (), "in_domain", dtype=bool)
+    else:
+        ok = finite.copy()
+        ok[finite] = _evaluate(in_domain, pts[finite], (), "in_domain", dtype=bool)
+    errors = [None] * len(pts)
+    if ok.all():
+        return errors
+    for i in np.flatnonzero(~ok):
+        errors[i] = ChartDomainError(
+            f"point {pts[i]} outside chart domain" if finite[i]
+            else f"chart point has non-finite entries: {pts[i]}"
+        )
+    return errors
+
+
+def _raise_first(errors):
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
+def _checked(p, dim: int | None = None, in_domain=None) -> tuple[np.ndarray, bool]:
+    """``_point_stack`` that raises the first point's error."""
+    pts, single = _point_stack(p, dim)
+    _raise_first(_point_errors(pts, in_domain))
+    return pts, single
+
+
 def chart_point(coords) -> np.ndarray:
     """Validate chart coordinates and return them as a float array.
 
     Raises ``ChartDomainError`` if any entry is non-finite.
     """
-    p = np.asarray(coords, dtype=float)
-    if p.ndim != 1:
-        raise ChartDomainError(f"chart point must be a 1-d coordinate array, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ChartDomainError(f"chart point has non-finite entries: {p}")
+    p = _one_point(coords)
+    _checked(p)
     return p
+
+
+def _evaluate(fn, pts: np.ndarray, shape: tuple, what: str, dtype=float) -> np.ndarray:
+    """Call a callback on a (P, d) stack and check that it returned (P, *shape).
+
+    At a single point the per-point ``shape`` is accepted too, so callbacks
+    written for one point keep working in the single-point functions.
+    """
+    full = (pts.shape[0],) + shape
+    if not len(pts):
+        return np.empty(full, dtype=dtype)
+    out = np.asarray(fn(pts), dtype=dtype)
+    if out.shape == full:
+        return out
+    if out.shape == shape and len(pts) == 1:
+        return out[None]
+    raise GeometryError(
+        f"{what} callback returned shape {out.shape} for {pts.shape[0]} points, expected {full}"
+    )
 
 
 @dataclass(frozen=True)
@@ -102,15 +199,17 @@ class FDConfig:
 class MetricField:
     """A smooth symmetric positive-definite metric on a coordinate chart.
 
+    Every callback takes a (P, d) stack of points.
+
     Parameters
     ----------
     dim : chart dimension d.
-    components : point -> (d, d) symmetric matrix g_ij.
-    d1 : optional, point -> (d, d, d) array with [a, b, c] = d_a g_bc.
-    d2 : optional, point -> (d, d, d, d) array with [a, b, c, d] = d_a d_b g_cd.
+    components : points -> (P, d, d) symmetric matrices g_ij.
+    d1 : optional, points -> (P, d, d, d) with [p, a, b, c] = d_a g_bc.
+    d2 : optional, points -> (P, d, d, d, d) with [p, a, b, c, d] = d_a d_b g_cd.
     fd : step policy for the finite-difference fallback.
-    in_domain : optional chart-domain predicate; violations raise
-        ``ChartDomainError`` from every kernel operation.
+    in_domain : optional chart-domain predicate, points -> (P,) bool;
+        violations raise ``ChartDomainError`` from every kernel operation.
     """
 
     dim: int
@@ -118,18 +217,17 @@ class MetricField:
     d1: Callable[[np.ndarray], np.ndarray] | None = None
     d2: Callable[[np.ndarray], np.ndarray] | None = None
     fd: FDConfig = field(default_factory=FDConfig)
-    in_domain: Callable[[np.ndarray], bool] | None = None
+    in_domain: Callable[[np.ndarray], np.ndarray] | None = None
 
     def at(self, p: np.ndarray) -> np.ndarray:
-        p = self.check_point(p)
-        return np.asarray(self.components(p), dtype=float)
+        """g_ij at one point (d,) -> (d, d), or at a stack (P, d) -> (P, d, d)."""
+        pts, single = _checked(p, self.dim, self.in_domain)
+        g = _evaluate(self.components, pts, (self.dim, self.dim), "metric")
+        return g[0] if single else g
 
     def check_point(self, p) -> np.ndarray:
-        p = chart_point(p)
-        if p.shape[0] != self.dim:
-            raise ChartDomainError(f"point has dimension {p.shape[0]}, chart has {self.dim}")
-        if self.in_domain is not None and not self.in_domain(p):
-            raise ChartDomainError(f"point {p} outside chart domain")
+        p = _one_point(p)
+        _checked(p, self.dim, self.in_domain)
         return p
 
     def without_analytic_derivatives(self) -> "MetricField":
@@ -139,19 +237,29 @@ class MetricField:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A scalar function on a chart with optional analytic partials."""
+    """A scalar function on a chart with optional analytic partials.
 
-    value: Callable[[np.ndarray], float]
-    d1: Callable[[np.ndarray], np.ndarray] | None = None   # -> (d,)
-    d2: Callable[[np.ndarray], np.ndarray] | None = None   # -> (d, d)
+    Callbacks take a (P, d) stack: ``value`` -> (P,), ``d1`` -> (P, d),
+    ``d2`` -> (P, d, d).
+    """
+
+    value: Callable[[np.ndarray], np.ndarray]
+    d1: Callable[[np.ndarray], np.ndarray] | None = None
+    d2: Callable[[np.ndarray], np.ndarray] | None = None
     fd: FDConfig = field(default_factory=FDConfig)
+
+    def at(self, p: np.ndarray) -> np.ndarray:
+        """f at one point (d,) -> (), or at a stack (P, d) -> (P,)."""
+        pts, single = _checked(p)
+        out = _evaluate(self.value, pts, (), "scalar")
+        return out[0] if single else out
 
     @staticmethod
     def constant(c: float) -> "ScalarField":
         return ScalarField(
-            value=lambda p: c,
-            d1=lambda p: np.zeros(p.shape[0]),
-            d2=lambda p: np.zeros((p.shape[0], p.shape[0])),
+            value=lambda p: np.full(p.shape[:-1], float(c)),
+            d1=lambda p: np.zeros(p.shape),
+            d2=lambda p: np.zeros(p.shape + p.shape[-1:]),
         )
 
 
@@ -199,209 +307,362 @@ class ConnectionCoeffs:
 # ---------------------------------------------------------------------------
 
 
-def _steps(p: np.ndarray, h: float) -> np.ndarray:
-    return h * np.maximum(1.0, np.abs(p))
+def _steps(pts: np.ndarray, h: float) -> np.ndarray:
+    return h * np.maximum(1.0, np.abs(pts))
 
 
-def _central_d1(f, p: np.ndarray, h: float):
-    """Central first differences of an array-valued function, one slot per coordinate."""
-    out = []
-    hs = _steps(p, h)
-    for a in range(p.shape[0]):
-        e = np.zeros_like(p)
-        e[a] = hs[a]
-        out.append((np.asarray(f(p + e)) - np.asarray(f(p - e))) / (2.0 * hs[a]))
-    return np.stack(out, axis=0)
+def _central_d1(f, pts: np.ndarray, h: float, shape: tuple, what: str) -> np.ndarray:
+    """Central first differences [P, a, ...] from one callback call on every shifted point."""
+    P, d = pts.shape
+    hs = _steps(pts, h)
+    shift = hs[:, :, None] * np.eye(d)                    # [P, a] = hs_a e_a
+    shifted = np.stack((pts[:, None] + shift, pts[:, None] - shift))
+    vals = _evaluate(f, shifted.reshape(-1, d), shape, what).reshape((2, P, d) + shape)
+    span = (2.0 * hs).reshape((P, d) + (1,) * len(shape))
+    return (vals[0] - vals[1]) / span
 
 
-def _central_d2(f, p: np.ndarray, h: float):
-    """Central second differences: [a, b] slots of d_a d_b f."""
-    d = p.shape[0]
-    hs = _steps(p, h)
-    f0 = np.asarray(f(p), dtype=float)
-    out = np.zeros((d, d) + f0.shape)
-    for a in range(d):
-        ea = np.zeros_like(p)
-        ea[a] = hs[a]
-        out[a, a] = (np.asarray(f(p + ea)) - 2.0 * f0 + np.asarray(f(p - ea))) / hs[a] ** 2
-        for b in range(a + 1, d):
-            eb = np.zeros_like(p)
-            eb[b] = hs[b]
-            cross = (
-                np.asarray(f(p + ea + eb))
-                - np.asarray(f(p + ea - eb))
-                - np.asarray(f(p - ea + eb))
-                + np.asarray(f(p - ea - eb))
-            ) / (4.0 * hs[a] * hs[b])
-            out[a, b] = cross
-            out[b, a] = cross
+def _central_d2(f, pts: np.ndarray, h: float, shape: tuple, what: str) -> np.ndarray:
+    """Central second differences [P, a, b, ...] of d_a d_b f, one callback call."""
+    P, d = pts.shape
+    hs = _steps(pts, h)
+    shift = hs[:, :, None] * np.eye(d)
+    ia, ib = np.triu_indices(d, 1)
+    p, ea, eb = pts[:, None], shift[:, ia], shift[:, ib]
+    shifted = np.concatenate(
+        (p, p + shift, p - shift, p + ea + eb, p + ea - eb, p - ea + eb, p - ea - eb), axis=1
+    )
+    vals = _evaluate(f, shifted.reshape(-1, d), shape, what).reshape((P, -1) + shape)
+    k = len(ia)
+    f0, fp, fm = vals[:, :1], vals[:, 1 : 1 + d], vals[:, 1 + d : 1 + 2 * d]
+    fpp, fpm, fmp, fmm = (vals[:, 1 + 2 * d + j * k : 1 + 2 * d + (j + 1) * k] for j in range(4))
+    tail = (1,) * len(shape)
+    out = np.zeros((P, d, d) + shape)
+    diag = np.arange(d)
+    out[:, diag, diag] = (fp - 2.0 * f0 + fm) / (hs**2).reshape((P, d) + tail)
+    cross = (fpp - fpm - fmp + fmm) / (4.0 * hs[:, ia] * hs[:, ib]).reshape((P, k) + tail)
+    out[:, ia, ib] = cross
+    out[:, ib, ia] = cross
     return out
 
 
-def _richardson(stencil, f, p, h):
-    coarse = stencil(f, p, h)
-    fine = stencil(f, p, 0.5 * h)
+def _derivative(stencil, f, pts, h: float, richardson: bool, shape: tuple, what: str):
+    coarse = stencil(f, pts, h, shape, what)
+    if not richardson:
+        return coarse
+    fine = stencil(f, pts, 0.5 * h, shape, what)
     return (4.0 * fine - coarse) / 3.0
 
 
-def metric_d1(metric: MetricField, p: np.ndarray) -> np.ndarray:
-    """First partials d_a g_bc, analytic when available, else central FD."""
-    p = metric.check_point(p)
+def _metric_d1(metric: MetricField, pts: np.ndarray) -> np.ndarray:
+    d = metric.dim
     if metric.d1 is not None:
-        return np.asarray(metric.d1(p), dtype=float)
-    if metric.fd.richardson:
-        return _richardson(_central_d1, metric.components, p, metric.fd.h1)
-    return _central_d1(metric.components, p, metric.fd.h1)
+        return _evaluate(metric.d1, pts, (d, d, d), "metric d1")
+    return _derivative(_central_d1, metric.components, pts, metric.fd.h1,
+                       metric.fd.richardson, (d, d), "metric")
+
+
+def _metric_d2(metric: MetricField, pts: np.ndarray) -> np.ndarray:
+    d = metric.dim
+    if metric.d2 is not None:
+        return _evaluate(metric.d2, pts, (d, d, d, d), "metric d2")
+    return _derivative(_central_d2, metric.components, pts, metric.fd.h2,
+                       metric.fd.richardson, (d, d), "metric")
+
+
+def _scalar_d1(f: ScalarField, pts: np.ndarray) -> np.ndarray:
+    d = pts.shape[1]
+    if f.d1 is not None:
+        return _evaluate(f.d1, pts, (d,), "scalar d1")
+    return _derivative(_central_d1, f.value, pts, f.fd.h1, f.fd.richardson, (), "scalar")
+
+
+def _scalar_d2(f: ScalarField, pts: np.ndarray) -> np.ndarray:
+    d = pts.shape[1]
+    if f.d2 is not None:
+        return _evaluate(f.d2, pts, (d, d), "scalar d2")
+    return _derivative(_central_d2, f.value, pts, f.fd.h2, f.fd.richardson, (), "scalar")
+
+
+def metric_d1(metric: MetricField, p: np.ndarray) -> np.ndarray:
+    """First partials d_a g_bc at a point or a (P, d) stack; analytic if given, else FD."""
+    pts, single = _checked(p, metric.dim, metric.in_domain)
+    out = _metric_d1(metric, pts)
+    return out[0] if single else out
 
 
 def metric_d2(metric: MetricField, p: np.ndarray) -> np.ndarray:
-    """Second partials d_a d_b g_cd, analytic when available, else central FD."""
-    p = metric.check_point(p)
-    if metric.d2 is not None:
-        return np.asarray(metric.d2(p), dtype=float)
-    if metric.fd.richardson:
-        return _richardson(_central_d2, metric.components, p, metric.fd.h2)
-    return _central_d2(metric.components, p, metric.fd.h2)
+    """Second partials d_a d_b g_cd at a point or a (P, d) stack; analytic if given, else FD."""
+    pts, single = _checked(p, metric.dim, metric.in_domain)
+    out = _metric_d2(metric, pts)
+    return out[0] if single else out
 
 
 def scalar_d1(f: ScalarField, p: np.ndarray) -> np.ndarray:
-    p = chart_point(p)
-    if f.d1 is not None:
-        return np.asarray(f.d1(p), dtype=float)
-    if f.fd.richardson:
-        return _richardson(_central_d1, f.value, p, f.fd.h1)
-    return _central_d1(f.value, p, f.fd.h1)
+    pts, single = _checked(p)
+    out = _scalar_d1(f, pts)
+    return out[0] if single else out
 
 
 def scalar_d2(f: ScalarField, p: np.ndarray) -> np.ndarray:
-    p = chart_point(p)
-    if f.d2 is not None:
-        return np.asarray(f.d2(p), dtype=float)
-    if f.fd.richardson:
-        return _richardson(_central_d2, f.value, p, f.fd.h2)
-    return _central_d2(f.value, p, f.fd.h2)
+    pts, single = _checked(p)
+    out = _scalar_d2(f, pts)
+    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------
-# pointwise tensor operations
+# the bundle: metric data at a stack of points
 # ---------------------------------------------------------------------------
 
 
-def inverse_metric(metric: MetricField, p: np.ndarray) -> np.ndarray:
-    """Inverse component matrix g^ab, refusing ill-conditioned input.
+@dataclass(frozen=True)
+class MetricBundle:
+    """g, g^-1, dg and (at order 2) ddg at the valid points of a stack.
 
-    Conditioning is estimated with the 1-norm (within a factor of dim of
-    the spectral condition number, and much cheaper than an SVD).
+    Arrays have a leading axis over ``points``, the points of the input
+    stack that passed the chart-domain and conditioning checks; ``index``
+    gives their positions in that stack.  ``errors`` has one entry per
+    input point: None, or the exception a single-point call raises there.
     """
-    g = metric.at(p)
+
+    points: np.ndarray          # (P, d)
+    index: np.ndarray           # (P,)
+    errors: tuple
+    g: np.ndarray               # (P, d, d)
+    ginv: np.ndarray            # (P, d, d)
+    dg: np.ndarray | None       # (P, d, d, d), [p, a, b, c] = d_a g_bc
+    ddg: np.ndarray | None      # (P, d, d, d, d)
+
+    def raise_error(self):
+        """Raise the first recorded per-point error, if any."""
+        _raise_first(self.errors)
+
+
+def _norm1(a: np.ndarray) -> np.ndarray:
+    """Matrix 1-norms (largest column sum of |a|) of a (P, d, d) stack."""
+    return np.maximum.reduce(np.add.reduce(np.abs(a), axis=1), axis=1)
+
+
+def _inverse(g: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, list]:
+    """Stacked g^-1 with the 1-norm condition check; per point None or the error.
+
+    The 1-norm estimate is within a factor of dim of the spectral condition
+    number, and much cheaper than an SVD.
+    """
+    errors = [None] * len(g)
     try:
         ginv = np.linalg.inv(g)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateMetricError(f"metric at {np.asarray(p)} is singular") from exc
-    cond = float(np.linalg.norm(g, 1) * np.linalg.norm(ginv, 1))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise DegenerateMetricError(
-            f"metric at {np.asarray(p)} has condition number {cond:.3e} (limit {COND_LIMIT:.0e})"
-        )
-    return ginv
+    except np.linalg.LinAlgError:
+        # only a singular point makes the stacked call fail; find it
+        ginv = np.empty_like(g)
+        for i in range(len(g)):
+            try:
+                ginv[i] = np.linalg.inv(g[i])
+            except np.linalg.LinAlgError:
+                ginv[i] = np.eye(g.shape[1])
+                errors[i] = DegenerateMetricError(f"metric at {pts[i]} is singular")
+    cond = _norm1(g) * _norm1(ginv)
+    ok = cond <= COND_LIMIT   # False for nan too
+    if not ok.all():
+        for i in np.flatnonzero(~ok):
+            errors[i] = errors[i] or DegenerateMetricError(
+                f"metric at {pts[i]} has condition number {cond[i]:.3e} (limit {COND_LIMIT:.0e})"
+            )
+    return ginv, errors
 
 
-def christoffel(metric: MetricField, p: np.ndarray) -> ConnectionCoeffs:
-    """Levi-Civita Christoffel symbols at a point.
+def metric_bundle(metric: MetricField, points, order: int = 1) -> MetricBundle:
+    """Evaluate the metric once for a stack of points (or one point).
+
+    ``order`` 0 gives g and g^-1, 1 adds dg (enough for Christoffel
+    symbols, Hessians and norms), 2 adds ddg (curvature).  Points outside
+    the chart domain or with an ill-conditioned metric are left out and
+    recorded in ``errors``; callbacks never see them.  The points are
+    checked once, here; each callback is then called once on the valid ones.
+    """
+    pts, _ = _point_stack(points, metric.dim)
+    errors = _point_errors(pts, metric.in_domain)
+    index, q = np.arange(len(pts)), pts
+    if any(errors):
+        index = index[[e is None for e in errors]]
+        q = pts[index]
+    g = _evaluate(metric.components, q, (metric.dim, metric.dim), "metric")
+    ginv, bad = _inverse(g, q)
+    if any(bad):
+        keep = np.array([e is None for e in bad])
+        for i, exc in zip(index, bad):
+            errors[i] = errors[i] or exc
+        index, q, g, ginv = index[keep], q[keep], g[keep], ginv[keep]
+    return MetricBundle(
+        points=q,
+        index=index,
+        errors=tuple(errors),
+        g=g,
+        ginv=ginv,
+        dg=_metric_d1(metric, q) if order >= 1 else None,
+        ddg=_metric_d2(metric, q) if order >= 2 else None,
+    )
+
+
+def _at_point(metric: MetricField, p, order: int) -> MetricBundle:
+    """Bundle of one point, raising the error a failed check recorded."""
+    b = metric_bundle(metric, _one_point(p), order)
+    b.raise_error()
+    return b
+
+
+# ---------------------------------------------------------------------------
+# batched tensor operations
+# ---------------------------------------------------------------------------
+
+
+def _symmetrized(T: np.ndarray) -> np.ndarray:
+    return 0.5 * (T + np.swapaxes(T, -1, -2))
+
+
+def _bracket(dg: np.ndarray) -> np.ndarray:
+    # bracket[p, d, b, c] = d_b g_dc + d_c g_bd - d_d g_bc
+    return dg.transpose(0, 2, 1, 3) + dg.transpose(0, 3, 2, 1) - dg
+
+
+def christoffel_batch(b: MetricBundle) -> np.ndarray:
+    """Christoffel symbols [p, a, b, c] = Gamma^a_{bc} at the bundle's points.
 
     Gamma^a_{bc} = 1/2 g^{ad} (d_b g_dc + d_c g_bd - d_d g_bc); the result
     is symmetric in (b, c) exactly, given symmetric input components.
     """
-    ginv = inverse_metric(metric, p)
-    dg = metric_d1(metric, p)
-    # bracket[d, b, c] = d_b g_dc + d_c g_bd - d_d g_bc
-    bracket = np.einsum("bdc->dbc", dg) + np.einsum("cbd->dbc", dg) - dg
-    gamma = 0.5 * np.einsum("ad,dbc->abc", ginv, bracket)
-    gamma = 0.5 * (gamma + np.swapaxes(gamma, 1, 2))
-    return ConnectionCoeffs(gamma)
+    gamma = 0.5 * np.einsum("pad,pdbc->pabc", b.ginv, _bracket(b.dg))
+    return 0.5 * (gamma + np.swapaxes(gamma, 2, 3))
 
 
-def christoffel_d1(metric: MetricField, p: np.ndarray) -> np.ndarray:
-    """Partial derivatives d_e Gamma^a_{bc}, index order [e, a, b, c].
+def christoffel_d1_batch(b: MetricBundle) -> np.ndarray:
+    """Partial derivatives [p, e, a, b, c] = d_e Gamma^a_{bc}; needs an order-2 bundle.
 
     Assembled from metric first and second partials, so the accuracy is
     that of the underlying derivative backend (no nested differencing).
     """
-    p = metric.check_point(p)
-    ginv = inverse_metric(metric, p)
-    dg = metric_d1(metric, p)
-    ddg = metric_d2(metric, p)
-
-    bracket = np.einsum("bdc->dbc", dg) + np.einsum("cbd->dbc", dg) - dg
+    if b.ddg is None:
+        raise GeometryError("christoffel_d1 needs a bundle of order 2")
+    ginv, dg, ddg = b.ginv, b.dg, b.ddg
     # d_e bracket[d, b, c] from second partials of g
-    dbracket = (
-        np.einsum("ebdc->edbc", ddg) + np.einsum("ecbd->edbc", ddg) - np.einsum("edbc->edbc", ddg)
-    )
+    dbracket = ddg.transpose(0, 1, 3, 2, 4) + ddg.transpose(0, 1, 4, 3, 2) - ddg
     # d_e g^{ad} = -g^{am} (d_e g_mn) g^{nd}
-    dginv = -np.einsum("am,emn,nd->ead", ginv, dg, ginv)
-    dgamma = 0.5 * np.einsum("ead,dbc->eabc", dginv, bracket)
-    dgamma += 0.5 * np.einsum("ad,edbc->eabc", ginv, dbracket)
-    return 0.5 * (dgamma + np.swapaxes(dgamma, 2, 3))
+    dginv = -np.einsum("pean,pnd->pead", np.einsum("pam,pemn->pean", ginv, dg), ginv)
+    dgamma = 0.5 * np.einsum("pead,pdbc->peabc", dginv, _bracket(dg))
+    dgamma += 0.5 * np.einsum("pad,pedbc->peabc", ginv, dbracket)
+    return 0.5 * (dgamma + np.swapaxes(dgamma, 3, 4))
+
+
+def riemann_batch(b: MetricBundle) -> np.ndarray:
+    """Riemann tensor [p, a, b, c, d] = R^a_{bcd} (sign convention as in the module docstring)."""
+    gamma = christoffel_batch(b)
+    dgamma = christoffel_d1_batch(b)
+    return (
+        np.einsum("pcadb->pabcd", dgamma)
+        - np.einsum("pdacb->pabcd", dgamma)
+        + np.einsum("pace,pedb->pabcd", gamma, gamma)
+        - np.einsum("pade,pecb->pabcd", gamma, gamma)
+    )
+
+
+def ricci_batch(b: MetricBundle) -> np.ndarray:
+    """Ricci tensors Ric_bd = R^a_{bad}, symmetrized, (P, d, d)."""
+    return _symmetrized(np.einsum("pabad->pbd", riemann_batch(b)))
+
+
+def scalar_curvature_batch(b: MetricBundle) -> np.ndarray:
+    """Scalar curvatures R = g^{bd} Ric_bd, (P,)."""
+    return np.einsum("pbd,pbd->p", b.ginv, ricci_batch(b))
+
+
+def hessian_batch(b: MetricBundle, f: ScalarField, grad: np.ndarray | None = None) -> np.ndarray:
+    """Covariant Hessians Hess(f)_ab = d_a d_b f - Gamma^c_{ab} d_c f, symmetrized, (P, d, d).
+
+    Gamma^c_{ab} d_c f is contracted as 1/2 (grad f)^d bracket[d, a, b], which
+    skips forming the Christoffel symbols themselves.  ``grad`` is
+    ``gradient_batch(b, f)``, if the caller has it already.
+    """
+    if grad is None:
+        grad = gradient_batch(b, f)
+    ddf = _scalar_d2(f, b.points)
+    return _symmetrized(ddf - 0.5 * np.einsum("pd,pdab->pab", grad, _bracket(b.dg)))
+
+
+def laplacian_batch(b: MetricBundle, f: ScalarField) -> np.ndarray:
+    """Metric Laplacians, the traces of the Hessians against g^{ab}, (P,)."""
+    return np.einsum("pab,pab->p", b.ginv, hessian_batch(b, f))
+
+
+def tensor_norm_batch(b: MetricBundle, T: np.ndarray, variance: str = "covariant") -> np.ndarray:
+    """Metric norms |T| of symmetric 2-tensors T (P, d, d) at the bundle's points.
+
+    Covariant: |T|^2 = g^{ac} g^{bd} T_ab T_cd; contravariant indices are
+    contracted with g instead.  Returns the nonnegative square roots.
+    """
+    m = b.ginv if variance == "covariant" else b.g
+    sq = np.einsum("pac,pbd,pab,pcd->p", m, m, T, T)
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
+def gradient_batch(b: MetricBundle, f: ScalarField) -> np.ndarray:
+    """Contravariant gradients (grad f)^a = g^{ab} d_b f, (P, d)."""
+    return np.einsum("pab,pb->pa", b.ginv, _scalar_d1(f, b.points))
+
+
+# ---------------------------------------------------------------------------
+# single-point operations: the P = 1 case of the batched ones
+# ---------------------------------------------------------------------------
+
+
+def inverse_metric(metric: MetricField, p: np.ndarray) -> np.ndarray:
+    """Inverse component matrix g^ab, refusing ill-conditioned input."""
+    return _at_point(metric, p, order=0).ginv[0]
+
+
+def christoffel(metric: MetricField, p: np.ndarray) -> ConnectionCoeffs:
+    """Levi-Civita Christoffel symbols at a point (see ``christoffel_batch``)."""
+    return ConnectionCoeffs(christoffel_batch(_at_point(metric, p, order=1))[0])
+
+
+def christoffel_d1(metric: MetricField, p: np.ndarray) -> np.ndarray:
+    """Partial derivatives d_e Gamma^a_{bc}, index order [e, a, b, c]."""
+    return christoffel_d1_batch(_at_point(metric, p, order=2))[0]
 
 
 def riemann(metric: MetricField, p: np.ndarray) -> np.ndarray:
     """Riemann tensor R^a_{bcd} (sign convention as in the module docstring)."""
-    gamma = christoffel(metric, p).gamma
-    dgamma = christoffel_d1(metric, p)
-    R = (
-        np.einsum("cadb->abcd", dgamma)
-        - np.einsum("dacb->abcd", dgamma)
-        + np.einsum("ace,edb->abcd", gamma, gamma)
-        - np.einsum("ade,ecb->abcd", gamma, gamma)
-    )
-    return R
+    return riemann_batch(_at_point(metric, p, order=2))[0]
 
 
 def ricci(metric: MetricField, p: np.ndarray) -> SymTensor2:
     """Ricci tensor Ric_bd = R^a_{bad}; positive on round spheres."""
-    R = riemann(metric, p)
-    return SymTensor2.symmetrized(np.einsum("abad->bd", R), "covariant")
+    return SymTensor2(ricci_batch(_at_point(metric, p, order=2))[0], "covariant")
 
 
 def scalar_curvature(metric: MetricField, p: np.ndarray) -> float:
     """Scalar curvature R = g^{bd} Ric_bd."""
-    ginv = inverse_metric(metric, p)
-    ric = ricci(metric, p).entries
-    return float(np.einsum("bd,bd->", ginv, ric))
+    return float(scalar_curvature_batch(_at_point(metric, p, order=2))[0])
 
 
 def hessian(metric: MetricField, f: ScalarField, p: np.ndarray) -> SymTensor2:
     """Covariant Hessian Hess(f)_ab = d_a d_b f - Gamma^c_{ab} d_c f."""
-    gamma = christoffel(metric, p).gamma
-    df = scalar_d1(f, p)
-    ddf = scalar_d2(f, p)
-    hess = ddf - np.einsum("cab,c->ab", gamma, df)
-    return SymTensor2.symmetrized(hess, "covariant")
+    return SymTensor2(hessian_batch(_at_point(metric, p, order=1), f)[0], "covariant")
 
 
 def laplacian(metric: MetricField, f: ScalarField, p: np.ndarray) -> float:
     """Metric Laplacian: trace of the Hessian against g^{ab}."""
-    ginv = inverse_metric(metric, p)
-    return float(np.einsum("ab,ab->", ginv, hessian(metric, f, p).entries))
+    return float(laplacian_batch(_at_point(metric, p, order=1), f)[0])
 
 
 def tensor_norm(metric: MetricField, T: SymTensor2, p: np.ndarray) -> float:
-    """Pointwise metric norm |T| of a symmetric 2-tensor.
-
-    Covariant: |T|^2 = g^{ac} g^{bd} T_ab T_cd; contravariant indices are
-    contracted with g instead.  Returns the nonnegative square root.
-    """
-    if T.variance == "covariant":
-        m = inverse_metric(metric, p)
-    else:
-        m = metric.at(p)
-    sq = float(np.einsum("ac,bd,ab,cd->", m, m, T.entries, T.entries))
-    return float(np.sqrt(max(sq, 0.0)))
+    """Pointwise metric norm |T| of a symmetric 2-tensor (see ``tensor_norm_batch``)."""
+    b = _at_point(metric, p, order=0)
+    return float(tensor_norm_batch(b, T.entries[None], T.variance)[0])
 
 
 def gradient(metric: MetricField, f: ScalarField, p: np.ndarray) -> np.ndarray:
     """Contravariant gradient (grad f)^a = g^{ab} d_b f."""
-    return inverse_metric(metric, p) @ scalar_d1(f, p)
+    return gradient_batch(_at_point(metric, p, order=0), f)[0]
 
 
 def directional_derivative(metric: MetricField, f: ScalarField, v: np.ndarray, p: np.ndarray) -> float:

@@ -16,15 +16,16 @@ Three strands meet here:
   reproduces up to the H/(2t) term.
 
 Quadrature is product trapezoid on explicit chart grids with sqrt(det g)
-densities baked into the weights; summation order is the fixed grid
-traversal, so results are bitwise reproducible.
+densities baked into the weights.  The grid goes through the batched
+kernel in chunks of QUADRATURE_CHUNK nodes, and the per-node terms are
+summed with ``math.fsum`` (correctly rounded), so the result does not
+depend on the summation order or the chunking and is bitwise reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -33,16 +34,19 @@ from .backgrounds import (
     MCFSolution,
     RicciFlowBackground,
     hypersurface_point_data,
+    model_background,
 )
 from .geometry import (
     ChartDomainError,
+    MetricBundle,
     MetricField,
     ScalarField,
+    gradient_batch,
+    hessian_batch,
     inverse_metric,
-    metric_d1,
-    scalar_curvature,
+    metric_bundle,
+    scalar_curvature_batch,
     scalar_d1,
-    scalar_d2,
 )
 from .track import SpaceTimeTrack, track_point_data
 
@@ -235,8 +239,8 @@ class WeightedManifoldData:
 
     Weights carry the volume/area densities sqrt(det g); normals are
     outward unit vectors at the boundary samples.  ``scalar_curvature_at``
-    optionally short-circuits the engine curvature (used by closed-form
-    catalogs); the engine remains the fallback.
+    optionally short-circuits the engine curvature with a closed form
+    (used by catalogs); the engine remains the fallback.
     """
 
     metric: MetricField
@@ -247,41 +251,59 @@ class WeightedManifoldData:
     boundary_weights: np.ndarray
     boundary_normals: np.ndarray
     boundary_mean_curvatures: np.ndarray
-    scalar_curvature_at: Callable[[np.ndarray], float] | None = None
+    scalar_curvature_at: ScalarField | None = None
 
     def __post_init__(self):
         if len(self.interior_points) == 0 or len(self.boundary_points) == 0:
             raise QuadratureError("quadrature grid is empty")
         if np.any(self.interior_weights <= 0) or np.any(self.boundary_weights <= 0):
             raise QuadratureError("quadrature weights must be positive")
-        for q, nu in zip(self.boundary_points[:5], self.boundary_normals[:5]):
-            g = self.metric.at(q)
-            if abs(float(nu @ g @ nu) - 1.0) > 1e-8:
-                raise QuadratureError("boundary normals must be unit vectors")
+        nus = self.boundary_normals[:5]
+        g = self.metric.at(self.boundary_points[:5])
+        if np.max(np.abs(np.einsum("pa,pab,pb->p", nus, g, nus) - 1.0)) > 1e-8:
+            raise QuadratureError("boundary normals must be unit vectors")
 
-    def curvature(self, p: np.ndarray) -> float:
+    def curvatures(self, pts: np.ndarray, b: MetricBundle | None = None) -> np.ndarray:
+        """Scalar curvature R at a (P, d) stack of points.
+
+        Without a closed form, R comes from the engine on ``b``, an order-2
+        bundle at ``pts`` if the caller has one, else on a new one.
+        """
         if self.scalar_curvature_at is not None:
-            return float(self.scalar_curvature_at(p))
-        return scalar_curvature(self.metric, p)
+            return self.scalar_curvature_at.at(pts)
+        if b is None:
+            b = metric_bundle(self.metric, pts, order=2)
+            b.raise_error()
+        return scalar_curvature_batch(b)
+
+
+def _weighted_scalar_curvatures(wm: WeightedManifoldData, pts: np.ndarray) -> np.ndarray:
+    """R^inf = R + 2 Lap f - |grad f|^2 at a (P, d) stack of interior points.
+
+    One bundle (order 2 only when R comes from the engine) and one
+    evaluation of df serve every term.
+    """
+    b = metric_bundle(wm.metric, pts, order=1 if wm.scalar_curvature_at is not None else 2)
+    b.raise_error()
+    grad = gradient_batch(b, wm.potential)
+    lap = np.einsum("pab,pab->p", b.ginv, hessian_batch(b, wm.potential, grad))
+    grad_sq = np.einsum("pa,pab,pb->p", grad, b.g, grad)
+    return wm.curvatures(b.points, b) + 2.0 * lap - grad_sq
+
+
+def _weighted_mean_curvatures(wm: WeightedManifoldData, idx) -> np.ndarray:
+    """H^inf = H - nu f at the boundary samples ``idx``."""
+    nu_f = np.einsum("pa,pa->p", wm.boundary_normals[idx],
+                     scalar_d1(wm.potential, wm.boundary_points[idx]))
+    return wm.boundary_mean_curvatures[idx] - nu_f
 
 
 def weighted_scalar_curvature(wm: WeightedManifoldData, p: np.ndarray) -> float:
     """R^inf = R + 2 Lap f - |grad f|^2 at an interior point.
 
-    The Laplacian is the metric trace of the covariant Hessian; one
-    inverse-metric factorization is shared across all terms (quadrature
-    loops hit this per grid point).
+    The Laplacian is the metric trace of the covariant Hessian.
     """
-    p = wm.metric.check_point(p)
-    ginv = inverse_metric(wm.metric, p)
-    dg = metric_d1(wm.metric, p)
-    bracket = np.einsum("bdc->dbc", dg) + np.einsum("cbd->dbc", dg) - dg
-    gamma = 0.5 * np.einsum("ad,dbc->abc", ginv, bracket)
-    df = scalar_d1(wm.potential, p)
-    hess = scalar_d2(wm.potential, p) - np.einsum("cab,c->ab", gamma, df)
-    lap = float(np.einsum("ab,ab->", ginv, hess))
-    grad_sq = float(df @ ginv @ df)
-    return wm.curvature(p) + 2.0 * lap - grad_sq
+    return float(_weighted_scalar_curvatures(wm, np.asarray(p, dtype=float)[None])[0])
 
 
 def weighted_mean_curvature(wm: WeightedManifoldData, idx: int) -> float:
@@ -291,29 +313,38 @@ def weighted_mean_curvature(wm: WeightedManifoldData, idx: int) -> float:
             f"boundary index {idx} out of range ({len(wm.boundary_points)} samples); "
             "interior points have no weighted mean curvature"
         )
-    q = wm.boundary_points[idx]
-    nu_f = float(wm.boundary_normals[idx] @ scalar_d1(wm.potential, q))
-    return float(wm.boundary_mean_curvatures[idx]) - nu_f
+    return float(_weighted_mean_curvatures(wm, [idx])[0])
+
+
+# Grid nodes per kernel call in the quadratures; bounds the memory of one call.
+QUADRATURE_CHUNK = 1024
+
+
+def _chunks(n: int):
+    return (slice(i, min(i + QUADRATURE_CHUNK, n)) for i in range(0, n, QUADRATURE_CHUNK))
 
 
 def I_infty(wm: WeightedManifoldData) -> float:
     """int R^inf e^-f dV + 2 int H^inf e^-f dA over the supplied grids."""
-    total = 0.0
-    for p, w in zip(wm.interior_points, wm.interior_weights):
-        total += w * weighted_scalar_curvature(wm, p) * math.exp(-wm.potential.value(p))
-    for i, (q, w) in enumerate(zip(wm.boundary_points, wm.boundary_weights)):
-        total += 2.0 * w * weighted_mean_curvature(wm, i) * math.exp(-wm.potential.value(q))
-    return total
+    terms = []
+    for sl in _chunks(len(wm.interior_points)):
+        pts = wm.interior_points[sl]
+        terms.append(wm.interior_weights[sl] * _weighted_scalar_curvatures(wm, pts)
+                     * np.exp(-wm.potential.at(pts)))
+    for sl in _chunks(len(wm.boundary_points)):
+        terms.append(2.0 * wm.boundary_weights[sl] * _weighted_mean_curvatures(wm, sl)
+                     * np.exp(-wm.potential.at(wm.boundary_points[sl])))
+    return math.fsum(np.concatenate(terms).tolist())
 
 
 def I_GHY(wm: WeightedManifoldData) -> float:
     """int R e^-f dV + 2 int H dA (boundary term unweighted)."""
-    total = 0.0
-    for p, w in zip(wm.interior_points, wm.interior_weights):
-        total += w * wm.curvature(p) * math.exp(-wm.potential.value(p))
-    for q, w, H in zip(wm.boundary_points, wm.boundary_weights, wm.boundary_mean_curvatures):
-        total += 2.0 * w * float(H)
-    return total
+    terms = []
+    for sl in _chunks(len(wm.interior_points)):
+        pts = wm.interior_points[sl]
+        terms.append(wm.interior_weights[sl] * wm.curvatures(pts) * np.exp(-wm.potential.at(pts)))
+    terms.append(2.0 * wm.boundary_weights * wm.boundary_mean_curvatures)
+    return math.fsum(np.concatenate(terms).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -356,43 +387,30 @@ def flat_ball_domain(
     ths, wth = _trapezoid_nodes(pole_band, math.pi - pole_band, nth)
     phs, wph = _periodic_nodes(nph)
 
-    pts, wts = [], []
-    for r, a in zip(rs, wr):
-        if r == 0.0:
-            continue  # zero density at the origin
-        for th, b in zip(ths, wth):
-            s, c = math.sin(th), math.cos(th)
-            for ph, cw in zip(phs, wph):
-                pts.append([r * s * math.cos(ph), r * s * math.sin(ph), r * c])
-                wts.append(a * b * cw * r**2 * s)
+    # r outer, polar middle, azimuth inner; the r = 0 shell has zero density
+    r, th, ph = np.meshgrid(rs[rs != 0.0], ths, phs, indexing="ij")
+    a, b, cw = np.meshgrid(wr[rs != 0.0], wth, wph, indexing="ij")
+    s, c = np.sin(th), np.cos(th)
+    pts = np.stack((r * s * np.cos(ph), r * s * np.sin(ph), r * c), axis=-1).reshape(-1, 3)
+    wts = (a * b * cw * r**2 * s).reshape(-1)
 
-    bpts, bwts, bnus = [], [], []
-    for th, b in zip(ths, wth):
-        s, c = math.sin(th), math.cos(th)
-        for ph, cw in zip(phs, wph):
-            nu = np.array([s * math.cos(ph), s * math.sin(ph), c])
-            bpts.append(radius * nu)
-            bwts.append(b * cw * radius**2 * s)
-            bnus.append(nu)
+    th, ph = np.meshgrid(ths, phs, indexing="ij")
+    b, cw = np.meshgrid(wth, wph, indexing="ij")
+    s, c = np.sin(th), np.cos(th)
+    bnus = np.stack((s * np.cos(ph), s * np.sin(ph), c), axis=-1).reshape(-1, 3)
+    bwts = (b * cw * radius**2 * s).reshape(-1)
 
-    eye = np.eye(3)
-    metric = MetricField(
-        dim=3,
-        components=lambda p: eye.copy(),
-        d1=lambda p: np.zeros((3, 3, 3)),
-        d2=lambda p: np.zeros((3, 3, 3, 3)),
-    )
-    m = len(bpts)
+    metric = model_background("euclidean_static", dim=3).conformal.sigma
     return WeightedManifoldData(
         metric=metric,
         potential=potential,
-        interior_points=np.asarray(pts),
-        interior_weights=np.asarray(wts),
-        boundary_points=np.asarray(bpts),
-        boundary_weights=np.asarray(bwts),
-        boundary_normals=np.asarray(bnus),
-        boundary_mean_curvatures=np.full(m, 2.0 / radius),
-        scalar_curvature_at=lambda p: 0.0,
+        interior_points=pts,
+        interior_weights=wts,
+        boundary_points=radius * bnus,
+        boundary_weights=bwts,
+        boundary_normals=bnus,
+        boundary_mean_curvatures=np.full(len(bnus), 2.0 / radius),
+        scalar_curvature_at=ScalarField.constant(0.0),
     )
 
 
@@ -415,37 +433,37 @@ def random_polynomial_field(dim: int, rng: np.random.Generator, degree: int = 3)
             terms.append((combo, float(rng.uniform(-1, 1))))
 
     def value(p):
-        total = 0.0
+        total = np.zeros(p.shape[:-1])
         for combo, c in terms:
-            prod = c
+            prod = np.full(p.shape[:-1], c)
             for i in combo:
-                prod *= p[i]
-            total += prod
+                prod = prod * p[..., i]
+            total = total + prod
         return total
 
     def d1(p):
-        out = np.zeros(dim)
+        out = np.zeros(p.shape)
         for combo, c in terms:
             for k in range(len(combo)):
-                prod = c
+                prod = np.full(p.shape[:-1], c)
                 for j, i in enumerate(combo):
                     if j != k:
-                        prod *= p[i]
-                out[combo[k]] += prod
+                        prod = prod * p[..., i]
+                out[..., combo[k]] += prod
         return out
 
     def d2(p):
-        out = np.zeros((dim, dim))
+        out = np.zeros(p.shape + (dim,))
         for combo, c in terms:
             for k in range(len(combo)):
                 for l in range(len(combo)):
                     if l == k:
                         continue
-                    prod = c
+                    prod = np.full(p.shape[:-1], c)
                     for j, i in enumerate(combo):
                         if j != k and j != l:
-                            prod *= p[i]
-                    out[combo[k], combo[l]] += prod
+                            prod = prod * p[..., i]
+                    out[..., combo[k], combo[l]] += prod
         return out
 
     return ScalarField(value=value, d1=d1, d2=d2)

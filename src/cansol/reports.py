@@ -59,14 +59,14 @@ class ResidualReport:
 
 
 def _plain(obj):
-    """Recursively convert numpy scalars/arrays for stable JSON output."""
+    """Recursively convert numpy scalars (bools too) and arrays for stable JSON output."""
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     if isinstance(obj, float) and obj != obj:
         return "nan"

@@ -35,7 +35,8 @@ from .backgrounds import HypersurfacePointData, MCFSolution, hypersurface_point_
 from .canonical import CanonicalConfigError, CanonicalMetric, FormCorrection
 from .geometry import (
     SymTensor2,
-    christoffel,
+    christoffel_batch,
+    metric_bundle,
     scalar_d1,
 )
 
@@ -128,8 +129,9 @@ def track_point_data(track: SpaceTimeTrack, x: np.ndarray, t: float) -> TrackPoi
     dim = cm.spacetime_dim
 
     hyp = hypersurface_point_data(mcf, x, t)
-    z = cm.field.check_point(cm.spacetime_point(hyp.position, t))
-    g_st = cm.field.at(z)
+    st = metric_bundle(cm.field, cm.spacetime_point(hyp.position, t), order=1)
+    st.raise_error()
+    z, g_st = st.points[0], st.g[0]
 
     # tangent basis: row 0 is d/dt + dF/dt, rows 1..n are (0, d_i F)
     basis = np.zeros((n + 1, dim))
@@ -161,7 +163,7 @@ def track_point_data(track: SpaceTimeTrack, x: np.ndarray, t: float) -> TrackPoi
     ddPhi[1:, 0, 1:] = dxdt
     ddPhi[1:, 1:, 1:] = np.asarray(mcf.dxdx(x, t), dtype=float)
 
-    gamma = christoffel(cm.field, z).gamma
+    gamma = christoffel_batch(st)[0]
     cov = ddPhi + np.einsum("cab,ia,jb->ijc", gamma, basis, basis)
     h = -np.einsum("ijc,cd,d->ij", cov, g_st, nu)
     h = 0.5 * (h + h.T)

@@ -117,9 +117,9 @@ class TestRicciFlowResidual:
         conf = ConformalFamily(
             sigma=MetricField(
                 dim=dim,
-                components=lambda p: eye.copy(),
-                d1=lambda p: np.zeros((dim,) * 3),
-                d2=lambda p: np.zeros((dim,) * 4),
+                components=lambda p: np.zeros(p.shape[:-1] + (dim, dim)) + eye,
+                d1=lambda p: np.zeros(p.shape[:-1] + (dim,) * 3),
+                d2=lambda p: np.zeros(p.shape[:-1] + (dim,) * 4),
             ),
             phi=lambda t: 1.0 + t**2,
             dphi=lambda t: 2.0 * t,
@@ -218,6 +218,17 @@ class TestModelMCF:
         # h = g / r with the outward orientation
         assert np.allclose(data.second_ff, data.induced / r, atol=1e-10)
 
+    def test_mean_curvature_derivatives_fall_back_to_differences(self):
+        import dataclasses
+
+        bg = model_background("euclidean_static", dim=3)
+        mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
+        bare = dataclasses.replace(mcf, dx_mean_curvature=None, dt_mean_curvature=None)
+        x, t = np.array([0.9, 2.1]), 0.1
+        exact, fd = hypersurface_point_data(mcf, x, t), hypersurface_point_data(bare, x, t)
+        assert np.allclose(fd.dx_mean_curvature, exact.dx_mean_curvature, atol=1e-7)
+        assert fd.dt_mean_curvature == pytest.approx(exact.dt_mean_curvature, rel=1e-6)
+
 
 class TestGradientSolitonResidual:
     def test_gaussian_shrinker_exact(self, rng):
@@ -229,19 +240,16 @@ class TestGradientSolitonResidual:
 
     def test_flat_steady_zero_potential(self):
         bg = model_background("euclidean_static", dim=3)
-        sol = GradientSolitonData(TimeScalarField(value=lambda y, t: 0.0,
-                                                  dy=lambda y, t: np.zeros(3),
-                                                  dyy=lambda y, t: np.zeros((3, 3)),
-                                                  dt=lambda y, t: 0.0), "steady")
+        sol = GradientSolitonData(bg_potential_zero(), "steady")
         res = gradient_soliton_residual(bg, sol, np.array([0.3, 0.1, -0.2]), 0.5)
         assert np.allclose(res.entries, 0.0, atol=1e-14)
 
     def test_flat_steady_linear_and_quadratic_potentials(self):
         bg = model_background("euclidean_static", dim=3)
         linear = GradientSolitonData(
-            TimeScalarField(value=lambda y, t: y[0],
-                            dy=lambda y, t: np.array([1.0, 0.0, 0.0]),
-                            dyy=lambda y, t: np.zeros((3, 3)),
+            TimeScalarField(value=lambda y, t: y[..., 0],
+                            dy=lambda y, t: np.broadcast_to([1.0, 0.0, 0.0], y.shape),
+                            dyy=lambda y, t: np.zeros(y.shape + (3,)),
                             dt=lambda y, t: 0.0),
             "steady",
         )
@@ -249,9 +257,10 @@ class TestGradientSolitonResidual:
         assert np.allclose(res.entries, 0.0, atol=1e-14)
 
         quadratic = GradientSolitonData(
-            TimeScalarField(value=lambda y, t: y[0] ** 2,
-                            dy=lambda y, t: np.array([2.0 * y[0], 0.0, 0.0]),
-                            dyy=lambda y, t: np.diag([2.0, 0.0, 0.0]),
+            TimeScalarField(value=lambda y, t: y[..., 0] ** 2,
+                            dy=lambda y, t: 2.0 * y * np.array([1.0, 0.0, 0.0]),
+                            dyy=lambda y, t: np.broadcast_to(np.diag([2.0, 0.0, 0.0]),
+                                                             y.shape + (3,)),
                             dt=lambda y, t: 0.0),
             "steady",
         )
@@ -277,10 +286,7 @@ class TestMCFSolitonResidual:
     def test_equator_zero_potential(self):
         bg = model_background("round_sphere", dim=3, r0=1.0, direction="backward")
         mcf = model_mcf("equator_in_sphere", bg)
-        zero = TimeScalarField(value=lambda y, t: 0.0,
-                               dy=lambda y, t: np.zeros(3),
-                               dyy=lambda y, t: np.zeros((3, 3)),
-                               dt=lambda y, t: 0.0)
+        zero = bg_potential_zero()
         res = mcf_soliton_residual(mcf, zero, +1.0, np.array([1.2, 0.3]), 0.4)
         assert res == pytest.approx(0.0, abs=1e-10)
 
@@ -288,10 +294,7 @@ class TestMCFSolitonResidual:
         bg = model_background("euclidean_static", dim=3)
         # r(t) = 1 at t = 0.1 requires r0^2 = 1 + 2 n t
         mcf = model_mcf("shrinking_sphere_flat", bg, r0=math.sqrt(1.4))
-        zero = TimeScalarField(value=lambda y, t: 0.0,
-                               dy=lambda y, t: np.zeros(3),
-                               dyy=lambda y, t: np.zeros((3, 3)),
-                               dt=lambda y, t: 0.0)
+        zero = bg_potential_zero()
         res = mcf_soliton_residual(mcf, zero, -1.0, np.array([0.8, 0.2]), 0.1)
         assert res == pytest.approx(2.0, rel=1e-10)  # H = n / r = 2
 
@@ -303,7 +306,7 @@ class TestMCFSolitonResidual:
 
 
 def bg_potential_zero():
-    return TimeScalarField(value=lambda y, t: 0.0,
-                           dy=lambda y, t: np.zeros(3),
-                           dyy=lambda y, t: np.zeros((3, 3)),
+    return TimeScalarField(value=lambda y, t: np.zeros(y.shape[:-1]),
+                           dy=lambda y, t: np.zeros(y.shape),
+                           dyy=lambda y, t: np.zeros(y.shape + y.shape[-1:]),
                            dt=lambda y, t: 0.0)

@@ -1,0 +1,294 @@
+"""The batched kernel: batch independence, the pointwise reference, per-point failures."""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_kernel as ref
+from cansol import harnack
+from cansol.backgrounds import model_background, unit_sphere_metric
+from cansol.canonical import (
+    VARIANTS,
+    build_canonical_metric,
+    ricci_soliton_residual,
+    ricci_soliton_residuals,
+)
+from cansol.cli import RunConfig, run
+from cansol.geometry import (
+    ChartDomainError,
+    DegenerateMetricError,
+    GeometryError,
+    MetricField,
+    ScalarField,
+    SymTensor2,
+    christoffel,
+    christoffel_batch,
+    christoffel_d1,
+    christoffel_d1_batch,
+    gradient,
+    gradient_batch,
+    hessian,
+    hessian_batch,
+    inverse_metric,
+    laplacian,
+    laplacian_batch,
+    metric_bundle,
+    metric_d1,
+    metric_d2,
+    ricci,
+    ricci_batch,
+    riemann,
+    riemann_batch,
+    scalar_curvature,
+    scalar_curvature_batch,
+    scalar_d1,
+    scalar_d2,
+    tensor_norm,
+    tensor_norm_batch,
+)
+from cansol.harnack import I_GHY, I_infty, flat_ball_domain, random_polynomial_field
+
+DIRECTION = {"expanding": "forward", "shrinking": "backward", "steady": "backward"}
+
+
+def sphere_stack(d, k, rng):
+    pts = np.empty((k, d))
+    pts[:, : d - 1] = rng.uniform(0.3, math.pi - 0.3, (k, d - 1))
+    pts[:, d - 1] = rng.uniform(0.0, 2.0 * math.pi, k)
+    return pts
+
+
+def canonical(variant, dim, N):
+    bg = model_background("round_sphere", dim=dim, r0=1.0, direction=DIRECTION[variant])
+    return build_canonical_metric(bg, variant, N)
+
+
+def spacetime_stack(cm, k, rng):
+    T = cm.base.time_domain[1]
+    ts = rng.uniform(cm.t_min, T, k)
+    return np.column_stack((ts, sphere_stack(cm.base.dim, k, rng)))
+
+
+def assert_stack_matches_single_points(metric, f, pts):
+    """Every kernel op on the stack equals, bit for bit, the single-point calls."""
+    b = metric_bundle(metric, pts, order=2)
+    assert b.errors == (None,) * len(pts)
+    ric = ricci_batch(b)
+    T = ric + hessian_batch(b, f)
+    batched = {
+        "d1": metric_d1(metric, pts),
+        "d2": metric_d2(metric, pts),
+        "inverse_metric": b.ginv,
+        "christoffel": christoffel_batch(b),
+        "christoffel_d1": christoffel_d1_batch(b),
+        "riemann": riemann_batch(b),
+        "ricci": ric,
+        "scalar_curvature": scalar_curvature_batch(b),
+        "hessian": hessian_batch(b, f),
+        "laplacian": laplacian_batch(b, f),
+        "gradient": gradient_batch(b, f),
+        "scalar_d1": scalar_d1(f, pts),
+        "scalar_d2": scalar_d2(f, pts),
+        "tensor_norm": tensor_norm_batch(b, T),
+        "tensor_norm_up": tensor_norm_batch(b, T, "contravariant"),
+    }
+    for i, p in enumerate(pts):
+        single = {
+            "d1": metric_d1(metric, p),
+            "d2": metric_d2(metric, p),
+            "inverse_metric": inverse_metric(metric, p),
+            "christoffel": christoffel(metric, p).gamma,
+            "christoffel_d1": christoffel_d1(metric, p),
+            "riemann": riemann(metric, p),
+            "ricci": ricci(metric, p).entries,
+            "scalar_curvature": scalar_curvature(metric, p),
+            "hessian": hessian(metric, f, p).entries,
+            "laplacian": laplacian(metric, f, p),
+            "gradient": gradient(metric, f, p),
+            "scalar_d1": scalar_d1(f, p),
+            "scalar_d2": scalar_d2(f, p),
+            "tensor_norm": tensor_norm(metric, SymTensor2(T[i]), p),
+            "tensor_norm_up": tensor_norm(metric, SymTensor2(T[i], "contravariant"), p),
+        }
+        for name, value in single.items():
+            assert np.array_equal(batched[name][i], value), (name, i)
+
+
+class TestBatchIndependence:
+    @given(
+        d=st.integers(2, 5),
+        k=st.integers(2, 7),
+        seed=st.integers(0, 2**32 - 1),
+        fd=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_sphere_fields(self, d, k, seed, fd):
+        rng = np.random.default_rng(seed)
+        metric = unit_sphere_metric(d)
+        f = random_polynomial_field(d, rng)
+        if fd:
+            metric = metric.without_analytic_derivatives()
+            f = ScalarField(value=f.value)
+        assert_stack_matches_single_points(metric, f, sphere_stack(d, k, rng))
+
+    @given(
+        variant=st.sampled_from(VARIANTS),
+        dim=st.integers(2, 5),
+        N=st.sampled_from([1e2, 1e3, 1e5]),
+        k=st.integers(2, 7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_canonical_fields(self, variant, dim, N, k, seed):
+        cm = canonical(variant, dim, N)
+        pts = spacetime_stack(cm, k, np.random.default_rng(seed))
+        assert_stack_matches_single_points(cm.field, cm.potential, pts)
+
+    def test_large_stack(self):
+        cm = canonical("expanding", 5, 1e4)
+        pts = spacetime_stack(cm, 200, np.random.default_rng(11))
+        assert_stack_matches_single_points(cm.field, cm.potential, pts)
+
+    def test_sweep_records_equal_single_point_calls(self):
+        cfg = {
+            "suite": "ricci_soliton_residual",
+            "variant": "shrinking",
+            "background": {"name": "round_sphere",
+                           "params": {"dim": 3, "r0": 1.0, "direction": "backward"}},
+            "N_list": [1e2, 1e4],
+            "samples": {"count": 7, "seed": 5},
+        }
+        report = run(RunConfig.from_dict(cfg))
+        bg = model_background("round_sphere", dim=3, r0=1.0, direction="backward")
+        assert len(report.records) == 14
+        for rec in report.records:
+            cm = build_canonical_metric(bg, "shrinking", rec["N"])
+            s = ricci_soliton_residual(cm, np.asarray(rec["point"]), rec["t"])
+            assert s.scaled_norm == rec["scaled_norm"]
+            assert s.norm == rec["norm"]
+
+    def test_quadrature_does_not_depend_on_the_chunk_size(self, monkeypatch):
+        potential = model_background("gaussian_shrinker_flat", dim=3).soliton.potential.at_time(1.0)
+        wm = flat_ball_domain(potential=potential, grid=(6, 12, 4))
+        default = (I_infty(wm), I_GHY(wm))
+        monkeypatch.setattr(harnack, "QUADRATURE_CHUNK", 7)
+        assert (I_infty(wm), I_GHY(wm)) == default
+
+
+class TestPointwiseReference:
+    """The batched E_N stays within |dE|_g <= 1e-12 N |Ric|_g of the pointwise kernel."""
+
+    TOL = 1e-12
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("dim", [3, 5])
+    def test_soliton_defect(self, variant, dim):
+        rng = np.random.default_rng(dim)
+        worst = 0.0
+        for N in (1e2, 1e3, 1e4, 1e5):
+            cm = canonical(variant, dim, N)
+            for z in spacetime_stack(cm, 6, rng):
+                t, p = z[0], z[1:]
+                E_ref, ric_ref = ref.soliton_defect(cm, p, t)
+                E = ricci_soliton_residual(cm, p, t).residual.entries
+                scale = N * ref.tensor_norm(cm.field, ric_ref, z)
+                worst = max(worst, ref.tensor_norm(cm.field, E - E_ref, z) / scale)
+        assert worst <= self.TOL, worst
+
+
+def degenerate_at(cm, t_singular, t_ill):
+    """cm with a singular metric at time t_singular and an ill-conditioned one at t_ill."""
+    base = cm.field
+
+    def comps(z):
+        g = np.array(base.components(z))
+        g[z[..., 0] == t_singular] = 0.0
+        g[z[..., 0] == t_ill, 0, 0] *= 1e-20
+        return g
+
+    return dataclasses.replace(cm, field=dataclasses.replace(base, components=comps))
+
+
+class TestFailuresInsideABatch:
+    def test_residual_stack_matches_pointwise_loop(self):
+        cm = degenerate_at(canonical("expanding", 3, 1e3), t_singular=0.071, t_ill=0.072)
+        good = np.array([1.1, 0.7, 2.0])
+        pairs = [
+            (good, 0.09),                            # valid
+            (np.array([0.005, 1.0, 1.0]), 0.09),     # polar band
+            (good, 0.5 * cm.t_min),                  # below t_min
+            (good, 0.071),                           # singular metric
+            (good, 0.072),                           # ill-conditioned metric
+            (np.array([np.nan, 1.0, 1.0]), 0.09),    # non-finite
+            (np.array([0.9, 1.3, 0.2]), 0.11),       # valid
+        ]
+        loop = []
+        for p, t in pairs:
+            try:
+                loop.append(ricci_soliton_residual(cm, p, t))
+            except GeometryError as exc:
+                loop.append(exc)
+        batch = ricci_soliton_residuals(cm, [p for p, _ in pairs], [t for _, t in pairs])
+        kinds = [type(r) for r in batch]
+        assert kinds == [type(r) for r in loop]
+        assert kinds[1:6] == [ChartDomainError, ChartDomainError, DegenerateMetricError,
+                              DegenerateMetricError, ChartDomainError]
+        for a, b in zip(batch, loop):
+            if isinstance(a, Exception):
+                assert str(a) == str(b)
+            else:
+                assert np.array_equal(a.residual.entries, b.residual.entries)
+                assert a.scaled_norm == b.scaled_norm
+        # the valid points are unaffected by their failing neighbours
+        alone = ricci_soliton_residuals(cm, [pairs[0][0], pairs[6][0]], [pairs[0][1], pairs[6][1]])
+        assert [s.scaled_norm for s in alone] == [batch[0].scaled_norm, batch[6].scaled_norm]
+
+    def test_bundle_records_errors_and_skips_the_points(self):
+        seen = []
+
+        def comps(p):
+            seen.append(p.copy())
+            g = np.zeros(p.shape[:-1] + (2, 2))
+            g[..., 0, 0] = 1.0
+            g[..., 1, 1] = p[..., 0] ** 2     # singular on x = 0
+            return g
+
+        metric = MetricField(dim=2, components=comps, d1=lambda p: np.zeros(p.shape + (2, 2)),
+                             in_domain=lambda p: p[..., 1] < 5.0)
+        pts = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 9.0], [np.inf, 0.0], [2.0, 1.0]])
+        b = metric_bundle(metric, pts, order=1)
+        assert b.index.tolist() == [0, 4]
+        assert np.array_equal(b.points, pts[[0, 4]])
+        for i in (1, 2, 3):
+            with pytest.raises(type(b.errors[i])) as info:
+                christoffel(metric, pts[i])
+            assert str(info.value) == str(b.errors[i])
+        # components saw no point outside the chart
+        assert all(np.all(s[:, 1] < 5.0) and np.all(np.isfinite(s)) for s in seen)
+
+
+class TestCallbackContract:
+    def test_per_point_shape_only_from_a_single_point(self):
+        metric = MetricField(dim=2, components=lambda p: np.eye(2),
+                             d1=lambda p: np.zeros((2, 2, 2)))
+        assert np.array_equal(inverse_metric(metric, np.zeros(2)), np.eye(2))
+        for pts in (np.zeros((2, 2)), np.zeros((3, 2))):
+            with pytest.raises(GeometryError, match="metric callback returned shape"):
+                metric_bundle(metric, pts)
+        f = ScalarField(value=lambda p: np.zeros(len(p)), d2=lambda p: np.eye(2))
+        assert np.array_equal(scalar_d2(f, np.zeros(2)), np.eye(2))
+        with pytest.raises(GeometryError, match="scalar d2 callback returned shape"):
+            scalar_d2(f, np.zeros((2, 2)))
+
+    def test_wrong_leading_axis_raises(self):
+        metric = MetricField(dim=2, components=lambda p: np.zeros((len(p) + 1, 2, 2)))
+        with pytest.raises(GeometryError):
+            metric.at(np.zeros((2, 2)))
+
+    def test_pointwise_scalar_fails_in_a_stencil(self):
+        f = ScalarField(value=lambda p: 1.0)
+        with pytest.raises(GeometryError):
+            scalar_d1(f, np.zeros(3))

@@ -237,6 +237,18 @@ class TestMainEntry:
         }
         assert main(["run", "--config", str(self.write_cfg(tmp_path, cfg))]) == 1
 
+    def test_functionals_report_renders_and_exits_zero(self, tmp_path):
+        report = run(RunConfig.from_dict({"suite": "functionals",
+                                          "samples": {"potential": "gaussian"}}))
+        assert json.loads(render_json(report))["passed"] is True
+        cfg = {
+            "suite": "functionals",
+            "samples": {"potential": "zero"},
+            "output": {"path": str(tmp_path / "f.json"), "format": "json"},
+        }
+        assert main(["run", "--config", str(self.write_cfg(tmp_path, cfg))]) == 0
+        assert json.loads((tmp_path / "f.json").read_text())["passed"] is True
+
     def test_config_error_exit_two(self, tmp_path):
         cfg = {"suite": "bogus"}
         assert main(["run", "--config", str(self.write_cfg(tmp_path, cfg))]) == 2

@@ -31,9 +31,9 @@ from cansol.geometry import (
 def flat_metric(d, scale=1.0):
     return MetricField(
         dim=d,
-        components=lambda p: scale * np.eye(d),
-        d1=lambda p: np.zeros((d, d, d)),
-        d2=lambda p: np.zeros((d, d, d, d)),
+        components=lambda p: np.zeros(p.shape[:-1] + (d, d)) + scale * np.eye(d),
+        d1=lambda p: np.zeros(p.shape[:-1] + (d, d, d)),
+        d2=lambda p: np.zeros(p.shape[:-1] + (d, d, d, d)),
     )
 
 
@@ -141,9 +141,9 @@ class TestHessianAndGradient:
         d, tau = 3, 0.4
         m = flat_metric(d)
         f = ScalarField(
-            value=lambda p: float(p @ p) / (4 * tau),
+            value=lambda p: np.sum(p * p, axis=-1) / (4 * tau),
             d1=lambda p: p / (2 * tau),
-            d2=lambda p: np.eye(d) / (2 * tau),
+            d2=lambda p: np.broadcast_to(np.eye(d) / (2 * tau), p.shape + (d,)),
         )
         h = hessian(m, f, np.array([0.3, -0.1, 0.7])).entries
         assert np.allclose(h, np.eye(d) / (2 * tau), atol=1e-13)
@@ -155,7 +155,7 @@ class TestHessianAndGradient:
 
     def test_bilinear_function_flat(self):
         m = flat_metric(3)
-        f = ScalarField(value=lambda p: p[0] * p[1])
+        f = ScalarField(value=lambda p: p[..., 0] * p[..., 1])
         h = hessian(m, f, np.array([0.5, -2.0, 1.0])).entries
         expected = np.zeros((3, 3))
         expected[0, 1] = expected[1, 0] = 1.0
@@ -163,7 +163,7 @@ class TestHessianAndGradient:
 
     def test_gradient_and_directional(self):
         m = flat_metric(3)
-        f = ScalarField(value=lambda p: p[0], d1=lambda p: np.array([1.0, 0.0, 0.0]))
+        f = ScalarField(value=lambda p: p[..., 0], d1=lambda p: np.broadcast_to([1.0, 0.0, 0.0], p.shape))
         p = np.array([0.2, 0.4, 0.6])
         assert np.allclose(gradient(m, f, p), [1.0, 0.0, 0.0])
         assert directional_derivative(m, f, np.array([1.0, 0, 0]), p) == pytest.approx(1.0)
@@ -172,7 +172,7 @@ class TestHessianAndGradient:
     def test_gradient_inverse_metric_scaling(self):
         r = 1.7
         m = scaled_sphere(2, r)
-        f = ScalarField(value=lambda p: p[0], d1=lambda p: np.array([1.0, 0.0]))
+        f = ScalarField(value=lambda p: p[..., 0], d1=lambda p: np.broadcast_to([1.0, 0.0], p.shape))
         grad = gradient(m, f, np.array([math.pi / 2, 0.3]))
         assert grad[0] == pytest.approx(1.0 / r**2, rel=1e-12)
         assert grad[1] == pytest.approx(0.0, abs=1e-14)
@@ -183,9 +183,9 @@ class TestHessianAndGradient:
         d, tau = 3, 0.4
         m = flat_metric(d)
         f = ScalarField(
-            value=lambda p: float(p @ p) / (4 * tau),
+            value=lambda p: np.sum(p * p, axis=-1) / (4 * tau),
             d1=lambda p: p / (2 * tau),
-            d2=lambda p: np.eye(d) / (2 * tau),
+            d2=lambda p: np.broadcast_to(np.eye(d) / (2 * tau), p.shape + (d,)),
         )
         assert laplacian(m, f, np.array([0.1, -0.2, 0.5])) == pytest.approx(d / (2 * tau))
 
@@ -224,7 +224,7 @@ class TestTensorNorm:
 
         relabeled = MetricField(
             dim=3,
-            components=lambda q: base.components(q[inv])[np.ix_(perm, perm)],
+            components=lambda q: base.components(q[..., inv])[..., perm, :][..., perm],
             d1=None,
             d2=None,
         )
@@ -283,7 +283,7 @@ class TestDerivativeBackends:
 
 class TestErrors:
     def test_degenerate_metric_rejected(self):
-        m = MetricField(dim=2, components=lambda p: np.diag([1.0, 1e-15]))
+        m = MetricField(dim=2, components=lambda p: np.broadcast_to(np.diag([1.0, 1e-15]), p.shape[:-1] + (2, 2)))
         with pytest.raises(DegenerateMetricError):
             inverse_metric(m, np.zeros(2))
 

@@ -42,9 +42,9 @@ def sphere_fwd():
 
 def gaussian_potential(dim=3):
     return ScalarField(
-        value=lambda p: float(p @ p) / 4.0,
+        value=lambda p: np.sum(p * p, axis=-1) / 4.0,
         d1=lambda p: p / 2.0,
-        d2=lambda p: np.eye(dim) / 2.0,
+        d2=lambda p: np.broadcast_to(np.eye(dim) / 2.0, p.shape + (dim,)),
     )
 
 
