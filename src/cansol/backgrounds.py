@@ -24,12 +24,13 @@ import numpy as np
 
 from .geometry import (
     ChartDomainError,
+    DegenerateMetricError,
     FDConfig,
     MetricField,
     ScalarField,
     SymTensor2,
+    _inverse,
     chart_point,
-    christoffel,
     christoffel_batch,
     hessian,
     metric_bundle,
@@ -54,6 +55,7 @@ __all__ = [
     "gradient_soliton_residual",
     "mcf_soliton_residual",
     "hypersurface_point_data",
+    "extrinsic_geometry",
     "unit_sphere_metric",
     "sphere_embedding_maps",
 ]
@@ -178,6 +180,21 @@ def sphere_embedding_maps(n: int):
     return omega, d_omega, dd_omega
 
 
+def _polar_box(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample box of a polar chart: angles 0.1 inside the pole band, azimuth a full turn."""
+    low = np.full(d, POLE_BAND + 0.1)
+    high = np.full(d, math.pi - POLE_BAND - 0.1)
+    low[-1], high[-1] = 0.0, 2.0 * math.pi
+    return low, high
+
+
+def _check_time(domain: tuple[float, float], t: float) -> float:
+    lo, hi = domain
+    if not (lo < t <= hi):
+        raise ChartDomainError(f"time {t} outside domain ({lo}, {hi}]")
+    return float(t)
+
+
 # ---------------------------------------------------------------------------
 # backgrounds
 # ---------------------------------------------------------------------------
@@ -199,6 +216,17 @@ class ConformalFamily:
     sigma_scalar: float
     ric_sigma: Callable[[np.ndarray], np.ndarray]
 
+    def R(self, t):
+        """Scalar curvature of g(t), sigma_scalar / phi(t)."""
+        return self.sigma_scalar / self.phi(t)
+
+    def dR(self, t):
+        return -self.sigma_scalar * self.dphi(t) / self.phi(t) ** 2
+
+    def d2R(self, t):
+        phi, dphi = self.phi(t), self.dphi(t)
+        return self.sigma_scalar * (2.0 * dphi**2 / phi**3 - self.d2phi(t) / phi**2)
+
 
 @dataclass(frozen=True)
 class RicciFlowBackground:
@@ -207,7 +235,9 @@ class RicciFlowBackground:
     ``direction`` selects the flow sign: "forward" means dg/dt = -2 Ric,
     "backward" means dg/dtau = +2 Ric with tau stored directly as the time
     variable.  Curvature evaluators are closed-form and are cross-checked
-    against the numeric kernel in the test suite.
+    against the numeric kernel in the test suite.  ``sample_box`` is the
+    (low, high) box, scalars or per-coordinate arrays, that
+    ``sample_points`` draws from.
     """
 
     name: str
@@ -216,16 +246,14 @@ class RicciFlowBackground:
     time_domain: tuple[float, float]     # (0, T], endpoint inclusive
     conformal: ConformalFamily
     soliton: "GradientSolitonData | None" = None
+    sample_box: tuple = (-1.5, 1.5)
 
     def __post_init__(self):
         if self.direction not in ("forward", "backward"):
             raise BackgroundError(f"unknown flow direction {self.direction!r}")
 
     def check_time(self, t: float) -> float:
-        lo, hi = self.time_domain
-        if not (lo < t <= hi):
-            raise ChartDomainError(f"time {t} outside domain ({lo}, {hi}]")
-        return float(t)
+        return _check_time(self.time_domain, t)
 
     def metric_at(self, t: float) -> MetricField:
         """Spatial metric snapshot at time t, with analytic derivatives."""
@@ -250,41 +278,18 @@ class RicciFlowBackground:
         return np.asarray(self.conformal.ric_sigma(p))
 
     def scalar_at(self, p: np.ndarray, t: float) -> float:
-        t = self.check_time(t)
-        return self.conformal.sigma_scalar / self.conformal.phi(t)
+        return self.conformal.R(self.check_time(t))
 
     def dt_scalar_at(self, p: np.ndarray, t: float) -> float:
-        t = self.check_time(t)
-        c = self.conformal
-        return -c.sigma_scalar * c.dphi(t) / c.phi(t) ** 2
-
-    def d2t_scalar_at(self, p: np.ndarray, t: float) -> float:
-        t = self.check_time(t)
-        c = self.conformal
-        phi, dphi, d2phi = c.phi(t), c.dphi(t), c.d2phi(t)
-        return c.sigma_scalar * (2.0 * dphi**2 / phi**3 - d2phi / phi**2)
+        return self.conformal.dR(self.check_time(t))
 
     def dy_scalar_at(self, p: np.ndarray, t: float) -> np.ndarray:
         self.check_time(t)
         return np.zeros(self.dim)
 
-    def grad_scalar_at(self, p: np.ndarray, t: float) -> np.ndarray:
-        """Contravariant spatial gradient of the scalar curvature."""
-        self.check_time(t)
-        return np.zeros(self.dim)
-
     def sample_points(self, count: int, rng: np.random.Generator) -> list[np.ndarray]:
-        """Random chart points away from coordinate singularities."""
-        pts = []
-        for _ in range(count):
-            if self.name == "round_sphere":
-                p = np.empty(self.dim)
-                p[: self.dim - 1] = rng.uniform(POLE_BAND + 0.1, math.pi - POLE_BAND - 0.1, self.dim - 1)
-                p[self.dim - 1] = rng.uniform(0.0, 2.0 * math.pi)
-            else:
-                p = rng.uniform(-1.5, 1.5, self.dim)
-            pts.append(p)
-        return pts
+        """Random chart points from ``sample_box``, away from coordinate singularities."""
+        return [rng.uniform(*self.sample_box, self.dim) for _ in range(count)]
 
 
 @dataclass(frozen=True)
@@ -308,12 +313,6 @@ class TimeScalarField:
             d2=None if self.dyy is None else (lambda p: self.dyy(p, t)),
             fd=self.fd,
         )
-
-    def dt_at(self, p: np.ndarray, t: float) -> float:
-        if self.dt is not None:
-            return float(self.dt(p, t))
-        h = self.fd.h1 * max(1.0, abs(t))
-        return float(self.value(p, t + h) - self.value(p, t - h)) / (2.0 * h)
 
 
 @dataclass(frozen=True)
@@ -396,7 +395,7 @@ def model_background(name: str, **params) -> RicciFlowBackground:
             sigma_scalar=float(dim * (dim - 1)),
             ric_sigma=lambda p: (dim - 1) * np.asarray(sigma.components(p)),
         )
-        return RicciFlowBackground(name, dim, direction, (0.0, T), conf)
+        return RicciFlowBackground(name, dim, direction, (0.0, T), conf, sample_box=_polar_box(dim))
 
     if name == "gaussian_shrinker_flat":
         dim = int(params.pop("dim", 3))
@@ -437,6 +436,8 @@ class MCFSolution:
     Second space/time derivatives of the immersion are analytic, as are
     the mean-curvature callbacks when set; everything else (induced
     metric, normal, second fundamental form) is computed by the kernel.
+    ``time_domain`` defaults to the ambient's; ``sample_box`` is the
+    (low, high) box that ``sample_xs`` draws from.
     """
 
     name: str
@@ -453,25 +454,17 @@ class MCFSolution:
     dx_mean_curvature: Callable[[np.ndarray, float], np.ndarray] | None = None
     dt_mean_curvature: Callable[[np.ndarray, float], float] | None = None
     time_domain: tuple[float, float] | None = None
+    sample_box: tuple = (-1.5, 1.5)
+
+    def __post_init__(self):
+        if self.time_domain is None:
+            object.__setattr__(self, "time_domain", self.ambient.time_domain)
 
     def check_time(self, t: float) -> float:
-        lo, hi = self.time_domain if self.time_domain is not None else self.ambient.time_domain
-        if not (lo < t <= hi):
-            raise ChartDomainError(f"time {t} outside domain ({lo}, {hi}]")
-        return float(t)
+        return _check_time(self.time_domain, t)
 
     def sample_xs(self, count: int, rng: np.random.Generator) -> list[np.ndarray]:
-        n = self.hypersurface_dim
-        pts = []
-        for _ in range(count):
-            if self.name in ("shrinking_sphere_flat", "equator_in_sphere"):
-                x = np.empty(n)
-                x[: n - 1] = rng.uniform(POLE_BAND + 0.1, math.pi - POLE_BAND - 0.1, max(n - 1, 0))
-                x[n - 1] = rng.uniform(0.0, 2.0 * math.pi)
-            else:
-                x = rng.uniform(-1.5, 1.5, n)
-            pts.append(x)
-        return pts
+        return [rng.uniform(*self.sample_box, self.hypersurface_dim) for _ in range(count)]
 
 
 def catalog_mcf_names() -> list[str]:
@@ -527,6 +520,7 @@ def model_mcf(name: str, bg: RicciFlowBackground, **params) -> MCFSolution:
             dx_mean_curvature=lambda x, t: np.zeros(n),
             dt_mean_curvature=lambda x, t: n**2 / r(t) ** 3,
             time_domain=(0.0, T),
+            sample_box=_polar_box(n),
         )
 
     if name == "equator_in_sphere":
@@ -555,6 +549,7 @@ def model_mcf(name: str, bg: RicciFlowBackground, **params) -> MCFSolution:
             mean_curvature=lambda x, t: 0.0,
             dx_mean_curvature=lambda x, t: zeros_n.copy(),
             dt_mean_curvature=lambda x, t: 0.0,
+            sample_box=_polar_box(n),
         )
 
     if name == "static_plane_flat":
@@ -664,57 +659,71 @@ class HypersurfacePointData:
     velocity: np.ndarray
 
 
-def _normal_vector(g: np.ndarray, tangents: np.ndarray, hint: np.ndarray) -> np.ndarray:
-    # null space of the n x (n+1) matrix T g, then g-normalized and oriented
+def extrinsic_geometry(tangents, second_partials, g, gamma, hint):
+    """(induced, induced_inv, normal, h, H) of a hypersurface at one point.
+
+    Takes the (n, n+1) tangent rows d_i F, the (n, n, n+1) second partials,
+    and the ambient g and Gamma at the image point; the unit normal is
+    oriented toward ``hint``.  Slices and the space-time track both use it.
+    The induced metric is inverted with the kernel's 1-norm condition
+    check; a degenerate one raises ``DegenerateMetricError``.
+    """
+    induced = tangents @ g @ tangents.T
+    induced = 0.5 * (induced + induced.T)
+    inv, [error] = _inverse(induced[None], tangents[None])
+    if error is not None:
+        raise DegenerateMetricError("degenerate induced metric") from error
+    induced_inv = inv[0]
+    # null space of the n x m matrix T g, then g-normalized and oriented
     _, _, vh = np.linalg.svd(tangents @ g)
     nu = vh[-1]
-    norm = math.sqrt(float(nu @ g @ nu))
-    if norm == 0.0:
-        raise BackgroundError("degenerate induced metric: no unit normal")
-    nu = nu / norm
+    nu = nu / math.sqrt(float(nu @ g @ nu))
     if float(nu @ g @ hint) < 0.0:
         nu = -nu
-    return nu
+    # (D_{T_i} T_j)^c = dd_ij F^c + Gamma^c_ab T_i^a T_j^b
+    cov = second_partials + np.einsum("cab,ia,jb->ijc", gamma, tangents, tangents)
+    h = -np.einsum("ijc,cd,d->ij", cov, g, nu)
+    h = 0.5 * (h + h.T)
+    return induced, induced_inv, nu, h, float(np.einsum("ij,ij->", induced_inv, h))
 
 
-def hypersurface_point_data(mcf: MCFSolution, x: np.ndarray, t: float) -> HypersurfacePointData:
-    """Compute induced metric, normal, h, H and H-derivatives at (x, t)."""
-    t = mcf.check_time(t)
-    x = chart_point(x)
+def _slice_geometry(mcf: MCFSolution, x: np.ndarray, t: float):
+    """Image point, tangent rows and ``extrinsic_geometry`` of M_t at x."""
     pos = np.asarray(mcf.immersion_at(x, t), dtype=float)
     amb = metric_bundle(mcf.ambient.metric_at(t), pos, order=1)
     amb.raise_error()
     T = np.asarray(mcf.dx(x, t), dtype=float)
-    g_amb = amb.g[0]
-    induced = T @ g_amb @ T.T
-    induced = 0.5 * (induced + induced.T)
-    cond = np.linalg.cond(induced)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise BackgroundError(f"degenerate induced metric at x={x}, t={t}")
-    induced_inv = np.linalg.inv(induced)
-
-    nu = _normal_vector(g_amb, T, np.asarray(mcf.orientation_hint(x, t), dtype=float))
-
-    gamma = christoffel_batch(amb)[0]
     ddF = np.asarray(mcf.dxdx(x, t), dtype=float)
-    # (D_{T_i} T_j)^c = dd_ij F^c + Gamma^c_ab T_i^a T_j^b
-    cov = ddF + np.einsum("cab,ia,jb->ijc", gamma, T, T)
-    h = -np.einsum("ijc,cd,d->ij", cov, g_amb, nu)
-    h = 0.5 * (h + h.T)
-    H = float(np.einsum("ij,ij->", induced_inv, h))
+    hint = np.asarray(mcf.orientation_hint(x, t), dtype=float)
+    try:
+        ext = extrinsic_geometry(T, ddF, amb.g[0], christoffel_batch(amb)[0], hint)
+    except DegenerateMetricError:
+        raise BackgroundError(f"degenerate induced metric at x={x}, t={t}") from None
+    return pos, T, ext
+
+
+def hypersurface_point_data(mcf: MCFSolution, x: np.ndarray, t: float) -> HypersurfacePointData:
+    """Compute induced metric, normal, h, H and H-derivatives at (x, t).
+
+    Without mean-curvature callbacks, dH/dx and dH/dt are central differences.
+    """
+    t = mcf.check_time(t)
+    x = chart_point(x)
+    pos, T, (induced, induced_inv, nu, h, H) = _slice_geometry(mcf, x, t)
+
+    def H_at(xx, tt):
+        return _slice_geometry(mcf, xx, tt)[2][-1]
 
     if mcf.dx_mean_curvature is not None:
         dxH = np.asarray(mcf.dx_mean_curvature(x, t), dtype=float)
     else:
-        H_of_x = ScalarField(
-            value=lambda xs: np.array([_mean_curvature_only(mcf, xx, t) for xx in xs])
-        )
+        H_of_x = ScalarField(value=lambda xs: np.array([H_at(xx, t) for xx in xs]))
         dxH = scalar_d1(H_of_x, x)
     if mcf.dt_mean_curvature is not None:
         dtH = float(mcf.dt_mean_curvature(x, t))
     else:
         h_t = FDConfig().h1 * max(1.0, abs(t))
-        dtH = (_mean_curvature_only(mcf, x, t + h_t) - _mean_curvature_only(mcf, x, t - h_t)) / (2.0 * h_t)
+        dtH = (H_at(x, t + h_t) - H_at(x, t - h_t)) / (2.0 * h_t)
 
     return HypersurfacePointData(
         x=x,
@@ -730,17 +739,3 @@ def hypersurface_point_data(mcf: MCFSolution, x: np.ndarray, t: float) -> Hypers
         dt_mean_curvature=dtH,
         velocity=np.asarray(mcf.velocity_at(x, t), dtype=float),
     )
-
-
-def _mean_curvature_only(mcf: MCFSolution, x: np.ndarray, t: float) -> float:
-    snap = mcf.ambient.metric_at(t)
-    pos = np.asarray(mcf.immersion_at(x, t), dtype=float)
-    T = np.asarray(mcf.dx(x, t), dtype=float)
-    g_amb = snap.at(pos)
-    induced = T @ g_amb @ T.T
-    induced_inv = np.linalg.inv(0.5 * (induced + induced.T))
-    nu = _normal_vector(g_amb, T, np.asarray(mcf.orientation_hint(x, t), dtype=float))
-    gamma = christoffel(snap, pos).gamma
-    cov = np.asarray(mcf.dxdx(x, t), dtype=float) + np.einsum("cab,ia,jb->ijc", gamma, T, T)
-    h = -np.einsum("ijc,cd,d->ij", cov, g_amb, nu)
-    return float(np.einsum("ij,ij->", induced_inv, 0.5 * (h + h.T)))

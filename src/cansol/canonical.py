@@ -117,18 +117,7 @@ class ResidualSample:
 def _time_time_scalars(bg: RicciFlowBackground, variant: str, N: float):
     """Closed-form w(t), w'(t), w''(t) for the time-time component."""
     m = bg.dim
-    conf = bg.conformal
-    Rs = conf.sigma_scalar
-
-    def R(t):
-        return Rs / conf.phi(t)
-
-    def dR(t):
-        return -Rs * conf.dphi(t) / conf.phi(t) ** 2
-
-    def d2R(t):
-        return Rs * (2.0 * conf.dphi(t) ** 2 / conf.phi(t) ** 3 - conf.d2phi(t) / conf.phi(t) ** 2)
-
+    R, dR, d2R = bg.conformal.R, bg.conformal.dR, bg.conformal.d2R
     if variant == "expanding":
         w = lambda t: N / (2 * t**3) + R(t) / t + m / (2 * t**2)
         dw = lambda t: -3 * N / (2 * t**4) + dR(t) / t - R(t) / t**2 - m / t**3
@@ -421,13 +410,6 @@ CHRISTOFFEL_CORRECTIONS = (
     ),
 )
 
-# The printed G^a_00 entry pairs the inverse metric's role with lowered
-# indices; only the inverse-metric reading typechecks, so both evaluation
-# modes use -1/2 g^{ab} d_b R and the slip is notational, not numeric.
-NOTATION_NOTES = (
-    "G^a_00 is printed with lowered metric indices; evaluated as -1/2 g^{ab} d_b R.",
-)
-
 
 def canonical_christoffel_closed_form(
     cm: CanonicalMetric,
@@ -465,46 +447,41 @@ def canonical_christoffel_closed_form(
     gamma = np.zeros((dim, dim, dim))
     gamma_bg = christoffel(snap, p).gamma
     gamma[1:, 1:, 1:] = gamma_bg
+    # The printed G^a_00 entry pairs the inverse metric's role with lowered
+    # indices; only the inverse-metric reading typechecks, so both evaluation
+    # modes use -1/2 g^{ab} d_b R and the slip is notational, not numeric.
+    gamma[1:, 0, 0] = -0.5 * ginv @ dRdy
 
     if cm.variant == "expanding":
         mixed_up = -(ric_up + np.eye(m) / (2 * t))
-        gamma[1:, 1:, 0] = mixed_up
-        gamma[1:, 0, 1:] = mixed_up
-        gamma[1:, 0, 0] = -0.5 * ginv @ dRdy
         gamma[0, 1:, 1:] = (ric / t + g / (2 * t**2)) / w
         time_mixed = dRdy / (2 * t * w)
-        gamma[0, 1:, 0] = time_mixed
-        gamma[0, 0, 1:] = time_mixed
         r_coeff = 1.0 if as_printed else 2.0
         gamma[0, 0, 0] = -3 / (2 * t) + (r_coeff * R / t + dRdt + m / (2 * t**2)) / (2 * t * w)
 
     elif cm.variant == "shrinking":
         mixed_up = ric_up - np.eye(m) / (2 * t)
-        gamma[1:, 1:, 0] = mixed_up
-        gamma[1:, 0, 1:] = mixed_up
-        gamma[1:, 0, 0] = -0.5 * ginv @ dRdy
         if as_printed:
             gamma[0, 1:, 1:] = -(g / (2 * t**2) - ric) / (t * w)
         else:
             gamma[0, 1:, 1:] = (g / (2 * t**2) - ric / t) / w
         time_mixed = dRdy / (2 * t * w)
-        gamma[0, 1:, 0] = time_mixed
-        gamma[0, 0, 1:] = time_mixed
         if as_printed:
             gamma[0, 0, 0] = -3 / (2 * t) + (R / t + dRdt + m / (2 * t**2)) / (2 * t * w)
         else:
             gamma[0, 0, 0] = -3 / (2 * t) + (2 * R / t + dRdt - m / (2 * t**2)) / (2 * t * w)
 
     else:  # steady
-        gamma[1:, 1:, 0] = ric_up
-        gamma[1:, 0, 1:] = ric_up
-        gamma[1:, 0, 0] = -0.5 * ginv @ dRdy
+        mixed_up = ric_up
         gamma[0, 1:, 1:] = -ric / (N + R)
         time_mixed = 0.5 * dRdy if as_printed else 0.5 * dRdy / (N + R)
-        gamma[0, 1:, 0] = time_mixed
-        gamma[0, 0, 1:] = time_mixed
         gamma[0, 0, 0] = 0.5 * dRdt if as_printed else 0.5 * dRdt / (N + R)
 
+    # the mixed symbols are symmetric in their lower indices
+    gamma[1:, 1:, 0] = mixed_up
+    gamma[1:, 0, 1:] = mixed_up
+    gamma[0, 1:, 0] = time_mixed
+    gamma[0, 0, 1:] = time_mixed
     return ConnectionCoeffs(gamma)
 
 

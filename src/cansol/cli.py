@@ -12,9 +12,12 @@ Exit codes: 0 all tolerances met, 1 a tolerance failed, 2 bad config.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -126,8 +129,12 @@ def _build_mcf(cfg: RunConfig, bg):
         raise ConfigError(str(exc)) from exc
 
 
-def _time_samples(cfg: RunConfig, lo_hi, rng, count):
-    lo, hi = lo_hi
+def _draw_samples(cfg: RunConfig, sampler, domain, default_count: int):
+    """The run's generator, ``samples.count`` chart points from ``sampler``, and their times."""
+    rng = np.random.default_rng(cfg.samples.get("seed", 0))
+    count = cfg.samples.get("count", default_count)
+    pts = sampler(count, rng)
+    lo, hi = domain
     t_min = 0.05 * hi
     t_range = cfg.samples.get("t_range")
     if t_range is not None:
@@ -138,8 +145,8 @@ def _time_samples(cfg: RunConfig, lo_hi, rng, count):
     else:
         b = hi
     if "times" in cfg.samples:
-        return [float(t) for t in cfg.samples["times"]]
-    return list(rng.uniform(t_min, b, count))
+        return rng, pts, [float(t) for t in cfg.samples["times"]]
+    return rng, pts, list(rng.uniform(t_min, b, count))
 
 
 def _provenance(cfg: RunConfig, extra=None) -> dict:
@@ -173,49 +180,60 @@ def _sweep_summary(sups_per_N, ratio_tol):
     sups = [s for _, s in sups_per_N]
     if not sups:
         return {"status": "no data"}, False
+    per_N = [{"N": n, "sup_scaled_norm": s} for n, s in sups_per_N]
     if max(sups) < _ZERO_TOL:
         return {
-            "per_N": [{"N": n, "sup_scaled_norm": s} for n, s in sups_per_N],
+            "per_N": per_N,
             "exact_zero": True,
             "zero_tolerance": _ZERO_TOL,
         }, True
     ratio = max(sups) / min(sups)
     return {
-        "per_N": [{"N": n, "sup_scaled_norm": s} for n, s in sups_per_N],
+        "per_N": per_N,
         "exact_zero": False,
         "max_min_ratio": ratio,
         "ratio_tolerance": ratio_tol,
     }, ratio < ratio_tol
 
 
+def _defect_sweep(report: ResidualReport, Ns, residual_at, key: str, pts, ts) -> list:
+    """Evaluate a soliton defect at every (point, t) for each N; (N, sup N|E_N|) per N.
+
+    ``residual_at(N)`` returns the defect at that N as a function of
+    (point, t), called once per pair.  Records and per-point errors go to
+    the report, the point under ``key``.
+    """
+    sups_per_N = []
+    for N in Ns:
+        residual = residual_at(N)
+        sup = 0.0
+        for p, t in zip(pts, ts):
+            try:
+                s = residual(p, t)
+            except _POINT_ERRORS as exc:
+                report.errors.append({key: list(p), "t": t, "N": N, "error": str(exc)})
+                continue
+            report.records.append(
+                {key: list(p), "t": t, "N": N, "norm": s.norm, "scaled_norm": s.scaled_norm}
+            )
+            sup = max(sup, s.scaled_norm)
+        sups_per_N.append((N, sup))
+    return sups_per_N
+
+
 def _run_ricci_soliton(cfg: RunConfig, report: ResidualReport):
     bg = _build_background(cfg)
     variant = _variant(cfg)
     Ns = _need_N_list(cfg)
-    rng = np.random.default_rng(cfg.samples.get("seed", 0))
-    count = cfg.samples.get("count", 20)
-    pts = bg.sample_points(count, rng)
-    ts = _time_samples(cfg, bg.time_domain, rng, count)
+    _, pts, ts = _draw_samples(cfg, bg.sample_points, bg.time_domain, 20)
     samples = list(zip(pts, ts))
-    ratio_tol = cfg.tolerances.get("ratio", 1.5)
 
-    sups_per_N = []
-    for N in Ns:
+    def residual_at(N):
         cm = build_canonical_metric(bg, variant, N, samples=samples)
-        sup = 0.0
-        for p, t in samples:
-            try:
-                s = ricci_soliton_residual(cm, p, t)
-            except _POINT_ERRORS as exc:
-                report.errors.append({"point": list(p), "t": t, "N": N, "error": str(exc)})
-                continue
-            report.records.append(
-                {"point": list(p), "t": t, "N": N, "norm": s.norm, "scaled_norm": s.scaled_norm}
-            )
-            sup = max(sup, s.scaled_norm)
-        sups_per_N.append((N, sup))
+        return partial(ricci_soliton_residual, cm)
 
-    report.summary, report.passed = _sweep_summary(sups_per_N, ratio_tol)
+    sups_per_N = _defect_sweep(report, Ns, residual_at, "point", pts, ts)
+    report.summary, report.passed = _sweep_summary(sups_per_N, cfg.tolerances.get("ratio", 1.5))
     report.provenance = _provenance(
         cfg, {"minimal_admissible_N": minimal_admissible_N(bg, variant, samples)}
     )
@@ -226,31 +244,13 @@ def _run_mcf_soliton(cfg: RunConfig, report: ResidualReport):
     variant = _variant(cfg)
     Ns = _need_N_list(cfg)
     mcf = _build_mcf(cfg, bg)
-    rng = np.random.default_rng(cfg.samples.get("seed", 0))
-    count = cfg.samples.get("count", 20)
-    xs = mcf.sample_xs(count, rng)
-    domain = mcf.time_domain if mcf.time_domain is not None else bg.time_domain
-    ts = _time_samples(cfg, domain, rng, count)
-    ratio_tol = cfg.tolerances.get("ratio", 1.5)
+    _, xs, ts = _draw_samples(cfg, mcf.sample_xs, mcf.time_domain, 20)
 
-    sups_per_N = []
-    for N in Ns:
-        cm = build_canonical_metric(bg, variant, N)
-        track = build_track(mcf, cm)
-        sup = 0.0
-        for x, t in zip(xs, ts):
-            try:
-                s = mcf_canonical_residual(track, x, t)
-            except _POINT_ERRORS as exc:
-                report.errors.append({"x": list(x), "t": t, "N": N, "error": str(exc)})
-                continue
-            report.records.append(
-                {"x": list(x), "t": t, "N": N, "norm": s.norm, "scaled_norm": s.scaled_norm}
-            )
-            sup = max(sup, s.scaled_norm)
-        sups_per_N.append((N, sup))
+    def residual_at(N):
+        return partial(mcf_canonical_residual, build_track(mcf, build_canonical_metric(bg, variant, N)))
 
-    report.summary, report.passed = _sweep_summary(sups_per_N, ratio_tol)
+    sups_per_N = _defect_sweep(report, Ns, residual_at, "x", xs, ts)
+    report.summary, report.passed = _sweep_summary(sups_per_N, cfg.tolerances.get("ratio", 1.5))
     report.provenance = _provenance(cfg)
 
 
@@ -262,18 +262,13 @@ def _run_christoffel_crosscheck(cfg: RunConfig, report: ResidualReport):
     if backend not in ("analytic", "fd"):
         raise ConfigError("samples.backend must be 'analytic' or 'fd'")
     tol = cfg.tolerances.get("rel_error", 1e-9 if backend == "analytic" else 1e-5)
-    rng = np.random.default_rng(cfg.samples.get("seed", 0))
-    count = cfg.samples.get("count", 10)
-    pts = bg.sample_points(count, rng)
-    ts = _time_samples(cfg, bg.time_domain, rng, count)
+    _, pts, ts = _draw_samples(cfg, bg.sample_points, bg.time_domain, 10)
     samples = list(zip(pts, ts))
 
     worst = 0.0
     for N in Ns:
         cm = build_canonical_metric(bg, variant, N)
         if backend == "fd":
-            import dataclasses
-
             cm = dataclasses.replace(cm, field=cm.field.without_analytic_derivatives())
         derived = christoffel_crosscheck(cm, samples, as_printed=False)
         printed = christoffel_crosscheck(cm, samples, as_printed=True)
@@ -309,14 +304,15 @@ def _run_harnack_limits(cfg: RunConfig, report: ResidualReport):
     if bg.direction != "forward":
         raise ConfigError("harnack_limits needs a forward background")
     Ns = _need_N_list(cfg, minimum=3)
-    rng = np.random.default_rng(cfg.samples.get("seed", 0))
-    count = cfg.samples.get("count", 10)
     lo_band, hi_band = cfg.tolerances.get("ratio_band", [0.3, 0.7])
-    pts = bg.sample_points(count, rng)
-    ts = _time_samples(cfg, bg.time_domain, rng, count)
+    rng, pts, ts = _draw_samples(cfg, bg.sample_points, bg.time_domain, 10)
+
+    def record(errs, **where):
+        ratios = [b / a if a > 0 else float("nan") for a, b in zip(errs, errs[1:])]
+        in_band = all(lo_band < r < hi_band for r in ratios)
+        report.records.append({**where, "errors": errs, "ratios": ratios, "in_band": in_band})
 
     cms = [build_canonical_metric(bg, "expanding", N) for N in Ns]
-    all_in_band = True
     for p, t in zip(pts, ts):
         X = rng.uniform(-1.0, 1.0, bg.dim)
         try:
@@ -325,33 +321,22 @@ def _run_harnack_limits(cfg: RunConfig, report: ResidualReport):
         except _POINT_ERRORS as exc:
             report.errors.append({"point": list(p), "t": t, "error": str(exc)})
             continue
-        ratios = [b / a if a > 0 else float("nan") for a, b in zip(errs, errs[1:])]
-        in_band = all(lo_band < r < hi_band for r in ratios)
-        all_in_band = all_in_band and in_band
-        report.records.append(
-            {"point": list(p), "t": t, "X": list(X), "errors": errs,
-             "ratios": ratios, "in_band": in_band}
-        )
+        record(errs, point=list(p), t=t, X=list(X))
 
     if cfg.mcf:
         mcf = _build_mcf(cfg, bg)
-        domain = mcf.time_domain if mcf.time_domain is not None else bg.time_domain
+        hi = mcf.time_domain[1]
         x = mcf.sample_xs(1, rng)[0]
-        t = 0.5 * (0.05 * domain[1] + domain[1])
+        t = 0.5 * (0.05 * hi + hi)
         V = rng.uniform(-1.0, 1.0, mcf.hypersurface_dim)
         target = limit_second_ff(bg, mcf, V, x, t)
         errs = []
         for cm in cms:
             track = build_track(mcf, cm)
             errs.append(abs(stripped_track_quadratic(track, V, x, t) - target))
-        ratios = [b / a if a > 0 else float("nan") for a, b in zip(errs, errs[1:])]
-        in_band = all(lo_band < r < hi_band for r in ratios)
-        all_in_band = all_in_band and in_band
-        report.records.append(
-            {"kind": "stripped_track_limit", "x": list(x), "t": t, "V": list(V),
-             "errors": errs, "ratios": ratios, "in_band": in_band}
-        )
+        record(errs, kind="stripped_track_limit", x=list(x), t=t, V=list(V))
 
+    all_in_band = all(r["in_band"] for r in report.records)
     report.summary = {
         "N_list": Ns,
         "ratio_band": [lo_band, hi_band],
@@ -370,9 +355,8 @@ def _run_lott_match(cfg: RunConfig, report: ResidualReport):
     seed = cfg.samples.get("seed", 0)
     count = cfg.samples.get("count", 20)
     rng = np.random.default_rng(seed)
-    domain = mcf.time_domain if mcf.time_domain is not None else bg.time_domain
     x = mcf.sample_xs(1, rng)[0]
-    t = cfg.samples.get("times", [0.5 * domain[1]])[0]
+    t = cfg.samples.get("times", [0.5 * mcf.time_domain[1]])[0]
 
     worst = 0.0
     for k in range(count):
@@ -419,8 +403,6 @@ def _run_functionals(cfg: RunConfig, report: ResidualReport):
     report.summary = {"refinement_delta": delta, "tolerance": tol}
     ok = delta < tol
     if kind == "zero":
-        import math
-
         target = 16.0 * math.pi
         rel = abs(values["refined"] - target) / target
         report.summary["target_16pi"] = target

@@ -36,6 +36,7 @@ from .backgrounds import (
     hypersurface_point_data,
     model_background,
 )
+from .canonical import limit_ricci
 from .geometry import (
     ChartDomainError,
     MetricBundle,
@@ -79,18 +80,14 @@ class QuadratureError(ValueError):
 
 
 def rf_harnack_Z(bg: RicciFlowBackground, X: np.ndarray, p: np.ndarray, t: float) -> float:
-    """Flow Harnack quadratic Z(X, X) on a forward background at t > 0."""
+    """Flow Harnack quadratic Z(X, X) on a forward background at t > 0.
+
+    Z is the large-N limit of the canonical expander's Ricci, so it is
+    ``limit_ricci``; only the error for a backward background differs.
+    """
     if bg.direction != "forward":
         raise ChartDomainError("the Harnack quadratic is defined along the forward flow")
-    t = bg.check_time(t)
-    p = np.asarray(p, dtype=float)
-    X = np.asarray(X, dtype=float)
-    ric = bg.ricci_at(p, t)
-    return (
-        float(X @ ric @ X)
-        + float(X @ bg.dy_scalar_at(p, t))
-        + 0.5 * (bg.dt_scalar_at(p, t) + bg.scalar_at(p, t) / t)
-    )
+    return limit_ricci(bg, X, p, t)
 
 
 def mcf_harnack_Ztilde(mcf: MCFSolution, V: np.ndarray, x: np.ndarray, t: float) -> float:
@@ -98,7 +95,7 @@ def mcf_harnack_Ztilde(mcf: MCFSolution, V: np.ndarray, x: np.ndarray, t: float)
 
     V is a tangent vector in hypersurface chart components.
     """
-    if mcf.ambient.conformal.sigma_scalar != 0.0 or mcf.ambient.name != "euclidean_static":
+    if mcf.ambient.conformal.sigma_scalar != 0.0:
         raise ChartDomainError("Z~ is defined for flows in a flat background")
     t = mcf.check_time(t)
     hyp = hypersurface_point_data(mcf, x, t)

@@ -7,7 +7,8 @@ dF/dt = -H nu, so the time leg is the familiar -H nu + d/dt.
 
 The extrinsic geometry of Sigma (normal, induced metric, second
 fundamental form h^S, mean curvature H^S) is computed by the numeric
-kernel from the canonical metric's connection.  The sign convention
+kernel from the canonical metric's connection, with the same
+``extrinsic_geometry`` routine as the slices M_t.  The sign convention
 matches the hypersurface one: h^S(U, V) = <D_U nu^S, V>, which makes the
 leading block of h^S equal h_ij / (t sigma_N) with the positive-sphere h.
 
@@ -31,9 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backgrounds import HypersurfacePointData, MCFSolution, hypersurface_point_data
+from .backgrounds import (
+    HypersurfacePointData,
+    MCFSolution,
+    extrinsic_geometry,
+    hypersurface_point_data,
+)
 from .canonical import CanonicalConfigError, CanonicalMetric, FormCorrection
 from .geometry import (
+    DegenerateMetricError,
     SymTensor2,
     christoffel_batch,
     metric_bundle,
@@ -76,12 +83,12 @@ class SpaceTimeTrack:
 
 
 def build_track(mcf: MCFSolution, cm: CanonicalMetric) -> SpaceTimeTrack:
-    """Pair a flow with a canonical metric, validating compatibility."""
+    """Pair a flow with a canonical metric built on the flow's own background."""
     a, b = mcf.ambient, cm.base
-    if (a.name, a.dim, a.direction) != (b.name, b.dim, b.direction):
+    if a is not b:
         raise CanonicalConfigError(
-            f"flow ambient ({a.name}, dim {a.dim}, {a.direction}) does not match "
-            f"canonical base ({b.name}, dim {b.dim}, {b.direction})"
+            f"canonical metric built on a background ({b.name}, dim {b.dim}) other than "
+            f"the flow's ambient ({a.name}, dim {a.dim}); build it on mcf.ambient"
         )
     return SpaceTimeTrack(mcf, cm)
 
@@ -139,22 +146,6 @@ def track_point_data(track: SpaceTimeTrack, x: np.ndarray, t: float) -> TrackPoi
     basis[0, 1:] = hyp.velocity
     basis[1:, 1:] = hyp.tangents
 
-    induced = basis @ g_st @ basis.T
-    induced = 0.5 * (induced + induced.T)
-    cond = np.linalg.cond(induced)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise CanonicalConfigError(f"degenerate induced track metric at x={x}, t={t}")
-    induced_inv = np.linalg.inv(induced)
-
-    # normal: g-orthogonal complement of the basis, oriented toward the
-    # lifted slice normal (positive inner product against (0, nu))
-    _, _, vh = np.linalg.svd(basis @ g_st)
-    nu = vh[-1]
-    nu = nu / math.sqrt(float(nu @ g_st @ nu))
-    lifted = np.concatenate(([0.0], hyp.normal))
-    if float(nu @ g_st @ lifted) < 0.0:
-        nu = -nu
-
     # second derivatives of the parametrization Phi(u) = (u0, F(x, u0))
     ddPhi = np.zeros((n + 1, n + 1, dim))
     ddPhi[0, 0, 1:] = np.asarray(mcf.dtdt(x, t), dtype=float)
@@ -163,11 +154,14 @@ def track_point_data(track: SpaceTimeTrack, x: np.ndarray, t: float) -> TrackPoi
     ddPhi[1:, 0, 1:] = dxdt
     ddPhi[1:, 1:, 1:] = np.asarray(mcf.dxdx(x, t), dtype=float)
 
-    gamma = christoffel_batch(st)[0]
-    cov = ddPhi + np.einsum("cab,ia,jb->ijc", gamma, basis, basis)
-    h = -np.einsum("ijc,cd,d->ij", cov, g_st, nu)
-    h = 0.5 * (h + h.T)
-    H_track = float(np.einsum("ij,ij->", induced_inv, h))
+    # the normal is oriented toward the lifted slice normal (0, nu)
+    lifted = np.concatenate(([0.0], hyp.normal))
+    try:
+        induced, induced_inv, nu, h, H_track = extrinsic_geometry(
+            basis, ddPhi, g_st, christoffel_batch(st)[0], lifted
+        )
+    except DegenerateMetricError:
+        raise CanonicalConfigError(f"degenerate induced track metric at x={x}, t={t}") from None
 
     return TrackPointData(
         x=np.asarray(x, dtype=float),

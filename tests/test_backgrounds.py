@@ -310,3 +310,73 @@ def bg_potential_zero():
                            dy=lambda y, t: np.zeros(y.shape),
                            dyy=lambda y, t: np.zeros(y.shape + y.shape[-1:]),
                            dt=lambda y, t: 0.0)
+
+
+class TestExtrinsicGeometry:
+    def test_degenerate_induced_metric_on_a_slice_raises(self):
+        # polar angle 1e-7: the induced metric has condition number ~1e14
+        bg = model_background("euclidean_static", dim=3, direction="forward")
+        mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
+        with pytest.raises(BackgroundError, match="degenerate induced metric"):
+            hypersurface_point_data(mcf, np.array([1e-7, 0.3]), 0.1)
+
+    def test_routine_raises_the_kernel_error_on_a_singular_induced_metric(self):
+        from cansol.backgrounds import extrinsic_geometry
+        from cansol.geometry import DegenerateMetricError
+
+        tangents = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(DegenerateMetricError):
+            extrinsic_geometry(tangents, np.zeros((2, 2, 3)), np.eye(3), np.zeros((3, 3, 3)),
+                               np.array([0.0, 0.0, 1.0]))
+
+    def test_sphere_of_radius_r_in_flat_space(self):
+        from cansol.backgrounds import extrinsic_geometry, sphere_embedding_maps
+
+        r, x = 2.0, np.array([0.7, 1.9])
+        omega, d_omega, dd_omega = sphere_embedding_maps(2)
+        induced, induced_inv, nu, h, H = extrinsic_geometry(
+            r * d_omega(x), r * dd_omega(x), np.eye(3), np.zeros((3, 3, 3)), omega(x)
+        )
+        assert np.allclose(nu, omega(x), atol=1e-14)
+        assert np.allclose(induced_inv @ induced, np.eye(2), atol=1e-12)
+        assert np.allclose(h, induced / r, atol=1e-12)
+        assert H == pytest.approx(2.0 / r, rel=1e-12)
+
+
+class TestSampleBoxes:
+    def test_polar_draws_are_unchanged(self):
+        # the per-point draws of the polar charts: angles, then the azimuth
+        bg = model_background("round_sphere", dim=3, r0=1.0, direction="forward")
+        mcf = model_mcf("shrinking_sphere_flat", model_background("euclidean_static", dim=3))
+        for chart, d in ((bg.sample_points, 3), (mcf.sample_xs, 2)):
+            a, b = np.random.default_rng(9), np.random.default_rng(9)
+            for p in chart(5, a):
+                expected = np.empty(d)
+                expected[:-1] = b.uniform(0.01 + 0.1, math.pi - 0.01 - 0.1, d - 1)
+                expected[-1] = b.uniform(0.0, 2.0 * math.pi)
+                assert np.array_equal(p, expected)
+            assert a.uniform() == b.uniform()
+
+    def test_flat_charts_default_to_the_unit_and_a_half_box(self):
+        bg = model_background("euclidean_static", dim=3)
+        mcf = model_mcf("static_plane_flat", bg)
+        for chart, d in ((bg.sample_points, 3), (mcf.sample_xs, 2)):
+            a, b = np.random.default_rng(4), np.random.default_rng(4)
+            for p in chart(3, a):
+                assert np.array_equal(p, b.uniform(-1.5, 1.5, d))
+
+    def test_flow_time_domain_defaults_to_the_ambient(self):
+        bg = model_background("round_sphere", dim=3, r0=1.0, direction="forward")
+        assert model_mcf("equator_in_sphere", bg).time_domain == bg.time_domain
+        flat = model_background("euclidean_static", dim=3)
+        assert model_mcf("shrinking_sphere_flat", flat, r0=1.0).time_domain == (0.0, 0.2)
+
+
+class TestConformalScalars:
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_time_derivatives_match_differences(self, direction):
+        conf = model_background("round_sphere", dim=3, r0=1.0, direction=direction).conformal
+        t, h = 0.1, 1e-5
+        assert conf.R(t) == pytest.approx(6.0 / conf.phi(t), rel=1e-15)
+        assert conf.dR(t) == pytest.approx((conf.R(t + h) - conf.R(t - h)) / (2 * h), rel=1e-8)
+        assert conf.d2R(t) == pytest.approx((conf.dR(t + h) - conf.dR(t - h)) / (2 * h), rel=1e-8)

@@ -1,0 +1,95 @@
+"""Golden report digests: one small configuration per suite.
+
+Each test runs one configuration and pins the sha256 of its rendered JSON
+report, so a change that moves any report byte (a number's last digit, a
+key, an error message) fails here first.  A change that alters report
+bytes on purpose updates the digest below and says why in CHANGES.md.
+
+The digests were taken on x86-64 with Python 3.11 and numpy 2.4 (one BLAS
+thread); another numpy or BLAS build may round the last digits
+differently.
+"""
+
+import hashlib
+
+import pytest
+
+from cansol.cli import RunConfig, run
+from cansol.reports import render_json
+
+FLAT3 = {"name": "euclidean_static", "params": {"dim": 3, "direction": "forward"}}
+SHRINKING_SPHERE = {"name": "shrinking_sphere_flat", "params": {"r0": 1.0}}
+
+GOLDEN = {
+    "ricci_soliton_residual": (
+        {
+            "suite": "ricci_soliton_residual",
+            "variant": "expanding",
+            "background": {"name": "round_sphere",
+                           "params": {"dim": 3, "r0": 1.0, "direction": "forward"}},
+            "N_list": [100.0, 1000.0],
+            "samples": {"count": 4, "seed": 7},
+        },
+        "93e2615e32e3e989e36b55299bdd34a5f921c68e0754686b299a3981a9f624bb",
+    ),
+    # six of the 24 track points fall below the canonical sampling floor
+    # and are recorded as errors
+    "mcf_soliton_residual": (
+        {
+            "suite": "mcf_soliton_residual",
+            "variant": "expanding",
+            "background": FLAT3,
+            "mcf": SHRINKING_SPHERE,
+            "N_list": [100.0, 1000.0],
+            "samples": {"count": 12, "seed": 3},
+        },
+        "be2449094277d980f0f6de3c0aaec9c752e736c89c30fb5c57ac2b97e85299d9",
+    ),
+    "christoffel_crosscheck": (
+        {
+            "suite": "christoffel_crosscheck",
+            "variant": "steady",
+            "background": {"name": "round_sphere", "params": {"dim": 3, "direction": "backward"}},
+            "N_list": [100.0],
+            "samples": {"count": 2, "seed": 5, "backend": "fd"},
+        },
+        "04295bb267dbfd2b157561f447bdb5f8c96cba682fb350170a6c36c6b07eaf0e",
+    ),
+    "harnack_limits": (
+        {
+            "suite": "harnack_limits",
+            "background": FLAT3,
+            "mcf": SHRINKING_SPHERE,
+            "N_list": [1000.0, 2000.0, 4000.0],
+            "samples": {"count": 3, "seed": 11},
+        },
+        "880e9afe1aab0c655a924e314450303633ee8c4dd06b9ec92b071a08c66675a6",
+    ),
+    "lott_match": (
+        {
+            "suite": "lott_match",
+            "background": FLAT3,
+            "mcf": SHRINKING_SPHERE,
+            "samples": {"count": 3, "seed": 5},
+        },
+        "6db332711b93809a820cbe23ca12cf66d7f34221c791389df41ebcdfee44dc96",
+    ),
+    "functionals": (
+        {"suite": "functionals", "samples": {"potential": "gaussian", "grid": [10, 24, 4]}},
+        "6276ecb32091647560f0eee5eac1eeaec5eb62e227df240f3197c23026f6e637",
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(GOLDEN))
+def test_report_digest_is_pinned(suite):
+    raw, digest = GOLDEN[suite]
+    report = run(RunConfig.from_dict(raw))
+    assert report.passed
+    assert hashlib.sha256(render_json(report).encode()).hexdigest() == digest
+
+
+def test_every_suite_is_pinned():
+    from cansol.cli import SUITES
+
+    assert sorted(GOLDEN) == sorted(SUITES)

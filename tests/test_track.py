@@ -285,3 +285,20 @@ class TestLimitInverseMetric:
             gaps.append(np.max(np.abs(d.induced_inv - lim.entries)))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-7
+
+
+class TestBuildTrack:
+    def test_canonical_metric_on_another_sphere_rejected(self):
+        # equal name, dimension and direction, but r0 = 2 against r0 = 1
+        flow_bg = model_background("round_sphere", dim=3, r0=2.0, direction="forward")
+        other = model_background("round_sphere", dim=3, r0=1.0, direction="forward")
+        mcf = model_mcf("equator_in_sphere", flow_bg)
+        with pytest.raises(CanonicalConfigError, match="mcf.ambient"):
+            build_track(mcf, build_canonical_metric(other, "expanding", 100.0))
+        assert build_track(mcf, build_canonical_metric(flow_bg, "expanding", 100.0)).mcf is mcf
+
+    def test_degenerate_induced_track_metric_raises(self):
+        # at N = 1e8 the time leg dominates: condition number above 1e12
+        tr = sphere_track("expanding", 1e8)
+        with pytest.raises(CanonicalConfigError, match="degenerate induced track metric"):
+            track_point_data(tr, np.array([0.1, 0.3]), 0.05)
