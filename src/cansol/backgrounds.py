@@ -40,6 +40,7 @@ from .geometry import (
 
 __all__ = [
     "POLE_BAND",
+    "VARIANT_SIGNS",
     "ConformalFamily",
     "RicciFlowBackground",
     "GradientSolitonData",
@@ -315,22 +316,27 @@ class TimeScalarField:
         )
 
 
+# Sign s of each soliton variant: the canonical expanding and shrinking
+# solitons are one construction in t and in tau with s flipped, the steady one
+# has no time scaling.  From s follow the soliton constant s/2 (s/(2t) on a
+# background soliton), the direction (forward iff s > 0) and the time scale.
+VARIANT_SIGNS = {"expanding": 1, "shrinking": -1, "steady": 0}
+
+
 @dataclass(frozen=True)
 class GradientSolitonData:
     """Potential and class of a gradient soliton structure on a background."""
 
     potential: TimeScalarField
-    soliton_class: str   # "steady" | "expanding" | "shrinking"
-
-    SOLITON_CONSTANTS = {"steady": 0.0, "expanding": 1.0, "shrinking": -1.0}
+    soliton_class: str   # a key of VARIANT_SIGNS
 
     def __post_init__(self):
-        if self.soliton_class not in self.SOLITON_CONSTANTS:
+        if self.soliton_class not in VARIANT_SIGNS:
             raise BackgroundError(f"unknown soliton class {self.soliton_class!r}")
 
     @property
     def c(self) -> float:
-        return self.SOLITON_CONSTANTS[self.soliton_class]
+        return float(VARIANT_SIGNS[self.soliton_class])
 
 
 def catalog_background_names() -> list[str]:
@@ -434,8 +440,8 @@ class MCFSolution:
     """Closed-form family of immersions F_t : M^n -> O^{n+1}.
 
     Second space/time derivatives of the immersion are analytic, as are
-    the mean-curvature callbacks when set; everything else (induced
-    metric, normal, second fundamental form) is computed by the kernel.
+    the derivatives of H when set; everything else (induced metric,
+    normal, second fundamental form, H itself) is computed by the kernel.
     ``time_domain`` defaults to the ambient's; ``sample_box`` is the
     (low, high) box that ``sample_xs`` draws from.
     """
@@ -450,7 +456,6 @@ class MCFSolution:
     dxdt: Callable[[np.ndarray, float], np.ndarray]      # (n, n+1)
     dtdt: Callable[[np.ndarray, float], np.ndarray]      # (n+1,)
     orientation_hint: Callable[[np.ndarray, float], np.ndarray]
-    mean_curvature: Callable[[np.ndarray, float], float] | None = None
     dx_mean_curvature: Callable[[np.ndarray, float], np.ndarray] | None = None
     dt_mean_curvature: Callable[[np.ndarray, float], float] | None = None
     time_domain: tuple[float, float] | None = None
@@ -516,7 +521,6 @@ def model_mcf(name: str, bg: RicciFlowBackground, **params) -> MCFSolution:
             dxdt=lambda x, t: dr(t) * d_omega(x),
             dtdt=lambda x, t: d2r(t) * omega(x),
             orientation_hint=lambda x, t: omega(x),
-            mean_curvature=lambda x, t: n / r(t),
             dx_mean_curvature=lambda x, t: np.zeros(n),
             dt_mean_curvature=lambda x, t: n**2 / r(t) ** 3,
             time_domain=(0.0, T),
@@ -546,7 +550,6 @@ def model_mcf(name: str, bg: RicciFlowBackground, **params) -> MCFSolution:
             dxdt=lambda x, t: np.zeros((n, n + 1)),
             dtdt=lambda x, t: zeros_amb.copy(),
             orientation_hint=lambda x, t: hint.copy(),
-            mean_curvature=lambda x, t: 0.0,
             dx_mean_curvature=lambda x, t: zeros_n.copy(),
             dt_mean_curvature=lambda x, t: 0.0,
             sample_box=_polar_box(n),
@@ -572,7 +575,6 @@ def model_mcf(name: str, bg: RicciFlowBackground, **params) -> MCFSolution:
             dxdt=lambda x, t: np.zeros((n, n + 1)),
             dtdt=lambda x, t: zeros_amb.copy(),
             orientation_hint=lambda x, t: hint.copy(),
-            mean_curvature=lambda x, t: 0.0,
             dx_mean_curvature=lambda x, t: zeros_n.copy(),
             dt_mean_curvature=lambda x, t: 0.0,
         )

@@ -2,17 +2,16 @@
 
 Given a flow background g(t) on O of dimension m = n + 1, a large
 parameter N produces a metric on the space-time O x (0, T] (chart index 0
-is time) that is an approximate gradient soliton:
+is time) that is an approximate gradient soliton.  Each variant is a sign
+s (``backgrounds.VARIANT_SIGNS``): +1 expanding on a forward flow, -1
+shrinking and 0 steady on a backward one, whose time t is then tau:
 
-    expanding (forward flow):  time-time N/(2t^3) + R/t + m/(2t^2),
-                               spatial block g/t, potential -N/(2t)
-    shrinking (backward flow): time-time N/(2tau^3) + R/tau - m/(2tau^2),
-                               spatial block g/tau, potential N/(2tau)
-    steady (backward flow):    time-time N + R, spatial block g,
-                               potential -N tau
+    s = +-1:  time-time N/(2t^3) + R/t + s m/(2t^2), spatial block g/t,
+              potential -s N/(2t)
+    s = 0:    time-time N + R, spatial block g, potential -N t
 
-The soliton defect E_N = Ric + Hess(f) + c_var * metric (c_var = +1/2,
--1/2, 0) then satisfies: N |E_N| stays bounded as N grows.
+The soliton defect E_N = Ric + Hess(f) + (s/2) * metric then satisfies:
+N |E_N| stays bounded as N grows.
 
 The numeric kernel is the ground truth for every verified statement.
 Reference closed-form Christoffel tables for these metrics circulate with
@@ -28,9 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backgrounds import RicciFlowBackground
+from .backgrounds import VARIANT_SIGNS, RicciFlowBackground
 from .geometry import (
     ChartDomainError,
+    ConnectionCoeffs,
     MetricField,
     ScalarField,
     SymTensor2,
@@ -45,6 +45,7 @@ from .geometry import (
 
 __all__ = [
     "VARIANTS",
+    "T_MIN_FRACTION",
     "CanonicalConfigError",
     "CanonicalMetric",
     "ResidualSample",
@@ -60,14 +61,20 @@ __all__ = [
     "limit_ricci",
 ]
 
-VARIANTS = ("expanding", "shrinking", "steady")
+VARIANTS = tuple(VARIANT_SIGNS)
 
-_SOLITON_CONSTANT = {"expanding": 0.5, "shrinking": -0.5, "steady": 0.0}
-_REQUIRED_DIRECTION = {"expanding": "forward", "shrinking": "backward", "steady": "backward"}
+# default sampling floor, as a fraction of the time horizon
+T_MIN_FRACTION = 0.05
 
 
 class CanonicalConfigError(ValueError):
     """Variant/direction mismatch or inadmissible parameter N."""
+
+
+def _sign(variant: str) -> int:
+    if variant not in VARIANTS:
+        raise CanonicalConfigError(f"unknown variant {variant!r}; known: {VARIANTS}")
+    return VARIANT_SIGNS[variant]
 
 
 @dataclass(frozen=True)
@@ -91,9 +98,18 @@ class CanonicalMetric:
         return self.base.dim + 1
 
     @property
+    def sign(self) -> int:
+        """s = +1 expanding, -1 shrinking, 0 steady."""
+        return VARIANT_SIGNS[self.variant]
+
+    def time_scale(self, t: float) -> float:
+        """The spatial block is g(t) / time_scale: t (tau when shrinking), or 1 when steady."""
+        return t if self.sign else 1.0
+
+    @property
     def t_min(self) -> float:
-        """Default sampling floor, 5% of the time horizon."""
-        return 0.05 * self.base.time_domain[1]
+        """Default sampling floor, T_MIN_FRACTION of the time horizon."""
+        return T_MIN_FRACTION * self.base.time_domain[1]
 
     def spacetime_point(self, p: np.ndarray, t: float) -> np.ndarray:
         return np.concatenate(([float(t)], np.asarray(p, dtype=float)))
@@ -114,32 +130,21 @@ class ResidualSample:
     scaled_norm: float
 
 
-def _time_time_scalars(bg: RicciFlowBackground, variant: str, N: float):
-    """Closed-form w(t), w'(t), w''(t) for the time-time component."""
+def _time_profiles(bg: RicciFlowBackground, s: int, N: float):
+    """Closed-form w, w', w'' of the time-time component and psi, psi', psi''
+    of the spatial block psi(t) * sigma(y)."""
     m = bg.dim
-    R, dR, d2R = bg.conformal.R, bg.conformal.dR, bg.conformal.d2R
-    if variant == "expanding":
-        w = lambda t: N / (2 * t**3) + R(t) / t + m / (2 * t**2)
-        dw = lambda t: -3 * N / (2 * t**4) + dR(t) / t - R(t) / t**2 - m / t**3
-        d2w = lambda t: 6 * N / t**5 + d2R(t) / t - 2 * dR(t) / t**2 + 2 * R(t) / t**3 + 3 * m / t**4
-    elif variant == "shrinking":
-        w = lambda t: N / (2 * t**3) + R(t) / t - m / (2 * t**2)
-        dw = lambda t: -3 * N / (2 * t**4) + dR(t) / t - R(t) / t**2 + m / t**3
-        d2w = lambda t: 6 * N / t**5 + d2R(t) / t - 2 * dR(t) / t**2 + 2 * R(t) / t**3 - 3 * m / t**4
-    else:
-        w, dw, d2w = (lambda t: N + R(t)), dR, d2R
-    return w, dw, d2w
-
-
-def _spatial_scale(bg: RicciFlowBackground, variant: str):
-    """psi(t) with spatial block psi(t) * sigma(y), plus psi', psi''."""
     conf = bg.conformal
-    if variant == "steady":
-        return conf.phi, conf.dphi, conf.d2phi
+    R, dR, d2R = conf.R, conf.dR, conf.d2R
+    if s == 0:
+        return (lambda t: N + R(t)), dR, d2R, conf.phi, conf.dphi, conf.d2phi
+    w = lambda t: N / (2 * t**3) + R(t) / t + s * m / (2 * t**2)
+    dw = lambda t: -3 * N / (2 * t**4) + dR(t) / t - R(t) / t**2 - s * m / t**3
+    d2w = lambda t: 6 * N / t**5 + d2R(t) / t - 2 * dR(t) / t**2 + 2 * R(t) / t**3 + 3 * s * m / t**4
     psi = lambda t: conf.phi(t) / t
     dpsi = lambda t: conf.dphi(t) / t - conf.phi(t) / t**2
     d2psi = lambda t: conf.d2phi(t) / t - 2 * conf.dphi(t) / t**2 + 2 * conf.phi(t) / t**3
-    return psi, dpsi, d2psi
+    return w, dw, d2w, psi, dpsi, d2psi
 
 
 def minimal_admissible_N(bg: RicciFlowBackground, variant: str, samples) -> float:
@@ -149,18 +154,15 @@ def minimal_admissible_N(bg: RicciFlowBackground, variant: str, samples) -> floa
     is not fixed by the construction itself, so it is computed per run and
     reported.
     """
-    if variant not in VARIANTS:
-        raise CanonicalConfigError(f"unknown variant {variant!r}; known: {VARIANTS}")
+    s = _sign(variant)
     m = bg.dim
     need = 0.0
     for p, t in samples:
         R = bg.scalar_at(np.asarray(p, dtype=float), t)
-        if variant == "expanding":
-            need = max(need, 2 * t**3 * (1.0 - R / t - m / (2 * t**2)))
-        elif variant == "shrinking":
-            need = max(need, 2 * t**3 * (1.0 - R / t + m / (2 * t**2)))
-        else:
+        if s == 0:
             need = max(need, 1.0 - R)
+        else:
+            need = max(need, 2 * t**3 * (1.0 - R / t - s * m / (2 * t**2)))
     return need
 
 
@@ -177,11 +179,11 @@ def build_canonical_metric(
     is validated against the positivity threshold on that sampling set and
     a ``CanonicalConfigError`` reports the minimal admissible value.
     """
-    if variant not in VARIANTS:
-        raise CanonicalConfigError(f"unknown variant {variant!r}; known: {VARIANTS}")
-    if bg.direction != _REQUIRED_DIRECTION[variant]:
+    s = _sign(variant)
+    direction = "forward" if s > 0 else "backward"
+    if bg.direction != direction:
         raise CanonicalConfigError(
-            f"{variant} variant needs a {_REQUIRED_DIRECTION[variant]} background, "
+            f"{variant} variant needs a {direction} background, "
             f"got {bg.direction} ({bg.name})"
         )
     if not (N > 0):
@@ -197,8 +199,7 @@ def build_canonical_metric(
     m = bg.dim
     dim = m + 1
     sigma = bg.conformal.sigma
-    w, dw, d2w = _time_time_scalars(bg, variant, N)
-    psi, dpsi, d2psi = _spatial_scale(bg, variant)
+    w, dw, d2w, psi, dpsi, d2psi = _time_profiles(bg, s, N)
     lo, hi = bg.time_domain
     # small overhang so FD stencils near the endpoint stay evaluable
     t_max = hi * (1.0 + 1e-3)
@@ -240,23 +241,17 @@ def build_canonical_metric(
 
     field = MetricField(dim=dim, components=comps, d1=d1, d2=d2, in_domain=in_domain)
 
-    if variant == "expanding":
-        potential = ScalarField(
-            value=lambda z: -N / (2.0 * z[..., 0]),
-            d1=lambda z: _time_covector(dim, N / (2.0 * z[..., 0] ** 2)),
-            d2=lambda z: _time_matrix(dim, -N / z[..., 0] ** 3),
-        )
-    elif variant == "shrinking":
-        potential = ScalarField(
-            value=lambda z: N / (2.0 * z[..., 0]),
-            d1=lambda z: _time_covector(dim, -N / (2.0 * z[..., 0] ** 2)),
-            d2=lambda z: _time_matrix(dim, N / z[..., 0] ** 3),
-        )
-    else:
+    if s == 0:
         potential = ScalarField(
             value=lambda z: -N * z[..., 0],
             d1=lambda z: _time_covector(dim, np.full(z.shape[:-1], -N)),
             d2=lambda z: np.zeros(z.shape[:-1] + (dim, dim)),
+        )
+    else:
+        potential = ScalarField(
+            value=lambda z: -s * N / (2.0 * z[..., 0]),
+            d1=lambda z: _time_covector(dim, s * N / (2.0 * z[..., 0] ** 2)),
+            d2=lambda z: _time_matrix(dim, -s * N / z[..., 0] ** 3),
         )
 
     return CanonicalMetric(
@@ -265,7 +260,7 @@ def build_canonical_metric(
         base=bg,
         field=field,
         potential=potential,
-        soliton_constant=_SOLITON_CONSTANT[variant],
+        soliton_constant=s / 2,
     )
 
 
@@ -416,7 +411,7 @@ def canonical_christoffel_closed_form(
     p: np.ndarray,
     t: float,
     as_printed: bool = False,
-) -> "ConnectionCoeffs":
+) -> ConnectionCoeffs:
     """Closed-form connection coefficients of the canonical metric.
 
     ``as_printed=False`` evaluates the rederived table (what the
@@ -424,8 +419,6 @@ def canonical_christoffel_closed_form(
     the reference table literally, typographical slips included, so the
     cross-check suite can measure them.  Index 0 is time.
     """
-    from .geometry import ConnectionCoeffs
-
     bg = cm.base
     t = float(t)
     z = cm.field.check_point(cm.spacetime_point(p, t))
@@ -452,30 +445,22 @@ def canonical_christoffel_closed_form(
     # modes use -1/2 g^{ab} d_b R and the slip is notational, not numeric.
     gamma[1:, 0, 0] = -0.5 * ginv @ dRdy
 
-    if cm.variant == "expanding":
-        mixed_up = -(ric_up + np.eye(m) / (2 * t))
-        gamma[0, 1:, 1:] = (ric / t + g / (2 * t**2)) / w
-        time_mixed = dRdy / (2 * t * w)
-        r_coeff = 1.0 if as_printed else 2.0
-        gamma[0, 0, 0] = -3 / (2 * t) + (r_coeff * R / t + dRdt + m / (2 * t**2)) / (2 * t * w)
-
-    elif cm.variant == "shrinking":
-        mixed_up = ric_up - np.eye(m) / (2 * t)
-        if as_printed:
-            gamma[0, 1:, 1:] = -(g / (2 * t**2) - ric) / (t * w)
-        else:
-            gamma[0, 1:, 1:] = (g / (2 * t**2) - ric / t) / w
-        time_mixed = dRdy / (2 * t * w)
-        if as_printed:
-            gamma[0, 0, 0] = -3 / (2 * t) + (R / t + dRdt + m / (2 * t**2)) / (2 * t * w)
-        else:
-            gamma[0, 0, 0] = -3 / (2 * t) + (2 * R / t + dRdt - m / (2 * t**2)) / (2 * t * w)
-
-    else:  # steady
+    s = cm.sign
+    if s == 0:
         mixed_up = ric_up
         gamma[0, 1:, 1:] = -ric / (N + R)
         time_mixed = 0.5 * dRdy if as_printed else 0.5 * dRdy / (N + R)
         gamma[0, 0, 0] = 0.5 * dRdt if as_printed else 0.5 * dRdt / (N + R)
+    else:
+        mixed_up = -s * ric_up - np.eye(m) / (2 * t)
+        if as_printed and s < 0:
+            gamma[0, 1:, 1:] = -(g / (2 * t**2) - ric) / (t * w)
+        else:
+            gamma[0, 1:, 1:] = (s * ric / t + g / (2 * t**2)) / w
+        time_mixed = dRdy / (2 * t * w)
+        # both printed G^0_00 entries read R/t for 2R/t and +m for s*m
+        r_coeff, m_sign = (1, 1) if as_printed else (2, s)
+        gamma[0, 0, 0] = -3 / (2 * t) + (r_coeff * R / t + dRdt + m_sign * m / (2 * t**2)) / (2 * t * w)
 
     # the mixed symbols are symmetric in their lower indices
     gamma[1:, 1:, 0] = mixed_up

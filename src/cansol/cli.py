@@ -26,6 +26,8 @@ from . import backgrounds as bgmod
 from .backgrounds import model_background, model_mcf
 from .canonical import (
     CHRISTOFFEL_CORRECTIONS,
+    T_MIN_FRACTION,
+    VARIANTS,
     CanonicalConfigError,
     build_canonical_metric,
     canonical_ricci_quadratic,
@@ -61,7 +63,7 @@ SUITES = (
 # errors collected per point instead of aborting the sweep
 _POINT_ERRORS = (DegenerateMetricError, ChartDomainError, CanonicalConfigError)
 
-_ZERO_TOL = 1e-8   # sups below this count as an exact soliton
+_ZERO_TOL = 1e-8   # sups and limit errors below this count as exact
 
 
 class ConfigError(ValueError):
@@ -135,7 +137,7 @@ def _draw_samples(cfg: RunConfig, sampler, domain, default_count: int):
     count = cfg.samples.get("count", default_count)
     pts = sampler(count, rng)
     lo, hi = domain
-    t_min = 0.05 * hi
+    t_min = T_MIN_FRACTION * hi
     t_range = cfg.samples.get("t_range")
     if t_range is not None:
         a, b = float(t_range[0]), float(t_range[1])
@@ -157,7 +159,7 @@ def _provenance(cfg: RunConfig, extra=None) -> dict:
         "limit_normalization": "track quadratic scaled by t * sigma_N before limit comparison",
         "fd_steps": {"h1": fd.h1, "h2": fd.h2, "richardson": fd.richardson},
         "seed": cfg.samples.get("seed", 0),
-        "t_min_fraction": 0.05,
+        "t_min_fraction": T_MIN_FRACTION,
     }
     if extra:
         block.update(extra)
@@ -165,8 +167,8 @@ def _provenance(cfg: RunConfig, extra=None) -> dict:
 
 
 def _variant(cfg: RunConfig) -> str:
-    if cfg.variant not in ("expanding", "shrinking", "steady"):
-        raise ConfigError(f"suite {cfg.suite} needs variant expanding|shrinking|steady")
+    if cfg.variant not in VARIANTS:
+        raise ConfigError(f"suite {cfg.suite} needs variant {'|'.join(VARIANTS)}")
     return cfg.variant
 
 
@@ -309,7 +311,8 @@ def _run_harnack_limits(cfg: RunConfig, report: ResidualReport):
 
     def record(errs, **where):
         ratios = [b / a if a > 0 else float("nan") for a, b in zip(errs, errs[1:])]
-        in_band = all(lo_band < r < hi_band for r in ratios)
+        # a limit that holds exactly at every N has no rate to measure
+        in_band = max(errs) < _ZERO_TOL or all(lo_band < r < hi_band for r in ratios)
         report.records.append({**where, "errors": errs, "ratios": ratios, "in_band": in_band})
 
     cms = [build_canonical_metric(bg, "expanding", N) for N in Ns]
@@ -327,7 +330,7 @@ def _run_harnack_limits(cfg: RunConfig, report: ResidualReport):
         mcf = _build_mcf(cfg, bg)
         hi = mcf.time_domain[1]
         x = mcf.sample_xs(1, rng)[0]
-        t = 0.5 * (0.05 * hi + hi)
+        t = 0.5 * (T_MIN_FRACTION * hi + hi)
         V = rng.uniform(-1.0, 1.0, mcf.hypersurface_dim)
         target = limit_second_ff(bg, mcf, V, x, t)
         errs = []

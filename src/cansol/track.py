@@ -52,7 +52,6 @@ __all__ = [
     "TrackPointData",
     "TrackResidualSample",
     "SECOND_FF_CORRECTIONS",
-    "TRACK_FORM_NOTES",
     "build_track",
     "track_point_data",
     "closed_form_second_ff",
@@ -122,10 +121,9 @@ class TrackResidualSample:
     scaled_norm: float
 
 
-def _sigma_N(variant: str, t: float, H: float, w: float) -> float:
-    if variant == "steady":
-        return math.sqrt(1.0 + H**2 / w)
-    return math.sqrt(1.0 / t + H**2 / (t**2 * w))
+def _sigma_N(scale: float, H: float, w: float) -> float:
+    """Normalization of the track normal at time scale ``scale`` (t, or 1 when steady)."""
+    return math.sqrt(1.0 / scale + H**2 / (scale**2 * w))
 
 
 def track_point_data(track: SpaceTimeTrack, x: np.ndarray, t: float) -> TrackPointData:
@@ -171,7 +169,7 @@ def track_point_data(track: SpaceTimeTrack, x: np.ndarray, t: float) -> TrackPoi
         induced=induced,
         induced_inv=induced_inv,
         normal=nu,
-        sigma_N=_sigma_N(cm.variant, t, hyp.mean_curvature, float(g_st[0, 0])),
+        sigma_N=_sigma_N(cm.time_scale(t), hyp.mean_curvature, float(g_st[0, 0])),
         second_ff=h,
         mean_curvature=H_track,
         hyp=hyp,
@@ -188,10 +186,8 @@ def mcf_canonical_residual(track: SpaceTimeTrack, x: np.ndarray, t: float) -> Tr
     cm = track.cm
     data = track_point_data(track, x, t)
     nu_f = float(data.normal @ scalar_d1(cm.potential, data.z))
-    if cm.variant == "expanding":
-        value = data.mean_curvature - nu_f
-    else:
-        value = data.mean_curvature + nu_f
+    # H^S - nu^S f on forward (expanding) tracks, H^S + nu^S f on backward ones
+    value = data.mean_curvature + (-nu_f if cm.sign > 0 else nu_f)
     return TrackResidualSample(
         x=np.asarray(x, dtype=float),
         t=float(t),
@@ -208,12 +204,10 @@ def closed_form_normal_potential(track: SpaceTimeTrack, x: np.ndarray, t: float)
     data = track_point_data(track, x, t)
     H = data.hyp.mean_curvature
     w = float(cm.field.at(data.z)[0, 0])
-    s = data.sigma_N
-    if cm.variant == "expanding":
-        return cm.N * H / (2.0 * t**3 * w * s)
-    if cm.variant == "shrinking":
-        return -cm.N * H / (2.0 * t**3 * w * s)
-    return -cm.N * H / (w * s)
+    sN = data.sigma_N
+    if cm.sign == 0:
+        return -cm.N * H / (w * sN)
+    return cm.sign * cm.N * H / (2.0 * t**3 * w * sN)
 
 
 def limit_inverse_metric(track: SpaceTimeTrack, x: np.ndarray, t: float) -> SymTensor2:
@@ -227,8 +221,7 @@ def limit_inverse_metric(track: SpaceTimeTrack, x: np.ndarray, t: float) -> SymT
     hyp = hypersurface_point_data(track.mcf, x, t)
     n = track.n
     out = np.zeros((n + 1, n + 1))
-    scale = 1.0 if track.cm.variant == "steady" else t
-    out[1:, 1:] = scale * hyp.induced_inv
+    out[1:, 1:] = track.cm.time_scale(t) * hyp.induced_inv
     return SymTensor2(out, "contravariant")
 
 
@@ -293,18 +286,6 @@ SECOND_FF_CORRECTIONS = (
     ),
 )
 
-TRACK_FORM_NOTES = (
-    "The reference defining formula for h^S omits the ambient covariant "
-    "derivative of the tangent basis; the engine uses "
-    "h^S(U, V) = g(D_U nu^S, V).",
-    "The steady induced metric's time-time entry is garbled in the "
-    "reference (H^2 + w intended) and its inverse carries a stray tau; "
-    "the engine values are used.",
-    "The reference intermediate H^S ~ (t/sigma_N) H should read "
-    "H/sigma_N; both limit to sqrt(t) H.",
-)
-
-
 def closed_form_second_ff(
     track: SpaceTimeTrack,
     x: np.ndarray,
@@ -319,6 +300,13 @@ def closed_form_second_ff(
     ``as_printed`` selects the literal reference text instead of the
     rederived one; the differences live in ``SECOND_FF_CORRECTIONS``.
     Chart index 0 is time, matching ``track_point_data``.
+
+    Three further reference slips need no switch, since the engine's values
+    are used: h^S is defined without the ambient covariant derivative of the
+    tangent basis (the engine uses h^S(U, V) = g(D_U nu^S, V)); the steady
+    induced metric's time-time entry is garbled (H^2 + w is meant) and its
+    inverse has a stray tau; H^S ~ (t/sigma_N) H should read H/sigma_N
+    (both limit to sqrt(t) H).
     """
     if form not in ("full", "leading"):
         raise ValueError(f"form must be 'full' or 'leading', got {form!r}")
@@ -348,55 +336,14 @@ def closed_form_second_ff(
     nu_R = float(nu @ dRdy)
 
     w = cm.time_time(pos, t)
-    s = _sigma_N(cm.variant, t, H, w)
+    sN = _sigma_N(cm.time_scale(t), H, w)
+    s = cm.sign
     m = bg.dim   # = n + 1
 
-    out = np.zeros((n + 1, n + 1))
-
-    if cm.variant == "expanding":
-        pref = 1.0 / (t * s)
-        spatial = h.copy()
-        mixed = dH + ric_Tnu
-        tt = dHdt + H / (2 * t) - H * ric_nunu + 0.5 * nu_R
-        if form == "full":
-            if as_printed:
-                spatial = spatial + (H / (t * w)) * (ric_TT + g / (2 * t))
-                mixed = mixed - (H / (2 * t * w)) * T_R
-                tt = tt + (H / (t * w)) * (
-                    H**2 / (2 * t) + H**2 * ric_nunu - H**2 * nu_R
-                    - R / t - 0.5 * dRdt + n / (4 * t**2)
-                )
-            else:
-                spatial = spatial - (H / (t * w)) * (ric_TT + g / (2 * t))
-                mixed = mixed - (H / (t * w)) * (0.5 * T_R - H * ric_Tnu)
-                tt = tt - (H / (t * w)) * (
-                    R / t + 0.5 * dRdt + m / (4 * t**2) - nu_R
-                    + H**2 * ric_nunu + H**2 / (2 * t)
-                )
-    elif cm.variant == "shrinking":
-        pref = 1.0 / (t * s)
-        spatial = h.copy()
-        mixed = dH - ric_Tnu
-        tt = dHdt + H / (2 * t) + H * ric_nunu + 0.5 * nu_R
-        if form == "full":
-            if as_printed:
-                spatial = spatial + (H / (t * w)) * (-ric_TT + g / (2 * t))
-                mixed = mixed - (H / (2 * t * w)) * T_R
-                tt = tt + (H / (t * w)) * (
-                    -H**2 / (2 * t) + H**2 * ric_nunu - H**2 * nu_R
-                    - R / t - 0.5 * dRdt + n / (4 * t**2)
-                )
-            else:
-                spatial = spatial + (H / (t * w)) * (ric_TT - g / (2 * t))
-                mixed = mixed - (H / (t * w)) * (0.5 * T_R + H * ric_Tnu)
-                tt = tt - (H / (t * w)) * (
-                    R / t + 0.5 * dRdt - m / (4 * t**2) - nu_R
-                    + H**2 / (2 * t) - H**2 * ric_nunu
-                )
-    else:  # steady
-        pref = 1.0 / (t * s) if (form == "leading" and as_printed) else 1.0 / s
+    spatial = h
+    if s == 0:
+        pref = 1.0 / (t * sN) if (form == "leading" and as_printed) else 1.0 / sN
         NR = cm.N + R
-        spatial = h.copy()
         mixed = dH - ric_Tnu
         tt = dHdt + H * ric_nunu + 0.5 * nu_R
         if form == "full":
@@ -407,7 +354,28 @@ def closed_form_second_ff(
             else:
                 mixed = mixed - (H / NR) * (0.5 * T_R + H * ric_Tnu)
                 tt = tt - (H / NR) * (0.5 * dRdt - H * nu_R - H**2 * ric_nunu)
+    else:
+        pref = 1.0 / (t * sN)
+        c = H / (t * w)
+        mixed = dH + s * ric_Tnu
+        tt = dHdt + H / (2 * t) - s * H * ric_nunu + 0.5 * nu_R
+        if form == "full":
+            if as_printed:
+                spatial = spatial + c * (s * ric_TT + g / (2 * t))
+                mixed = mixed - (H / (2 * t * w)) * T_R
+                tt = tt + c * (
+                    s * H**2 / (2 * t) + H**2 * ric_nunu - H**2 * nu_R
+                    - R / t - 0.5 * dRdt + n / (4 * t**2)
+                )
+            else:
+                spatial = spatial - s * c * (ric_TT + s * g / (2 * t))
+                mixed = mixed - c * (0.5 * T_R - s * H * ric_Tnu)
+                tt = tt - c * (
+                    R / t + 0.5 * dRdt + s * m / (4 * t**2) - nu_R
+                    + s * H**2 * ric_nunu + H**2 / (2 * t)
+                )
 
+    out = np.zeros((n + 1, n + 1))
     out[1:, 1:] = spatial
     out[1:, 0] = mixed
     out[0, 1:] = mixed

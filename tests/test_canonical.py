@@ -259,3 +259,54 @@ class TestPotential:
             defects.append(abs(t * df[0] - grad_sq) / (t * df[0]))
         for a, b in zip(defects, defects[1:]):
             assert 0.3 < b / a < 0.7
+
+
+class TestVariantSigns:
+    """Every per-variant quantity follows from the sign s, to the last bit."""
+
+    # the per-variant formulas written out: (direction, soliton constant,
+    # time-time entry, potential) as functions of (N, R, m, t)
+    EXPLICIT = {
+        "expanding": ("forward", 0.5,
+                      lambda N, R, m, t: N / (2 * t**3) + R / t + m / (2 * t**2),
+                      lambda N, t: -N / (2.0 * t)),
+        "shrinking": ("backward", -0.5,
+                      lambda N, R, m, t: N / (2 * t**3) + R / t - m / (2 * t**2),
+                      lambda N, t: N / (2.0 * t)),
+        "steady": ("backward", 0.0,
+                   lambda N, R, m, t: N + R,
+                   lambda N, t: -N * t),
+    }
+
+    def test_sign_table_is_the_variant_list(self):
+        from cansol.backgrounds import VARIANT_SIGNS
+        from cansol.canonical import VARIANTS
+
+        assert VARIANTS == ("expanding", "shrinking", "steady")
+        assert VARIANT_SIGNS == {"expanding": 1, "shrinking": -1, "steady": 0}
+
+    @pytest.mark.parametrize("bg_params,variant", COMBOS)
+    def test_derived_quantities_equal_the_explicit_formulas(self, bg_params, variant):
+        from cansol.backgrounds import GradientSolitonData, TimeScalarField
+
+        direction, constant, time_time, potential = self.EXPLICIT[variant]
+        bg = make_bg(bg_params)
+        assert bg.direction == direction
+        N = 137.0
+        cm = build_canonical_metric(bg, variant, N)
+        assert cm.soliton_constant == constant
+        sol = GradientSolitonData(TimeScalarField(value=lambda p, t: 0.0 * p[..., 0]), variant)
+        assert sol.c == 2 * constant
+        for p, t in samples_for(bg, 5, seed=4):
+            R = bg.scalar_at(p, t)
+            assert cm.time_time(p, t) == time_time(N, R, bg.dim, t)
+            assert cm.time_scale(t) == (1.0 if variant == "steady" else t)
+            value = cm.potential.value(cm.spacetime_point(p, t)[None])[0]
+            assert value == potential(N, t)
+
+    def test_unknown_variant_rejected(self):
+        bg = make_bg(FLAT_FWD)
+        with pytest.raises(CanonicalConfigError, match="unknown variant"):
+            build_canonical_metric(bg, "stationary", 100.0)
+        with pytest.raises(CanonicalConfigError, match="unknown variant"):
+            minimal_admissible_N(bg, "stationary", [(np.zeros(3), 0.5)])

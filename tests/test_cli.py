@@ -42,6 +42,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run(cfg)
 
+    def test_unknown_variant(self):
+        cfg = cfg_ricci(variant="stationary")
+        with pytest.raises(ConfigError, match=r"needs variant expanding\|shrinking\|steady$"):
+            run(cfg)
+
     def test_direction_mismatch_is_config_error(self):
         cfg = cfg_ricci(variant="shrinking")
         with pytest.raises(ConfigError):
@@ -140,6 +145,28 @@ class TestSuites:
         report = run(cfg)
         assert report.passed
         assert all(r["in_band"] for r in report.records)
+
+    def test_harnack_limits_exact_track_limit_is_in_band(self):
+        # the equator is totally geodesic, so its stripped-track limit holds
+        # at every N up to round-off and the error ratios read 1.0
+        raw = {
+            "suite": "harnack_limits",
+            "background": {"name": "round_sphere", "params": {"dim": 3, "direction": "forward"}},
+            "mcf": {"name": "equator_in_sphere"},
+            "N_list": [1000.0, 2000.0, 4000.0],
+            "samples": {"count": 3, "seed": 11},
+        }
+        report = run(RunConfig.from_dict(raw))
+        track = report.records[-1]
+        assert track["kind"] == "stripped_track_limit"
+        assert max(track["errors"]) < 1e-15
+        assert track["ratios"] == [1.0, 1.0]
+        assert track["in_band"]
+        assert report.summary["all_ratios_in_band"] and report.passed
+        # records with non-zero errors are judged by their ratios as before
+        ricci_only = run(RunConfig.from_dict({k: v for k, v in raw.items() if k != "mcf"}))
+        assert report.records[:-1] == ricci_only.records
+        assert all(0.3 < r < 0.7 for rec in ricci_only.records for r in rec["ratios"])
 
     def test_lott_match_suite(self):
         cfg = RunConfig.from_dict(

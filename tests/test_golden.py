@@ -81,6 +81,40 @@ GOLDEN = {
 }
 
 
+
+def _sphere3(direction):
+    return {"name": "round_sphere", "params": {"dim": 3, "r0": 1.0, "direction": direction}}
+
+
+# the other variants of the per-variant suites, keyed "suite/variant"
+for _variant, _digests in (
+    ("shrinking", ("2eff68ee4f84e9379c8c477c02fb657bd95102a556f3e2e448bee6cf28db98cd",
+                   "882480f90ef60727648b211c4f5dc119d6888fd9553bc37b801d54ba057150f1")),
+    ("steady", ("1e6aa7af111a15330c0715171405ae903b33725e3693c20d366ee478b7af234b",
+                "7e2447b7652bc008e9c2576236c2475cee599ca2e4fd96f502a33cdfb00ceb11")),
+):
+    GOLDEN[f"ricci_soliton_residual/{_variant}"] = (
+        {**GOLDEN["ricci_soliton_residual"][0], "variant": _variant,
+         "background": _sphere3("backward")},
+        _digests[0],
+    )
+    GOLDEN[f"mcf_soliton_residual/{_variant}"] = (
+        {**GOLDEN["mcf_soliton_residual"][0], "variant": _variant,
+         "background": {"name": "euclidean_static", "params": {"dim": 3, "direction": "backward"}}},
+        _digests[1],
+    )
+for _variant, _direction, _digest in (
+    ("expanding", "forward", "c04aae5bfc8b62514f62c85c9446dfc60b314c67aaee55212e0c1b8035edde7e"),
+    ("shrinking", "backward", "e30ea46339f7d28f534d7bd5cf21352ca75e045e36ed14fe40d6e0c85ef52cdb"),
+):
+    GOLDEN[f"christoffel_crosscheck/{_variant}"] = (
+        {"suite": "christoffel_crosscheck", "variant": _variant,
+         "background": {"name": "round_sphere", "params": {"dim": 3, "direction": _direction}},
+         "N_list": [100.0], "samples": {"count": 2, "seed": 5, "backend": "analytic"}},
+        _digest,
+    )
+
+
 @pytest.mark.parametrize("suite", sorted(GOLDEN))
 def test_report_digest_is_pinned(suite):
     raw, digest = GOLDEN[suite]
@@ -92,4 +126,12 @@ def test_report_digest_is_pinned(suite):
 def test_every_suite_is_pinned():
     from cansol.cli import SUITES
 
-    assert sorted(GOLDEN) == sorted(SUITES)
+    assert sorted({raw["suite"] for raw, _ in GOLDEN.values()}) == sorted(SUITES)
+
+
+def test_every_variant_of_the_variant_suites_is_pinned():
+    from cansol.canonical import VARIANTS
+
+    for suite in ("ricci_soliton_residual", "mcf_soliton_residual", "christoffel_crosscheck"):
+        pinned = {raw["variant"] for raw, _ in GOLDEN.values() if raw["suite"] == suite}
+        assert pinned == set(VARIANTS), suite
