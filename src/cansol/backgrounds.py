@@ -5,7 +5,9 @@ dg/dt = -2 Ric or the backward flow dg/dtau = +2 Ric, together with
 hypersurface families F_t moving by dF/dt = -H nu inside them.  All
 catalog entries are exact solutions given in closed form, with analytic
 derivative callbacks, so they serve as fixtures whose residuals under the
-defining equations must vanish to machine precision.
+defining equations must vanish to machine precision.  A flow's analytic
+data is its 2-jet, one pointwise callback ``MCFSolution.jet(x, t)``; the
+slice geometry reads it once and carries it to the space-time track.
 
 Orientation convention: the unit normal nu is chosen so that a round
 sphere in flat space has positive mean curvature with the outward normal
@@ -58,7 +60,7 @@ __all__ = [
     "hypersurface_point_data",
     "extrinsic_geometry",
     "unit_sphere_metric",
-    "sphere_embedding_maps",
+    "sphere_embedding_jet",
 ]
 
 # Polar charts exclude a band of this width around coordinate singularities.
@@ -131,54 +133,47 @@ def _euclidean_metric(d: int) -> MetricField:
     )
 
 
-def sphere_embedding_maps(n: int):
-    """Embedding of the unit n-sphere into R^{n+1} and its partials.
+def _sphere_partials(n: int, orders: np.ndarray):
+    """Map x to the partials of the unit n-sphere embedding omega(x) in R^{n+1}.
 
-    Returns (omega, d_omega, dd_omega) with omega(x) the position on the
-    unit sphere for polar angles x, d_omega(x)[i] = d omega / d x^i and
-    dd_omega(x)[i, j] the second partials.
+    Component m of omega is sin x_0 ... sin x_{m-1} cos x_m (the last one
+    all sines).  Row q of the (Q, n+1) result differentiates orders[q, k]
+    times in angle k; it is a product of its factors in angle order, and
+    +0.0 where it differentiates an absent factor.
     """
-    # factor table: component m is a product of sin/cos factors over angles
-    factors = []
-    for m in range(n):
-        factors.append([(k, "s") for k in range(m)] + [(m, "c")])
-    factors.append([(k, "s") for k in range(n)])
+    # factor kind per (component, angle): 0 absent (a 1), 1 sin, 2 cos
+    kinds = np.tril(np.ones((n + 1, n), dtype=int), -1) + 2 * np.eye(n + 1, n, dtype=int)
+    live = np.all((orders[:, None, :] == 0) | (kinds != 0), axis=-1)
 
-    def _eval(x, orders):
-        # orders: dict angle index -> derivative order (1 or 2)
-        y = np.zeros(n + 1)
-        for m, facs in enumerate(factors):
-            angles = {k for k, _ in facs}
-            if any(k not in angles for k in orders):
-                continue
-            prod = 1.0
-            for k, kind in facs:
-                o = orders.get(k, 0)
-                th = x[k]
-                if kind == "s":
-                    prod *= (math.sin(th), math.cos(th), -math.sin(th))[o]
-                else:
-                    prod *= (math.cos(th), -math.sin(th), -math.cos(th))[o]
-            y[m] = prod
-        return y
+    def partials(x):
+        s, c = np.sin(x), np.cos(x)
+        table = np.array([[np.ones(n), s, c], [np.zeros(n), c, -s], [np.zeros(n), -s, -c]])
+        factors = table[orders[:, None, :], kinds, np.arange(n)]   # table[order, kind, angle]
+        return np.where(live, np.cumprod(factors, axis=-1)[..., -1], 0.0)
 
-    def omega(x):
-        return _eval(x, {})
+    return partials
 
-    def d_omega(x):
-        return np.stack([_eval(x, {i: 1}) for i in range(n)], axis=0)
 
-    def dd_omega(x):
-        out = np.zeros((n, n, n + 1))
-        for i in range(n):
-            out[i, i] = _eval(x, {i: 2})
-            for j in range(i + 1, n):
-                v = _eval(x, {i: 1, j: 1})
-                out[i, j] = v
-                out[j, i] = v
-        return out
+def sphere_embedding_jet(n: int):
+    """Map polar angles x to (omega, d_omega, dd_omega) of the unit n-sphere.
 
-    return omega, d_omega, dd_omega
+    omega(x) is the position on the unit sphere in R^{n+1}, d_omega[i] =
+    d omega / d x^i and dd_omega[i, j] the second partials, all from one
+    vectorized pass.
+    """
+    # rows: omega, then d_i omega, then d_i d_j omega for i <= j
+    eye = np.eye(n, dtype=int)
+    iu, ju = np.triu_indices(n)
+    orders = np.concatenate((np.zeros((1, n), dtype=int), eye, eye[iu] + eye[ju]))
+    partials = _sphere_partials(n, orders)
+    dd_rows = np.empty((n, n), dtype=int)
+    dd_rows[iu, ju] = dd_rows[ju, iu] = 1 + n + np.arange(len(iu))
+
+    def jet(x):
+        y = partials(x)
+        return y[0], y[1 : n + 1], y[dd_rows]
+
+    return jet
 
 
 def _polar_box(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -439,9 +434,11 @@ def _reject_extras(name, params):
 class MCFSolution:
     """Closed-form family of immersions F_t : M^n -> O^{n+1}.
 
-    Second space/time derivatives of the immersion are analytic, as are
-    the derivatives of H when set; everything else (induced metric,
-    normal, second fundamental form, H itself) is computed by the kernel.
+    ``jet(x, t)`` is the analytic 2-jet of the flow at one point, the tuple
+    (F, d_t F, d_x F, d_x d_x F, d_x d_t F, d_t d_t F) of shapes (n+1,),
+    (n+1,), (n, n+1), (n, n, n+1), (n, n+1) and (n+1,).  The derivatives of
+    H are analytic when set; everything else (induced metric, normal,
+    second fundamental form, H itself) is computed by the kernel.
     ``time_domain`` defaults to the ambient's; ``sample_box`` is the
     (low, high) box that ``sample_xs`` draws from.
     """
@@ -449,12 +446,7 @@ class MCFSolution:
     name: str
     hypersurface_dim: int
     ambient: RicciFlowBackground
-    immersion_at: Callable[[np.ndarray, float], np.ndarray]
-    velocity_at: Callable[[np.ndarray, float], np.ndarray]
-    dx: Callable[[np.ndarray, float], np.ndarray]        # (n, n+1)
-    dxdx: Callable[[np.ndarray, float], np.ndarray]      # (n, n, n+1)
-    dxdt: Callable[[np.ndarray, float], np.ndarray]      # (n, n+1)
-    dtdt: Callable[[np.ndarray, float], np.ndarray]      # (n+1,)
+    jet: Callable[[np.ndarray, float], tuple]
     orientation_hint: Callable[[np.ndarray, float], np.ndarray]
     dx_mean_curvature: Callable[[np.ndarray, float], np.ndarray] | None = None
     dt_mean_curvature: Callable[[np.ndarray, float], float] | None = None
@@ -497,30 +489,27 @@ def model_mcf(name: str, bg: RicciFlowBackground, **params) -> MCFSolution:
         _reject_extras(name, params)
         if r0 <= 0:
             raise BackgroundError(f"needs r0 > 0, got {r0}")
-        omega, d_omega, dd_omega = sphere_embedding_maps(n)
+        omega_jet = sphere_embedding_jet(n)
+        # the outward hint is omega alone, not a second full jet
+        omega = _sphere_partials(n, np.zeros((1, n), dtype=int))
         t_sing = r0**2 / (2.0 * n)
         T = min(bg.time_domain[1], 0.8 * t_sing)
 
         def r(t):
             return math.sqrt(r0**2 - 2.0 * n * t)
 
-        def dr(t):
-            return -n / r(t)
-
-        def d2r(t):
-            return -(n**2) / r(t) ** 3
+        def jet(x, t):
+            w, dw, ddw = omega_jet(x)
+            rt = r(t)
+            dr, d2r = -n / rt, -(n**2) / rt**3
+            return rt * w, dr * w, rt * dw, rt * ddw, dr * dw, d2r * w
 
         return MCFSolution(
             name=name,
             hypersurface_dim=n,
             ambient=bg,
-            immersion_at=lambda x, t: r(t) * omega(x),
-            velocity_at=lambda x, t: dr(t) * omega(x),
-            dx=lambda x, t: r(t) * d_omega(x),
-            dxdx=lambda x, t: r(t) * dd_omega(x),
-            dxdt=lambda x, t: dr(t) * d_omega(x),
-            dtdt=lambda x, t: d2r(t) * omega(x),
-            orientation_hint=lambda x, t: omega(x),
+            jet=jet,
+            orientation_hint=lambda x, t: omega(x)[0],
             dx_mean_curvature=lambda x, t: np.zeros(n),
             dt_mean_curvature=lambda x, t: n**2 / r(t) ** 3,
             time_domain=(0.0, T),
@@ -532,23 +521,13 @@ def model_mcf(name: str, bg: RicciFlowBackground, **params) -> MCFSolution:
             raise BackgroundError("equator_in_sphere needs a round_sphere background")
         _reject_extras(name, params)
         zeros_n = np.zeros(n)
-        zeros_amb = np.zeros(n + 1)
-
-        def immerse(x, t):
-            return np.concatenate(([math.pi / 2.0], x))
-
         hint = np.zeros(n + 1)
         hint[0] = 1.0
         return MCFSolution(
             name=name,
             hypersurface_dim=n,
             ambient=bg,
-            immersion_at=immerse,
-            velocity_at=lambda x, t: zeros_amb.copy(),
-            dx=lambda x, t: np.eye(n, n + 1, k=1),
-            dxdx=lambda x, t: np.zeros((n, n, n + 1)),
-            dxdt=lambda x, t: np.zeros((n, n + 1)),
-            dtdt=lambda x, t: zeros_amb.copy(),
+            jet=lambda x, t: _static_jet(np.concatenate(([math.pi / 2.0], x)), np.eye(n, n + 1, k=1)),
             orientation_hint=lambda x, t: hint.copy(),
             dx_mean_curvature=lambda x, t: zeros_n.copy(),
             dt_mean_curvature=lambda x, t: 0.0,
@@ -561,25 +540,25 @@ def model_mcf(name: str, bg: RicciFlowBackground, **params) -> MCFSolution:
         height = float(params.pop("height", 0.0))
         _reject_extras(name, params)
         zeros_n = np.zeros(n)
-        zeros_amb = np.zeros(n + 1)
         hint = np.zeros(n + 1)
         hint[n] = 1.0
         return MCFSolution(
             name=name,
             hypersurface_dim=n,
             ambient=bg,
-            immersion_at=lambda x, t: np.concatenate((x, [height])),
-            velocity_at=lambda x, t: zeros_amb.copy(),
-            dx=lambda x, t: np.eye(n, n + 1),
-            dxdx=lambda x, t: np.zeros((n, n, n + 1)),
-            dxdt=lambda x, t: np.zeros((n, n + 1)),
-            dtdt=lambda x, t: zeros_amb.copy(),
+            jet=lambda x, t: _static_jet(np.concatenate((x, [height])), np.eye(n, n + 1)),
             orientation_hint=lambda x, t: hint.copy(),
             dx_mean_curvature=lambda x, t: zeros_n.copy(),
             dt_mean_curvature=lambda x, t: 0.0,
         )
 
     raise BackgroundError(f"unknown hypersurface flow {name!r}; known: {catalog_mcf_names()}")
+
+
+def _static_jet(F: np.ndarray, tangents: np.ndarray) -> tuple:
+    """2-jet of a static, affinely embedded flow: only F and d_x F are non-zero."""
+    n, m = tangents.shape
+    return F, np.zeros(m), tangents, np.zeros((n, n, m)), np.zeros((n, m)), np.zeros(m)
 
 
 # ---------------------------------------------------------------------------
@@ -649,8 +628,7 @@ class HypersurfacePointData:
 
     x: np.ndarray
     t: float
-    position: np.ndarray          # F_t(x) in the ambient chart
-    tangents: np.ndarray          # (n, n+1) rows d_i F
+    jet: tuple                    # the flow's 2-jet at (x, t), see MCFSolution
     induced: np.ndarray           # g_ij
     induced_inv: np.ndarray
     normal: np.ndarray            # unit, catalog orientation
@@ -658,7 +636,10 @@ class HypersurfacePointData:
     mean_curvature: float
     dx_mean_curvature: np.ndarray # coordinate partials d_i H
     dt_mean_curvature: float
-    velocity: np.ndarray
+
+    position = property(lambda self: self.jet[0])   # F_t(x) in the ambient chart
+    velocity = property(lambda self: self.jet[1])   # d_t F
+    tangents = property(lambda self: self.jet[2])   # (n, n+1) rows d_i F
 
 
 def extrinsic_geometry(tangents, second_partials, g, gamma, hint):
@@ -690,18 +671,17 @@ def extrinsic_geometry(tangents, second_partials, g, gamma, hint):
 
 
 def _slice_geometry(mcf: MCFSolution, x: np.ndarray, t: float):
-    """Image point, tangent rows and ``extrinsic_geometry`` of M_t at x."""
-    pos = np.asarray(mcf.immersion_at(x, t), dtype=float)
+    """The flow's 2-jet and the ``extrinsic_geometry`` of M_t at x."""
+    jet = tuple(np.asarray(a, dtype=float) for a in mcf.jet(x, t))
+    pos, _, T, ddF = jet[:4]
     amb = metric_bundle(mcf.ambient.metric_at(t), pos, order=1)
     amb.raise_error()
-    T = np.asarray(mcf.dx(x, t), dtype=float)
-    ddF = np.asarray(mcf.dxdx(x, t), dtype=float)
     hint = np.asarray(mcf.orientation_hint(x, t), dtype=float)
     try:
         ext = extrinsic_geometry(T, ddF, amb.g[0], christoffel_batch(amb)[0], hint)
     except DegenerateMetricError:
         raise BackgroundError(f"degenerate induced metric at x={x}, t={t}") from None
-    return pos, T, ext
+    return jet, ext
 
 
 def hypersurface_point_data(mcf: MCFSolution, x: np.ndarray, t: float) -> HypersurfacePointData:
@@ -711,10 +691,10 @@ def hypersurface_point_data(mcf: MCFSolution, x: np.ndarray, t: float) -> Hypers
     """
     t = mcf.check_time(t)
     x = chart_point(x)
-    pos, T, (induced, induced_inv, nu, h, H) = _slice_geometry(mcf, x, t)
+    jet, (induced, induced_inv, nu, h, H) = _slice_geometry(mcf, x, t)
 
     def H_at(xx, tt):
-        return _slice_geometry(mcf, xx, tt)[2][-1]
+        return _slice_geometry(mcf, xx, tt)[1][-1]
 
     if mcf.dx_mean_curvature is not None:
         dxH = np.asarray(mcf.dx_mean_curvature(x, t), dtype=float)
@@ -730,8 +710,7 @@ def hypersurface_point_data(mcf: MCFSolution, x: np.ndarray, t: float) -> Hypers
     return HypersurfacePointData(
         x=x,
         t=t,
-        position=pos,
-        tangents=T,
+        jet=jet,
         induced=induced,
         induced_inv=induced_inv,
         normal=nu,
@@ -739,5 +718,4 @@ def hypersurface_point_data(mcf: MCFSolution, x: np.ndarray, t: float) -> Hypers
         mean_curvature=H,
         dx_mean_curvature=dxH,
         dt_mean_curvature=dtH,
-        velocity=np.asarray(mcf.velocity_at(x, t), dtype=float),
     )

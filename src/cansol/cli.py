@@ -85,8 +85,7 @@ class RunConfig:
     def from_dict(raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(raw) - {"suite", "variant", "background", "mcf", "N_list",
-                              "samples", "output", "tolerances"}
+        unknown = set(raw) - {f.name for f in dataclasses.fields(RunConfig)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         suite = raw.get("suite")
@@ -437,15 +436,8 @@ def run(cfg: RunConfig) -> ResidualReport:
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    return {
-        "suite": cfg.suite,
-        "variant": cfg.variant,
-        "background": cfg.background,
-        "mcf": cfg.mcf,
-        "N_list": cfg.N_list,
-        "samples": cfg.samples,
-        "tolerances": cfg.tolerances,
-    }
+    # ``output`` stays out, so the report bytes do not depend on the output path
+    return {f.name: getattr(cfg, f.name) for f in dataclasses.fields(RunConfig) if f.name != "output"}
 
 
 def main(argv=None) -> int:

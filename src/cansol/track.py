@@ -129,28 +129,28 @@ def _sigma_N(scale: float, H: float, w: float) -> float:
 def track_point_data(track: SpaceTimeTrack, x: np.ndarray, t: float) -> TrackPointData:
     """Engine evaluation of the track geometry at chart point (x, t)."""
     t = track.check_time(t)
-    cm, mcf = track.cm, track.mcf
+    cm = track.cm
     n = track.n
     dim = cm.spacetime_dim
 
-    hyp = hypersurface_point_data(mcf, x, t)
+    hyp = hypersurface_point_data(track.mcf, x, t)
     st = metric_bundle(cm.field, cm.spacetime_point(hyp.position, t), order=1)
     st.raise_error()
     z, g_st = st.points[0], st.g[0]
 
+    _, Ft, Fx, Fxx, Fxt, Ftt = hyp.jet
     # tangent basis: row 0 is d/dt + dF/dt, rows 1..n are (0, d_i F)
     basis = np.zeros((n + 1, dim))
     basis[0, 0] = 1.0
-    basis[0, 1:] = hyp.velocity
-    basis[1:, 1:] = hyp.tangents
+    basis[0, 1:] = Ft
+    basis[1:, 1:] = Fx
 
     # second derivatives of the parametrization Phi(u) = (u0, F(x, u0))
     ddPhi = np.zeros((n + 1, n + 1, dim))
-    ddPhi[0, 0, 1:] = np.asarray(mcf.dtdt(x, t), dtype=float)
-    dxdt = np.asarray(mcf.dxdt(x, t), dtype=float)
-    ddPhi[0, 1:, 1:] = dxdt
-    ddPhi[1:, 0, 1:] = dxdt
-    ddPhi[1:, 1:, 1:] = np.asarray(mcf.dxdx(x, t), dtype=float)
+    ddPhi[0, 0, 1:] = Ftt
+    ddPhi[0, 1:, 1:] = Fxt
+    ddPhi[1:, 0, 1:] = Fxt
+    ddPhi[1:, 1:, 1:] = Fxx
 
     # the normal is oriented toward the lifted slice normal (0, nu)
     lifted = np.concatenate(([0.0], hyp.normal))

@@ -141,7 +141,7 @@ class TestModelMCF:
         bg = model_background("euclidean_static", dim=3)
         mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
         x = np.array([1.1, 0.7])
-        pos = mcf.immersion_at(x, 0.1)
+        pos = mcf.jet(x, 0.1)[0]
         assert np.linalg.norm(pos) == pytest.approx(math.sqrt(0.6), rel=1e-12)
 
     def test_equator_is_static_and_minimal(self, rng):
@@ -183,7 +183,7 @@ class TestModelMCF:
         kwargs = dict(bg_kwargs)
         bg = model_background(kwargs.pop("name"), **kwargs)
         mcf = model_mcf(mcf_name, bg)
-        lo, hi = mcf.time_domain if mcf.time_domain else bg.time_domain
+        lo, hi = mcf.time_domain
         for t in np.random.default_rng(1).uniform(0.05 * hi, hi, 5):
             for x in mcf.sample_xs(10, rng):
                 data = hypersurface_point_data(mcf, x, t)
@@ -196,16 +196,40 @@ class TestModelMCF:
                 recon = data.induced_inv @ proj
                 assert np.allclose(data.tangents.T @ recon, tangential, atol=1e-8)
 
-    def test_velocity_matches_time_differences_of_immersion(self, rng):
-        bg = model_background("euclidean_static", dim=3)
-        mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
+    @pytest.mark.parametrize("dim", [3, 5])
+    @pytest.mark.parametrize(
+        "mcf_name,bg_kwargs",
+        [
+            ("shrinking_sphere_flat", dict(name="euclidean_static", direction="forward")),
+            ("equator_in_sphere", dict(name="round_sphere", r0=1.0, direction="backward")),
+            ("static_plane_flat", dict(name="euclidean_static", direction="backward")),
+        ],
+    )
+    def test_velocity_matches_time_differences_of_immersion(self, mcf_name, bg_kwargs, dim, rng):
+        # every entry of the jet against central differences of F and of the tangents
+        kwargs = dict(bg_kwargs)
+        bg = model_background(kwargs.pop("name"), dim=dim, **kwargs)
+        mcf = model_mcf(mcf_name, bg)
+        n = mcf.hypersurface_dim
         hi = mcf.time_domain[1]
+
+        def close(fd, ana, tol=1e-6):
+            assert np.max(np.abs(fd - ana)) < tol * max(1.0, np.max(np.abs(ana)))
+
         for t in rng.uniform(0.1 * hi, 0.9 * hi, 3):
             for x in mcf.sample_xs(3, rng):
+                F, Ft, Fx, Fxx, Fxt, Ftt = mcf.jet(x, t)
+                assert F.shape == Ft.shape == Ftt.shape == (n + 1,)
+                assert Fx.shape == Fxt.shape == (n, n + 1) and Fxx.shape == (n, n, n + 1)
                 h = 1e-6 * max(1.0, t)
-                fd = (np.asarray(mcf.immersion_at(x, t + h)) - np.asarray(mcf.immersion_at(x, t - h))) / (2 * h)
-                ana = np.asarray(mcf.velocity_at(x, t))
-                assert np.max(np.abs(fd - ana)) < 1e-6 * max(1.0, np.max(np.abs(ana)))
+                close((mcf.jet(x, t + h)[0] - mcf.jet(x, t - h)[0]) / (2 * h), Ft)
+                close((mcf.jet(x, t + h)[2] - mcf.jet(x, t - h)[2]) / (2 * h), Fxt)
+                # the second difference loses more digits to rounding
+                h2 = 3e-5 * max(1.0, t)
+                close((mcf.jet(x, t + h2)[0] - 2 * F + mcf.jet(x, t - h2)[0]) / h2**2, Ftt, 1e-5)
+                for i, e in enumerate(1e-6 * np.eye(n)):
+                    close((mcf.jet(x + e, t)[0] - mcf.jet(x - e, t)[0]) / 2e-6, Fx[i])
+                    close((mcf.jet(x + e, t)[2] - mcf.jet(x - e, t)[2]) / 2e-6, Fxx[i])
 
     def test_sphere_mean_curvature_analytic_vs_engine(self):
         bg = model_background("euclidean_static", dim=3)
@@ -330,14 +354,14 @@ class TestExtrinsicGeometry:
                                np.array([0.0, 0.0, 1.0]))
 
     def test_sphere_of_radius_r_in_flat_space(self):
-        from cansol.backgrounds import extrinsic_geometry, sphere_embedding_maps
+        from cansol.backgrounds import extrinsic_geometry, sphere_embedding_jet
 
         r, x = 2.0, np.array([0.7, 1.9])
-        omega, d_omega, dd_omega = sphere_embedding_maps(2)
+        omega, d_omega, dd_omega = sphere_embedding_jet(2)(x)
         induced, induced_inv, nu, h, H = extrinsic_geometry(
-            r * d_omega(x), r * dd_omega(x), np.eye(3), np.zeros((3, 3, 3)), omega(x)
+            r * d_omega, r * dd_omega, np.eye(3), np.zeros((3, 3, 3)), omega
         )
-        assert np.allclose(nu, omega(x), atol=1e-14)
+        assert np.allclose(nu, omega, atol=1e-14)
         assert np.allclose(induced_inv @ induced, np.eye(2), atol=1e-12)
         assert np.allclose(h, induced / r, atol=1e-12)
         assert H == pytest.approx(2.0 / r, rel=1e-12)

@@ -114,6 +114,20 @@ for _variant, _direction, _digest in (
         _digest,
     )
 
+# track geometries beyond the dim-3 sphere: the n = 4 sphere reaches every
+# factor kind and mixed partial of the embedding; the equator is a second
+# flow in a curved (backward sphere) ambient
+GOLDEN["mcf_soliton_residual/sphere-dim5"] = (
+    {**GOLDEN["mcf_soliton_residual"][0],
+     "background": {"name": "euclidean_static", "params": {"dim": 5, "direction": "forward"}}},
+    "4be30f96658351331b535f158918bf36828d5227db33d82b777547f02ae0f4a9",
+)
+GOLDEN["mcf_soliton_residual/steady-equator"] = (
+    {**GOLDEN["mcf_soliton_residual"][0], "variant": "steady", "background": _sphere3("backward"),
+     "mcf": {"name": "equator_in_sphere", "params": {}}},
+    "bb5b1199ed56eda469053604c84cb7f14bdc40944d51690ec6de43324ee88f0b",
+)
+
 
 @pytest.mark.parametrize("suite", sorted(GOLDEN))
 def test_report_digest_is_pinned(suite):
