@@ -10,7 +10,6 @@ from .geometry import (
     ChartDomainError,
     ConnectionCoeffs,
     DegenerateMetricError,
-    FDConfig,
     GeometryError,
     MetricField,
     ScalarField,

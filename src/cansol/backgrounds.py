@@ -19,7 +19,7 @@ moves inward under -H nu.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,7 +27,6 @@ import numpy as np
 from .geometry import (
     ChartDomainError,
     DegenerateMetricError,
-    FDConfig,
     MetricField,
     ScalarField,
     SymTensor2,
@@ -262,7 +261,6 @@ class RicciFlowBackground:
             d1=lambda p: phi * c.sigma.d1(p),
             d2=lambda p: phi * c.sigma.d2(p),
             in_domain=c.sigma.in_domain,
-            fd=c.sigma.fd,
         )
 
     def dt_metric_at(self, p: np.ndarray, t: float) -> np.ndarray:
@@ -300,14 +298,12 @@ class TimeScalarField:
     dy: Callable[[np.ndarray, float], np.ndarray] | None = None
     dyy: Callable[[np.ndarray, float], np.ndarray] | None = None
     dt: Callable[[np.ndarray, float], np.ndarray] | None = None
-    fd: FDConfig = field(default_factory=FDConfig)
 
     def at_time(self, t: float) -> ScalarField:
         return ScalarField(
             value=lambda p: self.value(p, t),
             d1=None if self.dy is None else (lambda p: self.dy(p, t)),
             d2=None if self.dyy is None else (lambda p: self.dyy(p, t)),
-            fd=self.fd,
         )
 
 
@@ -687,25 +683,27 @@ def _slice_geometry(mcf: MCFSolution, x: np.ndarray, t: float):
 def hypersurface_point_data(mcf: MCFSolution, x: np.ndarray, t: float) -> HypersurfacePointData:
     """Compute induced metric, normal, h, H and H-derivatives at (x, t).
 
-    Without mean-curvature callbacks, dH/dx and dH/dt are central differences.
+    A missing mean-curvature callback is replaced by the kernel's central
+    differences of H along its coordinates of the (t, x) chart.
     """
     t = mcf.check_time(t)
     x = chart_point(x)
     jet, (induced, induced_inv, nu, h, H) = _slice_geometry(mcf, x, t)
 
-    def H_at(xx, tt):
-        return _slice_geometry(mcf, xx, tt)[1][-1]
+    dx, dt = mcf.dx_mean_curvature, mcf.dt_mean_curvature
+    if dx is None or dt is None:
+        tx = np.concatenate(([t], x))
+        free = np.array([dt is None] + [dx is None] * x.size)
 
-    if mcf.dx_mean_curvature is not None:
-        dxH = np.asarray(mcf.dx_mean_curvature(x, t), dtype=float)
-    else:
-        H_of_x = ScalarField(value=lambda xs: np.array([H_at(xx, t) for xx in xs]))
-        dxH = scalar_d1(H_of_x, x)
-    if mcf.dt_mean_curvature is not None:
-        dtH = float(mcf.dt_mean_curvature(x, t))
-    else:
-        h_t = FDConfig().h1 * max(1.0, abs(t))
-        dtH = (H_at(x, t + h_t) - H_at(x, t - h_t)) / (2.0 * h_t)
+        def H_free(us):
+            vs = np.repeat(tx[None], len(us), axis=0)
+            vs[:, free] = us
+            return np.array([_slice_geometry(mcf, v[1:], v[0])[1][-1] for v in vs])
+
+        dH = np.zeros_like(tx)
+        dH[free] = scalar_d1(ScalarField(H_free), tx[free])
+    dxH = dH[1:] if dx is None else np.asarray(dx(x, t), dtype=float)
+    dtH = float(dH[0]) if dt is None else float(dt(x, t))
 
     return HypersurfacePointData(
         x=x,

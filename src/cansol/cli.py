@@ -36,7 +36,7 @@ from .canonical import (
     minimal_admissible_N,
     ricci_soliton_residual,
 )
-from .geometry import ChartDomainError, DegenerateMetricError, FDConfig, ScalarField
+from .geometry import FD_H1, FD_H2, ChartDomainError, DegenerateMetricError, ScalarField
 from .harnack import (
     I_GHY,
     I_infty,
@@ -151,12 +151,11 @@ def _draw_samples(cfg: RunConfig, sampler, domain, default_count: int):
 
 
 def _provenance(cfg: RunConfig, extra=None) -> dict:
-    fd = FDConfig()
     block = {
         "normal_orientation": "outward on round spheres (H = n/r > 0)",
         "second_ff_sign": "h(U, V) = <D_U nu, V>; same convention on the track",
         "limit_normalization": "track quadratic scaled by t * sigma_N before limit comparison",
-        "fd_steps": {"h1": fd.h1, "h2": fd.h2, "richardson": fd.richardson},
+        "fd_steps": {"h1": FD_H1, "h2": FD_H2, "richardson": False},
         "seed": cfg.samples.get("seed", 0),
         "t_min_fraction": T_MIN_FRACTION,
     }
@@ -178,23 +177,25 @@ def _need_N_list(cfg: RunConfig, minimum=1):
 
 
 def _sweep_summary(sups_per_N, ratio_tol):
-    sups = [s for _, s in sups_per_N]
+    """Summary and verdict of a sweep; an N without records (sup None) fails it."""
+    sups = [s for _, s in sups_per_N if s is not None]
     if not sups:
         return {"status": "no data"}, False
+    complete = len(sups) == len(sups_per_N)
     per_N = [{"N": n, "sup_scaled_norm": s} for n, s in sups_per_N]
     if max(sups) < _ZERO_TOL:
         return {
             "per_N": per_N,
             "exact_zero": True,
             "zero_tolerance": _ZERO_TOL,
-        }, True
+        }, complete
     ratio = max(sups) / min(sups)
     return {
         "per_N": per_N,
         "exact_zero": False,
         "max_min_ratio": ratio,
         "ratio_tolerance": ratio_tol,
-    }, ratio < ratio_tol
+    }, complete and ratio < ratio_tol
 
 
 def _defect_sweep(report: ResidualReport, Ns, residual_at, key: str, pts, ts) -> list:
@@ -202,12 +203,13 @@ def _defect_sweep(report: ResidualReport, Ns, residual_at, key: str, pts, ts) ->
 
     ``residual_at(N)`` returns the defect at that N as a function of
     (point, t), called once per pair.  Records and per-point errors go to
-    the report, the point under ``key``.
+    the report, the point under ``key``.  The sup is None for an N at
+    which no point was evaluated.
     """
     sups_per_N = []
     for N in Ns:
         residual = residual_at(N)
-        sup = 0.0
+        sup = None
         for p, t in zip(pts, ts):
             try:
                 s = residual(p, t)
@@ -217,7 +219,7 @@ def _defect_sweep(report: ResidualReport, Ns, residual_at, key: str, pts, ts) ->
             report.records.append(
                 {key: list(p), "t": t, "N": N, "norm": s.norm, "scaled_norm": s.scaled_norm}
             )
-            sup = max(sup, s.scaled_norm)
+            sup = max(0.0 if sup is None else sup, s.scaled_norm)
         sups_per_N.append((N, sup))
     return sups_per_N
 

@@ -3,9 +3,10 @@
 A metric is a callable producing the component matrix g_ij at chart
 points, optionally accompanied by analytic first/second partial
 derivatives.  When the analytic callbacks are absent, central finite
-differences (with optional one-level Richardson extrapolation) stand in,
-so the same curvature code doubles as an independent check of any
-closed-form input.
+differences with the fixed steps FD_H1 and FD_H2 stand in, so the same
+curvature code doubles as an independent check of any closed-form input.
+``check_metric_derivatives`` adds one level of Richardson extrapolation
+to its comparison stencil.
 
 The kernel is batched over a leading sample axis.  ``metric_bundle``
 evaluates g, g^-1, dg and (when asked) ddg once for a stack of P points,
@@ -33,7 +34,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -42,7 +43,8 @@ __all__ = [
     "GeometryError",
     "DegenerateMetricError",
     "ChartDomainError",
-    "FDConfig",
+    "FD_H1",
+    "FD_H2",
     "MetricField",
     "ScalarField",
     "SymTensor2",
@@ -80,6 +82,11 @@ __all__ = [
 # Matrix inversion is refused above this condition number; beyond it the
 # curvature output would be numerical noise.
 COND_LIMIT = 1e12
+
+# Finite-difference steps for first and second partials.  The step along
+# coordinate a is ``h * max(1, |p_a|)``.
+FD_H1 = 1e-5
+FD_H2 = 1e-4
 
 
 class GeometryError(Exception):
@@ -182,20 +189,6 @@ def _evaluate(fn, pts: np.ndarray, shape: tuple, what: str, dtype=float) -> np.n
 
 
 @dataclass(frozen=True)
-class FDConfig:
-    """Finite-difference step policy.
-
-    Steps scale with the coordinate magnitude: the step along coordinate a
-    is ``h * max(1, |p_a|)``.  ``richardson`` enables one level of
-    Richardson extrapolation (h and h/2 stencils combined).
-    """
-
-    h1: float = 1e-5        # first derivatives
-    h2: float = 1e-4        # second derivatives
-    richardson: bool = False
-
-
-@dataclass(frozen=True)
 class MetricField:
     """A smooth symmetric positive-definite metric on a coordinate chart.
 
@@ -207,7 +200,6 @@ class MetricField:
     components : points -> (P, d, d) symmetric matrices g_ij.
     d1 : optional, points -> (P, d, d, d) with [p, a, b, c] = d_a g_bc.
     d2 : optional, points -> (P, d, d, d, d) with [p, a, b, c, d] = d_a d_b g_cd.
-    fd : step policy for the finite-difference fallback.
     in_domain : optional chart-domain predicate, points -> (P,) bool;
         violations raise ``ChartDomainError`` from every kernel operation.
     """
@@ -216,7 +208,6 @@ class MetricField:
     components: Callable[[np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray], np.ndarray] | None = None
     d2: Callable[[np.ndarray], np.ndarray] | None = None
-    fd: FDConfig = field(default_factory=FDConfig)
     in_domain: Callable[[np.ndarray], np.ndarray] | None = None
 
     def at(self, p: np.ndarray) -> np.ndarray:
@@ -246,7 +237,6 @@ class ScalarField:
     value: Callable[[np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray], np.ndarray] | None = None
     d2: Callable[[np.ndarray], np.ndarray] | None = None
-    fd: FDConfig = field(default_factory=FDConfig)
 
     def at(self, p: np.ndarray) -> np.ndarray:
         """f at one point (d,) -> (), or at a stack (P, d) -> (P,)."""
@@ -346,67 +336,46 @@ def _central_d2(f, pts: np.ndarray, h: float, shape: tuple, what: str) -> np.nda
     return out
 
 
-def _derivative(stencil, f, pts, h: float, richardson: bool, shape: tuple, what: str):
-    coarse = stencil(f, pts, h, shape, what)
+def _partials(analytic, values, pts: np.ndarray, order: int, shape: tuple, what: str,
+              richardson: bool = False) -> np.ndarray:
+    """Partials of ``order`` 1 or 2, [P, a(, b), ...], of a field with per-point ``shape``.
+
+    The ``analytic`` callback if there is one, else central differences of
+    ``values`` with step FD_H1 or FD_H2, Richardson-extrapolated on request.
+    """
+    if analytic is not None:
+        return _evaluate(analytic, pts, (pts.shape[1],) * order + shape, f"{what} d{order}")
+    stencil, h = (_central_d1, FD_H1) if order == 1 else (_central_d2, FD_H2)
+    coarse = stencil(values, pts, h, shape, what)
     if not richardson:
         return coarse
-    fine = stencil(f, pts, 0.5 * h, shape, what)
+    fine = stencil(values, pts, 0.5 * h, shape, what)
     return (4.0 * fine - coarse) / 3.0
-
-
-def _metric_d1(metric: MetricField, pts: np.ndarray) -> np.ndarray:
-    d = metric.dim
-    if metric.d1 is not None:
-        return _evaluate(metric.d1, pts, (d, d, d), "metric d1")
-    return _derivative(_central_d1, metric.components, pts, metric.fd.h1,
-                       metric.fd.richardson, (d, d), "metric")
-
-
-def _metric_d2(metric: MetricField, pts: np.ndarray) -> np.ndarray:
-    d = metric.dim
-    if metric.d2 is not None:
-        return _evaluate(metric.d2, pts, (d, d, d, d), "metric d2")
-    return _derivative(_central_d2, metric.components, pts, metric.fd.h2,
-                       metric.fd.richardson, (d, d), "metric")
-
-
-def _scalar_d1(f: ScalarField, pts: np.ndarray) -> np.ndarray:
-    d = pts.shape[1]
-    if f.d1 is not None:
-        return _evaluate(f.d1, pts, (d,), "scalar d1")
-    return _derivative(_central_d1, f.value, pts, f.fd.h1, f.fd.richardson, (), "scalar")
-
-
-def _scalar_d2(f: ScalarField, pts: np.ndarray) -> np.ndarray:
-    d = pts.shape[1]
-    if f.d2 is not None:
-        return _evaluate(f.d2, pts, (d, d), "scalar d2")
-    return _derivative(_central_d2, f.value, pts, f.fd.h2, f.fd.richardson, (), "scalar")
 
 
 def metric_d1(metric: MetricField, p: np.ndarray) -> np.ndarray:
     """First partials d_a g_bc at a point or a (P, d) stack; analytic if given, else FD."""
     pts, single = _checked(p, metric.dim, metric.in_domain)
-    out = _metric_d1(metric, pts)
+    out = _partials(metric.d1, metric.components, pts, 1, (metric.dim,) * 2, "metric")
     return out[0] if single else out
 
 
 def metric_d2(metric: MetricField, p: np.ndarray) -> np.ndarray:
     """Second partials d_a d_b g_cd at a point or a (P, d) stack; analytic if given, else FD."""
     pts, single = _checked(p, metric.dim, metric.in_domain)
-    out = _metric_d2(metric, pts)
+    out = _partials(metric.d2, metric.components, pts, 2, (metric.dim,) * 2, "metric")
     return out[0] if single else out
 
 
 def scalar_d1(f: ScalarField, p: np.ndarray) -> np.ndarray:
     pts, single = _checked(p)
-    out = _scalar_d1(f, pts)
+    out = _partials(f.d1, f.value, pts, 1, (), "scalar")
     return out[0] if single else out
 
 
 def scalar_d2(f: ScalarField, p: np.ndarray) -> np.ndarray:
     pts, single = _checked(p)
-    out = _scalar_d2(f, pts)
+    out = _partials(f.d2, f.value, pts, 2, (), "scalar")
     return out[0] if single else out
 
 
@@ -486,21 +455,27 @@ def metric_bundle(metric: MetricField, points, order: int = 1) -> MetricBundle:
     if any(errors):
         index = index[[e is None for e in errors]]
         q = pts[index]
-    g = _evaluate(metric.components, q, (metric.dim, metric.dim), "metric")
+    shape = (metric.dim, metric.dim)
+    g = _evaluate(metric.components, q, shape, "metric")
     ginv, bad = _inverse(g, q)
     if any(bad):
         keep = np.array([e is None for e in bad])
         for i, exc in zip(index, bad):
             errors[i] = errors[i] or exc
         index, q, g, ginv = index[keep], q[keep], g[keep], ginv[keep]
+    dg = ddg = None
+    if order >= 1:
+        dg = _partials(metric.d1, metric.components, q, 1, shape, "metric")
+    if order >= 2:
+        ddg = _partials(metric.d2, metric.components, q, 2, shape, "metric")
     return MetricBundle(
         points=q,
         index=index,
         errors=tuple(errors),
         g=g,
         ginv=ginv,
-        dg=_metric_d1(metric, q) if order >= 1 else None,
-        ddg=_metric_d2(metric, q) if order >= 2 else None,
+        dg=dg,
+        ddg=ddg,
     )
 
 
@@ -584,7 +559,7 @@ def hessian_batch(b: MetricBundle, f: ScalarField, grad: np.ndarray | None = Non
     """
     if grad is None:
         grad = gradient_batch(b, f)
-    ddf = _scalar_d2(f, b.points)
+    ddf = _partials(f.d2, f.value, b.points, 2, (), "scalar")
     return _symmetrized(ddf - 0.5 * np.einsum("pd,pdab->pab", grad, _bracket(b.dg)))
 
 
@@ -606,7 +581,8 @@ def tensor_norm_batch(b: MetricBundle, T: np.ndarray, variance: str = "covariant
 
 def gradient_batch(b: MetricBundle, f: ScalarField) -> np.ndarray:
     """Contravariant gradients (grad f)^a = g^{ab} d_b f, (P, d)."""
-    return np.einsum("pab,pb->pa", b.ginv, _scalar_d1(f, b.points))
+    df = _partials(f.d1, f.value, b.points, 1, (), "scalar")
+    return np.einsum("pab,pb->pa", b.ginv, df)
 
 
 # ---------------------------------------------------------------------------
@@ -682,17 +658,14 @@ def check_metric_derivatives(metric: MetricField, points, rtol: float = 1e-6) ->
     the oracle's best accuracy.
     """
     worst = 0.0
-    fd_field = replace(
-        metric, d1=None, d2=None, fd=replace(metric.fd, richardson=True)
-    )
+    shape = (metric.dim, metric.dim)
     for p in points:
-        p = metric.check_point(p)
-        if metric.d1 is not None:
-            ana, num = metric_d1(metric, p), metric_d1(fd_field, p)
-            scale = max(1.0, float(np.max(np.abs(ana))))
-            worst = max(worst, float(np.max(np.abs(ana - num))) / scale)
-        if metric.d2 is not None:
-            ana, num = metric_d2(metric, p), metric_d2(fd_field, p)
+        pts, _ = _checked(p, metric.dim, metric.in_domain)
+        for order, analytic in ((1, metric.d1), (2, metric.d2)):
+            if analytic is None:
+                continue
+            ana = _partials(analytic, metric.components, pts, order, shape, "metric")
+            num = _partials(None, metric.components, pts, order, shape, "metric", True)
             scale = max(1.0, float(np.max(np.abs(ana))))
             worst = max(worst, float(np.max(np.abs(ana - num))) / scale)
     if worst > rtol:

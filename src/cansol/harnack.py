@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -417,50 +418,31 @@ def flat_ball_domain(
 
 
 def random_polynomial_field(dim: int, rng: np.random.Generator, degree: int = 3) -> ScalarField:
-    """Random polynomial with coefficients in [-1, 1], analytic gradient.
+    """Random polynomial with coefficients in [-1, 1], analytic first and second partials.
 
     Used by the matching suite; the caller records the generator seed so
     reported defects are reproducible.
     """
-    from itertools import combinations_with_replacement
-
     terms = [((), float(rng.uniform(-1, 1)))]
     for deg in range(1, degree + 1):
         for combo in combinations_with_replacement(range(dim), deg):
             terms.append((combo, float(rng.uniform(-1, 1))))
 
-    def value(p):
-        total = np.zeros(p.shape[:-1])
-        for combo, c in terms:
-            prod = np.full(p.shape[:-1], c)
-            for i in combo:
-                prod = prod * p[..., i]
-            total = total + prod
-        return total
+    def partials(p, order):
+        """Partials of the given order (0, 1 or 2), indexed [..., i_1, .., i_order].
 
-    def d1(p):
-        out = np.zeros(p.shape)
+        Each ordered choice of ``order`` factors of a term is differentiated away.
+        """
+        out = np.zeros(p.shape[:-1] + (dim,) * order)
         for combo, c in terms:
-            for k in range(len(combo)):
+            for drop in permutations(range(len(combo)), order):
                 prod = np.full(p.shape[:-1], c)
                 for j, i in enumerate(combo):
-                    if j != k:
+                    if j not in drop:
                         prod = prod * p[..., i]
-                out[..., combo[k]] += prod
+                out[(..., *(combo[j] for j in drop))] += prod
         return out
 
-    def d2(p):
-        out = np.zeros(p.shape + (dim,))
-        for combo, c in terms:
-            for k in range(len(combo)):
-                for l in range(len(combo)):
-                    if l == k:
-                        continue
-                    prod = np.full(p.shape[:-1], c)
-                    for j, i in enumerate(combo):
-                        if j != k and j != l:
-                            prod = prod * p[..., i]
-                    out[..., combo[k], combo[l]] += prod
-        return out
-
-    return ScalarField(value=value, d1=d1, d2=d2)
+    return ScalarField(
+        value=lambda p: partials(p, 0), d1=lambda p: partials(p, 1), d2=lambda p: partials(p, 2)
+    )

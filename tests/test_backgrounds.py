@@ -253,6 +253,31 @@ class TestModelMCF:
         assert np.allclose(fd.dx_mean_curvature, exact.dx_mean_curvature, atol=1e-7)
         assert fd.dt_mean_curvature == pytest.approx(exact.dt_mean_curvature, rel=1e-6)
 
+    @pytest.mark.parametrize("missing", ["dx_mean_curvature", "dt_mean_curvature"])
+    def test_a_given_mean_curvature_derivative_is_kept(self, missing):
+        import dataclasses
+
+        bg = model_background("euclidean_static", dim=3)
+        mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
+        x, t = np.array([0.9, 2.1]), 0.1
+        exact = hypersurface_point_data(mcf, x, t)
+        part = hypersurface_point_data(dataclasses.replace(mcf, **{missing: None}), x, t)
+        [kept] = {"dx_mean_curvature", "dt_mean_curvature"} - {missing}
+        assert np.array_equal(getattr(part, kept), getattr(exact, kept))
+        assert np.allclose(getattr(part, missing), getattr(exact, missing), rtol=1e-6, atol=1e-7)
+
+    def test_spatial_fallback_reaches_the_final_time(self):
+        # with dH/dt given, H is differenced in x only, never at t > T
+        import dataclasses
+
+        bg = model_background("euclidean_static", dim=3)
+        mcf = model_mcf("static_plane_flat", bg, height=0.3)
+        x, t = np.array([0.4, -1.2]), mcf.time_domain[1]
+        exact = hypersurface_point_data(mcf, x, t)
+        part = hypersurface_point_data(dataclasses.replace(mcf, dx_mean_curvature=None), x, t)
+        assert part.dt_mean_curvature == exact.dt_mean_curvature
+        assert np.allclose(part.dx_mean_curvature, exact.dx_mean_curvature, atol=1e-9)
+
 
 class TestGradientSolitonResidual:
     def test_gaussian_shrinker_exact(self, rng):

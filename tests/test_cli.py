@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cansol.cli import ConfigError, RunConfig, main, run
+from cansol.cli import ConfigError, RunConfig, _sweep_summary, main, run
 from cansol.reports import EmitError, ResidualReport, emit, render_json
 
 
@@ -275,6 +275,38 @@ class TestMainEntry:
         }
         assert main(["run", "--config", str(self.write_cfg(tmp_path, cfg))]) == 0
         assert json.loads((tmp_path / "f.json").read_text())["passed"] is True
+
+    @pytest.mark.parametrize("cfg", [
+        {
+            "suite": "mcf_soliton_residual",
+            "variant": "expanding",
+            "background": {"name": "euclidean_static",
+                           "params": {"dim": 3, "direction": "forward"}},
+            "mcf": {"name": "shrinking_sphere_flat"},
+            "N_list": [100, 1000],
+            "samples": {"count": 4, "seed": 1, "t_range": [0.01, 0.04]},
+        },
+        {
+            "suite": "ricci_soliton_residual",
+            "variant": "expanding",
+            "background": {"name": "round_sphere",
+                           "params": {"dim": 3, "direction": "forward"}},
+            "N_list": [100, 1000],
+            "samples": {"times": [0.001, 0.002, 0.003]},
+        },
+    ], ids=["mcf", "ricci"])
+    def test_sweep_without_records_exits_one(self, tmp_path, cfg):
+        # every sample lies below the canonical time floor, so no point is evaluated
+        cfg = {**cfg, "output": {"path": str(tmp_path / "out.json"), "format": "json"}}
+        assert main(["run", "--config", str(self.write_cfg(tmp_path, cfg))]) == 1
+        doc = json.loads((tmp_path / "out.json").read_text())
+        assert doc["records"] == [] and doc["errors"]
+        assert doc["summary"] == {"status": "no data"} and doc["passed"] is False
+
+    def test_sweep_with_an_empty_N_fails(self):
+        summary, passed = _sweep_summary([(100.0, 0.5), (1000.0, None)], 1.5)
+        assert not passed and summary["per_N"][1] == {"N": 1000.0, "sup_scaled_norm": None}
+        assert _sweep_summary([(100.0, 0.5), (1000.0, 0.6)], 1.5)[1]
 
     def test_config_error_exit_two(self, tmp_path):
         cfg = {"suite": "bogus"}

@@ -1,5 +1,6 @@
 """Harnack quadratics, the limit identity, boundary matching, functionals."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -191,10 +192,10 @@ class TestBoundaryIntegrand:
         assert worst < 1e-6
 
     def test_polynomial_field_derivatives_consistent(self):
-        from cansol.geometry import FDConfig, scalar_d2
+        from cansol.geometry import scalar_d2
 
         f = random_polynomial_field(3, np.random.default_rng(17))
-        fd = ScalarField(value=f.value, fd=FDConfig(richardson=True))
+        fd = ScalarField(value=f.value)
         for p in np.random.default_rng(3).uniform(-1, 1, (5, 3)):
             assert np.allclose(scalar_d1(f, p), scalar_d1(fd, p), atol=1e-8)
             assert np.allclose(scalar_d2(f, p), scalar_d2(fd, p), atol=1e-6)
@@ -239,6 +240,14 @@ class TestFunctionals:
         va = I_infty(flat_ball_domain(potential=gaussian_potential(), grid=(8, 12, 8)))
         vb = I_infty(flat_ball_domain(potential=gaussian_potential(), grid=(8, 12, 8)))
         assert va == vb
+
+    @pytest.mark.parametrize("potential", [None, gaussian_potential()], ids=["zero", "gaussian"])
+    def test_engine_curvature_matches_closed_form(self, potential):
+        # without the closed form, R comes from the kernel on order-2 bundles
+        closed = flat_ball_domain(potential=potential, grid=(6, 12, 4))
+        engine = dataclasses.replace(closed, scalar_curvature_at=None)
+        for functional in (I_infty, I_GHY):
+            assert functional(engine) == pytest.approx(functional(closed), rel=1e-12, abs=1e-12)
 
     def test_empty_grid_rejected(self):
         wm = flat_ball_domain(grid=(8, 12, 8))
