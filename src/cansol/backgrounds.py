@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import (
+    FD_H1,
     ChartDomainError,
     DegenerateMetricError,
     MetricField,
@@ -297,7 +298,6 @@ class TimeScalarField:
     value: Callable[[np.ndarray, float], np.ndarray]
     dy: Callable[[np.ndarray, float], np.ndarray] | None = None
     dyy: Callable[[np.ndarray, float], np.ndarray] | None = None
-    dt: Callable[[np.ndarray, float], np.ndarray] | None = None
 
     def at_time(self, t: float) -> ScalarField:
         return ScalarField(
@@ -403,7 +403,6 @@ def model_background(name: str, **params) -> RicciFlowBackground:
             value=lambda y, t: _square(y) / (4.0 * t),
             dy=lambda y, t: y / (2.0 * t),
             dyy=lambda y, t: np.broadcast_to(np.eye(dim) / (2.0 * t), y.shape + (dim,)),
-            dt=lambda y, t: -_square(y) / (4.0 * t**2),
         )
         soliton = GradientSolitonData(potential, "shrinking")
         return RicciFlowBackground(flat.name, dim, "backward", (0.0, T), flat.conformal, soliton)
@@ -620,8 +619,13 @@ def mcf_soliton_residual(
 
 @dataclass(frozen=True)
 class HypersurfacePointData:
-    """Extrinsic geometry of M_t at one point of the hypersurface chart."""
+    """Extrinsic geometry of M_t at one point of the hypersurface chart.
 
+    ``ambient`` is the background M_t lives in; the slice-level forms read
+    it and ``t`` from here, so a slice cannot meet another background or time.
+    """
+
+    ambient: RicciFlowBackground
     x: np.ndarray
     t: float
     jet: tuple                    # the flow's 2-jet at (x, t), see MCFSolution
@@ -684,28 +688,31 @@ def hypersurface_point_data(mcf: MCFSolution, x: np.ndarray, t: float) -> Hypers
     """Compute induced metric, normal, h, H and H-derivatives at (x, t).
 
     A missing mean-curvature callback is replaced by the kernel's central
-    differences of H along its coordinates of the (t, x) chart.
+    differences of H along x, or along t.  Where t + h leaves the ambient's
+    time domain, dH/dt comes from the second-order backward stencil instead.
     """
     t = mcf.check_time(t)
     x = chart_point(x)
     jet, (induced, induced_inv, nu, h, H) = _slice_geometry(mcf, x, t)
 
-    dx, dt = mcf.dx_mean_curvature, mcf.dt_mean_curvature
-    if dx is None or dt is None:
-        tx = np.concatenate(([t], x))
-        free = np.array([dt is None] + [dx is None] * x.size)
+    def H_at(xs, ts):
+        return np.array([_slice_geometry(mcf, y, s)[1][-1] for y, s in zip(xs, ts)])
 
-        def H_free(us):
-            vs = np.repeat(tx[None], len(us), axis=0)
-            vs[:, free] = us
-            return np.array([_slice_geometry(mcf, v[1:], v[0])[1][-1] for v in vs])
-
-        dH = np.zeros_like(tx)
-        dH[free] = scalar_d1(ScalarField(H_free), tx[free])
-    dxH = dH[1:] if dx is None else np.asarray(dx(x, t), dtype=float)
-    dtH = float(dH[0]) if dt is None else float(dt(x, t))
+    if mcf.dx_mean_curvature is None:
+        dxH = scalar_d1(ScalarField(lambda xs: H_at(xs, [t] * len(xs))), x)
+    else:
+        dxH = np.asarray(mcf.dx_mean_curvature(x, t), dtype=float)
+    step = FD_H1 * max(1.0, abs(t))
+    if mcf.dt_mean_curvature is not None:
+        dtH = float(mcf.dt_mean_curvature(x, t))
+    elif t + step <= mcf.ambient.time_domain[1]:
+        dtH = float(scalar_d1(ScalarField(lambda ts: H_at([x] * len(ts), ts[:, 0])), [t])[0])
+    else:
+        back = H_at([x, x], [t - step, t - 2.0 * step])
+        dtH = float((3.0 * H - 4.0 * back[0] + back[1]) / (2.0 * step))
 
     return HypersurfacePointData(
+        ambient=mcf.ambient,
         x=x,
         t=t,
         jet=jet,

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import backgrounds as bgmod
-from .backgrounds import model_background, model_mcf
+from .backgrounds import hypersurface_point_data, model_background, model_mcf
 from .canonical import (
     CHRISTOFFEL_CORRECTIONS,
     T_MIN_FRACTION,
@@ -65,6 +65,15 @@ _POINT_ERRORS = (DegenerateMetricError, ChartDomainError, CanonicalConfigError)
 
 _ZERO_TOL = 1e-8   # sups and limit errors below this count as exact
 
+# the accepted keys of each config block; any other key is a config error
+_BLOCK_KEYS = {
+    "background": {"name", "params"},
+    "mcf": {"name", "params"},
+    "samples": {"count", "seed", "t_range", "times", "backend", "potential", "grid"},
+    "tolerances": {"ratio", "rel_error", "ratio_band", "defect", "refinement"},
+    "output": {"path", "format"},
+}
+
 
 class ConfigError(ValueError):
     """Invalid run configuration."""
@@ -88,6 +97,10 @@ class RunConfig:
         unknown = set(raw) - {f.name for f in dataclasses.fields(RunConfig)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        for block, keys in _BLOCK_KEYS.items():
+            unknown = set(raw.get(block) or ()) - keys
+            if unknown:
+                raise ConfigError(f"unknown {block} keys: {sorted(unknown)}")
         suite = raw.get("suite")
         if suite not in SUITES:
             raise ConfigError(f"unknown suite {suite!r}; known: {list(SUITES)}")
@@ -333,7 +346,7 @@ def _run_harnack_limits(cfg: RunConfig, report: ResidualReport):
         x = mcf.sample_xs(1, rng)[0]
         t = 0.5 * (T_MIN_FRACTION * hi + hi)
         V = rng.uniform(-1.0, 1.0, mcf.hypersurface_dim)
-        target = limit_second_ff(bg, mcf, V, x, t)
+        target = limit_second_ff(hypersurface_point_data(mcf, x, t), V)
         errs = []
         for cm in cms:
             track = build_track(mcf, cm)
@@ -363,15 +376,16 @@ def _run_lott_match(cfg: RunConfig, report: ResidualReport):
     t = cfg.samples.get("times", [0.5 * mcf.time_domain[1]])[0]
 
     worst = 0.0
-    for k in range(count):
-        f = random_polynomial_field(bg.dim, rng)
-        try:
-            defect = abs(lott_match_defect(bg, mcf, f, x, t))
-        except _POINT_ERRORS as exc:
-            report.errors.append({"potential_index": k, "error": str(exc)})
-            continue
-        report.records.append({"potential_index": k, "defect": defect})
-        worst = max(worst, defect)
+    try:
+        hyp = hypersurface_point_data(mcf, x, t)
+    except _POINT_ERRORS as exc:
+        # one slice serves every potential, so its error is every potential's
+        report.errors.extend({"potential_index": k, "error": str(exc)} for k in range(count))
+    else:
+        for k in range(count):
+            defect = abs(lott_match_defect(hyp, random_polynomial_field(bg.dim, rng)))
+            report.records.append({"potential_index": k, "defect": defect})
+            worst = max(worst, defect)
 
     report.summary = {"max_defect": worst, "tolerance": tol, "potentials": count}
     report.passed = worst < tol and bool(report.records)

@@ -271,10 +271,6 @@ class SymTensor2:
         if self.variance not in ("covariant", "contravariant"):
             raise ValueError(f"unknown variance {self.variance!r}")
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
     @staticmethod
     def symmetrized(entries, variance: str = "covariant") -> "SymTensor2":
         e = np.asarray(entries, dtype=float)
@@ -286,10 +282,6 @@ class ConnectionCoeffs:
     """Levi-Civita connection coefficients Gamma^a_{bc} at a point."""
 
     gamma: np.ndarray   # (d, d, d), [a, b, c] = Gamma^a_{bc}
-
-    @property
-    def dim(self) -> int:
-        return self.gamma.shape[0]
 
 
 # ---------------------------------------------------------------------------

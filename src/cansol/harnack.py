@@ -30,13 +30,7 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
-from .backgrounds import (
-    HypersurfacePointData,
-    MCFSolution,
-    RicciFlowBackground,
-    hypersurface_point_data,
-    model_background,
-)
+from .backgrounds import HypersurfacePointData, RicciFlowBackground, model_background
 from .canonical import limit_ricci
 from .geometry import (
     ChartDomainError,
@@ -91,41 +85,28 @@ def rf_harnack_Z(bg: RicciFlowBackground, X: np.ndarray, p: np.ndarray, t: float
     return limit_ricci(bg, X, p, t)
 
 
-def mcf_harnack_Ztilde(mcf: MCFSolution, V: np.ndarray, x: np.ndarray, t: float) -> float:
-    """Hypersurface Harnack quadratic Z~(V, V) for a flow in flat space.
+def mcf_harnack_Ztilde(hyp: HypersurfacePointData, V: np.ndarray) -> float:
+    """Hypersurface Harnack quadratic Z~(V, V) on a slice of a flow in flat space.
 
-    V is a tangent vector in hypersurface chart components.
+    V is a tangent vector in hypersurface chart components.  Z~ is the
+    flat-background case of ``limit_second_ff``, so it is that form; only
+    the error for a curved background differs.
     """
-    if mcf.ambient.conformal.sigma_scalar != 0.0:
+    if hyp.ambient.conformal.sigma_scalar != 0.0:
         raise ChartDomainError("Z~ is defined for flows in a flat background")
-    t = mcf.check_time(t)
-    hyp = hypersurface_point_data(mcf, x, t)
-    V = np.asarray(V, dtype=float)
-    return (
-        hyp.dt_mean_curvature
-        + float(V @ hyp.second_ff @ V)
-        + 2.0 * float(V @ hyp.dx_mean_curvature)
-        + hyp.mean_curvature / (2.0 * t)
-    )
+    return limit_second_ff(hyp, V)
 
 
-def limit_second_ff(
-    bg: RicciFlowBackground,
-    mcf: MCFSolution,
-    V: np.ndarray,
-    x: np.ndarray,
-    t: float,
-) -> float:
+def limit_second_ff(hyp: HypersurfacePointData, V: np.ndarray) -> float:
     """Large-N limit of the track's second fundamental form on V + d/dt.
 
     dH/dt + h(V, V) + H/(2t) + 2 <V, grad H> + 2 Ric(V, nu)
-    - H Ric(nu, nu) + nu(R)/2, assembled from background and slice data
+    - H Ric(nu, nu) + nu(R)/2, assembled from the slice and its background
     only (no N enters).  Reduces to Z~(V, V) when the background is flat.
     """
+    bg, t = hyp.ambient, hyp.t
     if bg.direction != "forward":
         raise ChartDomainError("the limit form is defined along the forward flow")
-    t = mcf.check_time(t)
-    hyp = hypersurface_point_data(mcf, x, t)
     V = np.asarray(V, dtype=float)
     ric = bg.ricci_at(hyp.position, t)
     V_amb = V @ hyp.tangents
@@ -160,17 +141,12 @@ def stripped_track_quadratic(track: SpaceTimeTrack, V: np.ndarray, x: np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def tangential_gradient(
-    bg: RicciFlowBackground,
-    hyp: HypersurfacePointData,
-    f: ScalarField,
-    t: float,
-):
+def tangential_gradient(hyp: HypersurfacePointData, f: ScalarField):
     """Boundary gradient of f at a slice point.
 
     Returns (chart components w.r.t. the slice tangents, ambient vector).
     """
-    snap = bg.metric_at(t)
+    snap = hyp.ambient.metric_at(hyp.t)
     g = snap.at(hyp.position)
     grad_amb = inverse_metric(snap, hyp.position) @ scalar_d1(f, hyp.position)
     normal_part = float(grad_amb @ g @ hyp.normal)
@@ -179,12 +155,7 @@ def tangential_gradient(
     return comps, tang
 
 
-def lott_boundary_integrand(
-    bg: RicciFlowBackground,
-    hyp: HypersurfacePointData,
-    f: ScalarField,
-    t: float,
-) -> float:
+def lott_boundary_integrand(hyp: HypersurfacePointData, f: ScalarField) -> float:
     """Boundary integrand of the weighted functional's evolution.
 
     dH/dt - 2 <grad f, grad H> + h(grad f, grad f) - 2 Ric(nu, grad f)
@@ -192,9 +163,10 @@ def lott_boundary_integrand(
     gradient.  dH/dt must come with the hypersurface data; there is no
     hidden time differencing across unrelated snapshots.
     """
-    if hyp.dt_mean_curvature is None or not np.isfinite(hyp.dt_mean_curvature):
+    if not np.isfinite(hyp.dt_mean_curvature):
         raise ChartDomainError("boundary integrand needs dH/dt supplied with the slice data")
-    comps, tang = tangential_gradient(bg, hyp, f, t)
+    bg, t = hyp.ambient, hyp.t
+    comps, tang = tangential_gradient(hyp, f)
     ric = bg.ricci_at(hyp.position, t)
     dRdy = bg.dy_scalar_at(hyp.position, t)
     return (
@@ -207,23 +179,16 @@ def lott_boundary_integrand(
     )
 
 
-def lott_match_defect(
-    bg: RicciFlowBackground,
-    mcf: MCFSolution,
-    f: ScalarField,
-    x: np.ndarray,
-    t: float,
-) -> float:
-    """limit_second_ff(-grad f) - boundary integrand - H/(2t).
+def lott_match_defect(hyp: HypersurfacePointData, f: ScalarField) -> float:
+    """limit_second_ff(-grad f) - boundary integrand - H/(2t) on one slice.
 
     Identically zero: the limit form evaluated on the negative boundary
     gradient reproduces the evolution integrand up to the H/(2t) term.
     """
-    hyp = hypersurface_point_data(mcf, x, t)
-    comps, _ = tangential_gradient(bg, hyp, f, t)
-    lhs = limit_second_ff(bg, mcf, -comps, x, t)
-    rhs = lott_boundary_integrand(bg, hyp, f, t)
-    return lhs - rhs - hyp.mean_curvature / (2.0 * t)
+    comps, _ = tangential_gradient(hyp, f)
+    lhs = limit_second_ff(hyp, -comps)
+    rhs = lott_boundary_integrand(hyp, f)
+    return lhs - rhs - hyp.mean_curvature / (2.0 * hyp.t)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from cansol.backgrounds import (
+    hypersurface_point_data,
     model_background,
     model_mcf,
     mcf_soliton_residual,
@@ -237,7 +238,7 @@ def test_criterion_5_flat_identity_and_track_limit():
     halving_ok = True
     for _ in range(3):
         V = rng.uniform(-1.0, 1.0, 2)
-        target = limit_second_ff(bg, mcf, V, x, t)
+        target = limit_second_ff(hypersurface_point_data(mcf, x, t), V)
         errs = []
         for N in (1e3, 2e3, 4e3):
             tr = build_track(mcf, build_canonical_metric(bg, "expanding", N))
@@ -252,12 +253,10 @@ def test_criterion_5_flat_identity_and_track_limit():
             xx = m.sample_xs(1, rng)[0]
             tt = float(rng.uniform(0.05 * hi, hi))
             V = rng.uniform(-2.0, 2.0, 2)
-            identity_gap = max(
-                identity_gap,
-                abs(limit_second_ff(bg, m, V, xx, tt) - mcf_harnack_Ztilde(m, V, xx, tt)),
-            )
+            hyp = hypersurface_point_data(m, xx, tt)
+            identity_gap = max(identity_gap, abs(limit_second_ff(hyp, V) - mcf_harnack_Ztilde(hyp, V)))
 
-    z0 = mcf_harnack_Ztilde(mcf, np.zeros(2), x, t)
+    z0 = mcf_harnack_Ztilde(hypersurface_point_data(mcf, x, t), np.zeros(2))
     value_ok = abs(z0 - 21.5165) <= 1e-3
     ok = halving_ok and identity_gap < 1e-8 and value_ok
     verdict(5, ok,
@@ -270,11 +269,12 @@ def test_criterion_6_lott_boundary_match():
     bg = background("euclidean_static", dim=3, direction="forward")
     mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
     x, t = np.array([1.1, 0.7]), 0.1
+    hyp = hypersurface_point_data(mcf, x, t)
     rng = np.random.default_rng(2026)
     worst = 0.0
     for _ in range(20):
         f = random_polynomial_field(3, rng)
-        worst = max(worst, abs(lott_match_defect(bg, mcf, f, x, t)))
+        worst = max(worst, abs(lott_match_defect(hyp, f)))
     verdict(6, worst < 1e-6, f"max match defect over 20 seeded potentials {worst:.2e} < 1e-6")
 
 

@@ -266,6 +266,23 @@ class TestModelMCF:
         assert np.array_equal(getattr(part, kept), getattr(exact, kept))
         assert np.allclose(getattr(part, missing), getattr(exact, missing), rtol=1e-6, atol=1e-7)
 
+    def test_time_fallback_reaches_the_final_time(self):
+        # t + h lies past T, so dH/dt comes from the backward stencil
+        import dataclasses
+
+        bg = model_background("euclidean_static", dim=3, T=0.2)
+        mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
+        bare = dataclasses.replace(mcf, dt_mean_curvature=None)
+        t = bg.time_domain[1]
+        data = hypersurface_point_data(bare, np.array([1.1, 0.7]), t)
+        # dH/dt = n^2 / r^3 with r^2 = r0^2 - 2 n t
+        assert data.dt_mean_curvature == pytest.approx(4.0 / (1.0 - 4.0 * t) ** 1.5, rel=1e-6)
+
+    def test_slice_carries_its_background(self):
+        bg = model_background("euclidean_static", dim=3)
+        mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
+        assert hypersurface_point_data(mcf, np.array([1.1, 0.7]), 0.1).ambient is bg
+
     def test_spatial_fallback_reaches_the_final_time(self):
         # with dH/dt given, H is differenced in x only, never at t > T
         import dataclasses
@@ -298,8 +315,7 @@ class TestGradientSolitonResidual:
         linear = GradientSolitonData(
             TimeScalarField(value=lambda y, t: y[..., 0],
                             dy=lambda y, t: np.broadcast_to([1.0, 0.0, 0.0], y.shape),
-                            dyy=lambda y, t: np.zeros(y.shape + (3,)),
-                            dt=lambda y, t: 0.0),
+                            dyy=lambda y, t: np.zeros(y.shape + (3,))),
             "steady",
         )
         res = gradient_soliton_residual(bg, linear, np.array([0.2, 0.5, 0.7]), 0.3)
@@ -309,8 +325,7 @@ class TestGradientSolitonResidual:
             TimeScalarField(value=lambda y, t: y[..., 0] ** 2,
                             dy=lambda y, t: 2.0 * y * np.array([1.0, 0.0, 0.0]),
                             dyy=lambda y, t: np.broadcast_to(np.diag([2.0, 0.0, 0.0]),
-                                                             y.shape + (3,)),
-                            dt=lambda y, t: 0.0),
+                                                             y.shape + (3,))),
             "steady",
         )
         res = gradient_soliton_residual(bg, quadratic, np.array([0.2, 0.5, 0.7]), 0.3)
@@ -357,8 +372,7 @@ class TestMCFSolitonResidual:
 def bg_potential_zero():
     return TimeScalarField(value=lambda y, t: np.zeros(y.shape[:-1]),
                            dy=lambda y, t: np.zeros(y.shape),
-                           dyy=lambda y, t: np.zeros(y.shape + y.shape[-1:]),
-                           dt=lambda y, t: 0.0)
+                           dyy=lambda y, t: np.zeros(y.shape + y.shape[-1:]))
 
 
 class TestExtrinsicGeometry:

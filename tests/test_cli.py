@@ -1,6 +1,9 @@
 """Driver behavior: suite execution, report emission, determinism, exit codes."""
 
+import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +39,25 @@ class TestConfigValidation:
     def test_unknown_field(self):
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"suite": "functionals", "sweeps": 3})
+
+    @pytest.mark.parametrize("block, value", [
+        ("tolerances", {"ratios": 1.0000001}),
+        ("output", {"pth": "out.json"}),
+        ("background", {"name": "round_sphere", "param": {"dim": 5}}),
+        ("mcf", {"name": "equator_in_sphere", "param": {}}),
+        ("samples", {"count": 4, "sed": 1}),
+    ])
+    def test_unknown_block_key(self, block, value):
+        [typo] = set(value) - {"name", "count"}
+        with pytest.raises(ConfigError, match=rf"unknown {block} keys: \['{typo}'\]"):
+            cfg_ricci(**{block: value})
+
+    def test_readme_configs_are_accepted(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+        assert blocks
+        for block in blocks:
+            RunConfig.from_dict(json.loads(block))
 
     def test_bad_background(self):
         cfg = cfg_ricci(background={"name": "torus"})
@@ -263,6 +285,56 @@ class TestMainEntry:
             "output": {"path": str(tmp_path / "out.json"), "format": "json"},
         }
         assert main(["run", "--config", str(self.write_cfg(tmp_path, cfg))]) == 1
+
+    def test_tolerance_typo_is_a_config_error(self, tmp_path):
+        cfg = {
+            "suite": "ricci_soliton_residual",
+            "variant": "expanding",
+            "background": {"name": "round_sphere",
+                           "params": {"dim": 3, "direction": "forward"}},
+            "N_list": [1e2, 1e3, 1e4],
+            "samples": {"count": 4, "seed": 1},
+            "tolerances": {"ratio": 1.0000001},
+            "output": {"path": str(tmp_path / "out.json"), "format": "json"},
+        }
+        assert main(["run", "--config", str(self.write_cfg(tmp_path, cfg))]) == 1
+        # the misspelt key would fall back to the default ratio 1.5 and pass
+        cfg["tolerances"] = {"ratios": 1.0000001}
+        assert main(["run", "--config", str(self.write_cfg(tmp_path, cfg))]) == 2
+
+    def test_lott_slice_error_is_every_potentials_error(self, tmp_path):
+        cfg = {
+            "suite": "lott_match",
+            "background": {"name": "euclidean_static",
+                           "params": {"dim": 3, "direction": "forward"}},
+            "mcf": {"name": "shrinking_sphere_flat", "params": {"r0": 1.0}},
+            "samples": {"count": 3, "seed": 1, "times": [5.0]},
+            "output": {"path": str(tmp_path / "out.json"), "format": "json"},
+        }
+        assert main(["run", "--config", str(self.write_cfg(tmp_path, cfg))]) == 1
+        raw = (tmp_path / "out.json").read_bytes()
+        doc = json.loads(raw)
+        assert doc["records"] == []
+        assert doc["errors"] == [
+            {"potential_index": k, "error": "time 5.0 outside domain (0.0, 0.2]"} for k in range(3)
+        ]
+        assert hashlib.sha256(raw).hexdigest() == (
+            "2301f110655dafea3f6fe567c3c621e70ec60625550de329d7dc308f8e1d76e4"
+        )
+
+    def test_harnack_point_error_is_recorded(self, tmp_path):
+        cfg = {
+            "suite": "harnack_limits",
+            "background": {"name": "euclidean_static",
+                           "params": {"dim": 3, "direction": "forward"}},
+            "N_list": [1000.0, 2000.0, 4000.0],
+            "samples": {"count": 1, "seed": 1, "times": [2.0]},
+            "output": {"path": str(tmp_path / "out.json"), "format": "json"},
+        }
+        assert main(["run", "--config", str(self.write_cfg(tmp_path, cfg))]) == 1
+        doc = json.loads((tmp_path / "out.json").read_text())
+        assert doc["records"] == []
+        assert [e["error"] for e in doc["errors"]] == ["time 2.0 outside domain (0.0, 1.0]"]
 
     def test_functionals_report_renders_and_exits_zero(self, tmp_path):
         report = run(RunConfig.from_dict({"suite": "functionals",

@@ -10,6 +10,7 @@ from cansol.backgrounds import unit_sphere_metric
 from cansol.geometry import (
     ChartDomainError,
     DegenerateMetricError,
+    GeometryError,
     MetricField,
     ScalarField,
     SymTensor2,
@@ -284,6 +285,13 @@ class TestDerivativeBackends:
         err_plain = np.max(np.abs(metric_d2(steep.without_analytic_derivatives(), p) - ddg)) / scale
         err_rich = check_metric_derivatives(steep, [p], rtol=1.0)
         assert err_rich < 0.1 * err_plain
+
+    def test_wrong_analytic_d1_is_caught(self):
+        m = unit_sphere_metric(3)
+        wrong = MetricField(dim=3, components=m.components, d1=lambda p: (1.0 + 1e-3) * m.d1(p),
+                            d2=m.d2, in_domain=m.in_domain)
+        with pytest.raises(GeometryError, match="deviate from finite differences"):
+            check_metric_derivatives(wrong, sphere_points(3, 3, seed=1), rtol=1e-6)
 
 
 class TestErrors:

@@ -82,7 +82,7 @@ class TestHypersurfaceHarnack:
     def test_shrinking_sphere_zero_vector(self):
         # dH/dt + H/(2t) = n^2/r^3 + n/(2 t r) at n=2, r0=1, t=0.1
         mcf = model_mcf("shrinking_sphere_flat", flat_fwd(), r0=1.0)
-        val = mcf_harnack_Ztilde(mcf, np.zeros(2), np.array([1.1, 0.7]), 0.1)
+        val = mcf_harnack_Ztilde(hypersurface_point_data(mcf, np.array([1.1, 0.7]), 0.1), np.zeros(2))
         assert val == pytest.approx(21.5165, abs=1e-3)
 
     def test_shrinking_sphere_unit_tangent(self):
@@ -92,17 +92,24 @@ class TestHypersurfaceHarnack:
         V = np.zeros(2)
         V[0] = 1.0 / math.sqrt(hyp.induced[0, 0])
         # previous value plus h(V, V) = 1/sqrt(0.6)
-        assert mcf_harnack_Ztilde(mcf, V, x, t) == pytest.approx(22.8076, abs=1e-3)
+        assert mcf_harnack_Ztilde(hyp, V) == pytest.approx(22.8076, abs=1e-3)
 
     def test_static_plane_vanishes(self):
         mcf = model_mcf("static_plane_flat", flat_fwd())
+        hyp = hypersurface_point_data(mcf, np.array([0.2, 0.4]), 0.5)
         for V in (np.zeros(2), np.array([1.0, -3.0])):
-            assert mcf_harnack_Ztilde(mcf, V, np.array([0.2, 0.4]), 0.5) == 0.0
+            assert mcf_harnack_Ztilde(hyp, V) == 0.0
+
+    def test_backward_background_rejected(self):
+        bg = model_background("euclidean_static", dim=3, direction="backward")
+        mcf = model_mcf("static_plane_flat", bg)
+        with pytest.raises(ChartDomainError, match="forward flow"):
+            mcf_harnack_Ztilde(hypersurface_point_data(mcf, np.array([0.2, 0.4]), 0.5), np.zeros(2))
 
     def test_curved_background_rejected(self):
         mcf = model_mcf("equator_in_sphere", sphere_fwd())
         with pytest.raises(ChartDomainError):
-            mcf_harnack_Ztilde(mcf, np.zeros(2), np.array([1.2, 0.3]), 0.1)
+            mcf_harnack_Ztilde(hypersurface_point_data(mcf, np.array([1.2, 0.3]), 0.1), np.zeros(2))
 
 
 class TestLimitSecondFF:
@@ -116,19 +123,20 @@ class TestLimitSecondFF:
                 x = mcf.sample_xs(1, rng)[0]
                 t = float(rng.uniform(0.05 * hi, hi))
                 V = rng.uniform(-2, 2, 2)
-                gap = limit_second_ff(bg, mcf, V, x, t) - mcf_harnack_Ztilde(mcf, V, x, t)
+                hyp = hypersurface_point_data(mcf, x, t)
+                gap = limit_second_ff(hyp, V) - mcf_harnack_Ztilde(hyp, V)
                 assert abs(gap) < 1e-8
 
     def test_equator_in_forward_sphere_vanishes(self):
         bg = sphere_fwd()
         mcf = model_mcf("equator_in_sphere", bg)
-        val = limit_second_ff(bg, mcf, np.zeros(2), np.array([1.2, 0.4]), 0.1)
+        val = limit_second_ff(hypersurface_point_data(mcf, np.array([1.2, 0.4]), 0.1), np.zeros(2))
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_shrinking_sphere_zero_vector_value(self):
         bg = flat_fwd()
         mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
-        val = limit_second_ff(bg, mcf, np.zeros(2), np.array([1.1, 0.7]), 0.1)
+        val = limit_second_ff(hypersurface_point_data(mcf, np.array([1.1, 0.7]), 0.1), np.zeros(2))
         assert val == pytest.approx(21.5165, abs=1e-3)
 
     @pytest.mark.parametrize("which_v", ["zero", "unit"])
@@ -136,13 +144,11 @@ class TestLimitSecondFF:
         bg = flat_fwd()
         mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
         x, t = np.array([1.1, 0.7]), 0.1
-        if which_v == "zero":
-            V = np.zeros(2)
-        else:
-            hyp = hypersurface_point_data(mcf, x, t)
-            V = np.zeros(2)
+        hyp = hypersurface_point_data(mcf, x, t)
+        V = np.zeros(2)
+        if which_v == "unit":
             V[0] = 1.0 / math.sqrt(hyp.induced[0, 0])
-        target = limit_second_ff(bg, mcf, V, x, t)
+        target = limit_second_ff(hyp, V)
         errs = []
         for N in (1e3, 2e3, 4e3):
             tr = build_track(mcf, build_canonical_metric(bg, "expanding", N))
@@ -156,7 +162,7 @@ class TestBoundaryIntegrand:
         bg = flat_fwd()
         mcf = model_mcf("static_plane_flat", bg)
         hyp = hypersurface_point_data(mcf, np.array([0.1, 0.9]), 0.5)
-        val = lott_boundary_integrand(bg, hyp, ScalarField.constant(2.0), 0.5)
+        val = lott_boundary_integrand(hyp, ScalarField.constant(2.0))
         assert val == 0.0
 
     def test_radial_potential_leaves_dHdt(self):
@@ -165,7 +171,7 @@ class TestBoundaryIntegrand:
         mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
         x, t = np.array([1.1, 0.7]), 0.1
         hyp = hypersurface_point_data(mcf, x, t)
-        val = lott_boundary_integrand(bg, hyp, gaussian_potential(), t)
+        val = lott_boundary_integrand(hyp, gaussian_potential())
         r = math.sqrt(0.6)
         assert val == pytest.approx(4.0 / r**3, rel=1e-10)
 
@@ -175,7 +181,7 @@ class TestBoundaryIntegrand:
         x, t = np.array([1.1, 0.7]), 0.1
         hyp = hypersurface_point_data(mcf, x, t)
         f = random_polynomial_field(3, np.random.default_rng(5))
-        comps, tang = tangential_gradient(bg, hyp, f, t)
+        comps, tang = tangential_gradient(hyp, f)
         g = bg.metric_at(t).at(hyp.position)
         assert abs(float(tang @ g @ hyp.normal)) < 1e-12
         assert np.allclose(comps @ hyp.tangents, tang, atol=1e-12)
@@ -184,11 +190,12 @@ class TestBoundaryIntegrand:
         bg = flat_fwd()
         mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
         x, t = np.array([1.1, 0.7]), 0.1
+        hyp = hypersurface_point_data(mcf, x, t)
         rng = np.random.default_rng(2026)
         worst = 0.0
         for _ in range(20):
             f = random_polynomial_field(3, rng)
-            worst = max(worst, abs(lott_match_defect(bg, mcf, f, x, t)))
+            worst = max(worst, abs(lott_match_defect(hyp, f)))
         assert worst < 1e-6
 
     def test_polynomial_field_derivatives_consistent(self):
