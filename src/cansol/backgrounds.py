@@ -6,8 +6,10 @@ hypersurface families F_t moving by dF/dt = -H nu inside them.  All
 catalog entries are exact solutions given in closed form, with analytic
 derivative callbacks, so they serve as fixtures whose residuals under the
 defining equations must vanish to machine precision.  A flow's analytic
-data is its 2-jet, one pointwise callback ``MCFSolution.jet(x, t)``; the
-slice geometry reads it once and carries it to the space-time track.
+data is its 2-jet, one callback ``MCFSolution.jet(x, t)`` that takes a
+point or a stack of points; ``slice_stack`` reads it once per stack and
+carries it to the space-time track.  The single-point slice,
+``hypersurface_point_data``, is the P = 1 case of ``slice_stack``.
 
 Orientation convention: the unit normal nu is chosen so that a round
 sphere in flat space has positive mean curvature with the outward normal
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,6 +34,8 @@ from .geometry import (
     ScalarField,
     SymTensor2,
     _inverse,
+    _kept,
+    _raise_first,
     chart_point,
     christoffel_batch,
     hessian,
@@ -57,8 +61,10 @@ __all__ = [
     "ricci_flow_residual",
     "gradient_soliton_residual",
     "mcf_soliton_residual",
+    "SliceStack",
     "hypersurface_point_data",
-    "extrinsic_geometry",
+    "slice_stack",
+    "extrinsic_geometry_batch",
     "unit_sphere_metric",
     "sphere_embedding_jet",
 ]
@@ -137,18 +143,27 @@ def _sphere_partials(n: int, orders: np.ndarray):
     """Map x to the partials of the unit n-sphere embedding omega(x) in R^{n+1}.
 
     Component m of omega is sin x_0 ... sin x_{m-1} cos x_m (the last one
-    all sines).  Row q of the (Q, n+1) result differentiates orders[q, k]
-    times in angle k; it is a product of its factors in angle order, and
-    +0.0 where it differentiates an absent factor.
+    all sines).  Row q of the (..., Q, n+1) result differentiates
+    orders[q, k] times in angle k; it is a product of its factors in angle
+    order, and +0.0 where it differentiates an absent factor.  x has shape
+    (n,) or (..., n).
     """
     # factor kind per (component, angle): 0 absent (a 1), 1 sin, 2 cos
     kinds = np.tril(np.ones((n + 1, n), dtype=int), -1) + 2 * np.eye(n + 1, n, dtype=int)
     live = np.all((orders[:, None, :] == 0) | (kinds != 0), axis=-1)
+    # each factor's place in the values (sin, cos, -sin, -cos, 1, 0) of every
+    # angle, laid out [s_0 .. s_{n-1}, c_0 .., -s_0 .., -c_0 .., 1, 0]
+    a = np.arange(n)
+    table = np.array([[np.full(n, 4 * n), a, n + a],                   # order 0
+                      [np.full(n, 4 * n + 1), n + a, 2 * n + a],       # order 1
+                      [np.full(n, 4 * n + 1), 2 * n + a, 3 * n + a]])  # order 2
+    places = table[orders[:, None, :], kinds, a]        # (Q, n+1, n)
 
     def partials(x):
-        s, c = np.sin(x), np.cos(x)
-        table = np.array([[np.ones(n), s, c], [np.zeros(n), c, -s], [np.zeros(n), -s, -c]])
-        factors = table[orders[:, None, :], kinds, np.arange(n)]   # table[order, kind, angle]
+        sc = np.concatenate((np.sin(x), np.cos(x)), axis=-1)
+        lead = sc.shape[:-1]
+        values = np.concatenate((sc, -sc, np.ones(lead + (1,)), np.zeros(lead + (1,))), axis=-1)
+        factors = values[..., places]
         return np.where(live, np.cumprod(factors, axis=-1)[..., -1], 0.0)
 
     return partials
@@ -159,7 +174,8 @@ def sphere_embedding_jet(n: int):
 
     omega(x) is the position on the unit sphere in R^{n+1}, d_omega[i] =
     d omega / d x^i and dd_omega[i, j] the second partials, all from one
-    vectorized pass.
+    vectorized pass.  x is one point (n,) or a stack (..., n); the results
+    gain its leading shape.
     """
     # rows: omega, then d_i omega, then d_i d_j omega for i <= j
     eye = np.eye(n, dtype=int)
@@ -171,7 +187,7 @@ def sphere_embedding_jet(n: int):
 
     def jet(x):
         y = partials(x)
-        return y[0], y[1 : n + 1], y[dd_rows]
+        return y[..., 0, :], y[..., 1 : n + 1, :], y[..., dd_rows, :]
 
     return jet
 
@@ -189,6 +205,19 @@ def _check_time(domain: tuple[float, float], t: float) -> float:
     if not (lo < t <= hi):
         raise ChartDomainError(f"time {t} outside domain ({lo}, {hi}]")
     return float(t)
+
+
+def _per_time(fn, t, shape: tuple) -> np.ndarray:
+    """The time scalar fn at each time of t broadcast to ``shape``, an array of that shape.
+
+    fn runs on Python floats, one time at a time: array ``**`` rounds
+    differently from float ``**``, and a point's value must not depend on
+    the stack it came in.
+    """
+    ts = np.asarray(t, dtype=float)
+    if ts.shape != shape:
+        ts = np.broadcast_to(ts, shape)
+    return np.reshape(np.array([fn(s) for s in ts.ravel().tolist()], dtype=float), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +458,15 @@ def _reject_extras(name, params):
 class MCFSolution:
     """Closed-form family of immersions F_t : M^n -> O^{n+1}.
 
-    ``jet(x, t)`` is the analytic 2-jet of the flow at one point, the tuple
+    ``jet(x, t)`` is the analytic 2-jet of the flow, the tuple
     (F, d_t F, d_x F, d_x d_x F, d_x d_t F, d_t d_t F) of shapes (n+1,),
-    (n+1,), (n, n+1), (n, n, n+1), (n, n+1) and (n+1,).  The derivatives of
-    H are analytic when set; everything else (induced metric, normal,
-    second fundamental form, H itself) is computed by the kernel.
-    ``time_domain`` defaults to the ambient's; ``sample_box`` is the
-    (low, high) box that ``sample_xs`` draws from.
+    (n+1,), (n, n+1), (n, n, n+1), (n, n+1) and (n+1,) at one point.  The
+    derivatives of H are analytic when set; everything else (induced
+    metric, normal, second fundamental form, H itself) is computed by the
+    kernel.  Every callback takes x of shape (n,) or a stack (..., n), with
+    t broadcastable to the leading shape, and its results gain that
+    leading shape.  ``time_domain`` defaults to the ambient's;
+    ``sample_box`` is the (low, high) box that ``sample_xs`` draws from.
     """
 
     name: str
@@ -495,18 +526,20 @@ def model_mcf(name: str, bg: RicciFlowBackground, **params) -> MCFSolution:
 
         def jet(x, t):
             w, dw, ddw = omega_jet(x)
-            rt = r(t)
-            dr, d2r = -n / rt, -(n**2) / rt**3
-            return rt * w, dr * w, rt * dw, rt * ddw, dr * dw, d2r * w
+            rt = _per_time(r, t, w.shape[:-1])[..., None]
+            d2r = _per_time(lambda s: -(n**2) / r(s) ** 3, t, w.shape[:-1])[..., None]
+            dr = -n / rt
+            rb, drb = rt[..., None], dr[..., None]
+            return rt * w, dr * w, rb * dw, rb[..., None] * ddw, drb * dw, d2r * w
 
         return MCFSolution(
             name=name,
             hypersurface_dim=n,
             ambient=bg,
             jet=jet,
-            orientation_hint=lambda x, t: omega(x)[0],
-            dx_mean_curvature=lambda x, t: np.zeros(n),
-            dt_mean_curvature=lambda x, t: n**2 / r(t) ** 3,
+            orientation_hint=lambda x, t: omega(x)[..., 0, :],
+            dx_mean_curvature=lambda x, t: np.zeros(np.shape(x)),
+            dt_mean_curvature=lambda x, t: _per_time(lambda s: n**2 / r(s) ** 3, t, np.shape(x)[:-1]),
             time_domain=(0.0, T),
             sample_box=_polar_box(n),
         )
@@ -515,17 +548,15 @@ def model_mcf(name: str, bg: RicciFlowBackground, **params) -> MCFSolution:
         if bg.name != "round_sphere":
             raise BackgroundError("equator_in_sphere needs a round_sphere background")
         _reject_extras(name, params)
-        zeros_n = np.zeros(n)
-        hint = np.zeros(n + 1)
-        hint[0] = 1.0
         return MCFSolution(
             name=name,
             hypersurface_dim=n,
             ambient=bg,
-            jet=lambda x, t: _static_jet(np.concatenate(([math.pi / 2.0], x)), np.eye(n, n + 1, k=1)),
-            orientation_hint=lambda x, t: hint.copy(),
-            dx_mean_curvature=lambda x, t: zeros_n.copy(),
-            dt_mean_curvature=lambda x, t: 0.0,
+            # the polar angle pi/2 prepended to x
+            jet=lambda x, t: _static_jet(x, math.pi / 2.0, 0, np.eye(n, n + 1, k=1)),
+            orientation_hint=lambda x, t: _static_hint(x, 0),
+            dx_mean_curvature=lambda x, t: np.zeros(np.shape(x)),
+            dt_mean_curvature=lambda x, t: np.zeros(np.shape(x)[:-1]),
             sample_box=_polar_box(n),
         )
 
@@ -534,26 +565,39 @@ def model_mcf(name: str, bg: RicciFlowBackground, **params) -> MCFSolution:
             raise BackgroundError("static_plane_flat needs a flat background")
         height = float(params.pop("height", 0.0))
         _reject_extras(name, params)
-        zeros_n = np.zeros(n)
-        hint = np.zeros(n + 1)
-        hint[n] = 1.0
         return MCFSolution(
             name=name,
             hypersurface_dim=n,
             ambient=bg,
-            jet=lambda x, t: _static_jet(np.concatenate((x, [height])), np.eye(n, n + 1)),
-            orientation_hint=lambda x, t: hint.copy(),
-            dx_mean_curvature=lambda x, t: zeros_n.copy(),
-            dt_mean_curvature=lambda x, t: 0.0,
+            # the coordinate ``height`` appended to x
+            jet=lambda x, t: _static_jet(x, height, n, np.eye(n, n + 1)),
+            orientation_hint=lambda x, t: _static_hint(x, n),
+            dx_mean_curvature=lambda x, t: np.zeros(np.shape(x)),
+            dt_mean_curvature=lambda x, t: np.zeros(np.shape(x)[:-1]),
         )
 
     raise BackgroundError(f"unknown hypersurface flow {name!r}; known: {catalog_mcf_names()}")
 
 
-def _static_jet(F: np.ndarray, tangents: np.ndarray) -> tuple:
-    """2-jet of a static, affinely embedded flow: only F and d_x F are non-zero."""
+def _static_jet(x, value: float, k: int, tangents: np.ndarray) -> tuple:
+    """2-jet of a static, affinely embedded flow F(x) = x with ``value`` inserted at index k.
+
+    Only F and d_x F are non-zero.
+    """
+    x = np.asarray(x, dtype=float)
+    lead = x.shape[:-1]
     n, m = tangents.shape
-    return F, np.zeros(m), tangents, np.zeros((n, n, m)), np.zeros((n, m)), np.zeros(m)
+    F = np.concatenate((x[..., :k], np.full(lead + (1,), value), x[..., k:]), axis=-1)
+    return (F, np.zeros(lead + (m,)), tangents + np.zeros(lead + (n, m)),
+            np.zeros(lead + (n, n, m)), np.zeros(lead + (n, m)), np.zeros(lead + (m,)))
+
+
+def _static_hint(x, k: int) -> np.ndarray:
+    """Unit coordinate vector e_k of the (n+1)-dimensional ambient chart, per point of x."""
+    x = np.asarray(x)
+    hint = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    hint[..., k] = 1.0
+    return hint
 
 
 # ---------------------------------------------------------------------------
@@ -642,85 +686,139 @@ class HypersurfacePointData:
     tangents = property(lambda self: self.jet[2])   # (n, n+1) rows d_i F
 
 
-def extrinsic_geometry(tangents, second_partials, g, gamma, hint):
-    """(induced, induced_inv, normal, h, H) of a hypersurface at one point.
+def extrinsic_geometry_batch(tangents, second_partials, g, gamma, hint):
+    """(induced, induced_inv, normal, h, H) of a hypersurface at a stack of P points.
 
-    Takes the (n, n+1) tangent rows d_i F, the (n, n, n+1) second partials,
-    and the ambient g and Gamma at the image point; the unit normal is
-    oriented toward ``hint``.  Slices and the space-time track both use it.
-    The induced metric is inverted with the kernel's 1-norm condition
-    check; a degenerate one raises ``DegenerateMetricError``.
+    Takes the (P, n, n+1) tangent rows d_i F, the (P, n, n, n+1) second
+    partials, and the ambient g and Gamma at the image points; each unit
+    normal is oriented toward its ``hint``.  Slices and the space-time
+    track both use it.  The induced metrics are inverted with the kernel's
+    1-norm condition check.  Returns the five results, stacked over the
+    points whose induced metric inverts, and per point None or the
+    ``DegenerateMetricError`` of a degenerate one.  A point's result does
+    not depend on the rest of the stack.
     """
-    induced = tangents @ g @ tangents.T
-    induced = 0.5 * (induced + induced.T)
-    inv, [error] = _inverse(induced[None], tangents[None])
-    if error is not None:
-        raise DegenerateMetricError("degenerate induced metric") from error
-    induced_inv = inv[0]
+    induced = tangents @ g @ tangents.transpose(0, 2, 1)
+    induced = 0.5 * (induced + induced.transpose(0, 2, 1))
+    induced_inv, errors = _inverse(induced, tangents)
+    for i, cause in enumerate(errors):
+        if cause is not None:
+            errors[i] = DegenerateMetricError("degenerate induced metric")
+            errors[i].__cause__ = cause
+    tangents, second_partials, g, gamma, hint, induced, induced_inv = _kept(
+        errors, (tangents, second_partials, g, gamma, hint, induced, induced_inv))
     # null space of the n x m matrix T g, then g-normalized and oriented
     _, _, vh = np.linalg.svd(tangents @ g)
-    nu = vh[-1]
-    nu = nu / math.sqrt(float(nu @ g @ nu))
-    if float(nu @ g @ hint) < 0.0:
-        nu = -nu
+    nu = vh[:, -1]
+    nu_g = nu[:, None] @ g
+    nu = nu / np.sqrt(nu_g @ nu[..., None])[:, 0]
+    # g(nu, hint) has the same sign before and after normalizing
+    nu = np.where((nu_g @ hint[..., None])[:, 0] < 0.0, -nu, nu)
     # (D_{T_i} T_j)^c = dd_ij F^c + Gamma^c_ab T_i^a T_j^b
-    cov = second_partials + np.einsum("cab,ia,jb->ijc", gamma, tangents, tangents)
-    h = -np.einsum("ijc,cd,d->ij", cov, g, nu)
-    h = 0.5 * (h + h.T)
-    return induced, induced_inv, nu, h, float(np.einsum("ij,ij->", induced_inv, h))
+    cov = second_partials + np.einsum("pcab,pia,pjb->pijc", gamma, tangents, tangents)
+    h = -np.einsum("pijc,pcd,pd->pij", cov, g, nu)
+    h = 0.5 * (h + h.transpose(0, 2, 1))
+    return (induced, induced_inv, nu, h, np.einsum("pij,pij->p", induced_inv, h)), errors
 
 
-def _slice_geometry(mcf: MCFSolution, x: np.ndarray, t: float):
-    """The flow's 2-jet and the ``extrinsic_geometry`` of M_t at x."""
-    jet = tuple(np.asarray(a, dtype=float) for a in mcf.jet(x, t))
-    pos, _, T, ddF = jet[:4]
-    amb = metric_bundle(mcf.ambient.metric_at(t), pos, order=1)
-    amb.raise_error()
-    hint = np.asarray(mcf.orientation_hint(x, t), dtype=float)
-    try:
-        ext = extrinsic_geometry(T, ddF, amb.g[0], christoffel_batch(amb)[0], hint)
-    except DegenerateMetricError:
-        raise BackgroundError(f"degenerate induced metric at x={x}, t={t}") from None
-    return jet, ext
+class SliceStack(NamedTuple):
+    """The geometry of M_t at a stack of (x, t) pairs, stacked over the pairs in ``index``.
 
-
-def hypersurface_point_data(mcf: MCFSolution, x: np.ndarray, t: float) -> HypersurfacePointData:
-    """Compute induced metric, normal, h, H and H-derivatives at (x, t).
-
-    A missing mean-curvature callback is replaced by the kernel's central
-    differences of H along x, or along t.  Where t + h leaves the ambient's
-    time domain, dH/dt comes from the second-order backward stencil instead.
+    ``errors`` has one entry per pair: None, or the exception
+    ``hypersurface_point_data`` raises there.  ``ext`` holds the
+    ``extrinsic_geometry_batch`` results.
     """
-    t = mcf.check_time(t)
-    x = chart_point(x)
-    jet, (induced, induced_inv, nu, h, H) = _slice_geometry(mcf, x, t)
 
-    def H_at(xs, ts):
-        return np.array([_slice_geometry(mcf, y, s)[1][-1] for y, s in zip(xs, ts)])
+    mcf: MCFSolution
+    xs: np.ndarray                # (P, n), every pair
+    ts: list                      # P floats, every pair
+    index: np.ndarray
+    errors: list
+    jet: tuple
+    ext: tuple
+
+    def record(self, j: int) -> HypersurfacePointData:
+        """The ``HypersurfacePointData`` of stacked row j."""
+        i = self.index[j]
+        x, t = self.xs[i], self.ts[i]
+        induced, induced_inv, nu, h, H = (a[j] for a in self.ext)
+        H = float(H)
+        dxH, dtH = _mean_curvature_partials(self.mcf, x, t, H)
+        return HypersurfacePointData(
+            ambient=self.mcf.ambient,
+            x=x,
+            t=t,
+            jet=tuple(a[j] for a in self.jet),
+            induced=induced,
+            induced_inv=induced_inv,
+            normal=nu,
+            second_ff=h,
+            mean_curvature=H,
+            dx_mean_curvature=dxH,
+            dt_mean_curvature=dtH,
+        )
+
+
+def slice_stack(mcf: MCFSolution, xs: np.ndarray, ts: list) -> SliceStack:
+    """The flow's 2-jets and the extrinsic geometry of M_t at a stack of (x, t) pairs.
+
+    ``xs`` is a (P, n) stack of finite chart points and ``ts`` their P
+    times, floats in the flow's time domain.  The flow's callbacks run once
+    on the stack, and the ambient metric at the image points is phi(t_p) *
+    sigma, from one evaluation of sigma for the whole stack; a time outside
+    the ambient's domain raises.
+    """
+    bg = mcf.ambient
+    c = bg.conformal
+    times = np.asarray(ts, dtype=float)
+    jet = tuple(np.asarray(a, dtype=float) for a in mcf.jet(xs, times))
+    amb = metric_bundle(c.sigma, jet[0], order=1, scale=[c.phi(bg.check_time(t)) for t in ts])
+    index, errors = amb.index, list(amb.errors)
+    *jet, x, times = _kept(errors, jet + (xs, times))
+    hint = np.asarray(mcf.orientation_hint(x, times), dtype=float)
+    ext, bad = extrinsic_geometry_batch(jet[2], jet[3], amb.g, christoffel_batch(amb), hint)
+    for i, exc in zip(index, bad):
+        if exc is not None:
+            errors[i] = BackgroundError(f"degenerate induced metric at x={xs[i]}, t={ts[i]}")
+    index, *jet = _kept(bad, (index, *jet))
+    return SliceStack(mcf, xs, ts, index, errors, tuple(jet), ext)
+
+
+def _mean_curvature_partials(mcf: MCFSolution, x: np.ndarray, t: float, H: float) -> tuple:
+    """(dH/dx, dH/dt) at one pair, from the flow's callbacks.
+
+    A missing callback is replaced by the kernel's central differences of
+    H along x, or along t.  Where t + h leaves the ambient's time domain,
+    dH/dt comes from the second-order backward stencil instead.
+    """
+    def H_at(ys, ss):
+        stack = slice_stack(mcf, np.asarray(ys, dtype=float), list(ss))
+        _raise_first(stack.errors)
+        return stack.ext[-1]
 
     if mcf.dx_mean_curvature is None:
-        dxH = scalar_d1(ScalarField(lambda xs: H_at(xs, [t] * len(xs))), x)
+        dxH = scalar_d1(ScalarField(lambda ys: H_at(ys, [t] * len(ys))), x)
     else:
         dxH = np.asarray(mcf.dx_mean_curvature(x, t), dtype=float)
     step = FD_H1 * max(1.0, abs(t))
     if mcf.dt_mean_curvature is not None:
         dtH = float(mcf.dt_mean_curvature(x, t))
     elif t + step <= mcf.ambient.time_domain[1]:
-        dtH = float(scalar_d1(ScalarField(lambda ts: H_at([x] * len(ts), ts[:, 0])), [t])[0])
+        dtH = float(scalar_d1(ScalarField(lambda ss: H_at([x] * len(ss), ss[:, 0].tolist())), [t])[0])
     else:
         back = H_at([x, x], [t - step, t - 2.0 * step])
         dtH = float((3.0 * H - 4.0 * back[0] + back[1]) / (2.0 * step))
+    return dxH, dtH
 
-    return HypersurfacePointData(
-        ambient=mcf.ambient,
-        x=x,
-        t=t,
-        jet=jet,
-        induced=induced,
-        induced_inv=induced_inv,
-        normal=nu,
-        second_ff=h,
-        mean_curvature=H,
-        dx_mean_curvature=dxH,
-        dt_mean_curvature=dtH,
-    )
+
+def hypersurface_point_data(mcf: MCFSolution, x: np.ndarray, t: float) -> HypersurfacePointData:
+    """Compute induced metric, normal, h, H and H-derivatives at (x, t).
+
+    The P = 1 case of ``slice_stack``.  A missing mean-curvature callback
+    is replaced by the kernel's central differences of H.
+    """
+    t = mcf.check_time(t)
+    x = chart_point(x)
+    stack = slice_stack(mcf, x[None], [t])
+    _raise_first(stack.errors)
+    return stack.record(0)

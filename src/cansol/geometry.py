@@ -152,6 +152,18 @@ def _raise_first(errors):
             raise exc
 
 
+def _kept(errors: list, arrays: tuple) -> tuple:
+    """``arrays`` restricted to their rows whose entry in ``errors`` is None.
+
+    The one row filter for stacks that carry per-point errors; a None in
+    ``arrays`` stays None.
+    """
+    if not any(errors):
+        return arrays
+    keep = [e is None for e in errors]
+    return tuple(None if a is None else a[keep] for a in arrays)
+
+
 def _checked(p, dim: int | None = None, in_domain=None) -> tuple[np.ndarray, bool]:
     """``_point_stack`` that raises the first point's error."""
     pts, single = _point_stack(p, dim)
@@ -432,7 +444,7 @@ def _inverse(g: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, list]:
     return ginv, errors
 
 
-def metric_bundle(metric: MetricField, points, order: int = 1) -> MetricBundle:
+def metric_bundle(metric: MetricField, points, order: int = 1, scale=None) -> MetricBundle:
     """Evaluate the metric once for a stack of points (or one point).
 
     ``order`` 0 gives g and g^-1, 1 adds dg (enough for Christoffel
@@ -440,26 +452,30 @@ def metric_bundle(metric: MetricField, points, order: int = 1) -> MetricBundle:
     the chart domain or with an ill-conditioned metric are left out and
     recorded in ``errors``; callbacks never see them.  The points are
     checked once, here; each callback is then called once on the valid ones.
+    ``scale``, one positive factor per point, gives the bundle of the metric
+    scale_p * g at point p: a conformal family at per-point times.
     """
     pts, _ = _point_stack(points, metric.dim)
     errors = _point_errors(pts, metric.in_domain)
-    index, q = np.arange(len(pts)), pts
-    if any(errors):
-        index = index[[e is None for e in errors]]
-        q = pts[index]
+    index, q = _kept(errors, (np.arange(len(pts)), pts))
     shape = (metric.dim, metric.dim)
     g = _evaluate(metric.components, q, shape, "metric")
+    if scale is not None:
+        scale = np.asarray(scale, dtype=float)[index]
+        g = scale[:, None, None] * g
     ginv, bad = _inverse(g, q)
     if any(bad):
-        keep = np.array([e is None for e in bad])
         for i, exc in zip(index, bad):
             errors[i] = errors[i] or exc
-        index, q, g, ginv = index[keep], q[keep], g[keep], ginv[keep]
+        index, q, g, ginv, scale = _kept(bad, (index, q, g, ginv, scale))
     dg = ddg = None
     if order >= 1:
         dg = _partials(metric.d1, metric.components, q, 1, shape, "metric")
     if order >= 2:
         ddg = _partials(metric.d2, metric.components, q, 2, shape, "metric")
+    if scale is not None:
+        dg, ddg = (None if a is None else scale.reshape((-1,) + (1,) * (a.ndim - 1)) * a
+                   for a in (dg, ddg))
     return MetricBundle(
         points=q,
         index=index,

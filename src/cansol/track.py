@@ -8,7 +8,7 @@ dF/dt = -H nu, so the time leg is the familiar -H nu + d/dt.
 The extrinsic geometry of Sigma (normal, induced metric, second
 fundamental form h^S, mean curvature H^S) is computed by the numeric
 kernel from the canonical metric's connection, with the same
-``extrinsic_geometry`` routine as the slices M_t.  The sign convention
+``extrinsic_geometry_batch`` routine as the slices M_t.  The sign convention
 matches the hypersurface one: h^S(U, V) = <D_U nu^S, V>, which makes the
 leading block of h^S equal h_ij / (t sigma_N) with the positive-sphere h.
 
@@ -18,30 +18,40 @@ The theorems under test say Sigma is an approximate soliton: the defect
     shrinking:  E~_N = H^S + nu^S f        (f = +N/(2 tau))
     steady:     E~_N = H^S + nu^S f        (f = -N tau)
 
-stays O(1/N), i.e. N |E~_N| is bounded.  As with the Christoffel tables,
-the reference closed forms for h^S circulate with slips in their O(1/N)
-correction terms; ``closed_form_second_ff`` evaluates either the literal
-or the rederived version and ``SECOND_FF_CORRECTIONS`` records the
-differences.
+stays O(1/N), i.e. N |E~_N| is bounded.  ``mcf_canonical_residuals``
+evaluates the defect on a stack of (x, t) pairs in one pass;
+``mcf_canonical_residual`` and ``track_point_data`` are its single-pair
+case, and a pair's result does not depend on its stack.
+
+As with the Christoffel tables, the reference closed forms for h^S
+circulate with slips in their O(1/N) correction terms;
+``closed_form_second_ff`` evaluates either the literal or the rederived
+version and ``SECOND_FF_CORRECTIONS`` records the differences.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .backgrounds import (
     HypersurfacePointData,
     MCFSolution,
-    extrinsic_geometry,
+    SliceStack,
+    extrinsic_geometry_batch,
     hypersurface_point_data,
+    slice_stack,
 )
 from .canonical import CanonicalConfigError, CanonicalMetric, FormCorrection
 from .geometry import (
-    DegenerateMetricError,
+    ChartDomainError,
     SymTensor2,
+    _kept,
+    _point_errors,
+    _raise_first,
     christoffel_batch,
     metric_bundle,
     scalar_d1,
@@ -57,6 +67,7 @@ __all__ = [
     "closed_form_second_ff",
     "closed_form_normal_potential",
     "mcf_canonical_residual",
+    "mcf_canonical_residuals",
     "limit_inverse_metric",
 ]
 
@@ -126,54 +137,141 @@ def _sigma_N(scale: float, H: float, w: float) -> float:
     return math.sqrt(1.0 / scale + H**2 / (scale**2 * w))
 
 
-def track_point_data(track: SpaceTimeTrack, x: np.ndarray, t: float) -> TrackPointData:
-    """Engine evaluation of the track geometry at chart point (x, t)."""
-    t = track.check_time(t)
+class _TrackStack(NamedTuple):
+    """Track geometry at a stack of (x, t) pairs, stacked over the pairs in ``index``.
+
+    ``xs`` and ``ts`` are the pairs as floats, and ``errors`` has one
+    entry per pair: None, or the exception ``track_point_data`` raises
+    there.  Row j lies over row ``rows[j]`` of ``slices``; ``z`` and ``g``
+    are the space-time points and metrics, and ``ext`` the
+    ``extrinsic_geometry_batch`` results of the track.
+    """
+
+    xs: np.ndarray
+    ts: list
+    slices: SliceStack
+    index: np.ndarray
+    rows: np.ndarray
+    errors: list
+    z: np.ndarray
+    g: np.ndarray
+    basis: np.ndarray
+    ext: tuple
+
+
+def _track_stack(track: SpaceTimeTrack, xs, ts) -> _TrackStack:
+    """Engine evaluation of the track geometry at a stack of (x, t) pairs, in one pass.
+
+    The times are checked pair by pair, then the slices, the space-time
+    metric and the track's extrinsic geometry are each evaluated once on
+    the pairs still standing.
+    """
     cm = track.cm
+    mcf = track.mcf
     n = track.n
     dim = cm.spacetime_dim
+    times = np.asarray(ts, dtype=float).reshape(-1)
+    ts = times.tolist()
+    xs = np.asarray(xs, dtype=float).reshape(len(ts), n)
+    errors = _point_errors(xs)
+    for i, t in enumerate(ts):
+        try:
+            # as in a single call: the track's time checks, then the chart point's
+            track.check_time(t)
+            mcf.ambient.check_time(t)
+        except (ChartDomainError, CanonicalConfigError) as exc:
+            # kept without its traceback, whose frames would hold this stack
+            errors[i] = exc.with_traceback(None)
+    live, x_live, t_live = _kept(errors, (np.arange(len(ts)), xs, times))
+    slices = slice_stack(mcf, x_live, t_live.tolist())
+    for i, exc in zip(live, slices.errors):
+        errors[i] = exc
+    index = live[slices.index]
 
-    hyp = hypersurface_point_data(track.mcf, x, t)
-    st = metric_bundle(cm.field, cm.spacetime_point(hyp.position, t), order=1)
-    st.raise_error()
-    z, g_st = st.points[0], st.g[0]
-
-    _, Ft, Fx, Fxx, Fxt, Ftt = hyp.jet
+    z = np.empty((len(index), dim))
+    z[:, 0] = t_live[slices.index]
+    z[:, 1:] = slices.jet[0]
+    st = metric_bundle(cm.field, z, order=1)
+    for i, exc in zip(index, st.errors):
+        errors[i] = exc
+    rows = st.index
+    _, Ft, Fx, Fxx, Fxt, Ftt, nu = _kept(st.errors, (*slices.jet, slices.ext[2]))
+    P = len(rows)
     # tangent basis: row 0 is d/dt + dF/dt, rows 1..n are (0, d_i F)
-    basis = np.zeros((n + 1, dim))
-    basis[0, 0] = 1.0
-    basis[0, 1:] = Ft
-    basis[1:, 1:] = Fx
+    basis = np.zeros((P, n + 1, dim))
+    basis[:, 0, 0] = 1.0
+    basis[:, 0, 1:] = Ft
+    basis[:, 1:, 1:] = Fx
 
     # second derivatives of the parametrization Phi(u) = (u0, F(x, u0))
-    ddPhi = np.zeros((n + 1, n + 1, dim))
-    ddPhi[0, 0, 1:] = Ftt
-    ddPhi[0, 1:, 1:] = Fxt
-    ddPhi[1:, 0, 1:] = Fxt
-    ddPhi[1:, 1:, 1:] = Fxx
+    ddPhi = np.zeros((P, n + 1, n + 1, dim))
+    ddPhi[:, 0, 0, 1:] = Ftt
+    ddPhi[:, 0, 1:, 1:] = Fxt
+    ddPhi[:, 1:, 0, 1:] = Fxt
+    ddPhi[:, 1:, 1:, 1:] = Fxx
 
     # the normal is oriented toward the lifted slice normal (0, nu)
-    lifted = np.concatenate(([0.0], hyp.normal))
-    try:
-        induced, induced_inv, nu, h, H_track = extrinsic_geometry(
-            basis, ddPhi, g_st, christoffel_batch(st)[0], lifted
-        )
-    except DegenerateMetricError:
-        raise CanonicalConfigError(f"degenerate induced track metric at x={x}, t={t}") from None
+    lifted = np.zeros((P, dim))
+    lifted[:, 1:] = nu
+    ext, bad = extrinsic_geometry_batch(basis, ddPhi, st.g, christoffel_batch(st), lifted)
+    for r, exc in zip(rows, bad):
+        if exc is not None:
+            i = index[r]
+            errors[i] = CanonicalConfigError(f"degenerate induced track metric at x={xs[i]}, t={ts[i]}")
+    rows, z, g, basis = _kept(bad, (rows, st.points, st.g, basis))
+    return _TrackStack(xs, ts, slices, index[rows], rows, errors, z, g, basis, ext)
 
+
+def track_point_data(track: SpaceTimeTrack, x: np.ndarray, t: float) -> TrackPointData:
+    """Engine evaluation of the track geometry at chart point (x, t).
+
+    The single-pair case of the stacked track evaluation.
+    """
+    stack = _track_stack(track, [x], [t])
+    _raise_first(stack.errors)
+    hyp = stack.slices.record(stack.rows[0])
+    induced, induced_inv, nu, h, H_track = (a[0] for a in stack.ext)
     return TrackPointData(
-        x=np.asarray(x, dtype=float),
-        t=t,
-        z=z,
-        basis=basis,
+        x=hyp.x,
+        t=hyp.t,
+        z=stack.z[0],
+        basis=stack.basis[0],
         induced=induced,
         induced_inv=induced_inv,
         normal=nu,
-        sigma_N=_sigma_N(cm.time_scale(t), hyp.mean_curvature, float(g_st[0, 0])),
+        sigma_N=_sigma_N(track.cm.time_scale(hyp.t), hyp.mean_curvature, float(stack.g[0, 0, 0])),
         second_ff=h,
-        mean_curvature=H_track,
+        mean_curvature=float(H_track),
         hyp=hyp,
     )
+
+
+def mcf_canonical_residuals(track: SpaceTimeTrack, xs, ts) -> list:
+    """``mcf_canonical_residual`` at every (x, t) pair, in one stacked evaluation.
+
+    Returns one entry per pair, in order: the ``TrackResidualSample``, or
+    the exception the single-pair call raises there (a time below the
+    sampling floor or outside the flow's domain, a point outside the chart,
+    a degenerate slice or track metric).
+    """
+    cm = track.cm
+    stack = _track_stack(track, xs, ts)
+    out = list(stack.errors)
+    nu = stack.ext[2]
+    df = scalar_d1(cm.potential, stack.z)
+    nu_f = (nu[:, None] @ df[..., None])[:, 0, 0]
+    # H^S - nu^S f on forward (expanding) tracks, H^S + nu^S f on backward ones
+    values = stack.ext[-1] + (-nu_f if cm.sign > 0 else nu_f)
+    for i, value in zip(stack.index.tolist(), values.tolist()):
+        out[i] = TrackResidualSample(
+            x=stack.xs[i],
+            t=stack.ts[i],
+            N=cm.N,
+            value=value,
+            norm=abs(value),
+            scaled_norm=cm.N * abs(value),
+        )
+    return out
 
 
 def mcf_canonical_residual(track: SpaceTimeTrack, x: np.ndarray, t: float) -> TrackResidualSample:
@@ -181,21 +279,13 @@ def mcf_canonical_residual(track: SpaceTimeTrack, x: np.ndarray, t: float) -> Tr
 
     Entirely engine-evaluated: H^S from the kernel second fundamental
     form, nu^S f as the directional derivative of the canonical potential
-    along the kernel normal.
+    along the kernel normal.  This is the single-pair case of
+    ``mcf_canonical_residuals``.
     """
-    cm = track.cm
-    data = track_point_data(track, x, t)
-    nu_f = float(data.normal @ scalar_d1(cm.potential, data.z))
-    # H^S - nu^S f on forward (expanding) tracks, H^S + nu^S f on backward ones
-    value = data.mean_curvature + (-nu_f if cm.sign > 0 else nu_f)
-    return TrackResidualSample(
-        x=np.asarray(x, dtype=float),
-        t=float(t),
-        N=cm.N,
-        value=value,
-        norm=abs(value),
-        scaled_norm=cm.N * abs(value),
-    )
+    [sample] = mcf_canonical_residuals(track, [x], [t])
+    if isinstance(sample, Exception):
+        raise sample
+    return sample
 
 
 def closed_form_normal_potential(track: SpaceTimeTrack, x: np.ndarray, t: float) -> float:

@@ -383,23 +383,28 @@ class TestExtrinsicGeometry:
         with pytest.raises(BackgroundError, match="degenerate induced metric"):
             hypersurface_point_data(mcf, np.array([1e-7, 0.3]), 0.1)
 
-    def test_routine_raises_the_kernel_error_on_a_singular_induced_metric(self):
-        from cansol.backgrounds import extrinsic_geometry
+    def test_routine_records_the_kernel_error_on_a_singular_induced_metric(self):
+        from cansol.backgrounds import extrinsic_geometry_batch
         from cansol.geometry import DegenerateMetricError
 
         tangents = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        with pytest.raises(DegenerateMetricError):
-            extrinsic_geometry(tangents, np.zeros((2, 2, 3)), np.eye(3), np.zeros((3, 3, 3)),
-                               np.array([0.0, 0.0, 1.0]))
+        ext, [error] = extrinsic_geometry_batch(
+            tangents[None], np.zeros((1, 2, 2, 3)), np.eye(3)[None], np.zeros((1, 3, 3, 3)),
+            np.array([[0.0, 0.0, 1.0]]),
+        )
+        assert isinstance(error, DegenerateMetricError)
+        assert all(len(a) == 0 for a in ext)
 
     def test_sphere_of_radius_r_in_flat_space(self):
-        from cansol.backgrounds import extrinsic_geometry, sphere_embedding_jet
+        from cansol.backgrounds import extrinsic_geometry_batch, sphere_embedding_jet
 
         r, x = 2.0, np.array([0.7, 1.9])
         omega, d_omega, dd_omega = sphere_embedding_jet(2)(x)
-        induced, induced_inv, nu, h, H = extrinsic_geometry(
-            r * d_omega, r * dd_omega, np.eye(3), np.zeros((3, 3, 3)), omega
+        ext, [error] = extrinsic_geometry_batch(
+            r * d_omega[None], r * dd_omega[None], np.eye(3)[None], np.zeros((1, 3, 3, 3)), omega[None]
         )
+        assert error is None
+        induced, induced_inv, nu, h, H = (a[0] for a in ext)
         assert np.allclose(nu, omega, atol=1e-14)
         assert np.allclose(induced_inv @ induced, np.eye(2), atol=1e-12)
         assert np.allclose(h, induced / r, atol=1e-12)

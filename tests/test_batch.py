@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 import reference_kernel as ref
 from cansol import harnack
-from cansol.backgrounds import model_background, unit_sphere_metric
+from cansol.backgrounds import BackgroundError, model_background, model_mcf, unit_sphere_metric
 from cansol.canonical import (
     VARIANTS,
+    CanonicalConfigError,
     build_canonical_metric,
     ricci_soliton_residual,
     ricci_soliton_residuals,
@@ -50,6 +51,7 @@ from cansol.geometry import (
     tensor_norm_batch,
 )
 from cansol.harnack import I_GHY, I_infty, flat_ball_domain, random_polynomial_field
+from cansol.track import build_track, mcf_canonical_residual, mcf_canonical_residuals
 
 DIRECTION = {"expanding": "forward", "shrinking": "backward", "steady": "backward"}
 
@@ -292,3 +294,113 @@ class TestCallbackContract:
         f = ScalarField(value=lambda p: 1.0)
         with pytest.raises(GeometryError):
             scalar_d1(f, np.zeros(3))
+
+
+def _flow(name, dim, direction):
+    kind = "round_sphere" if name == "equator_in_sphere" else "euclidean_static"
+    params = {"r0": 1.0} if kind == "round_sphere" else {}
+    return model_mcf(name, model_background(kind, dim=dim, direction=direction, **params))
+
+
+TRACKS = [(variant, "shrinking_sphere_flat", dim) for variant in VARIANTS for dim in (3, 5)]
+TRACKS.append(("steady", "equator_in_sphere", 3))
+
+
+def _pointwise_loop(fn, track, xs, ts):
+    out = []
+    for x, t in zip(xs, ts):
+        try:
+            out.append(fn(track, x, t))
+        except Exception as exc:
+            out.append(exc)
+    return out
+
+
+def assert_same_entries(batch, loop):
+    assert [type(r) for r in batch] == [type(r) for r in loop]
+    for a, b in zip(batch, loop):
+        if isinstance(a, Exception):
+            assert str(a) == str(b)
+        else:
+            assert (a.value, a.norm, a.scaled_norm, a.t, a.N) == (b.value, b.norm, b.scaled_norm, b.t, b.N)
+            assert np.array_equal(a.x, b.x)
+
+
+class TestTrackStacks:
+    @pytest.mark.parametrize("variant, flow, dim", TRACKS)
+    def test_track_stack_matches_pointwise_loop(self, variant, flow, dim):
+        mcf = _flow(flow, dim, DIRECTION[variant])
+        track = build_track(mcf, build_canonical_metric(mcf.ambient, variant, 1e4))
+        rng = np.random.default_rng(dim)
+        # about a third of the times fall below the canonical time floor
+        xs = mcf.sample_xs(24, rng)
+        ts = list(rng.uniform(0.5 * track.cm.t_min, mcf.time_domain[1], 24))
+        good = xs[0].copy()
+        xs += [np.full(dim - 1, np.nan), good, good]
+        ts += [ts[0], 2.0 * mcf.time_domain[1], 0.5 * track.cm.t_min]
+        if flow == "shrinking_sphere_flat":
+            # a polar angle of 1e-7 makes the slice's induced metric degenerate
+            xs.append(np.concatenate(([1e-7], good[1:])))
+            kinds = {ChartDomainError, CanonicalConfigError, BackgroundError}
+        else:
+            # the equator's image leaves the sphere chart in the pole band
+            xs.append(np.concatenate(([0.005], good[1:])))
+            kinds = {ChartDomainError, CanonicalConfigError}
+        ts.append(float(np.mean(mcf.time_domain)))
+        batch = mcf_canonical_residuals(track, xs, ts)
+        loop = _pointwise_loop(mcf_canonical_residual, track, xs, ts)
+        assert_same_entries(batch, loop)
+        assert {type(r) for r in batch if isinstance(r, Exception)} == kinds
+        assert sum(not isinstance(r, Exception) for r in batch) >= 10
+        # a pair's entry does not depend on its neighbours
+        assert_same_entries(mcf_canonical_residuals(track, xs[::-1], ts[::-1]), batch[::-1])
+
+    def test_degenerate_track_is_a_per_pair_error(self):
+        mcf = _flow("shrinking_sphere_flat", 3, "forward")
+        # at N = 1e8 the time leg dominates the track metric near the time floor
+        track = build_track(mcf, build_canonical_metric(mcf.ambient, "expanding", 1e8))
+        xs = [np.array([0.1, 0.3]), np.array([1.1, 0.7])]
+        ts = [0.05, 0.15]
+        batch = mcf_canonical_residuals(track, xs, ts)
+        assert isinstance(batch[0], CanonicalConfigError)
+        assert str(batch[0]).startswith("degenerate induced track metric")
+        assert_same_entries(batch, _pointwise_loop(mcf_canonical_residual, track, xs, ts))
+
+    def test_empty_and_all_failing_stacks(self):
+        mcf = _flow("shrinking_sphere_flat", 3, "forward")
+        track = build_track(mcf, build_canonical_metric(mcf.ambient, "expanding", 1e4))
+        assert mcf_canonical_residuals(track, np.empty((0, 2)), []) == []
+        below = mcf_canonical_residuals(track, [np.array([1.1, 0.7])] * 2, [0.001, 0.002])
+        assert [type(r).__name__ for r in below] == ["CanonicalConfigError"] * 2
+
+    @pytest.mark.parametrize("flow, dim, direction", [
+        ("shrinking_sphere_flat", 3, "forward"), ("shrinking_sphere_flat", 5, "backward"),
+        ("equator_in_sphere", 3, "backward"), ("equator_in_sphere", 5, "forward"),
+        ("static_plane_flat", 3, "forward"), ("static_plane_flat", 4, "backward"),
+    ])
+    def test_flow_callbacks_on_a_stack_equal_the_pointwise_calls(self, flow, dim, direction):
+        mcf = _flow(flow, dim, direction)
+        rng = np.random.default_rng(7)
+        xs = np.array(mcf.sample_xs(9, rng))
+        ts = rng.uniform(0.01, mcf.time_domain[1], 9)
+        stacked = {
+            "jet": mcf.jet(xs, ts),
+            "hint": (mcf.orientation_hint(xs, ts),),
+            "dx": (mcf.dx_mean_curvature(xs, ts),),
+            "dt": (mcf.dt_mean_curvature(xs, ts),),
+        }
+        for i, (x, t) in enumerate(zip(xs, ts)):
+            single = {
+                "jet": mcf.jet(x, t),
+                "hint": (mcf.orientation_hint(x, t),),
+                "dx": (mcf.dx_mean_curvature(x, t),),
+                "dt": (mcf.dt_mean_curvature(x, t),),
+            }
+            for name, arrays in single.items():
+                for k, (a, b) in enumerate(zip(stacked[name], arrays)):
+                    assert np.shape(b) == np.shape(a)[1:], (name, k)
+                    assert np.array_equal(a[i], b), (name, k, i)
+        # a (2, 3, n) stack with one time per row broadcast along it
+        grid = xs[:6].reshape(2, 3, -1)
+        for a, b in zip(mcf.jet(grid, ts[:2, None]), mcf.jet(xs[:6], np.repeat(ts[:2], 3))):
+            assert np.array_equal(a.reshape(b.shape), b)

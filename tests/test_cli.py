@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from cansol import cli
+from cansol import track as track_module
 from cansol.cli import ConfigError, RunConfig, _sweep_summary, main, run
 from cansol.reports import EmitError, ResidualReport, emit, render_json
 
@@ -79,6 +81,33 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run(cfg)
 
+    @pytest.mark.parametrize("samples", [
+        {"count": 4, "seed": 1, "times": [0.1, 0.2, 0.3]},
+        {"count": 2, "seed": 1, "times": [0.1, 0.2, 0.3]},
+        {"seed": 1, "times": []},
+        {"seed": 1, "times": 0.1},
+    ])
+    def test_count_must_match_the_given_times(self, samples):
+        # one time per sample point: a count that differs is not cut silently
+        with pytest.raises(ConfigError, match=r"samples\.times"):
+            run(cfg_ricci(samples=samples))
+
+    def test_given_times_set_the_count(self):
+        report = run(cfg_ricci(samples={"seed": 1, "times": [0.1, 0.2, 0.3]}))
+        assert len(report.records) == 3 * 3
+        assert [r["t"] for r in report.records[:3]] == [0.1, 0.2, 0.3]
+
+    @pytest.mark.parametrize("times", [[], [0.05, 0.1], 0.1])
+    def test_lott_match_needs_exactly_one_time(self, times):
+        cfg = RunConfig.from_dict({
+            "suite": "lott_match",
+            "background": {"name": "euclidean_static", "params": {"dim": 3, "direction": "forward"}},
+            "mcf": {"name": "shrinking_sphere_flat", "params": {"r0": 1.0}},
+            "samples": {"count": 3, "seed": 1, "times": times},
+        })
+        with pytest.raises(ConfigError, match="samples.times needs one entry"):
+            run(cfg)
+
 
 class TestSuites:
     def test_ricci_soliton_sweep_passes(self):
@@ -118,6 +147,44 @@ class TestSuites:
         report = run(cfg)
         assert report.passed
         assert report.summary["exact_zero"] is True
+
+    def test_track_sweep_makes_one_batched_call_per_N(self, monkeypatch):
+        calls = {"mcf_canonical_residuals": 0, "track_point_data": 0, "mcf_canonical_residual": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(cli, "mcf_canonical_residuals")
+        counted(track_module, "track_point_data")
+        counted(track_module, "mcf_canonical_residual")
+        cfg = RunConfig.from_dict({
+            "suite": "mcf_soliton_residual",
+            "variant": "expanding",
+            "background": {"name": "euclidean_static", "params": {"dim": 3, "direction": "forward"}},
+            "mcf": {"name": "shrinking_sphere_flat", "params": {"r0": 1.0}},
+            "N_list": [100.0, 1000.0, 10000.0],
+            "samples": {"count": 5, "seed": 3},
+        })
+        report = run(cfg)
+        assert len(report.records) + len(report.errors) == 5 * 3
+        # no silent fall-back to one evaluation per point
+        assert calls == {"mcf_canonical_residuals": 3, "track_point_data": 0,
+                         "mcf_canonical_residual": 0}
+
+    def test_soliton_sweep_calls_the_pointwise_residual_per_point(self, monkeypatch):
+        # the benchmark's own tests count one such call per sweep point
+        seen = []
+        residual = cli.ricci_soliton_residual
+        monkeypatch.setattr(cli, "ricci_soliton_residual",
+                            lambda *args: seen.append(args) or residual(*args))
+        run(cfg_ricci())
+        assert len(seen) == 6 * 3
 
     def test_christoffel_crosscheck_sphere_steady(self):
         cfg = RunConfig.from_dict(

@@ -122,6 +122,18 @@ GOLDEN["mcf_soliton_residual/sphere-dim5"] = (
      "background": {"name": "euclidean_static", "params": {"dim": 5, "direction": "forward"}}},
     "4be30f96658351331b535f158918bf36828d5227db33d82b777547f02ae0f4a9",
 )
+# the dim-5 sphere in the backward variants; steady at N = 1e2 is still
+# pre-asymptotic, hence its N list
+GOLDEN["mcf_soliton_residual/shrinking-sphere-dim5"] = (
+    {**GOLDEN["mcf_soliton_residual"][0], "variant": "shrinking",
+     "background": {"name": "euclidean_static", "params": {"dim": 5, "direction": "backward"}}},
+    "07ea8ad530454b481778e201549621cffad61c9da81bbd04aa24886d4a992bf9",
+)
+GOLDEN["mcf_soliton_residual/steady-sphere-dim5"] = (
+    {**GOLDEN["mcf_soliton_residual"][0], "variant": "steady", "N_list": [1000.0, 10000.0],
+     "background": {"name": "euclidean_static", "params": {"dim": 5, "direction": "backward"}}},
+    "4db0985031b52531625f51cf6c23484543f4e94829951e9d4691cfbd74a991c5",
+)
 GOLDEN["mcf_soliton_residual/steady-equator"] = (
     {**GOLDEN["mcf_soliton_residual"][0], "variant": "steady", "background": _sphere3("backward"),
      "mcf": {"name": "equator_in_sphere", "params": {}}},
