@@ -38,7 +38,6 @@ from .geometry import (
     christoffel_batch,
     hessian_batch,
     metric_bundle,
-    ricci,
     ricci_batch,
     tensor_norm_batch,
 )
@@ -58,6 +57,7 @@ __all__ = [
     "ricci_soliton_residual",
     "ricci_soliton_residuals",
     "canonical_ricci_quadratic",
+    "canonical_ricci_quadratics",
     "limit_ricci",
 ]
 
@@ -327,16 +327,32 @@ def ricci_soliton_residual(cm: CanonicalMetric, p: np.ndarray, t: float) -> Resi
     return sample
 
 
+def canonical_ricci_quadratics(cm: CanonicalMetric, Xs, points, ts) -> list:
+    """``canonical_ricci_quadratic`` at every (X, p, t) triple, in one kernel call.
+
+    One entry per triple, in order: the float, or the exception the single
+    call raises there (a point outside the chart, a degenerate metric).
+    """
+    ts = np.asarray(ts, dtype=float)
+    b = metric_bundle(cm.field, np.column_stack((ts, np.asarray(points, dtype=float))), order=2)
+    Xbar = np.column_stack((np.ones(len(ts)), np.asarray(Xs, dtype=float)))[b.index]
+    quads = (Xbar[:, None] @ ricci_batch(b) @ Xbar[..., None]).ravel().tolist()
+    out = list(b.errors)
+    for i, q in zip(b.index, quads):
+        out[i] = q
+    return out
+
+
 def canonical_ricci_quadratic(cm: CanonicalMetric, X: np.ndarray, p: np.ndarray, t: float) -> float:
     """Ric of the canonical metric on the lifted vector X + d/dt.
 
     X is a spatial (contravariant) vector on the background; the lift
-    prepends a unit time component.
+    prepends a unit time component.  The one-triple case of ``canonical_ricci_quadratics``.
     """
-    z = cm.field.check_point(cm.spacetime_point(p, t))
-    Xbar = np.concatenate(([1.0], np.asarray(X, dtype=float)))
-    ric = ricci(cm.field, z).entries
-    return float(Xbar @ ric @ Xbar)
+    [quad] = canonical_ricci_quadratics(cm, [X], [p], [t])
+    if isinstance(quad, Exception):
+        raise quad
+    return quad
 
 
 def limit_ricci(bg: RicciFlowBackground, X: np.ndarray, p: np.ndarray, t: float) -> float:

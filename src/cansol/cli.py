@@ -30,7 +30,7 @@ from .canonical import (
     VARIANTS,
     CanonicalConfigError,
     build_canonical_metric,
-    canonical_ricci_quadratic,
+    canonical_ricci_quadratics,
     christoffel_crosscheck,
     limit_ricci,
     minimal_admissible_N,
@@ -120,7 +120,7 @@ class RunConfig:
             if sorted(cfg.N_list) != cfg.N_list:
                 raise ConfigError("N_list must be sorted ascending")
         count = cfg.samples.get("count", 20)
-        if not (isinstance(count, int) and count >= 1):
+        if isinstance(count, bool) or not (isinstance(count, int) and count >= 1):
             raise ConfigError("samples.count must be an integer >= 1")
         return cfg
 
@@ -249,12 +249,12 @@ def _defect_sweep(report: ResidualReport, Ns, residuals_at, key: str, pts, ts) -
     return sups_per_N
 
 
-def _pointwise(residual, pts, ts) -> list:
-    """``residual(point, t)`` at every pair, called once per pair; a per-point error is kept."""
+def _pointwise(fn, *columns) -> list:
+    """``fn`` at every row of the argument columns, called once per row; a per-point error is kept."""
     out = []
-    for p, t in zip(pts, ts):
+    for args in zip(*columns):
         try:
-            out.append(residual(p, t))
+            out.append(fn(*args))
         except _POINT_ERRORS as exc:
             # kept without its traceback, whose frames would hold ``out``
             out.append(exc.with_traceback(None))
@@ -356,15 +356,21 @@ def _run_harnack_limits(cfg: RunConfig, report: ResidualReport):
         report.records.append({**where, "errors": errs, "ratios": ratios, "in_band": in_band})
 
     cms = [build_canonical_metric(bg, "expanding", N) for N in Ns]
-    for p, t in zip(pts, ts):
-        X = rng.uniform(-1.0, 1.0, bg.dim)
-        try:
-            target = limit_ricci(bg, X, p, t)
-            errs = [abs(canonical_ricci_quadratic(cm, X, p, t) - target) for cm in cms]
-        except _POINT_ERRORS as exc:
-            report.errors.append({"point": list(p), "t": t, "error": str(exc)})
-            continue
-        record(errs, point=list(p), t=t, X=list(X))
+    # one row per point, the same draws as one X per point
+    Xs = rng.uniform(-1.0, 1.0, (len(pts), bg.dim))
+    # per point: the limit, then the errors at every N or the first exception
+    outcome = _pointwise(partial(limit_ricci, bg), Xs, pts, ts)
+    ok = [i for i, o in enumerate(outcome) if not isinstance(o, Exception)]
+    stacks = (Xs[ok], np.asarray(pts)[ok], np.asarray(ts)[ok])
+    quads = [canonical_ricci_quadratics(cm, *stacks) for cm in cms]
+    for i, per_N in zip(ok, zip(*quads)):
+        exc = next((q for q in per_N if isinstance(q, Exception)), None)
+        outcome[i] = [abs(q - outcome[i]) for q in per_N] if exc is None else exc
+    for p, t, X, o in zip(pts, ts, Xs, outcome):
+        if isinstance(o, Exception):
+            report.errors.append({"point": list(p), "t": t, "error": str(o)})
+        else:
+            record(o, point=list(p), t=t, X=list(X))
 
     if cfg.mcf:
         mcf = _build_mcf(cfg, bg)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
@@ -163,10 +164,14 @@ def lott_boundary_integrand(hyp: HypersurfacePointData, f: ScalarField) -> float
     gradient.  dH/dt must come with the hypersurface data; there is no
     hidden time differencing across unrelated snapshots.
     """
+    return _lott_integrand(hyp, *tangential_gradient(hyp, f))
+
+
+def _lott_integrand(hyp: HypersurfacePointData, comps: np.ndarray, tang: np.ndarray) -> float:
+    """``lott_boundary_integrand`` given the boundary gradient (comps, tang) of f."""
     if not np.isfinite(hyp.dt_mean_curvature):
         raise ChartDomainError("boundary integrand needs dH/dt supplied with the slice data")
     bg, t = hyp.ambient, hyp.t
-    comps, tang = tangential_gradient(hyp, f)
     ric = bg.ricci_at(hyp.position, t)
     dRdy = bg.dy_scalar_at(hyp.position, t)
     return (
@@ -185,9 +190,9 @@ def lott_match_defect(hyp: HypersurfacePointData, f: ScalarField) -> float:
     Identically zero: the limit form evaluated on the negative boundary
     gradient reproduces the evolution integrand up to the H/(2t) term.
     """
-    comps, _ = tangential_gradient(hyp, f)
+    comps, tang = tangential_gradient(hyp, f)
     lhs = limit_second_ff(hyp, -comps)
-    rhs = lott_boundary_integrand(hyp, f)
+    rhs = _lott_integrand(hyp, comps, tang)
     return lhs - rhs - hyp.mean_curvature / (2.0 * hyp.t)
 
 
@@ -382,31 +387,45 @@ def flat_ball_domain(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _monomial_partials(dim: int, degree: int, order: int):
+    """Index table of the order-``order`` partials of the monomials of degree <= ``degree``.
+
+    One row per monomial, in coefficient order, and per ordered choice of
+    factors to differentiate away: the monomial, its kept factors padded
+    with ``dim`` (a ones column), and the flat index of the partial.
+    """
+    combos = [c for d in range(degree + 1) for c in combinations_with_replacement(range(dim), d)]
+    term, factors, target = [], [], []
+    for k, c in enumerate(combos):
+        for drop in permutations(range(len(c)), order):
+            term.append(k)
+            factors.append([i for j, i in enumerate(c) if j not in drop] + [dim] * (degree - len(c)))
+            target.append(sum(c[j] * dim ** (order - 1 - n) for n, j in enumerate(drop)))
+    return np.array(term, dtype=int), np.array(factors, dtype=int), np.array(target, dtype=int)
+
+
 def random_polynomial_field(dim: int, rng: np.random.Generator, degree: int = 3) -> ScalarField:
     """Random polynomial with coefficients in [-1, 1], analytic first and second partials.
 
     Used by the matching suite; the caller records the generator seed so
     reported defects are reproducible.
     """
-    terms = [((), float(rng.uniform(-1, 1)))]
-    for deg in range(1, degree + 1):
-        for combo in combinations_with_replacement(range(dim), deg):
-            terms.append((combo, float(rng.uniform(-1, 1))))
+    coeffs = rng.uniform(-1, 1, math.comb(dim + degree, degree))
 
     def partials(p, order):
         """Partials of the given order (0, 1 or 2), indexed [..., i_1, .., i_order].
 
-        Each ordered choice of ``order`` factors of a term is differentiated away.
+        Each table row, a coefficient times its kept factors left to right, adds to one partial.
         """
-        out = np.zeros(p.shape[:-1] + (dim,) * order)
-        for combo, c in terms:
-            for drop in permutations(range(len(combo)), order):
-                prod = np.full(p.shape[:-1], c)
-                for j, i in enumerate(combo):
-                    if j not in drop:
-                        prod = prod * p[..., i]
-                out[(..., *(combo[j] for j in drop))] += prod
-        return out
+        term, factors, target = _monomial_partials(dim, degree, order)
+        q = np.column_stack((p.reshape(-1, dim), np.ones(p.size // dim)))
+        prod = coeffs[term]
+        for col in factors.T:
+            prod = prod * q[:, col]
+        out = np.zeros((len(q), dim**order))
+        np.add.at(out, (slice(None), target), prod)
+        return out.reshape(p.shape[:-1] + (dim,) * order)
 
     return ScalarField(
         value=lambda p: partials(p, 0), d1=lambda p: partials(p, 1), d2=lambda p: partials(p, 2)

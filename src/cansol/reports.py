@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,14 +68,47 @@ def _plain(obj):
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+        obj = obj.item()
     if isinstance(obj, float) and obj != obj:
         return "nan"
     return obj
 
 
+_quoted = json.encoder.encode_basestring_ascii
+
+
+def _render(obj, pad: str) -> str:
+    """``obj`` as ``json.dumps(_plain(obj), sort_keys=True, indent=2)`` writes it at indent ``pad``.
+
+    Containers are laid out here; strings and finite floats use the encoder's own functions.
+    """
+    if isinstance(obj, float) and math.isfinite(obj):
+        return float.__repr__(obj)
+    if isinstance(obj, str):
+        return _quoted(obj)
+    if isinstance(obj, np.ndarray) and obj.ndim:
+        obj = obj.tolist()
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items = ",\n".join(f"{inner}{_quoted(k)}: {_render(obj[k], inner)}" for k in sorted(obj))
+        return f"{{\n{items}\n{pad}}}" if obj else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = ",\n".join(inner + _render(v, inner) for v in obj)
+        return f"[\n{items}\n{pad}]" if obj else "[]"
+    return json.dumps(_plain(obj))
+
+
+def _dumps(d: dict) -> str:
+    """``json.dumps(_plain(d), sort_keys=True, indent=2) + "\\n"``, byte for byte."""
+    try:
+        return _render(d, "") + "\n"
+    except TypeError:
+        # a key that is not a string, or a value json cannot encode
+        return json.dumps(_plain(d), sort_keys=True, indent=2) + "\n"
+
+
 def render_json(report: ResidualReport) -> str:
-    return json.dumps(_plain(report.as_dict()), sort_keys=True, indent=2) + "\n"
+    return _dumps(report.as_dict())
 
 
 def _render_csv(report: ResidualReport) -> str:
@@ -105,23 +139,7 @@ def emit(report: ResidualReport, fmt: str, path) -> list[Path]:
         if fmt == "csv":
             path.write_text(_render_csv(report))
             sidecar = path.with_name(path.name + ".summary.json")
-            sidecar.write_text(
-                json.dumps(
-                    _plain(
-                        {
-                            "suite": report.suite,
-                            "config": report.config,
-                            "summary": report.summary,
-                            "provenance": report.provenance,
-                            "errors": report.errors,
-                            "passed": report.passed,
-                        }
-                    ),
-                    sort_keys=True,
-                    indent=2,
-                )
-                + "\n"
-            )
+            sidecar.write_text(_dumps({k: v for k, v in report.as_dict().items() if k != "records"}))
             return [path, sidecar]
     except OSError as exc:
         raise EmitError(f"cannot write report to {path}: {exc}") from exc

@@ -6,6 +6,8 @@ the bare (d,) point, which the catalog callbacks accept; only analytic
 derivative callbacks are supported.
 """
 
+from itertools import combinations_with_replacement, permutations
+
 import numpy as np
 
 
@@ -72,3 +74,29 @@ def soliton_defect(cm, p, t):
     ric = ricci(cm.field, z)
     E = ric + hessian(cm.field, cm.potential, z) + cm.soliton_constant * cm.field.components(z)
     return 0.5 * (E + E.T), ric
+
+
+def polynomial_partials(dim, rng, degree=3):
+    """``partials(p, order)`` of the random polynomial that ``random_polynomial_field`` draws.
+
+    The term-by-term loop the index-table evaluation replaced: each ordered
+    choice of ``order`` factors of a term is differentiated away, the rest
+    multiplied left to right onto the coefficient.
+    """
+    terms = [((), float(rng.uniform(-1, 1)))]
+    for deg in range(1, degree + 1):
+        for combo in combinations_with_replacement(range(dim), deg):
+            terms.append((combo, float(rng.uniform(-1, 1))))
+
+    def partials(p, order):
+        out = np.zeros(p.shape[:-1] + (dim,) * order)
+        for combo, c in terms:
+            for drop in permutations(range(len(combo)), order):
+                prod = np.full(p.shape[:-1], c)
+                for j, i in enumerate(combo):
+                    if j not in drop:
+                        prod = prod * p[..., i]
+                out[(..., *(combo[j] for j in drop))] += prod
+        return out
+
+    return partials

@@ -14,6 +14,8 @@ from cansol.canonical import (
     VARIANTS,
     CanonicalConfigError,
     build_canonical_metric,
+    canonical_ricci_quadratic,
+    canonical_ricci_quadratics,
     ricci_soliton_residual,
     ricci_soliton_residuals,
 )
@@ -404,3 +406,61 @@ class TestTrackStacks:
         grid = xs[:6].reshape(2, 3, -1)
         for a, b in zip(mcf.jet(grid, ts[:2, None]), mcf.jet(xs[:6], np.repeat(ts[:2], 3))):
             assert np.array_equal(a.reshape(b.shape), b)
+
+
+class TestRicciQuadraticStacks:
+    def test_stack_matches_pointwise_loop(self):
+        cm = degenerate_at(canonical("expanding", 3, 2e3), t_singular=0.071, t_ill=0.072)
+        rng = np.random.default_rng(4)
+        pts = list(sphere_stack(3, 12, rng))
+        ts = list(rng.uniform(0.06, 1.0, 12))
+        Xs = list(rng.uniform(-1.0, 1.0, (12, 3)))
+        good = np.array([1.1, 0.7, 2.0])
+        for p, t in [(np.array([0.005, 1.0, 1.0]), 0.3),    # polar band
+                     (good, 2.0),                           # past the time domain
+                     (good, 0.071),                         # singular metric
+                     (good, 0.072),                         # ill-conditioned metric
+                     (np.array([np.nan, 1.0, 1.0]), 0.3)]:  # non-finite
+            pts.insert(5, p)
+            ts.insert(5, t)
+            Xs.insert(5, rng.uniform(-1.0, 1.0, 3))
+        batch = canonical_ricci_quadratics(cm, Xs, pts, ts)
+        loop, formula = [], []
+        for X, p, t in zip(Xs, pts, ts):
+            try:
+                loop.append(canonical_ricci_quadratic(cm, X, p, t))
+                # the pointwise form the stack replaced
+                Xbar = np.concatenate(([1.0], X))
+                ric = ricci(cm.field, cm.field.check_point(cm.spacetime_point(p, t))).entries
+                formula.append(float(Xbar @ ric @ Xbar))
+            except GeometryError as exc:
+                loop.append(exc)
+                formula.append(exc)
+        assert [type(q) for q in batch] == [type(q) for q in loop]
+        assert [type(q).__name__ for q in batch[5:10]] == [
+            "ChartDomainError", "DegenerateMetricError", "DegenerateMetricError",
+            "ChartDomainError", "ChartDomainError"]
+        for a, b, c in zip(batch, loop, formula):
+            if isinstance(a, Exception):
+                assert str(a) == str(b) == str(c)
+            else:
+                assert type(a) is float and a == b == c
+        # an entry does not depend on its neighbours
+        reversed_ = canonical_ricci_quadratics(cm, Xs[::-1], pts[::-1], ts[::-1])[::-1]
+        assert [q for q in reversed_ if isinstance(q, float)] == [
+            q for q in batch if isinstance(q, float)]
+
+
+class TestPolynomialPartials:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_index_table_matches_the_term_loop(self, dim, degree):
+        f = random_polynomial_field(dim, np.random.default_rng(dim + 10 * degree), degree)
+        oracle = ref.polynomial_partials(dim, np.random.default_rng(dim + 10 * degree), degree)
+        rng = np.random.default_rng(degree)
+        stack = rng.uniform(-2.0, 2.0, (7, dim))
+        for order, fn in enumerate((f.value, f.d1, f.d2)):
+            for p in (stack[0], stack, stack.reshape(7, 1, dim)):
+                got, want = fn(p), oracle(p, order)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want), (order, p.shape)

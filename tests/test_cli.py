@@ -5,12 +5,13 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cansol import cli
 from cansol import track as track_module
 from cansol.cli import ConfigError, RunConfig, _sweep_summary, main, run
-from cansol.reports import EmitError, ResidualReport, emit, render_json
+from cansol.reports import EmitError, ResidualReport, _plain, emit, render_json
 
 
 def cfg_ricci(**over):
@@ -96,6 +97,12 @@ class TestConfigValidation:
         report = run(cfg_ricci(samples={"seed": 1, "times": [0.1, 0.2, 0.3]}))
         assert len(report.records) == 3 * 3
         assert [r["t"] for r in report.records[:3]] == [0.1, 0.2, 0.3]
+
+    @pytest.mark.parametrize("count", [True, False, 0, 2.0])
+    def test_count_must_be_an_integer(self, count):
+        # a bool is an int to isinstance, but not a sample count
+        with pytest.raises(ConfigError, match=r"samples\.count must be an integer"):
+            cfg_ricci(samples={"count": count, "seed": 1})
 
     @pytest.mark.parametrize("times", [[], [0.05, 0.1], 0.1])
     def test_lott_match_needs_exactly_one_time(self, times):
@@ -299,6 +306,8 @@ class TestEmission:
         assert len(lines) == 2  # header + one record
         sidecar = json.loads(paths[1].read_text())
         assert "summary" in sidecar and "provenance" in sidecar
+        doc = {k: v for k, v in report.as_dict().items() if k != "records"}
+        assert paths[1].read_text() == json.dumps(_plain(doc), sort_keys=True, indent=2) + "\n"
 
     def test_empty_records_json(self):
         report = ResidualReport(suite="functionals", config={})
@@ -306,6 +315,15 @@ class TestEmission:
         doc = json.loads(render_json(report))
         assert doc["records"] == []
         assert doc["summary"]["status"] == "no data"
+
+    def test_every_nan_renders_as_a_string(self):
+        report = ResidualReport(suite="functionals", config={})
+        report.records = [{"a": float("nan"), "b": np.float64("nan"), "c": np.array([np.nan, 1.0]),
+                           "d": np.float32("nan")}]
+        text = render_json(report)
+        assert "NaN" not in text
+        doc = json.loads(text, parse_constant=lambda name: pytest.fail(f"bare {name} in report"))
+        assert doc["records"] == [{"a": "nan", "b": "nan", "c": ["nan", 1.0], "d": "nan"}]
 
     def test_unknown_format(self, tmp_path):
         report = ResidualReport(suite="functionals", config={})
@@ -450,6 +468,15 @@ class TestMainEntry:
     def test_config_error_exit_two(self, tmp_path):
         cfg = {"suite": "bogus"}
         assert main(["run", "--config", str(self.write_cfg(tmp_path, cfg))]) == 2
+        lott = {
+            "suite": "lott_match",
+            "background": {"name": "euclidean_static", "params": {"dim": 3, "direction": "forward"}},
+            "mcf": {"name": "shrinking_sphere_flat", "params": {"r0": 1.0}},
+            "samples": {"count": True, "seed": 1},
+            "output": {"path": str(tmp_path / "lott.json")},
+        }
+        assert main(["run", "--config", str(self.write_cfg(tmp_path, lott))]) == 2
+        assert not (tmp_path / "lott.json").exists()
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
 
     def test_byte_identical_outputs(self, tmp_path):

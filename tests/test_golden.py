@@ -11,11 +11,13 @@ differently.
 """
 
 import hashlib
+import json
 
+import numpy as np
 import pytest
 
 from cansol.cli import RunConfig, run
-from cansol.reports import render_json
+from cansol.reports import ResidualReport, _plain, render_json
 
 FLAT3 = {"name": "euclidean_static", "params": {"dim": 3, "direction": "forward"}}
 SHRINKING_SPHERE = {"name": "shrinking_sphere_flat", "params": {"r0": 1.0}}
@@ -139,6 +141,18 @@ GOLDEN["mcf_soliton_residual/steady-equator"] = (
      "mcf": {"name": "equator_in_sphere", "params": {}}},
     "bb5b1199ed56eda469053604c84cb7f14bdc40944d51690ec6de43324ee88f0b",
 )
+# given times, one per point: the middle time lies outside the background's
+# domain, so the report holds two Ricci records, the stripped-track record
+# and one error
+GOLDEN["harnack_limits/times"] = (
+    {**GOLDEN["harnack_limits"][0], "samples": {"seed": 11, "times": [0.5, 2.0, 0.7]}},
+    "af01c7351fa2609413e8d692131aad72289d9c6a4bdad66df01f1b3d3d735c9f",
+)
+# sixteen potentials reach every monomial of the dim-3 cubic
+GOLDEN["lott_match/count16"] = (
+    {**GOLDEN["lott_match"][0], "samples": {"count": 16, "seed": 5}},
+    "7813a0b84927a56456b6b1e9806349a3dc80870321adff3c8eda9af17bf9cca6",
+)
 
 
 @pytest.mark.parametrize("suite", sorted(GOLDEN))
@@ -161,3 +175,38 @@ def test_every_variant_of_the_variant_suites_is_pinned():
     for suite in ("ricci_soliton_residual", "mcf_soliton_residual", "christoffel_crosscheck"):
         pinned = {raw["variant"] for raw, _ in GOLDEN.values() if raw["suite"] == suite}
         assert pinned == set(VARIANTS), suite
+
+
+def _encoder_bytes(report):
+    """The report as the standard library's JSON encoder writes it."""
+    return json.dumps(_plain(report.as_dict()), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("suite", sorted(GOLDEN))
+def test_renderer_writes_the_encoder_bytes(suite):
+    report = run(RunConfig.from_dict(GOLDEN[suite][0]))
+    assert render_json(report) == _encoder_bytes(report)
+
+
+def test_renderer_writes_the_encoder_bytes_for_every_kind_of_value():
+    report = ResidualReport(suite="functionals", config={"name": "r\u00e9sum\u00e9 \u2207f \"q\"\n"})
+    report.records = [
+        {"nan": float("nan"), "inf": float("inf"), "-inf": -np.inf, "np-inf": np.float64(-np.inf)},
+        {"empty list": [], "empty dict": {}, "tuple": (1, 2.5), "none": None},
+        {"nested": np.arange(6.0).reshape(2, 3), "empty array": np.empty((0, 2)),
+         "mixed": [np.bool_(True), np.int64(-7), np.float32(0.1), {"deep": [[], {}]}]},
+        {"bools": [True, False, np.bool_(False)], "int": 10**20, "zero": -0.0, "tiny": 5e-324},
+    ]
+    report.summary = {"status": "\u00fc"}
+    assert render_json(report) == _encoder_bytes(report)
+
+
+def test_renderer_falls_back_to_the_encoder():
+    report = ResidualReport(suite="functionals", config={})
+    # keys the encoder converts to strings
+    report.summary = {"by_N": {100: 1.0, 2.5: 2.0}}
+    assert render_json(report) == _encoder_bytes(report)
+    # a value the encoder rejects raises its error
+    report.summary = {"bad": object()}
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        render_json(report)
