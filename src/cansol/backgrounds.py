@@ -4,11 +4,13 @@ The catalog holds metric families g(t) solving the forward flow
 dg/dt = -2 Ric or the backward flow dg/dtau = +2 Ric, together with
 hypersurface families F_t moving by dF/dt = -H nu inside them.  All
 catalog entries are exact solutions given in closed form, with analytic
-derivative callbacks, so they serve as fixtures whose residuals under the
-defining equations must vanish to machine precision.  A flow's analytic
-data is its 2-jet, one callback ``MCFSolution.jet(x, t)`` that takes a
-point or a stack of points; ``slice_stack`` reads it once per stack and
-carries it to the space-time track.  The single-point slice,
+derivatives, so they serve as fixtures whose residuals under the
+defining equations must vanish to machine precision.  A metric gives
+its components and a conformal family its phi(t), written with the
+operations of ``cansol.jets``, and their partials come from the jet type.
+A flow's analytic data is its 2-jet, one callback ``MCFSolution.jet(x, t)``
+that takes a point or a stack of points; ``slice_stack`` reads it once per
+stack and carries it to the space-time track.  The single-point slice,
 ``hypersurface_point_data``, is the P = 1 case of ``slice_stack``.
 
 Orientation convention: the unit normal nu is chosen so that a round
@@ -26,6 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import jets
 from .geometry import (
     FD_H1,
     ChartDomainError,
@@ -78,7 +81,7 @@ class BackgroundError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# round-sphere chart: metric and embedding with analytic derivatives
+# round-sphere chart: metric and embedding
 # ---------------------------------------------------------------------------
 
 
@@ -86,57 +89,33 @@ def unit_sphere_metric(d: int) -> MetricField:
     """Round unit d-sphere in polar angles (theta_1 .. theta_d).
 
     g_ii = prod_{k<i} sin^2(theta_k), diagonal; the chart excludes a band
-    of width POLE_BAND around theta_k in {0, pi} for k < d.  First and
-    second partials are supplied analytically.  The callbacks take points
-    of any leading shape: (d,) or a (P, d) stack.
+    of width POLE_BAND around theta_k in {0, pi} for k < d.  The partials
+    come from the jet of the components.  The callbacks take points of any
+    leading shape: (d,) or a (P, d) stack.
     """
     if d < 1:
         raise BackgroundError(f"sphere dimension must be >= 1, got {d}")
     eye = np.eye(d)
-    # (a, i) with a < i: d_a g_ii = 2 cot(theta_a) g_ii
-    pa, pi_ = np.triu_indices(d, 1)
-    # (a, b, i) with a != b both below i: d_a d_b g_ii = 4 cot_a cot_b g_ii
-    triples = [(a, b, i) for i in range(d) for a in range(i) for b in range(i) if a != b]
-    ta, tb, ti = np.array(triples, dtype=int).reshape(-1, 3).T
-
-    def diag(p):
-        s2 = np.sin(p[..., : d - 1]) ** 2
-        return np.concatenate((np.ones(p.shape[:-1] + (1,)), np.cumprod(s2, axis=-1)), axis=-1)
 
     def comps(p):
-        return diag(p)[..., :, None] * eye
-
-    def d1(p):
-        g = diag(p)
-        cot = 1.0 / np.tan(p[..., : d - 1])
-        out = np.zeros(p.shape[:-1] + (d, d, d))
-        out[..., pa, pi_, pi_] = 2.0 * cot[..., pa] * g[..., pi_]
-        return out
-
-    def d2(p):
-        g = diag(p)
-        cot = 1.0 / np.tan(p[..., : d - 1])
-        csc2 = 1.0 / np.sin(p[..., : d - 1]) ** 2
-        out = np.zeros(p.shape[:-1] + (d, d, d, d))
-        out[..., pa, pa, pi_, pi_] = (4.0 * cot[..., pa] ** 2 - 2.0 * csc2[..., pa]) * g[..., pi_]
-        out[..., ta, tb, ti, ti] = 4.0 * cot[..., ta] * cot[..., tb] * g[..., ti]
-        return out
+        s2 = jets.sin(p[..., : d - 1]) ** 2
+        one = np.ones(p.shape[:-1] + (1,))
+        return jets.concatenate((one, jets.cumprod(s2)))[..., :, None] * eye
 
     def in_domain(p):
         q = p[..., : d - 1]
         return np.all((q > POLE_BAND) & (q < math.pi - POLE_BAND), axis=-1)
 
-    return MetricField(dim=d, components=comps, d1=d1, d2=d2, in_domain=in_domain)
+    return MetricField(dim=d, components=comps, jet=jets.metric_jet(comps), in_domain=in_domain)
 
 
 def _euclidean_metric(d: int) -> MetricField:
     eye = np.eye(d)
-    return MetricField(
-        dim=d,
-        components=lambda p: np.zeros(p.shape[:-1] + (d, d)) + eye,
-        d1=lambda p: np.zeros(p.shape[:-1] + (d, d, d)),
-        d2=lambda p: np.zeros(p.shape[:-1] + (d, d, d, d)),
-    )
+
+    def comps(p):
+        return np.zeros(p.shape[:-1] + (d, d)) + eye
+
+    return MetricField(dim=d, components=comps, jet=jets.metric_jet(comps))
 
 
 def _sphere_partials(n: int, orders: np.ndarray):
@@ -231,26 +210,19 @@ class ConformalFamily:
 
     sigma_scalar is the (spatially constant) scalar curvature of sigma and
     ric_sigma its Ricci tensor; both are scale-invariant, which is what
-    makes the curvature of the whole family closed-form.
+    makes the curvature of the whole family closed-form.  phi takes a
+    float, an array or a jet of t; ``jets.derivatives`` gives its
+    t-derivatives and those of R.
     """
 
     sigma: MetricField
     phi: Callable[[float], float]
-    dphi: Callable[[float], float]
-    d2phi: Callable[[float], float]
     sigma_scalar: float
     ric_sigma: Callable[[np.ndarray], np.ndarray]
 
     def R(self, t):
         """Scalar curvature of g(t), sigma_scalar / phi(t)."""
         return self.sigma_scalar / self.phi(t)
-
-    def dR(self, t):
-        return -self.sigma_scalar * self.dphi(t) / self.phi(t) ** 2
-
-    def d2R(self, t):
-        phi, dphi = self.phi(t), self.dphi(t)
-        return self.sigma_scalar * (2.0 * dphi**2 / phi**3 - self.d2phi(t) / phi**2)
 
 
 @dataclass(frozen=True)
@@ -281,21 +253,20 @@ class RicciFlowBackground:
         return _check_time(self.time_domain, t)
 
     def metric_at(self, t: float) -> MetricField:
-        """Spatial metric snapshot at time t, with analytic derivatives."""
+        """Spatial metric snapshot at time t, phi(t) sigma, with the jet of sigma scaled."""
         t = self.check_time(t)
-        c = self.conformal
-        phi = c.phi(t)
+        sigma = self.conformal.sigma
+        phi = self.conformal.phi(t)
         return MetricField(
             dim=self.dim,
-            components=lambda p: phi * c.sigma.components(p),
-            d1=lambda p: phi * c.sigma.d1(p),
-            d2=lambda p: phi * c.sigma.d2(p),
-            in_domain=c.sigma.in_domain,
+            components=lambda p: phi * sigma.components(p),
+            jet=None if sigma.jet is None else (lambda p, order: tuple(phi * a for a in sigma.jet(p, order))),
+            in_domain=sigma.in_domain,
         )
 
     def dt_metric_at(self, p: np.ndarray, t: float) -> np.ndarray:
-        t = self.check_time(t)
-        return self.conformal.dphi(t) * np.asarray(self.conformal.sigma.components(p))
+        dphi = jets.derivatives(self.conformal.phi, self.check_time(t), order=1)[1]
+        return dphi * np.asarray(self.conformal.sigma.components(p))
 
     def ricci_at(self, p: np.ndarray, t: float) -> np.ndarray:
         self.check_time(t)
@@ -305,7 +276,7 @@ class RicciFlowBackground:
         return self.conformal.R(self.check_time(t))
 
     def dt_scalar_at(self, p: np.ndarray, t: float) -> float:
-        return self.conformal.dR(self.check_time(t))
+        return float(jets.derivatives(self.conformal.R, self.check_time(t), order=1)[1])
 
     def dy_scalar_at(self, p: np.ndarray, t: float) -> np.ndarray:
         self.check_time(t)
@@ -381,8 +352,6 @@ def model_background(name: str, **params) -> RicciFlowBackground:
         conf = ConformalFamily(
             sigma=_euclidean_metric(dim),
             phi=lambda t: 1.0,
-            dphi=lambda t: 0.0,
-            d2phi=lambda t: 0.0,
             sigma_scalar=0.0,
             ric_sigma=lambda p: np.zeros((dim, dim)),
         )
@@ -407,17 +376,13 @@ def model_background(name: str, **params) -> RicciFlowBackground:
                     f"round_sphere forward needs 0 < T < {t_sing}, got T={T}"
                 )
             phi = lambda t: r0**2 - rate * t
-            dphi = lambda t: -rate
         else:
             T = 1.0 if T is None else float(T)
             phi = lambda t: r0**2 + rate * t
-            dphi = lambda t: rate
         sigma = unit_sphere_metric(dim)
         conf = ConformalFamily(
             sigma=sigma,
             phi=phi,
-            dphi=dphi,
-            d2phi=lambda t: 0.0,
             sigma_scalar=float(dim * (dim - 1)),
             ric_sigma=lambda p: (dim - 1) * np.asarray(sigma.components(p)),
         )

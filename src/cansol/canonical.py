@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jets
 from .backgrounds import VARIANT_SIGNS, RicciFlowBackground
 from .geometry import (
     ChartDomainError,
@@ -81,8 +82,9 @@ def _sign(variant: str) -> int:
 class CanonicalMetric:
     """Space-time metric of one canonical variant, ready for the kernel.
 
-    ``field`` is an (m + 1)-dimensional MetricField on z = (t, y) with
-    analytic first and second partials; ``potential`` is the matching
+    ``field`` is an (m + 1)-dimensional MetricField on z = (t, y) whose
+    jet is the separable product of the time profiles' jets in t and the
+    jet of sigma in y; ``potential`` is the matching
     soliton potential as a scalar field on the same chart.
     """
 
@@ -130,21 +132,14 @@ class ResidualSample:
     scaled_norm: float
 
 
-def _time_profiles(bg: RicciFlowBackground, s: int, N: float):
-    """Closed-form w, w', w'' of the time-time component and psi, psi', psi''
-    of the spatial block psi(t) * sigma(y)."""
+def _profiles(bg: RicciFlowBackground, s: int, N: float):
+    """t -> (w, psi): the time-time component w(t) and the factor psi(t) of
+    the spatial block psi(t) * sigma(y), for t an array or a jet."""
     m = bg.dim
     conf = bg.conformal
-    R, dR, d2R = conf.R, conf.dR, conf.d2R
     if s == 0:
-        return (lambda t: N + R(t)), dR, d2R, conf.phi, conf.dphi, conf.d2phi
-    w = lambda t: N / (2 * t**3) + R(t) / t + s * m / (2 * t**2)
-    dw = lambda t: -3 * N / (2 * t**4) + dR(t) / t - R(t) / t**2 - s * m / t**3
-    d2w = lambda t: 6 * N / t**5 + d2R(t) / t - 2 * dR(t) / t**2 + 2 * R(t) / t**3 + 3 * s * m / t**4
-    psi = lambda t: conf.phi(t) / t
-    dpsi = lambda t: conf.dphi(t) / t - conf.phi(t) / t**2
-    d2psi = lambda t: conf.d2phi(t) / t - 2 * conf.dphi(t) / t**2 + 2 * conf.phi(t) / t**3
-    return w, dw, d2w, psi, dpsi, d2psi
+        return lambda t: (N + conf.R(t), conf.phi(t))
+    return lambda t: (N / (2 * t**3) + conf.R(t) / t + s * m / (2 * t**2), conf.phi(t) / t)
 
 
 def minimal_admissible_N(bg: RicciFlowBackground, variant: str, samples) -> float:
@@ -199,39 +194,39 @@ def build_canonical_metric(
     m = bg.dim
     dim = m + 1
     sigma = bg.conformal.sigma
-    w, dw, d2w, psi, dpsi, d2psi = _time_profiles(bg, s, N)
+    profiles = _profiles(bg, s, N)
     lo, hi = bg.time_domain
     # small overhang so FD stencils near the endpoint stay evaluable
     t_max = hi * (1.0 + 1e-3)
 
-    # t indexes the time-time entries; tb scales the per-point spatial blocks
     def comps(z):
         t, y = z[..., 0], z[..., 1:]
+        w, psi = profiles(t)
         g = np.zeros(z.shape[:-1] + (dim, dim))
-        g[..., 0, 0] = w(t)
-        g[..., 1:, 1:] = psi(t[..., None, None]) * sigma.components(y)
+        g[..., 0, 0] = w
+        g[..., 1:, 1:] = np.asarray(psi)[..., None, None] * sigma.components(y)
         return g
 
-    def d1(z):
-        t, y = z[..., 0], z[..., 1:]
-        tb = t[..., None, None]
-        out = np.zeros(z.shape[:-1] + (dim, dim, dim))
-        out[..., 0, 0, 0] = dw(t)
-        out[..., 0, 1:, 1:] = dpsi(tb) * sigma.components(y)
-        out[..., 1:, 1:, 1:] = psi(tb[..., None]) * sigma.d1(y)
-        return out
-
-    def d2(z):
-        t, y = z[..., 0], z[..., 1:]
-        tb = t[..., None, None]
-        out = np.zeros(z.shape[:-1] + (dim, dim, dim, dim))
-        out[..., 0, 0, 0, 0] = d2w(t)
-        out[..., 0, 0, 1:, 1:] = d2psi(tb) * sigma.components(y)
-        dsig = dpsi(tb[..., None]) * sigma.d1(y)
-        out[..., 0, 1:, 1:, 1:] = dsig
-        out[..., 1:, 0, 1:, 1:] = dsig
-        out[..., 1:, 1:, 1:, 1:] = psi(tb[..., None, None]) * sigma.d2(y)
-        return out
+    def jet(z, order):
+        # d/dt acts on w and psi only, d/dy on sigma only
+        t = jets.Jet.variable(z[:, 0], order)
+        w, psi = (jets.lift(a, t) for a in profiles(t))
+        sig = sigma.jet(z[:, 1:], order)
+        out = [np.zeros((len(z),) + (dim,) * (2 + o)) for o in range(order + 1)]
+        # psi and its t-derivatives, broadcast against sigma's blocks
+        p0, p1 = psi.v[:, None, None], psi.g[0, :, None, None]
+        out[0][:, 0, 0] = w.v
+        out[0][:, 1:, 1:] = p0 * sig[0]
+        out[1][:, 0, 0, 0] = w.g[0]
+        out[1][:, 0, 1:, 1:] = p1 * sig[0]
+        out[1][:, 1:, 1:, 1:] = p0[:, None] * sig[1]
+        if order > 1:
+            ddg = out[2]
+            ddg[:, 0, 0, 0, 0] = w.h[0, 0]
+            ddg[:, 0, 0, 1:, 1:] = psi.h[0, 0, :, None, None] * sig[0]
+            ddg[:, 0, 1:, 1:, 1:] = ddg[:, 1:, 0, 1:, 1:] = p1[:, None] * sig[1]
+            ddg[:, 1:, 1:, 1:, 1:] = p0[:, None, None] * sig[2]
+        return tuple(out)
 
     def in_domain(z):
         inside = (0.0 < z[..., 0]) & (z[..., 0] <= t_max)
@@ -239,7 +234,8 @@ def build_canonical_metric(
             inside &= sigma.in_domain(z[..., 1:])
         return inside
 
-    field = MetricField(dim=dim, components=comps, d1=d1, d2=d2, in_domain=in_domain)
+    field = MetricField(dim=dim, components=comps, jet=None if sigma.jet is None else jet,
+                        in_domain=in_domain)
 
     if s == 0:
         potential = ScalarField(
@@ -289,7 +285,7 @@ def ricci_soliton_residuals(cm: CanonicalMetric, points, ts) -> list:
     point outside the chart, a degenerate metric).
     """
     ts = np.asarray(ts, dtype=float)
-    pts = np.asarray(points, dtype=float).reshape(len(ts), -1)
+    pts = np.asarray(points, dtype=float).reshape(len(ts), cm.base.dim)
     out = [
         ChartDomainError(f"t={t} below sampling floor t_min={cm.t_min}") if t < cm.t_min else None
         for t in ts.tolist()

@@ -1,12 +1,12 @@
 """Chart-based numerical Riemannian geometry.
 
 A metric is a callable producing the component matrix g_ij at chart
-points, optionally accompanied by analytic first/second partial
-derivatives.  When the analytic callbacks are absent, central finite
-differences with the fixed steps FD_H1 and FD_H2 stand in, so the same
-curvature code doubles as an independent check of any closed-form input.
-``check_metric_derivatives`` adds one level of Richardson extrapolation
-to its comparison stencil.
+points, optionally accompanied by its 2-jet, one callback giving the
+first and second partials (the catalog builds it with ``cansol.jets``).
+When the jet is absent, central finite differences with the fixed steps
+FD_H1 and FD_H2 stand in, so the same curvature code doubles as an
+independent check of any closed-form input.  ``check_metric_derivatives``
+adds one level of Richardson extrapolation to its comparison stencil.
 
 The kernel is batched over a leading sample axis.  ``metric_bundle``
 evaluates g, g^-1, dg and (when asked) ddg once for a stack of P points,
@@ -52,8 +52,6 @@ __all__ = [
     "MetricBundle",
     "chart_point",
     "metric_bundle",
-    "metric_d1",
-    "metric_d2",
     "scalar_d1",
     "scalar_d2",
     "inverse_metric",
@@ -182,15 +180,20 @@ def chart_point(coords) -> np.ndarray:
 
 
 def _evaluate(fn, pts: np.ndarray, shape: tuple, what: str, dtype=float) -> np.ndarray:
-    """Call a callback on a (P, d) stack and check that it returned (P, *shape).
+    """Call a callback on a (P, d) stack and check that it returned (P, *shape)."""
+    if not len(pts):
+        return np.empty((0,) + shape, dtype=dtype)
+    return _shaped(fn(pts), pts, shape, what, dtype)
+
+
+def _shaped(out, pts: np.ndarray, shape: tuple, what: str, dtype=float) -> np.ndarray:
+    """A callback's result on a (P, d) stack, checked to have shape (P, *shape).
 
     At a single point the per-point ``shape`` is accepted too, so callbacks
     written for one point keep working in the single-point functions.
     """
     full = (pts.shape[0],) + shape
-    if not len(pts):
-        return np.empty(full, dtype=dtype)
-    out = np.asarray(fn(pts), dtype=dtype)
+    out = np.asarray(out, dtype=dtype)
     if out.shape == full:
         return out
     if out.shape == shape and len(pts) == 1:
@@ -210,16 +213,18 @@ class MetricField:
     ----------
     dim : chart dimension d.
     components : points -> (P, d, d) symmetric matrices g_ij.
-    d1 : optional, points -> (P, d, d, d) with [p, a, b, c] = d_a g_bc.
-    d2 : optional, points -> (P, d, d, d, d) with [p, a, b, c, d] = d_a d_b g_cd.
+    jet : optional, (points, order) -> the 2-jet of ``components``: the
+        tuple (g, dg) at order 1 and (g, dg, ddg) at order 2, of shapes
+        (P, d, d), (P, d, d, d) with [p, a, b, c] = d_a g_bc and
+        (P, d, d, d, d) with [p, a, b, c, d] = d_a d_b g_cd.  The kernel
+        reads g from ``components`` and the partials from here.
     in_domain : optional chart-domain predicate, points -> (P,) bool;
         violations raise ``ChartDomainError`` from every kernel operation.
     """
 
     dim: int
     components: Callable[[np.ndarray], np.ndarray]
-    d1: Callable[[np.ndarray], np.ndarray] | None = None
-    d2: Callable[[np.ndarray], np.ndarray] | None = None
+    jet: Callable[[np.ndarray, int], tuple] | None = None
     in_domain: Callable[[np.ndarray], np.ndarray] | None = None
 
     def at(self, p: np.ndarray) -> np.ndarray:
@@ -235,7 +240,7 @@ class MetricField:
 
     def without_analytic_derivatives(self) -> "MetricField":
         """Copy of this field using only finite differences (FD backend)."""
-        return replace(self, d1=None, d2=None)
+        return replace(self, jet=None)
 
 
 @dataclass(frozen=True)
@@ -357,18 +362,16 @@ def _partials(analytic, values, pts: np.ndarray, order: int, shape: tuple, what:
     return (4.0 * fine - coarse) / 3.0
 
 
-def metric_d1(metric: MetricField, p: np.ndarray) -> np.ndarray:
-    """First partials d_a g_bc at a point or a (P, d) stack; analytic if given, else FD."""
-    pts, single = _checked(p, metric.dim, metric.in_domain)
-    out = _partials(metric.d1, metric.components, pts, 1, (metric.dim,) * 2, "metric")
-    return out[0] if single else out
-
-
-def metric_d2(metric: MetricField, p: np.ndarray) -> np.ndarray:
-    """Second partials d_a d_b g_cd at a point or a (P, d) stack; analytic if given, else FD."""
-    pts, single = _checked(p, metric.dim, metric.in_domain)
-    out = _partials(metric.d2, metric.components, pts, 2, (metric.dim,) * 2, "metric")
-    return out[0] if single else out
+def _metric_partials(metric: MetricField, pts: np.ndarray, order: int) -> list:
+    """[dg] or [dg, ddg] at a (P, d) stack: one call of the field's jet, else central differences."""
+    shape = (metric.dim,) * 2
+    if not len(pts):
+        return [np.empty((0,) + (metric.dim,) * o + shape) for o in range(1, order + 1)]
+    if metric.jet is None or not order:
+        return [_partials(None, metric.components, pts, o, shape, "metric") for o in range(1, order + 1)]
+    out = metric.jet(pts, order)
+    return [_shaped(out[o], pts, (metric.dim,) * o + shape, f"metric jet d{o}")
+            for o in range(1, order + 1)]
 
 
 def scalar_d1(f: ScalarField, p: np.ndarray) -> np.ndarray:
@@ -451,7 +454,8 @@ def metric_bundle(metric: MetricField, points, order: int = 1, scale=None) -> Me
     symbols, Hessians and norms), 2 adds ddg (curvature).  Points outside
     the chart domain or with an ill-conditioned metric are left out and
     recorded in ``errors``; callbacks never see them.  The points are
-    checked once, here; each callback is then called once on the valid ones.
+    checked once, here; ``components`` is then called once on the valid
+    ones, and the jet (or the FD stencils) once on the well-conditioned ones.
     ``scale``, one positive factor per point, gives the bundle of the metric
     scale_p * g at point p: a conformal family at per-point times.
     """
@@ -468,11 +472,7 @@ def metric_bundle(metric: MetricField, points, order: int = 1, scale=None) -> Me
         for i, exc in zip(index, bad):
             errors[i] = errors[i] or exc
         index, q, g, ginv, scale = _kept(bad, (index, q, g, ginv, scale))
-    dg = ddg = None
-    if order >= 1:
-        dg = _partials(metric.d1, metric.components, q, 1, shape, "metric")
-    if order >= 2:
-        ddg = _partials(metric.d2, metric.components, q, 2, shape, "metric")
+    dg, ddg = (*_metric_partials(metric, q, order), None, None)[:2]
     if scale is not None:
         dg, ddg = (None if a is None else scale.reshape((-1,) + (1,) * (a.ndim - 1)) * a
                    for a in (dg, ddg))
@@ -657,27 +657,31 @@ def directional_derivative(metric: MetricField, f: ScalarField, v: np.ndarray, p
 
 
 def check_metric_derivatives(metric: MetricField, points, rtol: float = 1e-6) -> float:
-    """Cross-check supplied d1/d2 callbacks against central differences.
+    """Cross-check a field's jet against its components and central differences.
 
-    Returns the worst relative deviation over the given points; raises
-    ``GeometryError`` if it exceeds ``rtol``.  Fields without analytic
-    callbacks pass trivially.  The comparison stencil always uses
-    Richardson extrapolation so that steep closed forms are checked at
-    the oracle's best accuracy.
+    The jet is called once on the whole stack of points, and each order is
+    compared with one Richardson-extrapolated stencil, so that steep closed
+    forms are checked at the oracle's best accuracy.  Each point's deviation
+    is scaled by max(1, its largest jet entry).  Returns the worst one;
+    raises ``GeometryError`` if it exceeds ``rtol``.  Fields without a jet
+    pass trivially.
     """
+    if metric.jet is None or not len(points):
+        return 0.0
+    pts, _ = _checked(points, metric.dim, metric.in_domain)
+    shape = (metric.dim,) * 2
+    jet = metric.jet(pts, 2)
     worst = 0.0
-    shape = (metric.dim, metric.dim)
-    for p in points:
-        pts, _ = _checked(p, metric.dim, metric.in_domain)
-        for order, analytic in ((1, metric.d1), (2, metric.d2)):
-            if analytic is None:
-                continue
-            ana = _partials(analytic, metric.components, pts, order, shape, "metric")
-            num = _partials(None, metric.components, pts, order, shape, "metric", True)
-            scale = max(1.0, float(np.max(np.abs(ana))))
-            worst = max(worst, float(np.max(np.abs(ana - num))) / scale)
+    for order in range(3):
+        ana = _shaped(jet[order], pts, (metric.dim,) * order + shape, f"metric jet d{order}")
+        num = (_evaluate(metric.components, pts, shape, "metric") if order == 0
+               else _partials(None, metric.components, pts, order, shape, "metric", True))
+        axes = tuple(range(1, ana.ndim))
+        dev = np.max(np.abs(ana - num), axis=axes) / np.maximum(1.0, np.max(np.abs(ana), axis=axes))
+        worst = max(worst, float(np.max(dev)))
     if worst > rtol:
         raise GeometryError(
-            f"analytic metric derivatives deviate from finite differences by {worst:.3e} (tol {rtol:.1e})"
+            f"metric jet deviates from the components and their finite differences by {worst:.3e} "
+            f"(tol {rtol:.1e})"
         )
     return worst

@@ -1,9 +1,10 @@
 """The pointwise einsum kernel that the batched kernel replaced, kept as a test oracle.
 
 Each function evaluates a single point with the contractions of the
-original single-point code.  Metric and potential callbacks are called on
-the bare (d,) point, which the catalog callbacks accept; only analytic
-derivative callbacks are supported.
+original single-point code.  Metric components and potential callbacks
+are called on the bare (d,) point, which the catalog callbacks accept, the
+metric's jet on the one-point stack; only analytic derivatives are
+supported.
 """
 
 from itertools import combinations_with_replacement, permutations
@@ -15,9 +16,15 @@ def inverse_metric(metric, p):
     return np.linalg.inv(np.asarray(metric.components(p), dtype=float))
 
 
+def metric_partials(metric, p, order):
+    """dg, or (dg, ddg), at one point from the metric's jet."""
+    out = [np.asarray(a, dtype=float)[0] for a in metric.jet(np.asarray(p, dtype=float)[None], order)]
+    return out[1] if order == 1 else out[1:]
+
+
 def christoffel(metric, p):
     ginv = inverse_metric(metric, p)
-    dg = np.asarray(metric.d1(p), dtype=float)
+    dg = metric_partials(metric, p, 1)
     bracket = np.einsum("bdc->dbc", dg) + np.einsum("cbd->dbc", dg) - dg
     gamma = 0.5 * np.einsum("ad,dbc->abc", ginv, bracket)
     return 0.5 * (gamma + np.swapaxes(gamma, 1, 2))
@@ -25,8 +32,7 @@ def christoffel(metric, p):
 
 def christoffel_d1(metric, p):
     ginv = inverse_metric(metric, p)
-    dg = np.asarray(metric.d1(p), dtype=float)
-    ddg = np.asarray(metric.d2(p), dtype=float)
+    dg, ddg = metric_partials(metric, p, 2)
     bracket = np.einsum("bdc->dbc", dg) + np.einsum("cbd->dbc", dg) - dg
     dbracket = (
         np.einsum("ebdc->edbc", ddg) + np.einsum("ecbd->edbc", ddg) - np.einsum("edbc->edbc", ddg)
@@ -100,3 +106,99 @@ def polynomial_partials(dim, rng, degree=3):
         return out
 
     return partials
+
+
+# ---------------------------------------------------------------------------
+# hand-derived partials that the jets replaced, kept as oracles
+# ---------------------------------------------------------------------------
+
+
+def sphere_metric_partials(d):
+    """(d1, d2) of the round unit d-sphere metric from the index tables of cot and csc^2."""
+    # (a, i) with a < i: d_a g_ii = 2 cot(theta_a) g_ii
+    pa, pi_ = np.triu_indices(d, 1)
+    # (a, b, i) with a != b both below i: d_a d_b g_ii = 4 cot_a cot_b g_ii
+    triples = [(a, b, i) for i in range(d) for a in range(i) for b in range(i) if a != b]
+    ta, tb, ti = np.array(triples, dtype=int).reshape(-1, 3).T
+
+    def diag(p):
+        s2 = np.sin(p[..., : d - 1]) ** 2
+        return np.concatenate((np.ones(p.shape[:-1] + (1,)), np.cumprod(s2, axis=-1)), axis=-1)
+
+    def d1(p):
+        g = diag(p)
+        cot = 1.0 / np.tan(p[..., : d - 1])
+        out = np.zeros(p.shape[:-1] + (d, d, d))
+        out[..., pa, pi_, pi_] = 2.0 * cot[..., pa] * g[..., pi_]
+        return out
+
+    def d2(p):
+        g = diag(p)
+        cot = 1.0 / np.tan(p[..., : d - 1])
+        csc2 = 1.0 / np.sin(p[..., : d - 1]) ** 2
+        out = np.zeros(p.shape[:-1] + (d, d, d, d))
+        out[..., pa, pa, pi_, pi_] = (4.0 * cot[..., pa] ** 2 - 2.0 * csc2[..., pa]) * g[..., pi_]
+        out[..., ta, tb, ti, ti] = 4.0 * cot[..., ta] * cot[..., tb] * g[..., ti]
+        return out
+
+    return d1, d2
+
+
+def conformal_scalars(bg):
+    """(phi, phi', phi'', R, R', R'') of a catalog background, as functions of t."""
+    conf = bg.conformal
+    rate = 0.0 if bg.name != "round_sphere" else 2.0 * (bg.dim - 1)
+    dphi = -rate if bg.direction == "forward" else rate
+    d2phi = 0.0             # phi is affine in t on the catalog
+    S = conf.sigma_scalar
+
+    def dR(t):
+        return -S * dphi / conf.phi(t) ** 2
+
+    def d2R(t):
+        phi = conf.phi(t)
+        return S * (2.0 * dphi**2 / phi**3 - d2phi / phi**2)
+
+    return conf.phi, (lambda t: dphi), (lambda t: d2phi), conf.R, dR, d2R
+
+
+def canonical_partials(cm):
+    """(d1, d2) of the canonical metric from the closed-form time profiles w, psi."""
+    bg, s, N = cm.base, cm.sign, cm.N
+    m = bg.dim
+    dim = m + 1
+    phi, dphi, d2phi, R, dR, d2R = conformal_scalars(bg)
+    sd1, sd2 = sphere_metric_partials(m) if bg.name == "round_sphere" else (
+        lambda y: np.zeros(y.shape[:-1] + (m,) * 3), lambda y: np.zeros(y.shape[:-1] + (m,) * 4))
+    sigma = bg.conformal.sigma.components
+    if s == 0:
+        dw, d2w, psi, dpsi, d2psi = dR, d2R, phi, dphi, d2phi
+    else:
+        dw = lambda t: -3 * N / (2 * t**4) + dR(t) / t - R(t) / t**2 - s * m / t**3
+        d2w = lambda t: 6 * N / t**5 + d2R(t) / t - 2 * dR(t) / t**2 + 2 * R(t) / t**3 + 3 * s * m / t**4
+        psi = lambda t: phi(t) / t
+        dpsi = lambda t: dphi(t) / t - phi(t) / t**2
+        d2psi = lambda t: d2phi(t) / t - 2 * dphi(t) / t**2 + 2 * phi(t) / t**3
+
+    def d1(z):
+        t, y = z[..., 0], z[..., 1:]
+        tb = t[..., None, None]
+        out = np.zeros(z.shape[:-1] + (dim, dim, dim))
+        out[..., 0, 0, 0] = dw(t)
+        out[..., 0, 1:, 1:] = dpsi(tb) * sigma(y)
+        out[..., 1:, 1:, 1:] = psi(tb[..., None]) * sd1(y)
+        return out
+
+    def d2(z):
+        t, y = z[..., 0], z[..., 1:]
+        tb = t[..., None, None]
+        out = np.zeros(z.shape[:-1] + (dim, dim, dim, dim))
+        out[..., 0, 0, 0, 0] = d2w(t)
+        out[..., 0, 0, 1:, 1:] = d2psi(tb) * sigma(y)
+        dsig = dpsi(tb[..., None]) * sd1(y)
+        out[..., 0, 1:, 1:, 1:] = dsig
+        out[..., 1:, 0, 1:, 1:] = dsig
+        out[..., 1:, 1:, 1:, 1:] = psi(tb[..., None, None]) * sd2(y)
+        return out
+
+    return d1, d2

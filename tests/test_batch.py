@@ -39,8 +39,6 @@ from cansol.geometry import (
     laplacian,
     laplacian_batch,
     metric_bundle,
-    metric_d1,
-    metric_d2,
     ricci,
     ricci_batch,
     riemann,
@@ -83,8 +81,8 @@ def assert_stack_matches_single_points(metric, f, pts):
     ric = ricci_batch(b)
     T = ric + hessian_batch(b, f)
     batched = {
-        "d1": metric_d1(metric, pts),
-        "d2": metric_d2(metric, pts),
+        "d1": b.dg,
+        "d2": b.ddg,
         "inverse_metric": b.ginv,
         "christoffel": christoffel_batch(b),
         "christoffel_d1": christoffel_d1_batch(b),
@@ -101,8 +99,8 @@ def assert_stack_matches_single_points(metric, f, pts):
     }
     for i, p in enumerate(pts):
         single = {
-            "d1": metric_d1(metric, p),
-            "d2": metric_d2(metric, p),
+            "d1": metric_bundle(metric, p, order=2).dg[0],
+            "d2": metric_bundle(metric, p, order=2).ddg[0],
             "inverse_metric": inverse_metric(metric, p),
             "christoffel": christoffel(metric, p).gamma,
             "christoffel_d1": christoffel_d1(metric, p),
@@ -250,6 +248,12 @@ class TestFailuresInsideABatch:
         alone = ricci_soliton_residuals(cm, [pairs[0][0], pairs[6][0]], [pairs[0][1], pairs[6][1]])
         assert [s.scaled_norm for s in alone] == [batch[0].scaled_norm, batch[6].scaled_norm]
 
+    def test_empty_residual_stack(self):
+        bg = model_background("euclidean_static", dim=3, direction="forward")
+        cm = build_canonical_metric(bg, "expanding", 1e3)
+        assert ricci_soliton_residuals(cm, [], []) == []
+        assert ricci_soliton_residuals(cm, np.empty((0, 3)), []) == []
+
     def test_bundle_records_errors_and_skips_the_points(self):
         seen = []
 
@@ -260,7 +264,8 @@ class TestFailuresInsideABatch:
             g[..., 1, 1] = p[..., 0] ** 2     # singular on x = 0
             return g
 
-        metric = MetricField(dim=2, components=comps, d1=lambda p: np.zeros(p.shape + (2, 2)),
+        metric = MetricField(dim=2, components=comps,
+                             jet=lambda p, order: (comps(p), np.zeros(p.shape + (2, 2))),
                              in_domain=lambda p: p[..., 1] < 5.0)
         pts = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 9.0], [np.inf, 0.0], [2.0, 1.0]])
         b = metric_bundle(metric, pts, order=1)
@@ -277,8 +282,9 @@ class TestFailuresInsideABatch:
 class TestCallbackContract:
     def test_per_point_shape_only_from_a_single_point(self):
         metric = MetricField(dim=2, components=lambda p: np.eye(2),
-                             d1=lambda p: np.zeros((2, 2, 2)))
+                             jet=lambda p, order: (np.eye(2), np.zeros((2, 2, 2))))
         assert np.array_equal(inverse_metric(metric, np.zeros(2)), np.eye(2))
+        assert np.array_equal(christoffel(metric, np.zeros(2)).gamma, np.zeros((2, 2, 2)))
         for pts in (np.zeros((2, 2)), np.zeros((3, 2))):
             with pytest.raises(GeometryError, match="metric callback returned shape"):
                 metric_bundle(metric, pts)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cansol import jets
 from cansol.backgrounds import unit_sphere_metric
 from cansol.geometry import (
     ChartDomainError,
@@ -20,7 +21,7 @@ from cansol.geometry import (
     gradient,
     hessian,
     inverse_metric,
-    metric_d1,
+    metric_bundle,
     ricci,
     riemann,
     scalar_curvature,
@@ -29,24 +30,20 @@ from cansol.geometry import (
 
 
 def flat_metric(d, scale=1.0):
-    return MetricField(
-        dim=d,
-        components=lambda p: np.zeros(p.shape[:-1] + (d, d)) + scale * np.eye(d),
-        d1=lambda p: np.zeros(p.shape[:-1] + (d, d, d)),
-        d2=lambda p: np.zeros(p.shape[:-1] + (d, d, d, d)),
-    )
+    def comps(p):
+        return np.zeros(p.shape[:-1] + (d, d)) + scale * np.eye(d)
+
+    return MetricField(dim=d, components=comps, jet=jets.metric_jet(comps))
 
 
 def scaled_sphere(d, r):
-    """Round d-sphere of radius r, analytic derivatives."""
+    """Round d-sphere of radius r, derivatives from the jet of its components."""
     sigma = unit_sphere_metric(d)
-    return MetricField(
-        dim=d,
-        components=lambda p: r**2 * sigma.components(p),
-        d1=lambda p: r**2 * sigma.d1(p),
-        d2=lambda p: r**2 * sigma.d2(p),
-        in_domain=sigma.in_domain,
-    )
+
+    def comps(p):
+        return r**2 * sigma.components(p)
+
+    return MetricField(dim=d, components=comps, jet=jets.metric_jet(comps), in_domain=sigma.in_domain)
 
 
 def sphere_points(d, count, seed=0):
@@ -225,8 +222,6 @@ class TestTensorNorm:
         relabeled = MetricField(
             dim=3,
             components=lambda q: base.components(q[..., inv])[..., perm, :][..., perm],
-            d1=None,
-            d2=None,
         )
         T_perm = SymTensor2(T.entries[np.ix_(perm, perm)])
         assert tensor_norm(relabeled, T_perm, p[perm]) == pytest.approx(
@@ -260,38 +255,39 @@ class TestDerivativeBackends:
     def test_fd_first_derivatives_accuracy(self):
         m = scaled_sphere(2, 1.0)
         p = np.array([0.9, 0.4])
-        ana = metric_d1(m, p)
-        num = metric_d1(m.without_analytic_derivatives(), p)
+        ana = metric_bundle(m, p, order=1).dg
+        num = metric_bundle(m.without_analytic_derivatives(), p, order=1).dg
         assert np.max(np.abs(ana - num)) < 1e-8
 
     def test_richardson_improves_second_derivatives(self):
         # check_metric_derivatives compares against the Richardson stencil; on
         # the steep metric e^{6x} delta the plain stencil's truncation error dominates
-        from cansol.geometry import metric_d2
-
         k = 6.0
 
-        def d2(p):
-            out = np.zeros(p.shape[:-1] + (2, 2, 2, 2))
-            out[..., 0, 0, :, :] = k**2 * np.exp(k * p[..., 0])[..., None, None] * np.eye(2)
-            return out
+        def comps(p):
+            return jets.exp(k * p[..., 0])[..., None, None] * np.eye(2)
 
-        steep = MetricField(
-            dim=2, components=lambda p: np.exp(k * p[..., 0])[..., None, None] * np.eye(2), d2=d2
-        )
+        steep = MetricField(dim=2, components=comps, jet=jets.metric_jet(comps))
         p = np.array([0.5, 0.3])
-        ddg = steep.d2(p)
+        ddg = metric_bundle(steep, p, order=2).ddg[0]
+        assert np.allclose(ddg[0, 0], k**2 * comps(p), rtol=1e-14)
         scale = max(1.0, float(np.max(np.abs(ddg))))
-        err_plain = np.max(np.abs(metric_d2(steep.without_analytic_derivatives(), p) - ddg)) / scale
+        err_plain = np.max(np.abs(metric_bundle(steep.without_analytic_derivatives(), p, 2).ddg[0] - ddg)) / scale
         err_rich = check_metric_derivatives(steep, [p], rtol=1.0)
         assert err_rich < 0.1 * err_plain
 
     def test_wrong_analytic_d1_is_caught(self):
+        # a hand-written jet whose first partials are 0.1 % too large
         m = unit_sphere_metric(3)
-        wrong = MetricField(dim=3, components=m.components, d1=lambda p: (1.0 + 1e-3) * m.d1(p),
-                            d2=m.d2, in_domain=m.in_domain)
-        with pytest.raises(GeometryError, match="deviate from finite differences"):
+
+        def wrong_jet(p, order):
+            g, dg, *rest = m.jet(p, order)
+            return (g, (1.0 + 1e-3) * dg, *rest)
+
+        wrong = MetricField(dim=3, components=m.components, jet=wrong_jet, in_domain=m.in_domain)
+        with pytest.raises(GeometryError, match="deviates from the components"):
             check_metric_derivatives(wrong, sphere_points(3, 3, seed=1), rtol=1e-6)
+        assert check_metric_derivatives(m, sphere_points(3, 3, seed=1), rtol=1e-6) < 1e-6
 
 
 class TestErrors:

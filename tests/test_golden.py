@@ -32,7 +32,7 @@ GOLDEN = {
             "N_list": [100.0, 1000.0],
             "samples": {"count": 4, "seed": 7},
         },
-        "93e2615e32e3e989e36b55299bdd34a5f921c68e0754686b299a3981a9f624bb",
+        "4ac078d7799ff3ae1093f82f6a034d0086d48b276384fcb5db27bbea7c606478",
     ),
     # six of the 24 track points fall below the canonical sampling floor
     # and are recorded as errors
@@ -65,7 +65,7 @@ GOLDEN = {
             "N_list": [1000.0, 2000.0, 4000.0],
             "samples": {"count": 3, "seed": 11},
         },
-        "880e9afe1aab0c655a924e314450303633ee8c4dd06b9ec92b071a08c66675a6",
+        "003cb34cb7c8af8a0f738bdce58f38e4da026bf74b470336e7727cb7f21a2eac",
     ),
     "lott_match": (
         {
@@ -90,9 +90,9 @@ def _sphere3(direction):
 
 # the other variants of the per-variant suites, keyed "suite/variant"
 for _variant, _digests in (
-    ("shrinking", ("2eff68ee4f84e9379c8c477c02fb657bd95102a556f3e2e448bee6cf28db98cd",
+    ("shrinking", ("919b53cc3806af397f53e6f5eea887347f98e9e648732c1562dc7fb750f7551f",
                    "882480f90ef60727648b211c4f5dc119d6888fd9553bc37b801d54ba057150f1")),
-    ("steady", ("1e6aa7af111a15330c0715171405ae903b33725e3693c20d366ee478b7af234b",
+    ("steady", ("eeba28ecd62cfd31eaa478e445f85a9b0f7571ec91303ef9001ab4d86ca4bee3",
                 "7e2447b7652bc008e9c2576236c2475cee599ca2e4fd96f502a33cdfb00ceb11")),
 ):
     GOLDEN[f"ricci_soliton_residual/{_variant}"] = (
@@ -106,8 +106,8 @@ for _variant, _digests in (
         _digests[1],
     )
 for _variant, _direction, _digest in (
-    ("expanding", "forward", "c04aae5bfc8b62514f62c85c9446dfc60b314c67aaee55212e0c1b8035edde7e"),
-    ("shrinking", "backward", "e30ea46339f7d28f534d7bd5cf21352ca75e045e36ed14fe40d6e0c85ef52cdb"),
+    ("expanding", "forward", "7a6415dc70d6ccdcc23a5e3c1f3a38e3ce9ed5d4fd74c77aabeb3dfacec48aac"),
+    ("shrinking", "backward", "dc53756b2b689329c6e5425aa47e5f7d8368fb6700757291634bdfdb477f763e"),
 ):
     GOLDEN[f"christoffel_crosscheck/{_variant}"] = (
         {"suite": "christoffel_crosscheck", "variant": _variant,
@@ -146,7 +146,7 @@ GOLDEN["mcf_soliton_residual/steady-equator"] = (
 # and one error
 GOLDEN["harnack_limits/times"] = (
     {**GOLDEN["harnack_limits"][0], "samples": {"seed": 11, "times": [0.5, 2.0, 0.7]}},
-    "af01c7351fa2609413e8d692131aad72289d9c6a4bdad66df01f1b3d3d735c9f",
+    "dd793565b743cab814bb52c13c3c4e5b033c47d2c0d8bda059da263d088d9e7f",
 )
 # sixteen potentials reach every monomial of the dim-3 cubic
 GOLDEN["lott_match/count16"] = (

@@ -1,0 +1,192 @@
+"""The 2-jet type: its primitives, and the catalog metrics' jets against the
+hand-derived partials they replaced and against the Richardson FD backend."""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import cansol
+import reference_kernel as ref
+from cansol import jets
+from cansol.backgrounds import POLE_BAND, model_background, unit_sphere_metric
+from cansol.canonical import VARIANTS, build_canonical_metric
+from cansol.geometry import GeometryError, _partials, check_metric_derivatives
+
+DIRECTION = {"expanding": "forward", "shrinking": "backward", "steady": "backward"}
+TOL = 1e-13
+
+
+def deviation(new, old):
+    """max |new - old| / max(1, max |old|) per point of the leading axis; the worst point."""
+    new, old = np.asarray(new), np.asarray(old)
+    assert new.shape == old.shape
+    axes = tuple(range(1, old.ndim))
+    worst = np.max(np.abs(new - old), axis=axes) / np.maximum(1.0, np.max(np.abs(old), axis=axes))
+    return float(np.max(worst))
+
+
+def polar_points(d, count, seed):
+    """Random points of the polar chart, then points next to the pole band in each polar angle."""
+    rng = np.random.default_rng(seed)
+    low, high = np.full(d, POLE_BAND + 0.1), np.full(d, math.pi - POLE_BAND - 0.1)
+    low[-1], high[-1] = 0.0, 2.0 * math.pi
+    pts = [rng.uniform(low, high) for _ in range(count)]
+    for k in range(d - 1):
+        for edge in (POLE_BAND + 1e-6, math.pi - POLE_BAND - 1e-6):
+            p = rng.uniform(low, high)
+            p[k] = edge
+            pts.append(p)
+    return np.array(pts)
+
+
+class TestAgainstTheHandDerivedPartials:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_sphere_metric(self, d):
+        metric = unit_sphere_metric(d)
+        d1, d2 = ref.sphere_metric_partials(d)
+        pts = polar_points(d, 6, seed=d)
+        g, dg, ddg = metric.jet(pts, 2)
+        assert np.array_equal(g, metric.components(pts))
+        assert deviation(dg, d1(pts)) <= TOL and deviation(ddg, d2(pts)) <= TOL
+        assert np.array_equal(metric.jet(pts, 1)[1], dg)
+        for p in pts[[0, -1]]:        # a single point, of shape (d,)
+            _, dg1, ddg1 = metric.jet(p, 2)
+            assert deviation(dg1[None], d1(p)[None]) <= TOL and deviation(ddg1[None], d2(p)[None]) <= TOL
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("background", ["round_sphere", "euclidean_static"])
+    def test_canonical_metric(self, background, variant, dim):
+        bg = model_background(background, dim=dim, direction=DIRECTION[variant])
+        cm = build_canonical_metric(bg, variant, 1e3)
+        rng = np.random.default_rng(dim)
+        ys = polar_points(dim, 4, seed=dim) if background == "round_sphere" else rng.uniform(-1.5, 1.5, (5, dim))
+        zs = np.column_stack((rng.uniform(cm.t_min, bg.time_domain[1], len(ys)), ys))
+        d1, d2 = ref.canonical_partials(cm)
+        g, dg, ddg = cm.field.jet(zs, 2)
+        assert np.array_equal(g, cm.field.components(zs))
+        assert deviation(dg, d1(zs)) <= TOL and deviation(ddg, d2(zs)) <= TOL
+        assert np.array_equal(cm.field.jet(zs, 1)[1], dg)
+        # one point alone gives its row of the stack
+        assert all(np.array_equal(a[0], b[-1]) for a, b in zip(cm.field.jet(zs[-1:], 2), (g, dg, ddg)))
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_conformal_scalars(self, dim, direction):
+        bg = model_background("round_sphere", dim=dim, direction=direction)
+        _, dphi, _, R, dR, d2R = ref.conformal_scalars(bg)
+        ts = np.linspace(0.01, bg.time_domain[1], 7)
+        v, d1, d2 = jets.derivatives(bg.conformal.R, ts)
+        assert np.array_equal(v, R(ts))
+        assert deviation(d1[:, None], dR(ts)[:, None]) <= TOL
+        assert deviation(d2[:, None], d2R(ts)[:, None]) <= TOL
+        for t in ts[:2]:
+            assert bg.dt_scalar_at(np.zeros(dim), t) == pytest.approx(dR(t), rel=TOL)
+            assert np.array_equal(bg.dt_metric_at(np.ones(dim), t),
+                                  dphi(t) * bg.conformal.sigma.components(np.ones(dim)))
+
+
+# ---------------------------------------------------------------------------
+# the jet against the Richardson FD backend
+# ---------------------------------------------------------------------------
+
+
+def fd_partials(f, pts, shape):
+    """Richardson-extrapolated first and second partials, [p, a(, b), ...], of f at a (P, k) stack."""
+    return [_partials(None, f, pts, order, shape, "test", richardson=True) for order in (1, 2)]
+
+
+def assert_close_to_fd(J, f, pts, shape, rtol=1e-6):
+    for ana, num in zip((np.moveaxis(J.g, 0, 1), np.moveaxis(J.h, (0, 1), (1, 2))), fd_partials(f, pts, shape)):
+        scale = max(1.0, float(np.max(np.abs(ana))))
+        assert float(np.max(np.abs(ana - num))) <= rtol * scale
+
+
+PRIMITIVES = {
+    "add": lambda x: x[..., 0] + x[..., 1] + 0.5,
+    "sub": lambda x: x[..., 0] - x[..., 1] - 0.5 - 2.0 * x[..., 2],
+    "rsub": lambda x: 1.5 - x[..., 0] * x[..., 2],
+    "neg": lambda x: -(x[..., 0] * x[..., 1]),
+    "mul": lambda x: x[..., 0] * x[..., 1] * x[..., 2] * 1.5,
+    "div": lambda x: (x[..., 0] + 2.0) / (x[..., 1] * x[..., 2] + 3.0) / 2.0,
+    "rdiv": lambda x: 2.0 / (x[..., 1] * x[..., 2] + 3.0),
+    "pow": lambda x: (x[..., 0] * x[..., 1] + 3.0) ** 3 + (x[..., 2] + 3.0) ** -2,
+    "sin": lambda x: jets.sin(x[..., 0] * x[..., 1]),
+    "cos": lambda x: jets.cos(x[..., 1] - x[..., 2] * x[..., 0]),
+    "tan": lambda x: jets.tan(0.3 * x[..., 0] * x[..., 2]),
+    "sqrt": lambda x: jets.sqrt(x[..., 0] * x[..., 1] + 5.0),
+    "exp": lambda x: jets.exp(x[..., 0] * x[..., 2]),
+    "log": lambda x: jets.log(x[..., 1] * x[..., 1] + 1.0),
+    "concatenate": lambda x: jets.concatenate((x[..., :1] * x[..., 1:2], np.ones(x.shape[:-1] + (1,)),
+                                               x[..., 2:] * x[..., 2:])),
+    "cumprod": lambda x: jets.cumprod(jets.sin(x) + 1.5),
+    "getitem": lambda x: (x[..., None, :] * x[..., :, None])[..., 1:, :2],
+}
+
+
+class TestAgainstFiniteDifferences:
+    @given(name=st.sampled_from(sorted(PRIMITIVES)), seed=st.integers(0, 2**32 - 1),
+           count=st.integers(1, 3))
+    @settings(max_examples=20, deadline=None)
+    def test_every_primitive(self, name, seed, count):
+        f = PRIMITIVES[name]
+        pts = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, 3))
+        J = jets.lift(f(jets.Jet.variables(pts, 2)), jets.Jet.variables(pts, 2))
+        assert np.array_equal(J.v, f(pts))
+        assert_close_to_fd(J, f, pts, J.v.shape[1:])
+
+    @given(which=st.sampled_from(["sphere", "flat", "snapshot"] + [f"canonical-{v}" for v in VARIANTS]),
+           dim=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=12, deadline=None)
+    def test_every_catalog_metric(self, which, dim, seed):
+        rng = np.random.default_rng(seed)
+        sphere = model_background("round_sphere", dim=dim, direction="backward")
+        ys = polar_points(dim, 3, seed=seed % 1000)[:3]      # inside the sampling box
+        if which == "sphere":
+            metric, pts = unit_sphere_metric(dim), ys
+        elif which == "flat":
+            metric, pts = model_background("euclidean_static", dim=dim).conformal.sigma, ys
+        elif which == "snapshot":
+            metric, pts = sphere.metric_at(0.4), ys
+        else:
+            variant = which.split("-")[1]
+            cm = build_canonical_metric(model_background("round_sphere", dim=dim, direction=DIRECTION[variant]),
+                                        variant, 1e2)
+            ts = rng.uniform(cm.t_min, cm.base.time_domain[1], len(ys))
+            metric, pts = cm.field, np.column_stack((ts, ys))
+        # the second differences lose about eps |g| / FD_H2^2 = 2e-6 to rounding on the
+        # time-time entry N + R of the steady metric
+        assert check_metric_derivatives(metric, pts, rtol=1e-5) < 1e-5
+
+
+class TestMetricCheck:
+    def test_one_stack_gives_the_worst_point(self):
+        cm = build_canonical_metric(model_background("round_sphere", dim=3, direction="backward"),
+                                    "shrinking", 1e3)
+        pts = np.column_stack((np.linspace(0.1, 0.9, 6), polar_points(3, 2, seed=4)))
+        stacked = check_metric_derivatives(cm.field, pts)
+        assert stacked == max(check_metric_derivatives(cm.field, [p]) for p in pts) > 0.0
+        assert check_metric_derivatives(cm.field, []) == 0.0
+        assert check_metric_derivatives(cm.field.without_analytic_derivatives(), pts) == 0.0
+
+    def test_a_wrong_jet_value_is_caught(self):
+        metric = unit_sphere_metric(3)
+        shifted = lambda p, order: (metric.jet(p, order)[0] + 1e-3, *metric.jet(p, order)[1:])
+        wrong = type(metric)(dim=3, components=metric.components, jet=shifted, in_domain=metric.in_domain)
+        with pytest.raises(GeometryError, match="deviates from"):
+            check_metric_derivatives(wrong, polar_points(3, 2, seed=1))
+
+
+def test_import_loads_neither_sympy_nor_hypothesis():
+    # sympy takes about 0.4 s to import, against a set-up time of about 0.2 s
+    src = Path(cansol.__file__).resolve().parents[1]
+    code = "import sys, cansol, cansol.cli; print(sorted({'sympy', 'hypothesis'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
