@@ -220,9 +220,9 @@ class ConformalFamily:
     sigma_scalar: float
     ric_sigma: Callable[[np.ndarray], np.ndarray]
 
-    def R(self, t):
-        """Scalar curvature of g(t), sigma_scalar / phi(t)."""
-        return self.sigma_scalar / self.phi(t)
+    def R(self, t, phi=None):
+        """Scalar curvature of g(t), sigma_scalar / phi(t); ``phi`` is phi(t), if the caller has it."""
+        return self.sigma_scalar / (self.phi(t) if phi is None else phi)
 
 
 @dataclass(frozen=True)
@@ -353,7 +353,7 @@ def model_background(name: str, **params) -> RicciFlowBackground:
             sigma=_euclidean_metric(dim),
             phi=lambda t: 1.0,
             sigma_scalar=0.0,
-            ric_sigma=lambda p: np.zeros((dim, dim)),
+            ric_sigma=lambda p: np.zeros(np.shape(p)[:-1] + (dim, dim)),
         )
         return RicciFlowBackground(name, dim, direction, (0.0, T), conf)
 

@@ -35,7 +35,8 @@ from .geometry import (
     MetricField,
     ScalarField,
     SymTensor2,
-    christoffel,
+    _point_errors,
+    christoffel,  # noqa: F401  (canonical.christoffel, a binding the benchmark tracer patches)
     christoffel_batch,
     hessian_batch,
     metric_bundle,
@@ -54,6 +55,7 @@ __all__ = [
     "build_canonical_metric",
     "minimal_admissible_N",
     "canonical_christoffel_closed_form",
+    "canonical_christoffel_closed_forms",
     "christoffel_crosscheck",
     "ricci_soliton_residual",
     "ricci_soliton_residuals",
@@ -134,31 +136,29 @@ class ResidualSample:
 
 def _profiles(bg: RicciFlowBackground, s: int, N: float):
     """t -> (w, psi): the time-time component w(t) and the factor psi(t) of
-    the spatial block psi(t) * sigma(y), for t an array or a jet."""
+    the spatial block psi(t) * sigma(y), for t a float, an array or a jet."""
     m = bg.dim
     conf = bg.conformal
-    if s == 0:
-        return lambda t: (N + conf.R(t), conf.phi(t))
-    return lambda t: (N / (2 * t**3) + conf.R(t) / t + s * m / (2 * t**2), conf.phi(t) / t)
+
+    def profiles(t):
+        phi = conf.phi(t)
+        R = conf.R(t, phi)
+        return (N + R, phi) if s == 0 else (N / (2 * t**3) + R / t + s * m / (2 * t**2), phi / t)
+
+    return profiles
 
 
 def minimal_admissible_N(bg: RicciFlowBackground, variant: str, samples) -> float:
     """Smallest N making the time-time component >= 1 over the samples.
 
-    ``samples`` is an iterable of (p, t) pairs.  The positivity threshold
-    is not fixed by the construction itself, so it is computed per run and
-    reported.
+    ``samples`` is an iterable of (p, t) pairs; w is its N = 0 profile plus N
+    or N / (2 t^3).  The positivity threshold is not fixed by the
+    construction itself, so it is computed per run and reported.
     """
     s = _sign(variant)
-    m = bg.dim
-    need = 0.0
-    for p, t in samples:
-        R = bg.scalar_at(np.asarray(p, dtype=float), t)
-        if s == 0:
-            need = max(need, 1.0 - R)
-        else:
-            need = max(need, 2 * t**3 * (1.0 - R / t - s * m / (2 * t**2)))
-    return need
+    w0 = _profiles(bg, s, 0.0)
+    ts = [bg.check_time(t) for _, t in samples]
+    return max([0.0] + [(1.0 - w0(t)[0]) * (2 * t**3 if s else 1.0) for t in ts])
 
 
 def build_canonical_metric(
@@ -418,77 +418,76 @@ CHRISTOFFEL_CORRECTIONS = (
 )
 
 
-def canonical_christoffel_closed_form(
-    cm: CanonicalMetric,
-    p: np.ndarray,
-    t: float,
-    as_printed: bool = False,
-) -> ConnectionCoeffs:
-    """Closed-form connection coefficients of the canonical metric.
+def canonical_christoffel_closed_forms(cm: CanonicalMetric, points, ts, as_printed: bool = False) -> np.ndarray:
+    """Closed-form Christoffel tables [p, a, b, c] = Gamma^a_{bc} of the canonical metric, index 0 time.
 
-    ``as_printed=False`` evaluates the rederived table (what the
-    Levi-Civita formula actually yields); ``as_printed=True`` evaluates
-    the reference table literally, typographical slips included, so the
-    cross-check suite can measure them.  Index 0 is time.
+    ``as_printed=False`` evaluates the rederived table (what the Levi-Civita
+    formula yields), ``as_printed=True`` the reference table literally, slips
+    included, so the cross-check suite can measure them.  One background
+    evaluation serves every (p, t) pair; the first failing pair raises its
+    error: a point outside the chart, else a time outside the domain.
     """
     bg = cm.base
-    t = float(t)
-    z = cm.field.check_point(cm.spacetime_point(p, t))
-    p = z[1:]
-    m = bg.dim
-    dim = m + 1
-    N = cm.N
+    conf = bg.conformal
+    m, N, s = bg.dim, cm.N, cm.sign
+    t = np.asarray(ts, dtype=float)
+    z = np.column_stack((t, np.reshape(points, (len(t), m))))
+    for exc, t_i in zip(_point_errors(z, cm.field.in_domain), t.tolist()):
+        if exc is not None:
+            raise exc
+        bg.check_time(t_i)
 
-    snap = bg.metric_at(t)
-    g = snap.at(p)
-    ginv = np.linalg.inv(g)
-    ric = bg.ricci_at(p, t)
-    ric_up = ginv @ ric                       # Ric^a_b
-    R = bg.scalar_at(p, t)
-    dRdt = bg.dt_scalar_at(p, t)
-    dRdy = bg.dy_scalar_at(p, t)
-    w = cm.time_time(p, t)
+    b = metric_bundle(conf.sigma, z[:, 1:], order=1, scale=np.broadcast_to(conf.phi(t), t.shape))
+    b.raise_error()
+    ric = conf.ric_sigma(z[:, 1:])
+    ric_up = b.ginv @ ric                     # Ric^a_b
+    R, dRdt = jets.derivatives(conf.R, t, order=1)
+    dRdy = np.zeros((len(t), m))              # R = sigma_scalar / phi(t) is constant in space
+    w = cm.field.components(z)[:, 0, 0]
+    tb, Rb, wb = (a[:, None, None] for a in (t, R, w))      # against (P, m, m) blocks
 
-    gamma = np.zeros((dim, dim, dim))
-    gamma_bg = christoffel(snap, p).gamma
-    gamma[1:, 1:, 1:] = gamma_bg
+    gamma = np.zeros((len(t),) + (m + 1,) * 3)
+    gamma[:, 1:, 1:, 1:] = christoffel_batch(b)
     # The printed G^a_00 entry pairs the inverse metric's role with lowered
     # indices; only the inverse-metric reading typechecks, so both evaluation
     # modes use -1/2 g^{ab} d_b R and the slip is notational, not numeric.
-    gamma[1:, 0, 0] = -0.5 * ginv @ dRdy
+    gamma[:, 1:, 0, 0] = -0.5 * np.einsum("pab,pb->pa", b.ginv, dRdy)
 
-    s = cm.sign
     if s == 0:
         mixed_up = ric_up
-        gamma[0, 1:, 1:] = -ric / (N + R)
-        time_mixed = 0.5 * dRdy if as_printed else 0.5 * dRdy / (N + R)
-        gamma[0, 0, 0] = 0.5 * dRdt if as_printed else 0.5 * dRdt / (N + R)
+        gamma[:, 0, 1:, 1:] = -ric / (N + Rb)
+        time_mixed = 0.5 * dRdy if as_printed else 0.5 * dRdy / (N + R)[:, None]
+        gamma[:, 0, 0, 0] = 0.5 * dRdt if as_printed else 0.5 * dRdt / (N + R)
     else:
-        mixed_up = -s * ric_up - np.eye(m) / (2 * t)
+        mixed_up = -s * ric_up - np.eye(m) / (2 * tb)
         if as_printed and s < 0:
-            gamma[0, 1:, 1:] = -(g / (2 * t**2) - ric) / (t * w)
+            gamma[:, 0, 1:, 1:] = -(b.g / (2 * tb**2) - ric) / (tb * wb)
         else:
-            gamma[0, 1:, 1:] = (s * ric / t + g / (2 * t**2)) / w
-        time_mixed = dRdy / (2 * t * w)
+            gamma[:, 0, 1:, 1:] = (s * ric / tb + b.g / (2 * tb**2)) / wb
+        time_mixed = dRdy / (2 * t * w)[:, None]
         # both printed G^0_00 entries read R/t for 2R/t and +m for s*m
         r_coeff, m_sign = (1, 1) if as_printed else (2, s)
-        gamma[0, 0, 0] = -3 / (2 * t) + (r_coeff * R / t + dRdt + m_sign * m / (2 * t**2)) / (2 * t * w)
+        gamma[:, 0, 0, 0] = -3 / (2 * t) + (r_coeff * R / t + dRdt + m_sign * m / (2 * t**2)) / (2 * t * w)
 
     # the mixed symbols are symmetric in their lower indices
-    gamma[1:, 1:, 0] = mixed_up
-    gamma[1:, 0, 1:] = mixed_up
-    gamma[0, 1:, 0] = time_mixed
-    gamma[0, 0, 1:] = time_mixed
-    return ConnectionCoeffs(gamma)
+    gamma[:, 1:, 1:, 0] = gamma[:, 1:, 0, 1:] = mixed_up
+    gamma[:, 0, 1:, 0] = gamma[:, 0, 0, 1:] = time_mixed
+    return gamma
+
+
+def canonical_christoffel_closed_form(cm: CanonicalMetric, p: np.ndarray, t: float,
+                                      as_printed: bool = False) -> ConnectionCoeffs:
+    """``canonical_christoffel_closed_forms`` at one pair (p, t)."""
+    return ConnectionCoeffs(canonical_christoffel_closed_forms(cm, [p], [t], as_printed)[0])
 
 
 _SYMBOL_CLASSES = {
-    "G^a_bc": (slice(1, None), slice(1, None), slice(1, None)),
-    "G^a_b0": (slice(1, None), slice(1, None), 0),
-    "G^a_00": (slice(1, None), 0, 0),
-    "G^0_bc": (0, slice(1, None), slice(1, None)),
-    "G^0_b0": (0, slice(1, None), 0),
-    "G^0_00": (0, 0, 0),
+    "G^a_bc": np.s_[:, 1:, 1:, 1:],
+    "G^a_b0": np.s_[:, 1:, 1:, 0],
+    "G^a_00": np.s_[:, 1:, 0, 0],
+    "G^0_bc": np.s_[:, 0, 1:, 1:],
+    "G^0_b0": np.s_[:, 0, 1:, 0],
+    "G^0_00": np.s_[:, 0, 0, 0],
 }
 
 
@@ -496,22 +495,16 @@ def christoffel_crosscheck(cm: CanonicalMetric, samples, as_printed: bool = Fals
     """Engine-vs-closed-form comparison over (p, t) samples.
 
     Returns a per-symbol-class table of relative errors, each class scaled
-    by the largest engine entry it contains; classes that vanish in both
-    evaluations report their absolute mismatch.
+    by the largest engine entry it contains over all samples; classes that
+    vanish in both evaluations report their absolute mismatch.
     """
-    diff = {k: 0.0 for k in _SYMBOL_CLASSES}
-    scale = {k: 0.0 for k in _SYMBOL_CLASSES}
     samples = list(samples)
     b = metric_bundle(cm.field, [cm.spacetime_point(p, t) for p, t in samples], order=1)
     b.raise_error()
-    for (p, t), engine in zip(samples, christoffel_batch(b)):
-        closed = canonical_christoffel_closed_form(cm, p, t, as_printed=as_printed).gamma
-        for name, idx in _SYMBOL_CLASSES.items():
-            e = np.atleast_1d(engine[idx])
-            c = np.atleast_1d(closed[idx])
-            diff[name] = max(diff[name], float(np.max(np.abs(e - c))))
-            scale[name] = max(scale[name], float(np.max(np.abs(e))))
-    return {
-        name: (diff[name] / scale[name] if scale[name] > 1e-14 else diff[name])
-        for name in _SYMBOL_CLASSES
-    }
+    engine = christoffel_batch(b)
+    err = np.abs(engine - canonical_christoffel_closed_forms(cm, *zip(*samples), as_printed))
+    table = {}
+    for name, idx in _SYMBOL_CLASSES.items():
+        diff, scale = float(np.max(err[idx])), float(np.max(np.abs(engine[idx])))
+        table[name] = diff / scale if scale > 1e-14 else diff
+    return table

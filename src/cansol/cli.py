@@ -305,6 +305,11 @@ def _run_christoffel_crosscheck(cfg: RunConfig, report: ResidualReport):
         raise ConfigError("samples.backend must be 'analytic' or 'fd'")
     tol = cfg.tolerances.get("rel_error", 1e-9 if backend == "analytic" else 1e-5)
     _, pts, ts = _draw_samples(cfg, bg.sample_points, bg.time_domain, 10)
+    for i, t in enumerate(ts):      # drawn times lie in the domain, given ones may not
+        try:
+            bg.check_time(t)
+        except ChartDomainError as exc:
+            raise ConfigError(f"christoffel_crosscheck sample {i}: {exc}") from exc
     samples = list(zip(pts, ts))
 
     worst = 0.0

@@ -82,6 +82,44 @@ def soliton_defect(cm, p, t):
     return 0.5 * (E + E.T), ric
 
 
+def canonical_christoffel_closed_form(cm, p, t, as_printed=False):
+    """The closed-form Christoffel table at one (p, t), from the background's pointwise evaluators.
+
+    Times are Python floats here, and a float ``t**2`` (libm pow) can round
+    differently from numpy's square of an array, so stacked tables equal
+    this one to a few ulps, not bitwise.
+    """
+    bg, m, N, s = cm.base, cm.base.dim, cm.N, cm.sign
+    t = float(t)
+    p = np.asarray(p, dtype=float)
+    snap = bg.metric_at(t)
+    g = snap.at(p)
+    ginv = np.linalg.inv(g)
+    ric = bg.ricci_at(p, t)
+    R, dRdt, dRdy = bg.scalar_at(p, t), bg.dt_scalar_at(p, t), bg.dy_scalar_at(p, t)
+    w = cm.time_time(p, t)
+    gamma = np.zeros((m + 1,) * 3)
+    gamma[1:, 1:, 1:] = christoffel(snap, p)
+    gamma[1:, 0, 0] = -0.5 * ginv @ dRdy
+    if s == 0:
+        mixed_up = ginv @ ric
+        gamma[0, 1:, 1:] = -ric / (N + R)
+        time_mixed = 0.5 * dRdy if as_printed else 0.5 * dRdy / (N + R)
+        gamma[0, 0, 0] = 0.5 * dRdt if as_printed else 0.5 * dRdt / (N + R)
+    else:
+        mixed_up = -s * (ginv @ ric) - np.eye(m) / (2 * t)
+        if as_printed and s < 0:
+            gamma[0, 1:, 1:] = -(g / (2 * t**2) - ric) / (t * w)
+        else:
+            gamma[0, 1:, 1:] = (s * ric / t + g / (2 * t**2)) / w
+        time_mixed = dRdy / (2 * t * w)
+        r_coeff, m_sign = (1, 1) if as_printed else (2, s)
+        gamma[0, 0, 0] = -3 / (2 * t) + (r_coeff * R / t + dRdt + m_sign * m / (2 * t**2)) / (2 * t * w)
+    gamma[1:, 1:, 0] = gamma[1:, 0, 1:] = mixed_up
+    gamma[0, 1:, 0] = gamma[0, 0, 1:] = time_mixed
+    return gamma
+
+
 def polynomial_partials(dim, rng, degree=3):
     """``partials(p, order)`` of the random polynomial that ``random_polynomial_field`` draws.
 

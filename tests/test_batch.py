@@ -14,6 +14,8 @@ from cansol.canonical import (
     VARIANTS,
     CanonicalConfigError,
     build_canonical_metric,
+    canonical_christoffel_closed_form,
+    canonical_christoffel_closed_forms,
     canonical_ricci_quadratic,
     canonical_ricci_quadratics,
     ricci_soliton_residual,
@@ -455,6 +457,70 @@ class TestRicciQuadraticStacks:
         reversed_ = canonical_ricci_quadratics(cm, Xs[::-1], pts[::-1], ts[::-1])[::-1]
         assert [q for q in reversed_ if isinstance(q, float)] == [
             q for q in batch if isinstance(q, float)]
+
+
+def closed_form_cases():
+    """(variant, background name, params): every variant on each background it runs on."""
+    for variant in VARIANTS:
+        direction = DIRECTION[variant]
+        for dim in (2, 3, 4, 5):
+            yield variant, "round_sphere", {"dim": dim, "direction": direction}
+        yield variant, "euclidean_static", {"dim": 3, "direction": direction}
+        if direction == "backward":
+            yield variant, "gaussian_shrinker_flat", {"dim": 3}
+
+
+class TestClosedFormStacks:
+    @pytest.mark.parametrize("variant, name, params", list(closed_form_cases()))
+    @pytest.mark.parametrize("as_printed", [False, True])
+    def test_stack_matches_pointwise_loop(self, variant, name, params, as_printed):
+        bg = model_background(name, **params)
+        cm = build_canonical_metric(bg, variant, 1e3)
+        rng = np.random.default_rng(params["dim"])
+        pts = np.array(bg.sample_points(9, rng))
+        ts = rng.uniform(cm.t_min, bg.time_domain[1], 9)
+        ts[-1] = bg.time_domain[1]      # the inclusive end of the domain
+        stack = canonical_christoffel_closed_forms(cm, pts, ts, as_printed)
+        assert stack.shape == (9,) + (params["dim"] + 1,) * 3
+        for i, (p, t) in enumerate(zip(pts, ts)):
+            single = canonical_christoffel_closed_form(cm, p, t, as_printed).gamma
+            assert np.array_equal(stack[i], single), i
+            # the pointwise form the stack replaced, to round-off
+            want = ref.canonical_christoffel_closed_form(cm, p, t, as_printed)
+            assert np.max(np.abs(single - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(want)), i
+            assert np.array_equal(canonical_christoffel_closed_forms(cm, [p], [t], as_printed)[0], single)
+        # an entry does not depend on its neighbours
+        reversed_ = canonical_christoffel_closed_forms(cm, pts[::-1], ts[::-1], as_printed)
+        assert np.array_equal(reversed_[::-1], stack)
+        assert canonical_christoffel_closed_forms(cm, [], [], as_printed).shape == (0,) + stack.shape[1:]
+
+    def test_first_failing_pair_raises_the_pointwise_error(self):
+        cm = canonical("shrinking", 3, 1e3)
+        good = np.array([1.1, 0.7, 2.0])
+        # a point's chart check comes before its time check
+        bad = [
+            ((np.array([0.005, 1.0, 1.0]), 0.3), "point [0.3   0.005 1.    1.   ] outside chart domain"),
+            ((np.array([np.nan, 1.0, 1.0]), 0.3), "chart point has non-finite entries: [0.3 nan 1.  1. ]"),
+            ((good, float("nan")), "chart point has non-finite entries: [nan 1.1 0.7 2. ]"),
+            ((good, -0.1), "point [-0.1  1.1  0.7  2. ] outside chart domain"),
+            ((good, 0.0), "point [0.  1.1 0.7 2. ] outside chart domain"),
+            ((good, 1.0005), "time 1.0005 outside domain (0.0, 1.0]"),      # past T, inside the chart
+            ((good, 1.5), "point [1.5 1.1 0.7 2. ] outside chart domain"),
+        ]
+        for (p, t), message in bad:
+            with pytest.raises(ChartDomainError) as single:
+                canonical_christoffel_closed_form(cm, p, t)
+            assert str(single.value) == message
+        pairs = [(good, 0.4), (good, 0.9)] + [pair for pair, _ in bad]
+        # each pair in turn leads the remaining stack, behind good ones
+        for k, (_, message) in enumerate(bad):
+            rest = pairs[:2] + pairs[2 + k:]
+            for as_printed in (False, True):
+                with pytest.raises(ChartDomainError) as stacked:
+                    canonical_christoffel_closed_forms(cm, [p for p, _ in rest], [t for _, t in rest],
+                                                       as_printed)
+                assert type(stacked.value) is ChartDomainError
+                assert str(stacked.value) == message
 
 
 class TestPolynomialPartials:

@@ -387,6 +387,26 @@ class TestMainEntry:
         cfg["tolerances"] = {"ratios": 1.0000001}
         assert main(["run", "--config", str(self.write_cfg(tmp_path, cfg))]) == 2
 
+    @pytest.mark.parametrize("times, bad, message", [
+        ([1.5, 0.5], 0, "time 1.5 outside domain"),           # outside the chart as well
+        ([0.5, 1.0005], 1, "time 1.0005 outside domain"),     # past T, inside the chart's overhang
+        ([0.5, 0.7, -0.1], 2, "time -0.1 outside domain"),
+    ])
+    def test_crosscheck_time_outside_the_domain_is_a_config_error(self, tmp_path, capsys,
+                                                                   times, bad, message):
+        cfg = {
+            "suite": "christoffel_crosscheck",
+            "variant": "steady",
+            "background": {"name": "round_sphere", "params": {"dim": 3, "direction": "backward"}},
+            "N_list": [100.0],
+            "samples": {"seed": 5, "times": times},
+            "output": {"path": str(tmp_path / "out.json"), "format": "json"},
+        }
+        assert main(["run", "--config", str(self.write_cfg(tmp_path, cfg))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: christoffel_crosscheck sample {bad}: {message}")
+        assert not (tmp_path / "out.json").exists()
+
     def test_lott_slice_error_is_every_potentials_error(self, tmp_path):
         cfg = {
             "suite": "lott_match",

@@ -116,6 +116,22 @@ for _variant, _direction, _digest in (
         _digest,
     )
 
+# eight samples and two N: a flat background, where the spatial symbols
+# vanish and the shrinking G^0_bc slip still shows, and the dim-5 sphere
+# through the FD backend
+GOLDEN["christoffel_crosscheck/flat-count8"] = (
+    {"suite": "christoffel_crosscheck", "variant": "shrinking",
+     "background": {"name": "euclidean_static", "params": {"dim": 3, "direction": "backward"}},
+     "N_list": [100.0, 10000.0], "samples": {"count": 8, "seed": 5, "backend": "analytic"}},
+    "b1670ccfac8c2f08da053b5029a53135938ca5d26e1de98ed5634731d22cecd0",
+)
+GOLDEN["christoffel_crosscheck/sphere-dim5-count8"] = (
+    {"suite": "christoffel_crosscheck", "variant": "expanding",
+     "background": {"name": "round_sphere", "params": {"dim": 5, "direction": "forward"}},
+     "N_list": [100.0, 10000.0], "samples": {"count": 8, "seed": 5, "backend": "fd"}},
+    "c2f682ef9368411cdd0ed32a7cfa01f2fda0fb689039f6efc7b08a6a176ddbd1",
+)
+
 # track geometries beyond the dim-3 sphere: the n = 4 sphere reaches every
 # factor kind and mixed partial of the embedding; the equator is a second
 # flow in a curved (backward sphere) ambient
