@@ -175,6 +175,18 @@ def _draw_samples(cfg: RunConfig, sampler, domain, default_count: int):
     return rng, pts, list(rng.uniform(t_min, b, count))
 
 
+def _check_times(cfg: RunConfig, bg, ts):
+    """Raise a ConfigError naming the first sample whose time lies outside ``bg``'s domain.
+
+    Drawn times lie in the domain; given ones may not.
+    """
+    for i, t in enumerate(ts):
+        try:
+            bg.check_time(t)
+        except ChartDomainError as exc:
+            raise ConfigError(f"{cfg.suite} sample {i}: {exc}") from exc
+
+
 def _provenance(cfg: RunConfig, extra=None) -> dict:
     block = {
         "normal_orientation": "outward on round spheres (H = n/r > 0)",
@@ -266,6 +278,7 @@ def _run_ricci_soliton(cfg: RunConfig, report: ResidualReport):
     variant = _variant(cfg)
     Ns = _need_N_list(cfg)
     _, pts, ts = _draw_samples(cfg, bg.sample_points, bg.time_domain, 20)
+    _check_times(cfg, bg, ts)
     samples = list(zip(pts, ts))
 
     def residuals_at(N):
@@ -305,11 +318,7 @@ def _run_christoffel_crosscheck(cfg: RunConfig, report: ResidualReport):
         raise ConfigError("samples.backend must be 'analytic' or 'fd'")
     tol = cfg.tolerances.get("rel_error", 1e-9 if backend == "analytic" else 1e-5)
     _, pts, ts = _draw_samples(cfg, bg.sample_points, bg.time_domain, 10)
-    for i, t in enumerate(ts):      # drawn times lie in the domain, given ones may not
-        try:
-            bg.check_time(t)
-        except ChartDomainError as exc:
-            raise ConfigError(f"christoffel_crosscheck sample {i}: {exc}") from exc
+    _check_times(cfg, bg, ts)
     samples = list(zip(pts, ts))
 
     worst = 0.0

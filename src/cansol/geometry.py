@@ -145,9 +145,8 @@ def _point_errors(pts: np.ndarray, in_domain=None) -> list:
 
 
 def _raise_first(errors):
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    if any(errors):
+        raise next(exc for exc in errors if exc is not None)
 
 
 def _kept(errors: list, arrays: tuple) -> tuple:
@@ -419,25 +418,47 @@ def _norm1(a: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(np.add.reduce(np.abs(a), axis=1), axis=1)
 
 
-def _inverse(g: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, list]:
-    """Stacked g^-1 with the 1-norm condition check; per point None or the error.
+# Positive diagonals in (_TINY, _HUGE] have a finite reciprocal.
+_HUGE = np.finfo(float).max
+_TINY = 1.0 / _HUGE
+
+
+def _inverse_and_condition(g: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Stacked g^-1, the 1-norm condition estimates, and per point None or the singular error.
 
     The 1-norm estimate is within a factor of dim of the spectral condition
-    number, and much cheaper than an SVD.
+    number, and much cheaper than an SVD.  A stack of diagonal matrices with
+    finite positive entries (every catalog metric) is inverted entrywise,
+    which gives LAPACK's bits: 1/d on the diagonal, and max(d) * max(1/d) as
+    the condition estimate.  Any other stack goes to LAPACK whole.
     """
     errors = [None] * len(g)
-    try:
-        ginv = np.linalg.inv(g)
-    except np.linalg.LinAlgError:
-        # only a singular point makes the stacked call fail; find it
-        ginv = np.empty_like(g)
-        for i in range(len(g)):
-            try:
-                ginv[i] = np.linalg.inv(g[i])
-            except np.linalg.LinAlgError:
-                ginv[i] = np.eye(g.shape[1])
-                errors[i] = DegenerateMetricError(f"metric at {pts[i]} is singular")
-    cond = _norm1(g) * _norm1(ginv)
+    P, d = g.shape[:2]
+    diag = g.reshape(P, d * d)[:, :: d + 1]
+    if P and np.count_nonzero(g) == diag.size and diag.min() > _TINY and diag.max() <= _HUGE:
+        inv = 1.0 / diag
+        ginv = np.zeros((P, d, d))   # C order, so the reshape below is a view
+        ginv.reshape(P, d * d)[:, :: d + 1] = inv
+        cond = diag.max(axis=1) * inv.max(axis=1)
+    else:
+        try:
+            ginv = np.linalg.inv(g)
+        except np.linalg.LinAlgError:
+            # only a singular point makes the stacked call fail; find it
+            ginv = np.empty_like(g)
+            for i in range(len(g)):
+                try:
+                    ginv[i] = np.linalg.inv(g[i])
+                except np.linalg.LinAlgError:
+                    ginv[i] = np.eye(d)
+                    errors[i] = DegenerateMetricError(f"metric at {pts[i]} is singular")
+        cond = _norm1(g) * _norm1(ginv)
+    return ginv, cond, errors
+
+
+def _inverse(g: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, list]:
+    """Stacked g^-1 with the condition check; per point None or the error."""
+    ginv, cond, errors = _inverse_and_condition(g, pts)
     ok = cond <= COND_LIMIT   # False for nan too
     if not ok.all():
         for i in np.flatnonzero(~ok):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from cansol.canonical import (
     ricci_soliton_residuals,
 )
 from cansol.cli import RunConfig, run
+from cansol import geometry
 from cansol.geometry import (
     ChartDomainError,
     DegenerateMetricError,
@@ -536,3 +538,146 @@ class TestPolynomialPartials:
                 got, want = fn(p), oracle(p, order)
                 assert got.shape == want.shape
                 assert np.array_equal(got, want), (order, p.shape)
+
+
+_LAPACK_INV = np.linalg.inv     # the references stay uncounted by ``lapack_calls``
+
+
+def lapack_inverse(g):
+    """The LAPACK inverse and 1-norm condition estimate that every stack once took."""
+    ginv = _LAPACK_INV(g)
+    return ginv, geometry._norm1(g) * geometry._norm1(ginv)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """The shapes of the stacks that the code under test sends to ``np.linalg.inv``."""
+    calls = []
+
+    def counting(a):
+        calls.append(a.shape)
+        return _LAPACK_INV(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    return calls
+
+
+def catalog_metric_stacks():
+    """(name, metric, points, scale) for every catalog metric, on 1,024 chart points."""
+    rng = np.random.default_rng(17)
+    k = 1024
+    for d in (2, 3, 4, 5):
+        pts = sphere_stack(d, k, rng)
+        yield f"sphere{d}", unit_sphere_metric(d), pts, None
+        yield f"sphere{d}-scaled", unit_sphere_metric(d), pts, rng.uniform(0.1, 3.0, k)
+    for name in ("euclidean_static", "gaussian_shrinker_flat"):
+        yield name, model_background(name, dim=3).conformal.sigma, rng.uniform(-2, 2, (k, 3)), None
+    for variant in VARIANTS:
+        for dim in (2, 3):
+            cm = canonical(variant, dim, 1e3)
+            yield f"{variant}{dim}", cm.field, spacetime_stack(cm, k, rng), None
+    ball = flat_ball_domain()
+    yield "flat-ball", ball.metric, ball.interior_points[:k], None
+
+
+class TestDiagonalInverse:
+    """Diagonal positive stacks are inverted entrywise, with LAPACK's bits."""
+
+    @pytest.mark.parametrize("P", [1, 64, 1024])
+    def test_catalog_stacks(self, P, lapack_calls):
+        for name, metric, pts, scale in catalog_metric_stacks():
+            b = metric_bundle(metric, pts[:P], order=0, scale=None if scale is None else scale[:P])
+            assert len(b.g) == P, name
+            ginv, cond, errors = geometry._inverse_and_condition(b.g, b.points)
+            want_inv, want_cond = lapack_inverse(b.g)
+            assert_same_bits(ginv, want_inv)
+            assert_same_bits(cond, want_cond)
+            assert errors == [None] * P
+            assert_same_bits(b.ginv, want_inv)
+        assert lapack_calls == []
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 7])
+    def test_extreme_positive_diagonals(self, d, lapack_calls):
+        rng = np.random.default_rng(d)
+        P = 4096
+        # one magnitude per matrix across the whole range, a spread of 1e8 inside it
+        diag = 10.0 ** (rng.uniform(-300, 300, (P, 1)) + rng.uniform(-4, 4, (P, d)))
+        edges = [np.finfo(float).max, np.nextafter(geometry._TINY, 1.0),
+                 np.finfo(float).tiny, 1.0]
+        diag = np.concatenate((diag, np.repeat(np.array(edges)[:, None], d, axis=1)))
+        g = np.zeros((len(diag), d, d))
+        g[:, range(d), range(d)] = diag
+        pts = np.zeros((len(g), d))
+        want_inv, want_cond = lapack_inverse(g)
+        ginv, cond, errors = geometry._inverse_and_condition(g, pts)
+        assert lapack_calls == []
+        assert_same_bits(ginv, want_inv)
+        assert_same_bits(cond, want_cond)
+        assert not any(errors)
+        for i in rng.choice(len(g), 64, replace=False).tolist() + list(range(P, len(g))):
+            one, one_cond, _ = geometry._inverse_and_condition(g[i:i + 1], pts[i:i + 1])
+            assert_same_bits(one, want_inv[i:i + 1])
+            assert_same_bits(one_cond, want_cond[i:i + 1])
+
+    def test_non_contiguous_stack(self, lapack_calls):
+        rng = np.random.default_rng(3)
+        g = np.zeros((20, 3, 3))
+        g[:, range(3), range(3)] = rng.uniform(0.5, 2.0, (20, 3))
+        for view in (g[::2], g.transpose(0, 2, 1), np.asfortranarray(g), g[[3, 1, 4, 1, 5]]):
+            ginv, cond, _ = geometry._inverse_and_condition(view, np.zeros((len(view), 3)))
+            want_inv, want_cond = lapack_inverse(np.ascontiguousarray(view))
+            assert_same_bits(ginv, want_inv)
+            assert_same_bits(cond, want_cond)
+        assert lapack_calls == []
+
+    def test_subnormal_entry_is_a_condition_error_without_warning(self, lapack_calls):
+        g = np.array([np.diag([1.0, 1e-310, 2.0]), np.diag([1.0, 2.0, 3.0])])
+        pts = np.arange(6.0).reshape(2, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ginv, errors = geometry._inverse(g, pts)
+        assert lapack_calls == [(2, 3, 3)]
+        assert isinstance(errors[0], DegenerateMetricError)
+        assert "has condition number" in str(errors[0])
+        assert errors[1] is None
+        assert_same_bits(ginv[1], np.diag([1.0, 0.5, 1.0 / 3.0]))
+
+    def test_zero_entry_is_singular(self, lapack_calls):
+        g = np.array([np.diag([1.0, 2.0]), np.diag([1.0, 0.0]), np.diag([4.0, 2.0])])
+        pts = np.arange(6.0).reshape(3, 2)
+        ginv, errors = geometry._inverse(g, pts)
+        assert lapack_calls[0] == (3, 2, 2)
+        assert [e is None for e in errors] == [True, False, True]
+        assert type(errors[1]) is DegenerateMetricError
+        assert str(errors[1]) == f"metric at {pts[1]} is singular"
+        assert_same_bits(ginv[[0, 2]], _LAPACK_INV(g[[0, 2]]))
+
+    @pytest.mark.parametrize("entry", [-1.0, math.inf, math.nan])
+    def test_negative_or_non_finite_entry_takes_lapack(self, entry, lapack_calls):
+        g = np.array([np.diag([1.0, 2.0, 4.0]), np.diag([entry, 2.0, 4.0])])
+        ginv, cond, errors = geometry._inverse_and_condition(g, np.zeros((2, 3)))
+        assert lapack_calls == [(2, 3, 3)]
+        want_inv, want_cond = lapack_inverse(g)
+        assert_same_bits(ginv, want_inv)
+        assert_same_bits(cond, want_cond)
+        assert errors == [None, None]
+
+    def test_one_full_matrix_sends_the_stack_to_lapack(self, lapack_calls):
+        rng = np.random.default_rng(5)
+        g = np.zeros((9, 4, 4))
+        g[:, range(4), range(4)] = rng.uniform(0.5, 2.0, (9, 4))
+        g[6, 0, 2] = g[6, 2, 0] = 0.25
+        pts = rng.uniform(size=(9, 4))
+        ginv, cond, errors = geometry._inverse_and_condition(g, pts)
+        assert lapack_calls == [(9, 4, 4)]
+        assert errors == [None] * 9
+        for i in range(9):
+            one, one_cond, _ = geometry._inverse_and_condition(g[i:i + 1], pts[i:i + 1])
+            assert_same_bits(ginv[i:i + 1], one)
+            assert_same_bits(cond[i:i + 1], one_cond)
+        assert lapack_calls == [(9, 4, 4), (1, 4, 4)]    # the stack, then the full matrix alone
