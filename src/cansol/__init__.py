@@ -15,13 +15,6 @@ from .geometry import (
     ScalarField,
     SymTensor2,
     christoffel,
-    directional_derivative,
-    gradient,
-    hessian,
-    ricci,
-    riemann,
-    scalar_curvature,
-    tensor_norm,
 )
 from .backgrounds import (
     GradientSolitonData,
@@ -39,7 +32,6 @@ from .canonical import (
     CanonicalConfigError,
     CanonicalMetric,
     build_canonical_metric,
-    canonical_christoffel_closed_form,
     christoffel_crosscheck,
     limit_ricci,
     minimal_admissible_N,

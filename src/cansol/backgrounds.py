@@ -36,14 +36,15 @@ from .geometry import (
     MetricField,
     ScalarField,
     SymTensor2,
+    _at_point,
     _inverse,
     _kept,
     _raise_first,
     chart_point,
     christoffel_batch,
-    hessian,
+    hessian_batch,
     metric_bundle,
-    ricci,
+    ricci_batch,
     scalar_d1,
 )
 
@@ -345,9 +346,9 @@ def model_background(name: str, **params) -> RicciFlowBackground:
         the potential f = |y|^2 / (4 tau), shrinking class.
     """
     if name == "euclidean_static":
-        dim = int(params.pop("dim", 3))
+        dim = _param(name, params, "dim", 3, int)
         direction = params.pop("direction", "forward")
-        T = float(params.pop("T", 1.0))
+        T = _param(name, params, "T", 1.0)
         _reject_extras(name, params)
         conf = ConformalFamily(
             sigma=_euclidean_metric(dim),
@@ -358,10 +359,10 @@ def model_background(name: str, **params) -> RicciFlowBackground:
         return RicciFlowBackground(name, dim, direction, (0.0, T), conf)
 
     if name == "round_sphere":
-        dim = int(params.pop("dim", 3))
-        r0 = float(params.pop("r0", 1.0))
+        dim = _param(name, params, "dim", 3, int)
+        r0 = _param(name, params, "r0", 1.0)
         direction = params.pop("direction", "forward")
-        T = params.pop("T", None)
+        T = _param(name, params, "T", None)
         _reject_extras(name, params)
         if r0 <= 0:
             raise BackgroundError(f"round_sphere needs r0 > 0, got {r0}")
@@ -370,14 +371,14 @@ def model_background(name: str, **params) -> RicciFlowBackground:
         rate = 2.0 * (dim - 1)
         if direction == "forward":
             t_sing = r0**2 / rate
-            T = 0.8 * t_sing if T is None else float(T)
+            T = 0.8 * t_sing if T is None else T
             if not (0.0 < T < t_sing):
                 raise BackgroundError(
                     f"round_sphere forward needs 0 < T < {t_sing}, got T={T}"
                 )
             phi = lambda t: r0**2 - rate * t
         else:
-            T = 1.0 if T is None else float(T)
+            T = 1.0 if T is None else T
             phi = lambda t: r0**2 + rate * t
         sigma = unit_sphere_metric(dim)
         conf = ConformalFamily(
@@ -389,8 +390,8 @@ def model_background(name: str, **params) -> RicciFlowBackground:
         return RicciFlowBackground(name, dim, direction, (0.0, T), conf, sample_box=_polar_box(dim))
 
     if name == "gaussian_shrinker_flat":
-        dim = int(params.pop("dim", 3))
-        T = float(params.pop("T", 1.0))
+        dim = _param(name, params, "dim", 3, int)
+        T = _param(name, params, "T", 1.0)
         _reject_extras(name, params)
         flat = model_background("euclidean_static", dim=dim, direction="backward", T=T)
         potential = TimeScalarField(
@@ -407,6 +408,16 @@ def model_background(name: str, **params) -> RicciFlowBackground:
 def _square(y: np.ndarray) -> np.ndarray:
     """|y|^2 over the last axis."""
     return np.einsum("...i,...i->...", y, y)
+
+
+def _param(name: str, params: dict, key: str, default, kind=float):
+    """Pop ``params[key]`` (``default`` if absent) as ``kind``; None passes where it is the default."""
+    value = params.pop(key, default)
+    try:
+        return None if value is None and default is None else kind(value)
+    except (TypeError, ValueError) as exc:
+        what = "an integer" if kind is int else "a number"
+        raise BackgroundError(f"{name} parameter {key} must be {what}, got {value!r}") from exc
 
 
 def _reject_extras(name, params):
@@ -476,7 +487,7 @@ def model_mcf(name: str, bg: RicciFlowBackground, **params) -> MCFSolution:
     if name == "shrinking_sphere_flat":
         if bg.name != "euclidean_static":
             raise BackgroundError("shrinking_sphere_flat needs a flat background")
-        r0 = float(params.pop("r0", 1.0))
+        r0 = _param(name, params, "r0", 1.0)
         _reject_extras(name, params)
         if r0 <= 0:
             raise BackgroundError(f"needs r0 > 0, got {r0}")
@@ -528,7 +539,7 @@ def model_mcf(name: str, bg: RicciFlowBackground, **params) -> MCFSolution:
     if name == "static_plane_flat":
         if bg.name != "euclidean_static":
             raise BackgroundError("static_plane_flat needs a flat background")
-        height = float(params.pop("height", 0.0))
+        height = _param(name, params, "height", 0.0)
         _reject_extras(name, params)
         return MCFSolution(
             name=name,
@@ -577,11 +588,9 @@ def ricci_flow_residual(bg: RicciFlowBackground, p: np.ndarray, t: float) -> Sym
     the numeric kernel, not from the background's closed forms.
     """
     t = bg.check_time(t)
-    snap = bg.metric_at(t)
-    p = snap.check_point(p)
-    ric = ricci(snap, p).entries
+    b = _at_point(bg.metric_at(t), p, order=2)
     sign = -2.0 if bg.direction == "forward" else 2.0
-    return SymTensor2.symmetrized(bg.dt_metric_at(p, t) - sign * ric)
+    return SymTensor2.symmetrized(bg.dt_metric_at(b.points[0], t) - sign * ricci_batch(b)[0])
 
 
 def gradient_soliton_residual(
@@ -590,16 +599,13 @@ def gradient_soliton_residual(
     p: np.ndarray,
     t: float,
 ) -> SymTensor2:
-    """Gradient-soliton defect Ric + Hess(f) + (c / 2t) g at (p, t)."""
+    """Gradient-soliton defect Ric + Hess(f) + (c / 2t) g at (p, t), from one metric bundle."""
     t = bg.check_time(t)
     if t == 0.0:
         raise ChartDomainError("gradient soliton residual undefined at t = 0")
-    snap = bg.metric_at(t)
-    p = snap.check_point(p)
-    ric = ricci(snap, p).entries
-    hess = hessian(snap, sol.potential.at_time(t), p).entries
-    g = snap.at(p)
-    return SymTensor2.symmetrized(ric + hess + (sol.c / (2.0 * t)) * g)
+    b = _at_point(bg.metric_at(t), p, order=2)
+    hess = hessian_batch(b, sol.potential.at_time(t))[0]
+    return SymTensor2.symmetrized(ricci_batch(b)[0] + hess + (sol.c / (2.0 * t)) * b.g[0])
 
 
 def mcf_soliton_residual(

@@ -15,7 +15,7 @@ N |E_N| stays bounded as N grows.
 
 The numeric kernel is the ground truth for every verified statement.
 Reference closed-form Christoffel tables for these metrics circulate with
-a few typographical slips; ``canonical_christoffel_closed_form`` therefore
+a few typographical slips; ``canonical_christoffel_closed_forms`` therefore
 evaluates either the literal printed table (``as_printed=True``) or the
 rederived one, and ``CHRISTOFFEL_CORRECTIONS`` records every place the two
 differ so that cross-check reports can show, rather than hide, the slips.
@@ -31,7 +31,6 @@ from . import jets
 from .backgrounds import VARIANT_SIGNS, RicciFlowBackground
 from .geometry import (
     ChartDomainError,
-    ConnectionCoeffs,
     MetricField,
     ScalarField,
     SymTensor2,
@@ -54,12 +53,10 @@ __all__ = [
     "CHRISTOFFEL_CORRECTIONS",
     "build_canonical_metric",
     "minimal_admissible_N",
-    "canonical_christoffel_closed_form",
     "canonical_christoffel_closed_forms",
     "christoffel_crosscheck",
     "ricci_soliton_residual",
     "ricci_soliton_residuals",
-    "canonical_ricci_quadratic",
     "canonical_ricci_quadratics",
     "limit_ricci",
 ]
@@ -324,31 +321,20 @@ def ricci_soliton_residual(cm: CanonicalMetric, p: np.ndarray, t: float) -> Resi
 
 
 def canonical_ricci_quadratics(cm: CanonicalMetric, Xs, points, ts) -> list:
-    """``canonical_ricci_quadratic`` at every (X, p, t) triple, in one kernel call.
+    """Ric of the canonical metric on X + d/dt, X a spatial vector, at (p, t); one kernel call.
 
-    One entry per triple, in order: the float, or the exception the single
-    call raises there (a point outside the chart, a degenerate metric).
+    One entry per (X, p, t) triple, in order: the float, or the exception the
+    kernel recorded there (a point outside the chart, a degenerate metric).
     """
     ts = np.asarray(ts, dtype=float)
-    b = metric_bundle(cm.field, np.column_stack((ts, np.asarray(points, dtype=float))), order=2)
-    Xbar = np.column_stack((np.ones(len(ts)), np.asarray(Xs, dtype=float)))[b.index]
+    shape = (len(ts), cm.base.dim)
+    b = metric_bundle(cm.field, np.column_stack((ts, np.reshape(points, shape))), order=2)
+    Xbar = np.column_stack((np.ones(len(ts)), np.reshape(Xs, shape)))[b.index]
     quads = (Xbar[:, None] @ ricci_batch(b) @ Xbar[..., None]).ravel().tolist()
     out = list(b.errors)
     for i, q in zip(b.index, quads):
         out[i] = q
     return out
-
-
-def canonical_ricci_quadratic(cm: CanonicalMetric, X: np.ndarray, p: np.ndarray, t: float) -> float:
-    """Ric of the canonical metric on the lifted vector X + d/dt.
-
-    X is a spatial (contravariant) vector on the background; the lift
-    prepends a unit time component.  The one-triple case of ``canonical_ricci_quadratics``.
-    """
-    [quad] = canonical_ricci_quadratics(cm, [X], [p], [t])
-    if isinstance(quad, Exception):
-        raise quad
-    return quad
 
 
 def limit_ricci(bg: RicciFlowBackground, X: np.ndarray, p: np.ndarray, t: float) -> float:
@@ -473,12 +459,6 @@ def canonical_christoffel_closed_forms(cm: CanonicalMetric, points, ts, as_print
     gamma[:, 1:, 1:, 0] = gamma[:, 1:, 0, 1:] = mixed_up
     gamma[:, 0, 1:, 0] = gamma[:, 0, 0, 1:] = time_mixed
     return gamma
-
-
-def canonical_christoffel_closed_form(cm: CanonicalMetric, p: np.ndarray, t: float,
-                                      as_printed: bool = False) -> ConnectionCoeffs:
-    """``canonical_christoffel_closed_forms`` at one pair (p, t)."""
-    return ConnectionCoeffs(canonical_christoffel_closed_forms(cm, [p], [t], as_printed)[0])
 
 
 _SYMBOL_CLASSES = {

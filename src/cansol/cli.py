@@ -104,6 +104,9 @@ class RunConfig:
         suite = raw.get("suite")
         if suite not in SUITES:
             raise ConfigError(f"unknown suite {suite!r}; known: {list(SUITES)}")
+        N_list = raw.get("N_list", [])
+        if not _numbers(N_list):
+            raise ConfigError(f"N_list must be a list of numbers, got {N_list!r}")
         cfg = RunConfig(
             suite=suite,
             variant=raw.get("variant"),
@@ -119,10 +122,28 @@ class RunConfig:
                 raise ConfigError("N_list entries must be positive")
             if sorted(cfg.N_list) != cfg.N_list:
                 raise ConfigError("N_list must be sorted ascending")
-        count = cfg.samples.get("count", 20)
-        if isinstance(count, bool) or not (isinstance(count, int) and count >= 1):
-            raise ConfigError("samples.count must be an integer >= 1")
+        for key, low in (("count", 1), ("seed", 0)):
+            value = cfg.samples.get(key, low)
+            if isinstance(value, bool) or not (isinstance(value, int) and value >= low):
+                raise ConfigError(f"samples.{key} must be an integer >= {low}, got {value!r}")
+        t_range = cfg.samples.get("t_range")
+        if t_range is not None and not _numbers(t_range, 2):
+            raise ConfigError(f"samples.t_range must be two numbers, got {t_range!r}")
+        times = cfg.samples.get("times")
+        if isinstance(times, list) and not _numbers(times):
+            raise ConfigError(f"samples.times entries must be numbers, got {times!r}")
+        for key, value in cfg.tolerances.items():
+            band = key == "ratio_band"
+            if not (_numbers(value, 2) if band else _numbers([value])):
+                what = "two numbers" if band else "a number"
+                raise ConfigError(f"tolerances.{key} must be {what}, got {value!r}")
         return cfg
+
+
+def _numbers(x, length=None) -> bool:
+    """Whether x is a list of numbers, of ``length`` if given; a bool is no number here."""
+    return (isinstance(x, (list, tuple)) and length in (None, len(x))
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x))
 
 
 def _build_background(cfg: RunConfig):
@@ -161,15 +182,10 @@ def _draw_samples(cfg: RunConfig, sampler, domain, default_count: int):
         )
     pts = sampler(count, rng)
     lo, hi = domain
-    t_min = T_MIN_FRACTION * hi
     t_range = cfg.samples.get("t_range")
-    if t_range is not None:
-        a, b = float(t_range[0]), float(t_range[1])
-        if not (lo < a <= b <= hi):
-            raise ConfigError(f"t_range {t_range} outside the domain ({lo}, {hi}]")
-        t_min = a
-    else:
-        b = hi
+    t_min, b = (T_MIN_FRACTION * hi, hi) if t_range is None else map(float, t_range)
+    if t_range is not None and not (lo < t_min <= b <= hi):
+        raise ConfigError(f"t_range {t_range} outside the domain ({lo}, {hi}]")
     if times is not None:
         return rng, pts, [float(t) for t in times]
     return rng, pts, list(rng.uniform(t_min, b, count))

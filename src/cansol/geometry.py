@@ -11,8 +11,8 @@ adds one level of Richardson extrapolation to its comparison stencil.
 The kernel is batched over a leading sample axis.  ``metric_bundle``
 evaluates g, g^-1, dg and (when asked) ddg once for a stack of P points,
 and the ``*_batch`` operations contract those into (P, ...) arrays.  The
-single-point functions (``christoffel``, ``ricci``, ...) are the P = 1
-case of the same code.  Each point's result is independent of how many
+single-point ``inverse_metric`` and ``christoffel`` are the P = 1 case
+of the same code.  Each point's result is independent of how many
 points share the call: contractions are per-point ``np.einsum`` calls,
 never BLAS over the stack.
 
@@ -24,11 +24,11 @@ Conventions
 * Callbacks take a (P, d) stack and return arrays with a leading P axis.
   A call on a single point (P = 1) may return the per-point shape instead;
   any other shape raises ``GeometryError``.
-* ``christoffel`` returns Gamma[a, b, c] = Gamma^a_{bc}.
-* ``riemann`` returns R[a, b, c, d] = R^a_{bcd} with
+* ``christoffel_batch`` returns Gamma[p, a, b, c] = Gamma^a_{bc}.
+* ``riemann_batch`` returns R[p, a, b, c, d] = R^a_{bcd} with
   R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb}
              + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb},
-  and ``ricci`` is the trace Ric_bd = R^a_{bad}.  The overall sign is
+  and ``ricci_batch`` is the trace Ric_bd = R^a_{bad}.  The overall sign is
   fixed so that the round sphere has positive Ricci curvature.
 """
 
@@ -53,27 +53,17 @@ __all__ = [
     "chart_point",
     "metric_bundle",
     "scalar_d1",
-    "scalar_d2",
     "inverse_metric",
     "christoffel",
     "christoffel_batch",
-    "christoffel_d1",
     "christoffel_d1_batch",
-    "riemann",
     "riemann_batch",
-    "ricci",
     "ricci_batch",
-    "scalar_curvature",
     "scalar_curvature_batch",
-    "hessian",
     "hessian_batch",
-    "laplacian",
     "laplacian_batch",
-    "tensor_norm",
     "tensor_norm_batch",
-    "gradient",
     "gradient_batch",
-    "directional_derivative",
     "check_metric_derivatives",
 ]
 
@@ -85,6 +75,8 @@ COND_LIMIT = 1e12
 # coordinate a is ``h * max(1, |p_a|)``.
 FD_H1 = 1e-5
 FD_H2 = 1e-4
+
+_VARIANCES = ("covariant", "contravariant")
 
 
 class GeometryError(Exception):
@@ -189,7 +181,7 @@ def _shaped(out, pts: np.ndarray, shape: tuple, what: str, dtype=float) -> np.nd
     """A callback's result on a (P, d) stack, checked to have shape (P, *shape).
 
     At a single point the per-point ``shape`` is accepted too, so callbacks
-    written for one point keep working in the single-point functions.
+    written for one point (a constant ``d2`` matrix, say) keep working.
     """
     full = (pts.shape[0],) + shape
     out = np.asarray(out, dtype=dtype)
@@ -231,11 +223,6 @@ class MetricField:
         pts, single = _checked(p, self.dim, self.in_domain)
         g = _evaluate(self.components, pts, (self.dim, self.dim), "metric")
         return g[0] if single else g
-
-    def check_point(self, p) -> np.ndarray:
-        p = _one_point(p)
-        _checked(p, self.dim, self.in_domain)
-        return p
 
     def without_analytic_derivatives(self) -> "MetricField":
         """Copy of this field using only finite differences (FD backend)."""
@@ -284,8 +271,8 @@ class SymTensor2:
         scale = max(1.0, float(np.max(np.abs(e))))
         if np.max(np.abs(e - e.T)) > 1e-12 * scale:
             raise ValueError("SymTensor2 entries are not symmetric")
-        if self.variance not in ("covariant", "contravariant"):
-            raise ValueError(f"unknown variance {self.variance!r}")
+        if self.variance not in _VARIANCES:
+            raise ValueError(f"unknown variance {self.variance!r}; known: {_VARIANCES}")
 
     @staticmethod
     def symmetrized(entries, variance: str = "covariant") -> "SymTensor2":
@@ -376,12 +363,6 @@ def _metric_partials(metric: MetricField, pts: np.ndarray, order: int) -> list:
 def scalar_d1(f: ScalarField, p: np.ndarray) -> np.ndarray:
     pts, single = _checked(p)
     out = _partials(f.d1, f.value, pts, 1, (), "scalar")
-    return out[0] if single else out
-
-
-def scalar_d2(f: ScalarField, p: np.ndarray) -> np.ndarray:
-    pts, single = _checked(p)
-    out = _partials(f.d2, f.value, pts, 2, (), "scalar")
     return out[0] if single else out
 
 
@@ -603,6 +584,8 @@ def tensor_norm_batch(b: MetricBundle, T: np.ndarray, variance: str = "covariant
     Covariant: |T|^2 = g^{ac} g^{bd} T_ab T_cd; contravariant indices are
     contracted with g instead.  Returns the nonnegative square roots.
     """
+    if variance not in _VARIANCES:
+        raise ValueError(f"unknown variance {variance!r}; known: {_VARIANCES}")
     m = b.ginv if variance == "covariant" else b.g
     sq = np.einsum("pac,pbd,pab,pcd->p", m, m, T, T)
     return np.sqrt(np.maximum(sq, 0.0))
@@ -627,54 +610,6 @@ def inverse_metric(metric: MetricField, p: np.ndarray) -> np.ndarray:
 def christoffel(metric: MetricField, p: np.ndarray) -> ConnectionCoeffs:
     """Levi-Civita Christoffel symbols at a point (see ``christoffel_batch``)."""
     return ConnectionCoeffs(christoffel_batch(_at_point(metric, p, order=1))[0])
-
-
-def christoffel_d1(metric: MetricField, p: np.ndarray) -> np.ndarray:
-    """Partial derivatives d_e Gamma^a_{bc}, index order [e, a, b, c]."""
-    return christoffel_d1_batch(_at_point(metric, p, order=2))[0]
-
-
-def riemann(metric: MetricField, p: np.ndarray) -> np.ndarray:
-    """Riemann tensor R^a_{bcd} (sign convention as in the module docstring)."""
-    return riemann_batch(_at_point(metric, p, order=2))[0]
-
-
-def ricci(metric: MetricField, p: np.ndarray) -> SymTensor2:
-    """Ricci tensor Ric_bd = R^a_{bad}; positive on round spheres."""
-    return SymTensor2(ricci_batch(_at_point(metric, p, order=2))[0], "covariant")
-
-
-def scalar_curvature(metric: MetricField, p: np.ndarray) -> float:
-    """Scalar curvature R = g^{bd} Ric_bd."""
-    return float(scalar_curvature_batch(_at_point(metric, p, order=2))[0])
-
-
-def hessian(metric: MetricField, f: ScalarField, p: np.ndarray) -> SymTensor2:
-    """Covariant Hessian Hess(f)_ab = d_a d_b f - Gamma^c_{ab} d_c f."""
-    return SymTensor2(hessian_batch(_at_point(metric, p, order=1), f)[0], "covariant")
-
-
-def laplacian(metric: MetricField, f: ScalarField, p: np.ndarray) -> float:
-    """Metric Laplacian: trace of the Hessian against g^{ab}."""
-    return float(laplacian_batch(_at_point(metric, p, order=1), f)[0])
-
-
-def tensor_norm(metric: MetricField, T: SymTensor2, p: np.ndarray) -> float:
-    """Pointwise metric norm |T| of a symmetric 2-tensor (see ``tensor_norm_batch``)."""
-    b = _at_point(metric, p, order=0)
-    return float(tensor_norm_batch(b, T.entries[None], T.variance)[0])
-
-
-def gradient(metric: MetricField, f: ScalarField, p: np.ndarray) -> np.ndarray:
-    """Contravariant gradient (grad f)^a = g^{ab} d_b f."""
-    return gradient_batch(_at_point(metric, p, order=0), f)[0]
-
-
-def directional_derivative(metric: MetricField, f: ScalarField, v: np.ndarray, p: np.ndarray) -> float:
-    """Derivative of f along the (contravariant) vector v: v^a d_a f."""
-    metric.check_point(p)
-    v = np.asarray(v, dtype=float)
-    return float(v @ scalar_d1(f, p))
 
 
 def check_metric_derivatives(metric: MetricField, points, rtol: float = 1e-6) -> float:

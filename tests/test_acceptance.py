@@ -21,7 +21,7 @@ from cansol.backgrounds import (
 from cansol.canonical import (
     CHRISTOFFEL_CORRECTIONS,
     build_canonical_metric,
-    canonical_ricci_quadratic,
+    canonical_ricci_quadratics,
     christoffel_crosscheck,
     limit_ricci,
     ricci_soliton_residual,
@@ -215,7 +215,8 @@ def test_criterion_4_harnack_link():
         errs = []
         for N in (1e3, 2e3, 4e3):
             cm = build_canonical_metric(bg, "expanding", N)
-            errs.append(abs(canonical_ricci_quadratic(cm, X, p, t) - target))
+            [quad] = canonical_ricci_quadratics(cm, [X], [p], [t])
+            errs.append(abs(quad - target))
         ratios_ok = ratios_ok and all(0.3 < b / a < 0.7 for a, b in zip(errs, errs[1:]))
 
     p, t = np.array([1.2, 0.8, 2.0]), 0.1

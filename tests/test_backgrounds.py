@@ -1,6 +1,9 @@
 """Catalog fixtures are exact solutions; every residual here must vanish."""
 
+import dataclasses
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +20,12 @@ from cansol.backgrounds import (
     model_mcf,
     ricci_flow_residual,
 )
-from cansol.geometry import ChartDomainError, tensor_norm
+from cansol.geometry import ChartDomainError, _at_point, scalar_curvature_batch, tensor_norm_batch
+
+
+def tensor_norm(metric, T, p):
+    """|T| at one point through ``tensor_norm_batch``, in T's own variance."""
+    return tensor_norm_batch(_at_point(metric, p, 0), T.entries[None], T.variance)[0]
 
 
 def sample_times(bg, count, rng):
@@ -45,9 +53,7 @@ class TestModelBackgrounds:
         bg = model_background("round_sphere", dim=3, r0=1.0, direction="forward")
         p = np.array([1.2, 1.0, 0.5])
         assert bg.scalar_at(p, 0.1) == pytest.approx(10.0, rel=1e-12)
-        from cansol.geometry import scalar_curvature
-
-        assert scalar_curvature(bg.metric_at(0.1), p) == pytest.approx(10.0, rel=1e-10)
+        assert scalar_curvature_batch(_at_point(bg.metric_at(0.1), p, 2))[0] == pytest.approx(10.0, rel=1e-10)
 
     def test_round_sphere_forward_exact_flow(self, rng):
         bg = model_background("round_sphere", dim=3, r0=1.0, direction="forward")
@@ -65,6 +71,24 @@ class TestModelBackgrounds:
             model_background("round_sphere", dim=3, r0=-1.0)
         with pytest.raises(BackgroundError):
             model_background("euclidean_static", dim=3, radius=2.0)
+
+    @pytest.mark.parametrize("name, params, message", [
+        ("round_sphere", dict(dim="x"), "round_sphere parameter dim must be an integer, got 'x'"),
+        ("round_sphere", dict(r0="a"), "round_sphere parameter r0 must be a number, got 'a'"),
+        ("round_sphere", dict(T="z"), "round_sphere parameter T must be a number, got 'z'"),
+        ("euclidean_static", dict(dim=None), "euclidean_static parameter dim must be an integer, got None"),
+        ("gaussian_shrinker_flat", dict(T=[1.0]), "gaussian_shrinker_flat parameter T must be a number"),
+    ])
+    def test_wrong_typed_params(self, name, params, message):
+        with pytest.raises(BackgroundError, match=re.escape(message)):
+            model_background(name, **params)
+
+    def test_wrong_typed_flow_params(self):
+        flat = model_background("euclidean_static", dim=3)
+        with pytest.raises(BackgroundError, match="shrinking_sphere_flat parameter r0 must be a number"):
+            model_mcf("shrinking_sphere_flat", flat, r0="q")
+        with pytest.raises(BackgroundError, match="static_plane_flat parameter height must be a number"):
+            model_mcf("static_plane_flat", flat, height="h")
 
     def test_forward_sphere_domain_ends_before_singular_time(self):
         bg = model_background("round_sphere", dim=3, r0=1.0, direction="forward")
@@ -324,6 +348,75 @@ class TestGradientSolitonResidual:
         )
         res = gradient_soliton_residual(bg, quadratic, np.array([0.2, 0.5, 0.7]), 0.3)
         assert np.allclose(res.entries, np.diag([2.0, 0.0, 0.0]), atol=1e-14)
+
+
+def counting_sigma(bg):
+    """bg with its static metric sigma wrapped to count ``components`` and ``jet`` calls."""
+    calls = {"components": 0, "jet": 0}
+    sigma = bg.conformal.sigma
+
+    def components(p):
+        calls["components"] += 1
+        return sigma.components(p)
+
+    def jet(p, order):
+        calls["jet"] += 1
+        return sigma.jet(p, order)
+
+    counted = dataclasses.replace(sigma, components=components, jet=jet)
+    return dataclasses.replace(bg, conformal=dataclasses.replace(bg.conformal, sigma=counted)), calls
+
+
+def not_a_soliton():
+    """A potential on the unit 3-sphere that is no soliton, so every residual term is non-zero."""
+    return GradientSolitonData(
+        TimeScalarField(
+            value=lambda y, t: np.sum(np.cos(y), axis=-1) / t,
+            dy=lambda y, t: -np.sin(y) / t,
+            dyy=lambda y, t: -np.sin(y)[..., None] * np.eye(3) / t,
+        ),
+        "shrinking",
+    )
+
+
+class TestOneBundlePerResidual:
+    def test_gradient_soliton_residual_evaluates_sigma_once(self):
+        bg, calls = counting_sigma(model_background("gaussian_shrinker_flat", dim=3))
+        gradient_soliton_residual(bg, bg.soliton, np.array([0.3, -0.2, 0.5]), 0.4)
+        assert calls == {"components": 1, "jet": 1}
+
+    def test_residuals_equal_the_values_before_the_single_bundle(self):
+        # digests of the residual bytes, computed with a Ricci, a Hessian and a
+        # metric lookup that each evaluated the metric on their own
+        rng = np.random.default_rng(2026)
+        digests = {}
+        for key, bg, sol in [
+            ("gaussian", model_background("gaussian_shrinker_flat", dim=3), None),
+            ("sphere", model_background("round_sphere", dim=3, r0=1.0, direction="backward"),
+             not_a_soliton()),
+        ]:
+            h = hashlib.sha256()
+            for _ in range(50):
+                t = rng.uniform(0.05, 1.0)
+                p = bg.sample_points(1, rng)[0]
+                h.update(gradient_soliton_residual(bg, sol or bg.soliton, p, t).entries.tobytes())
+            digests[key] = h.hexdigest()
+        h = hashlib.sha256()
+        for name, params in [("round_sphere", dict(dim=3, r0=1.0, direction="forward")),
+                             ("round_sphere", dict(dim=4, r0=1.5, direction="backward")),
+                             ("euclidean_static", dict(dim=3, direction="forward"))]:
+            bg = model_background(name, **params)
+            hi = bg.time_domain[1]
+            for _ in range(50):
+                t = rng.uniform(0.05 * hi, hi)
+                p = bg.sample_points(1, rng)[0]
+                h.update(ricci_flow_residual(bg, p, t).entries.tobytes())
+        digests["ricci_flow"] = h.hexdigest()
+        assert digests == {
+            "gaussian": "967eedb2dc77a95e6270119ece23d9f47ca97c3b18ffa7d391d34e461b284f4c",
+            "sphere": "d732bc72bdff395263ec0743fdab000200e2ca6fe5f8037f01e7ded8fe2972b0",
+            "ricci_flow": "aa568e1015220d034f6a21e8f407ceefac628c649b7afcdb22aeb1baf8a2cff9",
+        }
 
 
 class TestMCFSolitonResidual:

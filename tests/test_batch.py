@@ -15,9 +15,7 @@ from cansol.canonical import (
     VARIANTS,
     CanonicalConfigError,
     build_canonical_metric,
-    canonical_christoffel_closed_form,
     canonical_christoffel_closed_forms,
-    canonical_ricci_quadratic,
     canonical_ricci_quadratics,
     ricci_soliton_residual,
     ricci_soliton_residuals,
@@ -30,28 +28,19 @@ from cansol.geometry import (
     GeometryError,
     MetricField,
     ScalarField,
-    SymTensor2,
+    _at_point,
     christoffel,
     christoffel_batch,
-    christoffel_d1,
     christoffel_d1_batch,
-    gradient,
     gradient_batch,
-    hessian,
     hessian_batch,
     inverse_metric,
-    laplacian,
     laplacian_batch,
     metric_bundle,
-    ricci,
     ricci_batch,
-    riemann,
     riemann_batch,
-    scalar_curvature,
     scalar_curvature_batch,
     scalar_d1,
-    scalar_d2,
-    tensor_norm,
     tensor_norm_batch,
 )
 from cansol.harnack import I_GHY, I_infty, flat_ball_domain, random_polynomial_field
@@ -79,7 +68,7 @@ def spacetime_stack(cm, k, rng):
 
 
 def assert_stack_matches_single_points(metric, f, pts):
-    """Every kernel op on the stack equals, bit for bit, the single-point calls."""
+    """Every kernel op on the stack equals, bit for bit, the op on one-point bundles."""
     b = metric_bundle(metric, pts, order=2)
     assert b.errors == (None,) * len(pts)
     ric = ricci_batch(b)
@@ -97,27 +86,27 @@ def assert_stack_matches_single_points(metric, f, pts):
         "laplacian": laplacian_batch(b, f),
         "gradient": gradient_batch(b, f),
         "scalar_d1": scalar_d1(f, pts),
-        "scalar_d2": scalar_d2(f, pts),
         "tensor_norm": tensor_norm_batch(b, T),
         "tensor_norm_up": tensor_norm_batch(b, T, "contravariant"),
     }
     for i, p in enumerate(pts):
+        # each op on a bundle of the order it needs, as a lone point would get
+        b0, b1, b2 = (_at_point(metric, p, order) for order in range(3))
         single = {
             "d1": metric_bundle(metric, p, order=2).dg[0],
             "d2": metric_bundle(metric, p, order=2).ddg[0],
             "inverse_metric": inverse_metric(metric, p),
             "christoffel": christoffel(metric, p).gamma,
-            "christoffel_d1": christoffel_d1(metric, p),
-            "riemann": riemann(metric, p),
-            "ricci": ricci(metric, p).entries,
-            "scalar_curvature": scalar_curvature(metric, p),
-            "hessian": hessian(metric, f, p).entries,
-            "laplacian": laplacian(metric, f, p),
-            "gradient": gradient(metric, f, p),
+            "christoffel_d1": christoffel_d1_batch(b2)[0],
+            "riemann": riemann_batch(b2)[0],
+            "ricci": ricci_batch(b2)[0],
+            "scalar_curvature": scalar_curvature_batch(b2)[0],
+            "hessian": hessian_batch(b1, f)[0],
+            "laplacian": laplacian_batch(b1, f)[0],
+            "gradient": gradient_batch(b0, f)[0],
             "scalar_d1": scalar_d1(f, p),
-            "scalar_d2": scalar_d2(f, p),
-            "tensor_norm": tensor_norm(metric, SymTensor2(T[i]), p),
-            "tensor_norm_up": tensor_norm(metric, SymTensor2(T[i], "contravariant"), p),
+            "tensor_norm": tensor_norm_batch(b0, T[i][None])[0],
+            "tensor_norm_up": tensor_norm_batch(b0, T[i][None], "contravariant")[0],
         }
         for name, value in single.items():
             assert np.array_equal(batched[name][i], value), (name, i)
@@ -292,10 +281,12 @@ class TestCallbackContract:
         for pts in (np.zeros((2, 2)), np.zeros((3, 2))):
             with pytest.raises(GeometryError, match="metric callback returned shape"):
                 metric_bundle(metric, pts)
+        # on a flat metric the Hessian is the d2 callback's matrix
         f = ScalarField(value=lambda p: np.zeros(len(p)), d2=lambda p: np.eye(2))
-        assert np.array_equal(scalar_d2(f, np.zeros(2)), np.eye(2))
+        assert np.array_equal(hessian_batch(_at_point(metric, np.zeros(2), 1), f)[0], np.eye(2))
+        flat = MetricField(dim=2, components=lambda p: np.zeros((len(p), 2, 2)) + np.eye(2))
         with pytest.raises(GeometryError, match="scalar d2 callback returned shape"):
-            scalar_d2(f, np.zeros((2, 2)))
+            hessian_batch(metric_bundle(flat, np.zeros((2, 2)), order=1), f)
 
     def test_wrong_leading_axis_raises(self):
         metric = MetricField(dim=2, components=lambda p: np.zeros((len(p) + 1, 2, 2)))
@@ -437,14 +428,13 @@ class TestRicciQuadraticStacks:
         batch = canonical_ricci_quadratics(cm, Xs, pts, ts)
         loop, formula = [], []
         for X, p, t in zip(Xs, pts, ts):
+            loop += canonical_ricci_quadratics(cm, [X], [p], [t])
             try:
-                loop.append(canonical_ricci_quadratic(cm, X, p, t))
                 # the pointwise form the stack replaced
                 Xbar = np.concatenate(([1.0], X))
-                ric = ricci(cm.field, cm.field.check_point(cm.spacetime_point(p, t))).entries
+                ric = ricci_batch(_at_point(cm.field, cm.spacetime_point(p, t), 2))[0]
                 formula.append(float(Xbar @ ric @ Xbar))
             except GeometryError as exc:
-                loop.append(exc)
                 formula.append(exc)
         assert [type(q) for q in batch] == [type(q) for q in loop]
         assert [type(q).__name__ for q in batch[5:10]] == [
@@ -459,6 +449,11 @@ class TestRicciQuadraticStacks:
         reversed_ = canonical_ricci_quadratics(cm, Xs[::-1], pts[::-1], ts[::-1])[::-1]
         assert [q for q in reversed_ if isinstance(q, float)] == [
             q for q in batch if isinstance(q, float)]
+
+    def test_empty_stack(self):
+        cm = canonical("expanding", 3, 2e3)
+        assert canonical_ricci_quadratics(cm, [], [], []) == []
+        assert canonical_ricci_quadratics(cm, np.empty((0, 3)), np.empty((0, 3)), []) == []
 
 
 def closed_form_cases():
@@ -485,12 +480,11 @@ class TestClosedFormStacks:
         stack = canonical_christoffel_closed_forms(cm, pts, ts, as_printed)
         assert stack.shape == (9,) + (params["dim"] + 1,) * 3
         for i, (p, t) in enumerate(zip(pts, ts)):
-            single = canonical_christoffel_closed_form(cm, p, t, as_printed).gamma
+            [single] = canonical_christoffel_closed_forms(cm, [p], [t], as_printed)
             assert np.array_equal(stack[i], single), i
             # the pointwise form the stack replaced, to round-off
             want = ref.canonical_christoffel_closed_form(cm, p, t, as_printed)
             assert np.max(np.abs(single - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(want)), i
-            assert np.array_equal(canonical_christoffel_closed_forms(cm, [p], [t], as_printed)[0], single)
         # an entry does not depend on its neighbours
         reversed_ = canonical_christoffel_closed_forms(cm, pts[::-1], ts[::-1], as_printed)
         assert np.array_equal(reversed_[::-1], stack)
@@ -511,7 +505,7 @@ class TestClosedFormStacks:
         ]
         for (p, t), message in bad:
             with pytest.raises(ChartDomainError) as single:
-                canonical_christoffel_closed_form(cm, p, t)
+                canonical_christoffel_closed_forms(cm, [p], [t])
             assert str(single.value) == message
         pairs = [(good, 0.4), (good, 0.9)] + [pair for pair, _ in bad]
         # each pair in turn leads the remaining stack, behind good ones

@@ -10,8 +10,8 @@ from cansol.canonical import (
     CHRISTOFFEL_CORRECTIONS,
     CanonicalConfigError,
     build_canonical_metric,
-    canonical_christoffel_closed_form,
-    canonical_ricci_quadratic,
+    canonical_christoffel_closed_forms,
+    canonical_ricci_quadratics,
     christoffel_crosscheck,
     limit_ricci,
     minimal_admissible_N,
@@ -102,18 +102,18 @@ class TestClosedFormChristoffels:
     def test_flat_expanding_mixed_entry(self):
         # G^a_b0 = -delta/(2t): at t = 0.5 the diagonal is -1
         cm = build_canonical_metric(make_bg(FLAT_FWD), "expanding", 100.0)
-        gamma = canonical_christoffel_closed_form(cm, np.zeros(3), 0.5).gamma
+        [gamma] = canonical_christoffel_closed_forms(cm, [np.zeros(3)], [0.5])
         assert np.allclose(gamma[1:, 1:, 0], -np.eye(3))
 
     def test_flat_steady_gamma_vanishes(self):
         cm = build_canonical_metric(make_bg(FLAT_BWD), "steady", 100.0)
-        gamma = canonical_christoffel_closed_form(cm, np.zeros(3), 0.4).gamma
+        [gamma] = canonical_christoffel_closed_forms(cm, [np.zeros(3)], [0.4])
         assert np.allclose(gamma, 0.0)
 
     def test_sphere_steady_time_block(self):
         cm = build_canonical_metric(make_bg(SPHERE_BWD), "steady", 100.0)
         p, t = np.array([1.1, 0.7, 0.2]), 0.3
-        gamma = canonical_christoffel_closed_form(cm, p, t).gamma
+        [gamma] = canonical_christoffel_closed_forms(cm, [p], [t])
         bg = cm.base
         expected = -bg.ricci_at(p, t) / (100.0 + bg.scalar_at(p, t))
         assert np.allclose(gamma[0, 1:, 1:], expected, rtol=1e-12)
@@ -232,7 +232,8 @@ class TestLimitRicci:
         errs = []
         for N in (1e3, 2e3, 4e3):
             cm = build_canonical_metric(bg, "expanding", N)
-            errs.append(abs(canonical_ricci_quadratic(cm, X, p, t) - target))
+            [quad] = canonical_ricci_quadratics(cm, [X], [p], [t])
+            errs.append(abs(quad - target))
         for a, b in zip(errs, errs[1:]):
             assert 0.3 < b / a < 0.7
 

@@ -26,6 +26,24 @@ def cfg_ricci(**over):
     return RunConfig.from_dict(base)
 
 
+# wrong-typed config values, each with the start of its config error
+WRONG_TYPED = [
+    pytest.param({"samples": {"count": 4, "seed": 1, "t_range": 0.05}},
+                 r"samples\.t_range must be two numbers, got 0\.05", id="t_range-scalar"),
+    pytest.param({"samples": {"count": 4, "seed": 1, "t_range": [0.05]}},
+                 r"samples\.t_range must be two numbers", id="t_range-short"),
+    pytest.param({"samples": {"count": 4, "seed": -1}},
+                 r"samples\.seed must be an integer >= 0, got -1", id="seed"),
+    pytest.param({"N_list": ["a", "b"]}, r"N_list must be a list of numbers", id="N_list"),
+    pytest.param({"samples": {"seed": 1, "times": ["a"]}},
+                 r"samples\.times entries must be numbers", id="times"),
+    pytest.param({"tolerances": {"ratio": "x"}},
+                 r"tolerances\.ratio must be a number, got 'x'", id="ratio"),
+    pytest.param({"tolerances": {"ratio_band": [0.3, 0.5, 0.7]}},
+                 r"tolerances\.ratio_band must be two numbers", id="ratio_band"),
+]
+
+
 class TestConfigValidation:
     def test_unknown_suite(self):
         with pytest.raises(ConfigError):
@@ -103,6 +121,11 @@ class TestConfigValidation:
         # a bool is an int to isinstance, but not a sample count
         with pytest.raises(ConfigError, match=r"samples\.count must be an integer"):
             cfg_ricci(samples={"count": count, "seed": 1})
+
+    @pytest.mark.parametrize("over, message", WRONG_TYPED)
+    def test_wrong_typed_values(self, over, message):
+        with pytest.raises(ConfigError, match=message):
+            cfg_ricci(**over)
 
     @pytest.mark.parametrize("times", [[], [0.05, 0.1], 0.1])
     def test_lott_match_needs_exactly_one_time(self, times):
@@ -485,6 +508,36 @@ class TestMainEntry:
         summary, passed = _sweep_summary([(100.0, 0.5), (1000.0, None)], 1.5)
         assert not passed and summary["per_N"][1] == {"N": 1000.0, "sup_scaled_norm": None}
         assert _sweep_summary([(100.0, 0.5), (1000.0, 0.6)], 1.5)[1]
+
+    @pytest.mark.parametrize("over", [pytest.param(p.values[0], id=p.id) for p in WRONG_TYPED] + [
+        pytest.param({"background": {"name": "round_sphere", "params": {key: value}}}, id=f"params-{key}")
+        for key, value in (("dim", "x"), ("r0", "a"), ("T", "z"))
+    ])
+    def test_wrong_typed_values_exit_two(self, tmp_path, capsys, over):
+        cfg = {
+            "suite": "ricci_soliton_residual",
+            "variant": "expanding",
+            "background": {"name": "round_sphere", "params": {"dim": 3, "direction": "forward"}},
+            "N_list": [100.0, 1000.0],
+            "samples": {"count": 3, "seed": 1},
+            "output": {"path": str(tmp_path / "out.json")},
+            **over,
+        }
+        assert main(["run", "--config", str(self.write_cfg(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "out.json").exists()
+
+    def test_wrong_typed_flow_parameter_exit_two(self, tmp_path, capsys):
+        cfg = {
+            "suite": "mcf_soliton_residual",
+            "variant": "expanding",
+            "background": {"name": "euclidean_static", "params": {"dim": 3, "direction": "forward"}},
+            "mcf": {"name": "shrinking_sphere_flat", "params": {"r0": "q"}},
+            "N_list": [100.0],
+            "output": {"path": str(tmp_path / "out.json")},
+        }
+        assert main(["run", "--config", str(self.write_cfg(tmp_path, cfg))]) == 2
+        assert "shrinking_sphere_flat parameter r0 must be a number" in capsys.readouterr().err
 
     def test_config_error_exit_two(self, tmp_path):
         cfg = {"suite": "bogus"}

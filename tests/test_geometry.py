@@ -15,17 +15,19 @@ from cansol.geometry import (
     MetricField,
     ScalarField,
     SymTensor2,
+    _at_point,
     check_metric_derivatives,
     christoffel,
-    directional_derivative,
-    gradient,
-    hessian,
+    gradient_batch,
+    hessian_batch,
     inverse_metric,
+    laplacian_batch,
     metric_bundle,
-    ricci,
-    riemann,
-    scalar_curvature,
-    tensor_norm,
+    ricci_batch,
+    riemann_batch,
+    scalar_curvature_batch,
+    scalar_d1,
+    tensor_norm_batch,
 )
 
 
@@ -93,14 +95,15 @@ class TestCurvature:
     def test_flat_ricci_and_scalar_vanish(self):
         m = flat_metric(3)
         p = np.array([0.1, 0.2, 0.3])
-        assert np.allclose(ricci(m, p).entries, 0.0, atol=1e-13)
-        assert scalar_curvature(m, p) == pytest.approx(0.0, abs=1e-13)
+        b = _at_point(m, p, 2)
+        assert np.allclose(ricci_batch(b)[0], 0.0, atol=1e-13)
+        assert scalar_curvature_batch(b)[0] == pytest.approx(0.0, abs=1e-13)
 
     @pytest.mark.parametrize("d,r", [(2, 1.0), (3, 0.7), (4, 1.9)])
     def test_sphere_ricci_closed_form_analytic(self, d, r):
         m = scaled_sphere(d, r)
         for p in sphere_points(d, 3, seed=d):
-            ric = ricci(m, p).entries
+            ric = ricci_batch(_at_point(m, p, 2))[0]
             expected = ((d - 1) / r**2) * m.at(p)
             assert np.max(np.abs(ric - expected)) <= 1e-10 * np.max(np.abs(expected))
 
@@ -108,7 +111,7 @@ class TestCurvature:
         d, r = 3, 1.1
         m = scaled_sphere(d, r).without_analytic_derivatives()
         for p in sphere_points(d, 3, seed=7):
-            ric = ricci(m, p).entries
+            ric = ricci_batch(_at_point(m, p, 2))[0]
             expected = ((d - 1) / r**2) * (r**2 * unit_sphere_metric(d).components(p))
             assert np.max(np.abs(ric - expected)) <= 1e-5 * np.max(np.abs(expected))
 
@@ -116,12 +119,12 @@ class TestCurvature:
         # d = 3, r^2 = 0.6 gives R = d(d-1)/r^2 = 6/0.6 = 10
         m = scaled_sphere(3, math.sqrt(0.6))
         p = sphere_points(3, 1, seed=11)[0]
-        assert scalar_curvature(m, p) == pytest.approx(10.0, rel=1e-10)
+        assert scalar_curvature_batch(_at_point(m, p, 2))[0] == pytest.approx(10.0, rel=1e-10)
 
     def test_riemann_symmetries_fd(self):
         m = scaled_sphere(3, 1.2).without_analytic_derivatives()
         for p in sphere_points(3, 3, seed=5):
-            R = riemann(m, p)
+            R = riemann_batch(_at_point(m, p, 2))[0]
             g = m.at(p)
             Rlow = np.einsum("ae,ebcd->abcd", g, R)
             scale = np.max(np.abs(Rlow))
@@ -142,18 +145,18 @@ class TestHessianAndGradient:
             d1=lambda p: p / (2 * tau),
             d2=lambda p: np.broadcast_to(np.eye(d) / (2 * tau), p.shape + (d,)),
         )
-        h = hessian(m, f, np.array([0.3, -0.1, 0.7])).entries
+        h = hessian_batch(_at_point(m, [0.3, -0.1, 0.7], 1), f)[0]
         assert np.allclose(h, np.eye(d) / (2 * tau), atol=1e-13)
 
     def test_constant_function(self):
         m = scaled_sphere(2, 1.0)
-        h = hessian(m, ScalarField.constant(4.2), np.array([1.0, 2.0])).entries
+        h = hessian_batch(_at_point(m, [1.0, 2.0], 1), ScalarField.constant(4.2))[0]
         assert np.allclose(h, 0.0, atol=1e-14)
 
     def test_bilinear_function_flat(self):
         m = flat_metric(3)
         f = ScalarField(value=lambda p: p[..., 0] * p[..., 1])
-        h = hessian(m, f, np.array([0.5, -2.0, 1.0])).entries
+        h = hessian_batch(_at_point(m, [0.5, -2.0, 1.0], 1), f)[0]
         expected = np.zeros((3, 3))
         expected[0, 1] = expected[1, 0] = 1.0
         assert np.allclose(h, expected, atol=1e-6)
@@ -162,21 +165,20 @@ class TestHessianAndGradient:
         m = flat_metric(3)
         f = ScalarField(value=lambda p: p[..., 0], d1=lambda p: np.broadcast_to([1.0, 0.0, 0.0], p.shape))
         p = np.array([0.2, 0.4, 0.6])
-        assert np.allclose(gradient(m, f, p), [1.0, 0.0, 0.0])
-        assert directional_derivative(m, f, np.array([1.0, 0, 0]), p) == pytest.approx(1.0)
-        assert directional_derivative(m, ScalarField.constant(3.0), np.array([1.0, 2, 3]), p) == 0.0
+        assert np.allclose(gradient_batch(_at_point(m, p, 0), f)[0], [1.0, 0.0, 0.0])
+        # the derivative along a vector v is v^a d_a f
+        assert np.array([1.0, 0, 0]) @ scalar_d1(f, p) == pytest.approx(1.0)
+        assert np.array([1.0, 2, 3]) @ scalar_d1(ScalarField.constant(3.0), p) == 0.0
 
     def test_gradient_inverse_metric_scaling(self):
         r = 1.7
         m = scaled_sphere(2, r)
         f = ScalarField(value=lambda p: p[..., 0], d1=lambda p: np.broadcast_to([1.0, 0.0], p.shape))
-        grad = gradient(m, f, np.array([math.pi / 2, 0.3]))
+        grad = gradient_batch(_at_point(m, [math.pi / 2, 0.3], 0), f)[0]
         assert grad[0] == pytest.approx(1.0 / r**2, rel=1e-12)
         assert grad[1] == pytest.approx(0.0, abs=1e-14)
 
     def test_laplacian_of_quadratic(self):
-        from cansol.geometry import laplacian
-
         d, tau = 3, 0.4
         m = flat_metric(d)
         f = ScalarField(
@@ -184,7 +186,12 @@ class TestHessianAndGradient:
             d1=lambda p: p / (2 * tau),
             d2=lambda p: np.broadcast_to(np.eye(d) / (2 * tau), p.shape + (d,)),
         )
-        assert laplacian(m, f, np.array([0.1, -0.2, 0.5])) == pytest.approx(d / (2 * tau))
+        assert laplacian_batch(_at_point(m, [0.1, -0.2, 0.5], 1), f)[0] == pytest.approx(d / (2 * tau))
+
+
+def tensor_norm(metric, T, p):
+    """|T| at one point through ``tensor_norm_batch``, in T's own variance."""
+    return tensor_norm_batch(_at_point(metric, p, 0), T.entries[None], T.variance)[0]
 
 
 class TestTensorNorm:
@@ -227,6 +234,15 @@ class TestTensorNorm:
         assert tensor_norm(relabeled, T_perm, p[perm]) == pytest.approx(
             tensor_norm(base, T, p), rel=1e-9
         )
+
+    def test_unknown_variance_is_refused(self):
+        # a misspelt variance is an error, not a contravariant norm
+        m = flat_metric(2, scale=4.0)
+        b = _at_point(m, np.zeros(2), 0)
+        T = np.diag([3.0, 4.0])[None]
+        assert tensor_norm_batch(b, T, "covariant")[0] == pytest.approx(5.0 / 4.0)
+        with pytest.raises(ValueError, match=r"variance 'covarient'; known: \('covariant', 'contravariant'\)"):
+            tensor_norm_batch(b, T, "covarient")
 
 
 class TestConnectionProperties:
