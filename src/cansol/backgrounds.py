@@ -285,7 +285,7 @@ class RicciFlowBackground:
 
     def sample_points(self, count: int, rng: np.random.Generator) -> list[np.ndarray]:
         """Random chart points from ``sample_box``, away from coordinate singularities."""
-        return [rng.uniform(*self.sample_box, self.dim) for _ in range(count)]
+        return list(rng.uniform(*self.sample_box, (count, self.dim)))
 
 
 @dataclass(frozen=True)
@@ -348,7 +348,7 @@ def model_background(name: str, **params) -> RicciFlowBackground:
     if name == "euclidean_static":
         dim = _param(name, params, "dim", 3, int)
         direction = params.pop("direction", "forward")
-        T = _param(name, params, "T", 1.0)
+        T = _positive(name, "T", _param(name, params, "T", 1.0))
         _reject_extras(name, params)
         conf = ConformalFamily(
             sigma=_euclidean_metric(dim),
@@ -360,12 +360,10 @@ def model_background(name: str, **params) -> RicciFlowBackground:
 
     if name == "round_sphere":
         dim = _param(name, params, "dim", 3, int)
-        r0 = _param(name, params, "r0", 1.0)
+        r0 = _positive(name, "r0", _param(name, params, "r0", 1.0))
         direction = params.pop("direction", "forward")
         T = _param(name, params, "T", None)
         _reject_extras(name, params)
-        if r0 <= 0:
-            raise BackgroundError(f"round_sphere needs r0 > 0, got {r0}")
         if dim < 2:
             raise BackgroundError("round_sphere needs dim >= 2")
         rate = 2.0 * (dim - 1)
@@ -378,7 +376,7 @@ def model_background(name: str, **params) -> RicciFlowBackground:
                 )
             phi = lambda t: r0**2 - rate * t
         else:
-            T = 1.0 if T is None else T
+            T = 1.0 if T is None else _positive(name, "T", T)
             phi = lambda t: r0**2 + rate * t
         sigma = unit_sphere_metric(dim)
         conf = ConformalFamily(
@@ -391,7 +389,7 @@ def model_background(name: str, **params) -> RicciFlowBackground:
 
     if name == "gaussian_shrinker_flat":
         dim = _param(name, params, "dim", 3, int)
-        T = _param(name, params, "T", 1.0)
+        T = _positive(name, "T", _param(name, params, "T", 1.0))
         _reject_extras(name, params)
         flat = model_background("euclidean_static", dim=dim, direction="backward", T=T)
         potential = TimeScalarField(
@@ -411,13 +409,28 @@ def _square(y: np.ndarray) -> np.ndarray:
 
 
 def _param(name: str, params: dict, key: str, default, kind=float):
-    """Pop ``params[key]`` (``default`` if absent) as ``kind``; None passes where it is the default."""
+    """Pop ``params[key]`` (``default`` if absent) as ``kind``; None passes where it is the default.
+
+    An integer parameter takes integral values only: 3 and 3.0, not 2.7.
+    """
     value = params.pop(key, default)
+    if value is None and default is None:
+        return None
+    what = "an integer" if kind is int else "a number"
     try:
-        return None if value is None and default is None else kind(value)
-    except (TypeError, ValueError) as exc:
-        what = "an integer" if kind is int else "a number"
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise BackgroundError(f"{name} parameter {key} must be {what}, got {value!r}") from exc
+    if kind is int and out != value:
+        raise BackgroundError(f"{name} parameter {key} must be {what}, got {value!r}")
+    return out
+
+
+def _positive(name: str, key: str, value: float) -> float:
+    """``value`` if it is finite and > 0; else a BackgroundError."""
+    if not 0.0 < value < math.inf:
+        raise BackgroundError(f"{name} needs a finite {key} > 0, got {value}")
+    return value
 
 
 def _reject_extras(name, params):
@@ -463,7 +476,7 @@ class MCFSolution:
         return _check_time(self.time_domain, t)
 
     def sample_xs(self, count: int, rng: np.random.Generator) -> list[np.ndarray]:
-        return [rng.uniform(*self.sample_box, self.hypersurface_dim) for _ in range(count)]
+        return list(rng.uniform(*self.sample_box, (count, self.hypersurface_dim)))
 
 
 def catalog_mcf_names() -> list[str]:
@@ -487,10 +500,8 @@ def model_mcf(name: str, bg: RicciFlowBackground, **params) -> MCFSolution:
     if name == "shrinking_sphere_flat":
         if bg.name != "euclidean_static":
             raise BackgroundError("shrinking_sphere_flat needs a flat background")
-        r0 = _param(name, params, "r0", 1.0)
+        r0 = _positive(name, "r0", _param(name, params, "r0", 1.0))
         _reject_extras(name, params)
-        if r0 <= 0:
-            raise BackgroundError(f"needs r0 > 0, got {r0}")
         omega_jet = sphere_embedding_jet(n)
         # the outward hint is omega alone, not a second full jet
         omega = _sphere_partials(n, np.zeros((1, n), dtype=int))
@@ -541,6 +552,8 @@ def model_mcf(name: str, bg: RicciFlowBackground, **params) -> MCFSolution:
             raise BackgroundError("static_plane_flat needs a flat background")
         height = _param(name, params, "height", 0.0)
         _reject_extras(name, params)
+        if not math.isfinite(height):
+            raise BackgroundError(f"{name} needs a finite height, got {height}")
         return MCFSolution(
             name=name,
             hypersurface_dim=n,

@@ -47,7 +47,7 @@ from .harnack import (
     stripped_track_quadratic,
 )
 from .reports import ResidualReport, emit
-from .track import build_track, mcf_canonical_residuals
+from .track import build_track, mcf_canonical_sweep
 
 __all__ = ["ConfigError", "RunConfig", "run", "main", "SUITES"]
 
@@ -251,19 +251,19 @@ def _sweep_summary(sups_per_N, ratio_tol):
     }, complete and ratio < ratio_tol
 
 
-def _defect_sweep(report: ResidualReport, Ns, residuals_at, key: str, pts, ts) -> list:
-    """Evaluate a soliton defect at every (point, t) for each N; (N, sup N|E_N|) per N.
+def _defect_sweep(report: ResidualReport, Ns, results, key: str, pts, ts) -> list:
+    """Record a soliton defect at every (point, t) for each N; (N, sup N|E_N|) per N.
 
-    ``residuals_at(N)`` returns the defect at that N as a function of the
-    point and time lists, which gives one entry per pair: the sample, or
-    the exception the pair raised.  Records and per-point errors go to the
-    report in point order, the point under ``key``; any other exception is
-    raised.  The sup is None for an N at which no point was evaluated.
+    ``results`` holds one list per N with one entry per pair: the sample,
+    or the exception the pair raised.  Records and per-point errors go to
+    the report in point order, the point under ``key``; any other
+    exception is raised.  The sup is None for an N at which no point was
+    evaluated.
     """
     sups_per_N = []
-    for N in Ns:
+    for N, samples in zip(Ns, results):
         sup = None
-        for p, t, s in zip(pts, ts, residuals_at(N)(pts, ts)):
+        for p, t, s in zip(pts, ts, samples):
             if isinstance(s, _POINT_ERRORS):
                 report.errors.append({key: list(p), "t": t, "N": N, "error": str(s)})
                 continue
@@ -297,13 +297,13 @@ def _run_ricci_soliton(cfg: RunConfig, report: ResidualReport):
     _check_times(cfg, bg, ts)
     samples = list(zip(pts, ts))
 
-    def residuals_at(N):
+    def residuals(N):
         cm = build_canonical_metric(bg, variant, N, samples=samples)
         # one pointwise call per point: the benchmark's own tests count these
         # calls per sweep point, so this sweep stays unbatched
-        return partial(_pointwise, partial(ricci_soliton_residual, cm))
+        return _pointwise(partial(ricci_soliton_residual, cm), pts, ts)
 
-    sups_per_N = _defect_sweep(report, Ns, residuals_at, "point", pts, ts)
+    sups_per_N = _defect_sweep(report, Ns, map(residuals, Ns), "point", pts, ts)
     report.summary, report.passed = _sweep_summary(sups_per_N, cfg.tolerances.get("ratio", 1.5))
     report.provenance = _provenance(
         cfg, {"minimal_admissible_N": minimal_admissible_N(bg, variant, samples)}
@@ -317,10 +317,8 @@ def _run_mcf_soliton(cfg: RunConfig, report: ResidualReport):
     mcf = _build_mcf(cfg, bg)
     _, xs, ts = _draw_samples(cfg, mcf.sample_xs, mcf.time_domain, 20)
 
-    def residuals_at(N):
-        return partial(mcf_canonical_residuals, build_track(mcf, build_canonical_metric(bg, variant, N)))
-
-    sups_per_N = _defect_sweep(report, Ns, residuals_at, "x", xs, ts)
+    cms = [build_canonical_metric(bg, variant, N) for N in Ns]
+    sups_per_N = _defect_sweep(report, Ns, mcf_canonical_sweep(mcf, cms, xs, ts), "x", xs, ts)
     report.summary, report.passed = _sweep_summary(sups_per_N, cfg.tolerances.get("ratio", 1.5))
     report.provenance = _provenance(cfg)
 
@@ -462,9 +460,10 @@ def _run_functionals(cfg: RunConfig, report: ResidualReport):
     if kind not in ("zero", "gaussian"):
         raise ConfigError("samples.potential must be 'zero' or 'gaussian'")
     # polar nodes dominate the trapezoid error, hence the lopsided default
-    grid = tuple(cfg.samples.get("grid", [20, 64, 8]))
-    if len(grid) != 3 or min(grid) < 2:
-        raise ConfigError(f"samples.grid must be three dims >= 2, got {grid}")
+    grid = cfg.samples.get("grid", [20, 64, 8])
+    if not (_numbers(grid, 3) and all(isinstance(g, int) and g >= 2 for g in grid)):
+        raise ConfigError(f"samples.grid must be three integers >= 2, got {grid!r}")
+    grid = tuple(grid)
     tol = cfg.tolerances.get("refinement", 1e-3)
 
     def potential():

@@ -18,9 +18,11 @@ The theorems under test say Sigma is an approximate soliton: the defect
     shrinking:  E~_N = H^S + nu^S f        (f = +N/(2 tau))
     steady:     E~_N = H^S + nu^S f        (f = -N tau)
 
-stays O(1/N), i.e. N |E~_N| is bounded.  ``mcf_canonical_residuals``
-evaluates the defect on a stack of (x, t) pairs in one pass;
-``mcf_canonical_residual`` and ``track_point_data`` are its single-pair
+stays O(1/N), i.e. N |E~_N| is bounded.  ``mcf_canonical_sweep``
+evaluates the defect on a stack of (x, t) pairs for a list of canonical
+metrics: the slices, which do not depend on N, once, and the track
+geometry once per metric.  ``mcf_canonical_residuals`` is its one-metric
+case, ``mcf_canonical_residual`` and ``track_point_data`` the single-pair
 case, and a pair's result does not depend on its stack.
 
 As with the Christoffel tables, the reference closed forms for h^S
@@ -68,6 +70,7 @@ __all__ = [
     "closed_form_normal_potential",
     "mcf_canonical_residual",
     "mcf_canonical_residuals",
+    "mcf_canonical_sweep",
     "limit_inverse_metric",
 ]
 
@@ -137,19 +140,34 @@ def _sigma_N(scale: float, H: float, w: float) -> float:
     return math.sqrt(1.0 / scale + H**2 / (scale**2 * w))
 
 
-class _TrackStack(NamedTuple):
-    """Track geometry at a stack of (x, t) pairs, stacked over the pairs in ``index``.
+class _SliceRows(NamedTuple):
+    """The N-independent half of a track stack: the checked pairs and their slices.
 
     ``xs`` and ``ts`` are the pairs as floats, and ``errors`` has one
-    entry per pair: None, or the exception ``track_point_data`` raises
-    there.  Row j lies over row ``rows[j]`` of ``slices``; ``z`` and ``g``
-    are the space-time points and metrics, and ``ext`` the
-    ``extrinsic_geometry_batch`` results of the track.
+    entry per pair: None, or the exception the time and chart checks or
+    the slice raised there.  Row j of ``slices`` lies over pair
+    ``index[j]``, at time ``t[j]``.
     """
 
     xs: np.ndarray
     ts: list
+    errors: list
     slices: SliceStack
+    index: np.ndarray
+    t: np.ndarray
+
+
+class _TrackStack(NamedTuple):
+    """Track geometry at a stack of (x, t) pairs, stacked over the pairs in ``index``.
+
+    ``pairs`` is the N-independent half it was built on, and ``errors``
+    has one entry per pair: None, or the exception ``track_point_data``
+    raises there.  Row j lies over row ``rows[j]`` of ``pairs.slices``;
+    ``z`` and ``g`` are the space-time points and metrics, and ``ext`` the
+    ``extrinsic_geometry_batch`` results of the track.
+    """
+
+    pairs: _SliceRows
     index: np.ndarray
     rows: np.ndarray
     errors: list
@@ -159,20 +177,17 @@ class _TrackStack(NamedTuple):
     ext: tuple
 
 
-def _track_stack(track: SpaceTimeTrack, xs, ts) -> _TrackStack:
-    """Engine evaluation of the track geometry at a stack of (x, t) pairs, in one pass.
+def _slice_rows(track: SpaceTimeTrack, xs, ts) -> _SliceRows:
+    """The N-independent half of the track evaluation at a stack of (x, t) pairs.
 
-    The times are checked pair by pair, then the slices, the space-time
-    metric and the track's extrinsic geometry are each evaluated once on
-    the pairs still standing.
+    The times are checked pair by pair against the flow's domain and the
+    sampling floor, which depends on the background alone; then the
+    slices are evaluated once on the pairs still standing.
     """
-    cm = track.cm
     mcf = track.mcf
-    n = track.n
-    dim = cm.spacetime_dim
     times = np.asarray(ts, dtype=float).reshape(-1)
     ts = times.tolist()
-    xs = np.asarray(xs, dtype=float).reshape(len(ts), n)
+    xs = np.asarray(xs, dtype=float).reshape(len(ts), track.n)
     errors = _point_errors(xs)
     for i, t in enumerate(ts):
         try:
@@ -186,10 +201,24 @@ def _track_stack(track: SpaceTimeTrack, xs, ts) -> _TrackStack:
     slices = slice_stack(mcf, x_live, t_live.tolist())
     for i, exc in zip(live, slices.errors):
         errors[i] = exc
-    index = live[slices.index]
+    return _SliceRows(xs, ts, errors, slices, live[slices.index], t_live[slices.index])
+
+
+def _track_stack(track: SpaceTimeTrack, pairs: _SliceRows) -> _TrackStack:
+    """The N-dependent half: the track's extrinsic geometry in ``track.cm`` over ``pairs``.
+
+    The space-time metric and the track's extrinsic geometry are each
+    evaluated once on the pairs whose slices stand.
+    """
+    cm = track.cm
+    n = track.n
+    dim = cm.spacetime_dim
+    slices = pairs.slices
+    errors = list(pairs.errors)
+    index = pairs.index
 
     z = np.empty((len(index), dim))
-    z[:, 0] = t_live[slices.index]
+    z[:, 0] = pairs.t
     z[:, 1:] = slices.jet[0]
     st = metric_bundle(cm.field, z, order=1)
     for i, exc in zip(index, st.errors):
@@ -214,12 +243,13 @@ def _track_stack(track: SpaceTimeTrack, xs, ts) -> _TrackStack:
     lifted = np.zeros((P, dim))
     lifted[:, 1:] = nu
     ext, bad = extrinsic_geometry_batch(basis, ddPhi, st.g, christoffel_batch(st), lifted)
+    xs, ts = pairs.xs, pairs.ts
     for r, exc in zip(rows, bad):
         if exc is not None:
             i = index[r]
             errors[i] = CanonicalConfigError(f"degenerate induced track metric at x={xs[i]}, t={ts[i]}")
     rows, z, g, basis = _kept(bad, (rows, st.points, st.g, basis))
-    return _TrackStack(xs, ts, slices, index[rows], rows, errors, z, g, basis, ext)
+    return _TrackStack(pairs, index[rows], rows, errors, z, g, basis, ext)
 
 
 def track_point_data(track: SpaceTimeTrack, x: np.ndarray, t: float) -> TrackPointData:
@@ -227,9 +257,9 @@ def track_point_data(track: SpaceTimeTrack, x: np.ndarray, t: float) -> TrackPoi
 
     The single-pair case of the stacked track evaluation.
     """
-    stack = _track_stack(track, [x], [t])
+    stack = _track_stack(track, _slice_rows(track, [x], [t]))
     _raise_first(stack.errors)
-    hyp = stack.slices.record(stack.rows[0])
+    hyp = stack.pairs.slices.record(stack.rows[0])
     induced, induced_inv, nu, h, H_track = (a[0] for a in stack.ext)
     return TrackPointData(
         x=hyp.x,
@@ -246,32 +276,54 @@ def track_point_data(track: SpaceTimeTrack, x: np.ndarray, t: float) -> TrackPoi
     )
 
 
-def mcf_canonical_residuals(track: SpaceTimeTrack, xs, ts) -> list:
-    """``mcf_canonical_residual`` at every (x, t) pair, in one stacked evaluation.
-
-    Returns one entry per pair, in order: the ``TrackResidualSample``, or
-    the exception the single-pair call raises there (a time below the
-    sampling floor or outside the flow's domain, a point outside the chart,
-    a degenerate slice or track metric).
-    """
-    cm = track.cm
-    stack = _track_stack(track, xs, ts)
+def _residuals(cm: CanonicalMetric, stack: _TrackStack) -> list:
+    """The soliton defect in ``cm`` at every pair of ``stack``, or the pair's exception."""
     out = list(stack.errors)
     nu = stack.ext[2]
     df = scalar_d1(cm.potential, stack.z)
     nu_f = (nu[:, None] @ df[..., None])[:, 0, 0]
     # H^S - nu^S f on forward (expanding) tracks, H^S + nu^S f on backward ones
     values = stack.ext[-1] + (-nu_f if cm.sign > 0 else nu_f)
+    xs, ts = stack.pairs.xs, stack.pairs.ts
     for i, value in zip(stack.index.tolist(), values.tolist()):
         out[i] = TrackResidualSample(
-            x=stack.xs[i],
-            t=stack.ts[i],
+            x=xs[i],
+            t=ts[i],
             N=cm.N,
             value=value,
             norm=abs(value),
             scaled_norm=cm.N * abs(value),
         )
     return out
+
+
+def mcf_canonical_sweep(mcf: MCFSolution, cms, xs, ts) -> list:
+    """``mcf_canonical_residuals`` of the flow's track in each canonical metric of ``cms``.
+
+    Returns one list per metric, in order.  The slices M_t do not depend
+    on N, so the time and chart checks and the slice geometry run once for
+    the whole sweep; the space-time metric, the track's extrinsic geometry
+    and nu^S f run once per metric.  Every metric must be built on
+    ``mcf.ambient``, as in ``build_track``; the sampling floor is then the
+    same for all of them.
+    """
+    tracks = [build_track(mcf, cm) for cm in cms]
+    if not tracks:
+        return []
+    pairs = _slice_rows(tracks[0], xs, ts)
+    return [_residuals(track.cm, _track_stack(track, pairs)) for track in tracks]
+
+
+def mcf_canonical_residuals(track: SpaceTimeTrack, xs, ts) -> list:
+    """``mcf_canonical_residual`` at every (x, t) pair, in one stacked evaluation.
+
+    Returns one entry per pair, in order: the ``TrackResidualSample``, or
+    the exception the single-pair call raises there (a time below the
+    sampling floor or outside the flow's domain, a point outside the chart,
+    a degenerate slice or track metric).  The one-metric case of
+    ``mcf_canonical_sweep``.
+    """
+    return mcf_canonical_sweep(track.mcf, [track.cm], xs, ts)[0]
 
 
 def mcf_canonical_residual(track: SpaceTimeTrack, x: np.ndarray, t: float) -> TrackResidualSample:

@@ -44,7 +44,7 @@ from cansol.geometry import (
     tensor_norm_batch,
 )
 from cansol.harnack import I_GHY, I_infty, flat_ball_domain, random_polynomial_field
-from cansol.track import build_track, mcf_canonical_residual, mcf_canonical_residuals
+from cansol.track import build_track, mcf_canonical_residual, mcf_canonical_residuals, mcf_canonical_sweep
 
 DIRECTION = {"expanding": "forward", "shrinking": "backward", "steady": "backward"}
 
@@ -375,6 +375,47 @@ class TestTrackStacks:
         assert mcf_canonical_residuals(track, np.empty((0, 2)), []) == []
         below = mcf_canonical_residuals(track, [np.array([1.1, 0.7])] * 2, [0.001, 0.002])
         assert [type(r).__name__ for r in below] == ["CanonicalConfigError"] * 2
+
+    @pytest.mark.parametrize("variant, flow, Ns", [
+        # at N = 1e8 the pair (x0, t_min) has a degenerate track metric, which
+        # must not leak into the metrics after it
+        ("expanding", "shrinking_sphere_flat", (1e2, 1e8, 1e4)),
+        ("steady", "equator_in_sphere", (1e2, 1e4, 1e6)),
+    ])
+    def test_sweep_matches_one_track_per_N(self, variant, flow, Ns):
+        mcf = _flow(flow, 3, DIRECTION[variant])
+        cms = [build_canonical_metric(mcf.ambient, variant, N) for N in Ns]
+        t_min = cms[0].t_min
+        rng = np.random.default_rng(13)
+        xs = mcf.sample_xs(16, rng)
+        ts = list(rng.uniform(t_min, mcf.time_domain[1], 16))
+        good = np.array([0.1, 0.3])
+        # a NaN point, a NaN time, a time below the floor, the degenerate pair
+        xs += [np.full(2, np.nan), good, good, good]
+        ts += [ts[0], math.nan, 0.5 * t_min, t_min]
+        # a polar angle of 1e-7 degenerates the flat slice; 0.005 takes the
+        # equator's image out of the sphere chart
+        xs.append(np.array([1e-7 if flow == "shrinking_sphere_flat" else 0.005, 0.3]))
+        ts.append(float(np.mean(mcf.time_domain)))
+        sweep = mcf_canonical_sweep(mcf, cms, xs, ts)
+        assert len(sweep) == len(cms)
+        for cm, entries in zip(cms, sweep):
+            assert_same_entries(entries, mcf_canonical_residuals(build_track(mcf, cm), xs, ts))
+            assert sum(not isinstance(r, Exception) for r in entries) >= 16
+        kinds = [{type(r) for r in entries if isinstance(r, Exception)} for entries in sweep]
+        assert all({ChartDomainError, CanonicalConfigError} <= k for k in kinds)
+        if flow == "shrinking_sphere_flat":
+            assert [str(entries[-2]).startswith("degenerate induced track metric")
+                    for entries in sweep] == [False, True, False]
+            assert all(isinstance(entries[-1], BackgroundError) for entries in sweep)
+
+    def test_sweep_rejects_a_metric_on_another_background(self):
+        mcf = _flow("equator_in_sphere", 3, "backward")
+        twin = model_background("round_sphere", dim=3, r0=1.0, direction="backward")
+        cms = [build_canonical_metric(b, "steady", 1e4) for b in (mcf.ambient, twin)]
+        with pytest.raises(CanonicalConfigError, match="other than the flow's ambient"):
+            mcf_canonical_sweep(mcf, cms, mcf.sample_xs(2, np.random.default_rng(0)), [0.5, 0.6])
+        assert mcf_canonical_sweep(mcf, [], [np.array([1.0, 2.0])], [0.5]) == []
 
     @pytest.mark.parametrize("flow, dim, direction", [
         ("shrinking_sphere_flat", 3, "forward"), ("shrinking_sphere_flat", 5, "backward"),

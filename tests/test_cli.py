@@ -178,8 +178,9 @@ class TestSuites:
         assert report.passed
         assert report.summary["exact_zero"] is True
 
-    def test_track_sweep_makes_one_batched_call_per_N(self, monkeypatch):
-        calls = {"mcf_canonical_residuals": 0, "track_point_data": 0, "mcf_canonical_residual": 0}
+    def test_track_sweep_makes_one_batched_call_per_suite(self, monkeypatch):
+        calls = {"mcf_canonical_sweep": 0, "slice_stack": 0, "track_point_data": 0,
+                 "mcf_canonical_residual": 0}
 
         def counted(module, name):
             fn = getattr(module, name)
@@ -190,9 +191,9 @@ class TestSuites:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(cli, "mcf_canonical_residuals")
-        counted(track_module, "track_point_data")
-        counted(track_module, "mcf_canonical_residual")
+        counted(cli, "mcf_canonical_sweep")
+        for name in ("slice_stack", "track_point_data", "mcf_canonical_residual"):
+            counted(track_module, name)
         cfg = RunConfig.from_dict({
             "suite": "mcf_soliton_residual",
             "variant": "expanding",
@@ -203,8 +204,9 @@ class TestSuites:
         })
         report = run(cfg)
         assert len(report.records) + len(report.errors) == 5 * 3
-        # no silent fall-back to one evaluation per point
-        assert calls == {"mcf_canonical_residuals": 3, "track_point_data": 0,
+        # no silent fall-back to one evaluation per point, and the slices,
+        # which do not depend on N, are evaluated once for all three N
+        assert calls == {"mcf_canonical_sweep": 1, "slice_stack": 1, "track_point_data": 0,
                          "mcf_canonical_residual": 0}
 
     def test_soliton_sweep_calls_the_pointwise_residual_per_point(self, monkeypatch):
@@ -538,6 +540,33 @@ class TestMainEntry:
         }
         assert main(["run", "--config", str(self.write_cfg(tmp_path, cfg))]) == 2
         assert "shrinking_sphere_flat parameter r0 must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", [["a", 8, 4], [4.5, 8, 4], [4, True, 4], [1, 8, 4], [4, 8], 6])
+    def test_badly_typed_grid_exits_two(self, tmp_path, capsys, grid):
+        cfg = {"suite": "functionals", "samples": {"grid": grid},
+               "output": {"path": str(tmp_path / "out.json")}}
+        with pytest.raises(ConfigError, match=r"samples\.grid must be three integers >= 2"):
+            run(RunConfig.from_dict(cfg))
+        assert main(["run", "--config", str(self.write_cfg(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err.startswith("config error: samples.grid")
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("name, params", [
+        ("round_sphere", {"dim": 2.7}),
+        ("round_sphere", {"r0": "nan", "direction": "backward"}),
+        ("euclidean_static", {"T": -1}),
+    ])
+    def test_out_of_range_catalog_parameter_exits_two(self, tmp_path, capsys, name, params):
+        cfg = {
+            "suite": "ricci_soliton_residual",
+            "variant": "shrinking",
+            "background": {"name": name, "params": {"direction": "backward", **params}},
+            "N_list": [100.0],
+            "output": {"path": str(tmp_path / "out.json")},
+        }
+        assert main(["run", "--config", str(self.write_cfg(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {name} ")
+        assert not (tmp_path / "out.json").exists()
 
     def test_config_error_exit_two(self, tmp_path):
         cfg = {"suite": "bogus"}

@@ -157,6 +157,15 @@ GOLDEN["mcf_soliton_residual/steady-equator"] = (
      "mcf": {"name": "equator_in_sphere", "params": {}}},
     "bb5b1199ed56eda469053604c84cb7f14bdc40944d51690ec6de43324ee88f0b",
 )
+# the equator at given times, two of them below the canonical sampling floor
+# and one past the background's horizon: the slices are shared by both N, and
+# sigma is not constant here, so this pins the N-independent half of the
+# track evaluation where it does work
+GOLDEN["mcf_soliton_residual/steady-equator-times"] = (
+    {**GOLDEN["mcf_soliton_residual/steady-equator"][0], "N_list": [1000.0, 100000.0],
+     "samples": {"seed": 5, "times": [0.01, 0.3, 0.55, 0.8, 0.95, 0.02, 1.5, 0.4]}},
+    "1796be451f76d5579e45f02231364735ba282901faf8c772eb823a74369221af",
+)
 # given times, one per point: the middle time lies outside the background's
 # domain, so the report holds two Ricci records, the stripped-track record
 # and one error
