@@ -23,7 +23,8 @@ moves inward under -H nu.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -331,8 +332,142 @@ class GradientSolitonData:
         return float(VARIANT_SIGNS[self.soliton_class])
 
 
+# ---------------------------------------------------------------------------
+# the value contract shared by the catalog and the run configuration
+# ---------------------------------------------------------------------------
+
+
+class _Number(NamedTuple):
+    """A finite number, no bool, of ``kind`` int or float: an integer >= ``low``, a real > ``low``."""
+
+    kind: type = float
+    low: float | None = None
+
+    def ok(self, v) -> bool:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral if self.kind is int else numbers.Real):
+            return False
+        low = self.low is None or (v >= self.low if self.kind is int else v > self.low)
+        return low and (self.kind is int or math.isfinite(v))
+
+    def describe(self, plural=False) -> str:
+        noun = ("integer" if self.kind is int else "finite number") + ("s" if plural else "")
+        bound = "" if self.low is None else f" {'>=' if self.kind is int else '>'} {self.low}"
+        return f"{'' if plural else 'an ' if self.kind is int else 'a '}{noun}{bound}"
+
+
+class _List(NamedTuple):
+    """A non-empty list of ``item`` numbers; ``length`` of them if given, strictly ascending if asked."""
+
+    item: _Number
+    length: int | None = None
+    ascending: bool = False
+
+    def ok(self, v) -> bool:
+        return (isinstance(v, (list, tuple)) and (len(v) == self.length if self.length else len(v) > 0)
+                and all(map(self.item.ok, v))
+                and not (self.ascending and any(a >= b for a, b in zip(v, v[1:]))))
+
+    def describe(self) -> str:
+        count = {None: "a non-empty list of", 2: "two", 3: "three"}[self.length]
+        return f"{count} {self.item.describe(plural=True)}{', strictly ascending' if self.ascending else ''}"
+
+
+def _check(value, spec, where: str, error: type):
+    """``value`` if it meets ``spec``, its numbers converted to their kind; else ``error``.
+
+    A spec is a ``_Number``, a ``_List``, ``str``, a tuple of the strings allowed,
+    ``dict`` (any object) or a dict, whose keys are the accepted ones, each with the
+    spec of its value.  A key left out stays out.  ``where`` names the value.
+    """
+    name = where or "config"
+    if isinstance(spec, dict) or spec is dict:
+        if not isinstance(value, dict):
+            raise error(f"{name} must be an object, got {value!r}")
+        if spec is dict:
+            return value
+        unknown = set(value) - set(spec)
+        if unknown:
+            raise error(f"unknown {name} keys: {sorted(unknown)}")
+        return {k: _check(v, spec[k], f"{where}.{k}" if where else k, error) for k, v in value.items()}
+    if spec is str:
+        ok, what = isinstance(value, str), "a string"
+    elif isinstance(spec, (_Number, _List)):
+        ok, what = spec.ok(value), spec.describe()
+    else:
+        ok, what = value in spec, f"one of {list(spec)}"
+    if not ok:
+        raise error(f"{name} must be {what}, got {value!r}")
+    return spec.kind(value) if isinstance(spec, _Number) else value
+
+
+def _build(table: dict, kind: str, name: str, params: dict, *args):
+    """The catalog entry ``name`` built on ``args`` and its parameters, checked where given, else defaults."""
+    if name not in table:
+        raise BackgroundError(f"unknown {kind} {name!r}; known: {list(table)}")
+    build, entry = table[name]
+    given = _check(params, {k: spec for k, (_, spec) in entry.items()}, name, BackgroundError)
+    return build(*args, **{**{k: default for k, (default, _) in entry.items()}, **given})
+
+
+_POSITIVE = _Number(float, low=0)
+# (default, spec) pairs of the catalog parameters that several entries take
+_DIM = (3, _Number(int, low=1))
+_DIRECTION = ("forward", ("forward", "backward"))
+_TIME = (1.0, _POSITIVE)
+
+
+def _euclidean_static(dim, direction, T):
+    conf = ConformalFamily(
+        sigma=_euclidean_metric(dim),
+        phi=lambda t: 1.0,
+        sigma_scalar=0.0,
+        ric_sigma=lambda p: np.zeros(np.shape(p)[:-1] + (dim, dim)),
+    )
+    return RicciFlowBackground("euclidean_static", dim, direction, (0.0, T), conf)
+
+
+def _round_sphere(dim, r0, direction, T):
+    rate = 2.0 * (dim - 1)
+    if direction == "forward":
+        t_sing = r0**2 / rate
+        T = 0.8 * t_sing if T is None else T
+        if not T < t_sing:
+            raise BackgroundError(f"round_sphere forward needs 0 < T < {t_sing}, got T={T}")
+        phi = lambda t: r0**2 - rate * t
+    else:
+        T = 1.0 if T is None else T
+        phi = lambda t: r0**2 + rate * t
+    sigma = unit_sphere_metric(dim)
+    conf = ConformalFamily(
+        sigma=sigma,
+        phi=phi,
+        sigma_scalar=float(dim * (dim - 1)),
+        ric_sigma=lambda p: (dim - 1) * np.asarray(sigma.components(p)),
+    )
+    return RicciFlowBackground("round_sphere", dim, direction, (0.0, T), conf, sample_box=_polar_box(dim))
+
+
+def _gaussian_shrinker_flat(dim, T):
+    potential = TimeScalarField(
+        value=lambda y, t: _square(y) / (4.0 * t),
+        dy=lambda y, t: y / (2.0 * t),
+        dyy=lambda y, t: np.broadcast_to(np.eye(dim) / (2.0 * t), y.shape + (dim,)),
+    )
+    soliton = GradientSolitonData(potential, "shrinking")
+    return replace(_euclidean_static(dim, "backward", T), soliton=soliton)
+
+
+# each catalog background: its builder, and the (default, spec) pair of each parameter
+_BACKGROUNDS = {
+    "euclidean_static": (_euclidean_static, {"dim": _DIM, "direction": _DIRECTION, "T": _TIME}),
+    "round_sphere": (_round_sphere, {"dim": (3, _Number(int, low=2)), "r0": (1.0, _POSITIVE),
+                                     "direction": _DIRECTION, "T": (None, _POSITIVE)}),
+    "gaussian_shrinker_flat": (_gaussian_shrinker_flat, {"dim": _DIM, "T": _TIME}),
+}
+
+
 def catalog_background_names() -> list[str]:
-    return ["euclidean_static", "round_sphere", "gaussian_shrinker_flat"]
+    return list(_BACKGROUNDS)
 
 
 def model_background(name: str, **params) -> RicciFlowBackground:
@@ -345,97 +480,12 @@ def model_background(name: str, **params) -> RicciFlowBackground:
     gaussian_shrinker_flat(dim, T=1.0): flat backward background carrying
         the potential f = |y|^2 / (4 tau), shrinking class.
     """
-    if name == "euclidean_static":
-        dim = _param(name, params, "dim", 3, int)
-        direction = params.pop("direction", "forward")
-        T = _positive(name, "T", _param(name, params, "T", 1.0))
-        _reject_extras(name, params)
-        conf = ConformalFamily(
-            sigma=_euclidean_metric(dim),
-            phi=lambda t: 1.0,
-            sigma_scalar=0.0,
-            ric_sigma=lambda p: np.zeros(np.shape(p)[:-1] + (dim, dim)),
-        )
-        return RicciFlowBackground(name, dim, direction, (0.0, T), conf)
-
-    if name == "round_sphere":
-        dim = _param(name, params, "dim", 3, int)
-        r0 = _positive(name, "r0", _param(name, params, "r0", 1.0))
-        direction = params.pop("direction", "forward")
-        T = _param(name, params, "T", None)
-        _reject_extras(name, params)
-        if dim < 2:
-            raise BackgroundError("round_sphere needs dim >= 2")
-        rate = 2.0 * (dim - 1)
-        if direction == "forward":
-            t_sing = r0**2 / rate
-            T = 0.8 * t_sing if T is None else T
-            if not (0.0 < T < t_sing):
-                raise BackgroundError(
-                    f"round_sphere forward needs 0 < T < {t_sing}, got T={T}"
-                )
-            phi = lambda t: r0**2 - rate * t
-        else:
-            T = 1.0 if T is None else _positive(name, "T", T)
-            phi = lambda t: r0**2 + rate * t
-        sigma = unit_sphere_metric(dim)
-        conf = ConformalFamily(
-            sigma=sigma,
-            phi=phi,
-            sigma_scalar=float(dim * (dim - 1)),
-            ric_sigma=lambda p: (dim - 1) * np.asarray(sigma.components(p)),
-        )
-        return RicciFlowBackground(name, dim, direction, (0.0, T), conf, sample_box=_polar_box(dim))
-
-    if name == "gaussian_shrinker_flat":
-        dim = _param(name, params, "dim", 3, int)
-        T = _positive(name, "T", _param(name, params, "T", 1.0))
-        _reject_extras(name, params)
-        flat = model_background("euclidean_static", dim=dim, direction="backward", T=T)
-        potential = TimeScalarField(
-            value=lambda y, t: _square(y) / (4.0 * t),
-            dy=lambda y, t: y / (2.0 * t),
-            dyy=lambda y, t: np.broadcast_to(np.eye(dim) / (2.0 * t), y.shape + (dim,)),
-        )
-        soliton = GradientSolitonData(potential, "shrinking")
-        return RicciFlowBackground(flat.name, dim, "backward", (0.0, T), flat.conformal, soliton)
-
-    raise BackgroundError(f"unknown background {name!r}; known: {catalog_background_names()}")
+    return _build(_BACKGROUNDS, "background", name, params)
 
 
 def _square(y: np.ndarray) -> np.ndarray:
     """|y|^2 over the last axis."""
     return np.einsum("...i,...i->...", y, y)
-
-
-def _param(name: str, params: dict, key: str, default, kind=float):
-    """Pop ``params[key]`` (``default`` if absent) as ``kind``; None passes where it is the default.
-
-    An integer parameter takes integral values only: 3 and 3.0, not 2.7.
-    """
-    value = params.pop(key, default)
-    if value is None and default is None:
-        return None
-    what = "an integer" if kind is int else "a number"
-    try:
-        out = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise BackgroundError(f"{name} parameter {key} must be {what}, got {value!r}") from exc
-    if kind is int and out != value:
-        raise BackgroundError(f"{name} parameter {key} must be {what}, got {value!r}")
-    return out
-
-
-def _positive(name: str, key: str, value: float) -> float:
-    """``value`` if it is finite and > 0; else a BackgroundError."""
-    if not 0.0 < value < math.inf:
-        raise BackgroundError(f"{name} needs a finite {key} > 0, got {value}")
-    return value
-
-
-def _reject_extras(name, params):
-    if params:
-        raise BackgroundError(f"unknown parameters for {name}: {sorted(params)}")
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +529,80 @@ class MCFSolution:
         return list(rng.uniform(*self.sample_box, (count, self.hypersurface_dim)))
 
 
+def _shrinking_sphere_flat(bg, n, r0):
+    if bg.name != "euclidean_static":
+        raise BackgroundError("shrinking_sphere_flat needs a flat background")
+    omega_jet = sphere_embedding_jet(n)
+    # the outward hint is omega alone, not a second full jet
+    omega = _sphere_partials(n, np.zeros((1, n), dtype=int))
+    t_sing = r0**2 / (2.0 * n)
+    T = min(bg.time_domain[1], 0.8 * t_sing)
+
+    def r(t):
+        return math.sqrt(r0**2 - 2.0 * n * t)
+
+    def jet(x, t):
+        w, dw, ddw = omega_jet(x)
+        rt = _per_time(r, t, w.shape[:-1])[..., None]
+        d2r = _per_time(lambda s: -(n**2) / r(s) ** 3, t, w.shape[:-1])[..., None]
+        dr = -n / rt
+        rb, drb = rt[..., None], dr[..., None]
+        return rt * w, dr * w, rb * dw, rb[..., None] * ddw, drb * dw, d2r * w
+
+    return MCFSolution(
+        name="shrinking_sphere_flat",
+        hypersurface_dim=n,
+        ambient=bg,
+        jet=jet,
+        orientation_hint=lambda x, t: omega(x)[..., 0, :],
+        dx_mean_curvature=lambda x, t: np.zeros(np.shape(x)),
+        dt_mean_curvature=lambda x, t: _per_time(lambda s: n**2 / r(s) ** 3, t, np.shape(x)[:-1]),
+        time_domain=(0.0, T),
+        sample_box=_polar_box(n),
+    )
+
+
+def _equator_in_sphere(bg, n):
+    if bg.name != "round_sphere":
+        raise BackgroundError("equator_in_sphere needs a round_sphere background")
+    return MCFSolution(
+        name="equator_in_sphere",
+        hypersurface_dim=n,
+        ambient=bg,
+        # the polar angle pi/2 prepended to x
+        jet=lambda x, t: _static_jet(x, math.pi / 2.0, 0, np.eye(n, n + 1, k=1)),
+        orientation_hint=lambda x, t: _static_hint(x, 0),
+        dx_mean_curvature=lambda x, t: np.zeros(np.shape(x)),
+        dt_mean_curvature=lambda x, t: np.zeros(np.shape(x)[:-1]),
+        sample_box=_polar_box(n),
+    )
+
+
+def _static_plane_flat(bg, n, height):
+    if bg.name != "euclidean_static":
+        raise BackgroundError("static_plane_flat needs a flat background")
+    return MCFSolution(
+        name="static_plane_flat",
+        hypersurface_dim=n,
+        ambient=bg,
+        # the coordinate ``height`` appended to x
+        jet=lambda x, t: _static_jet(x, height, n, np.eye(n, n + 1)),
+        orientation_hint=lambda x, t: _static_hint(x, n),
+        dx_mean_curvature=lambda x, t: np.zeros(np.shape(x)),
+        dt_mean_curvature=lambda x, t: np.zeros(np.shape(x)[:-1]),
+    )
+
+
+# each catalog flow: its builder, and the (default, spec) pair of each parameter
+_FLOWS = {
+    "shrinking_sphere_flat": (_shrinking_sphere_flat, {"r0": (1.0, _POSITIVE)}),
+    "equator_in_sphere": (_equator_in_sphere, {}),
+    "static_plane_flat": (_static_plane_flat, {"height": (0.0, _Number(float))}),
+}
+
+
 def catalog_mcf_names() -> list[str]:
-    return ["shrinking_sphere_flat", "equator_in_sphere", "static_plane_flat"]
+    return list(_FLOWS)
 
 
 def model_mcf(name: str, bg: RicciFlowBackground, **params) -> MCFSolution:
@@ -493,79 +615,9 @@ def model_mcf(name: str, bg: RicciFlowBackground, **params) -> MCFSolution:
     static_plane_flat(height=0.0): fixed coordinate hyperplane in a flat
         background.
     """
-    n = bg.dim - 1
-    if n < 1:
+    if bg.dim < 2:
         raise BackgroundError("background dimension too small for hypersurfaces")
-
-    if name == "shrinking_sphere_flat":
-        if bg.name != "euclidean_static":
-            raise BackgroundError("shrinking_sphere_flat needs a flat background")
-        r0 = _positive(name, "r0", _param(name, params, "r0", 1.0))
-        _reject_extras(name, params)
-        omega_jet = sphere_embedding_jet(n)
-        # the outward hint is omega alone, not a second full jet
-        omega = _sphere_partials(n, np.zeros((1, n), dtype=int))
-        t_sing = r0**2 / (2.0 * n)
-        T = min(bg.time_domain[1], 0.8 * t_sing)
-
-        def r(t):
-            return math.sqrt(r0**2 - 2.0 * n * t)
-
-        def jet(x, t):
-            w, dw, ddw = omega_jet(x)
-            rt = _per_time(r, t, w.shape[:-1])[..., None]
-            d2r = _per_time(lambda s: -(n**2) / r(s) ** 3, t, w.shape[:-1])[..., None]
-            dr = -n / rt
-            rb, drb = rt[..., None], dr[..., None]
-            return rt * w, dr * w, rb * dw, rb[..., None] * ddw, drb * dw, d2r * w
-
-        return MCFSolution(
-            name=name,
-            hypersurface_dim=n,
-            ambient=bg,
-            jet=jet,
-            orientation_hint=lambda x, t: omega(x)[..., 0, :],
-            dx_mean_curvature=lambda x, t: np.zeros(np.shape(x)),
-            dt_mean_curvature=lambda x, t: _per_time(lambda s: n**2 / r(s) ** 3, t, np.shape(x)[:-1]),
-            time_domain=(0.0, T),
-            sample_box=_polar_box(n),
-        )
-
-    if name == "equator_in_sphere":
-        if bg.name != "round_sphere":
-            raise BackgroundError("equator_in_sphere needs a round_sphere background")
-        _reject_extras(name, params)
-        return MCFSolution(
-            name=name,
-            hypersurface_dim=n,
-            ambient=bg,
-            # the polar angle pi/2 prepended to x
-            jet=lambda x, t: _static_jet(x, math.pi / 2.0, 0, np.eye(n, n + 1, k=1)),
-            orientation_hint=lambda x, t: _static_hint(x, 0),
-            dx_mean_curvature=lambda x, t: np.zeros(np.shape(x)),
-            dt_mean_curvature=lambda x, t: np.zeros(np.shape(x)[:-1]),
-            sample_box=_polar_box(n),
-        )
-
-    if name == "static_plane_flat":
-        if bg.name != "euclidean_static":
-            raise BackgroundError("static_plane_flat needs a flat background")
-        height = _param(name, params, "height", 0.0)
-        _reject_extras(name, params)
-        if not math.isfinite(height):
-            raise BackgroundError(f"{name} needs a finite height, got {height}")
-        return MCFSolution(
-            name=name,
-            hypersurface_dim=n,
-            ambient=bg,
-            # the coordinate ``height`` appended to x
-            jet=lambda x, t: _static_jet(x, height, n, np.eye(n, n + 1)),
-            orientation_hint=lambda x, t: _static_hint(x, n),
-            dx_mean_curvature=lambda x, t: np.zeros(np.shape(x)),
-            dt_mean_curvature=lambda x, t: np.zeros(np.shape(x)[:-1]),
-        )
-
-    raise BackgroundError(f"unknown hypersurface flow {name!r}; known: {catalog_mcf_names()}")
+    return _build(_FLOWS, "hypersurface flow", name, params, bg, bg.dim - 1)
 
 
 def _static_jet(x, value: float, k: int, tangents: np.ndarray) -> tuple:

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import backgrounds as bgmod
-from .backgrounds import hypersurface_point_data, model_background, model_mcf
+from .backgrounds import _POSITIVE, _check, _List, _Number, hypersurface_point_data, model_background, model_mcf
 from .canonical import (
     CHRISTOFFEL_CORRECTIONS,
     T_MIN_FRACTION,
@@ -51,28 +51,10 @@ from .track import build_track, mcf_canonical_sweep
 
 __all__ = ["ConfigError", "RunConfig", "run", "main", "SUITES"]
 
-SUITES = (
-    "ricci_soliton_residual",
-    "mcf_soliton_residual",
-    "christoffel_crosscheck",
-    "harnack_limits",
-    "lott_match",
-    "functionals",
-)
-
 # errors collected per point instead of aborting the sweep
 _POINT_ERRORS = (DegenerateMetricError, ChartDomainError, CanonicalConfigError)
 
 _ZERO_TOL = 1e-8   # sups and limit errors below this count as exact
-
-# the accepted keys of each config block; any other key is a config error
-_BLOCK_KEYS = {
-    "background": {"name", "params"},
-    "mcf": {"name", "params"},
-    "samples": {"count", "seed", "t_range", "times", "backend", "potential", "grid"},
-    "tolerances": {"ratio", "rel_error", "ratio_band", "defect", "refinement"},
-    "output": {"path", "format"},
-}
 
 
 class ConfigError(ValueError):
@@ -92,74 +74,20 @@ class RunConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        unknown = set(raw) - {f.name for f in dataclasses.fields(RunConfig)}
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        for block, keys in _BLOCK_KEYS.items():
-            unknown = set(raw.get(block) or ()) - keys
-            if unknown:
-                raise ConfigError(f"unknown {block} keys: {sorted(unknown)}")
-        suite = raw.get("suite")
-        if suite not in SUITES:
-            raise ConfigError(f"unknown suite {suite!r}; known: {list(SUITES)}")
-        N_list = raw.get("N_list", [])
-        if not _numbers(N_list):
-            raise ConfigError(f"N_list must be a list of numbers, got {N_list!r}")
-        cfg = RunConfig(
-            suite=suite,
-            variant=raw.get("variant"),
-            background=raw.get("background"),
-            mcf=raw.get("mcf"),
-            N_list=list(raw.get("N_list", [])),
-            samples=dict(raw.get("samples", {})),
-            output=dict(raw.get("output", {})),
-            tolerances=dict(raw.get("tolerances", {})),
-        )
-        if cfg.N_list:
-            if any(n <= 0 for n in cfg.N_list):
-                raise ConfigError("N_list entries must be positive")
-            if sorted(cfg.N_list) != cfg.N_list:
-                raise ConfigError("N_list must be sorted ascending")
-        for key, low in (("count", 1), ("seed", 0)):
-            value = cfg.samples.get(key, low)
-            if isinstance(value, bool) or not (isinstance(value, int) and value >= low):
-                raise ConfigError(f"samples.{key} must be an integer >= {low}, got {value!r}")
-        t_range = cfg.samples.get("t_range")
-        if t_range is not None and not _numbers(t_range, 2):
-            raise ConfigError(f"samples.t_range must be two numbers, got {t_range!r}")
-        times = cfg.samples.get("times")
-        if isinstance(times, list) and not _numbers(times):
-            raise ConfigError(f"samples.times entries must be numbers, got {times!r}")
-        for key, value in cfg.tolerances.items():
-            band = key == "ratio_band"
-            if not (_numbers(value, 2) if band else _numbers([value])):
-                what = "two numbers" if band else "a number"
-                raise ConfigError(f"tolerances.{key} must be {what}, got {value!r}")
-        return cfg
+        """The run configuration ``raw``, checked against ``_CONFIG`` and kept as given."""
+        _check(raw, _CONFIG, "", ConfigError)
+        if "suite" not in raw:
+            raise ConfigError(f"config needs a suite, one of {list(SUITES)}")
+        return RunConfig(**raw)
 
 
-def _numbers(x, length=None) -> bool:
-    """Whether x is a list of numbers, of ``length`` if given; a bool is no number here."""
-    return (isinstance(x, (list, tuple)) and length in (None, len(x))
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x))
-
-
-def _build_background(cfg: RunConfig):
-    if not cfg.background or "name" not in cfg.background:
-        raise ConfigError("config needs background.name")
+def _model(cfg: RunConfig, block: str, build, *args):
+    """The catalog model that config block ``block`` names, built by ``build`` on ``args``."""
+    entry = getattr(cfg, block)
+    if not entry or "name" not in entry:
+        raise ConfigError(f"suite {cfg.suite} needs {block}.name")
     try:
-        return model_background(cfg.background["name"], **cfg.background.get("params", {}))
-    except bgmod.BackgroundError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _build_mcf(cfg: RunConfig, bg):
-    if not cfg.mcf or "name" not in cfg.mcf:
-        raise ConfigError(f"suite {cfg.suite} needs mcf.name")
-    try:
-        return model_mcf(cfg.mcf["name"], bg, **cfg.mcf.get("params", {}))
+        return build(entry["name"], *args, **entry.get("params", {}))
     except bgmod.BackgroundError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -172,8 +100,6 @@ def _draw_samples(cfg: RunConfig, sampler, domain, default_count: int):
     """
     rng = np.random.default_rng(cfg.samples.get("seed", 0))
     times = cfg.samples.get("times")
-    if times is not None and not (isinstance(times, list) and times):
-        raise ConfigError(f"samples.times must be a non-empty list, got {times!r}")
     count = cfg.samples.get("count", default_count if times is None else len(times))
     if times is not None and count != len(times):
         raise ConfigError(
@@ -191,14 +117,14 @@ def _draw_samples(cfg: RunConfig, sampler, domain, default_count: int):
     return rng, pts, list(rng.uniform(t_min, b, count))
 
 
-def _check_times(cfg: RunConfig, bg, ts):
-    """Raise a ConfigError naming the first sample whose time lies outside ``bg``'s domain.
+def _check_times(cfg: RunConfig, model, ts):
+    """Raise a ConfigError naming the first sample whose time lies outside the domain of ``model``.
 
-    Drawn times lie in the domain; given ones may not.
+    ``model`` is a background or a flow.  Drawn times lie in the domain; given ones may not.
     """
     for i, t in enumerate(ts):
         try:
-            bg.check_time(t)
+            model.check_time(t)
         except ChartDomainError as exc:
             raise ConfigError(f"{cfg.suite} sample {i}: {exc}") from exc
 
@@ -218,7 +144,7 @@ def _provenance(cfg: RunConfig, extra=None) -> dict:
 
 
 def _variant(cfg: RunConfig) -> str:
-    if cfg.variant not in VARIANTS:
+    if cfg.variant is None:
         raise ConfigError(f"suite {cfg.suite} needs variant {'|'.join(VARIANTS)}")
     return cfg.variant
 
@@ -290,7 +216,7 @@ def _pointwise(fn, *columns) -> list:
 
 
 def _run_ricci_soliton(cfg: RunConfig, report: ResidualReport):
-    bg = _build_background(cfg)
+    bg = _model(cfg, "background", model_background)
     variant = _variant(cfg)
     Ns = _need_N_list(cfg)
     _, pts, ts = _draw_samples(cfg, bg.sample_points, bg.time_domain, 20)
@@ -311,10 +237,10 @@ def _run_ricci_soliton(cfg: RunConfig, report: ResidualReport):
 
 
 def _run_mcf_soliton(cfg: RunConfig, report: ResidualReport):
-    bg = _build_background(cfg)
+    bg = _model(cfg, "background", model_background)
     variant = _variant(cfg)
     Ns = _need_N_list(cfg)
-    mcf = _build_mcf(cfg, bg)
+    mcf = _model(cfg, "mcf", model_mcf, bg)
     _, xs, ts = _draw_samples(cfg, mcf.sample_xs, mcf.time_domain, 20)
 
     cms = [build_canonical_metric(bg, variant, N) for N in Ns]
@@ -324,12 +250,10 @@ def _run_mcf_soliton(cfg: RunConfig, report: ResidualReport):
 
 
 def _run_christoffel_crosscheck(cfg: RunConfig, report: ResidualReport):
-    bg = _build_background(cfg)
+    bg = _model(cfg, "background", model_background)
     variant = _variant(cfg)
     Ns = _need_N_list(cfg)
     backend = cfg.samples.get("backend", "analytic")
-    if backend not in ("analytic", "fd"):
-        raise ConfigError("samples.backend must be 'analytic' or 'fd'")
     tol = cfg.tolerances.get("rel_error", 1e-9 if backend == "analytic" else 1e-5)
     _, pts, ts = _draw_samples(cfg, bg.sample_points, bg.time_domain, 10)
     _check_times(cfg, bg, ts)
@@ -370,7 +294,7 @@ def _run_christoffel_crosscheck(cfg: RunConfig, report: ResidualReport):
 
 
 def _run_harnack_limits(cfg: RunConfig, report: ResidualReport):
-    bg = _build_background(cfg)
+    bg = _model(cfg, "background", model_background)
     if bg.direction != "forward":
         raise ConfigError("harnack_limits needs a forward background")
     Ns = _need_N_list(cfg, minimum=3)
@@ -401,7 +325,7 @@ def _run_harnack_limits(cfg: RunConfig, report: ResidualReport):
             record(o, point=list(p), t=t, X=list(X))
 
     if cfg.mcf:
-        mcf = _build_mcf(cfg, bg)
+        mcf = _model(cfg, "mcf", model_mcf, bg)
         hi = mcf.time_domain[1]
         x = mcf.sample_xs(1, rng)[0]
         t = 0.5 * (T_MIN_FRACTION * hi + hi)
@@ -424,46 +348,37 @@ def _run_harnack_limits(cfg: RunConfig, report: ResidualReport):
 
 
 def _run_lott_match(cfg: RunConfig, report: ResidualReport):
-    bg = _build_background(cfg)
+    bg = _model(cfg, "background", model_background)
     if bg.direction != "forward" or bg.conformal.sigma_scalar != 0.0:
         raise ConfigError("lott_match runs on a flat forward background")
-    mcf = _build_mcf(cfg, bg)
+    mcf = _model(cfg, "mcf", model_mcf, bg)
     tol = cfg.tolerances.get("defect", 1e-6)
     seed = cfg.samples.get("seed", 0)
     count = cfg.samples.get("count", 20)
     rng = np.random.default_rng(seed)
     x = mcf.sample_xs(1, rng)[0]
     times = cfg.samples.get("times", [0.5 * mcf.time_domain[1]])
-    if not isinstance(times, list) or len(times) != 1:
+    if len(times) != 1:
         raise ConfigError(f"lott_match evaluates one slice: samples.times needs one entry, got {times!r}")
-    [t] = times
+    # one slice serves every potential, so a time outside the flow's domain is the config's error
+    _check_times(cfg, mcf, times)
+    hyp = hypersurface_point_data(mcf, x, times[0])
 
     worst = 0.0
-    try:
-        hyp = hypersurface_point_data(mcf, x, t)
-    except _POINT_ERRORS as exc:
-        # one slice serves every potential, so its error is every potential's
-        report.errors.extend({"potential_index": k, "error": str(exc)} for k in range(count))
-    else:
-        for k in range(count):
-            defect = abs(lott_match_defect(hyp, random_polynomial_field(bg.dim, rng)))
-            report.records.append({"potential_index": k, "defect": defect})
-            worst = max(worst, defect)
+    for k in range(count):
+        defect = abs(lott_match_defect(hyp, random_polynomial_field(bg.dim, rng)))
+        report.records.append({"potential_index": k, "defect": defect})
+        worst = max(worst, defect)
 
     report.summary = {"max_defect": worst, "tolerance": tol, "potentials": count}
-    report.passed = worst < tol and bool(report.records)
+    report.passed = worst < tol
     report.provenance = _provenance(cfg, {"potential_seed": seed})
 
 
 def _run_functionals(cfg: RunConfig, report: ResidualReport):
     kind = cfg.samples.get("potential", "zero")
-    if kind not in ("zero", "gaussian"):
-        raise ConfigError("samples.potential must be 'zero' or 'gaussian'")
     # polar nodes dominate the trapezoid error, hence the lopsided default
-    grid = cfg.samples.get("grid", [20, 64, 8])
-    if not (_numbers(grid, 3) and all(isinstance(g, int) and g >= 2 for g in grid)):
-        raise ConfigError(f"samples.grid must be three integers >= 2, got {grid!r}")
-    grid = tuple(grid)
+    grid = tuple(cfg.samples.get("grid", [20, 64, 8]))
     tol = cfg.tolerances.get("refinement", 1e-3)
 
     def potential():
@@ -501,6 +416,34 @@ _RUNNERS = {
     "harnack_limits": _run_harnack_limits,
     "lott_match": _run_lott_match,
     "functionals": _run_functionals,
+}
+SUITES = tuple(_RUNNERS)
+
+# the run configuration: each block's accepted keys, and the type and range
+# of each value; a key left out takes its suite's default
+_CONFIG = {
+    "suite": SUITES,
+    "variant": VARIANTS,
+    "background": {"name": str, "params": dict},
+    "mcf": {"name": str, "params": dict},
+    "N_list": _List(_POSITIVE, ascending=True),
+    "samples": {
+        "count": _Number(int, low=1),
+        "seed": _Number(int, low=0),
+        "t_range": _List(_Number(float), length=2),
+        "times": _List(_Number(float)),
+        "backend": ("analytic", "fd"),
+        "potential": ("zero", "gaussian"),
+        "grid": _List(_Number(int, low=2), length=3),
+    },
+    "tolerances": {
+        "ratio": _POSITIVE,
+        "rel_error": _POSITIVE,
+        "ratio_band": _List(_POSITIVE, length=2, ascending=True),
+        "defect": _POSITIVE,
+        "refinement": _POSITIVE,
+    },
+    "output": {"path": str, "format": ("json", "csv")},
 }
 
 

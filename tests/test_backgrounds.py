@@ -73,58 +73,69 @@ class TestModelBackgrounds:
             model_background("euclidean_static", dim=3, radius=2.0)
 
     @pytest.mark.parametrize("name, params, message", [
-        ("round_sphere", dict(dim="x"), "round_sphere parameter dim must be an integer, got 'x'"),
-        ("round_sphere", dict(r0="a"), "round_sphere parameter r0 must be a number, got 'a'"),
-        ("round_sphere", dict(T="z"), "round_sphere parameter T must be a number, got 'z'"),
-        ("euclidean_static", dict(dim=None), "euclidean_static parameter dim must be an integer, got None"),
-        ("gaussian_shrinker_flat", dict(T=[1.0]), "gaussian_shrinker_flat parameter T must be a number"),
+        ("round_sphere", dict(dim="x"), "round_sphere.dim must be an integer >= 2, got 'x'"),
+        ("round_sphere", dict(r0="a"), "round_sphere.r0 must be a finite number > 0, got 'a'"),
+        ("round_sphere", dict(T="z"), "round_sphere.T must be a finite number > 0, got 'z'"),
+        ("round_sphere", dict(direction=1), "round_sphere.direction must be one of ['forward', 'backward'], got 1"),
+        ("euclidean_static", dict(dim=None), "euclidean_static.dim must be an integer >= 1, got None"),
+        ("gaussian_shrinker_flat", dict(T=[1.0]), "gaussian_shrinker_flat.T must be a finite number > 0"),
     ])
     def test_wrong_typed_params(self, name, params, message):
         with pytest.raises(BackgroundError, match=re.escape(message)):
             model_background(name, **params)
 
     @pytest.mark.parametrize("name, params, message", [
-        ("round_sphere", dict(dim=2.7), "round_sphere parameter dim must be an integer, got 2.7"),
-        ("euclidean_static", dict(dim=math.inf), "euclidean_static parameter dim must be an integer, got inf"),
-        ("gaussian_shrinker_flat", dict(dim=math.nan), "gaussian_shrinker_flat parameter dim must be an integer"),
-        ("round_sphere", dict(r0=math.nan, direction="backward"), "round_sphere needs a finite r0 > 0, got nan"),
-        ("round_sphere", dict(r0=math.inf), "round_sphere needs a finite r0 > 0, got inf"),
-        ("round_sphere", dict(r0=0.0), "round_sphere needs a finite r0 > 0, got 0.0"),
-        ("round_sphere", dict(direction="backward", T=math.nan), "round_sphere needs a finite T > 0, got nan"),
-        ("round_sphere", dict(direction="backward", T=-2.0), "round_sphere needs a finite T > 0, got -2.0"),
-        ("round_sphere", dict(direction="forward", T=math.nan), "round_sphere forward needs 0 < T <"),
-        ("euclidean_static", dict(T=math.nan), "euclidean_static needs a finite T > 0, got nan"),
-        ("euclidean_static", dict(T=math.inf), "euclidean_static needs a finite T > 0, got inf"),
-        ("euclidean_static", dict(T=-1), "euclidean_static needs a finite T > 0, got -1.0"),
-        ("gaussian_shrinker_flat", dict(T=0), "gaussian_shrinker_flat needs a finite T > 0, got 0.0"),
+        ("round_sphere", dict(dim=2.7), "round_sphere.dim must be an integer >= 2, got 2.7"),
+        # an integer parameter takes integers only, as the run config's integers do
+        ("round_sphere", dict(dim=4.0), "round_sphere.dim must be an integer >= 2, got 4.0"),
+        ("round_sphere", dict(dim=1), "round_sphere.dim must be an integer >= 2, got 1"),
+        ("euclidean_static", dict(dim=math.inf), "euclidean_static.dim must be an integer >= 1, got inf"),
+        ("euclidean_static", dict(dim=0), "euclidean_static.dim must be an integer >= 1, got 0"),
+        ("euclidean_static", dict(dim=-2), "euclidean_static.dim must be an integer >= 1, got -2"),
+        ("gaussian_shrinker_flat", dict(dim=math.nan), "gaussian_shrinker_flat.dim must be an integer >= 1"),
+        ("gaussian_shrinker_flat", dict(dim=0), "gaussian_shrinker_flat.dim must be an integer >= 1, got 0"),
+        ("round_sphere", dict(r0=math.nan, direction="backward"), "round_sphere.r0 must be a finite number > 0, got nan"),
+        ("round_sphere", dict(r0=math.inf), "round_sphere.r0 must be a finite number > 0, got inf"),
+        ("round_sphere", dict(r0=0.0), "round_sphere.r0 must be a finite number > 0, got 0.0"),
+        ("round_sphere", dict(direction="backward", T=math.nan), "round_sphere.T must be a finite number > 0, got nan"),
+        ("round_sphere", dict(direction="backward", T=-2.0), "round_sphere.T must be a finite number > 0, got -2.0"),
+        ("round_sphere", dict(direction="forward", T=math.nan), "round_sphere.T must be a finite number > 0, got nan"),
+        ("round_sphere", dict(direction="forward", T=0.3), "round_sphere forward needs 0 < T < 0.25, got T=0.3"),
+        ("euclidean_static", dict(T=math.nan), "euclidean_static.T must be a finite number > 0, got nan"),
+        ("euclidean_static", dict(T=math.inf), "euclidean_static.T must be a finite number > 0, got inf"),
+        ("euclidean_static", dict(T=-1), "euclidean_static.T must be a finite number > 0, got -1"),
+        ("gaussian_shrinker_flat", dict(T=0), "gaussian_shrinker_flat.T must be a finite number > 0, got 0"),
+        ("euclidean_static", dict(dim=3, radius=2.0), "unknown euclidean_static keys: ['radius']"),
     ])
     def test_out_of_range_params(self, name, params, message):
         with pytest.raises(BackgroundError, match=re.escape(message)):
             model_background(name, **params)
 
     def test_integral_dims_are_accepted(self):
-        assert model_background("round_sphere", dim=4.0).dim == 4
+        assert model_background("round_sphere", dim=4).dim == 4
         assert type(model_background("euclidean_static", dim=np.int64(2)).dim) is int
 
     @pytest.mark.parametrize("r0", [math.nan, math.inf, -1.0])
     def test_out_of_range_flow_radius(self, r0):
         flat = model_background("euclidean_static", dim=3)
-        with pytest.raises(BackgroundError, match="shrinking_sphere_flat needs a finite r0 > 0"):
+        with pytest.raises(BackgroundError, match="shrinking_sphere_flat.r0 must be a finite number > 0"):
             model_mcf("shrinking_sphere_flat", flat, r0=r0)
 
     @pytest.mark.parametrize("height", [math.nan, -math.inf])
     def test_plane_height_must_be_finite(self, height):
         # a non-finite plane would fail at every point instead of at its config
         flat = model_background("euclidean_static", dim=3)
-        with pytest.raises(BackgroundError, match="static_plane_flat needs a finite height"):
+        with pytest.raises(BackgroundError, match="static_plane_flat.height must be a finite number"):
             model_mcf("static_plane_flat", flat, height=height)
 
     def test_wrong_typed_flow_params(self):
         flat = model_background("euclidean_static", dim=3)
-        with pytest.raises(BackgroundError, match="shrinking_sphere_flat parameter r0 must be a number"):
+        with pytest.raises(BackgroundError, match="shrinking_sphere_flat.r0 must be a finite number > 0"):
             model_mcf("shrinking_sphere_flat", flat, r0="q")
-        with pytest.raises(BackgroundError, match="static_plane_flat parameter height must be a number"):
+        with pytest.raises(BackgroundError, match="static_plane_flat.height must be a finite number"):
             model_mcf("static_plane_flat", flat, height="h")
+        with pytest.raises(BackgroundError, match=re.escape("unknown equator_in_sphere keys: ['r0']")):
+            model_mcf("equator_in_sphere", model_background("round_sphere", dim=3), r0=1.0)
 
     def test_forward_sphere_domain_ends_before_singular_time(self):
         bg = model_background("round_sphere", dim=3, r0=1.0, direction="forward")

@@ -1,6 +1,6 @@
 """Driver behavior: suite execution, report emission, determinism, exit codes."""
 
-import hashlib
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -26,21 +26,42 @@ def cfg_ricci(**over):
     return RunConfig.from_dict(base)
 
 
-# wrong-typed config values, each with the start of its config error
+# wrong-typed or out-of-range config values, each with the start of its config error
 WRONG_TYPED = [
     pytest.param({"samples": {"count": 4, "seed": 1, "t_range": 0.05}},
-                 r"samples\.t_range must be two numbers, got 0\.05", id="t_range-scalar"),
+                 r"samples\.t_range must be two finite numbers, got 0\.05", id="t_range-scalar"),
     pytest.param({"samples": {"count": 4, "seed": 1, "t_range": [0.05]}},
-                 r"samples\.t_range must be two numbers", id="t_range-short"),
+                 r"samples\.t_range must be two finite numbers", id="t_range-short"),
     pytest.param({"samples": {"count": 4, "seed": -1}},
                  r"samples\.seed must be an integer >= 0, got -1", id="seed"),
-    pytest.param({"N_list": ["a", "b"]}, r"N_list must be a list of numbers", id="N_list"),
+    pytest.param({"N_list": ["a", "b"]},
+                 r"N_list must be a non-empty list of finite numbers > 0, strictly ascending", id="N_list"),
+    pytest.param({"N_list": [float("inf")]}, r"N_list must be a non-empty list", id="N_list-inf"),
+    pytest.param({"N_list": [100, 100]}, r"N_list must be a non-empty list", id="N_list-repeated"),
     pytest.param({"samples": {"seed": 1, "times": ["a"]}},
-                 r"samples\.times entries must be numbers", id="times"),
+                 r"samples\.times must be a non-empty list of finite numbers", id="times"),
     pytest.param({"tolerances": {"ratio": "x"}},
-                 r"tolerances\.ratio must be a number, got 'x'", id="ratio"),
+                 r"tolerances\.ratio must be a finite number > 0, got 'x'", id="ratio"),
+    pytest.param({"tolerances": {"ratio": float("nan")}}, r"tolerances\.ratio must be", id="ratio-nan"),
+    pytest.param({"tolerances": {"ratio": 0}}, r"tolerances\.ratio must be", id="ratio-zero"),
+    pytest.param({"tolerances": {"rel_error": -1e-9}}, r"tolerances\.rel_error must be", id="rel_error"),
+    pytest.param({"tolerances": {"refinement": float("nan")}}, r"tolerances\.refinement must be",
+                 id="refinement"),
     pytest.param({"tolerances": {"ratio_band": [0.3, 0.5, 0.7]}},
-                 r"tolerances\.ratio_band must be two numbers", id="ratio_band"),
+                 r"tolerances\.ratio_band must be two finite numbers > 0, strictly ascending", id="ratio_band"),
+    pytest.param({"tolerances": {"ratio_band": [0.7, 0.3]}}, r"tolerances\.ratio_band must be",
+                 id="ratio_band-descending"),
+    pytest.param({"tolerances": {"ratio_band": [0.0, 0.7]}}, r"tolerances\.ratio_band must be",
+                 id="ratio_band-zero"),
+    pytest.param({"samples": None}, r"samples must be an object, got None", id="samples-null"),
+    pytest.param({"tolerances": None}, r"tolerances must be an object, got None", id="tolerances-null"),
+    pytest.param({"output": None}, r"output must be an object, got None", id="output-null"),
+    pytest.param({"background": "round_sphere"}, r"background must be an object, got 'round_sphere'",
+                 id="background-string"),
+    pytest.param({"background": {"name": "round_sphere", "params": [3]}},
+                 r"background\.params must be an object, got \[3\]", id="background-params-list"),
+    pytest.param({"mcf": {"name": "equator_in_sphere", "params": []}},
+                 r"mcf\.params must be an object, got \[\]", id="mcf-params-list"),
 ]
 
 
@@ -58,8 +79,14 @@ class TestConfigValidation:
             cfg_ricci(N_list=[-5.0, 100.0])
 
     def test_unknown_field(self):
-        with pytest.raises(ConfigError):
+        # the table's top-level keys are the fields of RunConfig, which takes them as given
+        assert set(cli._CONFIG) == {f.name for f in dataclasses.fields(RunConfig)}
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['sweeps'\]"):
             RunConfig.from_dict({"suite": "functionals", "sweeps": 3})
+        with pytest.raises(ConfigError, match=r"config must be an object, got \['functionals'\]"):
+            RunConfig.from_dict(["functionals"])
+        with pytest.raises(ConfigError, match=r"config needs a suite"):
+            RunConfig.from_dict({"samples": {}})
 
     @pytest.mark.parametrize("block, value", [
         ("tolerances", {"ratios": 1.0000001}),
@@ -80,15 +107,28 @@ class TestConfigValidation:
         for block in blocks:
             RunConfig.from_dict(json.loads(block))
 
+    def test_readme_block_keys_match_the_config_table(self):
+        # the README's per-block key lists are the table's keys, so the prose cannot drift
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        bullets = readme.split("is a configuration error (exit 2):\n\n", 1)[1].split("\n\n", 1)[0]
+        listed = {}
+        for bullet in bullets.split("\n* "):
+            blocks, keys = bullet.split(":", 1)
+            for block in re.findall(r"`(\w+)`", blocks):
+                listed[block] = re.findall(r"`(\w+)`", keys)
+        table = {block: list(spec) for block, spec in cli._CONFIG.items() if isinstance(spec, dict)}
+        assert listed == table
+
     def test_bad_background(self):
         cfg = cfg_ricci(background={"name": "torus"})
         with pytest.raises(ConfigError):
             run(cfg)
 
     def test_unknown_variant(self):
-        cfg = cfg_ricci(variant="stationary")
+        with pytest.raises(ConfigError, match=r"variant must be one of \['expanding', 'shrinking', 'steady'\]"):
+            cfg_ricci(variant="stationary")
         with pytest.raises(ConfigError, match=r"needs variant expanding\|shrinking\|steady$"):
-            run(cfg)
+            run(dataclasses.replace(cfg_ricci(), variant=None))
 
     def test_direction_mismatch_is_config_error(self):
         cfg = cfg_ricci(variant="shrinking")
@@ -127,16 +167,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=message):
             cfg_ricci(**over)
 
-    @pytest.mark.parametrize("times", [[], [0.05, 0.1], 0.1])
-    def test_lott_match_needs_exactly_one_time(self, times):
-        cfg = RunConfig.from_dict({
-            "suite": "lott_match",
-            "background": {"name": "euclidean_static", "params": {"dim": 3, "direction": "forward"}},
-            "mcf": {"name": "shrinking_sphere_flat", "params": {"r0": 1.0}},
-            "samples": {"count": 3, "seed": 1, "times": times},
-        })
-        with pytest.raises(ConfigError, match="samples.times needs one entry"):
-            run(cfg)
+    @pytest.mark.parametrize("times, message", [
+        ([], r"samples\.times must be a non-empty list"),
+        ([0.05, 0.1], r"samples\.times needs one entry"),
+        (0.1, r"samples\.times must be a non-empty list"),
+    ])
+    def test_lott_match_needs_exactly_one_time(self, times, message):
+        with pytest.raises(ConfigError, match=message):
+            run(RunConfig.from_dict({
+                "suite": "lott_match",
+                "background": {"name": "euclidean_static", "params": {"dim": 3, "direction": "forward"}},
+                "mcf": {"name": "shrinking_sphere_flat", "params": {"r0": 1.0}},
+                "samples": {"count": 3, "seed": 1, "times": times},
+            }))
 
 
 class TestSuites:
@@ -433,25 +476,23 @@ class TestMainEntry:
         assert err.startswith(f"config error: {suite} sample {bad}: {message}")
         assert not (tmp_path / "out.json").exists()
 
-    def test_lott_slice_error_is_every_potentials_error(self, tmp_path):
+    @pytest.mark.parametrize("time, message", [
+        (5.0, "lott_match sample 0: time 5.0 outside domain (0.0, 0.2]"),   # past the flow's horizon
+        (float("nan"), "samples.times must be a non-empty list of finite numbers"),
+    ])
+    def test_lott_time_outside_the_flow_domain_is_a_config_error(self, tmp_path, capsys, time, message):
+        # one slice serves every potential, so a bad time is the config's error, not a point's
         cfg = {
             "suite": "lott_match",
             "background": {"name": "euclidean_static",
                            "params": {"dim": 3, "direction": "forward"}},
             "mcf": {"name": "shrinking_sphere_flat", "params": {"r0": 1.0}},
-            "samples": {"count": 3, "seed": 1, "times": [5.0]},
+            "samples": {"count": 3, "seed": 1, "times": [time]},
             "output": {"path": str(tmp_path / "out.json"), "format": "json"},
         }
-        assert main(["run", "--config", str(self.write_cfg(tmp_path, cfg))]) == 1
-        raw = (tmp_path / "out.json").read_bytes()
-        doc = json.loads(raw)
-        assert doc["records"] == []
-        assert doc["errors"] == [
-            {"potential_index": k, "error": "time 5.0 outside domain (0.0, 0.2]"} for k in range(3)
-        ]
-        assert hashlib.sha256(raw).hexdigest() == (
-            "2301f110655dafea3f6fe567c3c621e70ec60625550de329d7dc308f8e1d76e4"
-        )
+        assert main(["run", "--config", str(self.write_cfg(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / "out.json").exists()
 
     def test_harnack_point_error_is_recorded(self, tmp_path):
         cfg = {
@@ -539,7 +580,7 @@ class TestMainEntry:
             "output": {"path": str(tmp_path / "out.json")},
         }
         assert main(["run", "--config", str(self.write_cfg(tmp_path, cfg))]) == 2
-        assert "shrinking_sphere_flat parameter r0 must be a number" in capsys.readouterr().err
+        assert "shrinking_sphere_flat.r0 must be a finite number > 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid", [["a", 8, 4], [4.5, 8, 4], [4, True, 4], [1, 8, 4], [4, 8], 6])
     def test_badly_typed_grid_exits_two(self, tmp_path, capsys, grid):
@@ -552,20 +593,24 @@ class TestMainEntry:
         assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("name, params", [
-        ("round_sphere", {"dim": 2.7}),
+        ("round_sphere", {"dim": 2.7, "direction": "backward"}),
         ("round_sphere", {"r0": "nan", "direction": "backward"}),
-        ("euclidean_static", {"T": -1}),
+        ("euclidean_static", {"T": -1, "direction": "backward"}),
+        ("euclidean_static", {"dim": 0, "direction": "backward"}),
+        ("euclidean_static", {"dim": -2, "direction": "backward"}),
+        ("gaussian_shrinker_flat", {"dim": 0}),
+        ("gaussian_shrinker_flat", {"dim": -2}),
     ])
     def test_out_of_range_catalog_parameter_exits_two(self, tmp_path, capsys, name, params):
         cfg = {
             "suite": "ricci_soliton_residual",
             "variant": "shrinking",
-            "background": {"name": name, "params": {"direction": "backward", **params}},
+            "background": {"name": name, "params": params},
             "N_list": [100.0],
             "output": {"path": str(tmp_path / "out.json")},
         }
         assert main(["run", "--config", str(self.write_cfg(tmp_path, cfg))]) == 2
-        assert capsys.readouterr().err.startswith(f"config error: {name} ")
+        assert capsys.readouterr().err.startswith(f"config error: {name}.")
         assert not (tmp_path / "out.json").exists()
 
     def test_config_error_exit_two(self, tmp_path):

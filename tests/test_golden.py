@@ -10,13 +10,20 @@ thread); another numpy or BLAS build may round the last digits
 differently.
 """
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cansol.cli import RunConfig, run
+from cansol.cli import RunConfig, main, run
 from cansol.reports import ResidualReport, _plain, render_json
 
 FLAT3 = {"name": "euclidean_static", "params": {"dim": 3, "direction": "forward"}}
@@ -235,3 +242,60 @@ def test_renderer_falls_back_to_the_encoder():
     report.summary = {"bad": object()}
     with pytest.raises(TypeError, match="not JSON serializable"):
         render_json(report)
+
+
+# the values a fuzzed key takes: wrong types, non-finite and small numbers,
+# never a large valid size that would allocate without bound
+FUZZ_VALUES = [None, True, "x", [], {}, math.nan, math.inf, -math.inf, -1, 0, 2.7]
+
+
+def _key_paths(node, path=()):
+    """The path of every key and list entry below ``node``, catalog parameters included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _key_paths(child, path + (key,))
+
+
+def _at(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+@st.composite
+def mutated_golden_configs(draw):
+    """A golden config with one value replaced, one key added or one key dropped."""
+    cfg = copy.deepcopy(GOLDEN[draw(st.sampled_from(sorted(GOLDEN)))][0])
+    paths = list(_key_paths(cfg))
+    kind = draw(st.sampled_from(["set", "add", "drop"]))
+    if kind == "add":
+        objects = [()] + [p for p in paths if isinstance(_at(cfg, p), dict)]
+        _at(cfg, draw(st.sampled_from(objects)))["extra"] = 1
+        return cfg
+    if kind == "drop":
+        paths = [p for p in paths if isinstance(p[-1], str)]
+    path = draw(st.sampled_from(paths))
+    parent = _at(cfg, path[:-1])
+    if kind == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(st.sampled_from(FUZZ_VALUES))
+    return cfg
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mutated_golden_configs())
+def test_mutated_golden_config_exits_cleanly(cfg):
+    # a config error exits 2 with its message and writes no report; any
+    # other outcome is a verdict, never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, out = Path(tmp) / "cfg.json", Path(tmp) / "out.json"
+        cfg_path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--config", str(cfg_path), "--output", str(out)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.getvalue().startswith("config error: ")
+            assert list(Path(tmp).iterdir()) == [cfg_path]
