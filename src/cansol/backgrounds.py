@@ -8,10 +8,11 @@ derivatives, so they serve as fixtures whose residuals under the
 defining equations must vanish to machine precision.  A metric gives
 its components and a conformal family its phi(t), written with the
 operations of ``cansol.jets``, and their partials come from the jet type.
-A flow's analytic data is its 2-jet, one callback ``MCFSolution.jet(x, t)``
-that takes a point or a stack of points; ``slice_stack`` reads it once per
-stack and carries it to the space-time track.  The single-point slice,
-``hypersurface_point_data``, is the P = 1 case of ``slice_stack``.
+A background answers at a stack of (point, time) rows: ``bundle`` and
+``curvature``.  A flow's analytic data is its 2-jet, one callback
+``MCFSolution.jet(x, t)`` on a point or a stack; ``slice_stack`` reads it
+once per stack and carries it to the space-time track.  The single-point
+slice, ``hypersurface_point_data``, is the P = 1 case of ``slice_stack``.
 
 Orientation convention: the unit normal nu is chosen so that a round
 sphere in flat space has positive mean curvature with the outward normal
@@ -34,12 +35,13 @@ from .geometry import (
     FD_H1,
     ChartDomainError,
     DegenerateMetricError,
+    MetricBundle,
     MetricField,
     ScalarField,
     SymTensor2,
-    _at_point,
     _inverse,
     _kept,
+    _one_point,
     _raise_first,
     chart_point,
     christoffel_batch,
@@ -54,6 +56,7 @@ __all__ = [
     "VARIANT_SIGNS",
     "ConformalFamily",
     "RicciFlowBackground",
+    "BackgroundCurvature",
     "GradientSolitonData",
     "TimeScalarField",
     "MCFSolution",
@@ -227,16 +230,26 @@ class ConformalFamily:
         return self.sigma_scalar / (self.phi(t) if phi is None else phi)
 
 
+class BackgroundCurvature(NamedTuple):
+    """Closed-form curvature of g(t) at a stack of P (point, time) rows."""
+
+    ric: np.ndarray               # (P, m, m) Ricci tensor
+    R: np.ndarray                 # (P,) scalar curvature
+    dRdt: np.ndarray              # (P,)
+    dRdy: np.ndarray              # (P, m) coordinate partials of R
+
+
 @dataclass(frozen=True)
 class RicciFlowBackground:
     """A closed-form solution of the (possibly backward) metric flow.
 
     ``direction`` selects the flow sign: "forward" means dg/dt = -2 Ric,
     "backward" means dg/dtau = +2 Ric with tau stored directly as the time
-    variable.  Curvature evaluators are closed-form and are cross-checked
-    against the numeric kernel in the test suite.  ``sample_box`` is the
-    (low, high) box, scalars or per-coordinate arrays, that
-    ``sample_points`` draws from.
+    variable.  ``bundle`` and ``curvature`` answer for a stack of (point,
+    time) rows; the curvature is closed-form and is cross-checked against
+    the numeric kernel in the test suite.  ``sample_box`` is the (low,
+    high) box, scalars or per-coordinate arrays, that ``sample_points``
+    draws from.
     """
 
     name: str
@@ -254,35 +267,31 @@ class RicciFlowBackground:
     def check_time(self, t: float) -> float:
         return _check_time(self.time_domain, t)
 
-    def metric_at(self, t: float) -> MetricField:
-        """Spatial metric snapshot at time t, phi(t) sigma, with the jet of sigma scaled."""
-        t = self.check_time(t)
-        sigma = self.conformal.sigma
-        phi = self.conformal.phi(t)
-        return MetricField(
-            dim=self.dim,
-            components=lambda p: phi * sigma.components(p),
-            jet=None if sigma.jet is None else (lambda p, order: tuple(phi * a for a in sigma.jet(p, order))),
-            in_domain=sigma.in_domain,
-        )
+    @property
+    def flat(self) -> bool:
+        """Whether g(t) is flat; on the catalog, whose only scalar-flat sigma is Euclidean, iff R = 0."""
+        return self.conformal.sigma_scalar == 0.0
+
+    def bundle(self, points, ts, order: int = 1) -> MetricBundle:
+        """The ``metric_bundle`` of g(t_p) = phi(t_p) sigma at a stack of points p, one time each.
+
+        The times are checked in order, and the first outside the domain
+        raises; sigma and its jet are evaluated once for the whole stack.
+        """
+        c = self.conformal
+        return metric_bundle(c.sigma, points, order, scale=[c.phi(self.check_time(t)) for t in ts])
+
+    def curvature(self, points, ts) -> BackgroundCurvature:
+        """The curvature of g(t_p) at a (P, m) stack of points p, one time each, checked as by ``bundle``."""
+        c = self.conformal
+        pts = np.asarray(points, dtype=float)
+        R, dRdt = jets.derivatives(c.R, [self.check_time(t) for t in ts], order=1)
+        # R = sigma_scalar / phi(t) is constant in space
+        return BackgroundCurvature(np.asarray(c.ric_sigma(pts)), R, dRdt, np.zeros(pts.shape))
 
     def dt_metric_at(self, p: np.ndarray, t: float) -> np.ndarray:
         dphi = jets.derivatives(self.conformal.phi, self.check_time(t), order=1)[1]
         return dphi * np.asarray(self.conformal.sigma.components(p))
-
-    def ricci_at(self, p: np.ndarray, t: float) -> np.ndarray:
-        self.check_time(t)
-        return np.asarray(self.conformal.ric_sigma(p))
-
-    def scalar_at(self, p: np.ndarray, t: float) -> float:
-        return self.conformal.R(self.check_time(t))
-
-    def dt_scalar_at(self, p: np.ndarray, t: float) -> float:
-        return float(jets.derivatives(self.conformal.R, self.check_time(t), order=1)[1])
-
-    def dy_scalar_at(self, p: np.ndarray, t: float) -> np.ndarray:
-        self.check_time(t)
-        return np.zeros(self.dim)
 
     def sample_points(self, count: int, rng: np.random.Generator) -> list[np.ndarray]:
         """Random chart points from ``sample_box``, away from coordinate singularities."""
@@ -653,7 +662,8 @@ def ricci_flow_residual(bg: RicciFlowBackground, p: np.ndarray, t: float) -> Sym
     the numeric kernel, not from the background's closed forms.
     """
     t = bg.check_time(t)
-    b = _at_point(bg.metric_at(t), p, order=2)
+    b = bg.bundle(_one_point(p), [t], order=2)
+    b.raise_error()
     sign = -2.0 if bg.direction == "forward" else 2.0
     return SymTensor2.symmetrized(bg.dt_metric_at(b.points[0], t) - sign * ricci_batch(b)[0])
 
@@ -668,7 +678,8 @@ def gradient_soliton_residual(
     t = bg.check_time(t)
     if t == 0.0:
         raise ChartDomainError("gradient soliton residual undefined at t = 0")
-    b = _at_point(bg.metric_at(t), p, order=2)
+    b = bg.bundle(_one_point(p), [t], order=2)
+    b.raise_error()
     hess = hessian_batch(b, sol.potential.at_time(t))[0]
     return SymTensor2.symmetrized(ricci_batch(b)[0] + hess + (sol.c / (2.0 * t)) * b.g[0])
 
@@ -709,6 +720,9 @@ class HypersurfacePointData:
     x: np.ndarray
     t: float
     jet: tuple                    # the flow's 2-jet at (x, t), see MCFSolution
+    g: np.ndarray                 # ambient g_ab(t) at F_t(x)
+    ginv: np.ndarray
+    curvature: BackgroundCurvature  # the ambient's, one row at (F_t(x), t)
     induced: np.ndarray           # g_ij
     induced_inv: np.ndarray
     normal: np.ndarray            # unit, catalog orientation
@@ -762,7 +776,8 @@ class SliceStack(NamedTuple):
 
     ``errors`` has one entry per pair: None, or the exception
     ``hypersurface_point_data`` raises there.  ``ext`` holds the
-    ``extrinsic_geometry_batch`` results.
+    ``extrinsic_geometry_batch`` results, ``g`` and ``ginv`` the ambient
+    metric at the image points.
     """
 
     mcf: MCFSolution
@@ -772,19 +787,25 @@ class SliceStack(NamedTuple):
     errors: list
     jet: tuple
     ext: tuple
+    g: np.ndarray
+    ginv: np.ndarray
 
     def record(self, j: int) -> HypersurfacePointData:
-        """The ``HypersurfacePointData`` of stacked row j."""
+        """The ``HypersurfacePointData`` of stacked row j, with the ambient's curvature there."""
         i = self.index[j]
         x, t = self.xs[i], self.ts[i]
         induced, induced_inv, nu, h, H = (a[j] for a in self.ext)
         H = float(H)
         dxH, dtH = _mean_curvature_partials(self.mcf, x, t, H)
+        jet = tuple(a[j] for a in self.jet)
         return HypersurfacePointData(
             ambient=self.mcf.ambient,
             x=x,
             t=t,
-            jet=tuple(a[j] for a in self.jet),
+            jet=jet,
+            g=self.g[j],
+            ginv=self.ginv[j],
+            curvature=BackgroundCurvature._make(a[0] for a in self.mcf.ambient.curvature(jet[0][None], [t])),
             induced=induced,
             induced_inv=induced_inv,
             normal=nu,
@@ -800,15 +821,12 @@ def slice_stack(mcf: MCFSolution, xs: np.ndarray, ts: list) -> SliceStack:
 
     ``xs`` is a (P, n) stack of finite chart points and ``ts`` their P
     times, floats in the flow's time domain.  The flow's callbacks run once
-    on the stack, and the ambient metric at the image points is phi(t_p) *
-    sigma, from one evaluation of sigma for the whole stack; a time outside
-    the ambient's domain raises.
+    on the stack, and the ambient's ``bundle`` once at the image points; a
+    time outside the ambient's domain raises.
     """
-    bg = mcf.ambient
-    c = bg.conformal
     times = np.asarray(ts, dtype=float)
     jet = tuple(np.asarray(a, dtype=float) for a in mcf.jet(xs, times))
-    amb = metric_bundle(c.sigma, jet[0], order=1, scale=[c.phi(bg.check_time(t)) for t in ts])
+    amb = mcf.ambient.bundle(jet[0], ts, order=1)
     index, errors = amb.index, list(amb.errors)
     *jet, x, times = _kept(errors, jet + (xs, times))
     hint = np.asarray(mcf.orientation_hint(x, times), dtype=float)
@@ -816,8 +834,8 @@ def slice_stack(mcf: MCFSolution, xs: np.ndarray, ts: list) -> SliceStack:
     for i, exc in zip(index, bad):
         if exc is not None:
             errors[i] = BackgroundError(f"degenerate induced metric at x={xs[i]}, t={ts[i]}")
-    index, *jet = _kept(bad, (index, *jet))
-    return SliceStack(mcf, xs, ts, index, errors, tuple(jet), ext)
+    index, g, ginv, *jet = _kept(bad, (index, amb.g, amb.ginv, *jet))
+    return SliceStack(mcf, xs, ts, index, errors, tuple(jet), ext, g, ginv)
 
 
 def _mean_curvature_partials(mcf: MCFSolution, x: np.ndarray, t: float, H: float) -> tuple:

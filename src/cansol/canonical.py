@@ -346,12 +346,11 @@ def limit_ricci(bg: RicciFlowBackground, X: np.ndarray, p: np.ndarray, t: float)
     if bg.direction != "forward":
         raise CanonicalConfigError("limit_ricci needs a forward background")
     t = bg.check_time(t)
-    p = np.asarray(p, dtype=float)
     X = np.asarray(X, dtype=float)
-    ric = bg.ricci_at(p, t)
-    quad = float(X @ ric @ X)
-    transport = float(X @ bg.dy_scalar_at(p, t))
-    return quad + transport + 0.5 * (bg.dt_scalar_at(p, t) + bg.scalar_at(p, t) / t)
+    c = bg.curvature(np.asarray(p, dtype=float)[None], [t])
+    quad = float(X @ c.ric[0] @ X)
+    transport = float(X @ c.dRdy[0])
+    return quad + transport + 0.5 * (float(c.dRdt[0]) + float(c.R[0]) / t)
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +409,11 @@ def canonical_christoffel_closed_forms(cm: CanonicalMetric, points, ts, as_print
     ``as_printed=False`` evaluates the rederived table (what the Levi-Civita
     formula yields), ``as_printed=True`` the reference table literally, slips
     included, so the cross-check suite can measure them.  One background
-    evaluation serves every (p, t) pair; the first failing pair raises its
-    error: a point outside the chart, else a time outside the domain.
+    ``bundle`` and ``curvature`` serve every (p, t) pair; the first failing
+    pair raises its error: a point outside the chart, else a time outside
+    the domain.
     """
     bg = cm.base
-    conf = bg.conformal
     m, N, s = bg.dim, cm.N, cm.sign
     t = np.asarray(ts, dtype=float)
     z = np.column_stack((t, np.reshape(points, (len(t), m))))
@@ -423,12 +422,10 @@ def canonical_christoffel_closed_forms(cm: CanonicalMetric, points, ts, as_print
             raise exc
         bg.check_time(t_i)
 
-    b = metric_bundle(conf.sigma, z[:, 1:], order=1, scale=np.broadcast_to(conf.phi(t), t.shape))
+    b = bg.bundle(z[:, 1:], t.tolist(), order=1)
     b.raise_error()
-    ric = conf.ric_sigma(z[:, 1:])
+    ric, R, dRdt, dRdy = bg.curvature(z[:, 1:], t.tolist())
     ric_up = b.ginv @ ric                     # Ric^a_b
-    R, dRdt = jets.derivatives(conf.R, t, order=1)
-    dRdy = np.zeros((len(t), m))              # R = sigma_scalar / phi(t) is constant in space
     w = cm.field.components(z)[:, 0, 0]
     tb, Rb, wb = (a[:, None, None] for a in (t, R, w))      # against (P, m, m) blocks
 
@@ -471,20 +468,22 @@ _SYMBOL_CLASSES = {
 }
 
 
-def christoffel_crosscheck(cm: CanonicalMetric, samples, as_printed: bool = False) -> dict:
-    """Engine-vs-closed-form comparison over (p, t) samples.
+def christoffel_crosscheck(cm: CanonicalMetric, samples) -> tuple[dict, dict]:
+    """Engine-vs-closed-form comparison over (p, t) samples, against the derived and the printed table.
 
-    Returns a per-symbol-class table of relative errors, each class scaled
-    by the largest engine entry it contains over all samples; classes that
-    vanish in both evaluations report their absolute mismatch.
+    Returns two per-symbol-class tables of relative errors, (derived,
+    printed), from one engine evaluation.  Each class is scaled by the
+    largest engine entry it contains over all samples; classes that vanish
+    in both evaluations report their absolute mismatch.
     """
     samples = list(samples)
     b = metric_bundle(cm.field, [cm.spacetime_point(p, t) for p, t in samples], order=1)
     b.raise_error()
     engine = christoffel_batch(b)
-    err = np.abs(engine - canonical_christoffel_closed_forms(cm, *zip(*samples), as_printed))
-    table = {}
-    for name, idx in _SYMBOL_CLASSES.items():
-        diff, scale = float(np.max(err[idx])), float(np.max(np.abs(engine[idx])))
-        table[name] = diff / scale if scale > 1e-14 else diff
-    return table
+    tables = ({}, {})
+    for table, as_printed in zip(tables, (False, True)):
+        err = np.abs(engine - canonical_christoffel_closed_forms(cm, *zip(*samples), as_printed))
+        for name, idx in _SYMBOL_CLASSES.items():
+            diff, scale = float(np.max(err[idx])), float(np.max(np.abs(engine[idx])))
+            table[name] = diff / scale if scale > 1e-14 else diff
+    return tables

@@ -21,9 +21,9 @@ The theorems under test say Sigma is an approximate soliton: the defect
 stays O(1/N), i.e. N |E~_N| is bounded.  ``mcf_canonical_sweep``
 evaluates the defect on a stack of (x, t) pairs for a list of canonical
 metrics: the slices, which do not depend on N, once, and the track
-geometry once per metric.  ``mcf_canonical_residuals`` is its one-metric
-case, ``mcf_canonical_residual`` and ``track_point_data`` the single-pair
-case, and a pair's result does not depend on its stack.
+geometry once per metric.  ``mcf_canonical_residual`` and
+``track_point_data`` are its single-pair case, and a pair's result does
+not depend on its stack.
 
 As with the Christoffel tables, the reference closed forms for h^S
 circulate with slips in their O(1/N) correction terms;
@@ -69,7 +69,6 @@ __all__ = [
     "closed_form_second_ff",
     "closed_form_normal_potential",
     "mcf_canonical_residual",
-    "mcf_canonical_residuals",
     "mcf_canonical_sweep",
     "limit_inverse_metric",
 ]
@@ -298,14 +297,17 @@ def _residuals(cm: CanonicalMetric, stack: _TrackStack) -> list:
 
 
 def mcf_canonical_sweep(mcf: MCFSolution, cms, xs, ts) -> list:
-    """``mcf_canonical_residuals`` of the flow's track in each canonical metric of ``cms``.
+    """``mcf_canonical_residual`` at every (x, t) pair, for each canonical metric of ``cms``.
 
-    Returns one list per metric, in order.  The slices M_t do not depend
-    on N, so the time and chart checks and the slice geometry run once for
-    the whole sweep; the space-time metric, the track's extrinsic geometry
-    and nu^S f run once per metric.  Every metric must be built on
-    ``mcf.ambient``, as in ``build_track``; the sampling floor is then the
-    same for all of them.
+    Returns one list per metric, in order, with one entry per pair: the
+    ``TrackResidualSample``, or the exception the single-pair call raises
+    there (a time below the sampling floor or outside the flow's domain, a
+    point outside the chart, a degenerate slice or track metric).  The
+    slices M_t do not depend on N, so the time and chart checks and the
+    slice geometry run once for the whole sweep; the space-time metric, the
+    track's extrinsic geometry and nu^S f run once per metric.  Every
+    metric must be built on ``mcf.ambient``, as in ``build_track``; the
+    sampling floor is then the same for all of them.
     """
     tracks = [build_track(mcf, cm) for cm in cms]
     if not tracks:
@@ -314,27 +316,15 @@ def mcf_canonical_sweep(mcf: MCFSolution, cms, xs, ts) -> list:
     return [_residuals(track.cm, _track_stack(track, pairs)) for track in tracks]
 
 
-def mcf_canonical_residuals(track: SpaceTimeTrack, xs, ts) -> list:
-    """``mcf_canonical_residual`` at every (x, t) pair, in one stacked evaluation.
-
-    Returns one entry per pair, in order: the ``TrackResidualSample``, or
-    the exception the single-pair call raises there (a time below the
-    sampling floor or outside the flow's domain, a point outside the chart,
-    a degenerate slice or track metric).  The one-metric case of
-    ``mcf_canonical_sweep``.
-    """
-    return mcf_canonical_sweep(track.mcf, [track.cm], xs, ts)[0]
-
-
 def mcf_canonical_residual(track: SpaceTimeTrack, x: np.ndarray, t: float) -> TrackResidualSample:
     """Soliton defect of the track: H^S minus/plus the normal potential derivative.
 
     Entirely engine-evaluated: H^S from the kernel second fundamental
     form, nu^S f as the directional derivative of the canonical potential
-    along the kernel normal.  This is the single-pair case of
-    ``mcf_canonical_residuals``.
+    along the kernel normal.  This is the single-pair, one-metric case of
+    ``mcf_canonical_sweep``.
     """
-    [sample] = mcf_canonical_residuals(track, [x], [t])
+    [[sample]] = mcf_canonical_sweep(track.mcf, [track.cm], [x], [t])
     if isinstance(sample, Exception):
         raise sample
     return sample
@@ -454,35 +444,29 @@ def closed_form_second_ff(
         raise ValueError(f"form must be 'full' or 'leading', got {form!r}")
     t = track.check_time(t)
     cm = track.cm
-    bg = cm.base
     n = track.n
 
     hyp = hypersurface_point_data(track.mcf, x, t)
-    pos = hyp.position
     T = hyp.tangents
     nu = hyp.normal
     H = hyp.mean_curvature
-    h = hyp.second_ff
     g = hyp.induced
     dH = hyp.dx_mean_curvature
     dHdt = hyp.dt_mean_curvature
 
-    ric = bg.ricci_at(pos, t)
+    ric, R, dRdt, dRdy = hyp.curvature
     ric_TT = T @ ric @ T.T
     ric_Tnu = T @ ric @ nu
     ric_nunu = float(nu @ ric @ nu)
-    R = bg.scalar_at(pos, t)
-    dRdt = bg.dt_scalar_at(pos, t)
-    dRdy = bg.dy_scalar_at(pos, t)
     T_R = T @ dRdy
     nu_R = float(nu @ dRdy)
 
-    w = cm.time_time(pos, t)
+    w = cm.time_time(hyp.position, t)
     sN = _sigma_N(cm.time_scale(t), H, w)
     s = cm.sign
-    m = bg.dim   # = n + 1
+    m = n + 1
 
-    spatial = h
+    spatial = hyp.second_ff
     if s == 0:
         pref = 1.0 / (t * sN) if (form == "leading" and as_printed) else 1.0 / sN
         NR = cm.N + R

@@ -11,6 +11,8 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
+from cansol.geometry import MetricField
+
 
 def inverse_metric(metric, p):
     return np.linalg.inv(np.asarray(metric.components(p), dtype=float))
@@ -82,21 +84,31 @@ def soliton_defect(cm, p, t):
     return 0.5 * (E + E.T), ric
 
 
-def canonical_christoffel_closed_form(cm, p, t, as_printed=False):
-    """The closed-form Christoffel table at one (p, t), from the background's pointwise evaluators.
+def snapshot(bg, t):
+    """The metric phi(t) sigma of a catalog background at one time, its jet sigma's scaled by phi(t)."""
+    sigma, phi = bg.conformal.sigma, bg.conformal.phi(t)
+    return MetricField(dim=bg.dim, components=lambda p: phi * sigma.components(p),
+                       jet=lambda p, order: tuple(phi * a for a in sigma.jet(p, order)))
 
-    Times are Python floats here, and a float ``t**2`` (libm pow) can round
-    differently from numpy's square of an array, so stacked tables equal
-    this one to a few ulps, not bitwise.
+
+def canonical_christoffel_closed_form(cm, p, t, as_printed=False):
+    """The closed-form Christoffel table at one (p, t), from the background's conformal data.
+
+    Ric is sigma's, R and dR/dt are the hand-derived ``conformal_scalars``,
+    and R is constant in space on the catalog.  Times are Python floats
+    here, and a float ``t**2`` (libm pow) can round differently from
+    numpy's square of an array, so stacked tables equal this one to a few
+    ulps, not bitwise.
     """
     bg, m, N, s = cm.base, cm.base.dim, cm.N, cm.sign
     t = float(t)
     p = np.asarray(p, dtype=float)
-    snap = bg.metric_at(t)
-    g = snap.at(p)
+    snap = snapshot(bg, t)
+    g = snap.components(p)
     ginv = np.linalg.inv(g)
-    ric = bg.ricci_at(p, t)
-    R, dRdt, dRdy = bg.scalar_at(p, t), bg.dt_scalar_at(p, t), bg.dy_scalar_at(p, t)
+    ric = np.asarray(bg.conformal.ric_sigma(p))
+    _, _, _, R, dR, _ = conformal_scalars(bg)
+    R, dRdt, dRdy = R(t), dR(t), np.zeros(m)
     w = cm.time_time(p, t)
     gamma = np.zeros((m + 1,) * 3)
     gamma[1:, 1:, 1:] = christoffel(snap, p)

@@ -151,10 +151,10 @@ def test_criterion_3_closed_form_crosschecks():
         bg = background(name, **kw)
         samples = sweep_samples(bg, 5, seed=31)
         cm = build_canonical_metric(bg, variant, 100.0)
-        worst_analytic = max(worst_analytic, max(christoffel_crosscheck(cm, samples).values()))
+        derived, printed = christoffel_crosscheck(cm, samples)
+        worst_analytic = max(worst_analytic, max(derived.values()))
         cm_fd = dataclasses.replace(cm, field=cm.field.without_analytic_derivatives())
-        worst_fd = max(worst_fd, max(christoffel_crosscheck(cm_fd, samples).values()))
-        printed = christoffel_crosscheck(cm, samples, as_printed=True)
+        worst_fd = max(worst_fd, max(christoffel_crosscheck(cm_fd, samples)[0].values()))
         printed_slips |= {(variant, s) for s, e in printed.items() if e > 1e-7}
 
     # track second fundamental form on the flat background, engine vs the
@@ -220,7 +220,7 @@ def test_criterion_4_harnack_link():
         ratios_ok = ratios_ok and all(0.3 < b / a < 0.7 for a, b in zip(errs, errs[1:]))
 
     p, t = np.array([1.2, 0.8, 2.0]), 0.1
-    g = bg.metric_at(t).at(p)
+    [g] = bg.bundle([p], [t], order=0).g
     X = np.zeros(3)
     X[0] = 1.0 / math.sqrt(g[0, 0])
     z_val = rf_harnack_Z(bg, X, p, t)

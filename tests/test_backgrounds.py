@@ -13,19 +13,26 @@ from cansol.backgrounds import (
     BackgroundError,
     GradientSolitonData,
     TimeScalarField,
+    catalog_background_names,
     gradient_soliton_residual,
     hypersurface_point_data,
     mcf_soliton_residual,
     model_background,
     model_mcf,
     ricci_flow_residual,
+    slice_stack,
 )
-from cansol.geometry import ChartDomainError, _at_point, scalar_curvature_batch, tensor_norm_batch
+from cansol.geometry import ChartDomainError, ricci_batch, scalar_curvature_batch, tensor_norm_batch
 
 
-def tensor_norm(metric, T, p):
-    """|T| at one point through ``tensor_norm_batch``, in T's own variance."""
-    return tensor_norm_batch(_at_point(metric, p, 0), T.entries[None], T.variance)[0]
+def tensor_norm(bg, t, T, p):
+    """|T| in g(t) at one point through ``tensor_norm_batch``, in T's own variance."""
+    return tensor_norm_batch(bg.bundle([p], [t], order=0), T.entries[None], T.variance)[0]
+
+
+def metric_rows(bg, pts, ts):
+    """g(t) at each point of a stack, from its components phi(t) sigma."""
+    return np.array([bg.conformal.phi(t) * bg.conformal.sigma.components(p) for p, t in zip(pts, ts)])
 
 
 def sample_times(bg, count, rng):
@@ -42,25 +49,32 @@ def rng():
 class TestModelBackgrounds:
     def test_euclidean_static_is_flat(self, rng):
         bg = model_background("euclidean_static", dim=3)
+        assert bg.flat
         for t in sample_times(bg, 5, rng):
-            for p in bg.sample_points(3, rng):
-                assert np.allclose(bg.ricci_at(p, t), 0.0)
-                snap = bg.metric_at(t)
-                assert np.allclose(snap.at(p), np.eye(3))
+            pts = bg.sample_points(3, rng)
+            c = bg.curvature(pts, [t] * 3)
+            assert np.array_equal(c.ric, np.zeros((3, 3, 3)))
+            assert np.array_equal(c.R, np.zeros(3)) and np.array_equal(c.dRdt, np.zeros(3))
+            assert np.allclose(bg.bundle(pts, [t] * 3).g, np.eye(3))
 
     def test_round_sphere_scalar_curvature_value(self):
         # forward sphere, d = 3, r0 = 1 at t = 0.1: R = 6 / (1 - 4 * 0.1) = 10
         bg = model_background("round_sphere", dim=3, r0=1.0, direction="forward")
+        assert not bg.flat
         p = np.array([1.2, 1.0, 0.5])
-        assert bg.scalar_at(p, 0.1) == pytest.approx(10.0, rel=1e-12)
-        assert scalar_curvature_batch(_at_point(bg.metric_at(0.1), p, 2))[0] == pytest.approx(10.0, rel=1e-10)
+        c = bg.curvature([p], [0.1])
+        assert c.R[0] == pytest.approx(10.0, rel=1e-12)
+        # Ric = (d - 1) sigma, scale-invariant, with sigma = diag(1, sin^2 x0, sin^2 x0 sin^2 x1)
+        s0, s1 = math.sin(1.2) ** 2, math.sin(1.0) ** 2
+        assert np.allclose(c.ric[0], 2.0 * np.diag([1.0, s0, s0 * s1]), rtol=1e-14, atol=0.0)
+        assert scalar_curvature_batch(bg.bundle([p], [0.1], order=2))[0] == pytest.approx(10.0, rel=1e-10)
 
     def test_round_sphere_forward_exact_flow(self, rng):
         bg = model_background("round_sphere", dim=3, r0=1.0, direction="forward")
         for t in sample_times(bg, 3, rng):
             for p in bg.sample_points(2, rng):
-                expected = -2.0 * bg.ricci_at(p, t)
-                assert np.allclose(bg.dt_metric_at(p, t), expected, atol=1e-12)
+                [ric] = bg.curvature([p], [t]).ric
+                assert np.allclose(bg.dt_metric_at(p, t), -2.0 * ric, atol=1e-12)
 
     def test_unknown_name(self):
         with pytest.raises(BackgroundError):
@@ -140,8 +154,10 @@ class TestModelBackgrounds:
     def test_forward_sphere_domain_ends_before_singular_time(self):
         bg = model_background("round_sphere", dim=3, r0=1.0, direction="forward")
         assert bg.time_domain[1] < 0.25
-        with pytest.raises(ChartDomainError):
-            bg.metric_at(0.3)
+        p = np.array([1.2, 1.0, 0.5])
+        for ask in (bg.bundle, bg.curvature):
+            with pytest.raises(ChartDomainError, match=re.escape("time 0.3 outside domain (0.0, 0.2]")):
+                ask([p, p], [0.1, 0.3])
 
     @pytest.mark.parametrize(
         "name,kwargs",
@@ -156,7 +172,7 @@ class TestModelBackgrounds:
         for t in rng.uniform(0.1 * hi, 0.9 * hi, 3):
             for p in bg.sample_points(3, rng):
                 h = 1e-6 * max(1.0, t)
-                fd = (bg.metric_at(t + h).at(p) - bg.metric_at(t - h).at(p)) / (2 * h)
+                fd = (bg.bundle([p], [t + h], order=0).g[0] - bg.bundle([p], [t - h], order=0).g[0]) / (2 * h)
                 ana = bg.dt_metric_at(p, t)
                 scale = max(1.0, np.max(np.abs(ana)))
                 assert np.max(np.abs(fd - ana)) < 1e-6 * scale
@@ -177,7 +193,7 @@ class TestRicciFlowResidual:
         for t in sample_times(bg, 5, rng):
             for p in bg.sample_points(10, rng):
                 res = ricci_flow_residual(bg, p, t)
-                assert tensor_norm(bg.metric_at(t), res, p) < 1e-8
+                assert tensor_norm(bg, t, res, p) < 1e-8
 
     def test_corrupted_background_residual_by_hand(self):
         # flat metric scaled by 1 + t^2 is not a flow solution: residual 2t * delta
@@ -198,7 +214,7 @@ class TestRicciFlowResidual:
         assert np.allclose(res.entries, 2.0 * t * eye, atol=1e-10)
         # norm against g = (1 + t^2) delta: |res| = 2t sqrt(d) / (1 + t^2)
         expected_norm = 2.0 * t * math.sqrt(dim) / (1.0 + t**2)
-        assert tensor_norm(bg.metric_at(t), res, p) == pytest.approx(expected_norm, rel=1e-10)
+        assert tensor_norm(bg, t, res, p) == pytest.approx(expected_norm, rel=1e-10)
 
 
 class TestModelMCF:
@@ -252,7 +268,8 @@ class TestModelMCF:
         for t in np.random.default_rng(1).uniform(0.05 * hi, hi, 5):
             for x in mcf.sample_xs(10, rng):
                 data = hypersurface_point_data(mcf, x, t)
-                g = bg.metric_at(t).at(data.position)
+                g = data.g
+                assert np.array_equal(g, metric_rows(bg, [data.position], [t])[0])
                 normal_speed = float(data.velocity @ g @ data.normal)
                 assert normal_speed == pytest.approx(-data.mean_curvature, abs=1e-8)
                 # tangential reparametrization allowed: compare projections only
@@ -584,3 +601,78 @@ class TestConformalScalars:
         assert dR == pytest.approx((conf.R(t + h) - conf.R(t - h)) / (2 * h), rel=1e-8)
         dR_at = lambda s: jets.derivatives(conf.R, s)[1]
         assert d2R == pytest.approx((dR_at(t + h) - dR_at(t - h)) / (2 * h), rel=1e-8)
+
+
+# every catalog background, the sphere in both directions and several dimensions
+CATALOG = [
+    ("euclidean_static", dict(dim=3, direction="forward")),
+    ("gaussian_shrinker_flat", dict(dim=4)),
+    *[("round_sphere", dict(dim=d, r0=1.3, direction=direction))
+      for d in (2, 3, 5) for direction in ("forward", "backward")],
+]
+
+
+def catalog_rows(name, params, count, seed):
+    """A catalog background and ``count`` (point, time) rows inside its domain."""
+    bg = model_background(name, **params)
+    rng = np.random.default_rng(seed)
+    hi = bg.time_domain[1]
+    return bg, np.array(bg.sample_points(count, rng)), rng.uniform(0.1 * hi, 0.9 * hi, count).tolist()
+
+
+class TestStackedAnswers:
+    """``bundle`` and ``curvature``, the background's answers at a stack of (point, time) rows."""
+
+    @pytest.mark.parametrize("name, params", CATALOG)
+    def test_curvature_matches_the_kernel(self, name, params):
+        bg, pts, ts = catalog_rows(name, params, 6, seed=3)
+        c = bg.curvature(pts, ts)
+        b = bg.bundle(pts, ts, order=2)
+        assert np.max(np.abs(c.ric - ricci_batch(b))) < 1e-9 * max(1.0, float(np.max(np.abs(c.ric))))
+        assert np.allclose(c.R, scalar_curvature_batch(b), rtol=1e-9, atol=1e-9)
+        # dR/dt and dR/dy against central differences of the kernel's R
+        h = 1e-5
+
+        def kernel_R(points, times):
+            return scalar_curvature_batch(bg.bundle(points, times, order=2))
+
+        dRdt = (kernel_R(pts, [t + h for t in ts]) - kernel_R(pts, [t - h for t in ts])) / (2 * h)
+        assert np.allclose(c.dRdt, dRdt, rtol=1e-6, atol=1e-6)
+        for a, e in enumerate(h * np.eye(bg.dim)):
+            assert np.allclose(c.dRdy[:, a], (kernel_R(pts + e, ts) - kernel_R(pts - e, ts)) / (2 * h), atol=1e-5)
+        assert c.dRdy.shape == pts.shape
+
+    @pytest.mark.parametrize("name, params", CATALOG)
+    def test_each_row_equals_its_own_call(self, name, params):
+        bg, pts, ts = catalog_rows(name, params, 5, seed=4)
+        b, c = bg.bundle(pts, ts, order=2), bg.curvature(pts, ts)
+        assert np.array_equal(b.g, metric_rows(bg, pts, ts))
+        for i in range(len(ts)):
+            b1, c1 = bg.bundle(pts[i : i + 1], ts[i : i + 1], order=2), bg.curvature(pts[i : i + 1], ts[i : i + 1])
+            for field in ("points", "g", "ginv", "dg", "ddg"):
+                assert getattr(b, field)[i].tobytes() == getattr(b1, field)[0].tobytes(), (i, field)
+            for field in c._fields:
+                assert getattr(c, field)[i].tobytes() == getattr(c1, field)[0].tobytes(), (i, field)
+
+    def test_flat_is_the_flat_catalog(self):
+        flat = [name for name in catalog_background_names() if model_background(name).flat]
+        assert flat == ["euclidean_static", "gaussian_shrinker_flat"]
+
+    @pytest.mark.parametrize("flow, name, params", [
+        ("shrinking_sphere_flat", "euclidean_static", dict(dim=3)),
+        ("equator_in_sphere", "round_sphere", dict(dim=4, direction="forward")),
+    ])
+    def test_slice_records_carry_the_ambient_rows(self, flow, name, params):
+        bg = model_background(name, **params)
+        mcf = model_mcf(flow, bg)
+        rng = np.random.default_rng(8)
+        xs = np.array(mcf.sample_xs(4, rng))
+        ts = rng.uniform(0.1 * mcf.time_domain[1], mcf.time_domain[1], 4).tolist()
+        stack = slice_stack(mcf, xs, ts)
+        for j, (x, t) in enumerate(zip(xs, ts)):
+            hyp = hypersurface_point_data(mcf, x, t)
+            b, c = bg.bundle([hyp.position], [t], order=0), bg.curvature([hyp.position], [t])
+            row = stack.record(j)
+            for data in (hyp, row):
+                assert data.g.tobytes() == b.g[0].tobytes() and data.ginv.tobytes() == b.ginv[0].tobytes()
+                assert all(a.tobytes() == b_[0].tobytes() for a, b_ in zip(data.curvature, c))

@@ -44,7 +44,7 @@ from cansol.geometry import (
     tensor_norm_batch,
 )
 from cansol.harnack import I_GHY, I_infty, flat_ball_domain, random_polynomial_field
-from cansol.track import build_track, mcf_canonical_residual, mcf_canonical_residuals, mcf_canonical_sweep
+from cansol.track import build_track, mcf_canonical_residual, mcf_canonical_sweep
 
 DIRECTION = {"expanding": "forward", "shrinking": "backward", "steady": "backward"}
 
@@ -329,6 +329,12 @@ def assert_same_entries(batch, loop):
             assert np.array_equal(a.x, b.x)
 
 
+def one_metric_sweep(track, xs, ts):
+    """``mcf_canonical_sweep`` of the track's flow in the track's metric alone."""
+    [entries] = mcf_canonical_sweep(track.mcf, [track.cm], xs, ts)
+    return entries
+
+
 class TestTrackStacks:
     @pytest.mark.parametrize("variant, flow, dim", TRACKS)
     def test_track_stack_matches_pointwise_loop(self, variant, flow, dim):
@@ -350,13 +356,13 @@ class TestTrackStacks:
             xs.append(np.concatenate(([0.005], good[1:])))
             kinds = {ChartDomainError, CanonicalConfigError}
         ts.append(float(np.mean(mcf.time_domain)))
-        batch = mcf_canonical_residuals(track, xs, ts)
+        batch = one_metric_sweep(track, xs, ts)
         loop = _pointwise_loop(mcf_canonical_residual, track, xs, ts)
         assert_same_entries(batch, loop)
         assert {type(r) for r in batch if isinstance(r, Exception)} == kinds
         assert sum(not isinstance(r, Exception) for r in batch) >= 10
         # a pair's entry does not depend on its neighbours
-        assert_same_entries(mcf_canonical_residuals(track, xs[::-1], ts[::-1]), batch[::-1])
+        assert_same_entries(one_metric_sweep(track, xs[::-1], ts[::-1]), batch[::-1])
 
     def test_degenerate_track_is_a_per_pair_error(self):
         mcf = _flow("shrinking_sphere_flat", 3, "forward")
@@ -364,7 +370,7 @@ class TestTrackStacks:
         track = build_track(mcf, build_canonical_metric(mcf.ambient, "expanding", 1e8))
         xs = [np.array([0.1, 0.3]), np.array([1.1, 0.7])]
         ts = [0.05, 0.15]
-        batch = mcf_canonical_residuals(track, xs, ts)
+        batch = one_metric_sweep(track, xs, ts)
         assert isinstance(batch[0], CanonicalConfigError)
         assert str(batch[0]).startswith("degenerate induced track metric")
         assert_same_entries(batch, _pointwise_loop(mcf_canonical_residual, track, xs, ts))
@@ -372,8 +378,8 @@ class TestTrackStacks:
     def test_empty_and_all_failing_stacks(self):
         mcf = _flow("shrinking_sphere_flat", 3, "forward")
         track = build_track(mcf, build_canonical_metric(mcf.ambient, "expanding", 1e4))
-        assert mcf_canonical_residuals(track, np.empty((0, 2)), []) == []
-        below = mcf_canonical_residuals(track, [np.array([1.1, 0.7])] * 2, [0.001, 0.002])
+        assert one_metric_sweep(track, np.empty((0, 2)), []) == []
+        below = one_metric_sweep(track, [np.array([1.1, 0.7])] * 2, [0.001, 0.002])
         assert [type(r).__name__ for r in below] == ["CanonicalConfigError"] * 2
 
     @pytest.mark.parametrize("variant, flow, Ns", [
@@ -400,7 +406,7 @@ class TestTrackStacks:
         sweep = mcf_canonical_sweep(mcf, cms, xs, ts)
         assert len(sweep) == len(cms)
         for cm, entries in zip(cms, sweep):
-            assert_same_entries(entries, mcf_canonical_residuals(build_track(mcf, cm), xs, ts))
+            assert_same_entries(entries, one_metric_sweep(build_track(mcf, cm), xs, ts))
             assert sum(not isinstance(r, Exception) for r in entries) >= 16
         kinds = [{type(r) for r in entries if isinstance(r, Exception)} for entries in sweep]
         assert all({ChartDomainError, CanonicalConfigError} <= k for k in kinds)

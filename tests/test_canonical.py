@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cansol.backgrounds import model_background
+from cansol.backgrounds import model_background, unit_sphere_metric
 from cansol.canonical import (
     CHRISTOFFEL_CORRECTIONS,
     CanonicalConfigError,
@@ -45,6 +45,14 @@ def samples_for(bg, count, seed=0):
     pts = bg.sample_points(count, rng)
     ts = rng.uniform(0.05 * hi, hi, count)
     return list(zip(pts, ts))
+
+
+def unit_first_axis(bg, p, t):
+    """The unit vector along the first chart axis of g(t) at p."""
+    [g] = bg.bundle([p], [t], order=0).g
+    X = np.zeros(bg.dim)
+    X[0] = 1.0 / math.sqrt(g[0, 0])
+    return X
 
 
 class TestBuild:
@@ -114,15 +122,15 @@ class TestClosedFormChristoffels:
         cm = build_canonical_metric(make_bg(SPHERE_BWD), "steady", 100.0)
         p, t = np.array([1.1, 0.7, 0.2]), 0.3
         [gamma] = canonical_christoffel_closed_forms(cm, [p], [t])
-        bg = cm.base
-        expected = -bg.ricci_at(p, t) / (100.0 + bg.scalar_at(p, t))
+        # Ric = 2 sigma and R = 6 / phi(t), phi(t) = 1 + 4t, on the backward unit 3-sphere
+        expected = -2.0 * unit_sphere_metric(3).at(p) / (100.0 + 6.0 / (1.0 + 4.0 * t))
         assert np.allclose(gamma[0, 1:, 1:], expected, rtol=1e-12)
 
     @pytest.mark.parametrize("bg_params,variant", COMBOS)
     def test_engine_matches_derived_forms_analytic(self, bg_params, variant):
         bg = make_bg(bg_params)
         cm = build_canonical_metric(bg, variant, 100.0)
-        table = christoffel_crosscheck(cm, samples_for(bg, 6, seed=1))
+        table, _ = christoffel_crosscheck(cm, samples_for(bg, 6, seed=1))
         assert max(table.values()) < 1e-9, table
 
     @pytest.mark.parametrize("bg_params,variant", COMBOS)
@@ -132,8 +140,24 @@ class TestClosedFormChristoffels:
         fd_cm = build_canonical_metric(bg, variant, 100.0)
         fd_field = fd_cm.field.without_analytic_derivatives()
         object.__setattr__(fd_cm, "field", fd_field)
-        table = christoffel_crosscheck(fd_cm, samples_for(bg, 4, seed=2))
+        table, _ = christoffel_crosscheck(fd_cm, samples_for(bg, 4, seed=2))
         assert max(table.values()) < 1e-5, table
+
+    def test_crosscheck_evaluates_the_engine_once_for_both_tables(self):
+        import dataclasses
+
+        bg = make_bg(SPHERE_BWD)
+        cm = build_canonical_metric(bg, "shrinking", 100.0)
+        jet_calls = []
+        jet = cm.field.jet
+        counted = dataclasses.replace(cm, field=dataclasses.replace(
+            cm.field, jet=lambda z, order: jet_calls.append(len(z)) or jet(z, order)))
+        samples = samples_for(bg, 4, seed=3)
+        derived, printed = christoffel_crosscheck(counted, samples)
+        assert jet_calls == [4]
+        assert derived.keys() == printed.keys()
+        # the printed table's nesting slip in G^0_bc shows; the derived table matches
+        assert derived["G^0_bc"] < 1e-9 < printed["G^0_bc"]
 
     def test_printed_forms_show_known_slips(self):
         # the literal reference tables deviate exactly where the correction
@@ -148,7 +172,7 @@ class TestClosedFormChristoffels:
         for bg_params, variant in COMBOS:
             bg = make_bg(bg_params)
             cm = build_canonical_metric(bg, variant, 100.0)
-            table = christoffel_crosscheck(cm, samples_for(bg, 5, seed=4), as_printed=True)
+            _, table = christoffel_crosscheck(cm, samples_for(bg, 5, seed=4))
             for symbol, err in table.items():
                 if err > 1e-8:
                     seen_bad.add((variant, symbol))
@@ -206,15 +230,14 @@ class TestLimitRicci:
         # (dR/dt + R/t)/2 = (24/0.36 + 100)/2 -> total 86.6667
         bg = make_bg(SPHERE_FWD)
         p, t = np.array([1.2, 0.8, 2.0]), 0.1
-        g = bg.metric_at(t).at(p)
-        X = np.zeros(3)
-        X[0] = 1.0 / math.sqrt(g[0, 0])
+        X = unit_first_axis(bg, p, t)
         assert limit_ricci(bg, X, p, t) == pytest.approx(86.6667, abs=1e-3)
 
     def test_zero_vector_keeps_scalar_part(self):
         bg = make_bg(SPHERE_FWD)
         p, t = np.array([1.2, 0.8, 2.0]), 0.1
-        expected = 0.5 * (bg.dt_scalar_at(p, t) + bg.scalar_at(p, t) / t)
+        c = bg.curvature([p], [t])
+        expected = 0.5 * (c.dRdt[0] + c.R[0] / t)
         assert limit_ricci(bg, np.zeros(3), p, t) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(83.3333, abs=1e-3)
 
@@ -225,9 +248,7 @@ class TestLimitRicci:
     def test_canonical_ricci_converges_to_limit(self):
         bg = make_bg(SPHERE_FWD)
         p, t = np.array([1.2, 0.8, 2.0]), 0.1
-        g = bg.metric_at(t).at(p)
-        X = np.zeros(3)
-        X[0] = 1.0 / math.sqrt(g[0, 0])
+        X = unit_first_axis(bg, p, t)
         target = limit_ricci(bg, X, p, t)
         errs = []
         for N in (1e3, 2e3, 4e3):
@@ -299,7 +320,7 @@ class TestVariantSigns:
         sol = GradientSolitonData(TimeScalarField(value=lambda p, t: 0.0 * p[..., 0]), variant)
         assert sol.c == 2 * constant
         for p, t in samples_for(bg, 5, seed=4):
-            R = bg.scalar_at(p, t)
+            [R] = bg.curvature([p], [t]).R
             assert cm.time_time(p, t) == time_time(N, R, bg.dim, t)
             assert cm.time_scale(t) == (1.0 if variant == "steady" else t)
             value = cm.potential.value(cm.spacetime_point(p, t)[None])[0]

@@ -296,6 +296,21 @@ class TestSuites:
         assert report.passed
         assert report.summary["tolerance"] == 1e-5
 
+    def test_christoffel_crosscheck_compares_both_tables_in_one_call_per_N(self, monkeypatch):
+        seen = []
+        crosscheck = cli.christoffel_crosscheck
+        monkeypatch.setattr(cli, "christoffel_crosscheck",
+                            lambda *args: seen.append(args) or crosscheck(*args))
+        report = run(RunConfig.from_dict({
+            "suite": "christoffel_crosscheck",
+            "variant": "shrinking",
+            "background": {"name": "round_sphere", "params": {"dim": 3, "direction": "backward"}},
+            "N_list": [100.0, 1000.0],
+            "samples": {"count": 3, "seed": 2},
+        }))
+        assert len(seen) == 2
+        assert len(report.records) == 2 * 6
+
     def test_harnack_limits_suite(self):
         cfg = RunConfig.from_dict(
             {
@@ -346,6 +361,35 @@ class TestSuites:
         assert report.passed
         assert report.summary["max_defect"] < 1e-6
         assert report.provenance["potential_seed"] == 2026
+
+    @pytest.mark.parametrize("count", [1, 7])
+    def test_lott_match_reads_the_ambient_data_from_the_slice(self, monkeypatch, count):
+        # every potential reuses the slice record's g, g^-1 and curvature row
+        from cansol import geometry, harnack
+        from cansol.backgrounds import RicciFlowBackground
+
+        calls = {"inverse_metric": 0, "MetricField.at": 0, "bundle": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        inverse = counted("inverse_metric", geometry.inverse_metric)
+        for module in (geometry, harnack):
+            monkeypatch.setattr(module, "inverse_metric", inverse)
+        monkeypatch.setattr(geometry.MetricField, "at", counted("MetricField.at", geometry.MetricField.at))
+        monkeypatch.setattr(RicciFlowBackground, "bundle", counted("bundle", RicciFlowBackground.bundle))
+        report = run(RunConfig.from_dict({
+            "suite": "lott_match",
+            "background": {"name": "euclidean_static", "params": {"dim": 3, "direction": "forward"}},
+            "mcf": {"name": "shrinking_sphere_flat", "params": {"r0": 1.0}},
+            "samples": {"count": count, "seed": 4, "times": [0.1]},
+        }))
+        assert report.passed and len(report.records) == count
+        assert calls["inverse_metric"] == calls["MetricField.at"] == 0
+        assert calls["bundle"] <= 1
 
     def test_functionals_suite_zero_potential(self):
         cfg = RunConfig.from_dict({"suite": "functionals", "samples": {"potential": "zero"}})
@@ -492,6 +536,24 @@ class TestMainEntry:
         }
         assert main(["run", "--config", str(self.write_cfg(tmp_path, cfg))]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / "out.json").exists()
+
+    def test_track_sweep_below_the_admissible_N_is_a_config_error(self, tmp_path, capsys):
+        # at N = 0.001 the shrinking track metric is indefinite at the sampled times;
+        # the sweep checks N against the sampled times first, as the Ricci sweep does
+        cfg = {
+            "suite": "mcf_soliton_residual",
+            "variant": "shrinking",
+            "background": {"name": "euclidean_static", "params": {"dim": 5, "direction": "backward"}},
+            "mcf": {"name": "shrinking_sphere_flat", "params": {"r0": 1.0}},
+            "N_list": [0.001, 0.25],
+            "samples": {"count": 12, "seed": 3},
+            "output": {"path": str(tmp_path / "out.json"), "format": "json"},
+        }
+        assert main(["run", "--config", str(self.write_cfg(tmp_path, cfg))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: N=0.001 below the positivity threshold")
+        assert "minimal admissible N is 0.440143" in err
         assert not (tmp_path / "out.json").exists()
 
     def test_harnack_point_error_is_recorded(self, tmp_path):

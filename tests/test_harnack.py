@@ -12,7 +12,7 @@ from cansol.backgrounds import (
     model_mcf,
 )
 from cansol.canonical import build_canonical_metric, limit_ricci
-from cansol.geometry import ChartDomainError, ScalarField, _at_point, hessian_batch, scalar_d1
+from cansol.geometry import ChartDomainError, ScalarField, hessian_batch, scalar_d1
 from cansol.harnack import (
     I_GHY,
     I_infty,
@@ -57,7 +57,7 @@ class TestFlowHarnack:
     def test_sphere_documented_value(self):
         bg = sphere_fwd()
         p, t = np.array([1.2, 0.8, 2.0]), 0.1
-        g = bg.metric_at(t).at(p)
+        [g] = bg.bundle([p], [t], order=0).g
         X = np.zeros(3)
         X[0] = 1.0 / math.sqrt(g[0, 0])
         assert rf_harnack_Z(bg, X, p, t) == pytest.approx(86.6667, abs=1e-3)
@@ -182,7 +182,7 @@ class TestBoundaryIntegrand:
         hyp = hypersurface_point_data(mcf, x, t)
         f = random_polynomial_field(3, np.random.default_rng(5))
         comps, tang = tangential_gradient(hyp, f)
-        g = bg.metric_at(t).at(hyp.position)
+        [g] = bg.bundle([hyp.position], [t], order=0).g
         assert abs(float(tang @ g @ hyp.normal)) < 1e-12
         assert np.allclose(comps @ hyp.tangents, tang, atol=1e-12)
 
@@ -202,10 +202,10 @@ class TestBoundaryIntegrand:
         f = random_polynomial_field(3, np.random.default_rng(17))
         fd = ScalarField(value=f.value)
         # on a flat metric the covariant Hessian is the matrix of second partials
-        flat = model_background("euclidean_static", dim=3).metric_at(0.5)
+        flat = model_background("euclidean_static", dim=3)
         for p in np.random.default_rng(3).uniform(-1, 1, (5, 3)):
             assert np.allclose(scalar_d1(f, p), scalar_d1(fd, p), atol=1e-8)
-            b = _at_point(flat, p, 1)
+            b = flat.bundle([p], [0.5])
             assert np.allclose(hessian_batch(b, f)[0], hessian_batch(b, fd)[0], atol=1e-6)
 
 

@@ -16,7 +16,7 @@ import reference_kernel as ref
 from cansol import jets
 from cansol.backgrounds import POLE_BAND, model_background, unit_sphere_metric
 from cansol.canonical import VARIANTS, build_canonical_metric
-from cansol.geometry import GeometryError, _partials, check_metric_derivatives
+from cansol.geometry import GeometryError, MetricField, _partials, check_metric_derivatives
 
 DIRECTION = {"expanding": "forward", "shrinking": "backward", "steady": "backward"}
 TOL = 1e-13
@@ -86,8 +86,10 @@ class TestAgainstTheHandDerivedPartials:
         assert np.array_equal(v, R(ts))
         assert deviation(d1[:, None], dR(ts)[:, None]) <= TOL
         assert deviation(d2[:, None], d2R(ts)[:, None]) <= TOL
+        c = bg.curvature(np.zeros((len(ts), dim)), ts)
+        assert np.array_equal(c.R, R(ts))
+        assert deviation(c.dRdt[:, None], dR(ts)[:, None]) <= TOL
         for t in ts[:2]:
-            assert bg.dt_scalar_at(np.zeros(dim), t) == pytest.approx(dR(t), rel=TOL)
             assert np.array_equal(bg.dt_metric_at(np.ones(dim), t),
                                   dphi(t) * bg.conformal.sigma.components(np.ones(dim)))
 
@@ -153,7 +155,13 @@ class TestAgainstFiniteDifferences:
         elif which == "flat":
             metric, pts = model_background("euclidean_static", dim=dim).conformal.sigma, ys
         elif which == "snapshot":
-            metric, pts = sphere.metric_at(0.4), ys
+            # the jet of g(0.4) = phi(0.4) sigma that ``bundle`` gives, against its components
+            def bundle_jet(p, order):
+                b = sphere.bundle(p, [0.4] * len(p), order)
+                return (b.g, b.dg, b.ddg)[: order + 1]
+
+            metric = MetricField(dim, ref.snapshot(sphere, 0.4).components, bundle_jet)
+            pts = ys
         else:
             variant = which.split("-")[1]
             cm = build_canonical_metric(model_background("round_sphere", dim=dim, direction=DIRECTION[variant]),
