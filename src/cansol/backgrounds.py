@@ -745,9 +745,17 @@ def extrinsic_geometry_batch(tangents, second_partials, g, gamma, hint):
     track both use it.  The induced metrics are inverted with the kernel's
     1-norm condition check.  Returns the five results, stacked over the
     points whose induced metric inverts, and per point None or the
-    ``DegenerateMetricError`` of a degenerate one.  A point's result does
-    not depend on the rest of the stack.
+    ``DegenerateMetricError`` of a degenerate one.
+
+    The normal is the null vector of T g from its signed n x n minors,
+    which never all vanish once the degenerate points are dropped.  A
+    point's result does not depend on the rest of the stack: the inputs
+    and every intermediate are C contiguous before each contraction,
+    since numpy's matmul takes another path on a strided operand, and a
+    one-row stack can count as contiguous where a longer one does not.
     """
+    tangents, second_partials, g, gamma, hint = (
+        np.ascontiguousarray(a) for a in (tangents, second_partials, g, gamma, hint))
     induced = tangents @ g @ tangents.transpose(0, 2, 1)
     induced = 0.5 * (induced + induced.transpose(0, 2, 1))
     induced_inv, errors = _inverse(induced, tangents)
@@ -757,16 +765,20 @@ def extrinsic_geometry_batch(tangents, second_partials, g, gamma, hint):
             errors[i].__cause__ = cause
     tangents, second_partials, g, gamma, hint, induced, induced_inv = _kept(
         errors, (tangents, second_partials, g, gamma, hint, induced, induced_inv))
-    # null space of the n x m matrix T g, then g-normalized and oriented
-    _, _, vh = np.linalg.svd(tangents @ g)
-    nu = vh[:, -1]
-    nu_g = nu[:, None] @ g
-    nu = nu / np.sqrt(nu_g @ nu[..., None])[:, 0]
-    # g(nu, hint) has the same sign before and after normalizing
-    nu = np.where((nu_g @ hint[..., None])[:, 0] < 0.0, -nu, nu)
-    # (D_{T_i} T_j)^c = dd_ij F^c + Gamma^c_ab T_i^a T_j^b
-    cov = second_partials + np.einsum("pcab,pia,pjb->pijc", gamma, tangents, tangents)
-    h = -np.einsum("pijc,pcd,pd->pij", cov, g, nu)
+    # the null vector of the n x m matrix T g from its signed n x n minors,
+    # then g-normalized and oriented: g(nu, hint) keeps its sign
+    n, m = tangents.shape[1:]
+    drop = np.arange(n) + (np.arange(n) >= np.arange(m)[:, None])   # row k: every column but k
+    minors = np.ascontiguousarray((tangents @ g)[:, :, drop].transpose(0, 2, 1, 3))
+    nu = np.ascontiguousarray(np.linalg.det(minors)) * (-1.0) ** np.arange(m)
+    g_nu = g @ nu[..., None]
+    scale = np.sqrt(nu[:, None] @ g_nu)
+    scale = np.where(hint[:, None] @ g_nu < 0.0, -scale, scale)
+    nu, g_nu = nu / scale[:, 0], g_nu / scale
+    # (D_{T_i} T_j)^c = dd_ij F^c + Gamma^c_ab T_i^a T_j^b, staged as T (Gamma T^T)
+    gamma_T = gamma @ np.ascontiguousarray(tangents.transpose(0, 2, 1))[:, None]
+    cov = second_partials + (tangents[:, None] @ gamma_T).transpose(0, 2, 3, 1)
+    h = -(np.ascontiguousarray(cov) @ g_nu[:, None])[..., 0]
     h = 0.5 * (h + h.transpose(0, 2, 1))
     return (induced, induced_inv, nu, h, np.einsum("pij,pij->p", induced_inv, h)), errors
 

@@ -112,6 +112,7 @@ class TrackPointData:
     x: np.ndarray
     t: float
     z: np.ndarray                # ambient space-time point (t, F_t(x))
+    g: np.ndarray                # (n+2, n+2) canonical metric at z
     basis: np.ndarray            # (n+1, n+2) tangent vectors, row 0 = time leg
     induced: np.ndarray          # (n+1, n+1)
     induced_inv: np.ndarray
@@ -140,12 +141,14 @@ def _sigma_N(scale: float, H: float, w: float) -> float:
 
 
 class _SliceRows(NamedTuple):
-    """The N-independent half of a track stack: the checked pairs and their slices.
+    """The N-independent half of a track stack: the checked pairs, their slices and track inputs.
 
     ``xs`` and ``ts`` are the pairs as floats, and ``errors`` has one
     entry per pair: None, or the exception the time and chart checks or
     the slice raised there.  Row j of ``slices`` lies over pair
-    ``index[j]``, at time ``t[j]``.
+    ``index[j]``; row j of ``z``, ``basis``, ``ddPhi`` and ``lifted`` is
+    its space-time point (t, F), the track's tangent basis and second
+    partials there, and the lifted slice normal (0, nu).
     """
 
     xs: np.ndarray
@@ -153,7 +156,10 @@ class _SliceRows(NamedTuple):
     errors: list
     slices: SliceStack
     index: np.ndarray
-    t: np.ndarray
+    z: np.ndarray
+    basis: np.ndarray
+    ddPhi: np.ndarray
+    lifted: np.ndarray
 
 
 class _TrackStack(NamedTuple):
@@ -181,7 +187,9 @@ def _slice_rows(track: SpaceTimeTrack, xs, ts) -> _SliceRows:
 
     The times are checked pair by pair against the flow's domain and the
     sampling floor, which depends on the background alone; then the
-    slices are evaluated once on the pairs still standing.
+    slices are evaluated once on the pairs still standing, and the track's
+    space-time points, tangent basis, second partials and orienting
+    vectors are built from them.
     """
     mcf = track.mcf
     times = np.asarray(ts, dtype=float).reshape(-1)
@@ -200,7 +208,26 @@ def _slice_rows(track: SpaceTimeTrack, xs, ts) -> _SliceRows:
     slices = slice_stack(mcf, x_live, t_live.tolist())
     for i, exc in zip(live, slices.errors):
         errors[i] = exc
-    return _SliceRows(xs, ts, errors, slices, live[slices.index], t_live[slices.index])
+    F, Ft, Fx, Fxx, Fxt, Ftt = slices.jet
+    n, P = track.n, len(F)
+    z = np.empty((P, n + 2))
+    z[:, 0] = t_live[slices.index]
+    z[:, 1:] = F
+    # tangent basis: row 0 is d/dt + dF/dt, rows 1..n are (0, d_i F)
+    basis = np.zeros((P, n + 1, n + 2))
+    basis[:, 0, 0] = 1.0
+    basis[:, 0, 1:] = Ft
+    basis[:, 1:, 1:] = Fx
+    # second derivatives of the parametrization Phi(u) = (u0, F(x, u0))
+    ddPhi = np.zeros((P, n + 1, n + 1, n + 2))
+    ddPhi[:, 0, 0, 1:] = Ftt
+    ddPhi[:, 0, 1:, 1:] = Fxt
+    ddPhi[:, 1:, 0, 1:] = Fxt
+    ddPhi[:, 1:, 1:, 1:] = Fxx
+    # the track normal is oriented toward the lifted slice normal (0, nu)
+    lifted = np.zeros((P, n + 2))
+    lifted[:, 1:] = slices.ext[2]
+    return _SliceRows(xs, ts, errors, slices, live[slices.index], z, basis, ddPhi, lifted)
 
 
 def _track_stack(track: SpaceTimeTrack, pairs: _SliceRows) -> _TrackStack:
@@ -209,38 +236,13 @@ def _track_stack(track: SpaceTimeTrack, pairs: _SliceRows) -> _TrackStack:
     The space-time metric and the track's extrinsic geometry are each
     evaluated once on the pairs whose slices stand.
     """
-    cm = track.cm
-    n = track.n
-    dim = cm.spacetime_dim
-    slices = pairs.slices
     errors = list(pairs.errors)
     index = pairs.index
-
-    z = np.empty((len(index), dim))
-    z[:, 0] = pairs.t
-    z[:, 1:] = slices.jet[0]
-    st = metric_bundle(cm.field, z, order=1)
+    st = metric_bundle(track.cm.field, pairs.z, order=1)
     for i, exc in zip(index, st.errors):
         errors[i] = exc
     rows = st.index
-    _, Ft, Fx, Fxx, Fxt, Ftt, nu = _kept(st.errors, (*slices.jet, slices.ext[2]))
-    P = len(rows)
-    # tangent basis: row 0 is d/dt + dF/dt, rows 1..n are (0, d_i F)
-    basis = np.zeros((P, n + 1, dim))
-    basis[:, 0, 0] = 1.0
-    basis[:, 0, 1:] = Ft
-    basis[:, 1:, 1:] = Fx
-
-    # second derivatives of the parametrization Phi(u) = (u0, F(x, u0))
-    ddPhi = np.zeros((P, n + 1, n + 1, dim))
-    ddPhi[:, 0, 0, 1:] = Ftt
-    ddPhi[:, 0, 1:, 1:] = Fxt
-    ddPhi[:, 1:, 0, 1:] = Fxt
-    ddPhi[:, 1:, 1:, 1:] = Fxx
-
-    # the normal is oriented toward the lifted slice normal (0, nu)
-    lifted = np.zeros((P, dim))
-    lifted[:, 1:] = nu
+    basis, ddPhi, lifted = _kept(st.errors, (pairs.basis, pairs.ddPhi, pairs.lifted))
     ext, bad = extrinsic_geometry_batch(basis, ddPhi, st.g, christoffel_batch(st), lifted)
     xs, ts = pairs.xs, pairs.ts
     for r, exc in zip(rows, bad):
@@ -264,6 +266,7 @@ def track_point_data(track: SpaceTimeTrack, x: np.ndarray, t: float) -> TrackPoi
         x=hyp.x,
         t=hyp.t,
         z=stack.z[0],
+        g=stack.g[0],
         basis=stack.basis[0],
         induced=induced,
         induced_inv=induced_inv,
@@ -335,7 +338,7 @@ def closed_form_normal_potential(track: SpaceTimeTrack, x: np.ndarray, t: float)
     cm = track.cm
     data = track_point_data(track, x, t)
     H = data.hyp.mean_curvature
-    w = float(cm.field.at(data.z)[0, 0])
+    w = float(data.g[0, 0])
     sN = data.sigma_N
     if cm.sign == 0:
         return -cm.N * H / (w * sN)

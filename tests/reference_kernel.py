@@ -252,3 +252,22 @@ def canonical_partials(cm):
         return out
 
     return d1, d2
+
+
+def extrinsic_geometry(tangents, second_partials, g, gamma, hint):
+    """(induced, induced_inv, normal, h, H) of a hypersurface at one point.
+
+    The normal is the last right singular vector of T g, and the covariant
+    second partials and h are single 3-operand contractions.
+    """
+    induced = tangents @ g @ tangents.T
+    induced = 0.5 * (induced + induced.T)
+    induced_inv = np.linalg.inv(induced)
+    nu = np.linalg.svd(tangents @ g)[2][-1]
+    nu_g = nu @ g
+    nu = nu / np.sqrt(nu_g @ nu)
+    nu = -nu if nu_g @ hint < 0.0 else nu
+    cov = second_partials + np.einsum("cab,ia,jb->ijc", gamma, tangents, tangents)
+    h = -np.einsum("ijc,cd,d->ij", cov, g, nu)
+    h = 0.5 * (h + h.T)
+    return induced, induced_inv, nu, h, np.einsum("ij,ij->", induced_inv, h)

@@ -10,7 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 import reference_kernel as ref
 from cansol import harnack
-from cansol.backgrounds import BackgroundError, model_background, model_mcf, unit_sphere_metric
+from cansol.backgrounds import (
+    BackgroundError,
+    extrinsic_geometry_batch,
+    model_background,
+    model_mcf,
+    unit_sphere_metric,
+)
 from cansol.canonical import (
     VARIANTS,
     CanonicalConfigError,
@@ -722,3 +728,99 @@ class TestDiagonalInverse:
             assert_same_bits(ginv[i:i + 1], one)
             assert_same_bits(cond[i:i + 1], one_cond)
         assert lapack_calls == [(9, 4, 4), (1, 4, 4)]    # the stack, then the full matrix alone
+
+
+def hypersurface_stack(n, P, rng):
+    """Random (tangents, second partials, g, Gamma, hint) of P points of an n-surface in dim n+1."""
+    m = n + 1
+    tangents = rng.normal(size=(P, n, m))
+    a = rng.normal(size=(P, m, m))
+    g = a @ a.transpose(0, 2, 1) + m * np.eye(m)
+    g = 0.5 * (g + g.transpose(0, 2, 1))
+    gamma = rng.normal(size=(P, m, m, m))
+    dd = rng.normal(size=(P, n, n, m))
+    return (tangents, 0.5 * (dd + dd.transpose(0, 2, 1, 3)), g,
+            0.5 * (gamma + gamma.transpose(0, 1, 3, 2)), rng.normal(size=(P, m)))
+
+
+def oracle_gaps(ext, errors, args):
+    """Per kept row, the (normal, h, H, induced inverse) gaps to the SVD oracle, relative.
+
+    H is a cancelling sum, so its gap is taken relative to sum |g^ij h_ij|.
+    """
+    def rel(got, want, scale):
+        return float(np.abs(got - want).max() / scale)
+
+    induced, induced_inv, nu, h, H = ext
+    rows = [p for p, e in enumerate(errors) if e is None]
+    gaps = []
+    for j, p in enumerate(rows):
+        _, want_inv, want_nu, want_h, want_H = ref.extrinsic_geometry(*(a[p] for a in args))
+        gaps.append((
+            rel(nu[j], want_nu, np.abs(want_nu).max()),
+            rel(h[j], want_h, np.abs(want_h).max()),
+            rel(H[j], want_H, np.abs(want_inv * want_h).sum()),
+            rel(induced_inv[j], want_inv, np.abs(want_inv).max()),
+        ))
+    return np.array(gaps).reshape(-1, 4)
+
+
+class TestHypersurfaceKernel:
+    """``extrinsic_geometry_batch`` against the SVD and 3-operand einsum oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("P", [1, 7, 64])
+    def test_rows_equal_one_row_calls_and_the_oracle(self, n, P):
+        args = hypersurface_stack(n, P, np.random.default_rng(10 * n + P))
+        ext, errors = extrinsic_geometry_batch(*args)
+        assert errors == [None] * P
+        for p in range(P):
+            one, one_errors = extrinsic_geometry_batch(*(a[p:p + 1] for a in args))
+            assert one_errors == [None]
+            for got, want in zip(ext, one):
+                assert_same_bits(got[p:p + 1], want)
+        assert oracle_gaps(ext, errors, args).max() <= 1e-12
+
+    def test_ill_conditioned_stack_and_a_rank_deficient_row(self):
+        n, P = 3, 8
+        rng = np.random.default_rng(4)
+        args = hypersurface_stack(n, P, rng)
+        tangents, _, g = args[:3]
+        # orthonormal rows with singular values (1, 1, 1e-5): the induced
+        # metric's condition number is about 1e10 times that of g
+        for p in range(P):
+            q = np.linalg.qr(rng.normal(size=(n + 1, n + 1)))[0]
+            tangents[p] = np.diag([1.0, 1.0, 1e-5]) @ q[:n]
+        induced = tangents @ g @ tangents.transpose(0, 2, 1)
+        cond = geometry._norm1(induced) * geometry._norm1(np.linalg.inv(induced))
+        assert (1e9 < cond).all() and (cond < geometry.COND_LIMIT).all()
+        # the last row's tangents are rank-deficient
+        tangents[-1, -1] = tangents[-1, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ext, errors = extrinsic_geometry_batch(*args)
+            gaps = oracle_gaps(ext, errors, args)
+            for p in range(P):
+                one, _ = extrinsic_geometry_batch(*(a[p:p + 1] for a in args))
+                if p < P - 1:
+                    for got, want in zip(ext, one):
+                        assert_same_bits(got[p:p + 1], want)
+        assert [e is None for e in errors] == [True] * (P - 1) + [False]
+        assert type(errors[-1]) is DegenerateMetricError
+        assert str(errors[-1]) == "degenerate induced metric"
+        # the normal and h lose about sqrt(cond) ulps, as the SVD does
+        tol = 16.0 * np.finfo(float).eps * np.sqrt(cond[:-1])
+        assert (gaps[:, :3] <= tol[:, None]).all()
+        assert (gaps[:, 3] == 0.0).all()
+
+    def test_empty_and_all_degenerate_stacks(self):
+        args = hypersurface_stack(2, 2, np.random.default_rng(3))
+        args[0][:, 1] = args[0][:, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ext, errors = extrinsic_geometry_batch(*args)
+            empty, no_errors = extrinsic_geometry_batch(*(a[:0] for a in args))
+        assert [type(e) for e in errors] == [DegenerateMetricError] * 2
+        assert no_errors == []
+        for a, b in zip(ext, empty):
+            assert a.shape == b.shape and a.shape[0] == 0

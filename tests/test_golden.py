@@ -52,7 +52,7 @@ GOLDEN = {
             "N_list": [100.0, 1000.0],
             "samples": {"count": 12, "seed": 3},
         },
-        "be2449094277d980f0f6de3c0aaec9c752e736c89c30fb5c57ac2b97e85299d9",
+        "33094ef29655bcc6211bc0bd7413dfa19865fbdb1e7ffb837a95a7410e27bb0f",
     ),
     "christoffel_crosscheck": (
         {
@@ -72,7 +72,7 @@ GOLDEN = {
             "N_list": [1000.0, 2000.0, 4000.0],
             "samples": {"count": 3, "seed": 11},
         },
-        "003cb34cb7c8af8a0f738bdce58f38e4da026bf74b470336e7727cb7f21a2eac",
+        "ba3c345e1d47b57c0a987ea5dfec782479656d5e3c0b9701497fe31d91c7646c",
     ),
     "lott_match": (
         {
@@ -98,9 +98,9 @@ def _sphere3(direction):
 # the other variants of the per-variant suites, keyed "suite/variant"
 for _variant, _digests in (
     ("shrinking", ("919b53cc3806af397f53e6f5eea887347f98e9e648732c1562dc7fb750f7551f",
-                   "882480f90ef60727648b211c4f5dc119d6888fd9553bc37b801d54ba057150f1")),
+                   "e6bd45f9146eb1e3c2cdb7694a5694321b33a500d2cd4075a77c2a8cfa18ca0a")),
     ("steady", ("eeba28ecd62cfd31eaa478e445f85a9b0f7571ec91303ef9001ab4d86ca4bee3",
-                "7e2447b7652bc008e9c2576236c2475cee599ca2e4fd96f502a33cdfb00ceb11")),
+                "bcfd3a923a5eec3b01906fdb12aaafc181ad1bd96364dc12b515e7487c4081d9")),
 ):
     GOLDEN[f"ricci_soliton_residual/{_variant}"] = (
         {**GOLDEN["ricci_soliton_residual"][0], "variant": _variant,
@@ -145,24 +145,24 @@ GOLDEN["christoffel_crosscheck/sphere-dim5-count8"] = (
 GOLDEN["mcf_soliton_residual/sphere-dim5"] = (
     {**GOLDEN["mcf_soliton_residual"][0],
      "background": {"name": "euclidean_static", "params": {"dim": 5, "direction": "forward"}}},
-    "4be30f96658351331b535f158918bf36828d5227db33d82b777547f02ae0f4a9",
+    "623abd8b386cf384bc94aa384ec83633a0bc17ed7de16659b0d655c9104a28c3",
 )
 # the dim-5 sphere in the backward variants; steady at N = 1e2 is still
 # pre-asymptotic, hence its N list
 GOLDEN["mcf_soliton_residual/shrinking-sphere-dim5"] = (
     {**GOLDEN["mcf_soliton_residual"][0], "variant": "shrinking",
      "background": {"name": "euclidean_static", "params": {"dim": 5, "direction": "backward"}}},
-    "07ea8ad530454b481778e201549621cffad61c9da81bbd04aa24886d4a992bf9",
+    "d534d94e32af401d9f2f1ea3a67eeb07196e77ca1719d4201179ba8f0d4eb42b",
 )
 GOLDEN["mcf_soliton_residual/steady-sphere-dim5"] = (
     {**GOLDEN["mcf_soliton_residual"][0], "variant": "steady", "N_list": [1000.0, 10000.0],
      "background": {"name": "euclidean_static", "params": {"dim": 5, "direction": "backward"}}},
-    "4db0985031b52531625f51cf6c23484543f4e94829951e9d4691cfbd74a991c5",
+    "d0268f8b9dffa7d09c2a2498e8b3948f87a1bca29986d6de88bcc7ba37855b04",
 )
 GOLDEN["mcf_soliton_residual/steady-equator"] = (
     {**GOLDEN["mcf_soliton_residual"][0], "variant": "steady", "background": _sphere3("backward"),
      "mcf": {"name": "equator_in_sphere", "params": {}}},
-    "bb5b1199ed56eda469053604c84cb7f14bdc40944d51690ec6de43324ee88f0b",
+    "e88919334a3e574dada32e90d750e897a535041ded2caca6c627829b9d9b738b",
 )
 # the equator at given times, two of them below the canonical sampling floor
 # and one past the background's horizon: the slices are shared by both N, and
@@ -171,19 +171,19 @@ GOLDEN["mcf_soliton_residual/steady-equator"] = (
 GOLDEN["mcf_soliton_residual/steady-equator-times"] = (
     {**GOLDEN["mcf_soliton_residual/steady-equator"][0], "N_list": [1000.0, 100000.0],
      "samples": {"seed": 5, "times": [0.01, 0.3, 0.55, 0.8, 0.95, 0.02, 1.5, 0.4]}},
-    "1796be451f76d5579e45f02231364735ba282901faf8c772eb823a74369221af",
+    "5b73da7bdccd903388e02922c1795e0680bfd30f5722c446c4e0b2f9b88bb96f",
 )
 # given times, one per point: the middle time lies outside the background's
 # domain, so the report holds two Ricci records, the stripped-track record
 # and one error
 GOLDEN["harnack_limits/times"] = (
     {**GOLDEN["harnack_limits"][0], "samples": {"seed": 11, "times": [0.5, 2.0, 0.7]}},
-    "dd793565b743cab814bb52c13c3c4e5b033c47d2c0d8bda059da263d088d9e7f",
+    "676f42487c0eb35d85a833ea028bc552c7390ef8a199abebfccd160c6e1f5ba7",
 )
 # sixteen potentials reach every monomial of the dim-3 cubic
 GOLDEN["lott_match/count16"] = (
     {**GOLDEN["lott_match"][0], "samples": {"count": 16, "seed": 5}},
-    "7813a0b84927a56456b6b1e9806349a3dc80870321adff3c8eda9af17bf9cca6",
+    "6f0ee5f76f0c7cbc01cd91387ef92c2240e53a366597a63e5715c0feaa78729e",
 )
 
 

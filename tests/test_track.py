@@ -210,6 +210,29 @@ class TestSolitonDefect:
             assert engine == pytest.approx(closed_form_normal_potential(tr, x, t), rel=1e-10)
 
     @pytest.mark.parametrize("variant", ["expanding", "shrinking", "steady"])
+    def test_normal_potential_reads_w_from_the_track_bundle(self, monkeypatch, variant):
+        # w = g_00 at z comes with the track data; the metric is not evaluated again
+        from cansol import geometry, track
+
+        calls = {"MetricField.at": 0, "metric_bundle": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        tr = sphere_track(variant, 300.0)
+        x, t = np.array([1.1, 0.7]), 0.1
+        d = track_point_data(tr, x, t)
+        assert np.array_equal(d.g, tr.cm.field.at(d.z))
+        monkeypatch.setattr(geometry.MetricField, "at", counted("MetricField.at", geometry.MetricField.at))
+        monkeypatch.setattr(track, "metric_bundle", counted("metric_bundle", track.metric_bundle))
+        for _ in range(2):
+            closed_form_normal_potential(tr, x, t)
+        assert calls == {"MetricField.at": 0, "metric_bundle": 2}
+
+    @pytest.mark.parametrize("variant", ["expanding", "shrinking", "steady"])
     def test_scaled_defect_bounded(self, variant):
         x, t = np.array([1.1, 0.7]), 0.1
         sups = []
