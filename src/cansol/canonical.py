@@ -95,10 +95,6 @@ class CanonicalMetric:
     soliton_constant: float
 
     @property
-    def spacetime_dim(self) -> int:
-        return self.base.dim + 1
-
-    @property
     def sign(self) -> int:
         """s = +1 expanding, -1 shrinking, 0 steady."""
         return VARIANT_SIGNS[self.variant]
@@ -290,7 +286,6 @@ def ricci_soliton_residuals(cm: CanonicalMetric, points, ts) -> list:
     sampled = [i for i, exc in enumerate(out) if exc is None]
     b = metric_bundle(cm.field, np.column_stack((ts, pts))[sampled], order=2)
     E = ricci_batch(b) + hessian_batch(b, cm.potential) + cm.soliton_constant * b.g
-    E = 0.5 * (E + np.swapaxes(E, 1, 2))
     norms = tensor_norm_batch(b, E).tolist()
     for i, exc in zip(sampled, b.errors):
         out[i] = exc

@@ -13,8 +13,10 @@ evaluates g, g^-1, dg and (when asked) ddg once for a stack of P points,
 and the ``*_batch`` operations contract those into (P, ...) arrays.  The
 single-point ``inverse_metric`` and ``christoffel`` are the P = 1 case
 of the same code.  Each point's result is independent of how many
-points share the call: contractions are per-point ``np.einsum`` calls,
-never BLAS over the stack.
+points share the call: a contraction is an elementwise product or sum, a
+per-point ``np.einsum``, or a stacked matmul whose operands are C
+contiguous.  numpy's matmul takes another path on a strided operand, and
+a one-row stack can count as contiguous where a longer one does not.
 
 Conventions
 -----------
@@ -25,11 +27,10 @@ Conventions
   A call on a single point (P = 1) may return the per-point shape instead;
   any other shape raises ``GeometryError``.
 * ``christoffel_batch`` returns Gamma[p, a, b, c] = Gamma^a_{bc}.
-* ``riemann_batch`` returns R[p, a, b, c, d] = R^a_{bcd} with
-  R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb}
-             + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb},
-  and ``ricci_batch`` is the trace Ric_bd = R^a_{bad}.  The overall sign is
-  fixed so that the round sphere has positive Ricci curvature.
+* ``ricci_batch`` returns Ric[p, b, d] = Ric_bd with
+  Ric_bd = d_a Gamma^a_{bd} - d_d Gamma^a_{ab}
+           + Gamma^a_{ae} Gamma^e_{bd} - Gamma^a_{de} Gamma^e_{ab},
+  the sign for which the round sphere has positive Ricci curvature.
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ __all__ = [
     "inverse_metric",
     "christoffel",
     "christoffel_batch",
-    "christoffel_d1_batch",
-    "riemann_batch",
     "ricci_batch",
     "scalar_curvature_batch",
     "hessian_batch",
@@ -520,39 +519,36 @@ def christoffel_batch(b: MetricBundle) -> np.ndarray:
     return 0.5 * (gamma + np.swapaxes(gamma, 2, 3))
 
 
-def christoffel_d1_batch(b: MetricBundle) -> np.ndarray:
-    """Partial derivatives [p, e, a, b, c] = d_e Gamma^a_{bc}; needs an order-2 bundle.
+def ricci_batch(b: MetricBundle) -> np.ndarray:
+    """Ricci tensors Ric_bd (see the module docstring), symmetrized, (P, d, d).
 
-    Assembled from metric first and second partials, so the accuracy is
-    that of the underlying derivative backend (no nested differencing).
+    Needs an order-2 bundle.  The two traces of d Gamma come from
+    2 d_e Gamma^a_bc = (d_e g^am) B_mbc + g^am d_e B_mbc, B the bracket of
+    ``christoffel_batch``; d Gamma itself is never formed.
     """
     if b.ddg is None:
-        raise GeometryError("christoffel_d1 needs a bundle of order 2")
-    ginv, dg, ddg = b.ginv, b.dg, b.ddg
-    # d_e bracket[d, b, c] from second partials of g
-    dbracket = ddg.transpose(0, 1, 3, 2, 4) + ddg.transpose(0, 1, 4, 3, 2) - ddg
-    # d_e g^{ad} = -g^{am} (d_e g_mn) g^{nd}
-    dginv = -np.einsum("pean,pnd->pead", np.einsum("pam,pemn->pean", ginv, dg), ginv)
-    dgamma = 0.5 * np.einsum("pead,pdbc->peabc", dginv, _bracket(dg))
-    dgamma += 0.5 * np.einsum("pad,pedbc->peabc", ginv, dbracket)
-    return 0.5 * (dgamma + np.swapaxes(dgamma, 3, 4))
-
-
-def riemann_batch(b: MetricBundle) -> np.ndarray:
-    """Riemann tensor [p, a, b, c, d] = R^a_{bcd} (sign convention as in the module docstring)."""
-    gamma = christoffel_batch(b)
-    dgamma = christoffel_d1_batch(b)
-    return (
-        np.einsum("pcadb->pabcd", dgamma)
-        - np.einsum("pdacb->pabcd", dgamma)
-        + np.einsum("pace,pedb->pabcd", gamma, gamma)
-        - np.einsum("pade,pecb->pabcd", gamma, gamma)
-    )
-
-
-def ricci_batch(b: MetricBundle) -> np.ndarray:
-    """Ricci tensors Ric_bd = R^a_{bad}, symmetrized, (P, d, d)."""
-    return _symmetrized(np.einsum("pabad->pbd", riemann_batch(b)))
+        raise GeometryError("ricci needs a bundle of order 2")
+    P, d = b.g.shape[:2]
+    ginv, dg, ddg, gamma = (
+        np.ascontiguousarray(a) for a in (b.ginv, b.dg, b.ddg, christoffel_batch(b)))
+    flat = ginv.reshape(P, 1, d * d)                                # g^am over the pair (a, m)
+    bracket = np.ascontiguousarray(_bracket(dg))                    # [m, b, c] = B_mbc
+    bracket_t = np.ascontiguousarray(bracket.transpose(0, 2, 1, 3)).reshape(P, d * d, d)
+    dbracket = np.ascontiguousarray(_bracket(ddg.reshape(P * d, d, d, d)))  # [e, m, b, c] = d_e B_mbc
+    # d_e g^-1 = -g^-1 (d_e g) g^-1, and its divergence u^m = d_a g^am
+    dg_ginv = dg @ ginv[:, None]
+    dginv = -(ginv[:, None] @ dg_ginv)
+    u = -(flat @ dg_ginv.reshape(P, d * d, d))
+    # each term is twice its share of Ric: 2 d_a Gamma^a_bc, 2 d_c Gamma^a_ab as [c, b]
+    div = u @ bracket.reshape(P, d, d * d) + flat @ dbracket.reshape(P, d * d, d * d)
+    trace = dginv.reshape(P, d, d * d) @ bracket_t
+    trace += (flat[:, None] @ dbracket.reshape(P, d, d * d, d))[:, :, 0]
+    # 2 Gamma^a_ae Gamma^e_bc, and 2 Gamma^a_ce Gamma^e_ab as [c, b]
+    swapped = np.ascontiguousarray(gamma.transpose(0, 2, 1, 3))     # [c, a, e] = Gamma^a_ce
+    quadratic = (flat @ bracket_t) @ gamma.reshape(P, d, d * d)
+    cross = swapped.reshape(P, d, d * d) @ swapped.reshape(P, d * d, d)
+    twice = (div + quadratic).reshape(P, d, d) - (trace + 2.0 * cross).swapaxes(1, 2)
+    return 0.5 * _symmetrized(twice)
 
 
 def scalar_curvature_batch(b: MetricBundle) -> np.ndarray:

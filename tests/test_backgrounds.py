@@ -451,7 +451,9 @@ class TestOneBundlePerResidual:
 
     def test_residuals_equal_the_values_before_the_single_bundle(self):
         # digests of the residual bytes, computed with a Ricci, a Hessian and a
-        # metric lookup that each evaluated the metric on their own
+        # metric lookup that each evaluated the metric on their own; the sphere
+        # and ricci_flow digests were re-taken when Ricci stopped going through
+        # the Riemann tensor, which moves their values by rounding only
         rng = np.random.default_rng(2026)
         digests = {}
         for key, bg, sol in [
@@ -478,8 +480,8 @@ class TestOneBundlePerResidual:
         digests["ricci_flow"] = h.hexdigest()
         assert digests == {
             "gaussian": "967eedb2dc77a95e6270119ece23d9f47ca97c3b18ffa7d391d34e461b284f4c",
-            "sphere": "d732bc72bdff395263ec0743fdab000200e2ca6fe5f8037f01e7ded8fe2972b0",
-            "ricci_flow": "aa568e1015220d034f6a21e8f407ceefac628c649b7afcdb22aeb1baf8a2cff9",
+            "sphere": "e88b9aa8859ba934f034c5d11ce8d1b564f2f151faafdad18e8503054acc18a6",
+            "ricci_flow": "f1b48c8c9a6d6c3c03c24a9d754f6f2f56287d268fdd298b289e330c69e3e1bb",
         }
 
 

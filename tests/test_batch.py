@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_kernel as ref
-from cansol import harnack
+from cansol import harnack, jets
 from cansol.backgrounds import (
     BackgroundError,
     extrinsic_geometry_batch,
@@ -37,14 +37,12 @@ from cansol.geometry import (
     _at_point,
     christoffel,
     christoffel_batch,
-    christoffel_d1_batch,
     gradient_batch,
     hessian_batch,
     inverse_metric,
     laplacian_batch,
     metric_bundle,
     ricci_batch,
-    riemann_batch,
     scalar_curvature_batch,
     scalar_d1,
     tensor_norm_batch,
@@ -67,6 +65,32 @@ def canonical(variant, dim, N):
     return build_canonical_metric(bg, variant, N)
 
 
+def spd_metric(d, rng, terms=3):
+    """A random non-diagonal metric A + sum_k sin(w_k . x + c_k) S_k, partials from its jet.
+
+    A has eigenvalues in [1, 2] and the S_k spectral norms add up to 0.5,
+    so g is positive definite with condition number at most 5 everywhere.
+    """
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    A = (q * rng.uniform(1.0, 2.0, d)) @ q.T
+    A = 0.5 * (A + A.T)
+    S = rng.normal(size=(terms, d, d))
+    S = S + S.transpose(0, 2, 1)
+    S *= 0.5 / terms / np.linalg.norm(S, 2, axis=(1, 2))[:, None, None]
+    w, c = rng.normal(size=(terms, d)), rng.uniform(0.0, 2.0 * math.pi, terms)
+
+    def comps(p):
+        g = A
+        for k in range(terms):
+            phase = c[k]
+            for i in range(d):
+                phase = phase + w[k, i] * p[..., i]
+            g = g + jets.sin(phase)[..., None, None] * S[k]
+        return g
+
+    return MetricField(dim=d, components=comps, jet=jets.metric_jet(comps))
+
+
 def spacetime_stack(cm, k, rng):
     T = cm.base.time_domain[1]
     ts = rng.uniform(cm.t_min, T, k)
@@ -84,8 +108,6 @@ def assert_stack_matches_single_points(metric, f, pts):
         "d2": b.ddg,
         "inverse_metric": b.ginv,
         "christoffel": christoffel_batch(b),
-        "christoffel_d1": christoffel_d1_batch(b),
-        "riemann": riemann_batch(b),
         "ricci": ric,
         "scalar_curvature": scalar_curvature_batch(b),
         "hessian": hessian_batch(b, f),
@@ -103,8 +125,6 @@ def assert_stack_matches_single_points(metric, f, pts):
             "d2": metric_bundle(metric, p, order=2).ddg[0],
             "inverse_metric": inverse_metric(metric, p),
             "christoffel": christoffel(metric, p).gamma,
-            "christoffel_d1": christoffel_d1_batch(b2)[0],
-            "riemann": riemann_batch(b2)[0],
             "ricci": ricci_batch(b2)[0],
             "scalar_curvature": scalar_curvature_batch(b2)[0],
             "hessian": hessian_batch(b1, f)[0],
@@ -120,20 +140,25 @@ def assert_stack_matches_single_points(metric, f, pts):
 
 class TestBatchIndependence:
     @given(
-        d=st.integers(2, 5),
+        non_diagonal=st.booleans(),
+        d=st.integers(2, 6),
         k=st.integers(2, 7),
         seed=st.integers(0, 2**32 - 1),
         fd=st.booleans(),
     )
-    @settings(max_examples=25, deadline=None)
-    def test_sphere_fields(self, d, k, seed, fd):
+    @settings(max_examples=40, deadline=None)
+    def test_chart_fields(self, non_diagonal, d, k, seed, fd):
+        # the non-diagonal metrics reach LAPACK's g^-1, the diagonal spheres never do
         rng = np.random.default_rng(seed)
-        metric = unit_sphere_metric(d)
+        if non_diagonal:
+            metric, pts = spd_metric(d, rng), rng.uniform(-1.0, 1.0, (k, d))
+        else:
+            metric, pts = unit_sphere_metric(d), sphere_stack(d, k, rng)
         f = random_polynomial_field(d, rng)
         if fd:
             metric = metric.without_analytic_derivatives()
             f = ScalarField(value=f.value)
-        assert_stack_matches_single_points(metric, f, sphere_stack(d, k, rng))
+        assert_stack_matches_single_points(metric, f, pts)
 
     @given(
         variant=st.sampled_from(VARIANTS),
@@ -198,6 +223,18 @@ class TestPointwiseReference:
                 scale = N * ref.tensor_norm(cm.field, ric_ref, z)
                 worst = max(worst, ref.tensor_norm(cm.field, E - E_ref, z) / scale)
         assert worst <= self.TOL, worst
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_ricci_of_a_non_diagonal_metric(self, d):
+        rng = np.random.default_rng(100 + d)
+        metric = spd_metric(d, rng)
+        pts = rng.uniform(-1.0, 1.0, (6, d))
+        ric = ricci_batch(metric_bundle(metric, pts, order=2))
+        for p, value in zip(pts, ric):
+            want = ref.ricci(metric, p)
+            assert np.max(np.abs(value - want)) <= self.TOL * np.max(np.abs(want))
+        fd = ricci_batch(metric_bundle(metric.without_analytic_derivatives(), pts, order=2))
+        assert np.max(np.abs(fd - ric)) <= 1e-5 * np.max(np.abs(ric))
 
 
 def degenerate_at(cm, t_singular, t_ill):

@@ -24,7 +24,6 @@ from cansol.geometry import (
     laplacian_batch,
     metric_bundle,
     ricci_batch,
-    riemann_batch,
     scalar_curvature_batch,
     scalar_d1,
     tensor_norm_batch,
@@ -121,19 +120,12 @@ class TestCurvature:
         p = sphere_points(3, 1, seed=11)[0]
         assert scalar_curvature_batch(_at_point(m, p, 2))[0] == pytest.approx(10.0, rel=1e-10)
 
-    def test_riemann_symmetries_fd(self):
-        m = scaled_sphere(3, 1.2).without_analytic_derivatives()
-        for p in sphere_points(3, 3, seed=5):
-            R = riemann_batch(_at_point(m, p, 2))[0]
-            g = m.at(p)
-            Rlow = np.einsum("ae,ebcd->abcd", g, R)
-            scale = np.max(np.abs(Rlow))
-            # antisymmetry in the last pair and in the first pair
-            assert np.max(np.abs(Rlow + np.einsum("abdc->abcd", Rlow))) < 1e-5 * scale
-            assert np.max(np.abs(Rlow + np.einsum("bacd->abcd", Rlow))) < 1e-5 * scale
-            # first Bianchi identity
-            bianchi = Rlow + np.einsum("acdb->abcd", Rlow) + np.einsum("adbc->abcd", Rlow)
-            assert np.max(np.abs(bianchi)) < 1e-5 * scale
+    def test_ricci_needs_an_order_2_bundle(self):
+        b = _at_point(scaled_sphere(3, 1.0), sphere_points(3, 1)[0], 1)
+        with pytest.raises(GeometryError, match="order 2"):
+            ricci_batch(b)
+        with pytest.raises(GeometryError, match="order 2"):
+            scalar_curvature_batch(b)
 
 
 class TestHessianAndGradient:

@@ -39,7 +39,7 @@ GOLDEN = {
             "N_list": [100.0, 1000.0],
             "samples": {"count": 4, "seed": 7},
         },
-        "4ac078d7799ff3ae1093f82f6a034d0086d48b276384fcb5db27bbea7c606478",
+        "16433cd3230b3ea27973893d2ef7019979d282d2aaccd6064fd883f4b300ad5c",
     ),
     # six of the 24 track points fall below the canonical sampling floor
     # and are recorded as errors
@@ -72,7 +72,7 @@ GOLDEN = {
             "N_list": [1000.0, 2000.0, 4000.0],
             "samples": {"count": 3, "seed": 11},
         },
-        "ba3c345e1d47b57c0a987ea5dfec782479656d5e3c0b9701497fe31d91c7646c",
+        "1b59c1aa1b963e2a0acaa0c75e86da5af974b5fd76ec46188e9cf585ef7f5bd0",
     ),
     "lott_match": (
         {
@@ -97,9 +97,9 @@ def _sphere3(direction):
 
 # the other variants of the per-variant suites, keyed "suite/variant"
 for _variant, _digests in (
-    ("shrinking", ("919b53cc3806af397f53e6f5eea887347f98e9e648732c1562dc7fb750f7551f",
+    ("shrinking", ("3c5175679e3193845c2a8c19a6bb73353c8c4e527afd33713f36e51bcba13811",
                    "e6bd45f9146eb1e3c2cdb7694a5694321b33a500d2cd4075a77c2a8cfa18ca0a")),
-    ("steady", ("eeba28ecd62cfd31eaa478e445f85a9b0f7571ec91303ef9001ab4d86ca4bee3",
+    ("steady", ("5a85dc0707c853fd6e8a9f25d705296bc3f342084102a89b64817d277c638a3b",
                 "bcfd3a923a5eec3b01906fdb12aaafc181ad1bd96364dc12b515e7487c4081d9")),
 ):
     GOLDEN[f"ricci_soliton_residual/{_variant}"] = (
@@ -178,7 +178,7 @@ GOLDEN["mcf_soliton_residual/steady-equator-times"] = (
 # and one error
 GOLDEN["harnack_limits/times"] = (
     {**GOLDEN["harnack_limits"][0], "samples": {"seed": 11, "times": [0.5, 2.0, 0.7]}},
-    "676f42487c0eb35d85a833ea028bc552c7390ef8a199abebfccd160c6e1f5ba7",
+    "b668af2240e171d5f7ebec0f4547bb7b4a6b9c34e1ac2d09e61ba249b3683426",
 )
 # sixteen potentials reach every monomial of the dim-3 cubic
 GOLDEN["lott_match/count16"] = (
