@@ -23,6 +23,7 @@ moves inward under -H nu.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -94,24 +95,33 @@ def unit_sphere_metric(d: int) -> MetricField:
     """Round unit d-sphere in polar angles (theta_1 .. theta_d).
 
     g_ii = prod_{k<i} sin^2(theta_k), diagonal; the chart excludes a band
-    of width POLE_BAND around theta_k in {0, pi} for k < d.  The partials
-    come from the jet of the components.  The callbacks take points of any
-    leading shape: (d,) or a (P, d) stack.
+    of width POLE_BAND around theta_k in {0, pi} for k < d.  The components
+    and their partials are rows of one factor table (``_angle_products``),
+    scattered onto the diagonal.  The callbacks take points of any leading
+    shape: (d,) or a (P, d) stack.
     """
     if d < 1:
         raise BackgroundError(f"sphere dimension must be >= 1, got {d}")
-    eye = np.eye(d)
+    tables, dd_rows = _sphere_metric_tables(d)
+    m, diag, eye = d - 1, np.arange(d), np.eye(d)
 
-    def comps(p):
-        s2 = jets.sin(p[..., : d - 1]) ** 2
-        one = np.ones(p.shape[:-1] + (1,))
-        return jets.concatenate((one, jets.cumprod(s2)))[..., :, None] * eye
+    def g(y):
+        return y[..., 0, :, None] * eye
+
+    def jet(p, order: int) -> tuple:
+        y = tables[order](p)
+        out = [g(y)] + [np.zeros(y.shape[:-2] + (d,) * (2 + o)) for o in range(1, order + 1)]
+        if order > 0:
+            out[1][..., :m, diag, diag] = y[..., 1 : 1 + m, :]
+        if order > 1:
+            out[2][..., :m, :m, diag, diag] = y[..., dd_rows, :]
+        return tuple(out)
 
     def in_domain(p):
         q = p[..., : d - 1]
         return np.all((q > POLE_BAND) & (q < math.pi - POLE_BAND), axis=-1)
 
-    return MetricField(dim=d, components=comps, jet=jets.metric_jet(comps), in_domain=in_domain)
+    return MetricField(dim=d, components=lambda p: g(tables[0](p)), jet=jet, in_domain=in_domain)
 
 
 def _euclidean_metric(d: int) -> MetricField:
@@ -123,34 +133,85 @@ def _euclidean_metric(d: int) -> MetricField:
     return MetricField(dim=d, components=comps, jet=jets.metric_jet(comps))
 
 
-def _sphere_partials(n: int, orders: np.ndarray):
-    """Map x to the partials of the unit n-sphere embedding omega(x) in R^{n+1}.
+# The per-angle values a factor can take: value 0 is the constant 1, the
+# others are functions of the angles' sines and cosines.
+_VALUES = (None, lambda s, c: s, lambda s, c: c, lambda s, c: -s, lambda s, c: -c,
+           lambda s, c: s**2, lambda s, c: 2.0 * s * c, lambda s, c: 2.0 * (c * c - s**2))
+# _FACTOR[j, k] is the value of a factor of kind k (0 absent, 1 sin, 2 cos,
+# 3 sin^2) differentiated j times; a partial of an absent factor is masked.
+_FACTOR = np.array([[0, 1, 2, 5], [0, 2, 3, 6], [0, 3, 4, 7]])
 
-    Component m of omega is sin x_0 ... sin x_{m-1} cos x_m (the last one
-    all sines).  Row q of the (..., Q, n+1) result differentiates
-    orders[q, k] times in angle k; it is a product of its factors in angle
-    order, and +0.0 where it differentiates an absent factor.  x has shape
-    (n,) or (..., n).
+
+def _angle_products(kinds: np.ndarray, orders: np.ndarray):
+    """Map angles x to products of one factor per angle, and their partials.
+
+    kinds[m, k] is product m's factor in angle k (see ``_FACTOR``).  Row q
+    of the (..., Q, M) result differentiates orders[q, k] times in angle k;
+    it is a product of its factors in angle order, and +0.0 where it
+    differentiates an absent factor.  x has shape (n,) or (..., n).  Only
+    the values that some factor takes are computed.
     """
-    # factor kind per (component, angle): 0 absent (a 1), 1 sin, 2 cos
-    kinds = np.tril(np.ones((n + 1, n), dtype=int), -1) + 2 * np.eye(n + 1, n, dtype=int)
+    n = kinds.shape[1]
     live = np.all((orders[:, None, :] == 0) | (kinds != 0), axis=-1)
-    # each factor's place in the values (sin, cos, -sin, -cos, 1, 0) of every
-    # angle, laid out [s_0 .. s_{n-1}, c_0 .., -s_0 .., -c_0 .., 1, 0]
-    a = np.arange(n)
-    table = np.array([[np.full(n, 4 * n), a, n + a],                   # order 0
-                      [np.full(n, 4 * n + 1), n + a, 2 * n + a],       # order 1
-                      [np.full(n, 4 * n + 1), 2 * n + a, 3 * n + a]])  # order 2
-    places = table[orders[:, None, :], kinds, a]        # (Q, n+1, n)
+    everywhere = bool(live.all())
+    value = _FACTOR[orders[:, None, :], kinds]                    # (Q, M, n)
+    used = sorted(set(value.ravel().tolist()) - {0})
+    block = np.zeros(len(_VALUES), dtype=int)
+    block[used] = np.arange(len(used))
+    # each factor's place in the values [1, then each used value of every angle]
+    places = np.where(value > 0, 1 + block[value] * n + np.arange(n), 0)
+    fns = [_VALUES[v] for v in used]
+    cosines = not set(used) <= {1, 3, 5}
 
     def partials(x):
-        sc = np.concatenate((np.sin(x), np.cos(x)), axis=-1)
-        lead = sc.shape[:-1]
-        values = np.concatenate((sc, -sc, np.ones(lead + (1,)), np.zeros(lead + (1,))), axis=-1)
-        factors = values[..., places]
-        return np.where(live, np.cumprod(factors, axis=-1)[..., -1], 0.0)
+        s = np.sin(x)
+        c = np.cos(x) if cosines else None
+        values = np.empty(s.shape[:-1] + (1 + len(fns) * n,))
+        values[..., 0] = 1.0
+        for j, f in enumerate(fns):
+            values[..., 1 + j * n : 1 + (j + 1) * n] = f(s, c)
+        y = np.multiply.accumulate(values[..., places], axis=-1)[..., -1]
+        return y if everywhere else np.where(live, y, 0.0)
 
     return partials
+
+
+def _partial_orders(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Table rows over n angles: the value, d_a for a < m, then d_a d_b for a <= b < m.
+
+    Returns the rows' orders and the (m, m) row numbers of the second partials.
+    """
+    eye = np.eye(n, dtype=int)
+    iu, ju = np.triu_indices(m)
+    orders = np.concatenate((np.zeros((1, n), dtype=int), eye[:m], eye[iu] + eye[ju]))
+    dd_rows = np.empty((m, m), dtype=int)
+    dd_rows[iu, ju] = dd_rows[ju, iu] = 1 + m + np.arange(len(iu))
+    return orders, dd_rows
+
+
+# The tables are built once per dimension: a catalog background or flow is
+# built per suite, and building the three tables costs more than a jet call.
+@functools.lru_cache(maxsize=16)
+def _sphere_metric_tables(d: int) -> tuple:
+    """The unit d-sphere metric's tables of orders 0, 1 and 2, and its second-partial rows.
+
+    Diagonal entry i is the product of sin^2 of every angle below i;
+    theta_d enters none.
+    """
+    orders, dd_rows = _partial_orders(d, d - 1)
+    kinds = 3 * np.tril(np.ones((d, d), dtype=int), -1)
+    return tuple(_angle_products(kinds, orders[:rows]) for rows in (1, d, len(orders))), dd_rows
+
+
+@functools.lru_cache(maxsize=16)
+def _embedding_tables(n: int) -> tuple:
+    """The unit n-sphere embedding's tables of orders 0 and 2, and its second-partial rows.
+
+    Component m is sin x_0 ... sin x_{m-1} cos x_m, the last one all sines.
+    """
+    orders, dd_rows = _partial_orders(n, n)
+    kinds = np.tril(np.ones((n + 1, n), dtype=int), -1) + 2 * np.eye(n + 1, n, dtype=int)
+    return (_angle_products(kinds, orders[:1]), _angle_products(kinds, orders)), dd_rows
 
 
 def sphere_embedding_jet(n: int):
@@ -161,13 +222,7 @@ def sphere_embedding_jet(n: int):
     vectorized pass.  x is one point (n,) or a stack (..., n); the results
     gain its leading shape.
     """
-    # rows: omega, then d_i omega, then d_i d_j omega for i <= j
-    eye = np.eye(n, dtype=int)
-    iu, ju = np.triu_indices(n)
-    orders = np.concatenate((np.zeros((1, n), dtype=int), eye, eye[iu] + eye[ju]))
-    partials = _sphere_partials(n, orders)
-    dd_rows = np.empty((n, n), dtype=int)
-    dd_rows[iu, ju] = dd_rows[ju, iu] = 1 + n + np.arange(len(iu))
+    (_, partials), dd_rows = _embedding_tables(n)
 
     def jet(x):
         y = partials(x)
@@ -543,7 +598,7 @@ def _shrinking_sphere_flat(bg, n, r0):
         raise BackgroundError("shrinking_sphere_flat needs a flat background")
     omega_jet = sphere_embedding_jet(n)
     # the outward hint is omega alone, not a second full jet
-    omega = _sphere_partials(n, np.zeros((1, n), dtype=int))
+    omega = _embedding_tables(n)[0][0]
     t_sing = r0**2 / (2.0 * n)
     T = min(bg.time_domain[1], 0.8 * t_sing)
 

@@ -60,7 +60,6 @@ __all__ = [
     "ricci_batch",
     "scalar_curvature_batch",
     "hessian_batch",
-    "laplacian_batch",
     "tensor_norm_batch",
     "gradient_batch",
     "check_metric_derivatives",
@@ -206,8 +205,9 @@ class MetricField:
     jet : optional, (points, order) -> the 2-jet of ``components``: the
         tuple (g, dg) at order 1 and (g, dg, ddg) at order 2, of shapes
         (P, d, d), (P, d, d, d) with [p, a, b, c] = d_a g_bc and
-        (P, d, d, d, d) with [p, a, b, c, d] = d_a d_b g_cd.  The kernel
-        reads g from ``components`` and the partials from here.
+        (P, d, d, d, d) with [p, a, b, c, d] = d_a d_b g_cd.  Its value
+        part must equal ``components``: a bundle of order >= 1 reads g
+        from here, one of order 0 from ``components``.
     in_domain : optional chart-domain predicate, points -> (P,) bool;
         violations raise ``ChartDomainError`` from every kernel operation.
     """
@@ -347,16 +347,20 @@ def _partials(analytic, values, pts: np.ndarray, order: int, shape: tuple, what:
     return (4.0 * fine - coarse) / 3.0
 
 
-def _metric_partials(metric: MetricField, pts: np.ndarray, order: int) -> list:
-    """[dg] or [dg, ddg] at a (P, d) stack: one call of the field's jet, else central differences."""
+def _metric_jet(metric: MetricField, pts: np.ndarray, order: int) -> list:
+    """[g, dg] or [g, dg, ddg] at a non-empty (P, d) stack from one call of the field's jet."""
+    shape = (metric.dim,) * 2
+    out = metric.jet(pts, order)
+    return [_shaped(out[o], pts, (metric.dim,) * o + shape, f"metric jet d{o}" if o else "metric")
+            for o in range(order + 1)]
+
+
+def _fd_metric_partials(metric: MetricField, pts: np.ndarray, order: int) -> list:
+    """[dg] or [dg, ddg] at a (P, d) stack from central differences of the components."""
     shape = (metric.dim,) * 2
     if not len(pts):
         return [np.empty((0,) + (metric.dim,) * o + shape) for o in range(1, order + 1)]
-    if metric.jet is None or not order:
-        return [_partials(None, metric.components, pts, o, shape, "metric") for o in range(1, order + 1)]
-    out = metric.jet(pts, order)
-    return [_shaped(out[o], pts, (metric.dim,) * o + shape, f"metric jet d{o}")
-            for o in range(1, order + 1)]
+    return [_partials(None, metric.components, pts, o, shape, "metric") for o in range(1, order + 1)]
 
 
 def scalar_d1(f: ScalarField, p: np.ndarray) -> np.ndarray:
@@ -455,16 +459,21 @@ def metric_bundle(metric: MetricField, points, order: int = 1, scale=None) -> Me
     symbols, Hessians and norms), 2 adds ddg (curvature).  Points outside
     the chart domain or with an ill-conditioned metric are left out and
     recorded in ``errors``; callbacks never see them.  The points are
-    checked once, here; ``components`` is then called once on the valid
-    ones, and the jet (or the FD stencils) once on the well-conditioned ones.
+    checked once, here.  At order >= 1 a field with a jet is then called
+    once on the valid points, and g is the jet's value part; otherwise
+    ``components`` is called once on them, and the FD stencils once on the
+    well-conditioned ones.
     ``scale``, one positive factor per point, gives the bundle of the metric
     scale_p * g at point p: a conformal family at per-point times.
     """
     pts, _ = _point_stack(points, metric.dim)
     errors = _point_errors(pts, metric.in_domain)
     index, q = _kept(errors, (np.arange(len(pts)), pts))
-    shape = (metric.dim, metric.dim)
-    g = _evaluate(metric.components, q, shape, "metric")
+    from_jet = metric.jet is not None and order > 0 and len(q) > 0
+    if from_jet:
+        g, *partials = _metric_jet(metric, q, order)
+    else:
+        g, partials = _evaluate(metric.components, q, (metric.dim,) * 2, "metric"), []
     if scale is not None:
         scale = np.asarray(scale, dtype=float)[index]
         g = scale[:, None, None] * g
@@ -472,8 +481,10 @@ def metric_bundle(metric: MetricField, points, order: int = 1, scale=None) -> Me
     if any(bad):
         for i, exc in zip(index, bad):
             errors[i] = errors[i] or exc
-        index, q, g, ginv, scale = _kept(bad, (index, q, g, ginv, scale))
-    dg, ddg = (*_metric_partials(metric, q, order), None, None)[:2]
+        index, q, g, ginv, scale, *partials = _kept(bad, (index, q, g, ginv, scale, *partials))
+    if not from_jet:
+        partials = _fd_metric_partials(metric, q, order)
+    dg, ddg = (*partials, None, None)[:2]
     if scale is not None:
         dg, ddg = (None if a is None else scale.reshape((-1,) + (1,) * (a.ndim - 1)) * a
                    for a in (dg, ddg))
@@ -567,11 +578,6 @@ def hessian_batch(b: MetricBundle, f: ScalarField, grad: np.ndarray | None = Non
         grad = gradient_batch(b, f)
     ddf = _partials(f.d2, f.value, b.points, 2, (), "scalar")
     return _symmetrized(ddf - 0.5 * np.einsum("pd,pdab->pab", grad, _bracket(b.dg)))
-
-
-def laplacian_batch(b: MetricBundle, f: ScalarField) -> np.ndarray:
-    """Metric Laplacians, the traces of the Hessians against g^{ab}, (P,)."""
-    return np.einsum("pab,pab->p", b.ginv, hessian_batch(b, f))
 
 
 def tensor_norm_batch(b: MetricBundle, T: np.ndarray, variance: str = "covariant") -> np.ndarray:

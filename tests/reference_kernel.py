@@ -11,7 +11,8 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
-from cansol.geometry import MetricField
+from cansol import jets
+from cansol.geometry import MetricField, hessian_batch
 
 
 def inverse_metric(metric, p):
@@ -82,6 +83,11 @@ def soliton_defect(cm, p, t):
     ric = ricci(cm.field, z)
     E = ric + hessian(cm.field, cm.potential, z) + cm.soliton_constant * cm.field.components(z)
     return 0.5 * (E + E.T), ric
+
+
+def laplacian_batch(b, f):
+    """Metric Laplacians of f at a bundle's points, the traces of the Hessians against g^{ab}, (P,)."""
+    return np.einsum("pab,pab->p", b.ginv, hessian_batch(b, f))
 
 
 def snapshot(bg, t):
@@ -192,6 +198,19 @@ def sphere_metric_partials(d):
         return out
 
     return d1, d2
+
+
+def jet_written_sphere_metric(d):
+    """The round unit d-sphere of ``unit_sphere_metric`` with its components written in jet
+    operations and its partials from ``jets.metric_jet``, the formulation the factor table replaced."""
+    eye = np.eye(d)
+
+    def comps(p):
+        s2 = jets.sin(p[..., : d - 1]) ** 2
+        one = np.ones(p.shape[:-1] + (1,))
+        return jets.concatenate((one, jets.cumprod(s2)))[..., :, None] * eye
+
+    return MetricField(dim=d, components=comps, jet=jets.metric_jet(comps))
 
 
 def conformal_scalars(bg):

@@ -22,7 +22,9 @@ from cansol.backgrounds import (
     ricci_flow_residual,
     slice_stack,
 )
+from cansol.canonical import build_canonical_metric
 from cansol.geometry import ChartDomainError, ricci_batch, scalar_curvature_batch, tensor_norm_batch
+from cansol.track import mcf_canonical_sweep
 
 
 def tensor_norm(bg, t, T, p):
@@ -447,7 +449,21 @@ class TestOneBundlePerResidual:
     def test_gradient_soliton_residual_evaluates_sigma_once(self):
         bg, calls = counting_sigma(model_background("gaussian_shrinker_flat", dim=3))
         gradient_soliton_residual(bg, bg.soliton, np.array([0.3, -0.2, 0.5]), 0.4)
-        assert calls == {"components": 1, "jet": 1}
+        # the bundle reads g from the jet's value part
+        assert calls == {"components": 0, "jet": 1}
+
+    def test_a_track_sweep_evaluates_sigma_once_per_bundle(self):
+        # one sigma jet for the ambient slices, then one per N for the canonical
+        # metric at the same image points, which is left to remove
+        bg, calls = counting_sigma(model_background("round_sphere", dim=3, r0=1.0, direction="backward"))
+        mcf = model_mcf("equator_in_sphere", bg)
+        cms = [build_canonical_metric(bg, "steady", N) for N in (1e2, 1e3, 1e4, 1e5)]
+        rng = np.random.default_rng(7)
+        xs = mcf.sample_xs(16, rng)
+        ts = list(rng.uniform(cms[0].t_min, mcf.time_domain[1], 16))
+        sweep = mcf_canonical_sweep(mcf, cms, xs, ts)
+        assert not any(isinstance(r, Exception) for entries in sweep for r in entries)
+        assert calls == {"components": 0, "jet": 5}
 
     def test_residuals_equal_the_values_before_the_single_bundle(self):
         # digests of the residual bytes, computed with a Ricci, a Hessian and a

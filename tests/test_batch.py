@@ -40,7 +40,6 @@ from cansol.geometry import (
     gradient_batch,
     hessian_batch,
     inverse_metric,
-    laplacian_batch,
     metric_bundle,
     ricci_batch,
     scalar_curvature_batch,
@@ -111,7 +110,7 @@ def assert_stack_matches_single_points(metric, f, pts):
         "ricci": ric,
         "scalar_curvature": scalar_curvature_batch(b),
         "hessian": hessian_batch(b, f),
-        "laplacian": laplacian_batch(b, f),
+        "laplacian": ref.laplacian_batch(b, f),
         "gradient": gradient_batch(b, f),
         "scalar_d1": scalar_d1(f, pts),
         "tensor_norm": tensor_norm_batch(b, T),
@@ -128,7 +127,7 @@ def assert_stack_matches_single_points(metric, f, pts):
             "ricci": ricci_batch(b2)[0],
             "scalar_curvature": scalar_curvature_batch(b2)[0],
             "hessian": hessian_batch(b1, f)[0],
-            "laplacian": laplacian_batch(b1, f)[0],
+            "laplacian": ref.laplacian_batch(b1, f)[0],
             "gradient": gradient_batch(b0, f)[0],
             "scalar_d1": scalar_d1(f, p),
             "tensor_norm": tensor_norm_batch(b0, T[i][None])[0],
@@ -238,16 +237,25 @@ class TestPointwiseReference:
 
 
 def degenerate_at(cm, t_singular, t_ill):
-    """cm with a singular metric at time t_singular and an ill-conditioned one at t_ill."""
+    """cm with a singular metric at time t_singular and an ill-conditioned one at t_ill.
+
+    Both the components and the jet's value part carry the defect, so the
+    bundles of every order see it.
+    """
     base = cm.field
 
-    def comps(z):
-        g = np.array(base.components(z))
+    def degenerate(z, g):
+        g = np.array(g)
         g[z[..., 0] == t_singular] = 0.0
         g[z[..., 0] == t_ill, 0, 0] *= 1e-20
         return g
 
-    return dataclasses.replace(cm, field=dataclasses.replace(base, components=comps))
+    def jet(z, order):
+        g, *partials = base.jet(z, order)
+        return (degenerate(z, g), *partials)
+
+    field = dataclasses.replace(base, components=lambda z: degenerate(z, base.components(z)), jet=jet)
+    return dataclasses.replace(cm, field=field)
 
 
 class TestFailuresInsideABatch:
@@ -314,6 +322,26 @@ class TestFailuresInsideABatch:
         # components saw no point outside the chart
         assert all(np.all(s[:, 1] < 5.0) and np.all(np.isfinite(s)) for s in seen)
 
+    def test_an_ill_conditioned_row_inside_a_stack(self):
+        cm = degenerate_at(canonical("expanding", 3, 1e3), t_singular=0.071, t_ill=0.072)
+        y = np.array([1.1, 0.7, 2.0])
+        zs = np.array([np.concatenate(([t], y)) for t in (0.09, 0.072, 0.071, 0.11, 0.072)])
+        for order in (0, 1, 2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                b = metric_bundle(cm.field, zs, order)
+            assert b.index.tolist() == [0, 3]
+            assert [type(e).__name__ for e in b.errors] == [
+                "NoneType", "DegenerateMetricError", "DegenerateMetricError", "NoneType",
+                "DegenerateMetricError"]
+            assert "condition number" in str(b.errors[1]) and "singular" in str(b.errors[2])
+            assert (b.dg is None, b.ddg is None) == (order < 1, order < 2)
+            # the rows kept are those of one-row bundles, partials included
+            for row, i in enumerate(b.index):
+                alone = metric_bundle(cm.field, zs[i], order)
+                for name in ("g", "ginv", "dg", "ddg")[: 2 + order]:
+                    assert np.array_equal(getattr(b, name)[row], getattr(alone, name)[0]), (order, name)
+
 
 class TestCallbackContract:
     def test_per_point_shape_only_from_a_single_point(self):
@@ -330,6 +358,34 @@ class TestCallbackContract:
         flat = MetricField(dim=2, components=lambda p: np.zeros((len(p), 2, 2)) + np.eye(2))
         with pytest.raises(GeometryError, match="scalar d2 callback returned shape"):
             hessian_batch(metric_bundle(flat, np.zeros((2, 2)), order=1), f)
+
+    def test_a_bundle_reads_g_from_the_jet(self):
+        sigma = unit_sphere_metric(3)
+        calls = {"components": 0, "jet": 0}
+
+        def components(p):
+            calls["components"] += 1
+            return sigma.components(p)
+
+        def jet(p, order):
+            calls["jet"] += 1
+            return sigma.jet(p, order)
+
+        metric = dataclasses.replace(sigma, components=components, jet=jet)
+        pts = sphere_stack(3, 4, np.random.default_rng(3))
+        g = []
+        for field, order, want in [(metric, 0, (1, 0)), (metric, 1, (0, 1)), (metric, 2, (0, 1)),
+                                   (metric.without_analytic_derivatives(), 0, (1, 0))]:
+            calls.update(components=0, jet=0)
+            g.append(metric_bundle(field, pts, order).g)
+            assert (calls["components"], calls["jet"]) == want, order
+        # without a jet, g is one components call on the stack, then one per stencil
+        seen = []
+        fd = MetricField(dim=3, components=lambda p: seen.append(p.copy()) or sigma.components(p),
+                         in_domain=sigma.in_domain)
+        g.append(metric_bundle(fd, pts, 2).g)
+        assert len(seen) == 3 and np.array_equal(seen[0], pts)
+        assert all(np.array_equal(a, g[0]) for a in g)
 
     def test_wrong_leading_axis_raises(self):
         metric = MetricField(dim=2, components=lambda p: np.zeros((len(p) + 1, 2, 2)))

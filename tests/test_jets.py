@@ -94,6 +94,38 @@ class TestAgainstTheHandDerivedPartials:
                                   dphi(t) * bg.conformal.sigma.components(np.ones(dim)))
 
 
+def equal_values(a, b):
+    """Two tuples of arrays, equal entry by entry in shape and value (a signed zero equals its twin)."""
+    return len(a) == len(b) and all(x.shape == y.shape and np.array_equal(x, y) for x, y in zip(a, b))
+
+
+class TestSphereFactorTable:
+    """The sphere metric's table rows against the jet-written components they replaced."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_equals_the_jet_written_metric(self, d, order):
+        table, written = unit_sphere_metric(d), ref.jet_written_sphere_metric(d)
+        rng = np.random.default_rng(10 * d + order)
+        pts = rng.uniform(-7.0, 7.0, (200, d))
+        # values only: the written jet leaves -0.0 in some vanishing partials
+        assert equal_values(table.jet(pts, order), written.jet(pts, order))
+        assert equal_values((table.components(pts),), (written.components(pts),))
+        for p in pts[:3]:           # bare (d,) points
+            assert equal_values(table.jet(p, order), written.jet(p, order))
+            assert equal_values((table.components(p),), (written.components(p),))
+
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    def test_a_row_does_not_depend_on_its_stack(self, d):
+        metric = unit_sphere_metric(d)
+        pts = polar_points(d, 9, seed=d)
+        for order in (1, 2):
+            stacked = metric.jet(pts, order)
+            for i in range(len(pts)):
+                one = metric.jet(pts[i : i + 1], order)
+                assert [a[i].tobytes() for a in stacked] == [b[0].tobytes() for b in one], (order, i)
+
+
 # ---------------------------------------------------------------------------
 # the jet against the Richardson FD backend
 # ---------------------------------------------------------------------------
