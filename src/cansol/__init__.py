@@ -54,8 +54,6 @@ from .harnack import (
     limit_second_ff,
     lott_boundary_integrand,
     lott_match_defect,
-    mcf_harnack_Ztilde,
-    rf_harnack_Z,
     weighted_mean_curvature,
     weighted_scalar_curvature,
 )

@@ -5,14 +5,16 @@ dg/dt = -2 Ric or the backward flow dg/dtau = +2 Ric, together with
 hypersurface families F_t moving by dF/dt = -H nu inside them.  All
 catalog entries are exact solutions given in closed form, with analytic
 derivatives, so they serve as fixtures whose residuals under the
-defining equations must vanish to machine precision.  A metric gives
-its components and a conformal family its phi(t), written with the
-operations of ``cansol.jets``, and their partials come from the jet type.
+defining equations must vanish to machine precision.  A metric is its
+2-jet, one callback, and a conformal family gives its phi(t) written with
+the operations of ``cansol.jets``, whose partials come from the jet type.
 A background answers at a stack of (point, time) rows: ``bundle`` and
 ``curvature``.  A flow's analytic data is its 2-jet, one callback
-``MCFSolution.jet(x, t)`` on a point or a stack; ``slice_stack`` reads it
-once per stack and carries it to the space-time track.  The single-point
-slice, ``hypersurface_point_data``, is the P = 1 case of ``slice_stack``.
+``MCFSolution.jet(x, t)`` on a point or a stack, and the partials of its
+mean curvature, dH/dx and dH/dt, which every flow supplies;
+``slice_stack`` reads the jet once per stack and carries it to the
+space-time track.  The single-point slice, ``hypersurface_point_data``,
+is the P = 1 case of ``slice_stack``.
 
 Orientation convention: the unit normal nu is chosen so that a round
 sphere in flat space has positive mean curvature with the outward normal
@@ -33,7 +35,6 @@ import numpy as np
 
 from . import jets
 from .geometry import (
-    FD_H1,
     ChartDomainError,
     DegenerateMetricError,
     MetricBundle,
@@ -97,22 +98,21 @@ def unit_sphere_metric(d: int) -> MetricField:
     g_ii = prod_{k<i} sin^2(theta_k), diagonal; the chart excludes a band
     of width POLE_BAND around theta_k in {0, pi} for k < d.  The components
     and their partials are rows of one factor table (``_angle_products``),
-    scattered onto the diagonal.  The callbacks take points of any leading
-    shape: (d,) or a (P, d) stack.
+    scattered onto the diagonal; order 0 reads the value table alone.  The
+    callbacks take points of any leading shape: (d,) or a (P, d) stack.
     """
     if d < 1:
         raise BackgroundError(f"sphere dimension must be >= 1, got {d}")
     tables, dd_rows = _sphere_metric_tables(d)
     m, diag, eye = d - 1, np.arange(d), np.eye(d)
 
-    def g(y):
-        return y[..., 0, :, None] * eye
-
     def jet(p, order: int) -> tuple:
         y = tables[order](p)
-        out = [g(y)] + [np.zeros(y.shape[:-2] + (d,) * (2 + o)) for o in range(1, order + 1)]
-        if order > 0:
-            out[1][..., :m, diag, diag] = y[..., 1 : 1 + m, :]
+        g = y[..., 0, :, None] * eye
+        if not order:
+            return (g,)
+        out = [g] + [np.zeros(y.shape[:-2] + (d,) * (2 + o)) for o in range(1, order + 1)]
+        out[1][..., :m, diag, diag] = y[..., 1 : 1 + m, :]
         if order > 1:
             out[2][..., :m, :m, diag, diag] = y[..., dd_rows, :]
         return tuple(out)
@@ -121,7 +121,7 @@ def unit_sphere_metric(d: int) -> MetricField:
         q = p[..., : d - 1]
         return np.all((q > POLE_BAND) & (q < math.pi - POLE_BAND), axis=-1)
 
-    return MetricField(dim=d, components=lambda p: g(tables[0](p)), jet=jet, in_domain=in_domain)
+    return MetricField(dim=d, jet=jet, in_domain=in_domain)
 
 
 def _euclidean_metric(d: int) -> MetricField:
@@ -130,7 +130,7 @@ def _euclidean_metric(d: int) -> MetricField:
     def comps(p):
         return np.zeros(p.shape[:-1] + (d, d)) + eye
 
-    return MetricField(dim=d, components=comps, jet=jets.metric_jet(comps))
+    return MetricField(dim=d, jet=jets.metric_jet(comps))
 
 
 # The per-angle values a factor can take: value 0 is the constant 1, the
@@ -563,13 +563,15 @@ class MCFSolution:
 
     ``jet(x, t)`` is the analytic 2-jet of the flow, the tuple
     (F, d_t F, d_x F, d_x d_x F, d_x d_t F, d_t d_t F) of shapes (n+1,),
-    (n+1,), (n, n+1), (n, n, n+1), (n, n+1) and (n+1,) at one point.  The
-    derivatives of H are analytic when set; everything else (induced
-    metric, normal, second fundamental form, H itself) is computed by the
-    kernel.  Every callback takes x of shape (n,) or a stack (..., n), with
-    t broadcastable to the leading shape, and its results gain that
-    leading shape.  ``time_domain`` defaults to the ambient's;
-    ``sample_box`` is the (low, high) box that ``sample_xs`` draws from.
+    (n+1,), (n, n+1), (n, n, n+1), (n, n+1) and (n+1,) at one point.
+    ``dx_mean_curvature`` and ``dt_mean_curvature`` give the analytic
+    partials of H, (n,) and a scalar per point; every flow supplies both.
+    Everything else (induced metric, normal, second fundamental form, H
+    itself) is computed by the kernel.  Every callback takes x of shape
+    (n,) or a stack (..., n), with t broadcastable to the leading shape,
+    and its results gain that leading shape.  ``time_domain`` defaults to
+    the ambient's; ``sample_box`` is the (low, high) box that
+    ``sample_xs`` draws from.
     """
 
     name: str
@@ -577,8 +579,8 @@ class MCFSolution:
     ambient: RicciFlowBackground
     jet: Callable[[np.ndarray, float], tuple]
     orientation_hint: Callable[[np.ndarray, float], np.ndarray]
-    dx_mean_curvature: Callable[[np.ndarray, float], np.ndarray] | None = None
-    dt_mean_curvature: Callable[[np.ndarray, float], float] | None = None
+    dx_mean_curvature: Callable[[np.ndarray, float], np.ndarray]
+    dt_mean_curvature: Callable[[np.ndarray, float], float]
     time_domain: tuple[float, float] | None = None
     sample_box: tuple = (-1.5, 1.5)
 
@@ -862,8 +864,6 @@ class SliceStack(NamedTuple):
         i = self.index[j]
         x, t = self.xs[i], self.ts[i]
         induced, induced_inv, nu, h, H = (a[j] for a in self.ext)
-        H = float(H)
-        dxH, dtH = _mean_curvature_partials(self.mcf, x, t, H)
         jet = tuple(a[j] for a in self.jet)
         return HypersurfacePointData(
             ambient=self.mcf.ambient,
@@ -877,9 +877,9 @@ class SliceStack(NamedTuple):
             induced_inv=induced_inv,
             normal=nu,
             second_ff=h,
-            mean_curvature=H,
-            dx_mean_curvature=dxH,
-            dt_mean_curvature=dtH,
+            mean_curvature=float(H),
+            dx_mean_curvature=np.asarray(self.mcf.dx_mean_curvature(x, t), dtype=float),
+            dt_mean_curvature=float(self.mcf.dt_mean_curvature(x, t)),
         )
 
 
@@ -905,38 +905,11 @@ def slice_stack(mcf: MCFSolution, xs: np.ndarray, ts: list) -> SliceStack:
     return SliceStack(mcf, xs, ts, index, errors, tuple(jet), ext, g, ginv)
 
 
-def _mean_curvature_partials(mcf: MCFSolution, x: np.ndarray, t: float, H: float) -> tuple:
-    """(dH/dx, dH/dt) at one pair, from the flow's callbacks.
-
-    A missing callback is replaced by the kernel's central differences of
-    H along x, or along t.  Where t + h leaves the ambient's time domain,
-    dH/dt comes from the second-order backward stencil instead.
-    """
-    def H_at(ys, ss):
-        stack = slice_stack(mcf, np.asarray(ys, dtype=float), list(ss))
-        _raise_first(stack.errors)
-        return stack.ext[-1]
-
-    if mcf.dx_mean_curvature is None:
-        dxH = scalar_d1(ScalarField(lambda ys: H_at(ys, [t] * len(ys))), x)
-    else:
-        dxH = np.asarray(mcf.dx_mean_curvature(x, t), dtype=float)
-    step = FD_H1 * max(1.0, abs(t))
-    if mcf.dt_mean_curvature is not None:
-        dtH = float(mcf.dt_mean_curvature(x, t))
-    elif t + step <= mcf.ambient.time_domain[1]:
-        dtH = float(scalar_d1(ScalarField(lambda ss: H_at([x] * len(ss), ss[:, 0].tolist())), [t])[0])
-    else:
-        back = H_at([x, x], [t - step, t - 2.0 * step])
-        dtH = float((3.0 * H - 4.0 * back[0] + back[1]) / (2.0 * step))
-    return dxH, dtH
-
-
 def hypersurface_point_data(mcf: MCFSolution, x: np.ndarray, t: float) -> HypersurfacePointData:
     """Compute induced metric, normal, h, H and H-derivatives at (x, t).
 
-    The P = 1 case of ``slice_stack``.  A missing mean-curvature callback
-    is replaced by the kernel's central differences of H.
+    The P = 1 case of ``slice_stack``; the H-derivatives are the flow's
+    own callbacks.
     """
     t = mcf.check_time(t)
     x = chart_point(x)

@@ -83,8 +83,8 @@ class CanonicalMetric:
 
     ``field`` is an (m + 1)-dimensional MetricField on z = (t, y) whose
     jet is the separable product of the time profiles' jets in t and the
-    jet of sigma in y; ``potential`` is the matching
-    soliton potential as a scalar field on the same chart.
+    jet of sigma in y (value-only when sigma's is); ``potential`` is the
+    matching soliton potential as a scalar field on the same chart.
     """
 
     variant: str
@@ -192,24 +192,26 @@ def build_canonical_metric(
     # small overhang so FD stencils near the endpoint stay evaluable
     t_max = hi * (1.0 + 1e-3)
 
-    def comps(z):
-        t, y = z[..., 0], z[..., 1:]
-        w, psi = profiles(t)
-        g = np.zeros(z.shape[:-1] + (dim, dim))
-        g[..., 0, 0] = w
-        g[..., 1:, 1:] = np.asarray(psi)[..., None, None] * sigma.components(y)
-        return g
-
     def jet(z, order):
-        # d/dt acts on w and psi only, d/dy on sigma only
-        t = jets.Jet.variable(z[:, 0], order)
-        w, psi = (jets.lift(a, t) for a in profiles(t))
-        sig = sigma.jet(z[:, 1:], order)
-        out = [np.zeros((len(z),) + (dim,) * (2 + o)) for o in range(order + 1)]
+        # d/dt acts on w and psi only, d/dy on sigma only; a value-only sigma
+        # makes the metric value-only
+        sig = sigma.jet(z[..., 1:], order)
+        order = len(sig) - 1
+        if order:
+            t = jets.Jet.variable(z[:, 0], order)
+            w, psi = (jets.lift(a, t) for a in profiles(t))
+            w0, psi0 = w.v, psi.v
+        else:
+            w0, psi0 = profiles(z[..., 0])
         # psi and its t-derivatives, broadcast against sigma's blocks
-        p0, p1 = psi.v[:, None, None], psi.g[0, :, None, None]
-        out[0][:, 0, 0] = w.v
-        out[0][:, 1:, 1:] = p0 * sig[0]
+        p0 = np.asarray(psi0)[..., None, None]
+        g = np.zeros(z.shape[:-1] + (dim, dim))
+        g[..., 0, 0] = w0
+        g[..., 1:, 1:] = p0 * sig[0]
+        if not order:
+            return (g,)
+        out = [g] + [np.zeros((len(z),) + (dim,) * (2 + o)) for o in range(1, order + 1)]
+        p1 = psi.g[0, :, None, None]
         out[1][:, 0, 0, 0] = w.g[0]
         out[1][:, 0, 1:, 1:] = p1 * sig[0]
         out[1][:, 1:, 1:, 1:] = p0[:, None] * sig[1]
@@ -227,8 +229,7 @@ def build_canonical_metric(
             inside &= sigma.in_domain(z[..., 1:])
         return inside
 
-    field = MetricField(dim=dim, components=comps, jet=None if sigma.jet is None else jet,
-                        in_domain=in_domain)
+    field = MetricField(dim=dim, jet=jet, in_domain=in_domain)
 
     if s == 0:
         potential = ScalarField(
@@ -421,7 +422,9 @@ def canonical_christoffel_closed_forms(cm: CanonicalMetric, points, ts, as_print
     b.raise_error()
     ric, R, dRdt, dRdy = bg.curvature(z[:, 1:], t.tolist())
     ric_up = b.ginv @ ric                     # Ric^a_b
-    w = cm.field.components(z)[:, 0, 0]
+    # w from the time column of z: a strided view whatever the layout of ts,
+    # so every stack takes the same numpy loop and a row's bits do not vary
+    w = np.broadcast_to(_profiles(bg, s, N)(z[:, 0])[0], t.shape)
     tb, Rb, wb = (a[:, None, None] for a in (t, R, w))      # against (P, m, m) blocks
 
     gamma = np.zeros((len(t),) + (m + 1,) * 3)

@@ -1,12 +1,13 @@
 """Chart-based numerical Riemannian geometry.
 
-A metric is a callable producing the component matrix g_ij at chart
-points, optionally accompanied by its 2-jet, one callback giving the
-first and second partials (the catalog builds it with ``cansol.jets``).
-When the jet is absent, central finite differences with the fixed steps
-FD_H1 and FD_H2 stand in, so the same curvature code doubles as an
-independent check of any closed-form input.  ``check_metric_derivatives``
-adds one level of Richardson extrapolation to its comparison stencil.
+A metric is one callback, its jet: the component matrix g_ij at chart
+points and, on request, its first and second partials (the catalog
+writes it with ``cansol.jets``).  A jet that answers the value alone is
+value-only, and central finite differences with the fixed steps FD_H1
+and FD_H2 stand in for its partials, so the same curvature code doubles
+as an independent check of any closed-form input (the FD backend).
+``check_metric_derivatives`` adds one level of Richardson extrapolation
+to its comparison stencil.
 
 The kernel is batched over a leading sample axis.  ``metric_bundle``
 evaluates g, g^-1, dg and (when asked) ddg once for a stack of P points,
@@ -201,21 +202,22 @@ class MetricField:
     Parameters
     ----------
     dim : chart dimension d.
-    components : points -> (P, d, d) symmetric matrices g_ij.
-    jet : optional, (points, order) -> the 2-jet of ``components``: the
-        tuple (g, dg) at order 1 and (g, dg, ddg) at order 2, of shapes
-        (P, d, d), (P, d, d, d) with [p, a, b, c] = d_a g_bc and
-        (P, d, d, d, d) with [p, a, b, c, d] = d_a d_b g_cd.  Its value
-        part must equal ``components``: a bundle of order >= 1 reads g
-        from here, one of order 0 from ``components``.
+    jet : (points, order) -> the 2-jet of g up to ``order`` 0, 1 or 2: the
+        tuple (g,), (g, dg) or (g, dg, ddg), of shapes (P, d, d) symmetric,
+        (P, d, d, d) with [p, a, b, c] = d_a g_bc and (P, d, d, d, d) with
+        [p, a, b, c, d] = d_a d_b g_cd.  A jet that answers (g,) at every
+        order is value-only: its partials come from finite differences.
     in_domain : optional chart-domain predicate, points -> (P,) bool;
         violations raise ``ChartDomainError`` from every kernel operation.
     """
 
     dim: int
-    components: Callable[[np.ndarray], np.ndarray]
-    jet: Callable[[np.ndarray, int], tuple] | None = None
+    jet: Callable[[np.ndarray, int], tuple]
     in_domain: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def components(self, points) -> np.ndarray:
+        """g_ij at points, the order-0 value of the jet."""
+        return self.jet(points, 0)[0]
 
     def at(self, p: np.ndarray) -> np.ndarray:
         """g_ij at one point (d,) -> (d, d), or at a stack (P, d) -> (P, d, d)."""
@@ -224,8 +226,9 @@ class MetricField:
         return g[0] if single else g
 
     def without_analytic_derivatives(self) -> "MetricField":
-        """Copy of this field using only finite differences (FD backend)."""
-        return replace(self, jet=None)
+        """Copy of this field whose jet is value-only (the FD backend)."""
+        jet = self.jet
+        return replace(self, jet=lambda points, order: jet(points, 0))
 
 
 @dataclass(frozen=True)
@@ -348,15 +351,22 @@ def _partials(analytic, values, pts: np.ndarray, order: int, shape: tuple, what:
 
 
 def _metric_jet(metric: MetricField, pts: np.ndarray, order: int) -> list:
-    """[g, dg] or [g, dg, ddg] at a non-empty (P, d) stack from one call of the field's jet."""
+    """[g, ..] up to ``order`` at a (P, d) stack from one call of the field's jet.
+
+    A value-only jet gives [g] alone; an empty stack calls nothing.
+    """
     shape = (metric.dim,) * 2
+    if not len(pts):
+        return [np.empty((0,) + (metric.dim,) * o + shape) for o in range(order + 1)]
     out = metric.jet(pts, order)
-    return [_shaped(out[o], pts, (metric.dim,) * o + shape, f"metric jet d{o}" if o else "metric")
-            for o in range(order + 1)]
+    if len(out) not in (1, order + 1):
+        raise GeometryError(f"metric jet returned {len(out)} entries at order {order}, expected 1 or {order + 1}")
+    return [_shaped(a, pts, (metric.dim,) * o + shape, f"metric jet d{o}" if o else "metric")
+            for o, a in enumerate(out)]
 
 
 def _fd_metric_partials(metric: MetricField, pts: np.ndarray, order: int) -> list:
-    """[dg] or [dg, ddg] at a (P, d) stack from central differences of the components."""
+    """[dg] or [dg, ddg] at a (P, d) stack from central differences of the jet's value."""
     shape = (metric.dim,) * 2
     if not len(pts):
         return [np.empty((0,) + (metric.dim,) * o + shape) for o in range(1, order + 1)]
@@ -459,21 +469,16 @@ def metric_bundle(metric: MetricField, points, order: int = 1, scale=None) -> Me
     symbols, Hessians and norms), 2 adds ddg (curvature).  Points outside
     the chart domain or with an ill-conditioned metric are left out and
     recorded in ``errors``; callbacks never see them.  The points are
-    checked once, here.  At order >= 1 a field with a jet is then called
-    once on the valid points, and g is the jet's value part; otherwise
-    ``components`` is called once on them, and the FD stencils once on the
-    well-conditioned ones.
+    checked once, here.  The jet is then called once on the valid points;
+    if it is value-only, the FD stencils run once on the well-conditioned
+    ones.
     ``scale``, one positive factor per point, gives the bundle of the metric
     scale_p * g at point p: a conformal family at per-point times.
     """
     pts, _ = _point_stack(points, metric.dim)
     errors = _point_errors(pts, metric.in_domain)
     index, q = _kept(errors, (np.arange(len(pts)), pts))
-    from_jet = metric.jet is not None and order > 0 and len(q) > 0
-    if from_jet:
-        g, *partials = _metric_jet(metric, q, order)
-    else:
-        g, partials = _evaluate(metric.components, q, (metric.dim,) * 2, "metric"), []
+    g, *partials = _metric_jet(metric, q, order)
     if scale is not None:
         scale = np.asarray(scale, dtype=float)[index]
         g = scale[:, None, None] * g
@@ -482,7 +487,7 @@ def metric_bundle(metric: MetricField, points, order: int = 1, scale=None) -> Me
         for i, exc in zip(index, bad):
             errors[i] = errors[i] or exc
         index, q, g, ginv, scale, *partials = _kept(bad, (index, q, g, ginv, scale, *partials))
-    if not from_jet:
+    if len(partials) < order:
         partials = _fd_metric_partials(metric, q, order)
     dg, ddg = (*partials, None, None)[:2]
     if scale is not None:
@@ -615,31 +620,27 @@ def christoffel(metric: MetricField, p: np.ndarray) -> ConnectionCoeffs:
 
 
 def check_metric_derivatives(metric: MetricField, points, rtol: float = 1e-6) -> float:
-    """Cross-check a field's jet against its components and central differences.
+    """Cross-check a field's analytic partials against central differences of its value.
 
-    The jet is called once on the whole stack of points, and each order is
-    compared with one Richardson-extrapolated stencil, so that steep closed
-    forms are checked at the oracle's best accuracy.  Each point's deviation
-    is scaled by max(1, its largest jet entry).  Returns the worst one;
-    raises ``GeometryError`` if it exceeds ``rtol``.  Fields without a jet
-    pass trivially.
+    The jet is called once on the whole stack of points, and each order of
+    partials is compared with one Richardson-extrapolated stencil, so that
+    steep closed forms are checked at the oracle's best accuracy.  Each
+    point's deviation is scaled by max(1, its largest jet entry).  Returns
+    the worst one; raises ``GeometryError`` if it exceeds ``rtol``.  A
+    value-only field passes trivially.
     """
-    if metric.jet is None or not len(points):
+    if not len(points):
         return 0.0
     pts, _ = _checked(points, metric.dim, metric.in_domain)
     shape = (metric.dim,) * 2
-    jet = metric.jet(pts, 2)
     worst = 0.0
-    for order in range(3):
-        ana = _shaped(jet[order], pts, (metric.dim,) * order + shape, f"metric jet d{order}")
-        num = (_evaluate(metric.components, pts, shape, "metric") if order == 0
-               else _partials(None, metric.components, pts, order, shape, "metric", True))
+    for order, ana in enumerate(_metric_jet(metric, pts, 2)[1:], 1):
+        num = _partials(None, metric.components, pts, order, shape, "metric", True)
         axes = tuple(range(1, ana.ndim))
         dev = np.max(np.abs(ana - num), axis=axes) / np.maximum(1.0, np.max(np.abs(ana), axis=axes))
         worst = max(worst, float(np.max(dev)))
     if worst > rtol:
         raise GeometryError(
-            f"metric jet deviates from the components and their finite differences by {worst:.3e} "
-            f"(tol {rtol:.1e})"
+            f"metric jet deviates from the components' finite differences by {worst:.3e} (tol {rtol:.1e})"
         )
     return worst

@@ -5,11 +5,11 @@ Three strands meet here:
 
 * the flow Harnack quadratic Z(X, X) = Ric(X, X) + <X, grad R> +
   (dR/dt + R/t)/2, which is the large-N Ricci limit of the canonical
-  expander;
+  expander, ``canonical.limit_ricci``;
 * the hypersurface Harnack quadratic Z~(V, V) = dH/dt + h(V, V) +
-  2 <V, grad H> + H/(2t) and its curved-background completion
-  ``limit_second_ff``, the large-N limit of the track's second
-  fundamental form;
+  2 <V, grad H> + H/(2t), which is ``limit_second_ff`` on a flat
+  background; on a curved one that form, the large-N limit of the
+  track's second fundamental form, completes it;
 * the weighted functionals I_infty = int R^inf e^-f dV + 2 int H^inf e^-f dA
   (R^inf = R + 2 Lap f - |grad f|^2, H^inf = H - nu f) and the boundary
   integrand of their evolution, which ``limit_second_ff(-grad f)``
@@ -31,8 +31,7 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
-from .backgrounds import HypersurfacePointData, RicciFlowBackground, model_background
-from .canonical import limit_ricci
+from .backgrounds import HypersurfacePointData, model_background
 from .geometry import (
     ChartDomainError,
     MetricBundle,
@@ -48,8 +47,6 @@ from .geometry import (
 from .track import SpaceTimeTrack, track_point_data
 
 __all__ = [
-    "rf_harnack_Z",
-    "mcf_harnack_Ztilde",
     "limit_second_ff",
     "stripped_track_quadratic",
     "tangential_gradient",
@@ -73,29 +70,6 @@ class QuadratureError(ValueError):
 # ---------------------------------------------------------------------------
 # Harnack quadratics
 # ---------------------------------------------------------------------------
-
-
-def rf_harnack_Z(bg: RicciFlowBackground, X: np.ndarray, p: np.ndarray, t: float) -> float:
-    """Flow Harnack quadratic Z(X, X) on a forward background at t > 0.
-
-    Z is the large-N limit of the canonical expander's Ricci, so it is
-    ``limit_ricci``; only the error for a backward background differs.
-    """
-    if bg.direction != "forward":
-        raise ChartDomainError("the Harnack quadratic is defined along the forward flow")
-    return limit_ricci(bg, X, p, t)
-
-
-def mcf_harnack_Ztilde(hyp: HypersurfacePointData, V: np.ndarray) -> float:
-    """Hypersurface Harnack quadratic Z~(V, V) on a slice of a flow in flat space.
-
-    V is a tangent vector in hypersurface chart components.  Z~ is the
-    flat-background case of ``limit_second_ff``, so it is that form; only
-    the error for a curved background differs.
-    """
-    if not hyp.ambient.flat:
-        raise ChartDomainError("Z~ is defined for flows in a flat background")
-    return limit_second_ff(hyp, V)
 
 
 def limit_second_ff(hyp: HypersurfacePointData, V: np.ndarray) -> float:
@@ -163,8 +137,6 @@ def lott_boundary_integrand(hyp: HypersurfacePointData, f: ScalarField) -> float
 
 def _lott_integrand(hyp: HypersurfacePointData, comps: np.ndarray, tang: np.ndarray) -> float:
     """``lott_boundary_integrand`` given the boundary gradient (comps, tang) of f."""
-    if not np.isfinite(hyp.dt_mean_curvature):
-        raise ChartDomainError("boundary integrand needs dH/dt supplied with the slice data")
     ric, dRdy = hyp.curvature.ric, hyp.curvature.dRdy
     return (
         hyp.dt_mean_curvature

@@ -214,21 +214,20 @@ def derivatives(fn, t, order: int = 2) -> tuple:
 def metric_jet(components):
     """The ``MetricField.jet`` callback of ``components`` written with jet operations.
 
-    Returns (g, dg) at order 1 and (g, dg, ddg) at order 2 in the kernel's
-    layout, the point axes first: dg[..., a, b, c] = d_a g_bc and
-    ddg[..., a, b, c, d] = d_a d_b g_cd.
+    Returns (g,) at order 0, (g, dg) at order 1 and (g, dg, ddg) at order 2
+    in the kernel's layout, the point axes first: dg[..., a, b, c] = d_a g_bc
+    and ddg[..., a, b, c, d] = d_a d_b g_cd.
     """
     constant = []       # set once the components come back a plain array from a jet
 
     def jet(points, order: int) -> tuple:
-        if constant:
+        if constant or not order:
             g = components(np.asarray(points, dtype=float))
         else:
-            x = Jet.variables(points, order)
-            g = components(x)
+            g = components(Jet.variables(points, order))
             if type(g) is not Jet:
                 constant.append(True)
-        if constant:
+        if type(g) is not Jet:
             d = np.shape(points)[-1:]
             return (g,) + tuple(np.zeros(g.shape[:-2] + d * o + g.shape[-2:]) for o in range(1, order + 1))
         lead = tuple(range(1, g.v.ndim - 1))        # the point axes of g.g

@@ -12,6 +12,7 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 
 from cansol import jets
+from cansol.backgrounds import slice_stack
 from cansol.geometry import MetricField, hessian_batch
 
 
@@ -93,8 +94,7 @@ def laplacian_batch(b, f):
 def snapshot(bg, t):
     """The metric phi(t) sigma of a catalog background at one time, its jet sigma's scaled by phi(t)."""
     sigma, phi = bg.conformal.sigma, bg.conformal.phi(t)
-    return MetricField(dim=bg.dim, components=lambda p: phi * sigma.components(p),
-                       jet=lambda p, order: tuple(phi * a for a in sigma.jet(p, order)))
+    return MetricField(dim=bg.dim, jet=lambda p, order: tuple(phi * a for a in sigma.jet(p, order)))
 
 
 def canonical_christoffel_closed_form(cm, p, t, as_printed=False):
@@ -210,7 +210,7 @@ def jet_written_sphere_metric(d):
         one = np.ones(p.shape[:-1] + (1,))
         return jets.concatenate((one, jets.cumprod(s2)))[..., :, None] * eye
 
-    return MetricField(dim=d, components=comps, jet=jets.metric_jet(comps))
+    return MetricField(dim=d, jet=jets.metric_jet(comps))
 
 
 def conformal_scalars(bg):
@@ -271,6 +271,30 @@ def canonical_partials(cm):
         return out
 
     return d1, d2
+
+
+def mean_curvature_differences(mcf, x, t, h=1e-5):
+    """(dH/dx, dH/dt) at (x, t) from differences of the H that ``slice_stack`` computes.
+
+    Central differences with the kernel's step rule h * max(1, |coordinate|),
+    and the second-order backward stencil in t where t + h passes the end of
+    the flow's time domain.  One ``slice_stack`` call serves every shift.
+    """
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    hx = h * np.maximum(1.0, np.abs(x))
+    ht = h * max(1.0, abs(t))
+    central = t + ht <= mcf.time_domain[1]
+    times = [t + ht, t - ht] if central else [t, t - ht, t - 2.0 * ht]
+    shifts = hx[:, None] * np.eye(n)
+    xs = np.concatenate((x + shifts, x - shifts, np.tile(x, (len(times), 1))))
+    stack = slice_stack(mcf, xs, [t] * (2 * n) + times)
+    assert not any(stack.errors)
+    H = stack.ext[-1]
+    dxH = (H[:n] - H[n : 2 * n]) / (2.0 * hx)
+    Ht = H[2 * n :]
+    dtH = (Ht[0] - Ht[1]) / (2.0 * ht) if central else (3.0 * Ht[0] - 4.0 * Ht[1] + Ht[2]) / (2.0 * ht)
+    return dxH, float(dtH)
 
 
 def extrinsic_geometry(tangents, second_partials, g, gamma, hint):

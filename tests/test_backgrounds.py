@@ -8,12 +8,15 @@ import re
 import numpy as np
 import pytest
 
+import reference_kernel as ref
 from cansol import jets
 from cansol.backgrounds import (
     BackgroundError,
     GradientSolitonData,
+    MCFSolution,
     TimeScalarField,
     catalog_background_names,
+    catalog_mcf_names,
     gradient_soliton_residual,
     hypersurface_point_data,
     mcf_soliton_residual,
@@ -22,9 +25,17 @@ from cansol.backgrounds import (
     ricci_flow_residual,
     slice_stack,
 )
-from cansol.canonical import build_canonical_metric
+from cansol.canonical import build_canonical_metric, canonical_christoffel_closed_forms
 from cansol.geometry import ChartDomainError, ricci_batch, scalar_curvature_batch, tensor_norm_batch
 from cansol.track import mcf_canonical_sweep
+
+# an ambient for each catalog flow; the flat one ends at T = 0.2, before the
+# shrinking sphere's singular time 0.25
+FLOW_AMBIENTS = {
+    "shrinking_sphere_flat": dict(name="euclidean_static", dim=3, T=0.2),
+    "equator_in_sphere": dict(name="round_sphere", dim=3, r0=1.0, direction="backward"),
+    "static_plane_flat": dict(name="euclidean_static", dim=3, direction="backward"),
+}
 
 
 def tensor_norm(bg, t, T, p):
@@ -205,7 +216,8 @@ class TestRicciFlowResidual:
         dim = 3
         eye = np.eye(dim)
         conf = ConformalFamily(
-            sigma=MetricField(dim=dim, components=lambda p: np.zeros(p.shape[:-1] + (dim, dim)) + eye),
+            # a value-only sigma: the kernel differences it
+            sigma=MetricField(dim=dim, jet=lambda p, order: (np.zeros(p.shape[:-1] + (dim, dim)) + eye,)),
             phi=lambda t: 1.0 + t**2,
             sigma_scalar=0.0,
             ric_sigma=lambda p: np.zeros((dim, dim)),
@@ -326,58 +338,34 @@ class TestModelMCF:
         # h = g / r with the outward orientation
         assert np.allclose(data.second_ff, data.induced / r, atol=1e-10)
 
-    def test_mean_curvature_derivatives_fall_back_to_differences(self):
-        import dataclasses
+    @pytest.mark.parametrize("name", catalog_mcf_names())
+    def test_mean_curvature_partials_match_differences_of_the_engine(self, name, rng):
+        # the flow's dH/dx and dH/dt against central differences of the H that
+        # slice_stack computes, with the backward stencil at the final time
+        bg = model_background(**FLOW_AMBIENTS[name])
+        mcf = model_mcf(name, bg)
+        hi = mcf.time_domain[1]
+        for t in [*rng.uniform(0.1 * hi, 0.9 * hi, 3), hi]:
+            for x in mcf.sample_xs(3, rng):
+                data = hypersurface_point_data(mcf, x, t)
+                dxH, dtH = ref.mean_curvature_differences(mcf, x, t)
+                assert np.allclose(data.dx_mean_curvature, dxH, rtol=1e-6, atol=1e-7)
+                assert data.dt_mean_curvature == pytest.approx(dtH, rel=1e-6, abs=1e-7)
 
+    def test_every_catalog_flow_has_an_ambient_here(self):
+        assert sorted(FLOW_AMBIENTS) == sorted(catalog_mcf_names())
+
+    def test_a_flow_needs_its_mean_curvature_partials(self):
         bg = model_background("euclidean_static", dim=3)
-        mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
-        bare = dataclasses.replace(mcf, dx_mean_curvature=None, dt_mean_curvature=None)
-        x, t = np.array([0.9, 2.1]), 0.1
-        exact, fd = hypersurface_point_data(mcf, x, t), hypersurface_point_data(bare, x, t)
-        assert np.allclose(fd.dx_mean_curvature, exact.dx_mean_curvature, atol=1e-7)
-        assert fd.dt_mean_curvature == pytest.approx(exact.dt_mean_curvature, rel=1e-6)
-
-    @pytest.mark.parametrize("missing", ["dx_mean_curvature", "dt_mean_curvature"])
-    def test_a_given_mean_curvature_derivative_is_kept(self, missing):
-        import dataclasses
-
-        bg = model_background("euclidean_static", dim=3)
-        mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
-        x, t = np.array([0.9, 2.1]), 0.1
-        exact = hypersurface_point_data(mcf, x, t)
-        part = hypersurface_point_data(dataclasses.replace(mcf, **{missing: None}), x, t)
-        [kept] = {"dx_mean_curvature", "dt_mean_curvature"} - {missing}
-        assert np.array_equal(getattr(part, kept), getattr(exact, kept))
-        assert np.allclose(getattr(part, missing), getattr(exact, missing), rtol=1e-6, atol=1e-7)
-
-    def test_time_fallback_reaches_the_final_time(self):
-        # t + h lies past T, so dH/dt comes from the backward stencil
-        import dataclasses
-
-        bg = model_background("euclidean_static", dim=3, T=0.2)
-        mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
-        bare = dataclasses.replace(mcf, dt_mean_curvature=None)
-        t = bg.time_domain[1]
-        data = hypersurface_point_data(bare, np.array([1.1, 0.7]), t)
-        # dH/dt = n^2 / r^3 with r^2 = r0^2 - 2 n t
-        assert data.dt_mean_curvature == pytest.approx(4.0 / (1.0 - 4.0 * t) ** 1.5, rel=1e-6)
+        mcf = model_mcf("static_plane_flat", bg)
+        with pytest.raises(TypeError, match="mean_curvature"):
+            MCFSolution(name="bare", hypersurface_dim=2, ambient=bg, jet=mcf.jet,
+                        orientation_hint=mcf.orientation_hint)
 
     def test_slice_carries_its_background(self):
         bg = model_background("euclidean_static", dim=3)
         mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
         assert hypersurface_point_data(mcf, np.array([1.1, 0.7]), 0.1).ambient is bg
-
-    def test_spatial_fallback_reaches_the_final_time(self):
-        # with dH/dt given, H is differenced in x only, never at t > T
-        import dataclasses
-
-        bg = model_background("euclidean_static", dim=3)
-        mcf = model_mcf("static_plane_flat", bg, height=0.3)
-        x, t = np.array([0.4, -1.2]), mcf.time_domain[1]
-        exact = hypersurface_point_data(mcf, x, t)
-        part = hypersurface_point_data(dataclasses.replace(mcf, dx_mean_curvature=None), x, t)
-        assert part.dt_mean_curvature == exact.dt_mean_curvature
-        assert np.allclose(part.dx_mean_curvature, exact.dx_mean_curvature, atol=1e-9)
 
 
 class TestGradientSolitonResidual:
@@ -416,21 +404,25 @@ class TestGradientSolitonResidual:
         assert np.allclose(res.entries, np.diag([2.0, 0.0, 0.0]), atol=1e-14)
 
 
-def counting_sigma(bg):
-    """bg with its static metric sigma wrapped to count ``components`` and ``jet`` calls."""
-    calls = {"components": 0, "jet": 0}
+def counting_sigma(bg, einstein=False):
+    """bg with its static metric sigma wrapped to count jet calls by order.
+
+    ``einstein`` also routes ``ric_sigma`` through the counted sigma, as
+    Ric = (sigma_scalar / dim) sigma, which holds on the catalog.
+    """
+    calls = {0: 0, 1: 0, 2: 0}
     sigma = bg.conformal.sigma
 
-    def components(p):
-        calls["components"] += 1
-        return sigma.components(p)
-
     def jet(p, order):
-        calls["jet"] += 1
+        calls[order] += 1
         return sigma.jet(p, order)
 
-    counted = dataclasses.replace(sigma, components=components, jet=jet)
-    return dataclasses.replace(bg, conformal=dataclasses.replace(bg.conformal, sigma=counted)), calls
+    counted = dataclasses.replace(sigma, jet=jet)
+    conf = dataclasses.replace(bg.conformal, sigma=counted)
+    if einstein:
+        ratio = conf.sigma_scalar / bg.dim
+        conf = dataclasses.replace(conf, ric_sigma=lambda p: ratio * counted.components(p))
+    return dataclasses.replace(bg, conformal=conf), calls
 
 
 def not_a_soliton():
@@ -449,8 +441,8 @@ class TestOneBundlePerResidual:
     def test_gradient_soliton_residual_evaluates_sigma_once(self):
         bg, calls = counting_sigma(model_background("gaussian_shrinker_flat", dim=3))
         gradient_soliton_residual(bg, bg.soliton, np.array([0.3, -0.2, 0.5]), 0.4)
-        # the bundle reads g from the jet's value part
-        assert calls == {"components": 0, "jet": 1}
+        # one order-2 bundle
+        assert calls == {0: 0, 1: 0, 2: 1}
 
     def test_a_track_sweep_evaluates_sigma_once_per_bundle(self):
         # one sigma jet for the ambient slices, then one per N for the canonical
@@ -463,7 +455,17 @@ class TestOneBundlePerResidual:
         ts = list(rng.uniform(cms[0].t_min, mcf.time_domain[1], 16))
         sweep = mcf_canonical_sweep(mcf, cms, xs, ts)
         assert not any(isinstance(r, Exception) for entries in sweep for r in entries)
-        assert calls == {"components": 0, "jet": 5}
+        assert calls == {0: 0, 1: 5, 2: 0}
+
+    def test_closed_form_christoffel_tables_evaluate_sigma_twice(self):
+        # one order-1 background bundle and one order-0 ric_sigma; the time-time
+        # entry w comes from the time profiles, not from the whole metric
+        bg, calls = counting_sigma(model_background("round_sphere", dim=3, direction="forward"), einstein=True)
+        cm = build_canonical_metric(bg, "expanding", 1e3)
+        rng = np.random.default_rng(8)
+        pts = bg.sample_points(5, rng)
+        canonical_christoffel_closed_forms(cm, pts, rng.uniform(cm.t_min, bg.time_domain[1], 5))
+        assert calls == {0: 1, 1: 1, 2: 0}
 
     def test_residuals_equal_the_values_before_the_single_bundle(self):
         # digests of the residual bytes, computed with a Ricci, a Hessian and a

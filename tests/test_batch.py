@@ -1,6 +1,7 @@
 """The batched kernel: batch independence, the pointwise reference, per-point failures."""
 
 import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -87,7 +88,7 @@ def spd_metric(d, rng, terms=3):
             g = g + jets.sin(phase)[..., None, None] * S[k]
         return g
 
-    return MetricField(dim=d, components=comps, jet=jets.metric_jet(comps))
+    return MetricField(dim=d, jet=jets.metric_jet(comps))
 
 
 def spacetime_stack(cm, k, rng):
@@ -239,8 +240,8 @@ class TestPointwiseReference:
 def degenerate_at(cm, t_singular, t_ill):
     """cm with a singular metric at time t_singular and an ill-conditioned one at t_ill.
 
-    Both the components and the jet's value part carry the defect, so the
-    bundles of every order see it.
+    The jet's value part carries the defect, so the bundles of every order
+    see it.
     """
     base = cm.field
 
@@ -254,7 +255,7 @@ def degenerate_at(cm, t_singular, t_ill):
         g, *partials = base.jet(z, order)
         return (degenerate(z, g), *partials)
 
-    field = dataclasses.replace(base, components=lambda z: degenerate(z, base.components(z)), jet=jet)
+    field = dataclasses.replace(base, jet=jet)
     return dataclasses.replace(cm, field=field)
 
 
@@ -308,8 +309,7 @@ class TestFailuresInsideABatch:
             g[..., 1, 1] = p[..., 0] ** 2     # singular on x = 0
             return g
 
-        metric = MetricField(dim=2, components=comps,
-                             jet=lambda p, order: (comps(p), np.zeros(p.shape + (2, 2))),
+        metric = MetricField(dim=2, jet=lambda p, order: (comps(p), np.zeros(p.shape + (2, 2)))[: order + 1],
                              in_domain=lambda p: p[..., 1] < 5.0)
         pts = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 9.0], [np.inf, 0.0], [2.0, 1.0]])
         b = metric_bundle(metric, pts, order=1)
@@ -319,7 +319,7 @@ class TestFailuresInsideABatch:
             with pytest.raises(type(b.errors[i])) as info:
                 christoffel(metric, pts[i])
             assert str(info.value) == str(b.errors[i])
-        # components saw no point outside the chart
+        # the jet saw no point outside the chart
         assert all(np.all(s[:, 1] < 5.0) and np.all(np.isfinite(s)) for s in seen)
 
     def test_an_ill_conditioned_row_inside_a_stack(self):
@@ -345,8 +345,7 @@ class TestFailuresInsideABatch:
 
 class TestCallbackContract:
     def test_per_point_shape_only_from_a_single_point(self):
-        metric = MetricField(dim=2, components=lambda p: np.eye(2),
-                             jet=lambda p, order: (np.eye(2), np.zeros((2, 2, 2))))
+        metric = MetricField(dim=2, jet=lambda p, order: (np.eye(2), np.zeros((2, 2, 2)))[: order + 1])
         assert np.array_equal(inverse_metric(metric, np.zeros(2)), np.eye(2))
         assert np.array_equal(christoffel(metric, np.zeros(2)).gamma, np.zeros((2, 2, 2)))
         for pts in (np.zeros((2, 2)), np.zeros((3, 2))):
@@ -355,40 +354,56 @@ class TestCallbackContract:
         # on a flat metric the Hessian is the d2 callback's matrix
         f = ScalarField(value=lambda p: np.zeros(len(p)), d2=lambda p: np.eye(2))
         assert np.array_equal(hessian_batch(_at_point(metric, np.zeros(2), 1), f)[0], np.eye(2))
-        flat = MetricField(dim=2, components=lambda p: np.zeros((len(p), 2, 2)) + np.eye(2))
+        flat = MetricField(dim=2, jet=lambda p, order: (np.zeros((len(p), 2, 2)) + np.eye(2),))
         with pytest.raises(GeometryError, match="scalar d2 callback returned shape"):
             hessian_batch(metric_bundle(flat, np.zeros((2, 2)), order=1), f)
 
-    def test_a_bundle_reads_g_from_the_jet(self):
+    def test_one_jet_call_per_bundle(self):
+        # a bundle calls the jet once, on the valid points, at its own order; a
+        # value-only jet is then called once per FD stencil, at order 0
+        def counted(field):
+            inner = field.jet
+
+            def jet(p, order):
+                seen.append((order, p.copy()))
+                return inner(p, order)
+
+            return dataclasses.replace(field, jet=jet)
+
         sigma = unit_sphere_metric(3)
-        calls = {"components": 0, "jet": 0}
-
-        def components(p):
-            calls["components"] += 1
-            return sigma.components(p)
-
-        def jet(p, order):
-            calls["jet"] += 1
-            return sigma.jet(p, order)
-
-        metric = dataclasses.replace(sigma, components=components, jet=jet)
         pts = sphere_stack(3, 4, np.random.default_rng(3))
-        g = []
-        for field, order, want in [(metric, 0, (1, 0)), (metric, 1, (0, 1)), (metric, 2, (0, 1)),
-                                   (metric.without_analytic_derivatives(), 0, (1, 0))]:
-            calls.update(components=0, jet=0)
-            g.append(metric_bundle(field, pts, order).g)
-            assert (calls["components"], calls["jet"]) == want, order
-        # without a jet, g is one components call on the stack, then one per stencil
-        seen = []
-        fd = MetricField(dim=3, components=lambda p: seen.append(p.copy()) or sigma.components(p),
-                         in_domain=sigma.in_domain)
-        g.append(metric_bundle(fd, pts, 2).g)
-        assert len(seen) == 3 and np.array_equal(seen[0], pts)
+        seen, g = [], []
+        for order in (0, 1, 2):
+            for field, want in [(counted(sigma), [order]),
+                                (counted(sigma.without_analytic_derivatives()), [order] + [0] * order)]:
+                seen.clear()
+                b = metric_bundle(field, np.vstack((pts, [[0.0, 1.0, 1.0]])), order)
+                assert [o for o, _ in seen] == want
+                assert np.array_equal(seen[0][1], pts)
+                assert b.index.tolist() == [0, 1, 2, 3]
+                g.append(b.g)
         assert all(np.array_equal(a, g[0]) for a in g)
 
+    def test_a_jet_answers_the_value_or_every_order_asked(self):
+        sigma = unit_sphere_metric(3)
+        short = dataclasses.replace(sigma, jet=lambda p, order: sigma.jet(p, order)[:2])
+        pts = sphere_stack(3, 2, np.random.default_rng(4))
+        assert np.array_equal(metric_bundle(short, pts, 1).dg, metric_bundle(sigma, pts, 1).dg)
+        with pytest.raises(GeometryError, match="returned 2 entries at order 2"):
+            metric_bundle(short, pts, 2)
+
+    def test_the_fd_backend_keeps_its_bits(self):
+        # digest of the sphere's FD bundle taken before the FD backend became a
+        # value-only jet
+        pts = np.array([[0.4, 1.1, 2.0], [1.3, 0.7, 5.5], [2.2, 2.9, 0.3], [1.0, 1.6, 4.1]])
+        b = metric_bundle(unit_sphere_metric(3).without_analytic_derivatives(), pts, 2)
+        h = hashlib.sha256()
+        for a in (b.g, b.ginv, b.dg, b.ddg):
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest() == "d5873d2a7f555b480791c04633e37de15448b497a89a5b4a8b89d042c1d5662a"
+
     def test_wrong_leading_axis_raises(self):
-        metric = MetricField(dim=2, components=lambda p: np.zeros((len(p) + 1, 2, 2)))
+        metric = MetricField(dim=2, jet=lambda p, order: (np.zeros((len(p) + 1, 2, 2)),))
         with pytest.raises(GeometryError):
             metric.at(np.zeros((2, 2)))
 

@@ -34,20 +34,17 @@ def flat_metric(d, scale=1.0):
     def comps(p):
         return np.zeros(p.shape[:-1] + (d, d)) + scale * np.eye(d)
 
-    return MetricField(dim=d, components=comps, jet=jets.metric_jet(comps))
+    return MetricField(dim=d, jet=jets.metric_jet(comps))
 
 
 def scaled_sphere(d, r):
     """Round d-sphere of radius r, derivatives from the unit sphere's own jet scaled by r^2."""
     sigma = unit_sphere_metric(d)
 
-    def comps(p):
-        return r**2 * sigma.components(p)
-
     def jet(p, order):
         return tuple(r**2 * a for a in sigma.jet(p, order))
 
-    return MetricField(dim=d, components=comps, jet=jet, in_domain=sigma.in_domain)
+    return MetricField(dim=d, jet=jet, in_domain=sigma.in_domain)
 
 
 def sphere_points(d, count, seed=0):
@@ -223,7 +220,7 @@ class TestTensorNorm:
 
         relabeled = MetricField(
             dim=3,
-            components=lambda q: base.components(q[..., inv])[..., perm, :][..., perm],
+            jet=lambda q, order: (base.components(q[..., inv])[..., perm, :][..., perm],),
         )
         T_perm = SymTensor2(T.entries[np.ix_(perm, perm)])
         assert tensor_norm(relabeled, T_perm, p[perm]) == pytest.approx(
@@ -278,7 +275,7 @@ class TestDerivativeBackends:
         def comps(p):
             return jets.exp(k * p[..., 0])[..., None, None] * np.eye(2)
 
-        steep = MetricField(dim=2, components=comps, jet=jets.metric_jet(comps))
+        steep = MetricField(dim=2, jet=jets.metric_jet(comps))
         p = np.array([0.5, 0.3])
         ddg = metric_bundle(steep, p, order=2).ddg[0]
         assert np.allclose(ddg[0, 0], k**2 * comps(p), rtol=1e-14)
@@ -292,10 +289,10 @@ class TestDerivativeBackends:
         m = unit_sphere_metric(3)
 
         def wrong_jet(p, order):
-            g, dg, *rest = m.jet(p, order)
-            return (g, (1.0 + 1e-3) * dg, *rest)
+            g, *partials = m.jet(p, order)
+            return (g, *((1.0 + 1e-3) * a if o == 0 else a for o, a in enumerate(partials)))
 
-        wrong = MetricField(dim=3, components=m.components, jet=wrong_jet, in_domain=m.in_domain)
+        wrong = MetricField(dim=3, jet=wrong_jet, in_domain=m.in_domain)
         with pytest.raises(GeometryError, match="deviates from the components"):
             check_metric_derivatives(wrong, sphere_points(3, 3, seed=1), rtol=1e-6)
         assert check_metric_derivatives(m, sphere_points(3, 3, seed=1), rtol=1e-6) < 1e-6
@@ -303,7 +300,7 @@ class TestDerivativeBackends:
 
 class TestErrors:
     def test_degenerate_metric_rejected(self):
-        m = MetricField(dim=2, components=lambda p: np.broadcast_to(np.diag([1.0, 1e-15]), p.shape[:-1] + (2, 2)))
+        m = MetricField(dim=2, jet=lambda p, order: (np.broadcast_to(np.diag([1.0, 1e-15]), p.shape[:-1] + (2, 2)),))
         with pytest.raises(DegenerateMetricError):
             inverse_metric(m, np.zeros(2))
 

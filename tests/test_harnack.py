@@ -11,7 +11,7 @@ from cansol.backgrounds import (
     model_background,
     model_mcf,
 )
-from cansol.canonical import build_canonical_metric, limit_ricci
+from cansol.canonical import CanonicalConfigError, build_canonical_metric, limit_ricci
 from cansol.geometry import ChartDomainError, ScalarField, hessian_batch, scalar_d1
 from cansol.harnack import (
     I_GHY,
@@ -22,9 +22,7 @@ from cansol.harnack import (
     limit_second_ff,
     lott_boundary_integrand,
     lott_match_defect,
-    mcf_harnack_Ztilde,
     random_polynomial_field,
-    rf_harnack_Z,
     stripped_track_quadratic,
     tangential_gradient,
     weighted_mean_curvature,
@@ -50,9 +48,11 @@ def gaussian_potential(dim=3):
 
 
 class TestFlowHarnack:
+    """Z(X, X), the large-N limit of the canonical expander's Ricci: ``limit_ricci``."""
+
     def test_flat_vanishes(self):
         bg = flat_fwd()
-        assert rf_harnack_Z(bg, np.array([1.0, -2.0, 0.5]), np.zeros(3), 0.4) == 0.0
+        assert limit_ricci(bg, np.array([1.0, -2.0, 0.5]), np.zeros(3), 0.4) == 0.0
 
     def test_sphere_documented_value(self):
         bg = sphere_fwd()
@@ -60,29 +60,35 @@ class TestFlowHarnack:
         [g] = bg.bundle([p], [t], order=0).g
         X = np.zeros(3)
         X[0] = 1.0 / math.sqrt(g[0, 0])
-        assert rf_harnack_Z(bg, X, p, t) == pytest.approx(86.6667, abs=1e-3)
+        assert limit_ricci(bg, X, p, t) == pytest.approx(86.6667, abs=1e-3)
 
-    def test_equals_limit_ricci_everywhere(self):
-        # definitional identity, kept as a regression guard
+    def test_sphere_hand_formula_everywhere(self):
+        # on the forward unit 3-sphere phi = 1 - 4t: Ric = 2 sigma, R = 6/phi,
+        # dR/dt = 24/phi^2 and grad R = 0
+        bg = sphere_fwd()
         rng = np.random.default_rng(9)
-        for bg in (flat_fwd(), sphere_fwd()):
-            hi = bg.time_domain[1]
-            for p in bg.sample_points(5, rng):
-                for t in rng.uniform(0.05 * hi, hi, 3):
-                    X = rng.uniform(-2, 2, 3)
-                    assert rf_harnack_Z(bg, X, p, t) == limit_ricci(bg, X, p, t)
+        hi = bg.time_domain[1]
+        for p in bg.sample_points(5, rng):
+            for t in rng.uniform(0.05 * hi, hi, 3):
+                X = rng.uniform(-2, 2, 3)
+                phi = 1.0 - 4.0 * t
+                sigma = bg.conformal.sigma.components(p)
+                hand = 2.0 * X @ sigma @ X + 0.5 * (24.0 / phi**2 + 6.0 / (phi * t))
+                assert limit_ricci(bg, X, p, t) == pytest.approx(hand, rel=1e-12)
 
     def test_backward_rejected(self):
         bg = model_background("euclidean_static", dim=3, direction="backward")
-        with pytest.raises(ChartDomainError):
-            rf_harnack_Z(bg, np.zeros(3), np.zeros(3), 0.5)
+        with pytest.raises(CanonicalConfigError):
+            limit_ricci(bg, np.zeros(3), np.zeros(3), 0.5)
 
 
 class TestHypersurfaceHarnack:
+    """Z~(V, V), which ``limit_second_ff`` is on a flat background."""
+
     def test_shrinking_sphere_zero_vector(self):
         # dH/dt + H/(2t) = n^2/r^3 + n/(2 t r) at n=2, r0=1, t=0.1
         mcf = model_mcf("shrinking_sphere_flat", flat_fwd(), r0=1.0)
-        val = mcf_harnack_Ztilde(hypersurface_point_data(mcf, np.array([1.1, 0.7]), 0.1), np.zeros(2))
+        val = limit_second_ff(hypersurface_point_data(mcf, np.array([1.1, 0.7]), 0.1), np.zeros(2))
         assert val == pytest.approx(21.5165, abs=1e-3)
 
     def test_shrinking_sphere_unit_tangent(self):
@@ -92,41 +98,37 @@ class TestHypersurfaceHarnack:
         V = np.zeros(2)
         V[0] = 1.0 / math.sqrt(hyp.induced[0, 0])
         # previous value plus h(V, V) = 1/sqrt(0.6)
-        assert mcf_harnack_Ztilde(hyp, V) == pytest.approx(22.8076, abs=1e-3)
+        assert limit_second_ff(hyp, V) == pytest.approx(22.8076, abs=1e-3)
+
+    def test_shrinking_sphere_hand_formula_everywhere(self):
+        # h = g_M / r on the sphere of radius r = sqrt(1 - 4t), and H = 2/r is
+        # constant in space: Z~ = 4/r^3 + g_M(V, V)/r + 1/(t r)
+        mcf = model_mcf("shrinking_sphere_flat", flat_fwd(), r0=1.0)
+        rng = np.random.default_rng(11)
+        hi = mcf.time_domain[1]
+        for _ in range(5):
+            x = mcf.sample_xs(1, rng)[0]
+            t = float(rng.uniform(0.05 * hi, hi))
+            V = rng.uniform(-2, 2, 2)
+            hyp = hypersurface_point_data(mcf, x, t)
+            r = math.sqrt(1.0 - 4.0 * t)
+            hand = 4.0 / r**3 + float(V @ hyp.induced @ V) / r + 1.0 / (t * r)
+            assert limit_second_ff(hyp, V) == pytest.approx(hand, rel=1e-9)
 
     def test_static_plane_vanishes(self):
         mcf = model_mcf("static_plane_flat", flat_fwd())
         hyp = hypersurface_point_data(mcf, np.array([0.2, 0.4]), 0.5)
         for V in (np.zeros(2), np.array([1.0, -3.0])):
-            assert mcf_harnack_Ztilde(hyp, V) == 0.0
+            assert limit_second_ff(hyp, V) == 0.0
 
     def test_backward_background_rejected(self):
         bg = model_background("euclidean_static", dim=3, direction="backward")
         mcf = model_mcf("static_plane_flat", bg)
         with pytest.raises(ChartDomainError, match="forward flow"):
-            mcf_harnack_Ztilde(hypersurface_point_data(mcf, np.array([0.2, 0.4]), 0.5), np.zeros(2))
-
-    def test_curved_background_rejected(self):
-        mcf = model_mcf("equator_in_sphere", sphere_fwd())
-        with pytest.raises(ChartDomainError):
-            mcf_harnack_Ztilde(hypersurface_point_data(mcf, np.array([1.2, 0.3]), 0.1), np.zeros(2))
+            limit_second_ff(hypersurface_point_data(mcf, np.array([0.2, 0.4]), 0.5), np.zeros(2))
 
 
 class TestLimitSecondFF:
-    def test_flat_identity_with_Ztilde(self):
-        bg = flat_fwd()
-        for name in ("shrinking_sphere_flat", "static_plane_flat"):
-            mcf = model_mcf(name, bg, **({"r0": 1.0} if name.startswith("shrink") else {}))
-            rng = np.random.default_rng(11)
-            hi = (mcf.time_domain or bg.time_domain)[1]
-            for _ in range(5):
-                x = mcf.sample_xs(1, rng)[0]
-                t = float(rng.uniform(0.05 * hi, hi))
-                V = rng.uniform(-2, 2, 2)
-                hyp = hypersurface_point_data(mcf, x, t)
-                gap = limit_second_ff(hyp, V) - mcf_harnack_Ztilde(hyp, V)
-                assert abs(gap) < 1e-8
-
     def test_equator_in_forward_sphere_vanishes(self):
         bg = sphere_fwd()
         mcf = model_mcf("equator_in_sphere", bg)
