@@ -41,11 +41,12 @@ from .geometry import (
     MetricField,
     ScalarField,
     SymTensor2,
+    _check_each,
     _inverse,
     _kept,
     _one_point,
+    _point_errors,
     _raise_first,
-    chart_point,
     christoffel_batch,
     hessian_batch,
     metric_bundle,
@@ -518,7 +519,7 @@ def _gaussian_shrinker_flat(dim, T):
         dyy=lambda y, t: np.broadcast_to(np.eye(dim) / (2.0 * t), y.shape + (dim,)),
     )
     soliton = GradientSolitonData(potential, "shrinking")
-    return replace(_euclidean_static(dim, "backward", T), soliton=soliton)
+    return replace(_euclidean_static(dim, "backward", T), name="gaussian_shrinker_flat", soliton=soliton)
 
 
 # each catalog background: its builder, and the (default, spec) pair of each parameter
@@ -596,7 +597,7 @@ class MCFSolution:
 
 
 def _shrinking_sphere_flat(bg, n, r0):
-    if bg.name != "euclidean_static":
+    if not bg.flat:
         raise BackgroundError("shrinking_sphere_flat needs a flat background")
     omega_jet = sphere_embedding_jet(n)
     # the outward hint is omega alone, not a second full jet
@@ -645,7 +646,7 @@ def _equator_in_sphere(bg, n):
 
 
 def _static_plane_flat(bg, n, height):
-    if bg.name != "euclidean_static":
+    if not bg.flat:
         raise BackgroundError("static_plane_flat needs a flat background")
     return MCFSolution(
         name="static_plane_flat",
@@ -733,8 +734,6 @@ def gradient_soliton_residual(
 ) -> SymTensor2:
     """Gradient-soliton defect Ric + Hess(f) + (c / 2t) g at (p, t), from one metric bundle."""
     t = bg.check_time(t)
-    if t == 0.0:
-        raise ChartDomainError("gradient soliton residual undefined at t = 0")
     b = bg.bundle(_one_point(p), [t], order=2)
     b.raise_error()
     hess = hessian_batch(b, sol.potential.at_time(t))[0]
@@ -883,24 +882,33 @@ class SliceStack(NamedTuple):
         )
 
 
-def slice_stack(mcf: MCFSolution, xs: np.ndarray, ts: list) -> SliceStack:
+def slice_stack(mcf: MCFSolution, xs, ts) -> SliceStack:
     """The flow's 2-jets and the extrinsic geometry of M_t at a stack of (x, t) pairs.
 
-    ``xs`` is a (P, n) stack of finite chart points and ``ts`` their P
-    times, floats in the flow's time domain.  The flow's callbacks run once
-    on the stack, and the ambient's ``bundle`` once at the image points; a
-    time outside the ambient's domain raises.
+    ``xs`` is a (P, n) stack of chart points and ``ts`` their P times.  Each
+    pair is checked, and its failure recorded in ``errors``, as
+    ``metric_bundle`` does: a time outside the flow's domain, then the
+    ambient's, then a non-finite x or an image outside the ambient chart
+    (``ChartDomainError``), then a degenerate ambient or induced metric
+    (``DegenerateMetricError``).  The flow's callbacks and the ambient's
+    ``bundle`` run once, on the pairs that pass.
     """
-    times = np.asarray(ts, dtype=float)
-    jet = tuple(np.asarray(a, dtype=float) for a in mcf.jet(xs, times))
-    amb = mcf.ambient.bundle(jet[0], ts, order=1)
-    index, errors = amb.index, list(amb.errors)
-    *jet, x, times = _kept(errors, jet + (xs, times))
+    times = np.asarray(ts, dtype=float).reshape(-1)
+    ts = times.tolist()
+    xs = np.asarray(xs, dtype=float).reshape(len(ts), mcf.hypersurface_dim)
+    timed = _check_each((mcf.check_time, mcf.ambient.check_time), ts)
+    errors = [e or f for e, f in zip(timed, _point_errors(xs))]
+    index, x, times = _kept(errors, (np.arange(len(ts)), xs, times))
+    jet = tuple(np.asarray(a, dtype=float) for a in mcf.jet(x, times))
+    amb = mcf.ambient.bundle(jet[0], times.tolist(), order=1)
+    *jet, x, times = _kept(amb.errors, jet + (x, times))
     hint = np.asarray(mcf.orientation_hint(x, times), dtype=float)
     ext, bad = extrinsic_geometry_batch(jet[2], jet[3], amb.g, christoffel_batch(amb), hint)
+    for i, exc in zip(index, amb.errors):
+        errors[i] = exc
+    index = index[amb.index]
     for i, exc in zip(index, bad):
-        if exc is not None:
-            errors[i] = BackgroundError(f"degenerate induced metric at x={xs[i]}, t={ts[i]}")
+        errors[i] = exc
     index, g, ginv, *jet = _kept(bad, (index, amb.g, amb.ginv, *jet))
     return SliceStack(mcf, xs, ts, index, errors, tuple(jet), ext, g, ginv)
 
@@ -908,11 +916,10 @@ def slice_stack(mcf: MCFSolution, xs: np.ndarray, ts: list) -> SliceStack:
 def hypersurface_point_data(mcf: MCFSolution, x: np.ndarray, t: float) -> HypersurfacePointData:
     """Compute induced metric, normal, h, H and H-derivatives at (x, t).
 
-    The P = 1 case of ``slice_stack``; the H-derivatives are the flow's
+    The one-pair case of ``slice_stack``: it raises the error that
+    ``slice_stack`` records at (x, t).  The H-derivatives are the flow's
     own callbacks.
     """
-    t = mcf.check_time(t)
-    x = chart_point(x)
-    stack = slice_stack(mcf, x[None], [t])
+    stack = slice_stack(mcf, _one_point(x)[None], [t])
     _raise_first(stack.errors)
     return stack.record(0)

@@ -34,7 +34,9 @@ from .geometry import (
     MetricField,
     ScalarField,
     SymTensor2,
+    _check_each,
     _point_errors,
+    _raise_first,
     christoffel,  # noqa: F401  (canonical.christoffel, a binding the benchmark tracer patches)
     christoffel_batch,
     hessian_batch,
@@ -68,7 +70,11 @@ T_MIN_FRACTION = 0.05
 
 
 class CanonicalConfigError(ValueError):
-    """Variant/direction mismatch or inadmissible parameter N."""
+    """Unknown variant, variant/direction mismatch, inadmissible N or a foreign background.
+
+    A configuration error only: a point that cannot be evaluated is a
+    ``ChartDomainError`` or a ``DegenerateMetricError``.
+    """
 
 
 def _sign(variant: str) -> int:
@@ -107,6 +113,12 @@ class CanonicalMetric:
     def t_min(self) -> float:
         """Default sampling floor, T_MIN_FRACTION of the time horizon."""
         return T_MIN_FRACTION * self.base.time_domain[1]
+
+    def check_floor(self, t: float) -> float:
+        """t, or a ``ChartDomainError`` if it lies below the sampling floor ``t_min``."""
+        if t < self.t_min:
+            raise ChartDomainError(f"t={t} below the sampling floor t_min={self.t_min}")
+        return t
 
     def spacetime_point(self, p: np.ndarray, t: float) -> np.ndarray:
         return np.concatenate(([float(t)], np.asarray(p, dtype=float)))
@@ -275,15 +287,14 @@ def ricci_soliton_residuals(cm: CanonicalMetric, points, ts) -> list:
     """``ricci_soliton_residual`` at every (p, t) pair, in one kernel call.
 
     Returns one entry per pair, in order: the ``ResidualSample``, or the
-    exception the single-point call raises there (a time below t_min, a
-    point outside the chart, a degenerate metric).
+    ``ChartDomainError`` (outside the background's time domain, below
+    t_min, outside the chart) or ``DegenerateMetricError`` the single-point
+    call raises there.
     """
     ts = np.asarray(ts, dtype=float)
     pts = np.asarray(points, dtype=float).reshape(len(ts), cm.base.dim)
-    out = [
-        ChartDomainError(f"t={t} below sampling floor t_min={cm.t_min}") if t < cm.t_min else None
-        for t in ts.tolist()
-    ]
+    # the floor comes after the time domain, as on the track
+    out = _check_each((cm.base.check_time, cm.check_floor), ts.tolist())
     sampled = [i for i, exc in enumerate(out) if exc is None]
     b = metric_bundle(cm.field, np.column_stack((ts, pts))[sampled], order=2)
     E = ricci_batch(b) + hessian_batch(b, cm.potential) + cm.soliton_constant * b.g
@@ -413,10 +424,8 @@ def canonical_christoffel_closed_forms(cm: CanonicalMetric, points, ts, as_print
     m, N, s = bg.dim, cm.N, cm.sign
     t = np.asarray(ts, dtype=float)
     z = np.column_stack((t, np.reshape(points, (len(t), m))))
-    for exc, t_i in zip(_point_errors(z, cm.field.in_domain), t.tolist()):
-        if exc is not None:
-            raise exc
-        bg.check_time(t_i)
+    times = _check_each((bg.check_time,), t.tolist())
+    _raise_first([e or f for e, f in zip(_point_errors(z, cm.field.in_domain), times)])
 
     b = bg.bundle(z[:, 1:], t.tolist(), order=1)
     b.raise_error()

@@ -36,7 +36,7 @@ from .canonical import (
     minimal_admissible_N,
     ricci_soliton_residual,
 )
-from .geometry import FD_H1, FD_H2, ChartDomainError, DegenerateMetricError, ScalarField
+from .geometry import FD_H1, FD_H2, ChartDomainError, DegenerateMetricError, ScalarField, _check_each
 from .harnack import (
     I_GHY,
     I_infty,
@@ -52,7 +52,7 @@ from .track import build_track, mcf_canonical_sweep
 __all__ = ["ConfigError", "RunConfig", "run", "main", "SUITES"]
 
 # errors collected per point instead of aborting the sweep
-_POINT_ERRORS = (DegenerateMetricError, ChartDomainError, CanonicalConfigError)
+_POINT_ERRORS = (ChartDomainError, DegenerateMetricError)
 
 _ZERO_TOL = 1e-8   # sups and limit errors below this count as exact
 
@@ -122,10 +122,8 @@ def _check_times(cfg: RunConfig, model, ts):
 
     ``model`` is a background or a flow.  Drawn times lie in the domain; given ones may not.
     """
-    for i, t in enumerate(ts):
-        try:
-            model.check_time(t)
-        except ChartDomainError as exc:
+    for i, exc in enumerate(_check_each((model.check_time,), ts)):
+        if exc is not None:
             raise ConfigError(f"{cfg.suite} sample {i}: {exc}") from exc
 
 
@@ -243,8 +241,7 @@ def _run_mcf_soliton(cfg: RunConfig, report: ResidualReport):
     mcf = _model(cfg, "mcf", model_mcf, bg)
     _, xs, ts = _draw_samples(cfg, mcf.sample_xs, mcf.time_domain, 20)
     # N is checked on the pairs inside the background's time domain; the rest stay per-point errors
-    lo, hi = bg.time_domain
-    samples = [(x, t) for x, t in zip(xs, ts) if lo < t <= hi]
+    samples = [(x, t) for x, t, exc in zip(xs, ts, _check_each((bg.check_time,), ts)) if exc is None]
 
     cms = [build_canonical_metric(bg, variant, N, samples=samples) for N in Ns]
     sups_per_N = _defect_sweep(report, Ns, mcf_canonical_sweep(mcf, cms, xs, ts), "x", xs, ts)

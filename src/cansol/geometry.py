@@ -52,7 +52,6 @@ __all__ = [
     "SymTensor2",
     "ConnectionCoeffs",
     "MetricBundle",
-    "chart_point",
     "metric_bundle",
     "scalar_d1",
     "inverse_metric",
@@ -159,14 +158,18 @@ def _checked(p, dim: int | None = None, in_domain=None) -> tuple[np.ndarray, boo
     return pts, single
 
 
-def chart_point(coords) -> np.ndarray:
-    """Validate chart coordinates and return them as a float array.
-
-    Raises ``ChartDomainError`` if any entry is non-finite.
-    """
-    p = _one_point(coords)
-    _checked(p)
-    return p
+def _check_each(checks, values) -> list:
+    """Per value: None, or the ChartDomainError of the first of ``checks`` that raises on it."""
+    errors = []
+    for v in values:
+        try:
+            for check in checks:
+                check(v)
+            errors.append(None)
+        except ChartDomainError as exc:
+            # kept without its traceback, whose frames would hold the caller's stack
+            errors.append(exc.with_traceback(None))
+    return errors
 
 
 def _evaluate(fn, pts: np.ndarray, shape: tuple, what: str, dtype=float) -> np.ndarray:
@@ -319,8 +322,8 @@ def _central_d2(f, pts: np.ndarray, h: float, shape: tuple, what: str) -> np.nda
     shifted = np.concatenate(
         (p, p + shift, p - shift, p + ea + eb, p + ea - eb, p - ea + eb, p - ea - eb), axis=1
     )
-    vals = _evaluate(f, shifted.reshape(-1, d), shape, what).reshape((P, -1) + shape)
     k = len(ia)
+    vals = _evaluate(f, shifted.reshape(-1, d), shape, what).reshape((P, 1 + 2 * d + 4 * k) + shape)
     f0, fp, fm = vals[:, :1], vals[:, 1 : 1 + d], vals[:, 1 + d : 1 + 2 * d]
     fpp, fpm, fmp, fmm = (vals[:, 1 + 2 * d + j * k : 1 + 2 * d + (j + 1) * k] for j in range(4))
     tail = (1,) * len(shape)
@@ -363,14 +366,6 @@ def _metric_jet(metric: MetricField, pts: np.ndarray, order: int) -> list:
         raise GeometryError(f"metric jet returned {len(out)} entries at order {order}, expected 1 or {order + 1}")
     return [_shaped(a, pts, (metric.dim,) * o + shape, f"metric jet d{o}" if o else "metric")
             for o, a in enumerate(out)]
-
-
-def _fd_metric_partials(metric: MetricField, pts: np.ndarray, order: int) -> list:
-    """[dg] or [dg, ddg] at a (P, d) stack from central differences of the jet's value."""
-    shape = (metric.dim,) * 2
-    if not len(pts):
-        return [np.empty((0,) + (metric.dim,) * o + shape) for o in range(1, order + 1)]
-    return [_partials(None, metric.components, pts, o, shape, "metric") for o in range(1, order + 1)]
 
 
 def scalar_d1(f: ScalarField, p: np.ndarray) -> np.ndarray:
@@ -488,7 +483,9 @@ def metric_bundle(metric: MetricField, points, order: int = 1, scale=None) -> Me
             errors[i] = errors[i] or exc
         index, q, g, ginv, scale, *partials = _kept(bad, (index, q, g, ginv, scale, *partials))
     if len(partials) < order:
-        partials = _fd_metric_partials(metric, q, order)
+        # a value-only jet: central differences of its value
+        partials = [_partials(None, metric.components, q, o, g.shape[1:], "metric")
+                    for o in range(1, order + 1)]
     dg, ddg = (*partials, None, None)[:2]
     if scale is not None:
         dg, ddg = (None if a is None else scale.reshape((-1,) + (1,) * (a.ndim - 1)) * a
@@ -620,27 +617,30 @@ def christoffel(metric: MetricField, p: np.ndarray) -> ConnectionCoeffs:
 
 
 def check_metric_derivatives(metric: MetricField, points, rtol: float = 1e-6) -> float:
-    """Cross-check a field's analytic partials against central differences of its value.
+    """Cross-check a field's jet against its components, the jet's order-0 value.
 
-    The jet is called once on the whole stack of points, and each order of
-    partials is compared with one Richardson-extrapolated stencil, so that
-    steep closed forms are checked at the oracle's best accuracy.  Each
-    point's deviation is scaled by max(1, its largest jet entry).  Returns
-    the worst one; raises ``GeometryError`` if it exceeds ``rtol``.  A
+    On the whole stack of points, the jet's values at orders 1 and 2 are
+    compared with the components, and each order of its partials with one
+    Richardson-extrapolated stencil of them, so that steep closed forms are
+    checked at the oracle's best accuracy.  Each point's deviation is scaled
+    by max(1, its largest jet entry).  Returns the worst one; raises
+    ``GeometryError``, naming what deviates, if it exceeds ``rtol``.  A
     value-only field passes trivially.
     """
     if not len(points):
         return 0.0
     pts, _ = _checked(points, metric.dim, metric.in_domain)
-    shape = (metric.dim,) * 2
-    worst = 0.0
+    g = _metric_jet(metric, pts, 0)[0]
+    checks = [(f"metric jet's order-{o} value deviates from its components", _metric_jet(metric, pts, o)[0], g)
+              for o in (1, 2)]
     for order, ana in enumerate(_metric_jet(metric, pts, 2)[1:], 1):
-        num = _partials(None, metric.components, pts, order, shape, "metric", True)
+        num = _partials(None, metric.components, pts, order, g.shape[1:], "metric", True)
+        checks.append(("metric jet deviates from the components' finite differences", ana, num))
+    worst = 0.0
+    for what, ana, ref in checks:
         axes = tuple(range(1, ana.ndim))
-        dev = np.max(np.abs(ana - num), axis=axes) / np.maximum(1.0, np.max(np.abs(ana), axis=axes))
+        dev = np.max(np.abs(ana - ref), axis=axes) / np.maximum(1.0, np.max(np.abs(ana), axis=axes))
         worst = max(worst, float(np.max(dev)))
-    if worst > rtol:
-        raise GeometryError(
-            f"metric jet deviates from the components' finite differences by {worst:.3e} (tol {rtol:.1e})"
-        )
+        if worst > rtol:
+            raise GeometryError(f"{what} by {worst:.3e} (tol {rtol:.1e})")
     return worst

@@ -31,7 +31,7 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
-from .backgrounds import HypersurfacePointData, model_background
+from .backgrounds import POLE_BAND, HypersurfacePointData, model_background
 from .geometry import (
     ChartDomainError,
     MetricBundle,
@@ -298,16 +298,14 @@ def _periodic_nodes(k: int):
 
 
 def flat_ball_domain(
-    radius: float = 1.0,
     potential: ScalarField | None = None,
     grid: tuple[int, int, int] = (32, 48, 16),
-    pole_band: float = 1e-2,
 ) -> WeightedManifoldData:
-    """Euclidean 3-ball in Cartesian coordinates, quadrature in sphericals.
+    """Euclidean unit 3-ball in Cartesian coordinates, quadrature in sphericals.
 
-    ``grid`` = (radial, polar, azimuthal) node counts; polar nodes stay a
-    band away from the axes, azimuth is periodic.  Boundary samples carry
-    the outward radial normal and H = 2/radius.
+    ``grid`` = (radial, polar, azimuthal) node counts; polar nodes stay
+    POLE_BAND away from the axes, azimuth is periodic.  Boundary samples
+    carry the outward radial normal and H = 2.
     """
     nr, nth, nph = grid
     if min(nr, nth, nph) < 2:
@@ -315,8 +313,8 @@ def flat_ball_domain(
     if potential is None:
         potential = ScalarField.constant(0.0)
 
-    rs, wr = _trapezoid_nodes(0.0, radius, nr)
-    ths, wth = _trapezoid_nodes(pole_band, math.pi - pole_band, nth)
+    rs, wr = _trapezoid_nodes(0.0, 1.0, nr)
+    ths, wth = _trapezoid_nodes(POLE_BAND, math.pi - POLE_BAND, nth)
     phs, wph = _periodic_nodes(nph)
 
     # r outer, polar middle, azimuth inner; the r = 0 shell has zero density
@@ -330,7 +328,7 @@ def flat_ball_domain(
     b, cw = np.meshgrid(wth, wph, indexing="ij")
     s, c = np.sin(th), np.cos(th)
     bnus = np.stack((s * np.cos(ph), s * np.sin(ph), c), axis=-1).reshape(-1, 3)
-    bwts = (b * cw * radius**2 * s).reshape(-1)
+    bwts = (b * cw * s).reshape(-1)
 
     metric = model_background("euclidean_static", dim=3).conformal.sigma
     return WeightedManifoldData(
@@ -338,10 +336,10 @@ def flat_ball_domain(
         potential=potential,
         interior_points=pts,
         interior_weights=wts,
-        boundary_points=radius * bnus,
+        boundary_points=bnus,
         boundary_weights=bwts,
         boundary_normals=bnus,
-        boundary_mean_curvatures=np.full(len(bnus), 2.0 / radius),
+        boundary_mean_curvatures=np.full(len(bnus), 2.0),
         scalar_curvature_at=ScalarField.constant(0.0),
     )
 

@@ -49,10 +49,9 @@ from .backgrounds import (
 )
 from .canonical import CanonicalConfigError, CanonicalMetric, FormCorrection
 from .geometry import (
-    ChartDomainError,
     SymTensor2,
+    _check_each,
     _kept,
-    _point_errors,
     _raise_first,
     christoffel_batch,
     metric_bundle,
@@ -86,12 +85,8 @@ class SpaceTimeTrack:
         return self.mcf.hypersurface_dim
 
     def check_time(self, t: float) -> float:
-        t = self.mcf.check_time(t)
-        if t < self.cm.t_min:
-            raise CanonicalConfigError(
-                f"t={t} below the sampling floor t_min={self.cm.t_min}"
-            )
-        return t
+        """t, checked against the flow's time domain, then the sampling floor."""
+        return self.cm.check_floor(self.mcf.check_time(t))
 
 
 def build_track(mcf: MCFSolution, cm: CanonicalMetric) -> SpaceTimeTrack:
@@ -144,8 +139,8 @@ class _SliceRows(NamedTuple):
     """The N-independent half of a track stack: the checked pairs, their slices and track inputs.
 
     ``xs`` and ``ts`` are the pairs as floats, and ``errors`` has one
-    entry per pair: None, or the exception the time and chart checks or
-    the slice raised there.  Row j of ``slices`` lies over pair
+    entry per pair: None, or the exception the sampling floor or the
+    slice recorded there.  Row j of ``slices`` lies over pair
     ``index[j]``; row j of ``z``, ``basis``, ``ddPhi`` and ``lifted`` is
     its space-time point (t, F), the track's tangent basis and second
     partials there, and the lifted slice normal (0, nu).
@@ -185,25 +180,18 @@ class _TrackStack(NamedTuple):
 def _slice_rows(track: SpaceTimeTrack, xs, ts) -> _SliceRows:
     """The N-independent half of the track evaluation at a stack of (x, t) pairs.
 
-    The times are checked pair by pair against the flow's domain and the
-    sampling floor, which depends on the background alone; then the
-    slices are evaluated once on the pairs still standing, and the track's
-    space-time points, tangent basis, second partials and orienting
-    vectors are built from them.
+    The times are checked pair by pair against the flow's domain, then the
+    sampling floor, which depends on the background alone; ``slice_stack``
+    checks the rest and evaluates the slices once on the pairs still
+    standing, and the track's space-time points, tangent basis, second
+    partials and orienting vectors are built from them.
     """
     mcf = track.mcf
     times = np.asarray(ts, dtype=float).reshape(-1)
     ts = times.tolist()
     xs = np.asarray(xs, dtype=float).reshape(len(ts), track.n)
-    errors = _point_errors(xs)
-    for i, t in enumerate(ts):
-        try:
-            # as in a single call: the track's time checks, then the chart point's
-            track.check_time(t)
-            mcf.ambient.check_time(t)
-        except (ChartDomainError, CanonicalConfigError) as exc:
-            # kept without its traceback, whose frames would hold this stack
-            errors[i] = exc.with_traceback(None)
+    # the floor comes after the flow's domain, as in a single call
+    errors = _check_each((track.check_time,), ts)
     live, x_live, t_live = _kept(errors, (np.arange(len(ts)), xs, times))
     slices = slice_stack(mcf, x_live, t_live.tolist())
     for i, exc in zip(live, slices.errors):
@@ -244,11 +232,8 @@ def _track_stack(track: SpaceTimeTrack, pairs: _SliceRows) -> _TrackStack:
     rows = st.index
     basis, ddPhi, lifted = _kept(st.errors, (pairs.basis, pairs.ddPhi, pairs.lifted))
     ext, bad = extrinsic_geometry_batch(basis, ddPhi, st.g, christoffel_batch(st), lifted)
-    xs, ts = pairs.xs, pairs.ts
     for r, exc in zip(rows, bad):
-        if exc is not None:
-            i = index[r]
-            errors[i] = CanonicalConfigError(f"degenerate induced track metric at x={xs[i]}, t={ts[i]}")
+        errors[index[r]] = exc
     rows, z, g, basis = _kept(bad, (rows, st.points, st.g, basis))
     return _TrackStack(pairs, index[rows], rows, errors, z, g, basis, ext)
 
@@ -304,8 +289,9 @@ def mcf_canonical_sweep(mcf: MCFSolution, cms, xs, ts) -> list:
 
     Returns one list per metric, in order, with one entry per pair: the
     ``TrackResidualSample``, or the exception the single-pair call raises
-    there (a time below the sampling floor or outside the flow's domain, a
-    point outside the chart, a degenerate slice or track metric).  The
+    there: a ``ChartDomainError`` (a time outside the flow's domain or below
+    the sampling floor, a point outside the chart) or a
+    ``DegenerateMetricError`` (a degenerate slice or track metric).  The
     slices M_t do not depend on N, so the time and chart checks and the
     slice geometry run once for the whole sweep; the space-time metric, the
     track's extrinsic geometry and nu^S f run once per metric.  Every

@@ -26,7 +26,14 @@ from cansol.backgrounds import (
     slice_stack,
 )
 from cansol.canonical import build_canonical_metric, canonical_christoffel_closed_forms
-from cansol.geometry import ChartDomainError, ricci_batch, scalar_curvature_batch, tensor_norm_batch
+from cansol.geometry import (
+    ChartDomainError,
+    DegenerateMetricError,
+    GeometryError,
+    ricci_batch,
+    scalar_curvature_batch,
+    tensor_norm_batch,
+)
 from cansol.track import mcf_canonical_sweep
 
 # an ambient for each catalog flow; the flat one ends at T = 0.2, before the
@@ -265,6 +272,18 @@ class TestModelMCF:
         flat_bg = model_background("euclidean_static", dim=3)
         with pytest.raises(BackgroundError):
             model_mcf("equator_in_sphere", flat_bg)
+        with pytest.raises(BackgroundError, match="static_plane_flat needs a flat background"):
+            model_mcf("static_plane_flat", sphere_bg)
+
+    def test_flat_flows_build_on_the_gaussian_shrinker(self):
+        # the shrinker has its own name; the flat flows ask for a flat background, not a name
+        bg = model_background("gaussian_shrinker_flat", dim=3)
+        assert bg.name == "gaussian_shrinker_flat"
+        mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
+        assert mcf.ambient is bg
+        x, t = np.array([1.1, 0.7]), 0.1
+        assert hypersurface_point_data(mcf, x, t).mean_curvature == pytest.approx(2.0 / math.sqrt(0.6), rel=1e-12)
+        assert model_mcf("static_plane_flat", bg).ambient is bg
 
     @pytest.mark.parametrize(
         "mcf_name,bg_kwargs",
@@ -551,8 +570,42 @@ class TestExtrinsicGeometry:
         # polar angle 1e-7: the induced metric has condition number ~1e14
         bg = model_background("euclidean_static", dim=3, direction="forward")
         mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
-        with pytest.raises(BackgroundError, match="degenerate induced metric"):
+        with pytest.raises(DegenerateMetricError, match="degenerate induced metric"):
             hypersurface_point_data(mcf, np.array([1e-7, 0.3]), 0.1)
+
+    def test_one_pair_raises_what_the_stack_records(self):
+        # each check has one home: the single pair raises the class and message
+        # that slice_stack records for it inside a stack
+        flat = model_mcf("shrinking_sphere_flat", model_background("euclidean_static", dim=3))
+        sphere = model_mcf("equator_in_sphere", model_background("round_sphere", dim=3, direction="backward"))
+        good = np.array([1.1, 0.7])
+        for mcf, bad_x, bad in (
+            (flat, np.array([1e-7, 0.3]), DegenerateMetricError),      # degenerate slice
+            (sphere, np.array([0.005, 0.3]), ChartDomainError),        # image in the pole band
+        ):
+            T = mcf.time_domain[1]
+            xs = np.array([good, [np.nan, 0.3], good, bad_x, good])
+            ts = [0.5 * T, 0.5 * T, 1.5 * T, 0.5 * T, 0.25 * T]
+            stack = slice_stack(mcf, xs, ts)
+            assert [type(e) for e in stack.errors] == [type(None), ChartDomainError, ChartDomainError, bad, type(None)]
+            assert stack.index.tolist() == [0, 4]
+            for i, (x, t, exc) in enumerate(zip(xs, ts, stack.errors)):
+                if exc is None:
+                    row = stack.record(stack.index.tolist().index(i))
+                    assert hypersurface_point_data(mcf, x, t).second_ff.tobytes() == row.second_ff.tobytes()
+                    continue
+                with pytest.raises(GeometryError) as info:
+                    hypersurface_point_data(mcf, x, t)
+                assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+
+    def test_stack_checks_the_ambient_time_after_the_flow_time(self):
+        # a flow whose own time domain outlasts its ambient's
+        bg = model_background("round_sphere", dim=3, direction="backward", T=1.0)
+        mcf = dataclasses.replace(model_mcf("equator_in_sphere", bg), time_domain=(0.0, 2.0))
+        stack = slice_stack(mcf, np.array([[1.1, 0.7]] * 3), [0.5, 1.5, 2.5])
+        assert stack.index.tolist() == [0]
+        assert [str(e) for e in stack.errors[1:]] == ["time 1.5 outside domain (0.0, 1.0]",
+                                                      "time 2.5 outside domain (0.0, 2.0]"]
 
     def test_routine_records_the_kernel_error_on_a_singular_induced_metric(self):
         from cansol.backgrounds import extrinsic_geometry_batch

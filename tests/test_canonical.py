@@ -16,6 +16,7 @@ from cansol.canonical import (
     limit_ricci,
     minimal_admissible_N,
     ricci_soliton_residual,
+    ricci_soliton_residuals,
 )
 from cansol.geometry import inverse_metric, scalar_d1
 
@@ -217,6 +218,18 @@ class TestSolitonResidual:
         cm = build_canonical_metric(make_bg(FLAT_FWD), "expanding", 100.0)
         with pytest.raises(ChartDomainError):
             ricci_soliton_residual(cm, np.zeros(3), 0.2 * cm.t_min)
+
+    def test_time_domain_before_the_floor(self):
+        # the canonical chart reaches a little past T for the FD stencils; a
+        # sample point there is outside the background's time domain
+        cm = build_canonical_metric(make_bg(FLAT_FWD), "expanding", 100.0)
+        out = ricci_soliton_residuals(cm, [np.zeros(3)] * 4, [1.0005, -1.0, 0.2 * cm.t_min, 0.5])
+        assert [str(e) for e in out[:3]] == [
+            "time 1.0005 outside domain (0.0, 1.0]",
+            "time -1.0 outside domain (0.0, 1.0]",
+            f"t={0.2 * cm.t_min} below the sampling floor t_min={cm.t_min}",
+        ]
+        assert out[3].t == 0.5
 
 
 class TestLimitRicci:

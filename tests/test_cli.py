@@ -183,6 +183,25 @@ class TestConfigValidation:
 
 
 class TestSuites:
+    def test_every_per_point_failure_is_recorded(self):
+        # the per-point classes are two; a degenerate slice and a time below
+        # the sampling floor become error records, not an uncaught exception
+        from cansol.backgrounds import model_background, model_mcf
+        from cansol.canonical import build_canonical_metric
+        from cansol.geometry import ChartDomainError, DegenerateMetricError
+
+        assert cli._POINT_ERRORS == (ChartDomainError, DegenerateMetricError)
+        bg = model_background("euclidean_static", dim=3)
+        cm = build_canonical_metric(bg, "expanding", 1e3)
+        xs = [np.array([1.1, 0.7]), np.array([1e-7, 0.3]), np.array([1.1, 0.7])]
+        ts = [0.1, 0.1, 0.001]
+        results = track_module.mcf_canonical_sweep(model_mcf("shrinking_sphere_flat", bg), [cm], xs, ts)
+        report = ResidualReport(suite="mcf_soliton_residual", config={})
+        [(_, sup)] = cli._defect_sweep(report, [1e3], results, "x", xs, ts)
+        assert [e["error"] for e in report.errors] == [
+            "degenerate induced metric", "t=0.001 below the sampling floor t_min=0.05"]
+        assert [r["t"] for r in report.records] == [0.1] and sup == report.records[0]["scaled_norm"]
+
     def test_ricci_soliton_sweep_passes(self):
         report = run(cfg_ricci())
         assert report.passed

@@ -297,6 +297,18 @@ class TestDerivativeBackends:
             check_metric_derivatives(wrong, sphere_points(3, 3, seed=1), rtol=1e-6)
         assert check_metric_derivatives(m, sphere_points(3, 3, seed=1), rtol=1e-6) < 1e-6
 
+    def test_a_jet_whose_value_differs_between_orders_is_caught(self):
+        # the partials are right, but the order-2 value is shifted by 1e-3
+        m = unit_sphere_metric(3)
+
+        def shifted_jet(p, order):
+            g, *partials = m.jet(p, order)
+            return (g + 1e-3 if order == 2 else g, *partials)
+
+        shifted = MetricField(dim=3, jet=shifted_jet, in_domain=m.in_domain)
+        with pytest.raises(GeometryError, match="order-2 value deviates from its components"):
+            check_metric_derivatives(shifted, sphere_points(3, 3, seed=1), rtol=1e-6)
+
 
 class TestErrors:
     def test_degenerate_metric_rejected(self):

@@ -7,7 +7,7 @@ import pytest
 
 from cansol.backgrounds import model_background, model_mcf
 from cansol.canonical import CanonicalConfigError, build_canonical_metric
-from cansol.geometry import scalar_d1
+from cansol.geometry import DegenerateMetricError, scalar_d1
 from cansol.track import (
     SECOND_FF_CORRECTIONS,
     build_track,
@@ -323,5 +323,5 @@ class TestBuildTrack:
     def test_degenerate_induced_track_metric_raises(self):
         # at N = 1e8 the time leg dominates: condition number above 1e12
         tr = sphere_track("expanding", 1e8)
-        with pytest.raises(CanonicalConfigError, match="degenerate induced track metric"):
+        with pytest.raises(DegenerateMetricError, match="degenerate induced metric"):
             track_point_data(tr, np.array([0.1, 0.3]), 0.05)
