@@ -128,10 +128,11 @@ def unit_sphere_metric(d: int) -> MetricField:
 def _euclidean_metric(d: int) -> MetricField:
     eye = np.eye(d)
 
-    def comps(p):
-        return np.zeros(p.shape[:-1] + (d, d)) + eye
+    def jet(p, order: int) -> tuple:
+        lead = np.shape(p)[:-1]
+        return (np.zeros(lead + (d, d)) + eye,) + tuple(np.zeros(lead + (d,) * (2 + o)) for o in range(1, order + 1))
 
-    return MetricField(dim=d, jet=jets.metric_jet(comps))
+    return MetricField(dim=d, jet=jet)
 
 
 # The per-angle values a factor can take: value 0 is the constant 1, the

@@ -223,14 +223,14 @@ def build_canonical_metric(
         if not order:
             return (g,)
         out = [g] + [np.zeros((len(z),) + (dim,) * (2 + o)) for o in range(1, order + 1)]
-        p1 = psi.g[0, :, None, None]
-        out[1][:, 0, 0, 0] = w.g[0]
+        p1 = psi.d1[:, None, None]
+        out[1][:, 0, 0, 0] = w.d1
         out[1][:, 0, 1:, 1:] = p1 * sig[0]
         out[1][:, 1:, 1:, 1:] = p0[:, None] * sig[1]
         if order > 1:
             ddg = out[2]
-            ddg[:, 0, 0, 0, 0] = w.h[0, 0]
-            ddg[:, 0, 0, 1:, 1:] = psi.h[0, 0, :, None, None] * sig[0]
+            ddg[:, 0, 0, 0, 0] = w.d2
+            ddg[:, 0, 0, 1:, 1:] = psi.d2[:, None, None] * sig[0]
             ddg[:, 0, 1:, 1:, 1:] = ddg[:, 1:, 0, 1:, 1:] = p1[:, None] * sig[1]
             ddg[:, 1:, 1:, 1:, 1:] = p0[:, None, None] * sig[2]
         return tuple(out)
@@ -330,16 +330,20 @@ def ricci_soliton_residual(cm: CanonicalMetric, p: np.ndarray, t: float) -> Resi
 def canonical_ricci_quadratics(cm: CanonicalMetric, Xs, points, ts) -> list:
     """Ric of the canonical metric on X + d/dt, X a spatial vector, at (p, t); one kernel call.
 
-    One entry per (X, p, t) triple, in order: the float, or the exception the
-    kernel recorded there (a point outside the chart, a degenerate metric).
+    One entry per (X, p, t) triple, in order: the float, or the error that
+    ``ricci_soliton_residuals`` records at (p, t).
     """
     ts = np.asarray(ts, dtype=float)
     shape = (len(ts), cm.base.dim)
-    b = metric_bundle(cm.field, np.column_stack((ts, np.reshape(points, shape))), order=2)
-    Xbar = np.column_stack((np.ones(len(ts)), np.reshape(Xs, shape)))[b.index]
+    out = _check_each((cm.base.check_time, cm.check_floor), ts.tolist())
+    sampled = [i for i, exc in enumerate(out) if exc is None]
+    b = metric_bundle(cm.field, np.column_stack((ts, np.reshape(points, shape)))[sampled], order=2)
+    for i, exc in zip(sampled, b.errors):
+        out[i] = exc
+    kept = [sampled[k] for k in b.index]
+    Xbar = np.column_stack((np.ones(len(ts)), np.reshape(Xs, shape)))[kept]
     quads = (Xbar[:, None] @ ricci_batch(b) @ Xbar[..., None]).ravel().tolist()
-    out = list(b.errors)
-    for i, q in zip(b.index, quads):
+    for i, q in zip(kept, quads):
         out[i] = q
     return out
 

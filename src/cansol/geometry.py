@@ -2,7 +2,8 @@
 
 A metric is one callback, its jet: the component matrix g_ij at chart
 points and, on request, its first and second partials (the catalog
-writes it with ``cansol.jets``).  A jet that answers the value alone is
+gives them in closed form, and differentiates in time with
+``cansol.jets``).  A jet that answers the value alone is
 value-only, and central finite differences with the fixed steps FD_H1
 and FD_H2 stand in for its partials, so the same curvature code doubles
 as an independent check of any closed-form input (the FD backend).
@@ -353,7 +354,7 @@ def _partials(analytic, values, pts: np.ndarray, order: int, shape: tuple, what:
     return (4.0 * fine - coarse) / 3.0
 
 
-def _metric_jet(metric: MetricField, pts: np.ndarray, order: int) -> list:
+def _shaped_jet(metric: MetricField, pts: np.ndarray, order: int) -> list:
     """[g, ..] up to ``order`` at a (P, d) stack from one call of the field's jet.
 
     A value-only jet gives [g] alone; an empty stack calls nothing.
@@ -473,7 +474,7 @@ def metric_bundle(metric: MetricField, points, order: int = 1, scale=None) -> Me
     pts, _ = _point_stack(points, metric.dim)
     errors = _point_errors(pts, metric.in_domain)
     index, q = _kept(errors, (np.arange(len(pts)), pts))
-    g, *partials = _metric_jet(metric, q, order)
+    g, *partials = _shaped_jet(metric, q, order)
     if scale is not None:
         scale = np.asarray(scale, dtype=float)[index]
         g = scale[:, None, None] * g
@@ -630,10 +631,10 @@ def check_metric_derivatives(metric: MetricField, points, rtol: float = 1e-6) ->
     if not len(points):
         return 0.0
     pts, _ = _checked(points, metric.dim, metric.in_domain)
-    g = _metric_jet(metric, pts, 0)[0]
-    checks = [(f"metric jet's order-{o} value deviates from its components", _metric_jet(metric, pts, o)[0], g)
+    g = _shaped_jet(metric, pts, 0)[0]
+    checks = [(f"metric jet's order-{o} value deviates from its components", _shaped_jet(metric, pts, o)[0], g)
               for o in (1, 2)]
-    for order, ana in enumerate(_metric_jet(metric, pts, 2)[1:], 1):
+    for order, ana in enumerate(_shaped_jet(metric, pts, 2)[1:], 1):
         num = _partials(None, metric.components, pts, order, g.shape[1:], "metric", True)
         checks.append(("metric jet deviates from the components' finite differences", ana, num))
     worst = 0.0

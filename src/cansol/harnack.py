@@ -32,8 +32,8 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 
 from .backgrounds import POLE_BAND, HypersurfacePointData, model_background
+from .canonical import CanonicalConfigError
 from .geometry import (
-    ChartDomainError,
     MetricBundle,
     MetricField,
     ScalarField,
@@ -80,7 +80,7 @@ def limit_second_ff(hyp: HypersurfacePointData, V: np.ndarray) -> float:
     only (no N enters).  Reduces to Z~(V, V) when the background is flat.
     """
     if hyp.ambient.direction != "forward":
-        raise ChartDomainError("the limit form is defined along the forward flow")
+        raise CanonicalConfigError("the limit form is defined along the forward flow")
     V = np.asarray(V, dtype=float)
     ric, dRdy = hyp.curvature.ric, hyp.curvature.dRdy
     return (

@@ -11,7 +11,6 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
-from cansol import jets
 from cansol.backgrounds import slice_stack
 from cansol.geometry import MetricField, hessian_batch
 
@@ -200,17 +199,37 @@ def sphere_metric_partials(d):
     return d1, d2
 
 
-def jet_written_sphere_metric(d):
-    """The round unit d-sphere of ``unit_sphere_metric`` with its components written in jet
-    operations and its partials from ``jets.metric_jet``, the formulation the factor table replaced."""
-    eye = np.eye(d)
+def factor_product_sphere_metric(d):
+    """The round unit d-sphere of ``unit_sphere_metric`` in plain numpy, one entry at a time.
 
-    def comps(p):
-        s2 = jets.sin(p[..., : d - 1]) ** 2
-        one = np.ones(p.shape[:-1] + (1,))
-        return jets.concatenate((one, jets.cumprod(s2)))[..., :, None] * eye
+    Each entry of g_ii = prod_{k<i} sin^2(theta_k) and of its partials is
+    the product, in angle order, of one factor per angle below i: sin^2,
+    its first derivative 2 sin cos or its second 2 (cos^2 - sin^2).
+    """
 
-    return MetricField(dim=d, jet=jets.metric_jet(comps))
+    def jet(p, order):
+        p = np.asarray(p, dtype=float)
+        s, c = np.sin(p), np.cos(p)
+        factors = (s**2, 2.0 * s * c, 2.0 * (c * c - s**2))
+        lead = p.shape[:-1]
+
+        def product(i, *angles):
+            # the entry of g_ii differentiated once in each of ``angles``
+            y = np.ones(lead)
+            for k in range(i):
+                y = y * factors[angles.count(k)][..., k]
+            return y
+
+        out = [np.zeros(lead + (d,) * (2 + o)) for o in range(order + 1)]
+        for i in range(d):
+            out[0][..., i, i] = product(i)
+            for a in range(i if order else 0):
+                out[1][..., a, i, i] = product(i, a)
+                for b in range(i if order > 1 else 0):
+                    out[2][..., a, b, i, i] = product(i, a, b)
+        return tuple(out)
+
+    return MetricField(dim=d, jet=jet)
 
 
 def conformal_scalars(bg):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_kernel as ref
-from cansol import harnack, jets
+from cansol import harnack
 from cansol.backgrounds import (
     extrinsic_geometry_batch,
     model_background,
@@ -65,7 +65,7 @@ def canonical(variant, dim, N):
 
 
 def spd_metric(d, rng, terms=3):
-    """A random non-diagonal metric A + sum_k sin(w_k . x + c_k) S_k, partials from its jet.
+    """A random non-diagonal metric A + sum_k sin(w_k . x + c_k) S_k, with its closed-form partials.
 
     A has eigenvalues in [1, 2] and the S_k spectral norms add up to 0.5,
     so g is positive definite with condition number at most 5 everywhere.
@@ -78,16 +78,24 @@ def spd_metric(d, rng, terms=3):
     S *= 0.5 / terms / np.linalg.norm(S, 2, axis=(1, 2))[:, None, None]
     w, c = rng.normal(size=(terms, d)), rng.uniform(0.0, 2.0 * math.pi, terms)
 
-    def comps(p):
-        g = A
+    ww = w[:, :, None] * w[:, None, :]
+
+    def jet(p, order):
+        # term by term: an einsum over the terms may round a row differently in another stack
+        g, dg, ddg = A, 0.0, 0.0
         for k in range(terms):
             phase = c[k]
             for i in range(d):
                 phase = phase + w[k, i] * p[..., i]
-            g = g + jets.sin(phase)[..., None, None] * S[k]
-        return g
+            sin, cos = np.sin(phase)[..., None], np.cos(phase)[..., None]
+            g = g + sin[..., None] * S[k]
+            if order:
+                dg = dg + (cos * w[k])[..., None, None] * S[k]
+            if order > 1:
+                ddg = ddg - (sin[..., None] * ww[k])[..., None, None] * S[k]
+        return (g, dg, ddg)[: order + 1]
 
-    return MetricField(dim=d, jet=jets.metric_jet(comps))
+    return MetricField(dim=d, jet=jet)
 
 
 def spacetime_stack(cm, k, rng):
@@ -601,6 +609,10 @@ class TestRicciQuadraticStacks:
         loop, formula = [], []
         for X, p, t in zip(Xs, pts, ts):
             loop += canonical_ricci_quadratics(cm, [X], [p], [t])
+            if t > cm.base.time_domain[1]:
+                # past the time domain: the error the residuals record there
+                formula += ricci_soliton_residuals(cm, [p], [t])
+                continue
             try:
                 # the pointwise form the stack replaced
                 Xbar = np.concatenate(([1.0], X))
@@ -621,6 +633,17 @@ class TestRicciQuadraticStacks:
         reversed_ = canonical_ricci_quadratics(cm, Xs[::-1], pts[::-1], ts[::-1])[::-1]
         assert [q for q in reversed_ if isinstance(q, float)] == [
             q for q in batch if isinstance(q, float)]
+
+    def test_times_are_checked_as_by_the_residuals(self):
+        # 1.0005 lies past the time domain but inside the chart's overhang, 0.01 below the sampling floor
+        cm = build_canonical_metric(model_background("euclidean_static", dim=3, direction="forward", T=1.0),
+                                    "expanding", 1e3)
+        ts = [1.0005, 0.5, 0.01]
+        quads = canonical_ricci_quadratics(cm, np.ones((3, 3)), np.zeros((3, 3)), ts)
+        residuals = ricci_soliton_residuals(cm, np.zeros((3, 3)), ts)
+        assert type(quads[1]) is float
+        for q, r in zip(quads[::2], residuals[::2]):
+            assert type(q) is type(r) is ChartDomainError and str(q) == str(r)
 
     def test_empty_stack(self):
         cm = canonical("expanding", 3, 2e3)

@@ -694,6 +694,27 @@ class TestMainEntry:
         assert capsys.readouterr().err.startswith(f"config error: {name}.")
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("suite, background, message", [
+        ("harnack_limits", ("euclidean_static", 3, "backward"), "harnack_limits needs a forward background"),
+        ("lott_match", ("round_sphere", 3, "forward"), "lott_match runs on a flat forward background"),
+        ("lott_match", ("euclidean_static", 3, "backward"), "lott_match runs on a flat forward background"),
+        ("mcf_soliton_residual", ("euclidean_static", 1, "forward"),
+         "background dimension too small for hypersurfaces"),
+    ])
+    def test_suite_on_an_unsuitable_background_exits_two(self, tmp_path, capsys, suite, background, message):
+        name, dim, direction = background
+        cfg = {
+            "suite": suite,
+            "variant": "expanding",
+            "background": {"name": name, "params": {"dim": dim, "direction": direction}},
+            "mcf": {"name": "shrinking_sphere_flat", "params": {"r0": 1.0}},
+            "N_list": [1000.0, 2000.0, 4000.0],
+            "output": {"path": str(tmp_path / "out.json")},
+        }
+        assert main(["run", "--config", str(self.write_cfg(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / "out.json").exists()
+
     def test_config_error_exit_two(self, tmp_path):
         cfg = {"suite": "bogus"}
         assert main(["run", "--config", str(self.write_cfg(tmp_path, cfg))]) == 2

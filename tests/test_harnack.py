@@ -12,7 +12,7 @@ from cansol.backgrounds import (
     model_mcf,
 )
 from cansol.canonical import CanonicalConfigError, build_canonical_metric, limit_ricci
-from cansol.geometry import ChartDomainError, ScalarField, hessian_batch, scalar_d1
+from cansol.geometry import ScalarField, hessian_batch, scalar_d1
 from cansol.harnack import (
     I_GHY,
     I_infty,
@@ -124,7 +124,7 @@ class TestHypersurfaceHarnack:
     def test_backward_background_rejected(self):
         bg = model_background("euclidean_static", dim=3, direction="backward")
         mcf = model_mcf("static_plane_flat", bg)
-        with pytest.raises(ChartDomainError, match="forward flow"):
+        with pytest.raises(CanonicalConfigError, match="forward flow"):
             limit_second_ff(hypersurface_point_data(mcf, np.array([0.2, 0.4]), 0.5), np.zeros(2))
 
 
