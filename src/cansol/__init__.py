@@ -13,14 +13,12 @@ from .geometry import (
     GeometryError,
     MetricField,
     ScalarField,
-    SymTensor2,
     christoffel,
 )
 from .backgrounds import (
     GradientSolitonData,
     MCFSolution,
     RicciFlowBackground,
-    TimeScalarField,
     gradient_soliton_residual,
     hypersurface_point_data,
     mcf_soliton_residual,

@@ -40,13 +40,13 @@ from .geometry import (
     MetricBundle,
     MetricField,
     ScalarField,
-    SymTensor2,
     _check_each,
     _inverse,
     _kept,
     _one_point,
     _point_errors,
     _raise_first,
+    _symmetrized,
     christoffel_batch,
     hessian_batch,
     metric_bundle,
@@ -61,7 +61,6 @@ __all__ = [
     "RicciFlowBackground",
     "BackgroundCurvature",
     "GradientSolitonData",
-    "TimeScalarField",
     "MCFSolution",
     "HypersurfacePointData",
     "BackgroundError",
@@ -355,26 +354,6 @@ class RicciFlowBackground:
         return list(rng.uniform(*self.sample_box, (count, self.dim)))
 
 
-@dataclass(frozen=True)
-class TimeScalarField:
-    """Scalar function of (points, time) with analytic partials.
-
-    The spatial callbacks follow the ``ScalarField`` contract: they take a
-    (P, d) stack of points and return (P,), (P, d) and (P, d, d) arrays.
-    """
-
-    value: Callable[[np.ndarray, float], np.ndarray]
-    dy: Callable[[np.ndarray, float], np.ndarray] | None = None
-    dyy: Callable[[np.ndarray, float], np.ndarray] | None = None
-
-    def at_time(self, t: float) -> ScalarField:
-        return ScalarField(
-            value=lambda p: self.value(p, t),
-            d1=None if self.dy is None else (lambda p: self.dy(p, t)),
-            d2=None if self.dyy is None else (lambda p: self.dyy(p, t)),
-        )
-
-
 # Sign s of each soliton variant: the canonical expanding and shrinking
 # solitons are one construction in t and in tau with s flipped, the steady one
 # has no time scaling.  From s follow the soliton constant s/2 (s/(2t) on a
@@ -384,9 +363,12 @@ VARIANT_SIGNS = {"expanding": 1, "shrinking": -1, "steady": 0}
 
 @dataclass(frozen=True)
 class GradientSolitonData:
-    """Potential and class of a gradient soliton structure on a background."""
+    """Potential and class of a gradient soliton structure on a background.
 
-    potential: TimeScalarField
+    ``potential(t)`` is the potential f at time t, a ``ScalarField``.
+    """
+
+    potential: Callable[[float], ScalarField]
     soliton_class: str   # a key of VARIANT_SIGNS
 
     def __post_init__(self):
@@ -514,11 +496,13 @@ def _round_sphere(dim, r0, direction, T):
 
 
 def _gaussian_shrinker_flat(dim, T):
-    potential = TimeScalarField(
-        value=lambda y, t: _square(y) / (4.0 * t),
-        dy=lambda y, t: y / (2.0 * t),
-        dyy=lambda y, t: np.broadcast_to(np.eye(dim) / (2.0 * t), y.shape + (dim,)),
-    )
+    def potential(t):
+        return ScalarField(
+            value=lambda y: _square(y) / (4.0 * t),
+            d1=lambda y: y / (2.0 * t),
+            d2=lambda y: np.broadcast_to(np.eye(dim) / (2.0 * t), y.shape + (dim,)),
+        )
+
     soliton = GradientSolitonData(potential, "shrinking")
     return replace(_euclidean_static(dim, "backward", T), name="gaussian_shrinker_flat", soliton=soliton)
 
@@ -714,8 +698,8 @@ def _static_hint(x, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def ricci_flow_residual(bg: RicciFlowBackground, p: np.ndarray, t: float) -> SymTensor2:
-    """dg/dt - S with S = -2 Ric (forward) or +2 Ric (backward).
+def ricci_flow_residual(bg: RicciFlowBackground, p: np.ndarray, t: float) -> np.ndarray:
+    """dg/dt - S with S = -2 Ric (forward) or +2 Ric (backward), symmetrized, (d, d).
 
     Vanishes identically on exact solutions; the Ricci tensor comes from
     the numeric kernel, not from the background's closed forms.
@@ -724,7 +708,7 @@ def ricci_flow_residual(bg: RicciFlowBackground, p: np.ndarray, t: float) -> Sym
     b = bg.bundle(_one_point(p), [t], order=2)
     b.raise_error()
     sign = -2.0 if bg.direction == "forward" else 2.0
-    return SymTensor2.symmetrized(bg.dt_metric_at(b.points[0], t) - sign * ricci_batch(b)[0])
+    return _symmetrized(bg.dt_metric_at(b.points[0], t) - sign * ricci_batch(b)[0])
 
 
 def gradient_soliton_residual(
@@ -732,31 +716,32 @@ def gradient_soliton_residual(
     sol: GradientSolitonData,
     p: np.ndarray,
     t: float,
-) -> SymTensor2:
-    """Gradient-soliton defect Ric + Hess(f) + (c / 2t) g at (p, t), from one metric bundle."""
+) -> np.ndarray:
+    """Gradient-soliton defect Ric + Hess(f) + (c / 2t) g at (p, t), (d, d), from one metric bundle."""
     t = bg.check_time(t)
     b = bg.bundle(_one_point(p), [t], order=2)
     b.raise_error()
-    hess = hessian_batch(b, sol.potential.at_time(t))[0]
-    return SymTensor2.symmetrized(ricci_batch(b)[0] + hess + (sol.c / (2.0 * t)) * b.g[0])
+    hess = hessian_batch(b, sol.potential(t))[0]
+    return _symmetrized(ricci_batch(b)[0] + hess + (sol.c / (2.0 * t)) * b.g[0])
 
 
 def mcf_soliton_residual(
     mcf: MCFSolution,
-    potential: TimeScalarField,
+    potential: Callable[[float], ScalarField],
     sign: float,
     x: np.ndarray,
     t: float,
 ) -> float:
     """Pointwise soliton defect H + sign * (nu f) of a hypersurface.
 
+    ``potential`` is t -> f at time t, as in ``GradientSolitonData``;
     ``sign`` is +1 or -1; the normal is the catalog orientation (outward
     for spheres).  The defect vanishes on exact hypersurface solitons.
     """
     if sign not in (+1.0, -1.0, 1, -1):
         raise BackgroundError(f"sign must be +1 or -1, got {sign}")
     data = hypersurface_point_data(mcf, x, t)
-    nu_f = float(data.normal @ scalar_d1(potential.at_time(t), data.position))
+    nu_f = float(data.normal @ scalar_d1(potential(t), data.position))
     return data.mean_curvature + float(sign) * nu_f
 
 

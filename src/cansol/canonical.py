@@ -33,7 +33,6 @@ from .geometry import (
     ChartDomainError,
     MetricField,
     ScalarField,
-    SymTensor2,
     _check_each,
     _point_errors,
     _raise_first,
@@ -129,12 +128,16 @@ class CanonicalMetric:
 
 @dataclass(frozen=True)
 class ResidualSample:
-    """One point of a residual sweep: the tensor, its norm, and N * norm."""
+    """One point of a defect sweep: the defect, its norm, and N * norm.
+
+    ``value`` is the soliton defect E_N, a (d, d) array, or on a track the
+    float H^S -+ nu^S f; ``point`` is the chart point, or the track's x.
+    """
 
     point: np.ndarray
     t: float
     N: float
-    residual: SymTensor2
+    value: np.ndarray | float
     norm: float
     scaled_norm: float
 
@@ -306,7 +309,7 @@ def ricci_soliton_residuals(cm: CanonicalMetric, points, ts) -> list:
             point=pts[i],
             t=float(ts[i]),
             N=cm.N,
-            residual=SymTensor2(E[j]),
+            value=E[j],
             norm=norms[j],
             scaled_norm=cm.N * norms[j],
         )

@@ -46,7 +46,7 @@ from .harnack import (
     random_polynomial_field,
     stripped_track_quadratic,
 )
-from .reports import ResidualReport, emit
+from .reports import EmitError, ResidualReport, emit
 from .track import build_track, mcf_canonical_sweep
 
 __all__ = ["ConfigError", "RunConfig", "run", "main", "SUITES"]
@@ -179,10 +179,9 @@ def _defect_sweep(report: ResidualReport, Ns, results, key: str, pts, ts) -> lis
     """Record a soliton defect at every (point, t) for each N; (N, sup N|E_N|) per N.
 
     ``results`` holds one list per N with one entry per pair: the sample,
-    or the exception the pair raised.  Records and per-point errors go to
-    the report in point order, the point under ``key``; any other
-    exception is raised.  The sup is None for an N at which no point was
-    evaluated.
+    or the per-point error the pair raised.  Records and per-point errors
+    go to the report in point order, the point under ``key``.  The sup is
+    None for an N at which no point was evaluated.
     """
     sups_per_N = []
     for N, samples in zip(Ns, results):
@@ -191,8 +190,6 @@ def _defect_sweep(report: ResidualReport, Ns, results, key: str, pts, ts) -> lis
             if isinstance(s, _POINT_ERRORS):
                 report.errors.append({key: list(p), "t": t, "N": N, "error": str(s)})
                 continue
-            if isinstance(s, Exception):
-                raise s
             report.records.append(
                 {key: list(p), "t": t, "N": N, "norm": s.norm, "scaled_norm": s.scaled_norm}
             )
@@ -385,7 +382,7 @@ def _run_functionals(cfg: RunConfig, report: ResidualReport):
             return ScalarField.constant(0.0)
         # f = |y|^2 / 4, the Gaussian shrinker potential at tau = 1
         gauss = model_background("gaussian_shrinker_flat", dim=3)
-        return gauss.soliton.potential.at_time(1.0)
+        return gauss.soliton.potential(1.0)
 
     fine = tuple(2 * g for g in grid)
     values = {}
@@ -509,7 +506,7 @@ def main(argv=None) -> int:
     fmt = args.format or cfg.output.get("format", "json")
     try:
         paths = emit(report, fmt, out_path)
-    except Exception as exc:
+    except EmitError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     for p in paths:

@@ -50,7 +50,6 @@ __all__ = [
     "FD_H2",
     "MetricField",
     "ScalarField",
-    "SymTensor2",
     "ConnectionCoeffs",
     "MetricBundle",
     "metric_bundle",
@@ -74,8 +73,6 @@ COND_LIMIT = 1e12
 # coordinate a is ``h * max(1, |p_a|)``.
 FD_H1 = 1e-5
 FD_H2 = 1e-4
-
-_VARIANCES = ("covariant", "contravariant")
 
 
 class GeometryError(Exception):
@@ -260,30 +257,6 @@ class ScalarField:
             d1=lambda p: np.zeros(p.shape),
             d2=lambda p: np.zeros(p.shape + p.shape[-1:]),
         )
-
-
-@dataclass(frozen=True)
-class SymTensor2:
-    """A symmetric 2-tensor at a point, covariant or contravariant."""
-
-    entries: np.ndarray
-    variance: str = "covariant"
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        object.__setattr__(self, "entries", e)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError(f"SymTensor2 entries must be square, got shape {e.shape}")
-        scale = max(1.0, float(np.max(np.abs(e))))
-        if np.max(np.abs(e - e.T)) > 1e-12 * scale:
-            raise ValueError("SymTensor2 entries are not symmetric")
-        if self.variance not in _VARIANCES:
-            raise ValueError(f"unknown variance {self.variance!r}; known: {_VARIANCES}")
-
-    @staticmethod
-    def symmetrized(entries, variance: str = "covariant") -> "SymTensor2":
-        e = np.asarray(entries, dtype=float)
-        return SymTensor2(0.5 * (e + e.T), variance)
 
 
 @dataclass(frozen=True)
@@ -583,16 +556,12 @@ def hessian_batch(b: MetricBundle, f: ScalarField, grad: np.ndarray | None = Non
     return _symmetrized(ddf - 0.5 * np.einsum("pd,pdab->pab", grad, _bracket(b.dg)))
 
 
-def tensor_norm_batch(b: MetricBundle, T: np.ndarray, variance: str = "covariant") -> np.ndarray:
-    """Metric norms |T| of symmetric 2-tensors T (P, d, d) at the bundle's points.
+def tensor_norm_batch(b: MetricBundle, T: np.ndarray) -> np.ndarray:
+    """Metric norms |T| of covariant symmetric 2-tensors T (P, d, d) at the bundle's points.
 
-    Covariant: |T|^2 = g^{ac} g^{bd} T_ab T_cd; contravariant indices are
-    contracted with g instead.  Returns the nonnegative square roots.
+    |T|^2 = g^{ac} g^{bd} T_ab T_cd; returns the nonnegative square roots.
     """
-    if variance not in _VARIANCES:
-        raise ValueError(f"unknown variance {variance!r}; known: {_VARIANCES}")
-    m = b.ginv if variance == "covariant" else b.g
-    sq = np.einsum("pac,pbd,pab,pcd->p", m, m, T, T)
+    sq = np.einsum("pac,pbd,pab,pcd->p", b.ginv, b.ginv, T, T)
     return np.sqrt(np.maximum(sq, 0.0))
 
 

@@ -58,7 +58,7 @@ class Jet:
         return self + (-b)
 
     def __rsub__(self, b):
-        return Jet(b - self.v, -self.d1, None if self._d2 is None else -self._d2)
+        return -self + b
 
     def __mul__(self, b):
         d2 = self._d2

@@ -47,12 +47,12 @@ from .backgrounds import (
     hypersurface_point_data,
     slice_stack,
 )
-from .canonical import CanonicalConfigError, CanonicalMetric, FormCorrection
+from .canonical import CanonicalConfigError, CanonicalMetric, FormCorrection, ResidualSample
 from .geometry import (
-    SymTensor2,
     _check_each,
     _kept,
     _raise_first,
+    _symmetrized,
     christoffel_batch,
     metric_bundle,
     scalar_d1,
@@ -61,7 +61,6 @@ from .geometry import (
 __all__ = [
     "SpaceTimeTrack",
     "TrackPointData",
-    "TrackResidualSample",
     "SECOND_FF_CORRECTIONS",
     "build_track",
     "track_point_data",
@@ -116,18 +115,6 @@ class TrackPointData:
     second_ff: np.ndarray        # (n+1, n+1), chart index 0 = time
     mean_curvature: float        # H^S
     hyp: HypersurfacePointData   # geometry of the slice M_t
-
-
-@dataclass(frozen=True)
-class TrackResidualSample:
-    """One point of a soliton-defect sweep on the track."""
-
-    x: np.ndarray
-    t: float
-    N: float
-    value: float                 # H^S -+ nu^S f, sign per variant
-    norm: float
-    scaled_norm: float
 
 
 def _sigma_N(scale: float, H: float, w: float) -> float:
@@ -273,8 +260,8 @@ def _residuals(cm: CanonicalMetric, stack: _TrackStack) -> list:
     values = stack.ext[-1] + (-nu_f if cm.sign > 0 else nu_f)
     xs, ts = stack.pairs.xs, stack.pairs.ts
     for i, value in zip(stack.index.tolist(), values.tolist()):
-        out[i] = TrackResidualSample(
-            x=xs[i],
+        out[i] = ResidualSample(
+            point=xs[i],
             t=ts[i],
             N=cm.N,
             value=value,
@@ -288,7 +275,7 @@ def mcf_canonical_sweep(mcf: MCFSolution, cms, xs, ts) -> list:
     """``mcf_canonical_residual`` at every (x, t) pair, for each canonical metric of ``cms``.
 
     Returns one list per metric, in order, with one entry per pair: the
-    ``TrackResidualSample``, or the exception the single-pair call raises
+    ``ResidualSample``, or the exception the single-pair call raises
     there: a ``ChartDomainError`` (a time outside the flow's domain or below
     the sampling floor, a point outside the chart) or a
     ``DegenerateMetricError`` (a degenerate slice or track metric).  The
@@ -305,7 +292,7 @@ def mcf_canonical_sweep(mcf: MCFSolution, cms, xs, ts) -> list:
     return [_residuals(track.cm, _track_stack(track, pairs)) for track in tracks]
 
 
-def mcf_canonical_residual(track: SpaceTimeTrack, x: np.ndarray, t: float) -> TrackResidualSample:
+def mcf_canonical_residual(track: SpaceTimeTrack, x: np.ndarray, t: float) -> ResidualSample:
     """Soliton defect of the track: H^S minus/plus the normal potential derivative.
 
     Entirely engine-evaluated: H^S from the kernel second fundamental
@@ -331,8 +318,8 @@ def closed_form_normal_potential(track: SpaceTimeTrack, x: np.ndarray, t: float)
     return cm.sign * cm.N * H / (2.0 * t**3 * w * sN)
 
 
-def limit_inverse_metric(track: SpaceTimeTrack, x: np.ndarray, t: float) -> SymTensor2:
-    """Degenerate large-N limit of the inverse induced metric.
+def limit_inverse_metric(track: SpaceTimeTrack, x: np.ndarray, t: float) -> np.ndarray:
+    """Degenerate large-N limit of the inverse induced metric, (n+1, n+1).
 
     Spatial block t g^{ij} (expanding), tau g^{ij} (shrinking) or g^{ij}
     (steady); the time row and column vanish in the limit, the finite-N
@@ -343,7 +330,7 @@ def limit_inverse_metric(track: SpaceTimeTrack, x: np.ndarray, t: float) -> SymT
     n = track.n
     out = np.zeros((n + 1, n + 1))
     out[1:, 1:] = track.cm.time_scale(t) * hyp.induced_inv
-    return SymTensor2(out, "contravariant")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +400,8 @@ def closed_form_second_ff(
     t: float,
     form: str = "full",
     as_printed: bool = False,
-) -> SymTensor2:
-    """Closed-form second fundamental form of the track at (x, t).
+) -> np.ndarray:
+    """Closed-form second fundamental form of the track at (x, t), (n+1, n+1).
 
     ``form="full"`` evaluates the complete reference expression (finite-N
     corrections included), ``form="leading"`` the up-to-O(1/N) version.
@@ -495,4 +482,4 @@ def closed_form_second_ff(
     out[1:, 0] = mixed
     out[0, 1:] = mixed
     out[0, 0] = tt
-    return SymTensor2.symmetrized(pref * out)
+    return _symmetrized(pref * out)

@@ -14,7 +14,6 @@ from cansol.backgrounds import (
     BackgroundError,
     GradientSolitonData,
     MCFSolution,
-    TimeScalarField,
     catalog_background_names,
     catalog_mcf_names,
     gradient_soliton_residual,
@@ -24,12 +23,14 @@ from cansol.backgrounds import (
     model_mcf,
     ricci_flow_residual,
     slice_stack,
+    unit_sphere_metric,
 )
 from cansol.canonical import build_canonical_metric, canonical_christoffel_closed_forms
 from cansol.geometry import (
     ChartDomainError,
     DegenerateMetricError,
     GeometryError,
+    ScalarField,
     ricci_batch,
     scalar_curvature_batch,
     tensor_norm_batch,
@@ -46,8 +47,8 @@ FLOW_AMBIENTS = {
 
 
 def tensor_norm(bg, t, T, p):
-    """|T| in g(t) at one point through ``tensor_norm_batch``, in T's own variance."""
-    return tensor_norm_batch(bg.bundle([p], [t], order=0), T.entries[None], T.variance)[0]
+    """|T| in g(t) of a covariant 2-tensor (d, d) at one point through ``tensor_norm_batch``."""
+    return tensor_norm_batch(bg.bundle([p], [t], order=0), T[None])[0]
 
 
 def metric_rows(bg, pts, ts):
@@ -105,6 +106,18 @@ class TestModelBackgrounds:
             model_background("round_sphere", dim=3, r0=-1.0)
         with pytest.raises(BackgroundError):
             model_background("euclidean_static", dim=3, radius=2.0)
+
+    def test_bad_constructor_arguments(self):
+        flat = model_background("euclidean_static", dim=3)
+        for build, message in [
+            (lambda: unit_sphere_metric(0), "sphere dimension must be >= 1, got 0"),
+            (lambda: dataclasses.replace(flat, direction="sideways"), "unknown flow direction 'sideways'"),
+            (lambda: GradientSolitonData(lambda t: ScalarField.constant(0.0), "static"),
+             "unknown soliton class 'static'"),
+        ]:
+            with pytest.raises(BackgroundError) as info:
+                build()
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("name, params, message", [
         ("round_sphere", dict(dim="x"), "round_sphere.dim must be an integer >= 2, got 'x'"),
@@ -232,7 +245,7 @@ class TestRicciFlowResidual:
         bg = RicciFlowBackground("corrupted", dim, "forward", (0.0, 1.0), conf)
         t, p = 0.6, np.array([0.1, -0.4, 0.8])
         res = ricci_flow_residual(bg, p, t)
-        assert np.allclose(res.entries, 2.0 * t * eye, atol=1e-10)
+        assert np.allclose(res, 2.0 * t * eye, atol=1e-10)
         # norm against g = (1 + t^2) delta: |res| = 2t sqrt(d) / (1 + t^2)
         expected_norm = 2.0 * t * math.sqrt(dim) / (1.0 + t**2)
         assert tensor_norm(bg, t, res, p) == pytest.approx(expected_norm, rel=1e-10)
@@ -263,7 +276,7 @@ class TestModelMCF:
         assert data.mean_curvature == 0.0
         assert np.allclose(data.second_ff, 0.0)
         res = ricci_flow_residual(bg, data.position, 0.5)
-        assert np.allclose(res.entries, 0.0)
+        assert np.allclose(res, 0.0)
 
     def test_incompatible_background(self):
         sphere_bg = model_background("round_sphere", dim=3, r0=1.0, direction="backward")
@@ -393,34 +406,34 @@ class TestGradientSolitonResidual:
         for t in sample_times(bg, 5, rng):
             for p in bg.sample_points(5, rng):
                 res = gradient_soliton_residual(bg, bg.soliton, p, t)
-                assert np.max(np.abs(res.entries)) < 1e-12
+                assert np.max(np.abs(res)) < 1e-12
 
     def test_flat_steady_zero_potential(self):
         bg = model_background("euclidean_static", dim=3)
         sol = GradientSolitonData(bg_potential_zero(), "steady")
         res = gradient_soliton_residual(bg, sol, np.array([0.3, 0.1, -0.2]), 0.5)
-        assert np.allclose(res.entries, 0.0, atol=1e-14)
+        assert np.allclose(res, 0.0, atol=1e-14)
 
     def test_flat_steady_linear_and_quadratic_potentials(self):
         bg = model_background("euclidean_static", dim=3)
         linear = GradientSolitonData(
-            TimeScalarField(value=lambda y, t: y[..., 0],
-                            dy=lambda y, t: np.broadcast_to([1.0, 0.0, 0.0], y.shape),
-                            dyy=lambda y, t: np.zeros(y.shape + (3,))),
+            lambda t: ScalarField(value=lambda y: y[..., 0],
+                                  d1=lambda y: np.broadcast_to([1.0, 0.0, 0.0], y.shape),
+                                  d2=lambda y: np.zeros(y.shape + (3,))),
             "steady",
         )
         res = gradient_soliton_residual(bg, linear, np.array([0.2, 0.5, 0.7]), 0.3)
-        assert np.allclose(res.entries, 0.0, atol=1e-14)
+        assert np.allclose(res, 0.0, atol=1e-14)
 
         quadratic = GradientSolitonData(
-            TimeScalarField(value=lambda y, t: y[..., 0] ** 2,
-                            dy=lambda y, t: 2.0 * y * np.array([1.0, 0.0, 0.0]),
-                            dyy=lambda y, t: np.broadcast_to(np.diag([2.0, 0.0, 0.0]),
-                                                             y.shape + (3,))),
+            lambda t: ScalarField(value=lambda y: y[..., 0] ** 2,
+                                  d1=lambda y: 2.0 * y * np.array([1.0, 0.0, 0.0]),
+                                  d2=lambda y: np.broadcast_to(np.diag([2.0, 0.0, 0.0]),
+                                                               y.shape + (3,))),
             "steady",
         )
         res = gradient_soliton_residual(bg, quadratic, np.array([0.2, 0.5, 0.7]), 0.3)
-        assert np.allclose(res.entries, np.diag([2.0, 0.0, 0.0]), atol=1e-14)
+        assert np.allclose(res, np.diag([2.0, 0.0, 0.0]), atol=1e-14)
 
 
 def counting_sigma(bg, einstein=False):
@@ -447,10 +460,10 @@ def counting_sigma(bg, einstein=False):
 def not_a_soliton():
     """A potential on the unit 3-sphere that is no soliton, so every residual term is non-zero."""
     return GradientSolitonData(
-        TimeScalarField(
-            value=lambda y, t: np.sum(np.cos(y), axis=-1) / t,
-            dy=lambda y, t: -np.sin(y) / t,
-            dyy=lambda y, t: -np.sin(y)[..., None] * np.eye(3) / t,
+        lambda t: ScalarField(
+            value=lambda y: np.sum(np.cos(y), axis=-1) / t,
+            d1=lambda y: -np.sin(y) / t,
+            d2=lambda y: -np.sin(y)[..., None] * np.eye(3) / t,
         ),
         "shrinking",
     )
@@ -502,7 +515,7 @@ class TestOneBundlePerResidual:
             for _ in range(50):
                 t = rng.uniform(0.05, 1.0)
                 p = bg.sample_points(1, rng)[0]
-                h.update(gradient_soliton_residual(bg, sol or bg.soliton, p, t).entries.tobytes())
+                h.update(gradient_soliton_residual(bg, sol or bg.soliton, p, t).tobytes())
             digests[key] = h.hexdigest()
         h = hashlib.sha256()
         for name, params in [("round_sphere", dict(dim=3, r0=1.0, direction="forward")),
@@ -513,7 +526,7 @@ class TestOneBundlePerResidual:
             for _ in range(50):
                 t = rng.uniform(0.05 * hi, hi)
                 p = bg.sample_points(1, rng)[0]
-                h.update(ricci_flow_residual(bg, p, t).entries.tobytes())
+                h.update(ricci_flow_residual(bg, p, t).tobytes())
         digests["ricci_flow"] = h.hexdigest()
         assert digests == {
             "gaussian": "967eedb2dc77a95e6270119ece23d9f47ca97c3b18ffa7d391d34e461b284f4c",
@@ -560,9 +573,7 @@ class TestMCFSolitonResidual:
 
 
 def bg_potential_zero():
-    return TimeScalarField(value=lambda y, t: np.zeros(y.shape[:-1]),
-                           dy=lambda y, t: np.zeros(y.shape),
-                           dyy=lambda y, t: np.zeros(y.shape + y.shape[-1:]))
+    return lambda t: ScalarField.constant(0.0)
 
 
 class TestExtrinsicGeometry:

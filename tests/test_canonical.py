@@ -18,7 +18,7 @@ from cansol.canonical import (
     ricci_soliton_residual,
     ricci_soliton_residuals,
 )
-from cansol.geometry import inverse_metric, scalar_d1
+from cansol.geometry import ScalarField, inverse_metric, scalar_d1
 
 FLAT_FWD = dict(name="euclidean_static", dim=3, direction="forward")
 FLAT_BWD = dict(name="euclidean_static", dim=3, direction="backward")
@@ -81,6 +81,12 @@ class TestBuild:
             build_canonical_metric(make_bg(FLAT_FWD), "shrinking", 100.0)
         with pytest.raises(CanonicalConfigError):
             build_canonical_metric(make_bg(FLAT_FWD), "steady", 100.0)
+
+    @pytest.mark.parametrize("N", [0.0, -1.0, float("nan")])
+    def test_non_positive_N_rejected(self, N):
+        with pytest.raises(CanonicalConfigError) as info:
+            build_canonical_metric(make_bg(FLAT_FWD), "expanding", N)
+        assert str(info.value) == f"N must be positive, got {N}"
 
     def test_small_N_reports_threshold(self):
         # the shrinking time-time component subtracts m/(2 t^2), so its
@@ -322,7 +328,7 @@ class TestVariantSigns:
 
     @pytest.mark.parametrize("bg_params,variant", COMBOS)
     def test_derived_quantities_equal_the_explicit_formulas(self, bg_params, variant):
-        from cansol.backgrounds import GradientSolitonData, TimeScalarField
+        from cansol.backgrounds import GradientSolitonData
 
         direction, constant, time_time, potential = self.EXPLICIT[variant]
         bg = make_bg(bg_params)
@@ -330,7 +336,7 @@ class TestVariantSigns:
         N = 137.0
         cm = build_canonical_metric(bg, variant, N)
         assert cm.soliton_constant == constant
-        sol = GradientSolitonData(TimeScalarField(value=lambda p, t: 0.0 * p[..., 0]), variant)
+        sol = GradientSolitonData(lambda t: ScalarField(value=lambda p: 0.0 * p[..., 0]), variant)
         assert sol.c == 2 * constant
         for p, t in samples_for(bg, 5, seed=4):
             [R] = bg.curvature([p], [t]).R

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cansol import cli
+from cansol import cli, reports
 from cansol import track as track_module
 from cansol.cli import ConfigError, RunConfig, _sweep_summary, main, run
 from cansol.reports import EmitError, ResidualReport, _plain, emit, render_json
@@ -728,6 +728,28 @@ class TestMainEntry:
         assert main(["run", "--config", str(self.write_cfg(tmp_path, lott))]) == 2
         assert not (tmp_path / "lott.json").exists()
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+
+    LOTT = {
+        "suite": "lott_match",
+        "background": {"name": "euclidean_static", "params": {"dim": 3, "direction": "forward"}},
+        "mcf": {"name": "shrinking_sphere_flat", "params": {"r0": 1.0}},
+        "samples": {"count": 2, "seed": 9, "times": [0.1]},
+    }
+
+    def test_unwritable_output_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.json"
+        assert main(["run", "--config", str(self.write_cfg(tmp_path, self.LOTT)), "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot write report to {out}: ")
+
+    def test_a_rendering_bug_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def broken(report):
+            raise TypeError("not serializable")
+
+        monkeypatch.setattr(reports, "render_json", broken)
+        out = tmp_path / "out.json"
+        with pytest.raises(TypeError, match="^not serializable$"):
+            main(["run", "--config", str(self.write_cfg(tmp_path, self.LOTT)), "--output", str(out)])
+        assert not out.exists()
 
     def test_byte_identical_outputs(self, tmp_path):
         cfg = {

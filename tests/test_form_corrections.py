@@ -97,7 +97,7 @@ def test_second_ff_flags_match_the_catalog(variant):
                 ts = rng.uniform(cm.t_min, track.mcf.time_domain[1], POINTS)
                 for x, t in zip(track.mcf.sample_xs(POINTS, rng), ts):
                     forms = {
-                        form: [closed_form_second_ff(track, x, t, form, as_printed=a).entries
+                        form: [closed_form_second_ff(track, x, t, form, as_printed=a)
                                for a in (True, False)]
                         for form in ("full", "leading")
                     }

@@ -273,6 +273,18 @@ class TestFunctionals:
                 boundary_mean_curvatures=wm.boundary_mean_curvatures,
             )
 
+    def test_non_positive_weights_rejected(self):
+        wm = flat_ball_domain(grid=(8, 12, 8))
+        with pytest.raises(QuadratureError) as info:
+            dataclasses.replace(wm, boundary_weights=-wm.boundary_weights)
+        assert str(info.value) == "quadrature weights must be positive"
+
+    @pytest.mark.parametrize("grid", [(1, 12, 8), (8, 1, 8), (8, 12, 1)])
+    def test_too_coarse_grid_rejected(self, grid):
+        with pytest.raises(QuadratureError) as info:
+            flat_ball_domain(grid=grid)
+        assert str(info.value) == f"grid {grid} too coarse"
+
     def test_bad_normals_rejected(self):
         wm = flat_ball_domain(grid=(8, 12, 8))
         with pytest.raises(QuadratureError):

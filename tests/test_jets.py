@@ -166,6 +166,16 @@ class TestAgainstFiniteDifferences:
         assert np.array_equal(J.v, f(ts))
         assert_close_to_fd(J, f, ts)
 
+    @pytest.mark.parametrize("f", [lambda t, a: a + t, lambda t, a: a - t, lambda t, a: a * t,
+                                   lambda t, a: a / t], ids=["radd", "rsub", "rmul", "rdiv"])
+    def test_a_larger_left_operand_broadcasts_the_derivatives(self, f):
+        # each derivative takes the shape of the value, as for a jet on the left
+        big = jets.derivatives(lambda t: f(t, np.ones(3)), 0.5)
+        small = jets.derivatives(lambda t: f(t, 1.0), 0.5)
+        assert [a.shape for a in big] == [(3,)] * 3
+        for b, s in zip(big, small):
+            assert np.array_equal(b, np.broadcast_to(s, (3,)))
+
     @given(which=st.sampled_from(["sphere", "flat", "snapshot"] + [f"canonical-{v}" for v in VARIANTS]),
            dim=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=12, deadline=None)

@@ -132,7 +132,12 @@ class TestClosedFormSecondFF:
             for t in rng.uniform(max(0.05 * bg.time_domain[1], 0.05 * hi), hi, 3):
                 d = track_point_data(tr, x, t)
                 cf = closed_form_second_ff(tr, x, t, form="full")
-                assert_close(d.second_ff, cf.entries, rtol=1e-9)
+                assert_close(d.second_ff, cf, rtol=1e-9)
+
+    def test_unknown_form_rejected(self):
+        with pytest.raises(ValueError) as info:
+            closed_form_second_ff(sphere_track("expanding", 100.0), np.array([1.1, 0.7]), 0.1, form="exact")
+        assert str(info.value) == "form must be 'full' or 'leading', got 'exact'"
 
     def test_engine_matches_derived_full_form_fd_backend(self):
         import dataclasses
@@ -144,7 +149,7 @@ class TestClosedFormSecondFF:
         x, t = np.array([1.1, 0.7]), 0.1
         d = track_point_data(tr_fd, x, t)
         cf = closed_form_second_ff(tr_fd, x, t, form="full")
-        assert rel(d.second_ff, cf.entries) < 1e-5
+        assert rel(d.second_ff, cf) < 1e-5
 
     def test_printed_full_form_deviates_at_order_one_over_N(self):
         # the literal reference corrections carry sign slips; the mismatch
@@ -155,7 +160,7 @@ class TestClosedFormSecondFF:
             tr = sphere_track("expanding", N)
             d = track_point_data(tr, x, t)
             cp = closed_form_second_ff(tr, x, t, form="full", as_printed=True)
-            errs.append(rel(d.second_ff, cp.entries))
+            errs.append(rel(d.second_ff, cp))
         assert errs[0] > 1e-6
         for a, b in zip(errs, errs[1:]):
             assert 0.3 < b / a < 0.7
@@ -168,7 +173,7 @@ class TestClosedFormSecondFF:
             tr = sphere_track("expanding", N)
             d = track_point_data(tr, x, t)
             cl = closed_form_second_ff(tr, x, t, form="leading")
-            errs.append(rel(d.second_ff, cl.entries))
+            errs.append(rel(d.second_ff, cl))
         for a, b in zip(errs, errs[1:]):
             assert 0.3 < b / a < 0.7
 
@@ -188,15 +193,15 @@ class TestClosedFormSecondFF:
         x, t = np.array([1.2, 0.4]), 0.3
         cf = closed_form_second_ff(tr, x, t, form="leading")
         d = track_point_data(tr, x, t)
-        assert np.allclose(cf.entries[0, 1:], 0.0, atol=1e-14)
+        assert np.allclose(cf[0, 1:], 0.0, atol=1e-14)
         assert np.allclose(d.second_ff, 0.0, atol=1e-12)
 
     def test_steady_leading_printed_prefactor_slip(self):
         # reference leading steady form carries a stray 1/tau
         tr = sphere_track("steady", 1e6)
         x, t = np.array([1.1, 0.7]), 0.15
-        lead = closed_form_second_ff(tr, x, t, form="leading").entries
-        printed = closed_form_second_ff(tr, x, t, form="leading", as_printed=True).entries
+        lead = closed_form_second_ff(tr, x, t, form="leading")
+        printed = closed_form_second_ff(tr, x, t, form="leading", as_printed=True)
         assert np.allclose(printed * t, lead, atol=1e-12)
 
 
@@ -294,9 +299,9 @@ class TestLimitInverseMetric:
         x, t = np.array([1.1, 0.7]), 0.25
         lim = limit_inverse_metric(tr, x, t)
         d = track_point_data(tr, x, t)
-        assert lim.variance == "contravariant"
-        assert np.allclose(lim.entries[1:, 1:], 0.25 * d.hyp.induced_inv)
-        assert np.all(lim.entries[0, :] == 0.0)
+        assert lim.shape == (3, 3)
+        assert np.allclose(lim[1:, 1:], 0.25 * d.hyp.induced_inv)
+        assert np.all(lim[0, :] == 0.0)
 
     def test_finite_N_inverse_approaches_limit(self):
         x, t = np.array([1.1, 0.7]), 0.1
@@ -305,7 +310,7 @@ class TestLimitInverseMetric:
             tr = sphere_track("expanding", N)
             d = track_point_data(tr, x, t)
             lim = limit_inverse_metric(tr, x, t)
-            gaps.append(np.max(np.abs(d.induced_inv - lim.entries)))
+            gaps.append(np.max(np.abs(d.induced_inv - lim)))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-7
 
