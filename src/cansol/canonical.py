@@ -16,9 +16,9 @@ N |E_N| stays bounded as N grows.
 The numeric kernel is the ground truth for every verified statement.
 Reference closed-form Christoffel tables for these metrics circulate with
 a few typographical slips; ``canonical_christoffel_closed_forms`` therefore
-evaluates either the literal printed table (``as_printed=True``) or the
-rederived one, and ``CHRISTOFFEL_CORRECTIONS`` records every place the two
-differ so that cross-check reports can show, rather than hide, the slips.
+evaluates both the literal printed table and the rederived one, and
+``CHRISTOFFEL_CORRECTIONS`` records every place the two differ so that
+cross-check reports can show, rather than hide, the slips.
 """
 
 from __future__ import annotations
@@ -417,59 +417,104 @@ CHRISTOFFEL_CORRECTIONS = (
 )
 
 
-def canonical_christoffel_closed_forms(cm: CanonicalMetric, points, ts, as_printed: bool = False) -> np.ndarray:
-    """Closed-form Christoffel tables [p, a, b, c] = Gamma^a_{bc} of the canonical metric, index 0 time.
+def _sweep_base(cms) -> RicciFlowBackground:
+    """The one background every metric of a sweep is built on."""
+    bg = cms[0].base
+    for cm in cms[1:]:
+        if cm.base is not bg:
+            raise CanonicalConfigError(
+                f"canonical metrics of one sweep built on different backgrounds "
+                f"({bg.name}, dim {bg.dim} and {cm.base.name}, dim {cm.base.dim}); build them on one"
+            )
+    return bg
 
-    ``as_printed=False`` evaluates the rederived table (what the Levi-Civita
-    formula yields), ``as_printed=True`` the reference table literally, slips
-    included, so the cross-check suite can measure them.  One background
-    ``bundle`` and ``curvature`` serve every (p, t) pair; the first failing
-    pair raises its error: a point outside the chart, else a time outside
-    the domain.
-    """
-    bg = cm.base
-    m, N, s = bg.dim, cm.N, cm.sign
+
+def _spacetime_stack(bg: RicciFlowBackground, points, ts) -> np.ndarray:
+    """The (P, m + 1) stack of space-time points z = (t, p) of a nonempty sample list."""
     t = np.asarray(ts, dtype=float)
-    z = np.column_stack((t, np.reshape(points, (len(t), m))))
+    if not len(t):
+        raise CanonicalConfigError("no (p, t) samples: the closed-form tables need at least one")
+    return np.column_stack((t, np.reshape(points, (len(t), bg.dim))))
+
+
+def canonical_christoffel_closed_forms(cms, points, ts) -> list:
+    """Closed-form Christoffel tables [p, a, b, c] = Gamma^a_{bc} of each canonical metric, index 0 time.
+
+    Returns one ``(derived, printed)`` pair of (P, m + 1, m + 1, m + 1)
+    stacks per metric of ``cms``, in order: the rederived table (what the
+    Levi-Civita formula yields) and the reference table literally, slips
+    included, so the cross-check suite can measure them.  The background
+    half of the tables does not depend on the metric: the point and time
+    checks, one background ``bundle`` and ``curvature``, Ric^a_b, the
+    spatial symbols and the G^a_00 column serve every metric, which adds
+    only its time-time profile and the entries that carry N or its sign.
+    Every metric must be built on one background; an empty ``cms`` gives
+    [].  The first failing pair raises its error: a point outside the
+    chart, else a time outside the domain.
+    """
+    cms = list(cms)
+    if not cms:
+        return []
+    bg = _sweep_base(cms)
+    return _closed_forms(cms, _spacetime_stack(bg, points, ts))
+
+
+def _closed_forms(cms, z: np.ndarray) -> list:
+    """``canonical_christoffel_closed_forms`` at a (P, m + 1) stack z = (t, p) of metrics on one background."""
+    bg = cms[0].base
+    m = bg.dim
+    # the time column of z: a strided view whatever the layout of ts, so
+    # every stack takes the same numpy loop and a row's bits do not vary
+    t = z[:, 0]
     times = _check_each((bg.check_time,), t.tolist())
-    _raise_first([e or f for e, f in zip(_point_errors(z, cm.field.in_domain), times)])
+    _raise_first([e or f for e, f in zip(_point_errors(z, cms[0].field.in_domain), times)])
 
     b = bg.bundle(z[:, 1:], t.tolist(), order=1)
     b.raise_error()
     ric, R, dRdt, dRdy = bg.curvature(z[:, 1:], t.tolist())
     ric_up = b.ginv @ ric                     # Ric^a_b
-    # w from the time column of z: a strided view whatever the layout of ts,
-    # so every stack takes the same numpy loop and a row's bits do not vary
-    w = np.broadcast_to(_profiles(bg, s, N)(z[:, 0])[0], t.shape)
-    tb, Rb, wb = (a[:, None, None] for a in (t, R, w))      # against (P, m, m) blocks
-
-    gamma = np.zeros((len(t),) + (m + 1,) * 3)
-    gamma[:, 1:, 1:, 1:] = christoffel_batch(b)
+    tb, Rb = t[:, None, None], R[:, None, None]         # against (P, m, m) blocks
+    g_half = b.g / (2 * tb**2)                # g_bc / (2 t^2)
+    # the entries that depend on the background alone
+    shared = np.zeros((len(t),) + (m + 1,) * 3)
+    shared[:, 1:, 1:, 1:] = christoffel_batch(b)
     # The printed G^a_00 entry pairs the inverse metric's role with lowered
-    # indices; only the inverse-metric reading typechecks, so both evaluation
-    # modes use -1/2 g^{ab} d_b R and the slip is notational, not numeric.
-    gamma[:, 1:, 0, 0] = -0.5 * np.einsum("pab,pb->pa", b.ginv, dRdy)
+    # indices; only the inverse-metric reading typechecks, so both tables
+    # use -1/2 g^{ab} d_b R and the slip is notational, not numeric.
+    shared[:, 1:, 0, 0] = -0.5 * np.einsum("pab,pb->pa", b.ginv, dRdy)
 
-    if s == 0:
-        mixed_up = ric_up
-        gamma[:, 0, 1:, 1:] = -ric / (N + Rb)
-        time_mixed = 0.5 * dRdy if as_printed else 0.5 * dRdy / (N + R)[:, None]
-        gamma[:, 0, 0, 0] = 0.5 * dRdt if as_printed else 0.5 * dRdt / (N + R)
-    else:
-        mixed_up = -s * ric_up - np.eye(m) / (2 * tb)
-        if as_printed and s < 0:
-            gamma[:, 0, 1:, 1:] = -(b.g / (2 * tb**2) - ric) / (tb * wb)
+    out = []
+    for cm in cms:
+        N, s = cm.N, cm.sign
+        w = np.broadcast_to(_profiles(bg, s, N)(t)[0], t.shape)
+        wb = w[:, None, None]
+        derived = shared.copy()
+        if s == 0:
+            mixed_up = ric_up
+            derived[:, 0, 1:, 1:] = -ric / (N + Rb)
+            time_mixed = 0.5 * dRdy / (N + R)[:, None]
+            derived[:, 0, 0, 0] = 0.5 * dRdt / (N + R)
         else:
-            gamma[:, 0, 1:, 1:] = (s * ric / tb + b.g / (2 * tb**2)) / wb
-        time_mixed = dRdy / (2 * t * w)[:, None]
-        # both printed G^0_00 entries read R/t for 2R/t and +m for s*m
-        r_coeff, m_sign = (1, 1) if as_printed else (2, s)
-        gamma[:, 0, 0, 0] = -3 / (2 * t) + (r_coeff * R / t + dRdt + m_sign * m / (2 * t**2)) / (2 * t * w)
+            mixed_up = -s * ric_up - np.eye(m) / (2 * tb)
+            derived[:, 0, 1:, 1:] = (s * ric / tb + g_half) / wb
+            time_mixed = dRdy / (2 * t * w)[:, None]
+            derived[:, 0, 0, 0] = -3 / (2 * t) + (2 * R / t + dRdt + s * m / (2 * t**2)) / (2 * t * w)
+        # the mixed symbols are symmetric in their lower indices
+        derived[:, 1:, 1:, 0] = derived[:, 1:, 0, 1:] = mixed_up
+        derived[:, 0, 1:, 0] = derived[:, 0, 0, 1:] = time_mixed
 
-    # the mixed symbols are symmetric in their lower indices
-    gamma[:, 1:, 1:, 0] = gamma[:, 1:, 0, 1:] = mixed_up
-    gamma[:, 0, 1:, 0] = gamma[:, 0, 0, 1:] = time_mixed
-    return gamma
+        # the printed table: the derived one with the registered slips
+        printed = derived.copy()
+        if s == 0:
+            printed[:, 0, 1:, 0] = printed[:, 0, 0, 1:] = 0.5 * dRdy
+            printed[:, 0, 0, 0] = 0.5 * dRdt
+        else:
+            if s < 0:
+                printed[:, 0, 1:, 1:] = -(g_half - ric) / (tb * wb)
+            # both printed G^0_00 entries read R/t for 2R/t and +m for s*m
+            printed[:, 0, 0, 0] = -3 / (2 * t) + (R / t + dRdt + m / (2 * t**2)) / (2 * t * w)
+        out.append((derived, printed))
+    return out
 
 
 _SYMBOL_CLASSES = {
@@ -482,22 +527,37 @@ _SYMBOL_CLASSES = {
 }
 
 
-def christoffel_crosscheck(cm: CanonicalMetric, samples) -> tuple[dict, dict]:
-    """Engine-vs-closed-form comparison over (p, t) samples, against the derived and the printed table.
+def christoffel_crosscheck(cms, samples) -> list:
+    """Engine-vs-closed-form comparison over (p, t) samples, for each canonical metric of ``cms``.
 
-    Returns two per-symbol-class tables of relative errors, (derived,
-    printed), from one engine evaluation.  Each class is scaled by the
-    largest engine entry it contains over all samples; classes that vanish
-    in both evaluations report their absolute mismatch.
+    Returns one pair of per-symbol-class tables of relative errors per
+    metric, in order: (derived, printed), against the two closed-form
+    tables, from one engine evaluation per metric.  The samples are
+    stacked once, and one background evaluation serves the closed forms of
+    every metric (``canonical_christoffel_closed_forms``).  Each class is
+    scaled by the largest engine entry it contains over all samples;
+    classes that vanish in both evaluations report their absolute
+    mismatch.  Every metric must be built on one background; an empty
+    ``cms`` gives [].
     """
+    cms = list(cms)
+    if not cms:
+        return []
     samples = list(samples)
-    b = metric_bundle(cm.field, [cm.spacetime_point(p, t) for p, t in samples], order=1)
-    b.raise_error()
-    engine = christoffel_batch(b)
-    tables = ({}, {})
-    for table, as_printed in zip(tables, (False, True)):
-        err = np.abs(engine - canonical_christoffel_closed_forms(cm, *zip(*samples), as_printed))
-        for name, idx in _SYMBOL_CLASSES.items():
-            diff, scale = float(np.max(err[idx])), float(np.max(np.abs(engine[idx])))
-            table[name] = diff / scale if scale > 1e-14 else diff
-    return tables
+    z = _spacetime_stack(_sweep_base(cms), [p for p, _ in samples], [t for _, t in samples])
+    engines = []
+    for cm in cms:
+        b = metric_bundle(cm.field, z, order=1)
+        b.raise_error()
+        engines.append(christoffel_batch(b))
+    out = []
+    for engine, forms in zip(engines, _closed_forms(cms, z)):
+        scales = {name: float(np.max(np.abs(engine[idx]))) for name, idx in _SYMBOL_CLASSES.items()}
+        tables = ({}, {})
+        for table, gamma in zip(tables, forms):
+            err = np.abs(engine - gamma)
+            for name, idx in _SYMBOL_CLASSES.items():
+                diff, scale = float(np.max(err[idx])), scales[name]
+                table[name] = diff / scale if scale > 1e-14 else diff
+        out.append(tables)
+    return out

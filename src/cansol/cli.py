@@ -256,12 +256,11 @@ def _run_christoffel_crosscheck(cfg: RunConfig, report: ResidualReport):
     _check_times(cfg, bg, ts)
     samples = list(zip(pts, ts))
 
+    cms = [build_canonical_metric(bg, variant, N) for N in Ns]
+    if backend == "fd":
+        cms = [dataclasses.replace(cm, field=cm.field.without_analytic_derivatives()) for cm in cms]
     worst = 0.0
-    for N in Ns:
-        cm = build_canonical_metric(bg, variant, N)
-        if backend == "fd":
-            cm = dataclasses.replace(cm, field=cm.field.without_analytic_derivatives())
-        derived, printed = christoffel_crosscheck(cm, samples)
+    for N, (derived, printed) in zip(Ns, christoffel_crosscheck(cms, samples)):
         for symbol in derived:
             report.records.append(
                 {

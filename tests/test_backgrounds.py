@@ -490,13 +490,14 @@ class TestOneBundlePerResidual:
         assert calls == {0: 0, 1: 5, 2: 0}
 
     def test_closed_form_christoffel_tables_evaluate_sigma_twice(self):
-        # one order-1 background bundle and one order-0 ric_sigma; the time-time
-        # entry w comes from the time profiles, not from the whole metric
+        # one order-1 background bundle and one order-0 ric_sigma for every metric
+        # of the sweep; the time-time entry w comes from the time profiles, not
+        # from the whole metric
         bg, calls = counting_sigma(model_background("round_sphere", dim=3, direction="forward"), einstein=True)
-        cm = build_canonical_metric(bg, "expanding", 1e3)
+        cms = [build_canonical_metric(bg, "expanding", N) for N in (1e3, 1e4)]
         rng = np.random.default_rng(8)
         pts = bg.sample_points(5, rng)
-        canonical_christoffel_closed_forms(cm, pts, rng.uniform(cm.t_min, bg.time_domain[1], 5))
+        canonical_christoffel_closed_forms(cms, pts, rng.uniform(cms[0].t_min, bg.time_domain[1], 5))
         assert calls == {0: 1, 1: 1, 2: 0}
 
     def test_residuals_equal_the_values_before_the_single_bundle(self):

@@ -117,18 +117,18 @@ class TestClosedFormChristoffels:
     def test_flat_expanding_mixed_entry(self):
         # G^a_b0 = -delta/(2t): at t = 0.5 the diagonal is -1
         cm = build_canonical_metric(make_bg(FLAT_FWD), "expanding", 100.0)
-        [gamma] = canonical_christoffel_closed_forms(cm, [np.zeros(3)], [0.5])
+        [([gamma], _)] = canonical_christoffel_closed_forms([cm], [np.zeros(3)], [0.5])
         assert np.allclose(gamma[1:, 1:, 0], -np.eye(3))
 
     def test_flat_steady_gamma_vanishes(self):
         cm = build_canonical_metric(make_bg(FLAT_BWD), "steady", 100.0)
-        [gamma] = canonical_christoffel_closed_forms(cm, [np.zeros(3)], [0.4])
+        [([gamma], _)] = canonical_christoffel_closed_forms([cm], [np.zeros(3)], [0.4])
         assert np.allclose(gamma, 0.0)
 
     def test_sphere_steady_time_block(self):
         cm = build_canonical_metric(make_bg(SPHERE_BWD), "steady", 100.0)
         p, t = np.array([1.1, 0.7, 0.2]), 0.3
-        [gamma] = canonical_christoffel_closed_forms(cm, [p], [t])
+        [([gamma], _)] = canonical_christoffel_closed_forms([cm], [p], [t])
         # Ric = 2 sigma and R = 6 / phi(t), phi(t) = 1 + 4t, on the backward unit 3-sphere
         expected = -2.0 * unit_sphere_metric(3).at(p) / (100.0 + 6.0 / (1.0 + 4.0 * t))
         assert np.allclose(gamma[0, 1:, 1:], expected, rtol=1e-12)
@@ -137,7 +137,7 @@ class TestClosedFormChristoffels:
     def test_engine_matches_derived_forms_analytic(self, bg_params, variant):
         bg = make_bg(bg_params)
         cm = build_canonical_metric(bg, variant, 100.0)
-        table, _ = christoffel_crosscheck(cm, samples_for(bg, 6, seed=1))
+        [(table, _)] = christoffel_crosscheck([cm], samples_for(bg, 6, seed=1))
         assert max(table.values()) < 1e-9, table
 
     @pytest.mark.parametrize("bg_params,variant", COMBOS)
@@ -147,7 +147,7 @@ class TestClosedFormChristoffels:
         fd_cm = build_canonical_metric(bg, variant, 100.0)
         fd_field = fd_cm.field.without_analytic_derivatives()
         object.__setattr__(fd_cm, "field", fd_field)
-        table, _ = christoffel_crosscheck(fd_cm, samples_for(bg, 4, seed=2))
+        [(table, _)] = christoffel_crosscheck([fd_cm], samples_for(bg, 4, seed=2))
         assert max(table.values()) < 1e-5, table
 
     def test_crosscheck_evaluates_the_engine_once_for_both_tables(self):
@@ -160,11 +160,47 @@ class TestClosedFormChristoffels:
         counted = dataclasses.replace(cm, field=dataclasses.replace(
             cm.field, jet=lambda z, order: jet_calls.append(len(z)) or jet(z, order)))
         samples = samples_for(bg, 4, seed=3)
-        derived, printed = christoffel_crosscheck(counted, samples)
+        [(derived, printed)] = christoffel_crosscheck([counted], samples)
         assert jet_calls == [4]
         assert derived.keys() == printed.keys()
         # the printed table's nesting slip in G^0_bc shows; the derived table matches
         assert derived["G^0_bc"] < 1e-9 < printed["G^0_bc"]
+
+    def test_a_sweep_equals_each_metric_alone(self):
+        # the shared background half leaves every metric's tables as they are alone
+        bg = make_bg(SPHERE_BWD)
+        cms = [build_canonical_metric(bg, "shrinking", 100.0), build_canonical_metric(bg, "steady", 1e4),
+               build_canonical_metric(bg, "shrinking", 1e4)]
+        samples = samples_for(bg, 5, seed=6)
+        pts, ts = [p for p, _ in samples], [t for _, t in samples]
+        swept = canonical_christoffel_closed_forms(cms, pts, ts)
+        assert len(swept) == 3
+        for cm, pair in zip(cms, swept):
+            [alone] = canonical_christoffel_closed_forms([cm], pts, ts)
+            assert [a.tobytes() for a in pair] == [a.tobytes() for a in alone]
+        for cm, tables in zip(cms, christoffel_crosscheck(cms, samples)):
+            assert christoffel_crosscheck([cm], samples) == [tables]
+
+    def test_metrics_on_different_backgrounds_are_a_config_error(self):
+        cms = [build_canonical_metric(make_bg(SPHERE_BWD), "shrinking", N) for N in (1e2, 1e3)]
+        samples = samples_for(cms[0].base, 2)
+        with pytest.raises(CanonicalConfigError, match="different backgrounds"):
+            canonical_christoffel_closed_forms(cms, *zip(*samples))
+        with pytest.raises(CanonicalConfigError, match="different backgrounds"):
+            christoffel_crosscheck(cms, samples)
+
+    def test_no_metrics_give_no_tables(self):
+        samples = samples_for(make_bg(SPHERE_BWD), 2)
+        assert canonical_christoffel_closed_forms([], *zip(*samples)) == []
+        assert christoffel_crosscheck([], samples) == []
+
+    def test_no_samples_are_a_config_error(self):
+        cm = build_canonical_metric(make_bg(SPHERE_BWD), "shrinking", 100.0)
+        message = r"no \(p, t\) samples: the closed-form tables need at least one"
+        with pytest.raises(CanonicalConfigError, match=message):
+            canonical_christoffel_closed_forms([cm], [], [])
+        with pytest.raises(CanonicalConfigError, match=message):
+            christoffel_crosscheck([cm], [])
 
     def test_printed_forms_show_known_slips(self):
         # the literal reference tables deviate exactly where the correction
@@ -179,7 +215,7 @@ class TestClosedFormChristoffels:
         for bg_params, variant in COMBOS:
             bg = make_bg(bg_params)
             cm = build_canonical_metric(bg, variant, 100.0)
-            _, table = christoffel_crosscheck(cm, samples_for(bg, 5, seed=4))
+            [(_, table)] = christoffel_crosscheck([cm], samples_for(bg, 5, seed=4))
             for symbol, err in table.items():
                 if err > 1e-8:
                     seen_bad.add((variant, symbol))

@@ -10,6 +10,7 @@ import pytest
 
 from cansol import cli, reports
 from cansol import track as track_module
+from cansol.backgrounds import RicciFlowBackground
 from cansol.cli import ConfigError, RunConfig, _sweep_summary, main, run
 from cansol.reports import EmitError, ResidualReport, _plain, emit, render_json
 
@@ -315,7 +316,7 @@ class TestSuites:
         assert report.passed
         assert report.summary["tolerance"] == 1e-5
 
-    def test_christoffel_crosscheck_compares_both_tables_in_one_call_per_N(self, monkeypatch):
+    def test_christoffel_crosscheck_compares_both_tables_in_one_call_per_suite(self, monkeypatch):
         seen = []
         crosscheck = cli.christoffel_crosscheck
         monkeypatch.setattr(cli, "christoffel_crosscheck",
@@ -327,8 +328,32 @@ class TestSuites:
             "N_list": [100.0, 1000.0],
             "samples": {"count": 3, "seed": 2},
         }))
-        assert len(seen) == 2
+        [(cms, _)] = seen
+        assert [cm.N for cm in cms] == [100.0, 1000.0]
+        assert [(r["N"], r["symbol"]) for r in report.records][::6] == [(100.0, "G^a_bc"), (1000.0, "G^a_bc")]
         assert len(report.records) == 2 * 6
+
+    @pytest.mark.parametrize("backend", ["analytic", "fd"])
+    def test_christoffel_crosscheck_evaluates_the_background_once(self, monkeypatch, backend):
+        # the closed forms' background half does not depend on N
+        calls = {"bundle": 0, "curvature": 0}
+        for name in calls:
+            method = getattr(RicciFlowBackground, name)
+
+            def counted(self, *args, name=name, method=method, **kw):
+                calls[name] += 1
+                return method(self, *args, **kw)
+
+            monkeypatch.setattr(RicciFlowBackground, name, counted)
+        report = run(RunConfig.from_dict({
+            "suite": "christoffel_crosscheck",
+            "variant": "steady",
+            "background": {"name": "round_sphere", "params": {"dim": 3, "direction": "backward"}},
+            "N_list": [100.0, 1000.0],
+            "samples": {"count": 3, "seed": 2, "backend": backend},
+        }))
+        assert report.passed
+        assert calls == {"bundle": 1, "curvature": 1}
 
     def test_harnack_limits_suite(self):
         cfg = RunConfig.from_dict(
@@ -467,6 +492,11 @@ class TestMainEntry:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(doc))
         return p
+
+    def test_no_command_prints_the_usage_and_exits_two(self, capsys):
+        assert main([]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("usage: cansol") and "run" in out
 
     def test_list_flags(self, capsys):
         assert main(["--list-suites"]) == 0

@@ -166,6 +166,21 @@ class TestAgainstFiniteDifferences:
         assert np.array_equal(J.v, f(ts))
         assert_close_to_fd(J, f, ts)
 
+    def test_products_of_two_jets(self):
+        # every product of PRIMITIVES has a linear right factor, whose d2 is the scalar 0.0
+        ts = np.random.default_rng(7).uniform(-1.0, 1.0, 3)
+        first = lambda t: (t + 1.0) * (2.0 * t - 3.0)       # two 1-jets
+        J = jets.lift(first(jets.Jet.variable(ts, 1)), jets.Jet.variable(ts, 1))
+        assert J.d2 is None and np.array_equal(J.v, first(ts))
+        scale = max(1.0, float(np.max(np.abs(J.d1))))
+        assert float(np.max(np.abs(J.d1 - fd_partials(first, ts)[0]))) <= 1e-6 * scale
+        t = jets.Jet.variable(ts, 2)
+        assert type((t**2)._d2) is type((t**2 + t)._d2) is np.ndarray
+        for f in (lambda t: t * t**2, lambda t: (t * t - 1.0) * (t**2 + t)):   # an array d2 on the right
+            J = f(t)
+            assert np.array_equal(J.v, f(ts))
+            assert_close_to_fd(J, f, ts)
+
     @pytest.mark.parametrize("f", [lambda t, a: a + t, lambda t, a: a - t, lambda t, a: a * t,
                                    lambda t, a: a / t], ids=["radd", "rsub", "rmul", "rdiv"])
     def test_a_larger_left_operand_broadcasts_the_derivatives(self, f):
