@@ -122,9 +122,6 @@ class CanonicalMetric:
     def spacetime_point(self, p: np.ndarray, t: float) -> np.ndarray:
         return np.concatenate(([float(t)], np.asarray(p, dtype=float)))
 
-    def time_time(self, p: np.ndarray, t: float) -> float:
-        return float(self.field.components(self.spacetime_point(p, t))[0, 0])
-
 
 @dataclass(frozen=True)
 class ResidualSample:

@@ -190,8 +190,8 @@ class WeightedManifoldData:
             raise QuadratureError("quadrature grid is empty")
         if np.any(self.interior_weights <= 0) or np.any(self.boundary_weights <= 0):
             raise QuadratureError("quadrature weights must be positive")
-        nus = self.boundary_normals[:5]
-        g = self.metric.at(self.boundary_points[:5])
+        nus = self.boundary_normals
+        g = self.metric.at(self.boundary_points)
         if np.max(np.abs(np.einsum("pa,pab,pb->p", nus, g, nus) - 1.0)) > 1e-8:
             raise QuadratureError("boundary normals must be unit vectors")
 

@@ -27,8 +27,9 @@ not depend on its stack.
 
 As with the Christoffel tables, the reference closed forms for h^S
 circulate with slips in their O(1/N) correction terms;
-``closed_form_second_ff`` evaluates either the literal or the rederived
-version and ``SECOND_FF_CORRECTIONS`` records the differences.
+``closed_form_second_ff`` evaluates both the literal and the rederived
+version, full and leading, in one call, and ``SECOND_FF_CORRECTIONS``
+records the differences.
 """
 
 from __future__ import annotations
@@ -47,12 +48,11 @@ from .backgrounds import (
     hypersurface_point_data,
     slice_stack,
 )
-from .canonical import CanonicalConfigError, CanonicalMetric, FormCorrection, ResidualSample
+from .canonical import CanonicalConfigError, CanonicalMetric, FormCorrection, ResidualSample, _profiles
 from .geometry import (
     _check_each,
     _kept,
     _raise_first,
-    _symmetrized,
     christoffel_batch,
     metric_bundle,
     scalar_d1,
@@ -394,30 +394,21 @@ SECOND_FF_CORRECTIONS = (
     ),
 )
 
-def closed_form_second_ff(
-    track: SpaceTimeTrack,
-    x: np.ndarray,
-    t: float,
-    form: str = "full",
-    as_printed: bool = False,
-) -> np.ndarray:
-    """Closed-form second fundamental form of the track at (x, t), (n+1, n+1).
+def closed_form_second_ff(track: SpaceTimeTrack, x: np.ndarray, t: float) -> dict:
+    """Closed-form second fundamental forms of the track at (x, t), from one slice evaluation.
 
-    ``form="full"`` evaluates the complete reference expression (finite-N
-    corrections included), ``form="leading"`` the up-to-O(1/N) version.
-    ``as_printed`` selects the literal reference text instead of the
-    rederived one; the differences live in ``SECOND_FF_CORRECTIONS``.
-    Chart index 0 is time, matching ``track_point_data``.
+    Returns ``{"full": (derived, printed), "leading": (derived, printed)}``:
+    (n+1, n+1) arrays, chart index 0 = time as in ``track_point_data``, of
+    the complete reference expression and of its up-to-O(1/N) version, each
+    as rederived and as printed (``SECOND_FF_CORRECTIONS`` lists the slips).
 
-    Three further reference slips need no switch, since the engine's values
+    Three further reference slips need no table, since the engine's values
     are used: h^S is defined without the ambient covariant derivative of the
     tangent basis (the engine uses h^S(U, V) = g(D_U nu^S, V)); the steady
     induced metric's time-time entry is garbled (H^2 + w is meant) and its
     inverse has a stray tau; H^S ~ (t/sigma_N) H should read H/sigma_N
     (both limit to sqrt(t) H).
     """
-    if form not in ("full", "leading"):
-        raise ValueError(f"form must be 'full' or 'leading', got {form!r}")
     t = track.check_time(t)
     cm = track.cm
     n = track.n
@@ -437,49 +428,54 @@ def closed_form_second_ff(
     T_R = T @ dRdy
     nu_R = float(nu @ dRdy)
 
-    w = cm.time_time(hyp.position, t)
-    sN = _sigma_N(cm.time_scale(t), H, w)
     s = cm.sign
     m = n + 1
+    w, _ = _profiles(cm.base, s, cm.N)(t)
+    scale = cm.time_scale(t)
+    sN = _sigma_N(scale, H, w)
+    pref = 1.0 / (scale * sN)
 
+    # the leading (spatial, mixed, time-time) blocks, and each table's corrections
     spatial = hyp.second_ff
     if s == 0:
-        pref = 1.0 / (t * sN) if (form == "leading" and as_printed) else 1.0 / sN
         NR = cm.N + R
         mixed = dH - ric_Tnu
         tt = dHdt + H * ric_nunu + 0.5 * nu_R
-        if form == "full":
-            spatial = spatial + (H / NR) * ric_TT
-            if as_printed:
-                mixed = mixed + (0.5 * H / NR) * T_R + (H**2 / NR) * ric_Tnu
-                tt = tt + (0.5 * H**2 / NR) * nu_R - 0.5 * H / NR * dRdt - H**3 / NR * ric_nunu
-            else:
-                mixed = mixed - (H / NR) * (0.5 * T_R + H * ric_Tnu)
-                tt = tt - (H / NR) * (0.5 * dRdt - H * nu_R - H**2 * ric_nunu)
+        ric_term = (H / NR) * ric_TT
+        derived = (
+            ric_term,
+            -(H / NR) * (0.5 * T_R + H * ric_Tnu),
+            -(H / NR) * (0.5 * dRdt - H * nu_R - H**2 * ric_nunu),
+        )
+        printed = (
+            ric_term,
+            (0.5 * H / NR) * T_R + (H**2 / NR) * ric_Tnu,
+            (0.5 * H**2 / NR) * nu_R - 0.5 * H / NR * dRdt - H**3 / NR * ric_nunu,
+        )
     else:
-        pref = 1.0 / (t * sN)
         c = H / (t * w)
         mixed = dH + s * ric_Tnu
         tt = dHdt + H / (2 * t) - s * H * ric_nunu + 0.5 * nu_R
-        if form == "full":
-            if as_printed:
-                spatial = spatial + c * (s * ric_TT + g / (2 * t))
-                mixed = mixed - (H / (2 * t * w)) * T_R
-                tt = tt + c * (
-                    s * H**2 / (2 * t) + H**2 * ric_nunu - H**2 * nu_R
-                    - R / t - 0.5 * dRdt + n / (4 * t**2)
-                )
-            else:
-                spatial = spatial - s * c * (ric_TT + s * g / (2 * t))
-                mixed = mixed - c * (0.5 * T_R - s * H * ric_Tnu)
-                tt = tt - c * (
-                    R / t + 0.5 * dRdt + s * m / (4 * t**2) - nu_R
-                    + s * H**2 * ric_nunu + H**2 / (2 * t)
-                )
+        derived = (
+            -s * c * (ric_TT + s * g / (2 * t)),
+            -c * (0.5 * T_R - s * H * ric_Tnu),
+            -c * (R / t + 0.5 * dRdt + s * m / (4 * t**2) - nu_R + s * H**2 * ric_nunu + H**2 / (2 * t)),
+        )
+        printed = (
+            c * (s * ric_TT + g / (2 * t)),
+            -(H / (2 * t * w)) * T_R,
+            c * (s * H**2 / (2 * t) + H**2 * ric_nunu - H**2 * nu_R - R / t - 0.5 * dRdt + n / (4 * t**2)),
+        )
 
-    out = np.zeros((n + 1, n + 1))
-    out[1:, 1:] = spatial
-    out[1:, 0] = mixed
-    out[0, 1:] = mixed
-    out[0, 0] = tt
-    return _symmetrized(pref * out)
+    def form(pref, d_spatial=0.0, d_mixed=0.0, d_tt=0.0):
+        out = np.empty((m, m))
+        out[1:, 1:] = spatial + d_spatial
+        out[1:, 0] = out[0, 1:] = mixed + d_mixed
+        out[0, 0] = tt + d_tt
+        return pref * out
+
+    # the printed leading prefactor is 1/(t sigma_N): a stray 1/tau when steady
+    return {
+        "full": (form(pref, *derived), form(pref, *printed)),
+        "leading": (form(pref), form(1.0 / (t * sN))),
+    }

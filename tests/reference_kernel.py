@@ -96,6 +96,11 @@ def snapshot(bg, t):
     return MetricField(dim=bg.dim, jet=lambda p, order: tuple(phi * a for a in sigma.jet(p, order)))
 
 
+def time_time(cm, p, t):
+    """The canonical metric's time-time entry w at one (p, t), read off its field's value."""
+    return float(cm.field.components(cm.spacetime_point(p, t))[0, 0])
+
+
 def canonical_christoffel_closed_form(cm, p, t, as_printed=False):
     """The closed-form Christoffel table at one (p, t), from the background's conformal data.
 
@@ -114,7 +119,7 @@ def canonical_christoffel_closed_form(cm, p, t, as_printed=False):
     ric = np.asarray(bg.conformal.ric_sigma(p))
     _, _, _, R, dR, _ = conformal_scalars(bg)
     R, dRdt, dRdy = R(t), dR(t), np.zeros(m)
-    w = cm.time_time(p, t)
+    w = time_time(cm, p, t)
     gamma = np.zeros((m + 1,) * 3)
     gamma[1:, 1:, 1:] = christoffel(snap, p)
     gamma[1:, 0, 0] = -0.5 * ginv @ dRdy

@@ -619,6 +619,34 @@ class TestMainEntry:
         assert doc["records"] == []
         assert [e["error"] for e in doc["errors"]] == ["time 2.0 outside domain (0.0, 1.0]"]
 
+    def test_harnack_track_point_error_is_recorded(self, tmp_path, capsys):
+        # the flow's midpoint time lies below the background's sampling
+        # floor, so the track claim goes unchecked and the report fails
+        cfg = {
+            "suite": "harnack_limits",
+            "background": {"name": "euclidean_static",
+                           "params": {"dim": 6, "direction": "forward"}},
+            "mcf": {"name": "shrinking_sphere_flat"},
+            "N_list": [1e3, 2e3, 4e3],
+            "samples": {"count": 2, "seed": 1},
+        }
+        report = run(RunConfig.from_dict(cfg))
+        assert not report.passed
+        [error] = report.errors
+        assert error["kind"] == "stripped_track_limit"
+        assert error["t"] == pytest.approx(0.042)
+        assert len(error["x"]) == 5
+        assert error["error"] == f"t={error['t']} below the sampling floor t_min=0.05"
+        ricci_only = run(RunConfig.from_dict({k: v for k, v in cfg.items() if k != "mcf"}))
+        assert ricci_only.passed and report.records == ricci_only.records
+
+        out = tmp_path / "out.json"
+        path = self.write_cfg(tmp_path, {**cfg, "output": {"path": str(out), "format": "json"}})
+        assert main(["run", "--config", str(path)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        doc = json.loads(out.read_text())
+        assert doc["passed"] is False and doc["errors"] == [error]
+
     def test_functionals_report_renders_and_exits_zero(self, tmp_path):
         report = run(RunConfig.from_dict({"suite": "functionals",
                                           "samples": {"potential": "gaussian"}}))

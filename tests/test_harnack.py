@@ -298,3 +298,12 @@ class TestFunctionals:
                 boundary_normals=2.0 * wm.boundary_normals,
                 boundary_mean_curvatures=wm.boundary_mean_curvatures,
             )
+
+    @pytest.mark.parametrize("index", [0, 10, -1])
+    def test_every_normal_is_checked(self, index):
+        wm = flat_ball_domain(grid=(8, 12, 8))
+        normals = wm.boundary_normals.copy()
+        normals[index] *= 2.0
+        with pytest.raises(QuadratureError) as info:
+            dataclasses.replace(wm, boundary_normals=normals)
+        assert str(info.value) == "boundary normals must be unit vectors"

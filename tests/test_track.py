@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import reference_kernel as ref
+from cansol import track as track_module
 from cansol.backgrounds import model_background, model_mcf
 from cansol.canonical import CanonicalConfigError, build_canonical_metric
 from cansol.geometry import DegenerateMetricError, scalar_d1
@@ -80,7 +82,7 @@ class TestTrackGeometry:
         x, t = np.array([1.1, 0.7]), 0.1
         d = track_point_data(tr, x, t)
         H = d.hyp.mean_curvature
-        w = tr.cm.time_time(d.hyp.position, t)
+        w = ref.time_time(tr.cm, d.hyp.position, t)
         assert d.sigma_N == pytest.approx(math.sqrt(1 / t + H**2 / (t**2 * w)), rel=1e-12)
 
     def test_steady_sigma_has_no_time_scaling(self):
@@ -88,7 +90,7 @@ class TestTrackGeometry:
         x, t = np.array([1.1, 0.7]), 0.1
         d = track_point_data(tr, x, t)
         H = d.hyp.mean_curvature
-        w = tr.cm.time_time(d.hyp.position, t)
+        w = ref.time_time(tr.cm, d.hyp.position, t)
         assert d.sigma_N == pytest.approx(math.sqrt(1 + H**2 / w), rel=1e-12)
 
     def test_static_plane_steady_is_totally_geodesic(self):
@@ -131,13 +133,23 @@ class TestClosedFormSecondFF:
         for x in mcf.sample_xs(3, rng):
             for t in rng.uniform(max(0.05 * bg.time_domain[1], 0.05 * hi), hi, 3):
                 d = track_point_data(tr, x, t)
-                cf = closed_form_second_ff(tr, x, t, form="full")
+                [cf, _] = closed_form_second_ff(tr, x, t)["full"]
                 assert_close(d.second_ff, cf, rtol=1e-9)
 
-    def test_unknown_form_rejected(self):
-        with pytest.raises(ValueError) as info:
-            closed_form_second_ff(sphere_track("expanding", 100.0), np.array([1.1, 0.7]), 0.1, form="exact")
-        assert str(info.value) == "form must be 'full' or 'leading', got 'exact'"
+    @pytest.mark.parametrize("variant", ["expanding", "shrinking", "steady"])
+    def test_one_slice_evaluation_serves_every_table(self, monkeypatch, variant):
+        calls = []
+        evaluate = track_module.hypersurface_point_data
+
+        def counted(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(track_module, "hypersurface_point_data", counted)
+        forms = closed_form_second_ff(sphere_track(variant, 100.0), np.array([1.1, 0.7]), 0.1)
+        assert len(calls) == 1
+        assert list(forms) == ["full", "leading"]
+        assert all(a.shape == (3, 3) and np.array_equal(a, a.T) for pair in forms.values() for a in pair)
 
     def test_engine_matches_derived_full_form_fd_backend(self):
         import dataclasses
@@ -148,7 +160,7 @@ class TestClosedFormSecondFF:
         tr_fd = build_track(tr.mcf, cm_fd)
         x, t = np.array([1.1, 0.7]), 0.1
         d = track_point_data(tr_fd, x, t)
-        cf = closed_form_second_ff(tr_fd, x, t, form="full")
+        [cf, _] = closed_form_second_ff(tr_fd, x, t)["full"]
         assert rel(d.second_ff, cf) < 1e-5
 
     def test_printed_full_form_deviates_at_order_one_over_N(self):
@@ -159,7 +171,7 @@ class TestClosedFormSecondFF:
         for N in (1e3, 2e3, 4e3):
             tr = sphere_track("expanding", N)
             d = track_point_data(tr, x, t)
-            cp = closed_form_second_ff(tr, x, t, form="full", as_printed=True)
+            [_, cp] = closed_form_second_ff(tr, x, t)["full"]
             errs.append(rel(d.second_ff, cp))
         assert errs[0] > 1e-6
         for a, b in zip(errs, errs[1:]):
@@ -172,7 +184,7 @@ class TestClosedFormSecondFF:
         for N in (1e3, 2e3, 4e3):
             tr = sphere_track("expanding", N)
             d = track_point_data(tr, x, t)
-            cl = closed_form_second_ff(tr, x, t, form="leading")
+            [cl, _] = closed_form_second_ff(tr, x, t)["leading"]
             errs.append(rel(d.second_ff, cl))
         for a, b in zip(errs, errs[1:]):
             assert 0.3 < b / a < 0.7
@@ -191,7 +203,7 @@ class TestClosedFormSecondFF:
         mcf = model_mcf("equator_in_sphere", bg)
         tr = build_track(mcf, build_canonical_metric(bg, "shrinking", 100.0))
         x, t = np.array([1.2, 0.4]), 0.3
-        cf = closed_form_second_ff(tr, x, t, form="leading")
+        [cf, _] = closed_form_second_ff(tr, x, t)["leading"]
         d = track_point_data(tr, x, t)
         assert np.allclose(cf[0, 1:], 0.0, atol=1e-14)
         assert np.allclose(d.second_ff, 0.0, atol=1e-12)
@@ -200,8 +212,7 @@ class TestClosedFormSecondFF:
         # reference leading steady form carries a stray 1/tau
         tr = sphere_track("steady", 1e6)
         x, t = np.array([1.1, 0.7]), 0.15
-        lead = closed_form_second_ff(tr, x, t, form="leading")
-        printed = closed_form_second_ff(tr, x, t, form="leading", as_printed=True)
+        lead, printed = closed_form_second_ff(tr, x, t)["leading"]
         assert np.allclose(printed * t, lead, atol=1e-12)
 
 
@@ -289,7 +300,7 @@ class TestLimitInverseMetric:
         x, t = np.array([1.1, 0.7]), 0.1
         d = track_point_data(tr, x, t)
         H = d.hyp.mean_curvature
-        w = tr.cm.time_time(d.hyp.position, t)
+        w = ref.time_time(tr.cm, d.hyp.position, t)
         assert d.induced_inv[0, 0] == pytest.approx(t / (H**2 + t * w), rel=1e-10)
         # decay bound: the entry is below 2 t^3 / N (with margin)
         assert d.induced_inv[0, 0] <= 2 * t**3 / tr.cm.N * 1.01
