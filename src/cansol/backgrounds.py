@@ -37,12 +37,13 @@ from . import jets
 from .geometry import (
     ChartDomainError,
     DegenerateMetricError,
+    GeometryError,
     MetricBundle,
     MetricField,
     ScalarField,
     _check_each,
+    _drop,
     _inverse,
-    _kept,
     _one_point,
     _point_errors,
     _raise_first,
@@ -323,6 +324,13 @@ class RicciFlowBackground:
     def check_time(self, t: float) -> float:
         return _check_time(self.time_domain, t)
 
+    def _check_times(self, points, ts) -> list:
+        """The times of a stack of points, one each, checked in order."""
+        count = len(np.atleast_2d(points))
+        if len(ts) != count:
+            raise GeometryError(f"{len(ts)} times for {count} points")
+        return [self.check_time(t) for t in ts]
+
     @property
     def flat(self) -> bool:
         """Whether g(t) is flat; on the catalog, whose only scalar-flat sigma is Euclidean, iff R = 0."""
@@ -332,16 +340,17 @@ class RicciFlowBackground:
         """The ``metric_bundle`` of g(t_p) = phi(t_p) sigma at a stack of points p, one time each.
 
         The times are checked in order, and the first outside the domain
-        raises; sigma and its jet are evaluated once for the whole stack.
+        raises, as does a count of times other than the count of points;
+        sigma and its jet are evaluated once for the whole stack.
         """
         c = self.conformal
-        return metric_bundle(c.sigma, points, order, scale=[c.phi(self.check_time(t)) for t in ts])
+        return metric_bundle(c.sigma, points, order, scale=[c.phi(t) for t in self._check_times(points, ts)])
 
     def curvature(self, points, ts) -> BackgroundCurvature:
         """The curvature of g(t_p) at a (P, m) stack of points p, one time each, checked as by ``bundle``."""
         c = self.conformal
         pts = np.asarray(points, dtype=float)
-        R, dRdt = jets.derivatives(c.R, [self.check_time(t) for t in ts], order=1)
+        R, dRdt = jets.derivatives(c.R, self._check_times(pts, ts), order=1)
         # R = sigma_scalar / phi(t) is constant in space
         return BackgroundCurvature(np.asarray(c.ric_sigma(pts)), R, dRdt, np.zeros(pts.shape))
 
@@ -805,8 +814,8 @@ def extrinsic_geometry_batch(tangents, second_partials, g, gamma, hint):
         if cause is not None:
             errors[i] = DegenerateMetricError("degenerate induced metric")
             errors[i].__cause__ = cause
-    tangents, second_partials, g, gamma, hint, induced, induced_inv = _kept(
-        errors, (tangents, second_partials, g, gamma, hint, induced, induced_inv))
+    _, tangents, second_partials, g, gamma, hint, induced, induced_inv = _drop(
+        errors, np.arange(len(errors)), errors, tangents, second_partials, g, gamma, hint, induced, induced_inv)
     # the null vector of the n x m matrix T g from its signed n x n minors,
     # then g-normalized and oriented: g(nu, hint) keeps its sign
     n, m = tangents.shape[1:]
@@ -884,18 +893,13 @@ def slice_stack(mcf: MCFSolution, xs, ts) -> SliceStack:
     xs = np.asarray(xs, dtype=float).reshape(len(ts), mcf.hypersurface_dim)
     timed = _check_each((mcf.check_time, mcf.ambient.check_time), ts)
     errors = [e or f for e, f in zip(timed, _point_errors(xs))]
-    index, x, times = _kept(errors, (np.arange(len(ts)), xs, times))
+    index, x, times = _drop(errors, np.arange(len(ts)), errors, xs, times)
     jet = tuple(np.asarray(a, dtype=float) for a in mcf.jet(x, times))
     amb = mcf.ambient.bundle(jet[0], times.tolist(), order=1)
-    *jet, x, times = _kept(amb.errors, jet + (x, times))
+    index, x, times, *jet = _drop(errors, index, amb.errors, x, times, *jet)
     hint = np.asarray(mcf.orientation_hint(x, times), dtype=float)
     ext, bad = extrinsic_geometry_batch(jet[2], jet[3], amb.g, christoffel_batch(amb), hint)
-    for i, exc in zip(index, amb.errors):
-        errors[i] = exc
-    index = index[amb.index]
-    for i, exc in zip(index, bad):
-        errors[i] = exc
-    index, g, ginv, *jet = _kept(bad, (index, amb.g, amb.ginv, *jet))
+    index, g, ginv, *jet = _drop(errors, index, bad, amb.g, amb.ginv, *jet)
     return SliceStack(mcf, xs, ts, index, errors, tuple(jet), ext, g, ginv)
 
 

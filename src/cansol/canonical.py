@@ -34,6 +34,7 @@ from .geometry import (
     MetricField,
     ScalarField,
     _check_each,
+    _drop,
     _point_errors,
     _raise_first,
     christoffel,  # noqa: F401  (canonical.christoffel, a binding the benchmark tracer patches)
@@ -283,6 +284,22 @@ def _time_matrix(dim, value):
 # ---------------------------------------------------------------------------
 
 
+def _soliton_bundle(cm: CanonicalMetric, points, ts) -> tuple:
+    """The order-2 bundle of ``cm`` at (p, t) pairs, and one entry per pair: None or its error.
+
+    A pair fails as the single-point ``ricci_soliton_residual`` does there;
+    the returned index maps the bundle's rows to the pairs.
+    """
+    ts = np.asarray(ts, dtype=float)
+    pts = np.asarray(points, dtype=float).reshape(len(ts), cm.base.dim)
+    # the floor comes after the time domain, as on the track
+    errors = _check_each((cm.base.check_time, cm.check_floor), ts.tolist())
+    index, z = _drop(errors, np.arange(len(ts)), errors, np.column_stack((ts, pts)))
+    b = metric_bundle(cm.field, z, order=2)
+    index, = _drop(errors, index, b.errors)
+    return errors, index, b
+
+
 def ricci_soliton_residuals(cm: CanonicalMetric, points, ts) -> list:
     """``ricci_soliton_residual`` at every (p, t) pair, in one kernel call.
 
@@ -291,20 +308,13 @@ def ricci_soliton_residuals(cm: CanonicalMetric, points, ts) -> list:
     t_min, outside the chart) or ``DegenerateMetricError`` the single-point
     call raises there.
     """
-    ts = np.asarray(ts, dtype=float)
-    pts = np.asarray(points, dtype=float).reshape(len(ts), cm.base.dim)
-    # the floor comes after the time domain, as on the track
-    out = _check_each((cm.base.check_time, cm.check_floor), ts.tolist())
-    sampled = [i for i, exc in enumerate(out) if exc is None]
-    b = metric_bundle(cm.field, np.column_stack((ts, pts))[sampled], order=2)
+    out, index, b = _soliton_bundle(cm, points, ts)
     E = ricci_batch(b) + hessian_batch(b, cm.potential) + cm.soliton_constant * b.g
     norms = tensor_norm_batch(b, E).tolist()
-    for i, exc in zip(sampled, b.errors):
-        out[i] = exc
-    for j, i in enumerate(sampled[k] for k in b.index):
+    for j, i in enumerate(index.tolist()):
         out[i] = ResidualSample(
-            point=pts[i],
-            t=float(ts[i]),
+            point=b.points[j, 1:],
+            t=float(b.points[j, 0]),
             N=cm.N,
             value=E[j],
             norm=norms[j],
@@ -333,17 +343,10 @@ def canonical_ricci_quadratics(cm: CanonicalMetric, Xs, points, ts) -> list:
     One entry per (X, p, t) triple, in order: the float, or the error that
     ``ricci_soliton_residuals`` records at (p, t).
     """
-    ts = np.asarray(ts, dtype=float)
-    shape = (len(ts), cm.base.dim)
-    out = _check_each((cm.base.check_time, cm.check_floor), ts.tolist())
-    sampled = [i for i, exc in enumerate(out) if exc is None]
-    b = metric_bundle(cm.field, np.column_stack((ts, np.reshape(points, shape)))[sampled], order=2)
-    for i, exc in zip(sampled, b.errors):
-        out[i] = exc
-    kept = [sampled[k] for k in b.index]
-    Xbar = np.column_stack((np.ones(len(ts)), np.reshape(Xs, shape)))[kept]
+    out, index, b = _soliton_bundle(cm, points, ts)
+    Xbar = np.column_stack((np.ones(len(out)), np.reshape(Xs, (len(out), cm.base.dim))))[index]
     quads = (Xbar[:, None] @ ricci_batch(b) @ Xbar[..., None]).ravel().tolist()
-    for i, q in zip(kept, quads):
+    for i, q in zip(index.tolist(), quads):
         out[i] = q
     return out
 

@@ -322,10 +322,14 @@ def _run_harnack_limits(cfg: RunConfig, report: ResidualReport):
     track_checked = True
     if cfg.mcf:
         mcf = _model(cfg, "mcf", model_mcf, bg)
-        hi = mcf.time_domain[1]
+        floor, hi = cms[0].t_min, mcf.time_domain[1]
+        if floor >= hi:
+            raise ConfigError(f"the flow's time domain ends at {hi}, at or below the sampling floor t_min={floor}")
         x = mcf.sample_xs(1, rng)[0]
-        # this time can lie below the background's sampling floor
+        # the midpoint of the flow's window, or of its part above the floor
         t = 0.5 * (T_MIN_FRACTION * hi + hi)
+        if t < floor:
+            t = 0.5 * (floor + hi)
         V = rng.uniform(-1.0, 1.0, mcf.hypersurface_dim)
         try:
             target = limit_second_ff(hypersurface_point_data(mcf, x, t), V)

@@ -137,16 +137,23 @@ def _raise_first(errors):
         raise next(exc for exc in errors if exc is not None)
 
 
-def _kept(errors: list, arrays: tuple) -> tuple:
-    """``arrays`` restricted to their rows whose entry in ``errors`` is None.
+def _drop(errors: list, index, failed, *arrays) -> tuple:
+    """``index`` and ``arrays`` without the rows that ``failed``: the one row filter.
 
-    The one row filter for stacks that carry per-point errors; a None in
-    ``arrays`` stays None.
+    ``failed`` has one entry per row of a stack: None, or the exception
+    that row raised.  ``index`` maps the rows to the caller's ``errors``,
+    one entry per input pair, and each failed row's exception is recorded
+    there unless the pair already has one: a pair keeps its first error.
+    With no failed row, ``index`` and ``arrays`` come back as the same
+    objects.  A None in ``arrays`` stays None.
     """
-    if not any(errors):
-        return arrays
-    keep = [e is None for e in errors]
-    return tuple(None if a is None else a[keep] for a in arrays)
+    if not any(failed):
+        return (index, *arrays)
+    for i, exc in zip(index, failed):
+        if errors[i] is None:
+            errors[i] = exc
+    keep = [exc is None for exc in failed]
+    return tuple(None if a is None else a[keep] for a in (index, *arrays))
 
 
 def _checked(p, dim: int | None = None, in_domain=None) -> tuple[np.ndarray, bool]:
@@ -445,17 +452,17 @@ def metric_bundle(metric: MetricField, points, order: int = 1, scale=None) -> Me
     scale_p * g at point p: a conformal family at per-point times.
     """
     pts, _ = _point_stack(points, metric.dim)
+    if scale is not None:
+        scale = np.asarray(scale, dtype=float)
+        if scale.shape != (len(pts),):
+            raise GeometryError(f"scale factors of shape {scale.shape} for {len(pts)} points")
     errors = _point_errors(pts, metric.in_domain)
-    index, q = _kept(errors, (np.arange(len(pts)), pts))
+    index, q, scale = _drop(errors, np.arange(len(pts)), errors, pts, scale)
     g, *partials = _shaped_jet(metric, q, order)
     if scale is not None:
-        scale = np.asarray(scale, dtype=float)[index]
         g = scale[:, None, None] * g
     ginv, bad = _inverse(g, q)
-    if any(bad):
-        for i, exc in zip(index, bad):
-            errors[i] = errors[i] or exc
-        index, q, g, ginv, scale, *partials = _kept(bad, (index, q, g, ginv, scale, *partials))
+    index, q, g, ginv, scale, *partials = _drop(errors, index, bad, q, g, ginv, scale, *partials)
     if len(partials) < order:
         # a value-only jet: central differences of its value
         partials = [_partials(None, metric.components, q, o, g.shape[1:], "metric")

@@ -51,7 +51,7 @@ from .backgrounds import (
 from .canonical import CanonicalConfigError, CanonicalMetric, FormCorrection, ResidualSample, _profiles
 from .geometry import (
     _check_each,
-    _kept,
+    _drop,
     _raise_first,
     christoffel_batch,
     metric_bundle,
@@ -127,9 +127,9 @@ class _SliceRows(NamedTuple):
 
     ``xs`` and ``ts`` are the pairs as floats, and ``errors`` has one
     entry per pair: None, or the exception the sampling floor or the
-    slice recorded there.  Row j of ``slices`` lies over pair
-    ``index[j]``; row j of ``z``, ``basis``, ``ddPhi`` and ``lifted`` is
-    its space-time point (t, F), the track's tangent basis and second
+    slice recorded there.  Row j of ``slices``, ``z``, ``basis``,
+    ``ddPhi`` and ``lifted`` lies over pair ``index[j]``: its slice, its
+    space-time point (t, F), the track's tangent basis and second
     partials there, and the lifted slice normal (0, nu).
     """
 
@@ -149,14 +149,13 @@ class _TrackStack(NamedTuple):
 
     ``pairs`` is the N-independent half it was built on, and ``errors``
     has one entry per pair: None, or the exception ``track_point_data``
-    raises there.  Row j lies over row ``rows[j]`` of ``pairs.slices``;
-    ``z`` and ``g`` are the space-time points and metrics, and ``ext`` the
+    raises there.  Row j lies over pair ``index[j]``; ``z`` and ``g`` are
+    the space-time points and metrics there, and ``ext`` the
     ``extrinsic_geometry_batch`` results of the track.
     """
 
     pairs: _SliceRows
     index: np.ndarray
-    rows: np.ndarray
     errors: list
     z: np.ndarray
     g: np.ndarray
@@ -179,14 +178,13 @@ def _slice_rows(track: SpaceTimeTrack, xs, ts) -> _SliceRows:
     xs = np.asarray(xs, dtype=float).reshape(len(ts), track.n)
     # the floor comes after the flow's domain, as in a single call
     errors = _check_each((track.check_time,), ts)
-    live, x_live, t_live = _kept(errors, (np.arange(len(ts)), xs, times))
-    slices = slice_stack(mcf, x_live, t_live.tolist())
-    for i, exc in zip(live, slices.errors):
-        errors[i] = exc
+    index, x, t = _drop(errors, np.arange(len(ts)), errors, xs, times)
+    slices = slice_stack(mcf, x, t.tolist())
+    index, t = _drop(errors, index, slices.errors, t)
     F, Ft, Fx, Fxx, Fxt, Ftt = slices.jet
     n, P = track.n, len(F)
     z = np.empty((P, n + 2))
-    z[:, 0] = t_live[slices.index]
+    z[:, 0] = t
     z[:, 1:] = F
     # tangent basis: row 0 is d/dt + dF/dt, rows 1..n are (0, d_i F)
     basis = np.zeros((P, n + 1, n + 2))
@@ -202,7 +200,7 @@ def _slice_rows(track: SpaceTimeTrack, xs, ts) -> _SliceRows:
     # the track normal is oriented toward the lifted slice normal (0, nu)
     lifted = np.zeros((P, n + 2))
     lifted[:, 1:] = slices.ext[2]
-    return _SliceRows(xs, ts, errors, slices, live[slices.index], z, basis, ddPhi, lifted)
+    return _SliceRows(xs, ts, errors, slices, index, z, basis, ddPhi, lifted)
 
 
 def _track_stack(track: SpaceTimeTrack, pairs: _SliceRows) -> _TrackStack:
@@ -212,17 +210,11 @@ def _track_stack(track: SpaceTimeTrack, pairs: _SliceRows) -> _TrackStack:
     evaluated once on the pairs whose slices stand.
     """
     errors = list(pairs.errors)
-    index = pairs.index
     st = metric_bundle(track.cm.field, pairs.z, order=1)
-    for i, exc in zip(index, st.errors):
-        errors[i] = exc
-    rows = st.index
-    basis, ddPhi, lifted = _kept(st.errors, (pairs.basis, pairs.ddPhi, pairs.lifted))
+    index, basis, ddPhi, lifted = _drop(errors, pairs.index, st.errors, pairs.basis, pairs.ddPhi, pairs.lifted)
     ext, bad = extrinsic_geometry_batch(basis, ddPhi, st.g, christoffel_batch(st), lifted)
-    for r, exc in zip(rows, bad):
-        errors[index[r]] = exc
-    rows, z, g, basis = _kept(bad, (rows, st.points, st.g, basis))
-    return _TrackStack(pairs, index[rows], rows, errors, z, g, basis, ext)
+    index, z, g, basis = _drop(errors, index, bad, st.points, st.g, basis)
+    return _TrackStack(pairs, index, errors, z, g, basis, ext)
 
 
 def track_point_data(track: SpaceTimeTrack, x: np.ndarray, t: float) -> TrackPointData:
@@ -232,7 +224,7 @@ def track_point_data(track: SpaceTimeTrack, x: np.ndarray, t: float) -> TrackPoi
     """
     stack = _track_stack(track, _slice_rows(track, [x], [t]))
     _raise_first(stack.errors)
-    hyp = stack.pairs.slices.record(stack.rows[0])
+    hyp = stack.pairs.slices.record(0)
     induced, induced_inv, nu, h, H_track = (a[0] for a in stack.ext)
     return TrackPointData(
         x=hyp.x,

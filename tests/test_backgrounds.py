@@ -31,6 +31,7 @@ from cansol.geometry import (
     DegenerateMetricError,
     GeometryError,
     ScalarField,
+    metric_bundle,
     ricci_batch,
     scalar_curvature_batch,
     tensor_norm_batch,
@@ -761,3 +762,13 @@ class TestStackedAnswers:
             for data in (hyp, row):
                 assert data.g.tobytes() == b.g[0].tobytes() and data.ginv.tobytes() == b.ginv[0].tobytes()
                 assert all(a.tobytes() == b_[0].tobytes() for a, b_ in zip(data.curvature, c))
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_a_time_count_other_than_the_point_count_raises(self, count):
+        bg, pts, _ = catalog_rows("round_sphere", dict(dim=3), 2, seed=5)
+        ts = [0.1] * count   # inside the time domain (0, 0.2]
+        for answer in (bg.bundle, bg.curvature):
+            with pytest.raises(GeometryError, match=f"^{count} times for 2 points$"):
+                answer(pts, ts)
+        with pytest.raises(GeometryError, match=rf"^scale factors of shape \({count},\) for 2 points$"):
+            metric_bundle(bg.conformal.sigma, pts, scale=ts)

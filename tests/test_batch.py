@@ -35,6 +35,7 @@ from cansol.geometry import (
     MetricField,
     ScalarField,
     _at_point,
+    _drop,
     christoffel,
     christoffel_batch,
     gradient_batch,
@@ -357,6 +358,38 @@ class TestFailuresInsideABatch:
         assert [type(e) for e in b.errors] == [DegenerateMetricError, ChartDomainError, DegenerateMetricError]
         assert b.index.tolist() == []
         assert (b.g.shape, b.dg.shape, b.ddg.shape) == ((0, 2, 2), (0, 2, 2, 2), (0, 2, 2, 2, 2))
+
+
+class TestRowFilter:
+    """``_drop``, the one filter that narrows a stack and records its failed rows."""
+
+    def test_a_row_keeps_its_first_error(self):
+        first, later, other = ChartDomainError("first"), DegenerateMetricError("later"), DegenerateMetricError("other")
+        errors = [None, first, None, None]
+        rows = np.arange(8.0).reshape(4, 2)
+        # a stage over every pair fails pair 1 again, and pair 3 for the first time
+        index, kept = _drop(errors, np.arange(4), [None, later, None, other], rows)
+        assert errors == [None, first, None, other]
+        assert index.tolist() == [0, 2] and kept.tolist() == [[0.0, 1.0], [4.0, 5.0]]
+        # a later stage over the kept rows maps its row 1 back to pair 2
+        index, kept = _drop(errors, index, [None, later], kept)
+        assert errors == [None, first, later, other]
+        assert index.tolist() == [0] and kept.tolist() == [[0.0, 1.0]]
+
+    def test_a_none_array_stays_none(self):
+        errors = [None, None]
+        index, kept, absent = _drop(errors, np.arange(2), [ChartDomainError("x"), None], np.ones((2, 3)), None)
+        assert index.tolist() == [1] and kept.shape == (1, 3) and absent is None
+        assert _drop(errors, index, [None], None) == (index, None)
+
+    def test_nothing_failed_returns_the_same_objects(self):
+        # a strided stack comes back as itself, not as a contiguous copy
+        errors = [None] * 3
+        index = np.arange(3)
+        strided = np.ones((3, 4))[:, ::2]
+        out = _drop(errors, index, [None] * 3, strided, None)
+        assert out[0] is index and out[1] is strided and out[2] is None
+        assert errors == [None] * 3
 
 
 class TestCallbackContract:

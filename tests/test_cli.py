@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import re
+import runpy
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -506,6 +509,17 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert "round_sphere" in out and "shrinking_sphere_flat" in out
 
+    def test_module_runs_as_a_script(self, monkeypatch, capsys):
+        # ``python -m cansol.cli``: the module's own __main__ guard exits with main's code
+        monkeypatch.setattr(sys, "argv", ["cansol", "--list-suites"])
+        with warnings.catch_warnings():
+            # runpy warns that the imported cansol.cli is run a second time
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(SystemExit) as info:
+                runpy.run_module("cansol.cli", run_name="__main__")
+        assert info.value.code == 0
+        assert "ricci_soliton_residual" in capsys.readouterr().out
+
     def test_run_pass_exit_zero(self, tmp_path, capsys):
         cfg = {
             "suite": "ricci_soliton_residual",
@@ -620,23 +634,24 @@ class TestMainEntry:
         assert [e["error"] for e in doc["errors"]] == ["time 2.0 outside domain (0.0, 1.0]"]
 
     def test_harnack_track_point_error_is_recorded(self, tmp_path, capsys):
-        # the flow's midpoint time lies below the background's sampling
-        # floor, so the track claim goes unchecked and the report fails
+        # at N ~ 1e11 the track's space-time metric at t = 0.105 exceeds the
+        # condition limit while the Ricci points at t = 0.5 stay below it, so
+        # the track claim alone goes unchecked and the report fails
         cfg = {
             "suite": "harnack_limits",
             "background": {"name": "euclidean_static",
-                           "params": {"dim": 6, "direction": "forward"}},
+                           "params": {"dim": 3, "direction": "forward"}},
             "mcf": {"name": "shrinking_sphere_flat"},
-            "N_list": [1e3, 2e3, 4e3],
-            "samples": {"count": 2, "seed": 1},
+            "N_list": [1e11, 1.5e11, 2e11],
+            "samples": {"count": 2, "seed": 1, "times": [0.5, 0.5]},
         }
         report = run(RunConfig.from_dict(cfg))
         assert not report.passed
         [error] = report.errors
         assert error["kind"] == "stripped_track_limit"
-        assert error["t"] == pytest.approx(0.042)
-        assert len(error["x"]) == 5
-        assert error["error"] == f"t={error['t']} below the sampling floor t_min=0.05"
+        assert error["t"] == pytest.approx(0.105)
+        assert len(error["x"]) == 2
+        assert "condition number" in error["error"]
         ricci_only = run(RunConfig.from_dict({k: v for k, v in cfg.items() if k != "mcf"}))
         assert ricci_only.passed and report.records == ricci_only.records
 
@@ -646,6 +661,30 @@ class TestMainEntry:
         assert "Traceback" not in capsys.readouterr().err
         doc = json.loads(out.read_text())
         assert doc["passed"] is False and doc["errors"] == [error]
+
+    def test_harnack_track_time_clears_the_sampling_floor(self):
+        # the flow's window [0.004, 0.08] has its midpoint 0.042 below the
+        # background's floor 0.05; the track time is the midpoint of [0.05, 0.08]
+        cfg = {
+            "suite": "harnack_limits",
+            "background": {"name": "euclidean_static",
+                           "params": {"dim": 6, "direction": "forward"}},
+            "mcf": {"name": "shrinking_sphere_flat"},
+            "N_list": [1e3, 2e3, 4e3],
+            "samples": {"count": 2, "seed": 1},
+        }
+        report = run(RunConfig.from_dict(cfg))
+        assert report.errors == []
+        track = report.records[-1]
+        assert track["kind"] == "stripped_track_limit"
+        assert track["t"] == pytest.approx(0.065)
+        assert track["in_band"] and report.passed
+        ricci_only = run(RunConfig.from_dict({k: v for k, v in cfg.items() if k != "mcf"}))
+        assert report.records[:-1] == ricci_only.records
+        # a flow that ends at or below the floor has no track time to check
+        cfg["mcf"]["params"] = {"r0": 0.7}
+        with pytest.raises(ConfigError, match=r"ends at 0\.0392, at or below the sampling floor t_min=0\.05"):
+            run(RunConfig.from_dict(cfg))
 
     def test_functionals_report_renders_and_exits_zero(self, tmp_path):
         report = run(RunConfig.from_dict({"suite": "functionals",
