@@ -347,9 +347,12 @@ class RicciFlowBackground:
         return metric_bundle(c.sigma, points, order, scale=[c.phi(t) for t in self._check_times(points, ts)])
 
     def curvature(self, points, ts) -> BackgroundCurvature:
-        """The curvature of g(t_p) at a (P, m) stack of points p, one time each, checked as by ``bundle``."""
+        """The curvature of g(t_p) at a (P, m) stack of points p, one time each, checked as by ``bundle``.
+
+        A bare (m,) point is a one-row stack: every array has a leading axis of length 1.
+        """
         c = self.conformal
-        pts = np.asarray(points, dtype=float)
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
         R, dRdt = jets.derivatives(c.R, self._check_times(pts, ts), order=1)
         # R = sigma_scalar / phi(t) is constant in space
         return BackgroundCurvature(np.asarray(c.ric_sigma(pts)), R, dRdt, np.zeros(pts.shape))

@@ -11,7 +11,12 @@ shrinking and 0 steady on a backward one, whose time t is then tau:
     s = 0:    time-time N + R, spatial block g, potential -N t
 
 The soliton defect E_N = Ric + Hess(f) + (s/2) * metric then satisfies:
-N |E_N| stays bounded as N grows.
+N |E_N| stays bounded as N grows.  ``ricci_soliton_residuals`` evaluates
+it at a stack of (p, t) pairs and returns a ``ResidualStack``: the
+per-pair errors, the index of the pairs that evaluate, and their E_N and
+norms.  Only its one-pair case, ``ricci_soliton_residual``, builds a
+``ResidualSample``.  The positivity threshold on N does not depend on N,
+so ``check_admissible`` checks a sweep's smallest N against it once.
 
 The numeric kernel is the ground truth for every verified statement.
 Reference closed-form Christoffel tables for these metrics circulate with
@@ -24,6 +29,7 @@ cross-check reports can show, rather than hide, the slips.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,16 +57,19 @@ __all__ = [
     "CanonicalConfigError",
     "CanonicalMetric",
     "ResidualSample",
+    "ResidualStack",
     "FormCorrection",
     "CHRISTOFFEL_CORRECTIONS",
     "build_canonical_metric",
     "minimal_admissible_N",
+    "check_admissible",
     "canonical_christoffel_closed_forms",
     "christoffel_crosscheck",
     "ricci_soliton_residual",
     "ricci_soliton_residuals",
     "canonical_ricci_quadratics",
     "limit_ricci",
+    "limit_riccis",
 ]
 
 VARIANTS = tuple(VARIANT_SIGNS)
@@ -140,6 +149,21 @@ class ResidualSample:
     scaled_norm: float
 
 
+class ResidualStack(NamedTuple):
+    """A defect sweep in one metric at a stack of pairs, stacked over the pairs in ``index``.
+
+    ``errors`` has one entry per pair: None, or the per-point error the
+    single-pair call raises there.  Row j of ``values`` (E_N, or on a track
+    H^S -+ nu^S f) and of ``norms`` (its norm, an array) lies over pair
+    ``index[j]``; N * norm is the scaled norm a ``ResidualSample`` carries.
+    """
+
+    errors: list
+    index: np.ndarray
+    values: np.ndarray
+    norms: np.ndarray
+
+
 def _profiles(bg: RicciFlowBackground, s: int, N: float):
     """t -> (w, psi): the time-time component w(t) and the factor psi(t) of
     the spatial block psi(t) * sigma(y), for t a float, an array or a jet."""
@@ -167,18 +191,29 @@ def minimal_admissible_N(bg: RicciFlowBackground, variant: str, samples) -> floa
     return max([0.0] + [(1.0 - w0(t)[0]) * (2 * t**3 if s else 1.0) for t in ts])
 
 
-def build_canonical_metric(
-    bg: RicciFlowBackground,
-    variant: str,
-    N: float,
-    samples=None,
-) -> CanonicalMetric:
+def check_admissible(cms, samples) -> float:
+    """``minimal_admissible_N`` over the samples, for a sweep of canonical metrics.
+
+    The metrics share one background and variant; the threshold does not
+    depend on N, so one scan serves the sweep, and a ``CanonicalConfigError``
+    names the smallest N of ``cms`` if it lies below the threshold.
+    """
+    n_min = minimal_admissible_N(cms[0].base, cms[0].variant, samples)
+    N = min(cm.N for cm in cms)
+    if N < n_min:
+        raise CanonicalConfigError(
+            f"N={N} below the positivity threshold on the sampling domain; "
+            f"minimal admissible N is {n_min:.6g}"
+        )
+    return n_min
+
+
+def build_canonical_metric(bg: RicciFlowBackground, variant: str, N: float) -> CanonicalMetric:
     """Assemble the canonical space-time metric for one variant.
 
     The expanding variant requires a forward background, shrinking and
-    steady a backward one.  When ``samples`` (pairs (p, t)) are given, N
-    is validated against the positivity threshold on that sampling set and
-    a ``CanonicalConfigError`` reports the minimal admissible value.
+    steady a backward one.  Whether N clears the positivity threshold on a
+    sampling set is ``check_admissible``'s question.
     """
     s = _sign(variant)
     direction = "forward" if s > 0 else "backward"
@@ -189,13 +224,6 @@ def build_canonical_metric(
         )
     if not (N > 0):
         raise CanonicalConfigError(f"N must be positive, got {N}")
-    if samples is not None:
-        n_min = minimal_admissible_N(bg, variant, samples)
-        if N < n_min:
-            raise CanonicalConfigError(
-                f"N={N} below the positivity threshold on the sampling domain; "
-                f"minimal admissible N is {n_min:.6g}"
-            )
 
     m = bg.dim
     dim = m + 1
@@ -300,27 +328,17 @@ def _soliton_bundle(cm: CanonicalMetric, points, ts) -> tuple:
     return errors, index, b
 
 
-def ricci_soliton_residuals(cm: CanonicalMetric, points, ts) -> list:
+def ricci_soliton_residuals(cm: CanonicalMetric, points, ts) -> ResidualStack:
     """``ricci_soliton_residual`` at every (p, t) pair, in one kernel call.
 
-    Returns one entry per pair, in order: the ``ResidualSample``, or the
-    ``ChartDomainError`` (outside the background's time domain, below
-    t_min, outside the chart) or ``DegenerateMetricError`` the single-point
-    call raises there.
+    Returns the ``ResidualStack`` of E_N and |E_N| at the pairs that
+    evaluate; ``errors`` holds the ``ChartDomainError`` (outside the
+    background's time domain, below t_min, outside the chart) or
+    ``DegenerateMetricError`` the single-point call raises at the others.
     """
-    out, index, b = _soliton_bundle(cm, points, ts)
+    errors, index, b = _soliton_bundle(cm, points, ts)
     E = ricci_batch(b) + hessian_batch(b, cm.potential) + cm.soliton_constant * b.g
-    norms = tensor_norm_batch(b, E).tolist()
-    for j, i in enumerate(index.tolist()):
-        out[i] = ResidualSample(
-            point=b.points[j, 1:],
-            t=float(b.points[j, 0]),
-            N=cm.N,
-            value=E[j],
-            norm=norms[j],
-            scaled_norm=cm.N * norms[j],
-        )
-    return out
+    return ResidualStack(errors, index, E, tensor_norm_batch(b, E))
 
 
 def ricci_soliton_residual(cm: CanonicalMetric, p: np.ndarray, t: float) -> ResidualSample:
@@ -331,10 +349,13 @@ def ricci_soliton_residual(cm: CanonicalMetric, p: np.ndarray, t: float) -> Resi
     |E_N| in the metric's own norm and the scaled value N |E_N|.  This is
     the single-pair case of ``ricci_soliton_residuals``.
     """
-    [sample] = ricci_soliton_residuals(cm, [np.asarray(p, dtype=float)], [float(t)])
-    if isinstance(sample, Exception):
-        raise sample
-    return sample
+    p = np.asarray(p, dtype=float)
+    stack = ricci_soliton_residuals(cm, [p], [float(t)])
+    [exc] = stack.errors
+    if exc is not None:
+        raise exc
+    norm = float(stack.norms[0])
+    return ResidualSample(point=p, t=float(t), N=cm.N, value=stack.values[0], norm=norm, scaled_norm=cm.N * norm)
 
 
 def canonical_ricci_quadratics(cm: CanonicalMetric, Xs, points, ts) -> list:
@@ -351,20 +372,39 @@ def canonical_ricci_quadratics(cm: CanonicalMetric, Xs, points, ts) -> list:
     return out
 
 
+def limit_riccis(bg: RicciFlowBackground, Xs, points, ts) -> list:
+    """``limit_ricci`` at every (X, p, t) triple, from one background curvature call.
+
+    One entry per triple, in order: the float, or the ``ChartDomainError``
+    of a time outside the background's domain.
+    """
+    if bg.direction != "forward":
+        raise CanonicalConfigError("limit_ricci needs a forward background")
+    t = np.asarray(ts, dtype=float).reshape(-1)
+    out = _check_each((bg.check_time,), t.tolist())
+    shape = (len(t), bg.dim)
+    index, X, p, t = _drop(out, np.arange(len(t)), out, np.asarray(Xs, dtype=float).reshape(shape),
+                           np.asarray(points, dtype=float).reshape(shape), t)
+    c = bg.curvature(p, t.tolist())
+    quad = (X[:, None] @ c.ric @ X[..., None]).ravel()
+    transport = (X[:, None] @ c.dRdy[..., None]).ravel()
+    values = quad + transport + 0.5 * (c.dRdt + c.R / t)
+    for i, v in zip(index.tolist(), values.tolist()):
+        out[i] = v
+    return out
+
+
 def limit_ricci(bg: RicciFlowBackground, X: np.ndarray, p: np.ndarray, t: float) -> float:
     """Large-N limit of the canonical expander's Ricci on X + d/dt.
 
     Ric(X, X) + g(X, grad R) + (dR/dt + R/t) / 2, assembled from background
-    data only.  Requires a forward background and t > 0.
+    data only.  Requires a forward background and t > 0.  The one-triple
+    case of ``limit_riccis``.
     """
-    if bg.direction != "forward":
-        raise CanonicalConfigError("limit_ricci needs a forward background")
-    t = bg.check_time(t)
-    X = np.asarray(X, dtype=float)
-    c = bg.curvature(np.asarray(p, dtype=float)[None], [t])
-    quad = float(X @ c.ric[0] @ X)
-    transport = float(X @ c.dRdy[0])
-    return quad + transport + 0.5 * (float(c.dRdt[0]) + float(c.R[0]) / t)
+    [value] = limit_riccis(bg, [X], [p], [t])
+    if isinstance(value, Exception):
+        raise value
+    return value
 
 
 # ---------------------------------------------------------------------------

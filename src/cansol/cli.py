@@ -29,11 +29,12 @@ from .canonical import (
     T_MIN_FRACTION,
     VARIANTS,
     CanonicalConfigError,
+    ResidualStack,
     build_canonical_metric,
     canonical_ricci_quadratics,
+    check_admissible,
     christoffel_crosscheck,
-    limit_ricci,
-    minimal_admissible_N,
+    limit_riccis,
     ricci_soliton_residual,
 )
 from .geometry import FD_H1, FD_H2, ChartDomainError, DegenerateMetricError, ScalarField, _check_each
@@ -42,12 +43,12 @@ from .harnack import (
     I_infty,
     flat_ball_domain,
     limit_second_ff,
-    lott_match_defect,
-    random_polynomial_field,
-    stripped_track_quadratic,
+    lott_match_defects,
+    random_polynomial_gradients,
+    stripped_track_form,
 )
 from .reports import EmitError, ResidualReport, emit
-from .track import build_track, mcf_canonical_sweep
+from .track import mcf_canonical_sweep, track_point_sweep
 
 __all__ = ["ConfigError", "RunConfig", "run", "main", "SUITES"]
 
@@ -175,39 +176,48 @@ def _sweep_summary(sups_per_N, ratio_tol):
     }, complete and ratio < ratio_tol
 
 
-def _defect_sweep(report: ResidualReport, Ns, results, key: str, pts, ts) -> list:
+def _defect_sweep(report: ResidualReport, Ns, stacks, key: str, pts, ts) -> list:
     """Record a soliton defect at every (point, t) for each N; (N, sup N|E_N|) per N.
 
-    ``results`` holds one list per N with one entry per pair: the sample,
-    or the per-point error the pair raised.  Records and per-point errors
-    go to the report in point order, the point under ``key``.  The sup is
-    None for an N at which no point was evaluated.
+    ``stacks`` holds one ``ResidualStack`` per N over the (point, t) pairs.
+    Records and per-point errors go to the report in point order, the point
+    under ``key`` and the scaled norm N * norm, as a ``ResidualSample``
+    forms it.  The sup is None for an N at which no point was evaluated.
     """
+    points = [list(p) for p in pts]
     sups_per_N = []
-    for N, samples in zip(Ns, results):
-        sup = None
-        for p, t, s in zip(pts, ts, samples):
-            if isinstance(s, _POINT_ERRORS):
-                report.errors.append({key: list(p), "t": t, "N": N, "error": str(s)})
-                continue
-            report.records.append(
-                {key: list(p), "t": t, "N": N, "norm": s.norm, "scaled_norm": s.scaled_norm}
-            )
-            sup = max(0.0 if sup is None else sup, s.scaled_norm)
-        sups_per_N.append((N, sup))
+    for N, stack in zip(Ns, stacks):
+        for i, exc in enumerate(stack.errors):
+            if exc is not None:
+                report.errors.append({key: points[i], "t": ts[i], "N": N, "error": str(exc)})
+        norms = stack.norms.tolist()
+        scaled = (N * stack.norms).tolist()
+        report.records += [
+            {key: points[i], "t": ts[i], "N": N, "norm": norm, "scaled_norm": s}
+            for i, norm, s in zip(stack.index.tolist(), norms, scaled)
+        ]
+        sups_per_N.append((N, max([0.0] + scaled) if scaled else None))
     return sups_per_N
 
 
-def _pointwise(fn, *columns) -> list:
-    """``fn`` at every row of the argument columns, called once per row; a per-point error is kept."""
-    out = []
-    for args in zip(*columns):
+def _pointwise(fn, pts, ts) -> ResidualStack:
+    """The samples of ``fn`` at every (point, t) pair, called once per pair, as a ``ResidualStack``.
+
+    A per-point error is kept in ``errors``.
+    """
+    errors, index, values, norms = [], [], [], []
+    for i, (p, t) in enumerate(zip(pts, ts)):
         try:
-            out.append(fn(*args))
+            sample = fn(p, t)
         except _POINT_ERRORS as exc:
-            # kept without its traceback, whose frames would hold ``out``
-            out.append(exc.with_traceback(None))
-    return out
+            # kept without its traceback, whose frames would hold ``errors``
+            errors.append(exc.with_traceback(None))
+            continue
+        errors.append(None)
+        index.append(i)
+        values.append(sample.value)
+        norms.append(sample.norm)
+    return ResidualStack(errors, np.array(index, dtype=int), values, np.array(norms, dtype=float))
 
 
 def _run_ricci_soliton(cfg: RunConfig, report: ResidualReport):
@@ -216,19 +226,17 @@ def _run_ricci_soliton(cfg: RunConfig, report: ResidualReport):
     Ns = _need_N_list(cfg)
     _, pts, ts = _draw_samples(cfg, bg.sample_points, bg.time_domain, 20)
     _check_times(cfg, bg, ts)
-    samples = list(zip(pts, ts))
+    cms = [build_canonical_metric(bg, variant, N) for N in Ns]
+    n_min = check_admissible(cms, list(zip(pts, ts)))
 
-    def residuals(N):
-        cm = build_canonical_metric(bg, variant, N, samples=samples)
+    def residuals(cm):
         # one pointwise call per point: the benchmark's own tests count these
         # calls per sweep point, so this sweep stays unbatched
         return _pointwise(partial(ricci_soliton_residual, cm), pts, ts)
 
-    sups_per_N = _defect_sweep(report, Ns, map(residuals, Ns), "point", pts, ts)
+    sups_per_N = _defect_sweep(report, Ns, map(residuals, cms), "point", pts, ts)
     report.summary, report.passed = _sweep_summary(sups_per_N, cfg.tolerances.get("ratio", 1.5))
-    report.provenance = _provenance(
-        cfg, {"minimal_admissible_N": minimal_admissible_N(bg, variant, samples)}
-    )
+    report.provenance = _provenance(cfg, {"minimal_admissible_N": n_min})
 
 
 def _run_mcf_soliton(cfg: RunConfig, report: ResidualReport):
@@ -240,7 +248,8 @@ def _run_mcf_soliton(cfg: RunConfig, report: ResidualReport):
     # N is checked on the pairs inside the background's time domain; the rest stay per-point errors
     samples = [(x, t) for x, t, exc in zip(xs, ts, _check_each((bg.check_time,), ts)) if exc is None]
 
-    cms = [build_canonical_metric(bg, variant, N, samples=samples) for N in Ns]
+    cms = [build_canonical_metric(bg, variant, N) for N in Ns]
+    check_admissible(cms, samples)
     sups_per_N = _defect_sweep(report, Ns, mcf_canonical_sweep(mcf, cms, xs, ts), "x", xs, ts)
     report.summary, report.passed = _sweep_summary(sups_per_N, cfg.tolerances.get("ratio", 1.5))
     report.provenance = _provenance(cfg)
@@ -305,22 +314,9 @@ def _run_harnack_limits(cfg: RunConfig, report: ResidualReport):
     cms = [build_canonical_metric(bg, "expanding", N) for N in Ns]
     # one row per point, the same draws as one X per point
     Xs = rng.uniform(-1.0, 1.0, (len(pts), bg.dim))
-    # per point: the limit, then the errors at every N or the first exception
-    outcome = _pointwise(partial(limit_ricci, bg), Xs, pts, ts)
-    ok = [i for i, o in enumerate(outcome) if not isinstance(o, Exception)]
-    stacks = (Xs[ok], np.asarray(pts)[ok], np.asarray(ts)[ok])
-    quads = [canonical_ricci_quadratics(cm, *stacks) for cm in cms]
-    for i, per_N in zip(ok, zip(*quads)):
-        exc = next((q for q in per_N if isinstance(q, Exception)), None)
-        outcome[i] = [abs(q - outcome[i]) for q in per_N] if exc is None else exc
-    for p, t, X, o in zip(pts, ts, Xs, outcome):
-        if isinstance(o, Exception):
-            report.errors.append({"point": list(p), "t": t, "error": str(o)})
-        else:
-            record(o, point=list(p), t=t, X=list(X))
-
-    track_checked = True
     if cfg.mcf:
+        # the flow and its window are checked before any evaluation; x and V
+        # are drawn after the Ricci samples
         mcf = _model(cfg, "mcf", model_mcf, bg)
         floor, hi = cms[0].t_min, mcf.time_domain[1]
         if floor >= hi:
@@ -331,13 +327,32 @@ def _run_harnack_limits(cfg: RunConfig, report: ResidualReport):
         if t < floor:
             t = 0.5 * (floor + hi)
         V = rng.uniform(-1.0, 1.0, mcf.hypersurface_dim)
+
+    # per point: the limit, then the errors at every N or the first exception
+    outcome = limit_riccis(bg, Xs, pts, ts)
+    ok = [i for i, o in enumerate(outcome) if not isinstance(o, Exception)]
+    stacks = (Xs[ok], np.asarray(pts)[ok], np.asarray(ts)[ok])
+    quads = [canonical_ricci_quadratics(cm, *stacks) for cm in cms]
+    for i, per_N in zip(ok, zip(*quads)):
+        exc = next((q for q in per_N if isinstance(q, Exception)), None)
+        outcome[i] = [abs(q - outcome[i]) for q in per_N] if exc is None else exc
+    for p, t_p, X, o in zip(pts, ts, Xs, outcome):
+        if isinstance(o, Exception):
+            report.errors.append({"point": list(p), "t": t_p, "error": str(o)})
+        else:
+            record(o, point=list(p), t=t_p, X=list(X))
+
+    track_checked = True
+    if cfg.mcf:
         try:
-            target = limit_second_ff(hypersurface_point_data(mcf, x, t), V)
-            errs = [abs(stripped_track_quadratic(build_track(mcf, cm), V, x, t) - target) for cm in cms]
+            # one slice evaluation serves the limit form and every N
+            data = track_point_sweep(mcf, cms, x, t)
         except _POINT_ERRORS as exc:
             track_checked = False
             report.errors.append({"kind": "stripped_track_limit", "x": list(x), "t": t, "error": str(exc)})
         else:
+            target = limit_second_ff(data[0].hyp, V)
+            errs = [abs(stripped_track_form(d, V) - target) for d in data]
             record(errs, kind="stripped_track_limit", x=list(x), t=t, V=list(V))
 
     all_in_band = all(r["in_band"] for r in report.records)
@@ -368,8 +383,10 @@ def _run_lott_match(cfg: RunConfig, report: ResidualReport):
     hyp = hypersurface_point_data(mcf, x, times[0])
 
     worst = 0.0
-    for k in range(count):
-        defect = abs(lott_match_defect(hyp, random_polynomial_field(bg.dim, rng)))
+    # one pass over the monomial table gives every potential's differential at the slice point
+    grads = random_polynomial_gradients(bg.dim, rng, count, hyp.position)
+    for k, defect in enumerate(lott_match_defects(hyp, grads)):
+        defect = abs(defect)
         report.records.append({"potential_index": k, "defect": defect})
         worst = max(worst, defect)
 

@@ -44,14 +44,16 @@ from .geometry import (
     scalar_curvature_batch,
     scalar_d1,
 )
-from .track import SpaceTimeTrack, track_point_data
+from .track import SpaceTimeTrack, TrackPointData, track_point_data
 
 __all__ = [
     "limit_second_ff",
     "stripped_track_quadratic",
+    "stripped_track_form",
     "tangential_gradient",
     "lott_boundary_integrand",
     "lott_match_defect",
+    "lott_match_defects",
     "WeightedManifoldData",
     "QuadratureError",
     "weighted_scalar_curvature",
@@ -60,6 +62,7 @@ __all__ = [
     "I_GHY",
     "flat_ball_domain",
     "random_polynomial_field",
+    "random_polynomial_gradients",
 ]
 
 
@@ -101,11 +104,16 @@ def stripped_track_quadratic(track: SpaceTimeTrack, V: np.ndarray, x: np.ndarray
     explicit prefactor of the closed forms; without the stripping the
     sigma_N -> 1/sqrt(t) limit would rescale the comparison against
     ``limit_second_ff``.  This normalization choice is recorded in run
-    provenance blocks.
+    provenance blocks.  The one-metric case of ``stripped_track_form`` on
+    a ``track_point_sweep``.
     """
-    d = track_point_data(track, x, t)
+    return stripped_track_form(track_point_data(track, x, t), V)
+
+
+def stripped_track_form(d: TrackPointData, V: np.ndarray) -> float:
+    """``stripped_track_quadratic`` of the track point ``d``, the data of one metric at one pair."""
     W = np.concatenate(([1.0], np.asarray(V, dtype=float)))
-    return float(W @ d.second_ff @ W) * t * d.sigma_N
+    return float(W @ d.second_ff @ W) * d.t * d.sigma_N
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +126,12 @@ def tangential_gradient(hyp: HypersurfacePointData, f: ScalarField):
 
     Returns (chart components w.r.t. the slice tangents, ambient vector).
     """
-    grad_amb = hyp.ginv @ scalar_d1(f, hyp.position)
+    return _tangential(hyp, scalar_d1(f, hyp.position))
+
+
+def _tangential(hyp: HypersurfacePointData, df: np.ndarray):
+    """``tangential_gradient`` of a potential whose differential at the slice point is ``df``."""
+    grad_amb = hyp.ginv @ df
     tang = grad_amb - float(grad_amb @ hyp.g @ hyp.normal) * hyp.normal
     comps = hyp.induced_inv @ (hyp.tangents @ hyp.g @ tang)
     return comps, tang
@@ -154,7 +167,16 @@ def lott_match_defect(hyp: HypersurfacePointData, f: ScalarField) -> float:
     Identically zero: the limit form evaluated on the negative boundary
     gradient reproduces the evolution integrand up to the H/(2t) term.
     """
-    comps, tang = tangential_gradient(hyp, f)
+    return _match_defect(hyp, scalar_d1(f, hyp.position))
+
+
+def lott_match_defects(hyp: HypersurfacePointData, grads) -> list:
+    """``lott_match_defect`` of each potential, given its differential at the slice point, a row of ``grads``."""
+    return [_match_defect(hyp, df) for df in grads]
+
+
+def _match_defect(hyp: HypersurfacePointData, df: np.ndarray) -> float:
+    comps, tang = _tangential(hyp, df)
     lhs = limit_second_ff(hyp, -comps)
     rhs = _lott_integrand(hyp, comps, tang)
     return lhs - rhs - hyp.mean_curvature / (2.0 * hyp.t)
@@ -367,6 +389,24 @@ def _monomial_partials(dim: int, degree: int, order: int):
     return np.array(term, dtype=int), np.array(factors, dtype=int), np.array(target, dtype=int)
 
 
+def _polynomial_partials(coeffs: np.ndarray, p: np.ndarray, dim: int, degree: int, order: int) -> np.ndarray:
+    """Flat order-``order`` partials of polynomials, one row per row of ``coeffs`` or per point.
+
+    Either one polynomial (``coeffs`` of shape (C,)) at a stack of points
+    ``p``, or a (K, C) stack of polynomials at one point.  Each table row,
+    a coefficient times its kept factors left to right, adds to one
+    partial, in table order, so a row's bits do not depend on the stack.
+    """
+    term, factors, target = _monomial_partials(dim, degree, order)
+    q = np.column_stack((p.reshape(-1, dim), np.ones(p.size // dim)))
+    prod = coeffs[..., term]
+    for col in factors.T:
+        prod = prod * q[:, col]
+    out = np.zeros(np.broadcast_shapes(coeffs.shape[:-1], q.shape[:1]) + (dim**order,))
+    np.add.at(out, (slice(None), target), prod)
+    return out
+
+
 def random_polynomial_field(dim: int, rng: np.random.Generator, degree: int = 3) -> ScalarField:
     """Random polynomial with coefficients in [-1, 1], analytic first and second partials.
 
@@ -376,19 +416,21 @@ def random_polynomial_field(dim: int, rng: np.random.Generator, degree: int = 3)
     coeffs = rng.uniform(-1, 1, math.comb(dim + degree, degree))
 
     def partials(p, order):
-        """Partials of the given order (0, 1 or 2), indexed [..., i_1, .., i_order].
-
-        Each table row, a coefficient times its kept factors left to right, adds to one partial.
-        """
-        term, factors, target = _monomial_partials(dim, degree, order)
-        q = np.column_stack((p.reshape(-1, dim), np.ones(p.size // dim)))
-        prod = coeffs[term]
-        for col in factors.T:
-            prod = prod * q[:, col]
-        out = np.zeros((len(q), dim**order))
-        np.add.at(out, (slice(None), target), prod)
-        return out.reshape(p.shape[:-1] + (dim,) * order)
+        """Partials of the given order (0, 1 or 2), indexed [..., i_1, .., i_order]."""
+        return _polynomial_partials(coeffs, p, dim, degree, order).reshape(p.shape[:-1] + (dim,) * order)
 
     return ScalarField(
         value=lambda p: partials(p, 0), d1=lambda p: partials(p, 1), d2=lambda p: partials(p, 2)
     )
+
+
+def random_polynomial_gradients(dim: int, rng: np.random.Generator, count: int, p: np.ndarray,
+                                degree: int = 3) -> np.ndarray:
+    """The (count, dim) differentials at the point p of ``count`` random polynomials, in one pass.
+
+    The coefficients are drawn as ``count`` successive ``random_polynomial_field``
+    calls on ``rng`` draw them, and row k equals the ``scalar_d1`` at p of
+    the k-th such field, bit for bit.
+    """
+    coeffs = rng.uniform(-1, 1, (count, math.comb(dim + degree, degree)))
+    return _polynomial_partials(coeffs, np.asarray(p, dtype=float), dim, degree, 1)

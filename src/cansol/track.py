@@ -21,9 +21,12 @@ The theorems under test say Sigma is an approximate soliton: the defect
 stays O(1/N), i.e. N |E~_N| is bounded.  ``mcf_canonical_sweep``
 evaluates the defect on a stack of (x, t) pairs for a list of canonical
 metrics: the slices, which do not depend on N, once, and the track
-geometry once per metric.  ``mcf_canonical_residual`` and
-``track_point_data`` are its single-pair case, and a pair's result does
-not depend on its stack.
+geometry once per metric.  It returns one ``ResidualStack`` per metric:
+the per-pair errors, the index of the pairs that evaluate, and their
+defects and norms.  ``track_point_sweep`` gives the full track geometry
+at one pair in each metric, from one slice evaluation.
+``mcf_canonical_residual`` and ``track_point_data`` are the single-pair,
+one-metric cases, and a pair's result does not depend on its stack.
 
 As with the Christoffel tables, the reference closed forms for h^S
 circulate with slips in their O(1/N) correction terms;
@@ -48,7 +51,7 @@ from .backgrounds import (
     hypersurface_point_data,
     slice_stack,
 )
-from .canonical import CanonicalConfigError, CanonicalMetric, FormCorrection, ResidualSample, _profiles
+from .canonical import CanonicalConfigError, CanonicalMetric, FormCorrection, ResidualSample, ResidualStack, _profiles
 from .geometry import (
     _check_each,
     _drop,
@@ -64,6 +67,7 @@ __all__ = [
     "SECOND_FF_CORRECTIONS",
     "build_track",
     "track_point_data",
+    "track_point_sweep",
     "closed_form_second_ff",
     "closed_form_normal_potential",
     "mcf_canonical_residual",
@@ -217,59 +221,77 @@ def _track_stack(track: SpaceTimeTrack, pairs: _SliceRows) -> _TrackStack:
     return _TrackStack(pairs, index, errors, z, g, basis, ext)
 
 
+def _track_stacks(mcf: MCFSolution, cms, xs, ts) -> list:
+    """The track stack of each canonical metric of ``cms`` over the (x, t) pairs, on one slice evaluation."""
+    tracks = [build_track(mcf, cm) for cm in cms]
+    if not tracks:
+        return []
+    pairs = _slice_rows(tracks[0], xs, ts)
+    return [_track_stack(track, pairs) for track in tracks]
+
+
+def track_point_sweep(mcf: MCFSolution, cms, x: np.ndarray, t: float) -> list:
+    """``track_point_data`` at (x, t) in each canonical metric of ``cms``, from one slice evaluation.
+
+    One ``TrackPointData`` per metric, in order, all sharing the slice
+    record ``hyp``.  The first error raises: the slice's, else that of the
+    first metric whose track fails.  Every metric must be built on
+    ``mcf.ambient``.
+    """
+    cms = list(cms)
+    stacks = _track_stacks(mcf, cms, [x], [t])
+    for stack in stacks:
+        _raise_first(stack.errors)
+    if not stacks:
+        return []
+    hyp = stacks[0].pairs.slices.record(0)
+    out = []
+    for cm, stack in zip(cms, stacks):
+        induced, induced_inv, nu, h, H_track = (a[0] for a in stack.ext)
+        out.append(TrackPointData(
+            x=hyp.x,
+            t=hyp.t,
+            z=stack.z[0],
+            g=stack.g[0],
+            basis=stack.basis[0],
+            induced=induced,
+            induced_inv=induced_inv,
+            normal=nu,
+            sigma_N=_sigma_N(cm.time_scale(hyp.t), hyp.mean_curvature, float(stack.g[0, 0, 0])),
+            second_ff=h,
+            mean_curvature=float(H_track),
+            hyp=hyp,
+        ))
+    return out
+
+
 def track_point_data(track: SpaceTimeTrack, x: np.ndarray, t: float) -> TrackPointData:
     """Engine evaluation of the track geometry at chart point (x, t).
 
-    The single-pair case of the stacked track evaluation.
+    The one-metric case of ``track_point_sweep``.
     """
-    stack = _track_stack(track, _slice_rows(track, [x], [t]))
-    _raise_first(stack.errors)
-    hyp = stack.pairs.slices.record(0)
-    induced, induced_inv, nu, h, H_track = (a[0] for a in stack.ext)
-    return TrackPointData(
-        x=hyp.x,
-        t=hyp.t,
-        z=stack.z[0],
-        g=stack.g[0],
-        basis=stack.basis[0],
-        induced=induced,
-        induced_inv=induced_inv,
-        normal=nu,
-        sigma_N=_sigma_N(track.cm.time_scale(hyp.t), hyp.mean_curvature, float(stack.g[0, 0, 0])),
-        second_ff=h,
-        mean_curvature=float(H_track),
-        hyp=hyp,
-    )
+    [data] = track_point_sweep(track.mcf, [track.cm], x, t)
+    return data
 
 
-def _residuals(cm: CanonicalMetric, stack: _TrackStack) -> list:
-    """The soliton defect in ``cm`` at every pair of ``stack``, or the pair's exception."""
-    out = list(stack.errors)
+def _residuals(cm: CanonicalMetric, stack: _TrackStack) -> ResidualStack:
+    """The soliton defect in ``cm`` at the pairs of ``stack``, and their norms."""
     nu = stack.ext[2]
     df = scalar_d1(cm.potential, stack.z)
     nu_f = (nu[:, None] @ df[..., None])[:, 0, 0]
     # H^S - nu^S f on forward (expanding) tracks, H^S + nu^S f on backward ones
     values = stack.ext[-1] + (-nu_f if cm.sign > 0 else nu_f)
-    xs, ts = stack.pairs.xs, stack.pairs.ts
-    for i, value in zip(stack.index.tolist(), values.tolist()):
-        out[i] = ResidualSample(
-            point=xs[i],
-            t=ts[i],
-            N=cm.N,
-            value=value,
-            norm=abs(value),
-            scaled_norm=cm.N * abs(value),
-        )
-    return out
+    return ResidualStack(list(stack.errors), stack.index, values, np.abs(values))
 
 
 def mcf_canonical_sweep(mcf: MCFSolution, cms, xs, ts) -> list:
     """``mcf_canonical_residual`` at every (x, t) pair, for each canonical metric of ``cms``.
 
-    Returns one list per metric, in order, with one entry per pair: the
-    ``ResidualSample``, or the exception the single-pair call raises
-    there: a ``ChartDomainError`` (a time outside the flow's domain or below
-    the sampling floor, a point outside the chart) or a
+    Returns one ``ResidualStack`` per metric, in order: the defects
+    H^S -+ nu^S f and their norms at the pairs that evaluate, and per pair
+    None or the exception the single-pair call raises there: a
+    ``ChartDomainError`` (a time outside the flow's domain or below the
+    sampling floor, a point outside the chart) or a
     ``DegenerateMetricError`` (a degenerate slice or track metric).  The
     slices M_t do not depend on N, so the time and chart checks and the
     slice geometry run once for the whole sweep; the space-time metric, the
@@ -277,11 +299,8 @@ def mcf_canonical_sweep(mcf: MCFSolution, cms, xs, ts) -> list:
     metric must be built on ``mcf.ambient``, as in ``build_track``; the
     sampling floor is then the same for all of them.
     """
-    tracks = [build_track(mcf, cm) for cm in cms]
-    if not tracks:
-        return []
-    pairs = _slice_rows(tracks[0], xs, ts)
-    return [_residuals(track.cm, _track_stack(track, pairs)) for track in tracks]
+    cms = list(cms)
+    return [_residuals(cm, stack) for cm, stack in zip(cms, _track_stacks(mcf, cms, xs, ts))]
 
 
 def mcf_canonical_residual(track: SpaceTimeTrack, x: np.ndarray, t: float) -> ResidualSample:
@@ -292,10 +311,19 @@ def mcf_canonical_residual(track: SpaceTimeTrack, x: np.ndarray, t: float) -> Re
     along the kernel normal.  This is the single-pair, one-metric case of
     ``mcf_canonical_sweep``.
     """
-    [[sample]] = mcf_canonical_sweep(track.mcf, [track.cm], [x], [t])
-    if isinstance(sample, Exception):
-        raise sample
-    return sample
+    [stack] = mcf_canonical_sweep(track.mcf, [track.cm], [x], [t])
+    [exc] = stack.errors
+    if exc is not None:
+        raise exc
+    value = float(stack.values[0])
+    return ResidualSample(
+        point=np.asarray(x, dtype=float).reshape(track.n),
+        t=float(t),
+        N=track.cm.N,
+        value=value,
+        norm=abs(value),
+        scaled_norm=track.cm.N * abs(value),
+    )
 
 
 def closed_form_normal_potential(track: SpaceTimeTrack, x: np.ndarray, t: float) -> float:

@@ -22,6 +22,7 @@ from cansol.canonical import (
     CHRISTOFFEL_CORRECTIONS,
     build_canonical_metric,
     canonical_ricci_quadratics,
+    check_admissible,
     christoffel_crosscheck,
     limit_ricci,
     ricci_soliton_residual,
@@ -79,8 +80,9 @@ def test_criterion_1_ricci_soliton_residual_decay():
         bg = background(name, **kw)
         samples = sweep_samples(bg, 20, seed=101)
         sups = []
-        for N in N_SWEEP:
-            cm = build_canonical_metric(bg, variant, N, samples=samples)
+        cms = [build_canonical_metric(bg, variant, N) for N in N_SWEEP]
+        check_admissible(cms, samples)
+        for cm in cms:
             sups.append(max(ricci_soliton_residual(cm, p, t).scaled_norm for p, t in samples))
         if max(sups) < ZERO_TOL:
             details.append(f"{name}/{variant}: exact zero")

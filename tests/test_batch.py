@@ -13,6 +13,7 @@ import reference_kernel as ref
 from cansol import harnack
 from cansol.backgrounds import (
     extrinsic_geometry_batch,
+    hypersurface_point_data,
     model_background,
     model_mcf,
     unit_sphere_metric,
@@ -23,6 +24,8 @@ from cansol.canonical import (
     build_canonical_metric,
     canonical_christoffel_closed_forms,
     canonical_ricci_quadratics,
+    limit_ricci,
+    limit_riccis,
     ricci_soliton_residual,
     ricci_soliton_residuals,
 )
@@ -47,8 +50,22 @@ from cansol.geometry import (
     scalar_d1,
     tensor_norm_batch,
 )
-from cansol.harnack import I_GHY, I_infty, flat_ball_domain, random_polynomial_field
-from cansol.track import build_track, mcf_canonical_residual, mcf_canonical_sweep
+from cansol.harnack import (
+    I_GHY,
+    I_infty,
+    flat_ball_domain,
+    lott_match_defect,
+    lott_match_defects,
+    random_polynomial_field,
+    random_polynomial_gradients,
+)
+from cansol.track import (
+    build_track,
+    mcf_canonical_residual,
+    mcf_canonical_sweep,
+    track_point_data,
+    track_point_sweep,
+)
 
 DIRECTION = {"expanding": "forward", "shrinking": "backward", "steady": "backward"}
 
@@ -265,6 +282,14 @@ def degenerate_at(cm, t_singular, t_ill):
     return dataclasses.replace(cm, field=field)
 
 
+def stack_entries(stack):
+    """A ``ResidualStack`` as one entry per pair: the pair's error, or its (value, norm)."""
+    out = list(stack.errors)
+    for j, i in enumerate(stack.index.tolist()):
+        out[i] = (stack.values[j].tolist(), float(stack.norms[j]))
+    return out
+
+
 class TestFailuresInsideABatch:
     def test_residual_stack_matches_pointwise_loop(self):
         cm = degenerate_at(canonical("expanding", 3, 1e3), t_singular=0.071, t_ill=0.072)
@@ -281,10 +306,15 @@ class TestFailuresInsideABatch:
         loop = []
         for p, t in pairs:
             try:
-                loop.append(ricci_soliton_residual(cm, p, t))
+                s = ricci_soliton_residual(cm, p, t)
             except GeometryError as exc:
                 loop.append(exc)
-        batch = ricci_soliton_residuals(cm, [p for p, _ in pairs], [t for _, t in pairs])
+            else:
+                assert s.scaled_norm == cm.N * s.norm and s.t == t and np.array_equal(s.point, p)
+                loop.append((s.value, s.norm))
+        stack = ricci_soliton_residuals(cm, [p for p, _ in pairs], [t for _, t in pairs])
+        assert stack.index.tolist() == [0, 6]
+        batch = stack_entries(stack)
         kinds = [type(r) for r in batch]
         assert kinds == [type(r) for r in loop]
         assert kinds[1:6] == [ChartDomainError, ChartDomainError, DegenerateMetricError,
@@ -293,17 +323,18 @@ class TestFailuresInsideABatch:
             if isinstance(a, Exception):
                 assert str(a) == str(b)
             else:
-                assert np.array_equal(a.value, b.value)
-                assert a.scaled_norm == b.scaled_norm
+                assert np.array_equal(a[0], b[0])
+                assert a[1] == b[1]
         # the valid points are unaffected by their failing neighbours
         alone = ricci_soliton_residuals(cm, [pairs[0][0], pairs[6][0]], [pairs[0][1], pairs[6][1]])
-        assert [s.scaled_norm for s in alone] == [batch[0].scaled_norm, batch[6].scaled_norm]
+        assert alone.norms.tolist() == stack.norms.tolist()
 
     def test_empty_residual_stack(self):
         bg = model_background("euclidean_static", dim=3, direction="forward")
         cm = build_canonical_metric(bg, "expanding", 1e3)
-        assert ricci_soliton_residuals(cm, [], []) == []
-        assert ricci_soliton_residuals(cm, np.empty((0, 3)), []) == []
+        for points in ([], np.empty((0, 3))):
+            stack = ricci_soliton_residuals(cm, points, [])
+            assert stack.errors == [] and stack.index.size == stack.norms.size == len(stack.values) == 0
 
     def test_bundle_records_errors_and_skips_the_points(self):
         seen = []
@@ -473,12 +504,17 @@ TRACKS.append(("steady", "equator_in_sphere", 3))
 
 
 def _pointwise_loop(fn, track, xs, ts):
+    """Per pair: the error ``fn`` raises, or the (value, norm) of its sample, whose other fields are checked."""
     out = []
     for x, t in zip(xs, ts):
         try:
-            out.append(fn(track, x, t))
+            s = fn(track, x, t)
         except Exception as exc:
             out.append(exc)
+        else:
+            assert (s.t, s.N, s.scaled_norm) == (t, track.cm.N, track.cm.N * s.norm)
+            assert np.array_equal(s.point, x)
+            out.append((s.value, s.norm))
     return out
 
 
@@ -488,14 +524,13 @@ def assert_same_entries(batch, loop):
         if isinstance(a, Exception):
             assert str(a) == str(b)
         else:
-            assert (a.value, a.norm, a.scaled_norm, a.t, a.N) == (b.value, b.norm, b.scaled_norm, b.t, b.N)
-            assert np.array_equal(a.point, b.point)
+            assert a == b
 
 
 def one_metric_sweep(track, xs, ts):
-    """``mcf_canonical_sweep`` of the track's flow in the track's metric alone."""
-    [entries] = mcf_canonical_sweep(track.mcf, [track.cm], xs, ts)
-    return entries
+    """``mcf_canonical_sweep`` of the track's flow in the track's metric alone, one entry per pair."""
+    [stack] = mcf_canonical_sweep(track.mcf, [track.cm], xs, ts)
+    return stack_entries(stack)
 
 
 class TestTrackStacks:
@@ -566,7 +601,7 @@ class TestTrackStacks:
         # equator's image out of the sphere chart
         xs.append(np.array([1e-7 if flow == "shrinking_sphere_flat" else 0.005, 0.3]))
         ts.append(float(np.mean(mcf.time_domain)))
-        sweep = mcf_canonical_sweep(mcf, cms, xs, ts)
+        sweep = [stack_entries(stack) for stack in mcf_canonical_sweep(mcf, cms, xs, ts)]
         assert len(sweep) == len(cms)
         for cm, entries in zip(cms, sweep):
             assert_same_entries(entries, one_metric_sweep(build_track(mcf, cm), xs, ts))
@@ -578,6 +613,39 @@ class TestTrackStacks:
             assert all(isinstance(entries[-1], DegenerateMetricError) for entries in sweep)
         else:
             assert kinds == [{ChartDomainError}] * 3
+
+    @pytest.mark.parametrize("variant, flow", [("expanding", "shrinking_sphere_flat"), ("steady", "equator_in_sphere")])
+    def test_point_sweep_matches_one_track_per_N(self, monkeypatch, variant, flow):
+        from cansol import track as track_module
+
+        mcf = _flow(flow, 3, DIRECTION[variant])
+        cms = [build_canonical_metric(mcf.ambient, variant, N) for N in (1e3, 2e3, 4e3)]
+        x, t = mcf.sample_xs(1, np.random.default_rng(3))[0], 0.5 * mcf.time_domain[1]
+        singles = [track_point_data(build_track(mcf, cm), x, t) for cm in cms]
+        calls = []
+        slice_stack = track_module.slice_stack
+        monkeypatch.setattr(track_module, "slice_stack", lambda *args: calls.append(1) or slice_stack(*args))
+        sweep = track_point_sweep(mcf, cms, x, t)
+        # one slice serves every metric
+        assert calls == [1] and all(d.hyp is sweep[0].hyp for d in sweep)
+        for got, want in zip(sweep, singles):
+            for name in ("z", "g", "basis", "induced", "induced_inv", "normal", "second_ff"):
+                assert_same_bits(getattr(got, name), getattr(want, name))
+            assert (got.t, got.sigma_N, got.mean_curvature) == (want.t, want.sigma_N, want.mean_curvature)
+            assert_same_bits(got.hyp.second_ff, want.hyp.second_ff)
+        assert track_point_sweep(mcf, [], x, t) == []
+
+    def test_point_sweep_raises_the_first_error(self):
+        mcf = _flow("shrinking_sphere_flat", 3, "forward")
+        # at N = 1e8 the track metric at (x0, t_min) is degenerate; N = 1e2 is not
+        cms = [build_canonical_metric(mcf.ambient, "expanding", N) for N in (1e2, 1e8)]
+        x0 = np.array([0.1, 0.3])
+        with pytest.raises(DegenerateMetricError, match="degenerate induced metric"):
+            track_point_sweep(mcf, cms, x0, cms[0].t_min)
+        assert len(track_point_sweep(mcf, cms[:1], x0, cms[0].t_min)) == 1
+        # the slice's error is every metric's
+        with pytest.raises(ChartDomainError, match="below the sampling floor"):
+            track_point_sweep(mcf, cms, x0, 0.5 * cms[0].t_min)
 
     def test_sweep_rejects_a_metric_on_another_background(self):
         mcf = _flow("equator_in_sphere", 3, "backward")
@@ -642,7 +710,7 @@ class TestRicciQuadraticStacks:
             loop += canonical_ricci_quadratics(cm, [X], [p], [t])
             if t > cm.base.time_domain[1]:
                 # past the time domain: the error the residuals record there
-                formula += ricci_soliton_residuals(cm, [p], [t])
+                formula += ricci_soliton_residuals(cm, [p], [t]).errors
                 continue
             try:
                 # the pointwise form the stack replaced
@@ -671,7 +739,7 @@ class TestRicciQuadraticStacks:
                                     "expanding", 1e3)
         ts = [1.0005, 0.5, 0.01]
         quads = canonical_ricci_quadratics(cm, np.ones((3, 3)), np.zeros((3, 3)), ts)
-        residuals = ricci_soliton_residuals(cm, np.zeros((3, 3)), ts)
+        residuals = ricci_soliton_residuals(cm, np.zeros((3, 3)), ts).errors
         assert type(quads[1]) is float
         for q, r in zip(quads[::2], residuals[::2]):
             assert type(q) is type(r) is ChartDomainError and str(q) == str(r)
@@ -680,6 +748,56 @@ class TestRicciQuadraticStacks:
         cm = canonical("expanding", 3, 2e3)
         assert canonical_ricci_quadratics(cm, [], [], []) == []
         assert canonical_ricci_quadratics(cm, np.empty((0, 3)), np.empty((0, 3)), []) == []
+
+
+class TestLimitRicciStacks:
+    @pytest.mark.parametrize("name, params", [
+        ("round_sphere", {"dim": 3, "r0": 1.0}), ("round_sphere", {"dim": 5, "r0": 1.0}),
+        ("euclidean_static", {"dim": 3}),
+    ])
+    def test_stack_matches_pointwise_loop(self, name, params):
+        bg = model_background(name, direction="forward", **params)
+        rng = np.random.default_rng(params["dim"])
+        T = bg.time_domain[1]
+        pts = list(bg.sample_points(12, rng))
+        ts = list(rng.uniform(0.05 * T, T, 12))
+        Xs = list(rng.uniform(-1.0, 1.0, (12, bg.dim)))
+        # past the time domain, and at or below its open end
+        for t in (2.0 * T, 0.0, -T):
+            pts.insert(4, pts[0])
+            ts.insert(4, t)
+            Xs.insert(4, Xs[0])
+        batch = limit_riccis(bg, Xs, pts, ts)
+        loop = []
+        for X, p, t in zip(Xs, pts, ts):
+            try:
+                loop.append(limit_ricci(bg, X, p, t))
+            except ChartDomainError as exc:
+                loop.append(exc)
+        assert [type(v) for v in batch] == [type(v) for v in loop]
+        assert [type(v).__name__ for v in batch[4:7]] == ["ChartDomainError"] * 3
+        for a, b in zip(batch, loop):
+            assert str(a) == str(b) if isinstance(a, Exception) else type(a) is float and a == b
+        # Ric(X, X) is the term under test on the sphere, zero on the flat background
+        c = bg.curvature(pts[:1], ts[:1])
+        assert (float(Xs[0] @ c.ric[0] @ Xs[0]) != 0.0) == (name == "round_sphere")
+        # an entry does not depend on its neighbours
+        assert limit_riccis(bg, Xs[::-1], pts[::-1], ts[::-1])[::-1][7:] == batch[7:]
+
+    def test_one_curvature_call_and_empty_stack(self, monkeypatch):
+        bg = model_background("round_sphere", dim=3, r0=1.0, direction="forward")
+        calls = []
+        curvature = type(bg).curvature
+        monkeypatch.setattr(type(bg), "curvature", lambda *args: calls.append(1) or curvature(*args))
+        rng = np.random.default_rng(0)
+        assert len(limit_riccis(bg, rng.uniform(-1, 1, (6, 3)), bg.sample_points(6, rng), [0.1] * 6)) == 6
+        assert limit_riccis(bg, np.empty((0, 3)), np.empty((0, 3)), []) == []
+        assert calls == [1, 1]
+
+    def test_backward_background_is_a_config_error(self):
+        bg = model_background("round_sphere", dim=3, r0=1.0, direction="backward")
+        with pytest.raises(CanonicalConfigError, match="needs a forward background"):
+            limit_riccis(bg, [np.zeros(3)], [np.ones(3)], [0.1])
 
 
 def closed_form_cases():
@@ -760,6 +878,26 @@ class TestPolynomialPartials:
                 got, want = fn(p), oracle(p, order)
                 assert got.shape == want.shape
                 assert np.array_equal(got, want), (order, p.shape)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_gradient_pass_equals_each_fields_differential(self, dim, degree):
+        p = np.random.default_rng(dim).uniform(-2.0, 2.0, dim)
+        grads = random_polynomial_gradients(dim, np.random.default_rng(degree), 9, p, degree)
+        # the same generator state draws the same coefficients, field by field
+        rng = np.random.default_rng(degree)
+        fields = [random_polynomial_field(dim, rng, degree) for _ in range(9)]
+        assert grads.shape == (9, dim)
+        for row, f in zip(grads, fields):
+            assert_same_bits(row, scalar_d1(f, p))
+
+    def test_defects_from_the_gradient_pass_equal_the_fields(self):
+        bg = model_background("euclidean_static", dim=3, direction="forward")
+        hyp = hypersurface_point_data(model_mcf("shrinking_sphere_flat", bg, r0=1.0), np.array([1.1, 0.7]), 0.1)
+        grads = random_polynomial_gradients(3, np.random.default_rng(5), 16, hyp.position)
+        rng = np.random.default_rng(5)
+        want = [lott_match_defect(hyp, random_polynomial_field(3, rng)) for _ in range(16)]
+        assert lott_match_defects(hyp, grads) == want
 
 
 _LAPACK_INV = np.linalg.inv     # the references stay uncounted by ``lapack_calls``

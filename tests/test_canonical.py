@@ -13,6 +13,7 @@ from cansol.canonical import (
     build_canonical_metric,
     canonical_christoffel_closed_forms,
     canonical_ricci_quadratics,
+    check_admissible,
     christoffel_crosscheck,
     limit_ricci,
     minimal_admissible_N,
@@ -96,10 +97,13 @@ class TestBuild:
         samples = [(np.zeros(3), 0.9)]
         n_min = minimal_admissible_N(bg, "shrinking", samples)
         assert n_min == pytest.approx(2 * 0.9**3 * (1 + 3 / (2 * 0.9**2)))
+        cms = [build_canonical_metric(bg, "shrinking", f * n_min) for f in (0.5, 0.8, 2.0)]
         with pytest.raises(CanonicalConfigError) as err:
-            build_canonical_metric(bg, "shrinking", 0.5 * n_min, samples=samples)
-        assert f"{n_min:.6g}" in str(err.value)
-        build_canonical_metric(bg, "shrinking", 2.0 * n_min, samples=samples)
+            check_admissible(cms, samples)
+        # the smallest N of the sweep is named
+        assert str(err.value) == (f"N={0.5 * n_min} below the positivity threshold on the sampling "
+                                  f"domain; minimal admissible N is {n_min:.6g}")
+        assert check_admissible(cms[2:], samples) == n_min
 
     def test_flat_expanding_threshold_vanishes_inside_horizon(self):
         # for t <= 1 the m/(2 t^2) term alone keeps the component above 1
@@ -238,8 +242,9 @@ class TestSolitonResidual:
         bg = make_bg(bg_params)
         samples = samples_for(bg, 20, seed=7)
         sups = []
-        for N in (1e2, 1e3, 1e4):
-            cm = build_canonical_metric(bg, variant, N, samples=samples)
+        cms = [build_canonical_metric(bg, variant, N) for N in (1e2, 1e3, 1e4)]
+        check_admissible(cms, samples)
+        for cm in cms:
             sups.append(max(ricci_soliton_residual(cm, p, t).scaled_norm for p, t in samples))
         if max(sups) < 1e-8:
             return  # exact soliton: nothing to bound
@@ -267,12 +272,12 @@ class TestSolitonResidual:
         # sample point there is outside the background's time domain
         cm = build_canonical_metric(make_bg(FLAT_FWD), "expanding", 100.0)
         out = ricci_soliton_residuals(cm, [np.zeros(3)] * 4, [1.0005, -1.0, 0.2 * cm.t_min, 0.5])
-        assert [str(e) for e in out[:3]] == [
+        assert [str(e) for e in out.errors[:3]] == [
             "time 1.0005 outside domain (0.0, 1.0]",
             "time -1.0 outside domain (0.0, 1.0]",
             f"t={0.2 * cm.t_min} below the sampling floor t_min={cm.t_min}",
         ]
-        assert out[3].t == 0.5
+        assert out.errors[3] is None and out.index.tolist() == [3]
 
 
 class TestLimitRicci:

@@ -275,6 +275,24 @@ class TestSuites:
         assert calls == {"mcf_canonical_sweep": 1, "slice_stack": 1, "track_point_data": 0,
                          "mcf_canonical_residual": 0}
 
+    @pytest.mark.parametrize("cfg", [
+        cfg_ricci(),
+        RunConfig.from_dict({
+            "suite": "mcf_soliton_residual", "variant": "shrinking",
+            "background": {"name": "euclidean_static", "params": {"dim": 3, "direction": "backward"}},
+            "mcf": {"name": "shrinking_sphere_flat", "params": {"r0": 1.0}},
+            "N_list": [100.0, 1000.0, 10000.0, 100000.0], "samples": {"count": 5, "seed": 3},
+        }),
+    ], ids=["ricci", "track"])
+    def test_one_admissibility_scan_per_sweep(self, monkeypatch, cfg):
+        from cansol import canonical
+
+        calls = []
+        scan = canonical.minimal_admissible_N
+        monkeypatch.setattr(canonical, "minimal_admissible_N", lambda *args: calls.append(1) or scan(*args))
+        report = run(cfg)
+        assert report.records and calls == [1]
+
     def test_soliton_sweep_calls_the_pointwise_residual_per_point(self, monkeypatch):
         # the benchmark's own tests count one such call per sweep point
         seen = []
@@ -393,6 +411,50 @@ class TestSuites:
         ricci_only = run(RunConfig.from_dict({k: v for k, v in raw.items() if k != "mcf"}))
         assert report.records[:-1] == ricci_only.records
         assert all(0.3 < r < 0.7 for rec in ricci_only.records for r in rec["ratios"])
+
+    @pytest.mark.parametrize("background, flow", [
+        ({"name": "euclidean_static", "params": {"dim": 3, "direction": "forward"}},
+         {"name": "shrinking_sphere_flat", "params": {"r0": 1.0}}),
+        ({"name": "round_sphere", "params": {"dim": 3, "r0": 1.0, "direction": "forward"}},
+         {"name": "equator_in_sphere"}),
+    ])
+    def test_harnack_track_errors_equal_the_pointwise_forms(self, monkeypatch, background, flow):
+        from cansol import backgrounds
+        from cansol.backgrounds import hypersurface_point_data, model_background, model_mcf
+        from cansol.canonical import build_canonical_metric
+        from cansol.harnack import limit_second_ff, stripped_track_quadratic
+
+        calls = []
+        for module in (backgrounds, track_module):
+            slice_stack = getattr(module, "slice_stack")
+            monkeypatch.setattr(module, "slice_stack",
+                                lambda *args, fn=slice_stack: calls.append(1) or fn(*args))
+        Ns = [1000.0, 2000.0, 4000.0]
+        report = run(RunConfig.from_dict({"suite": "harnack_limits", "background": background, "mcf": flow,
+                                          "N_list": Ns, "samples": {"count": 2, "seed": 11}}))
+        # one slice evaluation for the limit form and every N (4 when each N had its own)
+        assert calls == [1]
+        track = report.records[-1]
+        assert track["kind"] == "stripped_track_limit"
+        bg = model_background(background["name"], **background["params"])
+        mcf = model_mcf(flow["name"], bg, **flow.get("params", {}))
+        x, t, V = np.array(track["x"]), track["t"], np.array(track["V"])
+        target = limit_second_ff(hypersurface_point_data(mcf, x, t), V)
+        tracks = [track_module.build_track(mcf, build_canonical_metric(bg, "expanding", N)) for N in Ns]
+        assert track["errors"] == [abs(stripped_track_quadratic(tr, V, x, t) - target) for tr in tracks]
+
+    def test_harnack_ricci_limits_call_the_curvature_once(self, monkeypatch):
+        calls = []
+        curvature = RicciFlowBackground.curvature
+        monkeypatch.setattr(RicciFlowBackground, "curvature", lambda *args: calls.append(1) or curvature(*args))
+        report = run(RunConfig.from_dict({
+            "suite": "harnack_limits",
+            "background": {"name": "round_sphere", "params": {"dim": 3, "r0": 1.0, "direction": "forward"}},
+            "N_list": [1000.0, 2000.0, 4000.0],
+            "samples": {"count": 5, "seed": 11},
+        }))
+        assert len(report.records) == 5 and report.passed
+        assert calls == [1]
 
     def test_lott_match_suite(self):
         cfg = RunConfig.from_dict(
@@ -685,6 +747,29 @@ class TestMainEntry:
         cfg["mcf"]["params"] = {"r0": 0.7}
         with pytest.raises(ConfigError, match=r"ends at 0\.0392, at or below the sampling floor t_min=0\.05"):
             run(RunConfig.from_dict(cfg))
+
+    def test_harnack_flow_is_checked_before_any_evaluation(self, monkeypatch):
+        calls = []
+        for name in ("canonical_ricci_quadratics", "limit_riccis"):
+            fn = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+        curvature = RicciFlowBackground.curvature
+        monkeypatch.setattr(RicciFlowBackground, "curvature",
+                            lambda *args: calls.append("curvature") or curvature(*args))
+        cfg = {
+            "suite": "harnack_limits",
+            "background": {"name": "euclidean_static", "params": {"dim": 6, "direction": "forward"}},
+            "mcf": {"name": "shrinking_sphere_flat", "params": {"r0": 0.7}},
+            "N_list": [1e3, 2e3, 4e3],
+            "samples": {"count": 2, "seed": 1},
+        }
+        with pytest.raises(ConfigError, match="at or below the sampling floor"):
+            run(RunConfig.from_dict(cfg))
+        assert calls == []
+        cfg["mcf"] = {"name": "no_such_flow"}
+        with pytest.raises(ConfigError, match="no_such_flow"):
+            run(RunConfig.from_dict(cfg))
+        assert calls == []
 
     def test_functionals_report_renders_and_exits_zero(self, tmp_path):
         report = run(RunConfig.from_dict({"suite": "functionals",

@@ -186,6 +186,24 @@ GOLDEN["lott_match/count16"] = (
     "6f0ee5f76f0c7cbc01cd91387ef92c2240e53a366597a63e5715c0feaa78729e",
 )
 
+# the benchmark's track workload at full size, as its seed 1 generates it:
+# 64 samples, 72 of the 256 sweep pairs below the sampling floor, and the
+# Harnack and Lott suites over 64 points and 64 potentials
+GOLDEN["mcf_soliton_residual/track-sweep-sphere3"] = (
+    {"suite": "mcf_soliton_residual", "variant": "expanding", "background": FLAT3,
+     "mcf": SHRINKING_SPHERE, "N_list": [1000.0, 10000.0, 100000.0, 1000000.0],
+     "samples": {"count": 64, "seed": 1641411168}},
+    "7f83af2b51d5a10c23f1e4b7379cd4d2e8bf820749baeb3966bacf42107a4093",
+)
+GOLDEN["harnack_limits/track-sweep"] = (
+    {**GOLDEN["harnack_limits"][0], "samples": {"count": 64, "seed": 3112422837}},
+    "ec9f3bae411d6bee2418a355db0e8984cc420184f42d4dd6c6f27b9f1465ca95",
+)
+GOLDEN["lott_match/track-sweep"] = (
+    {**GOLDEN["lott_match"][0], "samples": {"count": 64, "seed": 2543531098}},
+    "30990d81c1afb546285e1a333dcdcb764082cd47ac87a700b3871e72a7caed8d",
+)
+
 
 @pytest.mark.parametrize("suite", sorted(GOLDEN))
 def test_report_digest_is_pinned(suite):
