@@ -17,7 +17,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +42,7 @@ from .harnack import (
     I_infty,
     flat_ball_domain,
     limit_second_ff,
-    lott_match_defects,
+    lott_gradient_match_defect,
     random_polynomial_gradients,
     stripped_track_form,
 )
@@ -200,15 +199,16 @@ def _defect_sweep(report: ResidualReport, Ns, stacks, key: str, pts, ts) -> list
     return sups_per_N
 
 
-def _pointwise(fn, pts, ts) -> ResidualStack:
-    """The samples of ``fn`` at every (point, t) pair, called once per pair, as a ``ResidualStack``.
+def _pointwise(cm, pts, ts) -> ResidualStack:
+    """``ricci_soliton_residual`` of ``cm`` at every (point, t) pair, called once per pair, as a ``ResidualStack``.
 
-    A per-point error is kept in ``errors``.
+    A per-point error is kept in ``errors``; ``values`` is a (rows, m + 1, m + 1) array, as
+    ``ricci_soliton_residuals`` returns it.
     """
     errors, index, values, norms = [], [], [], []
     for i, (p, t) in enumerate(zip(pts, ts)):
         try:
-            sample = fn(p, t)
+            sample = ricci_soliton_residual(cm, p, t)
         except _POINT_ERRORS as exc:
             # kept without its traceback, whose frames would hold ``errors``
             errors.append(exc.with_traceback(None))
@@ -217,7 +217,9 @@ def _pointwise(fn, pts, ts) -> ResidualStack:
         index.append(i)
         values.append(sample.value)
         norms.append(sample.norm)
-    return ResidualStack(errors, np.array(index, dtype=int), values, np.array(norms, dtype=float))
+    d = cm.base.dim + 1
+    return ResidualStack(errors, np.array(index, dtype=int), np.array(values, dtype=float).reshape(-1, d, d),
+                         np.array(norms, dtype=float))
 
 
 def _run_ricci_soliton(cfg: RunConfig, report: ResidualReport):
@@ -232,7 +234,7 @@ def _run_ricci_soliton(cfg: RunConfig, report: ResidualReport):
     def residuals(cm):
         # one pointwise call per point: the benchmark's own tests count these
         # calls per sweep point, so this sweep stays unbatched
-        return _pointwise(partial(ricci_soliton_residual, cm), pts, ts)
+        return _pointwise(cm, pts, ts)
 
     sups_per_N = _defect_sweep(report, Ns, map(residuals, cms), "point", pts, ts)
     report.summary, report.passed = _sweep_summary(sups_per_N, cfg.tolerances.get("ratio", 1.5))
@@ -385,8 +387,8 @@ def _run_lott_match(cfg: RunConfig, report: ResidualReport):
     worst = 0.0
     # one pass over the monomial table gives every potential's differential at the slice point
     grads = random_polynomial_gradients(bg.dim, rng, count, hyp.position)
-    for k, defect in enumerate(lott_match_defects(hyp, grads)):
-        defect = abs(defect)
+    for k, df in enumerate(grads):
+        defect = abs(lott_gradient_match_defect(hyp, df))
         report.records.append({"potential_index": k, "defect": defect})
         worst = max(worst, defect)
 

@@ -53,7 +53,7 @@ __all__ = [
     "tangential_gradient",
     "lott_boundary_integrand",
     "lott_match_defect",
-    "lott_match_defects",
+    "lott_gradient_match_defect",
     "WeightedManifoldData",
     "QuadratureError",
     "weighted_scalar_curvature",
@@ -167,15 +167,11 @@ def lott_match_defect(hyp: HypersurfacePointData, f: ScalarField) -> float:
     Identically zero: the limit form evaluated on the negative boundary
     gradient reproduces the evolution integrand up to the H/(2t) term.
     """
-    return _match_defect(hyp, scalar_d1(f, hyp.position))
+    return lott_gradient_match_defect(hyp, scalar_d1(f, hyp.position))
 
 
-def lott_match_defects(hyp: HypersurfacePointData, grads) -> list:
-    """``lott_match_defect`` of each potential, given its differential at the slice point, a row of ``grads``."""
-    return [_match_defect(hyp, df) for df in grads]
-
-
-def _match_defect(hyp: HypersurfacePointData, df: np.ndarray) -> float:
+def lott_gradient_match_defect(hyp: HypersurfacePointData, df: np.ndarray) -> float:
+    """``lott_match_defect`` of a potential given by its differential ``df`` at the slice point."""
     comps, tang = _tangential(hyp, df)
     lhs = limit_second_ff(hyp, -comps)
     rhs = _lott_integrand(hyp, comps, tang)
@@ -424,13 +420,12 @@ def random_polynomial_field(dim: int, rng: np.random.Generator, degree: int = 3)
     )
 
 
-def random_polynomial_gradients(dim: int, rng: np.random.Generator, count: int, p: np.ndarray,
-                                degree: int = 3) -> np.ndarray:
+def random_polynomial_gradients(dim: int, rng: np.random.Generator, count: int, p: np.ndarray) -> np.ndarray:
     """The (count, dim) differentials at the point p of ``count`` random polynomials, in one pass.
 
     The coefficients are drawn as ``count`` successive ``random_polynomial_field``
-    calls on ``rng`` draw them, and row k equals the ``scalar_d1`` at p of
-    the k-th such field, bit for bit.
+    calls (of its default degree 3) on ``rng`` draw them, and row k equals the
+    ``scalar_d1`` at p of the k-th such field, bit for bit.
     """
-    coeffs = rng.uniform(-1, 1, (count, math.comb(dim + degree, degree)))
-    return _polynomial_partials(coeffs, np.asarray(p, dtype=float), dim, degree, 1)
+    coeffs = rng.uniform(-1, 1, (count, math.comb(dim + 3, 3)))
+    return _polynomial_partials(coeffs, np.asarray(p, dtype=float), dim, 3, 1)

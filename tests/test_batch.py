@@ -54,8 +54,8 @@ from cansol.harnack import (
     I_GHY,
     I_infty,
     flat_ball_domain,
+    lott_gradient_match_defect,
     lott_match_defect,
-    lott_match_defects,
     random_polynomial_field,
     random_polynomial_gradients,
 )
@@ -881,12 +881,23 @@ class TestPolynomialPartials:
 
     @pytest.mark.parametrize("dim", [2, 3, 5])
     @pytest.mark.parametrize("degree", [1, 2, 3])
-    def test_gradient_pass_equals_each_fields_differential(self, dim, degree):
+    def test_coefficient_stack_pass_equals_each_fields_differential(self, dim, degree):
         p = np.random.default_rng(dim).uniform(-2.0, 2.0, dim)
-        grads = random_polynomial_gradients(dim, np.random.default_rng(degree), 9, p, degree)
-        # the same generator state draws the same coefficients, field by field
+        coeffs = np.random.default_rng(degree).uniform(-1, 1, (9, math.comb(dim + degree, degree)))
+        grads = harnack._polynomial_partials(coeffs, p, dim, degree, 1)
+        # one draw of the whole stack gives the coefficients of successive fields
         rng = np.random.default_rng(degree)
         fields = [random_polynomial_field(dim, rng, degree) for _ in range(9)]
+        assert grads.shape == (9, dim)
+        for row, f in zip(grads, fields):
+            assert_same_bits(row, scalar_d1(f, p))
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_gradient_pass_equals_each_fields_differential(self, dim):
+        p = np.random.default_rng(dim).uniform(-2.0, 2.0, dim)
+        grads = random_polynomial_gradients(dim, np.random.default_rng(dim), 9, p)
+        rng = np.random.default_rng(dim)
+        fields = [random_polynomial_field(dim, rng) for _ in range(9)]
         assert grads.shape == (9, dim)
         for row, f in zip(grads, fields):
             assert_same_bits(row, scalar_d1(f, p))
@@ -897,7 +908,7 @@ class TestPolynomialPartials:
         grads = random_polynomial_gradients(3, np.random.default_rng(5), 16, hyp.position)
         rng = np.random.default_rng(5)
         want = [lott_match_defect(hyp, random_polynomial_field(3, rng)) for _ in range(16)]
-        assert lott_match_defects(hyp, grads) == want
+        assert [lott_gradient_match_defect(hyp, df) for df in grads] == want
 
 
 _LAPACK_INV = np.linalg.inv     # the references stay uncounted by ``lapack_calls``

@@ -302,6 +302,22 @@ class TestSuites:
         run(cfg_ricci())
         assert len(seen) == 6 * 3
 
+    @pytest.mark.parametrize("ts", [[0.1, 0.3, 1e-5], [0.3, 1e-5]], ids=["some", "none"])
+    def test_soliton_runner_stack_has_the_stacked_layout(self, ts):
+        from cansol.backgrounds import model_background
+        from cansol.canonical import build_canonical_metric, ricci_soliton_residuals
+
+        cm = build_canonical_metric(model_background("round_sphere", dim=3, r0=1.0, direction="forward"),
+                                    "expanding", 100.0)
+        pts = [np.array([1.1, 0.7, 2.0]), np.array([0.3, 0.2, 0.1]), np.array([0.5, 0.4, 0.3])][:len(ts)]
+        got, want = cli._pointwise(cm, pts, ts), ricci_soliton_residuals(cm, pts, ts)
+        assert [repr(e) for e in got.errors] == [repr(e) for e in want.errors]
+        assert np.array_equal(got.index, want.index)
+        # a (rows, m + 1, m + 1) array, also when no pair evaluates
+        assert isinstance(got.values, np.ndarray) and got.values.shape == want.values.shape
+        np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got.norms, want.norms, rtol=1e-12)
+
     def test_christoffel_crosscheck_sphere_steady(self):
         cfg = RunConfig.from_dict(
             {
