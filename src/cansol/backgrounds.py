@@ -35,19 +35,18 @@ import numpy as np
 
 from . import jets
 from .geometry import (
-    ChartDomainError,
     DegenerateMetricError,
     GeometryError,
     MetricBundle,
     MetricField,
     ScalarField,
-    _check_each,
     _drop,
     _inverse,
     _one_point,
     _point_errors,
     _raise_first,
     _symmetrized,
+    _time_errors,
     christoffel_batch,
     hessian_batch,
     metric_bundle,
@@ -241,13 +240,6 @@ def _polar_box(d: int) -> tuple[np.ndarray, np.ndarray]:
     return low, high
 
 
-def _check_time(domain: tuple[float, float], t: float) -> float:
-    lo, hi = domain
-    if not (lo < t <= hi):
-        raise ChartDomainError(f"time {t} outside domain ({lo}, {hi}]")
-    return float(t)
-
-
 def _per_time(fn, t, shape: tuple) -> np.ndarray:
     """The time scalar fn at each time of t broadcast to ``shape``, an array of that shape.
 
@@ -321,15 +313,13 @@ class RicciFlowBackground:
         if self.direction not in ("forward", "backward"):
             raise BackgroundError(f"unknown flow direction {self.direction!r}")
 
-    def check_time(self, t: float) -> float:
-        return _check_time(self.time_domain, t)
-
-    def _check_times(self, points, ts) -> list:
-        """The times of a stack of points, one each, checked in order."""
+    def _times(self, points, ts) -> list:
+        """The times of a stack of points, one each, as floats; the first outside the domain raises."""
         count = len(np.atleast_2d(points))
         if len(ts) != count:
             raise GeometryError(f"{len(ts)} times for {count} points")
-        return [self.check_time(t) for t in ts]
+        _raise_first(_time_errors(ts, self.time_domain))
+        return [float(t) for t in ts]
 
     @property
     def flat(self) -> bool:
@@ -344,7 +334,7 @@ class RicciFlowBackground:
         sigma and its jet are evaluated once for the whole stack.
         """
         c = self.conformal
-        return metric_bundle(c.sigma, points, order, scale=[c.phi(t) for t in self._check_times(points, ts)])
+        return metric_bundle(c.sigma, points, order, scale=[c.phi(t) for t in self._times(points, ts)])
 
     def curvature(self, points, ts) -> BackgroundCurvature:
         """The curvature of g(t_p) at a (P, m) stack of points p, one time each, checked as by ``bundle``.
@@ -353,12 +343,13 @@ class RicciFlowBackground:
         """
         c = self.conformal
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        R, dRdt = jets.derivatives(c.R, self._check_times(pts, ts), order=1)
+        R, dRdt = jets.derivatives(c.R, self._times(pts, ts), order=1)
         # R = sigma_scalar / phi(t) is constant in space
         return BackgroundCurvature(np.asarray(c.ric_sigma(pts)), R, dRdt, np.zeros(pts.shape))
 
     def dt_metric_at(self, p: np.ndarray, t: float) -> np.ndarray:
-        dphi = jets.derivatives(self.conformal.phi, self.check_time(t), order=1)[1]
+        _raise_first(_time_errors([t], self.time_domain))
+        dphi = jets.derivatives(self.conformal.phi, float(t), order=1)[1]
         return dphi * np.asarray(self.conformal.sigma.components(p))
 
     def sample_points(self, count: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -586,9 +577,6 @@ class MCFSolution:
         if self.time_domain is None:
             object.__setattr__(self, "time_domain", self.ambient.time_domain)
 
-    def check_time(self, t: float) -> float:
-        return _check_time(self.time_domain, t)
-
     def sample_xs(self, count: int, rng: np.random.Generator) -> list[np.ndarray]:
         return list(rng.uniform(*self.sample_box, (count, self.hypersurface_dim)))
 
@@ -716,7 +704,6 @@ def ricci_flow_residual(bg: RicciFlowBackground, p: np.ndarray, t: float) -> np.
     Vanishes identically on exact solutions; the Ricci tensor comes from
     the numeric kernel, not from the background's closed forms.
     """
-    t = bg.check_time(t)
     b = bg.bundle(_one_point(p), [t], order=2)
     b.raise_error()
     sign = -2.0 if bg.direction == "forward" else 2.0
@@ -730,7 +717,6 @@ def gradient_soliton_residual(
     t: float,
 ) -> np.ndarray:
     """Gradient-soliton defect Ric + Hess(f) + (c / 2t) g at (p, t), (d, d), from one metric bundle."""
-    t = bg.check_time(t)
     b = bg.bundle(_one_point(p), [t], order=2)
     b.raise_error()
     hess = hessian_batch(b, sol.potential(t))[0]
@@ -886,15 +872,15 @@ def slice_stack(mcf: MCFSolution, xs, ts) -> SliceStack:
     ``xs`` is a (P, n) stack of chart points and ``ts`` their P times.  Each
     pair is checked, and its failure recorded in ``errors``, as
     ``metric_bundle`` does: a time outside the flow's domain, then the
-    ambient's, then a non-finite x or an image outside the ambient chart
-    (``ChartDomainError``), then a degenerate ambient or induced metric
-    (``DegenerateMetricError``).  The flow's callbacks and the ambient's
-    ``bundle`` run once, on the pairs that pass.
+    ambient's (one ``_time_errors`` pass), then a non-finite x or an image
+    outside the ambient chart (``ChartDomainError``), then a degenerate
+    ambient or induced metric (``DegenerateMetricError``).  The flow's
+    callbacks and the ambient's ``bundle`` run once, on the pairs that pass.
     """
     times = np.asarray(ts, dtype=float).reshape(-1)
     ts = times.tolist()
     xs = np.asarray(xs, dtype=float).reshape(len(ts), mcf.hypersurface_dim)
-    timed = _check_each((mcf.check_time, mcf.ambient.check_time), ts)
+    timed = _time_errors(ts, mcf.time_domain, mcf.ambient.time_domain)
     errors = [e or f for e, f in zip(timed, _point_errors(xs))]
     index, x, times = _drop(errors, np.arange(len(ts)), errors, xs, times)
     jet = tuple(np.asarray(a, dtype=float) for a in mcf.jet(x, times))

@@ -36,13 +36,12 @@ import numpy as np
 from . import jets
 from .backgrounds import VARIANT_SIGNS, RicciFlowBackground
 from .geometry import (
-    ChartDomainError,
     MetricField,
     ScalarField,
-    _check_each,
     _drop,
     _point_errors,
     _raise_first,
+    _time_errors,
     christoffel,  # noqa: F401  (canonical.christoffel, a binding the benchmark tracer patches)
     christoffel_batch,
     hessian_batch,
@@ -123,12 +122,6 @@ class CanonicalMetric:
         """Default sampling floor, T_MIN_FRACTION of the time horizon."""
         return T_MIN_FRACTION * self.base.time_domain[1]
 
-    def check_floor(self, t: float) -> float:
-        """t, or a ``ChartDomainError`` if it lies below the sampling floor ``t_min``."""
-        if t < self.t_min:
-            raise ChartDomainError(f"t={t} below the sampling floor t_min={self.t_min}")
-        return t
-
     def spacetime_point(self, p: np.ndarray, t: float) -> np.ndarray:
         return np.concatenate(([float(t)], np.asarray(p, dtype=float)))
 
@@ -178,27 +171,28 @@ def _profiles(bg: RicciFlowBackground, s: int, N: float):
     return profiles
 
 
-def minimal_admissible_N(bg: RicciFlowBackground, variant: str, samples) -> float:
-    """Smallest N making the time-time component >= 1 over the samples.
+def minimal_admissible_N(bg: RicciFlowBackground, variant: str, ts) -> float:
+    """Smallest N making the time-time component >= 1 at the sample times ``ts``.
 
-    ``samples`` is an iterable of (p, t) pairs; w is its N = 0 profile plus N
-    or N / (2 t^3).  The positivity threshold is not fixed by the
-    construction itself, so it is computed per run and reported.
+    w is its N = 0 profile plus N or N / (2 t^3), so the point of a sample
+    plays no part.  The first time outside the background's domain raises.
+    The positivity threshold is not fixed by the construction itself, so
+    it is computed per run and reported.
     """
     s = _sign(variant)
     w0 = _profiles(bg, s, 0.0)
-    ts = [bg.check_time(t) for _, t in samples]
-    return max([0.0] + [(1.0 - w0(t)[0]) * (2 * t**3 if s else 1.0) for t in ts])
+    _raise_first(_time_errors(ts, bg.time_domain))
+    return max([0.0] + [(1.0 - w0(t)[0]) * (2 * t**3 if s else 1.0) for t in map(float, ts)])
 
 
-def check_admissible(cms, samples) -> float:
-    """``minimal_admissible_N`` over the samples, for a sweep of canonical metrics.
+def check_admissible(cms, ts) -> float:
+    """``minimal_admissible_N`` at the sample times ``ts``, for a sweep of canonical metrics.
 
     The metrics share one background and variant; the threshold does not
     depend on N, so one scan serves the sweep, and a ``CanonicalConfigError``
     names the smallest N of ``cms`` if it lies below the threshold.
     """
-    n_min = minimal_admissible_N(cms[0].base, cms[0].variant, samples)
+    n_min = minimal_admissible_N(cms[0].base, cms[0].variant, ts)
     N = min(cm.N for cm in cms)
     if N < n_min:
         raise CanonicalConfigError(
@@ -320,8 +314,7 @@ def _soliton_bundle(cm: CanonicalMetric, points, ts) -> tuple:
     """
     ts = np.asarray(ts, dtype=float)
     pts = np.asarray(points, dtype=float).reshape(len(ts), cm.base.dim)
-    # the floor comes after the time domain, as on the track
-    errors = _check_each((cm.base.check_time, cm.check_floor), ts.tolist())
+    errors = _time_errors(ts.tolist(), cm.base.time_domain, floor=cm.t_min)
     index, z = _drop(errors, np.arange(len(ts)), errors, np.column_stack((ts, pts)))
     b = metric_bundle(cm.field, z, order=2)
     index, = _drop(errors, index, b.errors)
@@ -381,7 +374,7 @@ def limit_riccis(bg: RicciFlowBackground, Xs, points, ts) -> list:
     if bg.direction != "forward":
         raise CanonicalConfigError("limit_ricci needs a forward background")
     t = np.asarray(ts, dtype=float).reshape(-1)
-    out = _check_each((bg.check_time,), t.tolist())
+    out = _time_errors(t.tolist(), bg.time_domain)
     shape = (len(t), bg.dim)
     index, X, p, t = _drop(out, np.arange(len(t)), out, np.asarray(Xs, dtype=float).reshape(shape),
                            np.asarray(points, dtype=float).reshape(shape), t)
@@ -506,7 +499,7 @@ def _closed_forms(cms, z: np.ndarray) -> list:
     # the time column of z: a strided view whatever the layout of ts, so
     # every stack takes the same numpy loop and a row's bits do not vary
     t = z[:, 0]
-    times = _check_each((bg.check_time,), t.tolist())
+    times = _time_errors(t.tolist(), bg.time_domain)
     _raise_first([e or f for e, f in zip(_point_errors(z, cms[0].field.in_domain), times)])
 
     b = bg.bundle(z[:, 1:], t.tolist(), order=1)

@@ -36,7 +36,7 @@ from .canonical import (
     limit_riccis,
     ricci_soliton_residual,
 )
-from .geometry import FD_H1, FD_H2, ChartDomainError, DegenerateMetricError, ScalarField, _check_each
+from .geometry import FD_H1, FD_H2, ChartDomainError, DegenerateMetricError, ScalarField, _time_errors
 from .harnack import (
     I_GHY,
     I_infty,
@@ -117,12 +117,12 @@ def _draw_samples(cfg: RunConfig, sampler, domain, default_count: int):
     return rng, pts, list(rng.uniform(t_min, b, count))
 
 
-def _check_times(cfg: RunConfig, model, ts):
+def _reject_times(cfg: RunConfig, model, ts):
     """Raise a ConfigError naming the first sample whose time lies outside the domain of ``model``.
 
     ``model`` is a background or a flow.  Drawn times lie in the domain; given ones may not.
     """
-    for i, exc in enumerate(_check_each((model.check_time,), ts)):
+    for i, exc in enumerate(_time_errors(ts, model.time_domain)):
         if exc is not None:
             raise ConfigError(f"{cfg.suite} sample {i}: {exc}") from exc
 
@@ -227,9 +227,9 @@ def _run_ricci_soliton(cfg: RunConfig, report: ResidualReport):
     variant = _variant(cfg)
     Ns = _need_N_list(cfg)
     _, pts, ts = _draw_samples(cfg, bg.sample_points, bg.time_domain, 20)
-    _check_times(cfg, bg, ts)
+    _reject_times(cfg, bg, ts)
     cms = [build_canonical_metric(bg, variant, N) for N in Ns]
-    n_min = check_admissible(cms, list(zip(pts, ts)))
+    n_min = check_admissible(cms, ts)
 
     def residuals(cm):
         # one pointwise call per point: the benchmark's own tests count these
@@ -247,11 +247,11 @@ def _run_mcf_soliton(cfg: RunConfig, report: ResidualReport):
     Ns = _need_N_list(cfg)
     mcf = _model(cfg, "mcf", model_mcf, bg)
     _, xs, ts = _draw_samples(cfg, mcf.sample_xs, mcf.time_domain, 20)
-    # N is checked on the pairs inside the background's time domain; the rest stay per-point errors
-    samples = [(x, t) for x, t, exc in zip(xs, ts, _check_each((bg.check_time,), ts)) if exc is None]
+    # N is checked at the times inside the background's time domain; the rest stay per-point errors
+    inside = [t for t, exc in zip(ts, _time_errors(ts, bg.time_domain)) if exc is None]
 
     cms = [build_canonical_metric(bg, variant, N) for N in Ns]
-    check_admissible(cms, samples)
+    check_admissible(cms, inside)
     sups_per_N = _defect_sweep(report, Ns, mcf_canonical_sweep(mcf, cms, xs, ts), "x", xs, ts)
     report.summary, report.passed = _sweep_summary(sups_per_N, cfg.tolerances.get("ratio", 1.5))
     report.provenance = _provenance(cfg)
@@ -264,7 +264,7 @@ def _run_christoffel_crosscheck(cfg: RunConfig, report: ResidualReport):
     backend = cfg.samples.get("backend", "analytic")
     tol = cfg.tolerances.get("rel_error", 1e-9 if backend == "analytic" else 1e-5)
     _, pts, ts = _draw_samples(cfg, bg.sample_points, bg.time_domain, 10)
-    _check_times(cfg, bg, ts)
+    _reject_times(cfg, bg, ts)
     samples = list(zip(pts, ts))
 
     cms = [build_canonical_metric(bg, variant, N) for N in Ns]
@@ -381,7 +381,7 @@ def _run_lott_match(cfg: RunConfig, report: ResidualReport):
     if len(times) != 1:
         raise ConfigError(f"lott_match evaluates one slice: samples.times needs one entry, got {times!r}")
     # one slice serves every potential, so a time outside the flow's domain is the config's error
-    _check_times(cfg, mcf, times)
+    _reject_times(cfg, mcf, times)
     hyp = hypersurface_point_data(mcf, x, times[0])
 
     worst = 0.0

@@ -37,6 +37,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -163,17 +164,28 @@ def _checked(p, dim: int | None = None, in_domain=None) -> tuple[np.ndarray, boo
     return pts, single
 
 
-def _check_each(checks, values) -> list:
-    """Per value: None, or the ChartDomainError of the first of ``checks`` that raises on it."""
-    errors = []
-    for v in values:
-        try:
-            for check in checks:
-                check(v)
-            errors.append(None)
-        except ChartDomainError as exc:
-            # kept without its traceback, whose frames would hold the caller's stack
-            errors.append(exc.with_traceback(None))
+def _time_errors(ts, *domains, floor=-math.inf) -> list:
+    """Per time of ``ts``: None, or the ChartDomainError of the first window it leaves.
+
+    The one time validator.  The windows are the domains (lo, hi] in order,
+    with the sampling floor (t >= floor) right after the first; a NaN
+    leaves every domain.  Only a time outside their intersection is
+    checked window by window.
+    """
+    (lo, hi), *rest = domains
+    for a, b in rest:
+        lo, hi = max(lo, a), min(hi, b)
+    errors = [None] * len(ts)
+    for i, t in enumerate(ts):
+        if lo < t <= hi and not t < floor:
+            continue
+        for k, (a, b) in enumerate(domains):
+            if not a < t <= b:
+                errors[i] = ChartDomainError(f"time {t} outside domain ({a}, {b}]")
+                break
+            if not k and t < floor:
+                errors[i] = ChartDomainError(f"t={t} below the sampling floor t_min={floor}")
+                break
     return errors
 
 

@@ -53,9 +53,9 @@ from .backgrounds import (
 )
 from .canonical import CanonicalConfigError, CanonicalMetric, FormCorrection, ResidualSample, ResidualStack, _profiles
 from .geometry import (
-    _check_each,
     _drop,
     _raise_first,
+    _time_errors,
     christoffel_batch,
     metric_bundle,
     scalar_d1,
@@ -87,9 +87,10 @@ class SpaceTimeTrack:
     def n(self) -> int:
         return self.mcf.hypersurface_dim
 
-    def check_time(self, t: float) -> float:
-        """t, checked against the flow's time domain, then the sampling floor."""
-        return self.cm.check_floor(self.mcf.check_time(t))
+
+def _track_time_errors(track: SpaceTimeTrack, ts) -> list:
+    """``_time_errors`` in the track's windows: the flow's domain, the sampling floor, the ambient's domain."""
+    return _time_errors(ts, track.mcf.time_domain, track.mcf.ambient.time_domain, floor=track.cm.t_min)
 
 
 def build_track(mcf: MCFSolution, cm: CanonicalMetric) -> SpaceTimeTrack:
@@ -170,18 +171,16 @@ class _TrackStack(NamedTuple):
 def _slice_rows(track: SpaceTimeTrack, xs, ts) -> _SliceRows:
     """The N-independent half of the track evaluation at a stack of (x, t) pairs.
 
-    The times are checked pair by pair against the flow's domain, then the
-    sampling floor, which depends on the background alone; ``slice_stack``
-    checks the rest and evaluates the slices once on the pairs still
-    standing, and the track's space-time points, tangent basis, second
-    partials and orienting vectors are built from them.
+    The times are checked in one pass (``_track_time_errors``);
+    ``slice_stack`` checks the points and evaluates the slices once on the
+    pairs still standing, and the track's space-time points, tangent
+    basis, second partials and orienting vectors are built from them.
     """
     mcf = track.mcf
     times = np.asarray(ts, dtype=float).reshape(-1)
     ts = times.tolist()
     xs = np.asarray(xs, dtype=float).reshape(len(ts), track.n)
-    # the floor comes after the flow's domain, as in a single call
-    errors = _check_each((track.check_time,), ts)
+    errors = _track_time_errors(track, ts)
     index, x, t = _drop(errors, np.arange(len(ts)), errors, xs, times)
     slices = slice_stack(mcf, x, t.tolist())
     index, t = _drop(errors, index, slices.errors, t)
@@ -345,7 +344,8 @@ def limit_inverse_metric(track: SpaceTimeTrack, x: np.ndarray, t: float) -> np.n
     (steady); the time row and column vanish in the limit, the finite-N
     time-time entry being t / (H^2 + t w) and its analogues.
     """
-    t = track.check_time(t)
+    _raise_first(_track_time_errors(track, [t]))
+    t = float(t)
     hyp = hypersurface_point_data(track.mcf, x, t)
     n = track.n
     out = np.zeros((n + 1, n + 1))
@@ -429,7 +429,8 @@ def closed_form_second_ff(track: SpaceTimeTrack, x: np.ndarray, t: float) -> dic
     inverse has a stray tau; H^S ~ (t/sigma_N) H should read H/sigma_N
     (both limit to sqrt(t) H).
     """
-    t = track.check_time(t)
+    _raise_first(_track_time_errors(track, [t]))
+    t = float(t)
     cm = track.cm
     n = track.n
 

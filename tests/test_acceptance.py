@@ -81,7 +81,7 @@ def test_criterion_1_ricci_soliton_residual_decay():
         samples = sweep_samples(bg, 20, seed=101)
         sups = []
         cms = [build_canonical_metric(bg, variant, N) for N in N_SWEEP]
-        check_admissible(cms, samples)
+        check_admissible(cms, [t for _, t in samples])
         for cm in cms:
             sups.append(max(ricci_soliton_residual(cm, p, t).scaled_norm for p, t in samples))
         if max(sups) < ZERO_TOL:

@@ -423,6 +423,88 @@ class TestRowFilter:
         assert errors == [None] * 3
 
 
+def _raised(fn, *args):
+    """The (class, message) of the error ``fn(*args)`` raises, or None."""
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _recorded(errors):
+    return [None if e is None else (type(e), str(e)) for e in errors]
+
+
+class TestTimeValidator:
+    """``_time_errors``, the one time check, and the entries that call it on a stack."""
+
+    def test_windows_in_order(self):
+        # the floor comes right after the first domain; the second domain last
+        ts = [0.5, math.nan, 0.0, 0.05, 0.15, 2.5, 1.5]
+        errors = geometry._time_errors(ts, (0.0, 1.0), (0.2, 2.0), floor=0.1)
+        assert [None if e is None else str(e) for e in errors] == [
+            None,
+            "time nan outside domain (0.0, 1.0]",
+            "time 0.0 outside domain (0.0, 1.0]",
+            "t=0.05 below the sampling floor t_min=0.1",
+            "time 0.15 outside domain (0.2, 2.0]",
+            "time 2.5 outside domain (0.0, 1.0]",
+            "time 1.5 outside domain (0.0, 1.0]",
+        ]
+        assert all(type(e) is ChartDomainError for e in errors[1:])
+        assert geometry._time_errors([], (0.0, 1.0)) == []
+        assert geometry._time_errors([1.0, 1e-300], (0.0, 1.0)) == [None, None]
+
+    def test_soliton_stack_records_the_single_pair_errors(self):
+        cm = canonical("shrinking", 3, 1e3)
+        p = np.array([1.0, 1.2, 0.5])
+        # NaN, t <= 0, past T inside the chart's overhang, below the floor, admissible
+        ts = [math.nan, 0.0, -0.5, 1.0005, 0.2 * cm.t_min, 0.5]
+        stack = ricci_soliton_residuals(cm, [p] * len(ts), ts)
+        assert _recorded(stack.errors) == [_raised(ricci_soliton_residual, cm, p, t) for t in ts]
+        assert stack.errors[-1] is None and stack.index.tolist() == [5]
+        assert [kind for kind, _ in _recorded(stack.errors[:-1])] == [ChartDomainError] * 5
+
+    @pytest.mark.parametrize("flow, direction, ts", [
+        # the flow's domain (0, 0.2] lies inside the ambient's (0, 1]: 0.5 leaves the flow's only
+        ("shrinking_sphere_flat", "forward", [math.nan, 0.0, -0.1, 0.5, 1.0005, 0.01, 0.1]),
+        # a flow domain (0, 2] around the ambient's: 1.5 leaves the ambient's only
+        ("equator_in_sphere", "backward", [math.nan, 0.0, 1.0005, 1.5, 2.5, 0.01, 0.5]),
+    ])
+    def test_track_stack_records_the_single_pair_errors(self, flow, direction, ts):
+        mcf = _flow(flow, 3, direction)
+        if flow == "equator_in_sphere":
+            mcf = dataclasses.replace(mcf, time_domain=(0.0, 2.0))
+        variant = "expanding" if direction == "forward" else "steady"
+        track = build_track(mcf, build_canonical_metric(mcf.ambient, variant, 1e3))
+        x = np.array([1.1, 0.7])
+        [stack] = mcf_canonical_sweep(mcf, [track.cm], [x] * len(ts), ts)
+        assert _recorded(stack.errors) == [_raised(mcf_canonical_residual, track, x, t) for t in ts]
+        assert stack.errors[-1] is None and stack.index.tolist() == [len(ts) - 1]
+        assert [kind for kind, _ in _recorded(stack.errors[:-1])] == [ChartDomainError] * (len(ts) - 1)
+
+    def test_a_sweep_checks_its_times_a_fixed_number_of_times(self, monkeypatch):
+        from cansol import backgrounds, canonical as canonical_module, cli, track as track_module
+
+        calls = []
+        check = geometry._time_errors
+        for module in (geometry, backgrounds, canonical_module, track_module, cli):
+            monkeypatch.setattr(module, "_time_errors", lambda *args, **kw: calls.append(1) or check(*args, **kw))
+        mcf = _flow("shrinking_sphere_flat", 3, "forward")
+        cms = [build_canonical_metric(mcf.ambient, "expanding", N) for N in (1e2, 1e4)]
+        rng = np.random.default_rng(5)
+        counts = []
+        for P in (4, 64):
+            calls.clear()
+            # some of the times fall below the floor
+            ts = rng.uniform(0.5 * cms[0].t_min, mcf.time_domain[1], P).tolist()
+            stacks = mcf_canonical_sweep(mcf, cms, mcf.sample_xs(P, rng), ts)
+            assert all(len(s.errors) == P for s in stacks)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+
 class TestCallbackContract:
     def test_per_point_shape_only_from_a_single_point(self):
         metric = MetricField(dim=2, jet=lambda p, order: (np.eye(2), np.zeros((2, 2, 2)))[: order + 1])

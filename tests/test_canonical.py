@@ -94,21 +94,20 @@ class TestBuild:
         # the shrinking time-time component subtracts m/(2 t^2), so its
         # positivity threshold is strictly positive
         bg = make_bg(FLAT_BWD)
-        samples = [(np.zeros(3), 0.9)]
-        n_min = minimal_admissible_N(bg, "shrinking", samples)
+        n_min = minimal_admissible_N(bg, "shrinking", [0.9])
         assert n_min == pytest.approx(2 * 0.9**3 * (1 + 3 / (2 * 0.9**2)))
         cms = [build_canonical_metric(bg, "shrinking", f * n_min) for f in (0.5, 0.8, 2.0)]
         with pytest.raises(CanonicalConfigError) as err:
-            check_admissible(cms, samples)
+            check_admissible(cms, [0.9])
         # the smallest N of the sweep is named
         assert str(err.value) == (f"N={0.5 * n_min} below the positivity threshold on the sampling "
                                   f"domain; minimal admissible N is {n_min:.6g}")
-        assert check_admissible(cms[2:], samples) == n_min
+        assert check_admissible(cms[2:], [0.9]) == n_min
 
     def test_flat_expanding_threshold_vanishes_inside_horizon(self):
         # for t <= 1 the m/(2 t^2) term alone keeps the component above 1
         bg = make_bg(FLAT_FWD)
-        assert minimal_admissible_N(bg, "expanding", [(np.zeros(3), 0.9)]) == 0.0
+        assert minimal_admissible_N(bg, "expanding", [0.9]) == 0.0
 
     def test_spacetime_field_has_consistent_derivatives(self):
         from cansol.geometry import check_metric_derivatives
@@ -243,7 +242,7 @@ class TestSolitonResidual:
         samples = samples_for(bg, 20, seed=7)
         sups = []
         cms = [build_canonical_metric(bg, variant, N) for N in (1e2, 1e3, 1e4)]
-        check_admissible(cms, samples)
+        check_admissible(cms, [t for _, t in samples])
         for cm in cms:
             sups.append(max(ricci_soliton_residual(cm, p, t).scaled_norm for p, t in samples))
         if max(sups) < 1e-8:
@@ -392,4 +391,4 @@ class TestVariantSigns:
         with pytest.raises(CanonicalConfigError, match="unknown variant"):
             build_canonical_metric(bg, "stationary", 100.0)
         with pytest.raises(CanonicalConfigError, match="unknown variant"):
-            minimal_admissible_N(bg, "stationary", [(np.zeros(3), 0.5)])
+            minimal_admissible_N(bg, "stationary", [0.5])
