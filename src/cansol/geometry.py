@@ -112,22 +112,24 @@ def _point_errors(pts: np.ndarray, in_domain=None) -> list:
     """Per point of a (P, d) stack: None, or the ChartDomainError it raises.
 
     The one point validator: non-finite coordinates, then the chart-domain
-    predicate (which only sees finite points).
+    predicate (which only sees finite points).  The whole stack is tested
+    for finiteness at once; rows are reduced only when some entry is not.
     """
-    finite = np.logical_and.reduce(np.isfinite(pts), axis=1)
-    if in_domain is None:
-        ok = finite
-    elif finite.all():
+    errors = [None] * len(pts)
+    if np.isfinite(pts).all():
+        if in_domain is None:
+            return errors
         ok = _evaluate(in_domain, pts, (), "in_domain", dtype=bool)
     else:
+        finite = np.logical_and.reduce(np.isfinite(pts), axis=1)
         ok = finite.copy()
-        ok[finite] = _evaluate(in_domain, pts[finite], (), "in_domain", dtype=bool)
-    errors = [None] * len(pts)
+        if in_domain is not None:
+            ok[finite] = _evaluate(in_domain, pts[finite], (), "in_domain", dtype=bool)
     if ok.all():
         return errors
     for i in np.flatnonzero(~ok):
         errors[i] = ChartDomainError(
-            f"point {pts[i]} outside chart domain" if finite[i]
+            f"point {pts[i]} outside chart domain" if np.isfinite(pts[i]).all()
             else f"chart point has non-finite entries: {pts[i]}"
         )
     return errors
@@ -412,16 +414,20 @@ def _inverse_and_condition(g: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, 
     number, and much cheaper than an SVD.  A stack of diagonal matrices with
     finite positive entries (every catalog metric) is inverted entrywise,
     which gives LAPACK's bits: 1/d on the diagonal, and max(d) * max(1/d) as
-    the condition estimate.  Any other stack goes to LAPACK whole.
+    the condition estimate.  Both maxima reduce over the d rows of a
+    contiguous (d, P) copy of the diagonals, so each step runs along the
+    stack axis rather than along one length-d row at a time.  Any other
+    stack goes to LAPACK whole.
     """
     errors = [None] * len(g)
     P, d = g.shape[:2]
     diag = g.reshape(P, d * d)[:, :: d + 1]
     if P and np.count_nonzero(g) == diag.size and diag.min() > _TINY and diag.max() <= _HUGE:
-        inv = 1.0 / diag
+        rows = np.ascontiguousarray(diag.T)
+        inv = 1.0 / rows
         ginv = np.zeros((P, d, d))   # C order, so the reshape below is a view
-        ginv.reshape(P, d * d)[:, :: d + 1] = inv
-        cond = diag.max(axis=1) * inv.max(axis=1)
+        ginv.reshape(P, d * d)[:, :: d + 1] = inv.T
+        cond = rows.max(axis=0) * inv.max(axis=0)
     else:
         try:
             ginv = np.linalg.inv(g)
@@ -566,12 +572,15 @@ def hessian_batch(b: MetricBundle, f: ScalarField, grad: np.ndarray | None = Non
     """Covariant Hessians Hess(f)_ab = d_a d_b f - Gamma^c_{ab} d_c f, symmetrized, (P, d, d).
 
     Gamma^c_{ab} d_c f is contracted as 1/2 (grad f)^d bracket[d, a, b], which
-    skips forming the Christoffel symbols themselves.  ``grad`` is
-    ``gradient_batch(b, f)``, if the caller has it already.
+    skips forming the Christoffel symbols themselves.  When every metric
+    partial of the stack is zero, Gamma = 0 and the term is left out.
+    ``grad`` is ``gradient_batch(b, f)``, if the caller has it already.
     """
     if grad is None:
         grad = gradient_batch(b, f)
     ddf = _partials(f.d2, f.value, b.points, 2, (), "scalar")
+    if not b.dg.any():
+        return _symmetrized(ddf)
     return _symmetrized(ddf - 0.5 * np.einsum("pd,pdab->pab", grad, _bracket(b.dg)))
 
 

@@ -187,8 +187,9 @@ def lott_gradient_match_defect(hyp: HypersurfacePointData, df: np.ndarray) -> fl
 class WeightedManifoldData:
     """A compact weighted domain with boundary, discretized for quadrature.
 
-    Weights carry the volume/area densities sqrt(det g); normals are
-    outward unit vectors at the boundary samples.  ``scalar_curvature_at``
+    Weights carry the volume/area densities sqrt(det g) and must be finite
+    and positive; normals are outward unit vectors at the boundary samples,
+    and the boundary mean curvatures must be finite.  ``scalar_curvature_at``
     optionally short-circuits the engine curvature with a closed form
     (used by catalogs); the engine remains the fallback.
     """
@@ -206,11 +207,17 @@ class WeightedManifoldData:
     def __post_init__(self):
         if len(self.interior_points) == 0 or len(self.boundary_points) == 0:
             raise QuadratureError("quadrature grid is empty")
-        if np.any(self.interior_weights <= 0) or np.any(self.boundary_weights <= 0):
+        weights = (self.interior_weights, self.boundary_weights)
+        if not all(np.isfinite(w).all() for w in weights):
+            raise QuadratureError("quadrature weights must be finite")
+        if any(np.any(w <= 0) for w in weights):
             raise QuadratureError("quadrature weights must be positive")
+        if not np.isfinite(self.boundary_mean_curvatures).all():
+            raise QuadratureError("boundary mean curvatures must be finite")
         nus = self.boundary_normals
         g = self.metric.at(self.boundary_points)
-        if np.max(np.abs(np.einsum("pa,pab,pb->p", nus, g, nus) - 1.0)) > 1e-8:
+        # a NaN deviation fails the test too
+        if not np.max(np.abs(np.einsum("pa,pab,pb->p", nus, g, nus) - 1.0)) <= 1e-8:
             raise QuadratureError("boundary normals must be unit vectors")
 
     def curvatures(self, pts: np.ndarray, b: MetricBundle | None = None) -> np.ndarray:

@@ -77,31 +77,44 @@ def _plain(obj):
 _quoted = json.encoder.encode_basestring_ascii
 
 
-def _render(obj, pad: str) -> str:
+def _render(obj, pad: str, memo: dict) -> str:
     """``obj`` as ``json.dumps(_plain(obj), sort_keys=True, indent=2)`` writes it at indent ``pad``.
 
     Containers are laid out here; strings and finite floats use the encoder's own functions.
+    ``memo`` lives for one rendering.  It maps ``(id(c), pad)`` to the text of each container
+    ``c`` written so far, so a container that the report holds in several places (a sweep's
+    point list sits in every record of that point) is laid out once per indent.  The
+    containers it names belong to the rendered object and outlive the rendering, so no id in
+    it is reused.  The temporary list from an array's ``tolist()`` gets a memo of its own,
+    which ends with that list.
     """
     if isinstance(obj, float) and math.isfinite(obj):
         return float.__repr__(obj)
     if isinstance(obj, str):
         return _quoted(obj)
-    if isinstance(obj, np.ndarray) and obj.ndim:
-        obj = obj.tolist()
+    key = (id(obj), pad)
+    text = memo.get(key)
+    if text is not None:
+        return text
     inner = pad + "  "
-    if isinstance(obj, dict):
-        items = ",\n".join(f"{inner}{_quoted(k)}: {_render(obj[k], inner)}" for k in sorted(obj))
-        return f"{{\n{items}\n{pad}}}" if obj else "{}"
-    if isinstance(obj, (list, tuple)):
-        items = ",\n".join(inner + _render(v, inner) for v in obj)
-        return f"[\n{items}\n{pad}]" if obj else "[]"
-    return json.dumps(_plain(obj))
+    if isinstance(obj, np.ndarray) and obj.ndim:
+        text = _render(obj.tolist(), pad, {})
+    elif isinstance(obj, dict):
+        items = ",\n".join(f"{inner}{_quoted(k)}: {_render(obj[k], inner, memo)}" for k in sorted(obj))
+        text = f"{{\n{items}\n{pad}}}" if obj else "{}"
+    elif isinstance(obj, (list, tuple)):
+        items = ",\n".join(inner + _render(v, inner, memo) for v in obj)
+        text = f"[\n{items}\n{pad}]" if obj else "[]"
+    else:
+        return json.dumps(_plain(obj))
+    memo[key] = text
+    return text
 
 
 def _dumps(d: dict) -> str:
     """``json.dumps(_plain(d), sort_keys=True, indent=2) + "\\n"``, byte for byte."""
     try:
-        return _render(d, "") + "\n"
+        return _render(d, "", {}) + "\n"
     except TypeError:
         # a key that is not a string, or a value json cannot encode
         return json.dumps(_plain(d), sort_keys=True, indent=2) + "\n"

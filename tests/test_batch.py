@@ -1136,6 +1136,111 @@ class TestDiagonalInverse:
         assert lapack_calls == [(9, 4, 4), (1, 4, 4)]    # the stack, then the full matrix alone
 
 
+def full_contraction_hessian(b, f):
+    """d_a d_b f - 1/2 (grad f)^d bracket[d, a, b], symmetrized: the Hessian with its connection term."""
+    ddf = geometry._partials(f.d2, f.value, b.points, 2, (), "scalar")
+    grad = gradient_batch(b, f)
+    return geometry._symmetrized(ddf - 0.5 * np.einsum("pd,pdab->pab", grad, geometry._bracket(b.dg)))
+
+
+class TestZeroConnectionHessian:
+    """On a stack whose metric partials all vanish, the Hessian leaves out the connection term."""
+
+    @pytest.mark.parametrize("P", [1, 1024, 1025])
+    @pytest.mark.parametrize("fd", [False, True])
+    def test_flat_bundles_keep_the_bits_of_the_full_contraction(self, P, fd):
+        rng = np.random.default_rng(P)
+        flat = model_background("euclidean_static", dim=3).conformal.sigma
+        metric = flat.without_analytic_derivatives() if fd else flat
+        gauss = model_background("gaussian_shrinker_flat", dim=3).soliton.potential(1.0)
+        # every octant, so gradients of every sign and their signed-zero products
+        pts = rng.uniform(-2.0, 2.0, (P, 3))
+        pts[0] = [-1.5, -0.5, -0.25]
+        b = metric_bundle(metric, pts, order=1)
+        assert not b.dg.any()
+        for f in (ScalarField.constant(0.0), gauss, random_polynomial_field(3, rng)):
+            grad = gradient_batch(b, f)
+            assert (grad < 0).any() or not grad.any()
+            want = full_contraction_hessian(b, f)
+            assert_same_bits(hessian_batch(b, f), want)
+            assert_same_bits(hessian_batch(b, f, grad), want)
+
+    def test_a_curved_stack_keeps_its_connection_term(self):
+        rng = np.random.default_rng(4)
+        b = metric_bundle(unit_sphere_metric(3), sphere_stack(3, 64, rng), order=1)
+        f = random_polynomial_field(3, rng)
+        assert b.dg.any()
+        hess = hessian_batch(b, f)
+        assert_same_bits(hess, full_contraction_hessian(b, f))
+        ddf = geometry._partials(f.d2, f.value, b.points, 2, (), "scalar")
+        assert not np.array_equal(hess, geometry._symmetrized(ddf))
+
+
+class TestConditionEstimate:
+    """The diagonal path, reduced along the stack axis, has the bits of the row-wise max(d) * max(1/d)."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_equals_the_row_wise_formula(self, d):
+        rng = np.random.default_rng(10 + d)
+        P = 2048
+        diag = 10.0 ** rng.uniform(-8, 8, (P, d))
+        diag[:256] = rng.choice([0.5, 1.0, 2.0, 3.0], (256, d))            # ties inside a row
+        diag[256:512] = rng.uniform(1.0, 2.0, (256, 1))                     # all entries equal
+        diag[512:768] = 1e-300 * rng.uniform(1.0, 2.0, (256, d))
+        diag[768:1024] = 1e300 * rng.uniform(0.5, 1.0, (256, d))
+        diag[1024:1280, 0] = 1e-150 * rng.uniform(1.0, 2.0, 256)            # a spread of 1e300 in one row
+        diag[1024:1280, -1] = 1e150 * rng.uniform(0.5, 1.0, 256)
+        g = np.zeros((P, d, d))
+        g[:, range(d), range(d)] = diag
+        _, cond, errors = geometry._inverse_and_condition(g, np.zeros((P, d)))
+        assert errors == [None] * P
+        assert_same_bits(cond, diag.max(axis=1) * (1.0 / diag).max(axis=1))
+
+
+def point_errors_by_row(pts, in_domain):
+    """Per row of ``pts``: None, or the class and message of the error that row raises."""
+    out = []
+    for p in pts:
+        if not np.isfinite(p).all():
+            out.append((ChartDomainError, f"chart point has non-finite entries: {p}"))
+        elif in_domain is not None and not in_domain(p[None])[0]:
+            out.append((ChartDomainError, f"point {p} outside chart domain"))
+        else:
+            out.append(None)
+    return out
+
+
+class TestPointValidator:
+    """``_point_errors`` on stacks with non-finite rows keeps each row's class and message."""
+
+    @pytest.mark.parametrize("with_domain", [False, True])
+    @pytest.mark.parametrize("P", [1, 9, 200])
+    def test_mixed_stacks(self, P, with_domain):
+        rng = np.random.default_rng(P)
+        seen = []
+
+        def inside(p):
+            return np.einsum("pa,pa->p", p, p) < 1.0
+
+        def in_domain(p):
+            seen.append(p.copy())
+            return inside(p)
+
+        pts = rng.uniform(-1.0, 1.0, (P, 3))
+        bad = [math.nan, math.inf, -math.inf]
+        for i in rng.choice(P, min(P, 4), replace=False):
+            pts[i, rng.integers(3)] = bad[i % 3]
+        for stack in (pts, np.where(np.isfinite(pts), pts, 0.5)):
+            seen.clear()
+            got = geometry._point_errors(stack, in_domain if with_domain else None)
+            want = point_errors_by_row(stack, inside if with_domain else None)
+            assert [exc if exc is None else (type(exc), str(exc)) for exc in got] == want
+            if with_domain:
+                finite = np.isfinite(stack).all(axis=1)
+                assert len(seen) == (1 if finite.any() else 0)
+                assert all(np.array_equal(s, stack[finite]) for s in seen)
+
+
 def hypersurface_stack(n, P, rng):
     """Random (tangents, second partials, g, Gamma, hint) of P points of an n-surface in dim n+1."""
     m = n + 1

@@ -251,6 +251,19 @@ def test_renderer_writes_the_encoder_bytes_for_every_kind_of_value():
     assert render_json(report) == _encoder_bytes(report)
 
 
+def test_renderer_writes_a_shared_container_at_each_indent():
+    # the renderer writes a container once per indent: the shared list below
+    # sits at two depths, and two arrays of one shape each pass through a
+    # temporary list, whose rows may take the same ids in turn
+    shared = [0.25, -1.5, [3.0, None]]
+    report = ResidualReport(suite="functionals", config={"point": shared})
+    report.records = [{"x": shared, "N": 1.0}, {"x": shared, "N": 2.0},
+                      {"a": np.arange(6.0).reshape(3, 2)}, {"b": -np.arange(6.0).reshape(3, 2)}]
+    report.summary = {"deep": {"deeper": [shared, {"x": shared}]}}
+    report.errors = [{"x": shared, "error": "e"}]
+    assert render_json(report) == _encoder_bytes(report)
+
+
 def test_renderer_falls_back_to_the_encoder():
     report = ResidualReport(suite="functionals", config={})
     # keys the encoder converts to strings

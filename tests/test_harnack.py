@@ -231,6 +231,13 @@ class TestWeightedCurvatures:
             weighted_mean_curvature(wm, len(wm.boundary_points))
 
 
+def with_entry(array, index, value):
+    """A copy of ``array`` with ``value`` at ``index``."""
+    out = array.copy()
+    out[index] = value
+    return out
+
+
 class TestFunctionals:
     def test_unit_ball_value(self):
         # f = 0: I_infty = 2 * H * Area = 16 pi, within 0.1%
@@ -278,6 +285,35 @@ class TestFunctionals:
         with pytest.raises(QuadratureError) as info:
             dataclasses.replace(wm, boundary_weights=-wm.boundary_weights)
         assert str(info.value) == "quadrature weights must be positive"
+
+    def test_nan_interior_weight_rejected(self):
+        # else I_infty and I_GHY come out nan
+        wm = flat_ball_domain(grid=(4, 8, 4))
+        with pytest.raises(QuadratureError) as info:
+            dataclasses.replace(wm, interior_weights=with_entry(wm.interior_weights, 5, math.nan))
+        assert str(info.value) == "quadrature weights must be finite"
+
+    def test_infinite_boundary_weight_rejected(self):
+        # else I_infty comes out inf
+        wm = flat_ball_domain(grid=(4, 8, 4))
+        with pytest.raises(QuadratureError) as info:
+            dataclasses.replace(wm, boundary_weights=with_entry(wm.boundary_weights, -1, math.inf))
+        assert str(info.value) == "quadrature weights must be finite"
+
+    def test_nan_mean_curvature_rejected(self):
+        # else I_GHY comes out nan
+        wm = flat_ball_domain(grid=(4, 8, 4))
+        with pytest.raises(QuadratureError) as info:
+            dataclasses.replace(
+                wm, boundary_mean_curvatures=with_entry(wm.boundary_mean_curvatures, 3, math.nan))
+        assert str(info.value) == "boundary mean curvatures must be finite"
+
+    def test_nan_normal_rejected(self):
+        # else I_infty comes out nan
+        wm = flat_ball_domain(grid=(4, 8, 4))
+        with pytest.raises(QuadratureError) as info:
+            dataclasses.replace(wm, boundary_normals=with_entry(wm.boundary_normals, 2, math.nan))
+        assert str(info.value) == "boundary normals must be unit vectors"
 
     @pytest.mark.parametrize("grid", [(1, 12, 8), (8, 1, 8), (8, 12, 1)])
     def test_too_coarse_grid_rejected(self, grid):
