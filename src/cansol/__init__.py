@@ -45,13 +45,12 @@ from .track import (
     track_point_data,
 )
 from .harnack import (
-    I_GHY,
-    I_infty,
     WeightedManifoldData,
     flat_ball_domain,
     limit_second_ff,
     lott_boundary_integrand,
     lott_match_defect,
+    weighted_functionals,
     weighted_mean_curvature,
     weighted_scalar_curvature,
 )

@@ -38,13 +38,12 @@ from .canonical import (
 )
 from .geometry import FD_H1, FD_H2, ChartDomainError, DegenerateMetricError, ScalarField, _time_errors
 from .harnack import (
-    I_GHY,
-    I_infty,
     flat_ball_domain,
     limit_second_ff,
     lott_gradient_match_defect,
     random_polynomial_gradients,
     stripped_track_form,
+    weighted_functionals,
 )
 from .reports import EmitError, ResidualReport, emit
 from .track import mcf_canonical_sweep, track_point_sweep
@@ -414,7 +413,7 @@ def _run_functionals(cfg: RunConfig, report: ResidualReport):
     values = {}
     for label, g in (("base", grid), ("refined", fine)):
         wm = flat_ball_domain(potential=potential(), grid=g)
-        vi, vg = I_infty(wm), I_GHY(wm)
+        vi, vg = weighted_functionals(wm)
         values[label] = vi
         report.records.append({"grid": list(g), "label": label, "I_infty": vi, "I_GHY": vg})
 

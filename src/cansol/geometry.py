@@ -136,7 +136,7 @@ def _point_errors(pts: np.ndarray, in_domain=None) -> list:
 
 
 def _raise_first(errors):
-    if any(errors):
+    if errors.count(None) != len(errors):
         raise next(exc for exc in errors if exc is not None)
 
 
@@ -150,7 +150,8 @@ def _drop(errors: list, index, failed, *arrays) -> tuple:
     With no failed row, ``index`` and ``arrays`` come back as the same
     objects.  A None in ``arrays`` stays None.
     """
-    if not any(failed):
+    # entries are None or exceptions; counting the Nones (by identity) is cheaper than any()
+    if failed.count(None) == len(failed):
         return (index, *arrays)
     for i, exc in zip(index, failed):
         if errors[i] is None:
@@ -422,12 +423,19 @@ def _inverse_and_condition(g: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, 
     errors = [None] * len(g)
     P, d = g.shape[:2]
     diag = g.reshape(P, d * d)[:, :: d + 1]
-    if P and np.count_nonzero(g) == diag.size and diag.min() > _TINY and diag.max() <= _HUGE:
+    if P and np.count_nonzero(g) == diag.size and (lo := diag.min()) > _TINY and (hi := diag.max()) <= _HUGE:
         rows = np.ascontiguousarray(diag.T)
         inv = 1.0 / rows
         ginv = np.zeros((P, d, d))   # C order, so the reshape below is a view
         ginv.reshape(P, d * d)[:, :: d + 1] = inv.T
-        cond = rows.max(axis=0) * inv.max(axis=0)
+        rmax, imax = rows.max(axis=0), inv.max(axis=0)
+        # no estimate exceeds max(d) * (1 / min(d)) over the stack; only when
+        # that bound overflows may one, to inf, which the check refuses
+        if float(hi) * (1.0 / float(lo)) < math.inf:
+            cond = rmax * imax
+        else:
+            with np.errstate(over="ignore"):
+                cond = rmax * imax
     else:
         try:
             ginv = np.linalg.inv(g)

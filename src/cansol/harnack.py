@@ -16,10 +16,11 @@ Three strands meet here:
   reproduces up to the H/(2t) term.
 
 Quadrature is product trapezoid on explicit chart grids with sqrt(det g)
-densities baked into the weights.  The grid goes through the batched
-kernel in chunks of QUADRATURE_CHUNK nodes, and the per-node terms are
-summed with ``math.fsum`` (correctly rounded), so the result does not
-depend on the summation order or the chunking and is bitwise reproducible.
+densities baked into the weights.  ``weighted_functionals`` takes the grid
+through the batched kernel once, in chunks of QUADRATURE_CHUNK nodes, and
+each chunk serves both I_infty and I_GHY.  The per-node terms are summed
+with ``math.fsum`` (correctly rounded), so the result does not depend on
+the summation order or the chunking and is bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
+from typing import NamedTuple
 
 import numpy as np
 
 from .backgrounds import POLE_BAND, HypersurfacePointData, model_background
 from .canonical import CanonicalConfigError
 from .geometry import (
-    MetricBundle,
     MetricField,
     ScalarField,
     gradient_batch,
@@ -58,8 +59,8 @@ __all__ = [
     "QuadratureError",
     "weighted_scalar_curvature",
     "weighted_mean_curvature",
-    "I_infty",
-    "I_GHY",
+    "WeightedFunctionals",
+    "weighted_functionals",
     "flat_ball_domain",
     "random_polynomial_field",
     "random_polynomial_gradients",
@@ -220,32 +221,21 @@ class WeightedManifoldData:
         if not np.max(np.abs(np.einsum("pa,pab,pb->p", nus, g, nus) - 1.0)) <= 1e-8:
             raise QuadratureError("boundary normals must be unit vectors")
 
-    def curvatures(self, pts: np.ndarray, b: MetricBundle | None = None) -> np.ndarray:
-        """Scalar curvature R at a (P, d) stack of points.
 
-        Without a closed form, R comes from the engine on ``b``, an order-2
-        bundle at ``pts`` if the caller has one, else on a new one.
-        """
-        if self.scalar_curvature_at is not None:
-            return self.scalar_curvature_at.at(pts)
-        if b is None:
-            b = metric_bundle(self.metric, pts, order=2)
-            b.raise_error()
-        return scalar_curvature_batch(b)
+def _weighted_scalar_curvatures(wm: WeightedManifoldData, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(R^inf, R) at a (P, d) stack of interior points, R^inf = R + 2 Lap f - |grad f|^2.
 
-
-def _weighted_scalar_curvatures(wm: WeightedManifoldData, pts: np.ndarray) -> np.ndarray:
-    """R^inf = R + 2 Lap f - |grad f|^2 at a (P, d) stack of interior points.
-
-    One bundle (order 2 only when R comes from the engine) and one
-    evaluation of df serve every term.
+    One bundle (order 2 only when R comes from the engine, not the closed
+    form) and one evaluation of df serve every term.
     """
-    b = metric_bundle(wm.metric, pts, order=1 if wm.scalar_curvature_at is not None else 2)
+    closed = wm.scalar_curvature_at
+    b = metric_bundle(wm.metric, pts, order=1 if closed is not None else 2)
     b.raise_error()
     grad = gradient_batch(b, wm.potential)
     lap = np.einsum("pab,pab->p", b.ginv, hessian_batch(b, wm.potential, grad))
     grad_sq = np.einsum("pa,pab,pb->p", grad, b.g, grad)
-    return wm.curvatures(b.points, b) + 2.0 * lap - grad_sq
+    R = closed.at(b.points) if closed is not None else scalar_curvature_batch(b)
+    return R + 2.0 * lap - grad_sq, R
 
 
 def _weighted_mean_curvatures(wm: WeightedManifoldData, idx) -> np.ndarray:
@@ -260,7 +250,8 @@ def weighted_scalar_curvature(wm: WeightedManifoldData, p: np.ndarray) -> float:
 
     The Laplacian is the metric trace of the covariant Hessian.
     """
-    return float(_weighted_scalar_curvatures(wm, np.asarray(p, dtype=float)[None])[0])
+    r_inf, _ = _weighted_scalar_curvatures(wm, np.asarray(p, dtype=float)[None])
+    return float(r_inf[0])
 
 
 def weighted_mean_curvature(wm: WeightedManifoldData, idx: int) -> float:
@@ -281,27 +272,31 @@ def _chunks(n: int):
     return (slice(i, min(i + QUADRATURE_CHUNK, n)) for i in range(0, n, QUADRATURE_CHUNK))
 
 
-def I_infty(wm: WeightedManifoldData) -> float:
-    """int R^inf e^-f dV + 2 int H^inf e^-f dA over the supplied grids."""
-    terms = []
+class WeightedFunctionals(NamedTuple):
+    """The two weighted functionals of one domain, from one quadrature pass."""
+
+    I_infty: float   # int R^inf e^-f dV + 2 int H^inf e^-f dA
+    I_GHY: float     # int R e^-f dV + 2 int H dA (boundary term unweighted)
+
+
+def weighted_functionals(wm: WeightedManifoldData) -> WeightedFunctionals:
+    """I_infty and I_GHY over the supplied grids, from one loop over the chunks.
+
+    Each interior chunk's bundle, R, e^-f and weights serve both sums.
+    """
+    terms_inf, terms_ghy = [], []
     for sl in _chunks(len(wm.interior_points)):
         pts = wm.interior_points[sl]
-        terms.append(wm.interior_weights[sl] * _weighted_scalar_curvatures(wm, pts)
-                     * np.exp(-wm.potential.at(pts)))
+        r_inf, R = _weighted_scalar_curvatures(wm, pts)
+        w, ef = wm.interior_weights[sl], np.exp(-wm.potential.at(pts))
+        terms_inf.append(w * r_inf * ef)
+        terms_ghy.append(w * R * ef)
     for sl in _chunks(len(wm.boundary_points)):
-        terms.append(2.0 * wm.boundary_weights[sl] * _weighted_mean_curvatures(wm, sl)
-                     * np.exp(-wm.potential.at(wm.boundary_points[sl])))
-    return math.fsum(np.concatenate(terms).tolist())
-
-
-def I_GHY(wm: WeightedManifoldData) -> float:
-    """int R e^-f dV + 2 int H dA (boundary term unweighted)."""
-    terms = []
-    for sl in _chunks(len(wm.interior_points)):
-        pts = wm.interior_points[sl]
-        terms.append(wm.interior_weights[sl] * wm.curvatures(pts) * np.exp(-wm.potential.at(pts)))
-    terms.append(2.0 * wm.boundary_weights * wm.boundary_mean_curvatures)
-    return math.fsum(np.concatenate(terms).tolist())
+        terms_inf.append(2.0 * wm.boundary_weights[sl] * _weighted_mean_curvatures(wm, sl)
+                         * np.exp(-wm.potential.at(wm.boundary_points[sl])))
+    terms_ghy.append(2.0 * wm.boundary_weights * wm.boundary_mean_curvatures)
+    return WeightedFunctionals(math.fsum(np.concatenate(terms_inf).tolist()),
+                               math.fsum(np.concatenate(terms_ghy).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -342,18 +337,21 @@ def flat_ball_domain(
     ths, wth = _trapezoid_nodes(POLE_BAND, math.pi - POLE_BAND, nth)
     phs, wph = _periodic_nodes(nph)
 
-    # r outer, polar middle, azimuth inner; the r = 0 shell has zero density
-    r, th, ph = np.meshgrid(rs[rs != 0.0], ths, phs, indexing="ij")
-    a, b, cw = np.meshgrid(wr[rs != 0.0], wth, wph, indexing="ij")
-    s, c = np.sin(th), np.cos(th)
-    pts = np.stack((r * s * np.cos(ph), r * s * np.sin(ph), r * c), axis=-1).reshape(-1, 3)
-    wts = (a * b * cw * r**2 * s).reshape(-1)
+    # r outer, polar middle, azimuth inner; the r = 0 shell has zero density.
+    # sin and cos run on the 1-d axes and broadcast over the grid.
+    r, a = rs[1:, None, None], wr[1:, None, None]
+    b, s, c = wth[:, None], np.sin(ths)[:, None], np.cos(ths)[:, None]
+    grid_pts = np.empty((nr - 1, nth, nph, 3))
+    r_sin = r * s
+    np.multiply(r_sin, np.cos(phs), out=grid_pts[..., 0])
+    np.multiply(r_sin, np.sin(phs), out=grid_pts[..., 1])
+    grid_pts[..., 2] = r * c
+    pts = grid_pts.reshape(-1, 3)
+    wts = (a * b * wph * r**2 * s).reshape(-1)
 
-    th, ph = np.meshgrid(ths, phs, indexing="ij")
-    b, cw = np.meshgrid(wth, wph, indexing="ij")
-    s, c = np.sin(th), np.cos(th)
-    bnus = np.stack((s * np.cos(ph), s * np.sin(ph), c), axis=-1).reshape(-1, 3)
-    bwts = (b * cw * s).reshape(-1)
+    # linspace ends exactly at 1.0, so the last shell is the unit sphere
+    bnus = grid_pts[-1].reshape(-1, 3)
+    bwts = (b * wph * s).reshape(-1)
 
     metric = model_background("euclidean_static", dim=3).conformal.sigma
     return WeightedManifoldData(

@@ -7,12 +7,14 @@ metric's jet on the one-point stack; only analytic derivatives are
 supported.
 """
 
+import math
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
-from cansol.backgrounds import slice_stack
+from cansol.backgrounds import POLE_BAND, slice_stack
 from cansol.geometry import MetricField, hessian_batch
+from cansol.harnack import _periodic_nodes, _trapezoid_nodes
 
 
 def inverse_metric(metric, p):
@@ -338,3 +340,28 @@ def extrinsic_geometry(tangents, second_partials, g, gamma, hint):
     h = -np.einsum("ijc,cd,d->ij", cov, g, nu)
     h = 0.5 * (h + h.T)
     return induced, induced_inv, nu, h, np.einsum("ij,ij->", induced_inv, h)
+
+
+def flat_ball_grid(grid):
+    """(interior points, interior weights, boundary points, boundary weights) of the flat ball.
+
+    The meshgrid construction that ``flat_ball_domain`` once used: sin and
+    cos at every node of full 3-d (and 2-d) meshgrids, stacked.
+    """
+    nr, nth, nph = grid
+    rs, wr = _trapezoid_nodes(0.0, 1.0, nr)
+    ths, wth = _trapezoid_nodes(POLE_BAND, math.pi - POLE_BAND, nth)
+    phs, wph = _periodic_nodes(nph)
+
+    r, th, ph = np.meshgrid(rs[rs != 0.0], ths, phs, indexing="ij")
+    a, b, cw = np.meshgrid(wr[rs != 0.0], wth, wph, indexing="ij")
+    s, c = np.sin(th), np.cos(th)
+    pts = np.stack((r * s * np.cos(ph), r * s * np.sin(ph), r * c), axis=-1).reshape(-1, 3)
+    wts = (a * b * cw * r**2 * s).reshape(-1)
+
+    th, ph = np.meshgrid(ths, phs, indexing="ij")
+    b, cw = np.meshgrid(wth, wph, indexing="ij")
+    s, c = np.sin(th), np.cos(th)
+    bnus = np.stack((s * np.cos(ph), s * np.sin(ph), c), axis=-1).reshape(-1, 3)
+    bwts = (b * cw * s).reshape(-1)
+    return pts, wts, bnus, bwts

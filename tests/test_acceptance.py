@@ -28,12 +28,12 @@ from cansol.canonical import (
     ricci_soliton_residual,
 )
 from cansol.harnack import (
-    I_infty,
     flat_ball_domain,
     limit_second_ff,
     lott_match_defect,
     random_polynomial_field,
     stripped_track_quadratic,
+    weighted_functionals,
 )
 from cansol.track import (
     SECOND_FF_CORRECTIONS,
@@ -308,8 +308,8 @@ def test_criterion_7_exact_soliton_fixtures():
 
 def test_criterion_8_functional_sanity():
     """I_infty of the unweighted flat unit ball is 16 pi within 0.1%."""
-    base = I_infty(flat_ball_domain(grid=(20, 64, 8)))
-    refined = I_infty(flat_ball_domain(grid=(40, 128, 16)))
+    base = weighted_functionals(flat_ball_domain(grid=(20, 64, 8))).I_infty
+    refined = weighted_functionals(flat_ball_domain(grid=(40, 128, 16))).I_infty
     target = 16.0 * math.pi
     rel = abs(refined - target) / target
     delta = abs(refined - base) / abs(refined)

@@ -39,6 +39,7 @@ from cansol.geometry import (
     ScalarField,
     _at_point,
     _drop,
+    _raise_first,
     christoffel,
     christoffel_batch,
     gradient_batch,
@@ -51,13 +52,12 @@ from cansol.geometry import (
     tensor_norm_batch,
 )
 from cansol.harnack import (
-    I_GHY,
-    I_infty,
     flat_ball_domain,
     lott_gradient_match_defect,
     lott_match_defect,
     random_polynomial_field,
     random_polynomial_gradients,
+    weighted_functionals,
 )
 from cansol.track import (
     build_track,
@@ -221,10 +221,63 @@ class TestBatchIndependence:
 
     def test_quadrature_does_not_depend_on_the_chunk_size(self, monkeypatch):
         potential = model_background("gaussian_shrinker_flat", dim=3).soliton.potential(1.0)
-        wm = flat_ball_domain(potential=potential, grid=(6, 12, 4))
-        default = (I_infty(wm), I_GHY(wm))
+        domains = (flat_ball_domain(potential=potential, grid=(6, 12, 4)), curved_domain())
+        default = [weighted_functionals(wm) for wm in domains]
         monkeypatch.setattr(harnack, "QUADRATURE_CHUNK", 7)
-        assert (I_infty(wm), I_GHY(wm)) == default
+        assert [weighted_functionals(wm) for wm in domains] == default
+
+
+def curved_domain():
+    """The (3, 5, 4) flat-ball grid under a non-diagonal curved metric, R from the engine.
+
+    The potential is the Gaussian one.  The boundary normals are rescaled to
+    unit length in that metric; the functionals take the boundary data as given.
+    """
+    potential = model_background("gaussian_shrinker_flat", dim=3).soliton.potential(1.0)
+    ball = flat_ball_domain(potential=potential, grid=(3, 5, 4))
+    metric = spd_metric(3, np.random.default_rng(8))
+    nus = ball.boundary_normals
+    g = metric.at(ball.boundary_points)
+    nus = nus / np.sqrt(np.einsum("pa,pab,pb->p", nus, g, nus))[:, None]
+    return dataclasses.replace(ball, metric=metric, boundary_normals=nus, scalar_curvature_at=None)
+
+
+class TestOnePassQuadrature:
+    """``weighted_functionals``: both functionals from one chunk loop."""
+
+    def test_one_bundle_per_interior_chunk(self, monkeypatch):
+        wm = curved_domain()
+        orders = []
+
+        def counting(metric, points, order=1, scale=None):
+            orders.append(order)
+            return metric_bundle(metric, points, order, scale)
+
+        monkeypatch.setattr(harnack, "QUADRATURE_CHUNK", 7)
+        monkeypatch.setattr(harnack, "metric_bundle", counting)
+        weighted_functionals(wm)
+        assert orders == [2] * math.ceil(len(wm.interior_points) / 7)
+
+    def test_I_GHY_is_the_curvature_sum_plus_the_unweighted_boundary_sum(self, monkeypatch):
+        wm = curved_domain()
+        pts = wm.interior_points
+        R = np.array([np.einsum("ab,ab->", ref.inverse_metric(wm.metric, p), ref.ricci(wm.metric, p))
+                      for p in pts])
+        assert np.abs(R).min() > 1e-3     # the curvature term is not zero
+        interior = math.fsum((wm.interior_weights * R * np.exp(-wm.potential.at(pts))).tolist())
+        boundary = math.fsum((2.0 * wm.boundary_weights * wm.boundary_mean_curvatures).tolist())
+        monkeypatch.setattr(harnack, "QUADRATURE_CHUNK", 7)
+        assert weighted_functionals(wm).I_GHY == pytest.approx(interior + boundary, rel=1e-13)
+
+    @pytest.mark.parametrize("grid", [(2, 32, 2), (3, 5, 7), (20, 64, 8)])
+    def test_flat_ball_matches_the_meshgrid_builder(self, grid):
+        wm = flat_ball_domain(grid=grid)
+        pts, wts, bnus, bwts = ref.flat_ball_grid(grid)
+        assert_same_bits(wm.interior_points, pts)
+        assert_same_bits(wm.interior_weights, wts)
+        assert_same_bits(wm.boundary_points, bnus)
+        assert_same_bits(wm.boundary_normals, bnus)
+        assert_same_bits(wm.boundary_weights, bwts)
 
 
 class TestPointwiseReference:
@@ -412,6 +465,21 @@ class TestRowFilter:
         index, kept, absent = _drop(errors, np.arange(2), [ChartDomainError("x"), None], np.ones((2, 3)), None)
         assert index.tolist() == [1] and kept.shape == (1, 3) and absent is None
         assert _drop(errors, index, [None], None) == (index, None)
+
+    @pytest.mark.parametrize("where", ["first", "last", "alone"])
+    @pytest.mark.parametrize("container", [list, tuple])
+    def test_one_failure_anywhere_is_caught(self, where, container):
+        exc = ChartDomainError("the one failure")
+        entries = {"first": [exc, None, None], "last": [None, None, exc], "alone": [exc]}[where]
+        failed = container(entries)
+        errors = [None] * len(failed)
+        index, kept = _drop(errors, np.arange(len(failed)), failed, np.arange(len(failed)))
+        assert errors == entries
+        assert kept.tolist() == [i for i, e in enumerate(entries) if e is None]
+        with pytest.raises(ChartDomainError) as info:
+            _raise_first(failed)
+        assert info.value is exc
+        _raise_first(container([None] * 3))    # nothing failed: no raise
 
     def test_nothing_failed_returns_the_same_objects(self):
         # a strided stack comes back as itself, not as a contiguous copy
@@ -1099,6 +1167,23 @@ class TestDiagonalInverse:
         assert "has condition number" in str(errors[0])
         assert errors[1] is None
         assert_same_bits(ginv[1], np.diag([1.0, 0.5, 1.0 / 3.0]))
+
+    def test_overflowing_estimate_is_a_condition_error_without_warning(self, lapack_calls):
+        # max(d) * max(1/d) = 1e300 * 1e300 overflows to inf in the middle row only
+        g = np.array([np.diag([1.0, 2.0]), np.diag([1e-300, 1e300]), np.diag([4.0, 2.0])])
+        pts = np.arange(6.0).reshape(3, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ginv, errors = geometry._inverse(g, pts)
+        assert lapack_calls == []
+        assert errors[0] is None and errors[2] is None
+        assert type(errors[1]) is DegenerateMetricError
+        assert str(errors[1]) == f"metric at {pts[1]} has condition number inf (limit 1e+12)"
+        want_inv, _ = lapack_inverse(g[[0, 2]])
+        assert_same_bits(ginv[[0, 2]], want_inv)
+        _, cond, _ = geometry._inverse_and_condition(g[[0, 2]], pts[[0, 2]])
+        _, with_middle, _ = geometry._inverse_and_condition(g, pts)
+        assert_same_bits(with_middle[[0, 2]], cond)
 
     def test_zero_entry_is_singular(self, lapack_calls):
         g = np.array([np.diag([1.0, 2.0]), np.diag([1.0, 0.0]), np.diag([4.0, 2.0])])

@@ -89,6 +89,16 @@ GOLDEN = {
     ),
 }
 
+# the benchmark's large quadrature grid: the refined (20, 64, 8) grid spans
+# 10 quadrature chunks, and the zero potential checks the 16 pi target too
+GOLDEN["functionals/zero-large"] = (
+    {"suite": "functionals", "samples": {"potential": "zero", "grid": [10, 32, 4]}},
+    "b75d401b6266762aa42c2a522f8691bd804f694bffa6d6f6269f3dd6f9fb4f33",
+)
+GOLDEN["functionals/gaussian-large"] = (
+    {"suite": "functionals", "samples": {"potential": "gaussian", "grid": [10, 32, 4]}},
+    "dcb1c162d178cea50936a5213c298ef2f6dfcd577a0de2f58d03d2b07b7abf49",
+)
 
 
 def _sphere3(direction):

@@ -14,8 +14,6 @@ from cansol.backgrounds import (
 from cansol.canonical import CanonicalConfigError, build_canonical_metric, limit_ricci
 from cansol.geometry import ScalarField, hessian_batch, scalar_d1
 from cansol.harnack import (
-    I_GHY,
-    I_infty,
     QuadratureError,
     WeightedManifoldData,
     flat_ball_domain,
@@ -25,6 +23,7 @@ from cansol.harnack import (
     random_polynomial_field,
     stripped_track_quadratic,
     tangential_gradient,
+    weighted_functionals,
     weighted_mean_curvature,
     weighted_scalar_curvature,
 )
@@ -241,21 +240,21 @@ def with_entry(array, index, value):
 class TestFunctionals:
     def test_unit_ball_value(self):
         # f = 0: I_infty = 2 * H * Area = 16 pi, within 0.1%
-        val = I_infty(flat_ball_domain())
+        val = weighted_functionals(flat_ball_domain()).I_infty
         assert abs(val - 16 * math.pi) / (16 * math.pi) < 1e-3
 
     def test_zero_weight_equality(self):
-        wm = flat_ball_domain(grid=(12, 16, 8))
-        assert I_infty(wm) == I_GHY(wm)
+        vi, vg = weighted_functionals(flat_ball_domain(grid=(12, 16, 8)))
+        assert vi == vg
 
     def test_gaussian_refinement(self):
-        a = I_infty(flat_ball_domain(potential=gaussian_potential(), grid=(16, 24, 8)))
-        b = I_infty(flat_ball_domain(potential=gaussian_potential(), grid=(32, 48, 16)))
+        a, _ = weighted_functionals(flat_ball_domain(potential=gaussian_potential(), grid=(16, 24, 8)))
+        b, _ = weighted_functionals(flat_ball_domain(potential=gaussian_potential(), grid=(32, 48, 16)))
         assert abs(b - a) / abs(b) < 1e-3
 
     def test_determinism(self):
-        va = I_infty(flat_ball_domain(potential=gaussian_potential(), grid=(8, 12, 8)))
-        vb = I_infty(flat_ball_domain(potential=gaussian_potential(), grid=(8, 12, 8)))
+        va = weighted_functionals(flat_ball_domain(potential=gaussian_potential(), grid=(8, 12, 8)))
+        vb = weighted_functionals(flat_ball_domain(potential=gaussian_potential(), grid=(8, 12, 8)))
         assert va == vb
 
     @pytest.mark.parametrize("potential", [None, gaussian_potential()], ids=["zero", "gaussian"])
@@ -263,8 +262,8 @@ class TestFunctionals:
         # without the closed form, R comes from the kernel on order-2 bundles
         closed = flat_ball_domain(potential=potential, grid=(6, 12, 4))
         engine = dataclasses.replace(closed, scalar_curvature_at=None)
-        for functional in (I_infty, I_GHY):
-            assert functional(engine) == pytest.approx(functional(closed), rel=1e-12, abs=1e-12)
+        assert weighted_functionals(engine) == pytest.approx(
+            weighted_functionals(closed), rel=1e-12, abs=1e-12)
 
     def test_empty_grid_rejected(self):
         wm = flat_ball_domain(grid=(8, 12, 8))
