@@ -31,7 +31,7 @@ from .canonical import (
     CanonicalMetric,
     build_canonical_metric,
     christoffel_crosscheck,
-    limit_ricci,
+    limit_riccis,
     minimal_admissible_N,
     ricci_soliton_residual,
 )
@@ -51,7 +51,6 @@ from .harnack import (
     lott_boundary_integrand,
     lott_match_defect,
     weighted_functionals,
-    weighted_mean_curvature,
     weighted_scalar_curvature,
 )
 

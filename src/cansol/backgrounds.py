@@ -36,13 +36,13 @@ import numpy as np
 from . import jets
 from .geometry import (
     DegenerateMetricError,
-    GeometryError,
     MetricBundle,
     MetricField,
     ScalarField,
     _drop,
     _inverse,
     _one_point,
+    _pairs,
     _point_errors,
     _raise_first,
     _symmetrized,
@@ -313,13 +313,12 @@ class RicciFlowBackground:
         if self.direction not in ("forward", "backward"):
             raise BackgroundError(f"unknown flow direction {self.direction!r}")
 
-    def _times(self, points, ts) -> list:
-        """The times of a stack of points, one each, as floats; the first outside the domain raises."""
-        count = len(np.atleast_2d(points))
-        if len(ts) != count:
-            raise GeometryError(f"{len(ts)} times for {count} points")
+    def _paired(self, points, ts) -> tuple:
+        """``_pairs`` of points and their times, the times as floats; the first outside the domain raises."""
+        pts, times = _pairs(points, ts, self.dim)
+        ts = times.tolist()
         _raise_first(_time_errors(ts, self.time_domain))
-        return [float(t) for t in ts]
+        return pts, ts
 
     @property
     def flat(self) -> bool:
@@ -334,7 +333,8 @@ class RicciFlowBackground:
         sigma and its jet are evaluated once for the whole stack.
         """
         c = self.conformal
-        return metric_bundle(c.sigma, points, order, scale=[c.phi(t) for t in self._times(points, ts)])
+        pts, ts = self._paired(points, ts)
+        return metric_bundle(c.sigma, pts, order, scale=[c.phi(t) for t in ts])
 
     def curvature(self, points, ts) -> BackgroundCurvature:
         """The curvature of g(t_p) at a (P, m) stack of points p, one time each, checked as by ``bundle``.
@@ -342,8 +342,8 @@ class RicciFlowBackground:
         A bare (m,) point is a one-row stack: every array has a leading axis of length 1.
         """
         c = self.conformal
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        R, dRdt = jets.derivatives(c.R, self._times(pts, ts), order=1)
+        pts, ts = self._paired(points, ts)
+        R, dRdt = jets.derivatives(c.R, ts, order=1)
         # R = sigma_scalar / phi(t) is constant in space
         return BackgroundCurvature(np.asarray(c.ric_sigma(pts)), R, dRdt, np.zeros(pts.shape))
 
@@ -877,9 +877,8 @@ def slice_stack(mcf: MCFSolution, xs, ts) -> SliceStack:
     ambient or induced metric (``DegenerateMetricError``).  The flow's
     callbacks and the ambient's ``bundle`` run once, on the pairs that pass.
     """
-    times = np.asarray(ts, dtype=float).reshape(-1)
+    xs, times = _pairs(xs, ts, mcf.hypersurface_dim)
     ts = times.tolist()
-    xs = np.asarray(xs, dtype=float).reshape(len(ts), mcf.hypersurface_dim)
     timed = _time_errors(ts, mcf.time_domain, mcf.ambient.time_domain)
     errors = [e or f for e, f in zip(timed, _point_errors(xs))]
     index, x, times = _drop(errors, np.arange(len(ts)), errors, xs, times)

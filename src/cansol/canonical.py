@@ -28,6 +28,7 @@ cross-check reports can show, rather than hide, the slips.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,6 +40,7 @@ from .geometry import (
     MetricField,
     ScalarField,
     _drop,
+    _pairs,
     _point_errors,
     _raise_first,
     _time_errors,
@@ -67,7 +69,6 @@ __all__ = [
     "ricci_soliton_residual",
     "ricci_soliton_residuals",
     "canonical_ricci_quadratics",
-    "limit_ricci",
     "limit_riccis",
 ]
 
@@ -106,12 +107,16 @@ class CanonicalMetric:
     base: RicciFlowBackground
     field: MetricField
     potential: ScalarField
-    soliton_constant: float
 
     @property
     def sign(self) -> int:
         """s = +1 expanding, -1 shrinking, 0 steady."""
         return VARIANT_SIGNS[self.variant]
+
+    @property
+    def soliton_constant(self) -> float:
+        """The constant s/2 of the soliton defect E_N = Ric + Hess(f) + (s/2) * metric."""
+        return self.sign / 2
 
     def time_scale(self, t: float) -> float:
         """The spatial block is g(t) / time_scale: t (tau when shrinking), or 1 when steady."""
@@ -216,8 +221,8 @@ def build_canonical_metric(bg: RicciFlowBackground, variant: str, N: float) -> C
             f"{variant} variant needs a {direction} background, "
             f"got {bg.direction} ({bg.name})"
         )
-    if not (N > 0):
-        raise CanonicalConfigError(f"N must be positive, got {N}")
+    if not (0 < N < math.inf):
+        raise CanonicalConfigError(f"N must be a finite number > 0, got {N}")
 
     m = bg.dim
     dim = m + 1
@@ -285,7 +290,6 @@ def build_canonical_metric(bg: RicciFlowBackground, variant: str, N: float) -> C
         base=bg,
         field=field,
         potential=potential,
-        soliton_constant=s / 2,
     )
 
 
@@ -306,19 +310,20 @@ def _time_matrix(dim, value):
 # ---------------------------------------------------------------------------
 
 
-def _soliton_bundle(cm: CanonicalMetric, points, ts) -> tuple:
+def _soliton_bundle(cm: CanonicalMetric, points, ts, *vectors) -> tuple:
     """The order-2 bundle of ``cm`` at (p, t) pairs, and one entry per pair: None or its error.
 
     A pair fails as the single-point ``ricci_soliton_residual`` does there;
-    the returned index maps the bundle's rows to the pairs.
+    the returned index maps the bundle's rows to the pairs.  ``vectors``,
+    stacks of one row per pair, come back after the bundle as ``_pairs``
+    stacks them.
     """
-    ts = np.asarray(ts, dtype=float)
-    pts = np.asarray(points, dtype=float).reshape(len(ts), cm.base.dim)
+    pts, ts, *vectors = _pairs(points, ts, cm.base.dim, *vectors)
     errors = _time_errors(ts.tolist(), cm.base.time_domain, floor=cm.t_min)
     index, z = _drop(errors, np.arange(len(ts)), errors, np.column_stack((ts, pts)))
     b = metric_bundle(cm.field, z, order=2)
     index, = _drop(errors, index, b.errors)
-    return errors, index, b
+    return errors, index, b, *vectors
 
 
 def ricci_soliton_residuals(cm: CanonicalMetric, points, ts) -> ResidualStack:
@@ -357,8 +362,8 @@ def canonical_ricci_quadratics(cm: CanonicalMetric, Xs, points, ts) -> list:
     One entry per (X, p, t) triple, in order: the float, or the error that
     ``ricci_soliton_residuals`` records at (p, t).
     """
-    out, index, b = _soliton_bundle(cm, points, ts)
-    Xbar = np.column_stack((np.ones(len(out)), np.reshape(Xs, (len(out), cm.base.dim))))[index]
+    out, index, b, X = _soliton_bundle(cm, points, ts, Xs)
+    Xbar = np.column_stack((np.ones(len(out)), X))[index]
     quads = (Xbar[:, None] @ ricci_batch(b) @ Xbar[..., None]).ravel().tolist()
     for i, q in zip(index.tolist(), quads):
         out[i] = q
@@ -366,18 +371,19 @@ def canonical_ricci_quadratics(cm: CanonicalMetric, Xs, points, ts) -> list:
 
 
 def limit_riccis(bg: RicciFlowBackground, Xs, points, ts) -> list:
-    """``limit_ricci`` at every (X, p, t) triple, from one background curvature call.
+    """Large-N limit of the canonical expander's Ricci on X + d/dt at every (X, p, t) triple.
 
-    One entry per triple, in order: the float, or the ``ChartDomainError``
-    of a time outside the background's domain.
+    Ric(X, X) + g(X, grad R) + (dR/dt + R/t) / 2, assembled from background
+    data only, from one background curvature call; it requires a forward
+    background.  One entry per triple, in order: the float, or the
+    ``ChartDomainError`` of a time outside the background's domain.  An
+    entry does not depend on the rest of the stack.
     """
     if bg.direction != "forward":
-        raise CanonicalConfigError("limit_ricci needs a forward background")
-    t = np.asarray(ts, dtype=float).reshape(-1)
+        raise CanonicalConfigError("limit_riccis needs a forward background")
+    p, t, X = _pairs(points, ts, bg.dim, Xs)
     out = _time_errors(t.tolist(), bg.time_domain)
-    shape = (len(t), bg.dim)
-    index, X, p, t = _drop(out, np.arange(len(t)), out, np.asarray(Xs, dtype=float).reshape(shape),
-                           np.asarray(points, dtype=float).reshape(shape), t)
+    index, X, p, t = _drop(out, np.arange(len(t)), out, X, p, t)
     c = bg.curvature(p, t.tolist())
     quad = (X[:, None] @ c.ric @ X[..., None]).ravel()
     transport = (X[:, None] @ c.dRdy[..., None]).ravel()
@@ -385,19 +391,6 @@ def limit_riccis(bg: RicciFlowBackground, Xs, points, ts) -> list:
     for i, v in zip(index.tolist(), values.tolist()):
         out[i] = v
     return out
-
-
-def limit_ricci(bg: RicciFlowBackground, X: np.ndarray, p: np.ndarray, t: float) -> float:
-    """Large-N limit of the canonical expander's Ricci on X + d/dt.
-
-    Ric(X, X) + g(X, grad R) + (dR/dt + R/t) / 2, assembled from background
-    data only.  Requires a forward background and t > 0.  The one-triple
-    case of ``limit_riccis``.
-    """
-    [value] = limit_riccis(bg, [X], [p], [t])
-    if isinstance(value, Exception):
-        raise value
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +457,10 @@ def _sweep_base(cms) -> RicciFlowBackground:
 
 def _spacetime_stack(bg: RicciFlowBackground, points, ts) -> np.ndarray:
     """The (P, m + 1) stack of space-time points z = (t, p) of a nonempty sample list."""
-    t = np.asarray(ts, dtype=float)
+    p, t = _pairs(points, ts, bg.dim)
     if not len(t):
         raise CanonicalConfigError("no (p, t) samples: the closed-form tables need at least one")
-    return np.column_stack((t, np.reshape(points, (len(t), bg.dim))))
+    return np.column_stack((t, p))
 
 
 def canonical_christoffel_closed_forms(cms, points, ts) -> list:

@@ -40,7 +40,7 @@ from .geometry import FD_H1, FD_H2, ChartDomainError, DegenerateMetricError, Sca
 from .harnack import (
     flat_ball_domain,
     limit_second_ff,
-    lott_gradient_match_defect,
+    lott_match_defect,
     random_polynomial_gradients,
     stripped_track_form,
     weighted_functionals,
@@ -387,7 +387,7 @@ def _run_lott_match(cfg: RunConfig, report: ResidualReport):
     # one pass over the monomial table gives every potential's differential at the slice point
     grads = random_polynomial_gradients(bg.dim, rng, count, hyp.position)
     for k, df in enumerate(grads):
-        defect = abs(lott_gradient_match_defect(hyp, df))
+        defect = abs(lott_match_defect(hyp, df))
         report.records.append({"potential_index": k, "defect": defect})
         worst = max(worst, defect)
 

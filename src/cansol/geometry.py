@@ -108,6 +108,28 @@ def _point_stack(coords, dim: int | None = None) -> tuple[np.ndarray, bool]:
     return pts, single
 
 
+def _pairs(points, ts, dim: int, *vectors) -> tuple:
+    """The one pairing check of the stacked entries: (points, times, *vectors).
+
+    ``points`` and each of ``vectors`` come back as (P, dim) float stacks,
+    and ``ts`` as the P float times of the pairs.  A bare (dim,) point is a
+    one-row stack and an empty list the empty one.  A stack of another
+    dimension raises the ``ChartDomainError`` of ``metric_bundle``; a count
+    of times other than the count of rows, a ``GeometryError``.
+    """
+    times = np.asarray(ts, dtype=float)
+    if times.ndim != 1:
+        raise GeometryError(f"times must have shape (P,), got {times.shape}")
+    stacks = []
+    for rows in (points, *vectors):
+        rows = np.asarray(rows, dtype=float)
+        rows, _ = _point_stack(rows.reshape(0, dim) if rows.shape == (0,) else rows, dim)
+        if len(rows) != len(times):
+            raise GeometryError(f"{len(times)} times for {len(rows)} {'vectors' if stacks else 'points'}")
+        stacks.append(rows)
+    return (stacks[0], times, *stacks[1:])
+
+
 def _point_errors(pts: np.ndarray, in_domain=None) -> list:
     """Per point of a (P, d) stack: None, or the ChartDomainError it raises.
 

@@ -5,7 +5,7 @@ Three strands meet here:
 
 * the flow Harnack quadratic Z(X, X) = Ric(X, X) + <X, grad R> +
   (dR/dt + R/t)/2, which is the large-N Ricci limit of the canonical
-  expander, ``canonical.limit_ricci``;
+  expander, ``canonical.limit_riccis``;
 * the hypersurface Harnack quadratic Z~(V, V) = dH/dt + h(V, V) +
   2 <V, grad H> + H/(2t), which is ``limit_second_ff`` on a flat
   background; on a curved one that form, the large-N limit of the
@@ -45,20 +45,17 @@ from .geometry import (
     scalar_curvature_batch,
     scalar_d1,
 )
-from .track import SpaceTimeTrack, TrackPointData, track_point_data
+from .track import TrackPointData
 
 __all__ = [
     "limit_second_ff",
-    "stripped_track_quadratic",
     "stripped_track_form",
     "tangential_gradient",
     "lott_boundary_integrand",
     "lott_match_defect",
-    "lott_gradient_match_defect",
     "WeightedManifoldData",
     "QuadratureError",
     "weighted_scalar_curvature",
-    "weighted_mean_curvature",
     "WeightedFunctionals",
     "weighted_functionals",
     "flat_ball_domain",
@@ -98,21 +95,16 @@ def limit_second_ff(hyp: HypersurfacePointData, V: np.ndarray) -> float:
     )
 
 
-def stripped_track_quadratic(track: SpaceTimeTrack, V: np.ndarray, x: np.ndarray, t: float) -> float:
-    """Finite-N track form on the lifted vector, normalization removed.
+def stripped_track_form(d: TrackPointData, V: np.ndarray) -> float:
+    """Finite-N track form on the lifted vector at the track point ``d``, normalization removed.
 
     Evaluates h^S(V + d/dt, V + d/dt) and multiplies by t sigma_N, the
     explicit prefactor of the closed forms; without the stripping the
     sigma_N -> 1/sqrt(t) limit would rescale the comparison against
     ``limit_second_ff``.  This normalization choice is recorded in run
-    provenance blocks.  The one-metric case of ``stripped_track_form`` on
-    a ``track_point_sweep``.
+    provenance blocks.  ``d`` is the data of one metric at one pair, from
+    ``track_point_data`` or a ``track_point_sweep``.
     """
-    return stripped_track_form(track_point_data(track, x, t), V)
-
-
-def stripped_track_form(d: TrackPointData, V: np.ndarray) -> float:
-    """``stripped_track_quadratic`` of the track point ``d``, the data of one metric at one pair."""
     W = np.concatenate(([1.0], np.asarray(V, dtype=float)))
     return float(W @ d.second_ff @ W) * d.t * d.sigma_N
 
@@ -122,31 +114,29 @@ def stripped_track_form(d: TrackPointData, V: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def tangential_gradient(hyp: HypersurfacePointData, f: ScalarField):
-    """Boundary gradient of f at a slice point.
+def tangential_gradient(hyp: HypersurfacePointData, df: np.ndarray):
+    """Boundary gradient of a potential f at a slice point, from its differential there.
 
+    ``df`` is ``scalar_d1(f, hyp.position)``: the slice forms take a
+    potential by its differential, so one evaluation serves every form.
     Returns (chart components w.r.t. the slice tangents, ambient vector).
     """
-    return _tangential(hyp, scalar_d1(f, hyp.position))
-
-
-def _tangential(hyp: HypersurfacePointData, df: np.ndarray):
-    """``tangential_gradient`` of a potential whose differential at the slice point is ``df``."""
     grad_amb = hyp.ginv @ df
     tang = grad_amb - float(grad_amb @ hyp.g @ hyp.normal) * hyp.normal
     comps = hyp.induced_inv @ (hyp.tangents @ hyp.g @ tang)
     return comps, tang
 
 
-def lott_boundary_integrand(hyp: HypersurfacePointData, f: ScalarField) -> float:
+def lott_boundary_integrand(hyp: HypersurfacePointData, df: np.ndarray) -> float:
     """Boundary integrand of the weighted functional's evolution.
 
     dH/dt - 2 <grad f, grad H> + h(grad f, grad f) - 2 Ric(nu, grad f)
     + nu(R)/2 - H Ric(nu, nu), with grad f the boundary-tangential
-    gradient.  dH/dt must come with the hypersurface data; there is no
-    hidden time differencing across unrelated snapshots.
+    gradient of the potential with differential ``df``.  dH/dt must come
+    with the hypersurface data; there is no hidden time differencing across
+    unrelated snapshots.
     """
-    return _lott_integrand(hyp, *tangential_gradient(hyp, f))
+    return _lott_integrand(hyp, *tangential_gradient(hyp, df))
 
 
 def _lott_integrand(hyp: HypersurfacePointData, comps: np.ndarray, tang: np.ndarray) -> float:
@@ -162,18 +152,14 @@ def _lott_integrand(hyp: HypersurfacePointData, comps: np.ndarray, tang: np.ndar
     )
 
 
-def lott_match_defect(hyp: HypersurfacePointData, f: ScalarField) -> float:
-    """limit_second_ff(-grad f) - boundary integrand - H/(2t) on one slice.
+def lott_match_defect(hyp: HypersurfacePointData, df: np.ndarray) -> float:
+    """limit_second_ff(-grad f) - boundary integrand - H/(2t) on one slice, f given by ``df``.
 
     Identically zero: the limit form evaluated on the negative boundary
-    gradient reproduces the evolution integrand up to the H/(2t) term.
+    gradient reproduces the evolution integrand up to the H/(2t) term.  One
+    boundary gradient serves both sides.
     """
-    return lott_gradient_match_defect(hyp, scalar_d1(f, hyp.position))
-
-
-def lott_gradient_match_defect(hyp: HypersurfacePointData, df: np.ndarray) -> float:
-    """``lott_match_defect`` of a potential given by its differential ``df`` at the slice point."""
-    comps, tang = _tangential(hyp, df)
+    comps, tang = tangential_gradient(hyp, df)
     lhs = limit_second_ff(hyp, -comps)
     rhs = _lott_integrand(hyp, comps, tang)
     return lhs - rhs - hyp.mean_curvature / (2.0 * hyp.t)
@@ -252,16 +238,6 @@ def weighted_scalar_curvature(wm: WeightedManifoldData, p: np.ndarray) -> float:
     """
     r_inf, _ = _weighted_scalar_curvatures(wm, np.asarray(p, dtype=float)[None])
     return float(r_inf[0])
-
-
-def weighted_mean_curvature(wm: WeightedManifoldData, idx: int) -> float:
-    """H^inf = H - nu f at boundary sample ``idx``."""
-    if not (0 <= idx < len(wm.boundary_points)):
-        raise QuadratureError(
-            f"boundary index {idx} out of range ({len(wm.boundary_points)} samples); "
-            "interior points have no weighted mean curvature"
-        )
-    return float(_weighted_mean_curvatures(wm, [idx])[0])
 
 
 # Grid nodes per kernel call in the quadratures; bounds the memory of one call.

@@ -54,6 +54,7 @@ from .backgrounds import (
 from .canonical import CanonicalConfigError, CanonicalMetric, FormCorrection, ResidualSample, ResidualStack, _profiles
 from .geometry import (
     _drop,
+    _pairs,
     _raise_first,
     _time_errors,
     christoffel_batch,
@@ -177,9 +178,8 @@ def _slice_rows(track: SpaceTimeTrack, xs, ts) -> _SliceRows:
     basis, second partials and orienting vectors are built from them.
     """
     mcf = track.mcf
-    times = np.asarray(ts, dtype=float).reshape(-1)
+    xs, times = _pairs(xs, ts, track.n)
     ts = times.tolist()
-    xs = np.asarray(xs, dtype=float).reshape(len(ts), track.n)
     errors = _track_time_errors(track, ts)
     index, x, t = _drop(errors, np.arange(len(ts)), errors, xs, times)
     slices = slice_stack(mcf, x, t.tolist())
@@ -316,7 +316,7 @@ def mcf_canonical_residual(track: SpaceTimeTrack, x: np.ndarray, t: float) -> Re
         raise exc
     value = float(stack.values[0])
     return ResidualSample(
-        point=np.asarray(x, dtype=float).reshape(track.n),
+        point=np.asarray(x, dtype=float),
         t=float(t),
         N=track.cm.N,
         value=value,

@@ -24,15 +24,16 @@ from cansol.canonical import (
     canonical_ricci_quadratics,
     check_admissible,
     christoffel_crosscheck,
-    limit_ricci,
+    limit_riccis,
     ricci_soliton_residual,
 )
+from cansol.geometry import scalar_d1
 from cansol.harnack import (
     flat_ball_domain,
     limit_second_ff,
     lott_match_defect,
     random_polynomial_field,
-    stripped_track_quadratic,
+    stripped_track_form,
     weighted_functionals,
 )
 from cansol.track import (
@@ -211,7 +212,7 @@ def test_criterion_4_harnack_link():
     ratios_ok = True
     for p, t in zip(bg.sample_points(10, rng), rng.uniform(0.05 * hi, hi, 10)):
         X = rng.uniform(-1.0, 1.0, 3)
-        target = limit_ricci(bg, X, p, t)
+        [target] = limit_riccis(bg, [X], [p], [t])
         errs = []
         for N in (1e3, 2e3, 4e3):
             cm = build_canonical_metric(bg, "expanding", N)
@@ -223,7 +224,7 @@ def test_criterion_4_harnack_link():
     [g] = bg.bundle([p], [t], order=0).g
     X = np.zeros(3)
     X[0] = 1.0 / math.sqrt(g[0, 0])
-    z_val = limit_ricci(bg, X, p, t)
+    [z_val] = limit_riccis(bg, [X], [p], [t])
     value_ok = abs(z_val - 86.6667) <= 1e-3
     verdict(4, ratios_ok and value_ok,
             f"halving ratios in [0.3, 0.7] at 10 points; Z = {z_val:.5f} = 86.6667 +- 1e-3")
@@ -243,7 +244,7 @@ def test_criterion_5_flat_identity_and_track_limit():
         errs = []
         for N in (1e3, 2e3, 4e3):
             tr = build_track(mcf, build_canonical_metric(bg, "expanding", N))
-            errs.append(abs(stripped_track_quadratic(tr, V, x, t) - target))
+            errs.append(abs(stripped_track_form(track_point_data(tr, x, t), V) - target))
         halving_ok = halving_ok and all(0.3 < b / a < 0.7 for a, b in zip(errs, errs[1:]))
 
     z0 = limit_second_ff(hypersurface_point_data(mcf, x, t), np.zeros(2))
@@ -261,7 +262,7 @@ def test_criterion_6_lott_boundary_match():
     worst = 0.0
     for _ in range(20):
         f = random_polynomial_field(3, rng)
-        worst = max(worst, abs(lott_match_defect(hyp, f)))
+        worst = max(worst, abs(lott_match_defect(hyp, scalar_d1(f, hyp.position))))
     verdict(6, worst < 1e-6, f"max match defect over 20 seeded potentials {worst:.2e} < 1e-6")
 
 

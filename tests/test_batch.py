@@ -16,6 +16,7 @@ from cansol.backgrounds import (
     hypersurface_point_data,
     model_background,
     model_mcf,
+    slice_stack,
     unit_sphere_metric,
 )
 from cansol.canonical import (
@@ -24,7 +25,6 @@ from cansol.canonical import (
     build_canonical_metric,
     canonical_christoffel_closed_forms,
     canonical_ricci_quadratics,
-    limit_ricci,
     limit_riccis,
     ricci_soliton_residual,
     ricci_soliton_residuals,
@@ -53,7 +53,6 @@ from cansol.geometry import (
 )
 from cansol.harnack import (
     flat_ball_domain,
-    lott_gradient_match_defect,
     lott_match_defect,
     random_polynomial_field,
     random_polynomial_gradients,
@@ -573,6 +572,87 @@ class TestTimeValidator:
         assert counts[0] == counts[1] > 0
 
 
+def stacked_entries():
+    """Each stacked entry as (chart dimension, call on (points, ts), count of pairs in its result)."""
+    sphere = model_background("round_sphere", dim=3, r0=1.0, direction="forward")
+    flat = model_background("euclidean_static", dim=3, direction="forward")
+    mcf = model_mcf("shrinking_sphere_flat", flat, r0=1.0)
+    cm = build_canonical_metric(sphere, "expanding", 1e3)
+    track_cm = build_canonical_metric(flat, "expanding", 1e3)
+
+    def good(ts):
+        return np.full((len(ts), 3), 1.0)
+
+    return {
+        "bundle": (3, sphere.bundle, lambda out: len(out.errors)),
+        "curvature": (3, sphere.curvature, lambda out: max(len(a) for a in out)),
+        "slice_stack": (2, lambda xs, ts: slice_stack(mcf, xs, ts), lambda out: len(out.errors)),
+        "mcf_canonical_sweep": (2, lambda xs, ts: mcf_canonical_sweep(mcf, [track_cm], xs, ts),
+                                lambda out: len(out[0].errors)),
+        "ricci_soliton_residuals": (3, lambda ps, ts: ricci_soliton_residuals(cm, ps, ts),
+                                    lambda out: len(out.errors)),
+        "canonical_ricci_quadratics": (3, lambda ps, ts: canonical_ricci_quadratics(cm, good(ts), ps, ts), len),
+        "canonical_ricci_quadratics X": (3, lambda Xs, ts: canonical_ricci_quadratics(cm, Xs, good(ts), ts), len),
+        "limit_riccis": (3, lambda ps, ts: limit_riccis(sphere, good(ts), ps, ts), len),
+        "limit_riccis X": (3, lambda Xs, ts: limit_riccis(sphere, Xs, good(ts), ts), len),
+        "canonical_christoffel_closed_forms": (3, lambda ps, ts: canonical_christoffel_closed_forms([cm], ps, ts),
+                                               None),
+    }
+
+
+class TestPairing:
+    """``geometry._pairs``, the one pairing check: every stacked entry refuses a mispaired stack."""
+
+    ENTRIES = stacked_entries()
+
+    @staticmethod
+    def rows(count, dim):
+        return np.random.default_rng(count).uniform(0.5, 1.5, (count, dim))
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_a_count_mismatch_is_a_geometry_error(self, entry):
+        dim, call, _ = self.ENTRIES[entry]
+        what = "vectors" if entry.endswith(" X") else "points"
+        with pytest.raises(GeometryError) as info:
+            call(self.rows(2, dim), [0.1, 0.15, 0.2])
+        assert type(info.value) is GeometryError and str(info.value) == f"3 times for 2 {what}"
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_a_wrong_dimension_is_a_chart_domain_error(self, entry):
+        dim, call, _ = self.ENTRIES[entry]
+        for count, times in ((2, [0.1, 0.15]), (1, [0.1])):
+            with pytest.raises(ChartDomainError, match=f"^point has dimension {dim + 1}, chart has {dim}$"):
+                call(self.rows(count, dim + 1), times)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_rows_that_a_reshape_would_reinterpret_are_refused(self, entry):
+        # 6 coordinates fill the (6 / dim, dim) stack that the times ask for,
+        # but the rows have dimension 6 / dim: the same error, not a result.
+        # Among them, three 2-d points for a 3-d canonical metric at two
+        # times, and two 3-d x rows for a 2-d flow at three.
+        dim, call, _ = self.ENTRIES[entry]
+        times = [0.1, 0.15, 0.2][: 6 // dim]
+        with pytest.raises(ChartDomainError, match=f"^point has dimension {6 // dim}, chart has {dim}$"):
+            call(self.rows(dim, 6 // dim), times)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_times_must_be_one_dimensional(self, entry):
+        dim, call, _ = self.ENTRIES[entry]
+        with pytest.raises(GeometryError, match=r"^times must have shape \(P,\), got \(2, 1\)$"):
+            call(self.rows(2, dim), [[0.1], [0.15]])
+
+    @pytest.mark.parametrize("entry", [e for e, (_, _, size) in ENTRIES.items() if size is not None])
+    def test_an_empty_stack_gives_an_empty_result(self, entry):
+        dim, call, size = self.ENTRIES[entry]
+        for empty in ([], np.empty((0, dim))):
+            assert size(call(empty, [])) == 0
+
+    def test_the_closed_forms_keep_their_config_error_for_no_samples(self):
+        _, call, _ = self.ENTRIES["canonical_christoffel_closed_forms"]
+        for empty in ([], np.empty((0, 3))):
+            with pytest.raises(CanonicalConfigError, match=r"no \(p, t\) samples"):
+                call(empty, [])
+
 class TestCallbackContract:
     def test_per_point_shape_only_from_a_single_point(self):
         metric = MetricField(dim=2, jet=lambda p, order: (np.eye(2), np.zeros((2, 2, 2)))[: order + 1])
@@ -918,12 +998,8 @@ class TestLimitRicciStacks:
             ts.insert(4, t)
             Xs.insert(4, Xs[0])
         batch = limit_riccis(bg, Xs, pts, ts)
-        loop = []
-        for X, p, t in zip(Xs, pts, ts):
-            try:
-                loop.append(limit_ricci(bg, X, p, t))
-            except ChartDomainError as exc:
-                loop.append(exc)
+        # each triple alone, as a one-row stack
+        loop = [limit_riccis(bg, [X], [p], [t])[0] for X, p, t in zip(Xs, pts, ts)]
         assert [type(v) for v in batch] == [type(v) for v in loop]
         assert [type(v).__name__ for v in batch[4:7]] == ["ChartDomainError"] * 3
         for a, b in zip(batch, loop):
@@ -1057,8 +1133,8 @@ class TestPolynomialPartials:
         hyp = hypersurface_point_data(model_mcf("shrinking_sphere_flat", bg, r0=1.0), np.array([1.1, 0.7]), 0.1)
         grads = random_polynomial_gradients(3, np.random.default_rng(5), 16, hyp.position)
         rng = np.random.default_rng(5)
-        want = [lott_match_defect(hyp, random_polynomial_field(3, rng)) for _ in range(16)]
-        assert [lott_gradient_match_defect(hyp, df) for df in grads] == want
+        want = [lott_match_defect(hyp, scalar_d1(random_polynomial_field(3, rng), hyp.position)) for _ in range(16)]
+        assert [lott_match_defect(hyp, df) for df in grads] == want
 
 
 _LAPACK_INV = np.linalg.inv     # the references stay uncounted by ``lapack_calls``

@@ -15,7 +15,7 @@ from cansol.canonical import (
     canonical_ricci_quadratics,
     check_admissible,
     christoffel_crosscheck,
-    limit_ricci,
+    limit_riccis,
     minimal_admissible_N,
     ricci_soliton_residual,
     ricci_soliton_residuals,
@@ -84,11 +84,13 @@ class TestBuild:
         with pytest.raises(CanonicalConfigError):
             build_canonical_metric(make_bg(FLAT_FWD), "steady", 100.0)
 
-    @pytest.mark.parametrize("N", [0.0, -1.0, float("nan")])
-    def test_non_positive_N_rejected(self, N):
+    @pytest.mark.parametrize("N", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+    def test_non_positive_or_infinite_N_rejected(self, N):
+        # an infinite N would make every point's time-time entry inf: a
+        # RuntimeWarning, then a DegenerateMetricError at every point
         with pytest.raises(CanonicalConfigError) as info:
             build_canonical_metric(make_bg(FLAT_FWD), "expanding", N)
-        assert str(info.value) == f"N must be positive, got {N}"
+        assert str(info.value) == f"N must be a finite number > 0, got {N}"
 
     def test_small_N_reports_threshold(self):
         # the shrinking time-time component subtracts m/(2 t^2), so its
@@ -283,7 +285,7 @@ class TestLimitRicci:
     def test_flat_vanishes(self):
         bg = make_bg(FLAT_FWD)
         for X in (np.zeros(3), np.array([1.0, 2.0, -0.5])):
-            assert limit_ricci(bg, X, np.zeros(3), 0.5) == pytest.approx(0.0, abs=1e-14)
+            assert limit_riccis(bg, [X], [np.zeros(3)], [0.5]) == [pytest.approx(0.0, abs=1e-14)]
 
     def test_sphere_unit_vector_value(self):
         # d = 3, r0 = 1, t = 0.1: Ric(X,X) = 2/0.6, grad R = 0,
@@ -291,25 +293,25 @@ class TestLimitRicci:
         bg = make_bg(SPHERE_FWD)
         p, t = np.array([1.2, 0.8, 2.0]), 0.1
         X = unit_first_axis(bg, p, t)
-        assert limit_ricci(bg, X, p, t) == pytest.approx(86.6667, abs=1e-3)
+        assert limit_riccis(bg, [X], [p], [t]) == [pytest.approx(86.6667, abs=1e-3)]
 
     def test_zero_vector_keeps_scalar_part(self):
         bg = make_bg(SPHERE_FWD)
         p, t = np.array([1.2, 0.8, 2.0]), 0.1
         c = bg.curvature([p], [t])
         expected = 0.5 * (c.dRdt[0] + c.R[0] / t)
-        assert limit_ricci(bg, np.zeros(3), p, t) == pytest.approx(expected, rel=1e-12)
+        assert limit_riccis(bg, [np.zeros(3)], [p], [t]) == [pytest.approx(expected, rel=1e-12)]
         assert expected == pytest.approx(83.3333, abs=1e-3)
 
     def test_backward_background_rejected(self):
         with pytest.raises(CanonicalConfigError):
-            limit_ricci(make_bg(SPHERE_BWD), np.zeros(3), np.array([1.2, 0.8, 2.0]), 0.1)
+            limit_riccis(make_bg(SPHERE_BWD), [np.zeros(3)], [np.array([1.2, 0.8, 2.0])], [0.1])
 
     def test_canonical_ricci_converges_to_limit(self):
         bg = make_bg(SPHERE_FWD)
         p, t = np.array([1.2, 0.8, 2.0]), 0.1
         X = unit_first_axis(bg, p, t)
-        target = limit_ricci(bg, X, p, t)
+        [target] = limit_riccis(bg, [X], [p], [t])
         errs = []
         for N in (1e3, 2e3, 4e3):
             cm = build_canonical_metric(bg, "expanding", N)

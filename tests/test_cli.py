@@ -111,6 +111,16 @@ class TestConfigValidation:
         for block in blocks:
             RunConfig.from_dict(json.loads(block))
 
+    def test_readme_python_blocks_run(self, capsys):
+        # the quick start calls the library by name, so a deleted name fails here
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+        assert blocks
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), {})
+        printed = capsys.readouterr().out.split()
+        assert printed and np.isfinite([float(v) for v in printed]).all()
+
     def test_readme_block_keys_match_the_config_table(self):
         # the README's per-block key lists are the table's keys, so the prose cannot drift
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -438,7 +448,7 @@ class TestSuites:
         from cansol import backgrounds
         from cansol.backgrounds import hypersurface_point_data, model_background, model_mcf
         from cansol.canonical import build_canonical_metric
-        from cansol.harnack import limit_second_ff, stripped_track_quadratic
+        from cansol.harnack import limit_second_ff, stripped_track_form
 
         calls = []
         for module in (backgrounds, track_module):
@@ -457,7 +467,8 @@ class TestSuites:
         x, t, V = np.array(track["x"]), track["t"], np.array(track["V"])
         target = limit_second_ff(hypersurface_point_data(mcf, x, t), V)
         tracks = [track_module.build_track(mcf, build_canonical_metric(bg, "expanding", N)) for N in Ns]
-        assert track["errors"] == [abs(stripped_track_quadratic(tr, V, x, t) - target) for tr in tracks]
+        assert track["errors"] == [abs(stripped_track_form(track_module.track_point_data(tr, x, t), V) - target)
+                                   for tr in tracks]
 
     def test_harnack_ricci_limits_call_the_curvature_once(self, monkeypatch):
         calls = []

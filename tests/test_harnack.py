@@ -11,23 +11,23 @@ from cansol.backgrounds import (
     model_background,
     model_mcf,
 )
-from cansol.canonical import CanonicalConfigError, build_canonical_metric, limit_ricci
+from cansol.canonical import CanonicalConfigError, build_canonical_metric, limit_riccis
 from cansol.geometry import ScalarField, hessian_batch, scalar_d1
 from cansol.harnack import (
     QuadratureError,
     WeightedManifoldData,
+    _weighted_mean_curvatures,
     flat_ball_domain,
     limit_second_ff,
     lott_boundary_integrand,
     lott_match_defect,
     random_polynomial_field,
-    stripped_track_quadratic,
+    stripped_track_form,
     tangential_gradient,
     weighted_functionals,
-    weighted_mean_curvature,
     weighted_scalar_curvature,
 )
-from cansol.track import build_track
+from cansol.track import build_track, track_point_data
 
 
 def flat_fwd():
@@ -47,11 +47,11 @@ def gaussian_potential(dim=3):
 
 
 class TestFlowHarnack:
-    """Z(X, X), the large-N limit of the canonical expander's Ricci: ``limit_ricci``."""
+    """Z(X, X), the large-N limit of the canonical expander's Ricci: ``limit_riccis``."""
 
     def test_flat_vanishes(self):
         bg = flat_fwd()
-        assert limit_ricci(bg, np.array([1.0, -2.0, 0.5]), np.zeros(3), 0.4) == 0.0
+        assert limit_riccis(bg, [np.array([1.0, -2.0, 0.5])], [np.zeros(3)], [0.4]) == [0.0]
 
     def test_sphere_documented_value(self):
         bg = sphere_fwd()
@@ -59,7 +59,8 @@ class TestFlowHarnack:
         [g] = bg.bundle([p], [t], order=0).g
         X = np.zeros(3)
         X[0] = 1.0 / math.sqrt(g[0, 0])
-        assert limit_ricci(bg, X, p, t) == pytest.approx(86.6667, abs=1e-3)
+        [z] = limit_riccis(bg, [X], [p], [t])
+        assert z == pytest.approx(86.6667, abs=1e-3)
 
     def test_sphere_hand_formula_everywhere(self):
         # on the forward unit 3-sphere phi = 1 - 4t: Ric = 2 sigma, R = 6/phi,
@@ -73,12 +74,13 @@ class TestFlowHarnack:
                 phi = 1.0 - 4.0 * t
                 sigma = bg.conformal.sigma.components(p)
                 hand = 2.0 * X @ sigma @ X + 0.5 * (24.0 / phi**2 + 6.0 / (phi * t))
-                assert limit_ricci(bg, X, p, t) == pytest.approx(hand, rel=1e-12)
+                [z] = limit_riccis(bg, [X], [p], [t])
+                assert z == pytest.approx(hand, rel=1e-12)
 
     def test_backward_rejected(self):
         bg = model_background("euclidean_static", dim=3, direction="backward")
         with pytest.raises(CanonicalConfigError):
-            limit_ricci(bg, np.zeros(3), np.zeros(3), 0.5)
+            limit_riccis(bg, [np.zeros(3)], [np.zeros(3)], [0.5])
 
 
 class TestHypersurfaceHarnack:
@@ -153,7 +155,7 @@ class TestLimitSecondFF:
         errs = []
         for N in (1e3, 2e3, 4e3):
             tr = build_track(mcf, build_canonical_metric(bg, "expanding", N))
-            errs.append(abs(stripped_track_quadratic(tr, V, x, t) - target))
+            errs.append(abs(stripped_track_form(track_point_data(tr, x, t), V) - target))
         for a, b in zip(errs, errs[1:]):
             assert 0.3 < b / a < 0.7
 
@@ -163,7 +165,7 @@ class TestBoundaryIntegrand:
         bg = flat_fwd()
         mcf = model_mcf("static_plane_flat", bg)
         hyp = hypersurface_point_data(mcf, np.array([0.1, 0.9]), 0.5)
-        val = lott_boundary_integrand(hyp, ScalarField.constant(2.0))
+        val = lott_boundary_integrand(hyp, scalar_d1(ScalarField.constant(2.0), hyp.position))
         assert val == 0.0
 
     def test_radial_potential_leaves_dHdt(self):
@@ -172,7 +174,7 @@ class TestBoundaryIntegrand:
         mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
         x, t = np.array([1.1, 0.7]), 0.1
         hyp = hypersurface_point_data(mcf, x, t)
-        val = lott_boundary_integrand(hyp, gaussian_potential())
+        val = lott_boundary_integrand(hyp, scalar_d1(gaussian_potential(), hyp.position))
         r = math.sqrt(0.6)
         assert val == pytest.approx(4.0 / r**3, rel=1e-10)
 
@@ -182,7 +184,7 @@ class TestBoundaryIntegrand:
         x, t = np.array([1.1, 0.7]), 0.1
         hyp = hypersurface_point_data(mcf, x, t)
         f = random_polynomial_field(3, np.random.default_rng(5))
-        comps, tang = tangential_gradient(hyp, f)
+        comps, tang = tangential_gradient(hyp, scalar_d1(f, hyp.position))
         [g] = bg.bundle([hyp.position], [t], order=0).g
         assert abs(float(tang @ g @ hyp.normal)) < 1e-12
         assert np.allclose(comps @ hyp.tangents, tang, atol=1e-12)
@@ -196,7 +198,7 @@ class TestBoundaryIntegrand:
         worst = 0.0
         for _ in range(20):
             f = random_polynomial_field(3, rng)
-            worst = max(worst, abs(lott_match_defect(hyp, f)))
+            worst = max(worst, abs(lott_match_defect(hyp, scalar_d1(f, hyp.position))))
         assert worst < 1e-6
 
     def test_polynomial_field_derivatives_consistent(self):
@@ -214,7 +216,8 @@ class TestWeightedCurvatures:
     def test_zero_potential_reduces_to_plain_curvatures(self):
         wm = flat_ball_domain(grid=(8, 12, 8))
         assert weighted_scalar_curvature(wm, np.array([0.2, 0.1, -0.3])) == 0.0
-        assert weighted_mean_curvature(wm, 0) == pytest.approx(2.0)
+        # H^inf = H - nu f at every boundary sample
+        assert _weighted_mean_curvatures(wm, slice(None)).tolist() == [2.0] * len(wm.boundary_points)
 
     def test_gaussian_ball_values(self):
         wm = flat_ball_domain(potential=gaussian_potential(), grid=(8, 12, 8))
@@ -222,12 +225,7 @@ class TestWeightedCurvatures:
         # R^inf = 2 * (3/2) - |y|^2/4
         assert weighted_scalar_curvature(wm, q) == pytest.approx(3.0 - float(q @ q) / 4.0)
         # H^inf at the unit boundary: 2 - 1/2
-        assert weighted_mean_curvature(wm, 3) == pytest.approx(1.5)
-
-    def test_boundary_index_mismatch(self):
-        wm = flat_ball_domain(grid=(8, 12, 8))
-        with pytest.raises(QuadratureError):
-            weighted_mean_curvature(wm, len(wm.boundary_points))
+        assert _weighted_mean_curvatures(wm, slice(None)) == pytest.approx(np.full(len(wm.boundary_points), 1.5))
 
 
 def with_entry(array, index, value):

@@ -1,6 +1,7 @@
-"""Import hygiene: every name a module imports is used there or re-exported."""
+"""Import hygiene: every name a module imports is used there or re-exported, and every exported name exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,14 @@ def test_every_import_is_used_or_exported(module):
     kept = {name for mod, name in TRACED_BINDINGS if mod == module}
     unused = imported_names(tree) - used_names(tree) - exported_names(tree) - kept
     assert not unused, f"cansol.{module} imports {sorted(unused)} and never uses them"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_is_defined(module):
+    # a stale ``__all__`` entry would otherwise fail only where a caller reads it by name
+    mod = importlib.import_module(f"cansol.{module}")
+    stale = sorted(name for name in exported_names(parse(module)) if not hasattr(mod, name))
+    assert not stale, f"cansol.{module}.__all__ names {stale}, which the module does not define"
 
 
 def test_the_traced_bindings_are_imports_that_nothing_else_uses():
