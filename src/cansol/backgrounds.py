@@ -41,6 +41,7 @@ from .geometry import (
     ScalarField,
     _drop,
     _inverse,
+    _metric_bundle,
     _one_point,
     _pairs,
     _point_errors,
@@ -119,7 +120,7 @@ def unit_sphere_metric(d: int) -> MetricField:
 
     def in_domain(p):
         q = p[..., : d - 1]
-        return np.all((q > POLE_BAND) & (q < math.pi - POLE_BAND), axis=-1)
+        return ((q > POLE_BAND) & (q < math.pi - POLE_BAND)).all(axis=-1)
 
     return MetricField(dim=d, jet=jet, in_domain=in_domain)
 
@@ -336,13 +337,21 @@ class RicciFlowBackground:
         pts, ts = self._paired(points, ts)
         return metric_bundle(c.sigma, pts, order, scale=[c.phi(t) for t in ts])
 
+    def _bundle(self, pts: np.ndarray, ts: list, order: int) -> MetricBundle:
+        """``bundle``'s core: a (P, m) stack of finite chart points and their P float times, all checked."""
+        c = self.conformal
+        return _metric_bundle(c.sigma, pts, order, np.array([c.phi(t) for t in ts], dtype=float))
+
     def curvature(self, points, ts) -> BackgroundCurvature:
         """The curvature of g(t_p) at a (P, m) stack of points p, one time each, checked as by ``bundle``.
 
         A bare (m,) point is a one-row stack: every array has a leading axis of length 1.
         """
+        return self._curvature(*self._paired(points, ts))
+
+    def _curvature(self, pts: np.ndarray, ts: list) -> BackgroundCurvature:
+        """``curvature``'s core: a (P, m) stack of points and their P float times, the times checked."""
         c = self.conformal
-        pts, ts = self._paired(points, ts)
         R, dRdt = jets.derivatives(c.R, ts, order=1)
         # R = sigma_scalar / phi(t) is constant in space
         return BackgroundCurvature(np.asarray(c.ric_sigma(pts)), R, dRdt, np.zeros(pts.shape))
@@ -855,7 +864,7 @@ class SliceStack(NamedTuple):
             jet=jet,
             g=self.g[j],
             ginv=self.ginv[j],
-            curvature=BackgroundCurvature._make(a[0] for a in self.mcf.ambient.curvature(jet[0][None], [t])),
+            curvature=BackgroundCurvature._make(a[0] for a in self.mcf.ambient._curvature(jet[0][None], [t])),
             induced=induced,
             induced_inv=induced_inv,
             normal=nu,
@@ -878,17 +887,27 @@ def slice_stack(mcf: MCFSolution, xs, ts) -> SliceStack:
     callbacks and the ambient's ``bundle`` run once, on the pairs that pass.
     """
     xs, times = _pairs(xs, ts, mcf.hypersurface_dim)
-    ts = times.tolist()
-    timed = _time_errors(ts, mcf.time_domain, mcf.ambient.time_domain)
-    errors = [e or f for e, f in zip(timed, _point_errors(xs))]
-    index, x, times = _drop(errors, np.arange(len(ts)), errors, xs, times)
-    jet = tuple(np.asarray(a, dtype=float) for a in mcf.jet(x, times))
-    amb = mcf.ambient.bundle(jet[0], times.tolist(), order=1)
-    index, x, times, *jet = _drop(errors, index, amb.errors, x, times, *jet)
-    hint = np.asarray(mcf.orientation_hint(x, times), dtype=float)
-    ext, bad = extrinsic_geometry_batch(jet[2], jet[3], amb.g, christoffel_batch(amb), hint)
-    index, g, ginv, *jet = _drop(errors, index, bad, amb.g, amb.ginv, *jet)
-    return SliceStack(mcf, xs, ts, index, errors, tuple(jet), ext, g, ginv)
+    timed = _time_errors(times.tolist(), mcf.time_domain, mcf.ambient.time_domain)
+    return _slice_stack(mcf, xs, times, [e or f for e, f in zip(timed, _point_errors(xs))])
+
+
+def _slice_stack(mcf: MCFSolution, xs: np.ndarray, times: np.ndarray, errors: list) -> SliceStack:
+    """``slice_stack``'s core at a (P, n) stack of points and their (P,) times.
+
+    ``errors`` holds, per pair, None or the error of its time or point,
+    checked by the caller; the pairs without one are evaluated.  The
+    images F_t(x) are checked against the ambient's chart here, once.
+    """
+    index, x, t = _drop(errors, np.arange(len(times)), errors, xs, times)
+    jet = tuple(np.asarray(a, dtype=float) for a in mcf.jet(x, t))
+    amb = mcf.ambient
+    index, x, t, *jet = _drop(errors, index, _point_errors(jet[0], amb.conformal.sigma.in_domain), x, t, *jet)
+    b = amb._bundle(jet[0], t.tolist(), 1)
+    index, x, t, *jet = _drop(errors, index, b.errors, x, t, *jet)
+    hint = np.asarray(mcf.orientation_hint(x, t), dtype=float)
+    ext, bad = extrinsic_geometry_batch(jet[2], jet[3], b.g, christoffel_batch(b), hint)
+    index, g, ginv, *jet = _drop(errors, index, bad, b.g, b.ginv, *jet)
+    return SliceStack(mcf, xs, times.tolist(), index, errors, tuple(jet), ext, g, ginv)
 
 
 def hypersurface_point_data(mcf: MCFSolution, x: np.ndarray, t: float) -> HypersurfacePointData:
@@ -898,6 +917,6 @@ def hypersurface_point_data(mcf: MCFSolution, x: np.ndarray, t: float) -> Hypers
     ``slice_stack`` records at (x, t).  The H-derivatives are the flow's
     own callbacks.
     """
-    stack = slice_stack(mcf, _one_point(x)[None], [t])
+    stack = slice_stack(mcf, _one_point(x), [t])
     _raise_first(stack.errors)
     return stack.record(0)

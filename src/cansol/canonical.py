@@ -40,6 +40,7 @@ from .geometry import (
     MetricField,
     ScalarField,
     _drop,
+    _metric_bundle,
     _pairs,
     _point_errors,
     _raise_first,
@@ -313,15 +314,22 @@ def _time_matrix(dim, value):
 def _soliton_bundle(cm: CanonicalMetric, points, ts, *vectors) -> tuple:
     """The order-2 bundle of ``cm`` at (p, t) pairs, and one entry per pair: None or its error.
 
-    A pair fails as the single-point ``ricci_soliton_residual`` does there;
-    the returned index maps the bundle's rows to the pairs.  ``vectors``,
-    stacks of one row per pair, come back after the bundle as ``_pairs``
-    stacks them.
+    The door of the soliton kernel: the pairing, the time windows with the
+    sampling floor, and the chart's spatial domain are each checked once,
+    here, and the bundle's core trusts the space-time points z = (t, p)
+    that pass.  A pair fails as the single-point ``ricci_soliton_residual``
+    does there; the returned index maps the bundle's rows to the pairs.
+    ``vectors``, stacks of one row per pair, come back after the bundle as
+    ``_pairs`` stacks them.
     """
     pts, ts, *vectors = _pairs(points, ts, cm.base.dim, *vectors)
     errors = _time_errors(ts.tolist(), cm.base.time_domain, floor=cm.t_min)
-    index, z = _drop(errors, np.arange(len(ts)), errors, np.column_stack((ts, pts)))
-    b = metric_bundle(cm.field, z, order=2)
+    index, z = _drop(errors, np.arange(len(ts)), errors, np.concatenate((ts[:, None], pts), axis=1))
+    # the times lie inside the background's domain, hence inside the chart's: p is left
+    sigma = cm.base.conformal.sigma
+    chart = None if sigma.in_domain is None else lambda z: sigma.in_domain(z[:, 1:])
+    index, z = _drop(errors, index, _point_errors(z, chart), z)
+    b = _metric_bundle(cm.field, z, 2)
     index, = _drop(errors, index, b.errors)
     return errors, index, b, *vectors
 
@@ -347,13 +355,12 @@ def ricci_soliton_residual(cm: CanonicalMetric, p: np.ndarray, t: float) -> Resi
     |E_N| in the metric's own norm and the scaled value N |E_N|.  This is
     the single-pair case of ``ricci_soliton_residuals``.
     """
-    p = np.asarray(p, dtype=float)
-    stack = ricci_soliton_residuals(cm, [p], [float(t)])
-    [exc] = stack.errors
-    if exc is not None:
-        raise exc
-    norm = float(stack.norms[0])
-    return ResidualSample(point=p, t=float(t), N=cm.N, value=stack.values[0], norm=norm, scaled_norm=cm.N * norm)
+    p, t = np.asarray(p, dtype=float), float(t)
+    errors, _, values, norms = ricci_soliton_residuals(cm, p[None], [t])
+    if errors[0] is not None:
+        raise errors[0]
+    norm = float(norms[0])
+    return ResidualSample(point=p, t=t, N=cm.N, value=values[0], norm=norm, scaled_norm=cm.N * norm)
 
 
 def canonical_ricci_quadratics(cm: CanonicalMetric, Xs, points, ts) -> list:
@@ -384,7 +391,7 @@ def limit_riccis(bg: RicciFlowBackground, Xs, points, ts) -> list:
     p, t, X = _pairs(points, ts, bg.dim, Xs)
     out = _time_errors(t.tolist(), bg.time_domain)
     index, X, p, t = _drop(out, np.arange(len(t)), out, X, p, t)
-    c = bg.curvature(p, t.tolist())
+    c = bg._curvature(p, t.tolist())
     quad = (X[:, None] @ c.ric @ X[..., None]).ravel()
     transport = (X[:, None] @ c.dRdy[..., None]).ravel()
     values = quad + transport + 0.5 * (c.dRdt + c.R / t)
@@ -495,9 +502,11 @@ def _closed_forms(cms, z: np.ndarray) -> list:
     times = _time_errors(t.tolist(), bg.time_domain)
     _raise_first([e or f for e, f in zip(_point_errors(z, cms[0].field.in_domain), times)])
 
-    b = bg.bundle(z[:, 1:], t.tolist(), order=1)
+    # the rows are checked: the background's cores take them as they are
+    pts, ts = z[:, 1:], t.tolist()
+    b = bg._bundle(pts, ts, 1)
     b.raise_error()
-    ric, R, dRdt, dRdy = bg.curvature(z[:, 1:], t.tolist())
+    ric, R, dRdt, dRdy = bg._curvature(pts, ts)
     ric_up = b.ginv @ ric                     # Ric^a_b
     tb, Rb = t[:, None, None], R[:, None, None]         # against (P, m, m) blocks
     g_half = b.g / (2 * tb**2)                # g_bc / (2 t^2)

@@ -20,6 +20,14 @@ per-point ``np.einsum``, or a stacked matmul whose operands are C
 contiguous.  numpy's matmul takes another path on a strided operand, and
 a one-row stack can count as contiguous where a longer one does not.
 
+Input is checked at the door.  A public stacked entry validates what it
+is given once: the stack's shape and pairing, its times, its points'
+finiteness and chart domain.  It then hands the rows that pass to a
+``_``-private core, which trusts them and checks only what it computes
+itself (a callback's shapes, the conditioning of g).  ``metric_bundle``
+is the door of the core ``_metric_bundle``; entries in other modules
+that have validated their rows call the cores directly.
+
 Conventions
 -----------
 * Points are float arrays of chart coordinates: one point has shape (d,),
@@ -37,6 +45,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -89,22 +98,29 @@ class ChartDomainError(GeometryError, ValueError):
 
 
 def _one_point(coords) -> np.ndarray:
+    """The (1, d) stack of one point (d,): an empty list is one point, of dimension 0."""
     p = np.asarray(coords, dtype=float)
     if p.ndim != 1:
         raise ChartDomainError(f"chart point must be a 1-d coordinate array, got shape {p.shape}")
-    return p
+    return p[None]
 
 
-def _point_stack(coords, dim: int | None = None) -> tuple[np.ndarray, bool]:
-    """(P, d) float stack of one point (d,) or a stack; also whether it was one point."""
+def _point_stack(coords, dim: int | None = None, row: str = "point") -> tuple[np.ndarray, bool]:
+    """(P, d) float stack of one point (d,) or a stack; also whether it was one point.
+
+    An empty list is the empty stack.  ``row`` names the rows in the
+    errors: the points of a chart, or the vectors at them.
+    """
     pts = np.asarray(coords, dtype=float)
+    if pts.shape == (0,):
+        pts = pts.reshape(0, dim or 0)
     single = pts.ndim == 1
     if single:
         pts = pts[None]
     if pts.ndim != 2:
-        raise ChartDomainError(f"chart points must have shape (d,) or (P, d), got {pts.shape}")
+        raise ChartDomainError(f"chart {row}s must have shape (d,) or (P, d), got {pts.shape}")
     if dim is not None and pts.shape[1] != dim:
-        raise ChartDomainError(f"point has dimension {pts.shape[1]}, chart has {dim}")
+        raise ChartDomainError(f"{row} has dimension {pts.shape[1]}, chart has {dim}")
     return pts, single
 
 
@@ -114,18 +130,19 @@ def _pairs(points, ts, dim: int, *vectors) -> tuple:
     ``points`` and each of ``vectors`` come back as (P, dim) float stacks,
     and ``ts`` as the P float times of the pairs.  A bare (dim,) point is a
     one-row stack and an empty list the empty one.  A stack of another
-    dimension raises the ``ChartDomainError`` of ``metric_bundle``; a count
-    of times other than the count of rows, a ``GeometryError``.
+    dimension raises the ``ChartDomainError`` of ``metric_bundle``, naming
+    its rows; a count of times other than the count of rows, a
+    ``GeometryError``.
     """
     times = np.asarray(ts, dtype=float)
     if times.ndim != 1:
         raise GeometryError(f"times must have shape (P,), got {times.shape}")
     stacks = []
     for rows in (points, *vectors):
-        rows = np.asarray(rows, dtype=float)
-        rows, _ = _point_stack(rows.reshape(0, dim) if rows.shape == (0,) else rows, dim)
+        row = "vector" if stacks else "point"
+        rows, _ = _point_stack(rows, dim, row)
         if len(rows) != len(times):
-            raise GeometryError(f"{len(times)} times for {len(rows)} {'vectors' if stacks else 'points'}")
+            raise GeometryError(f"{len(times)} times for {len(rows)} {row}s")
         stacks.append(rows)
     return (stacks[0], times, *stacks[1:])
 
@@ -138,7 +155,7 @@ def _point_errors(pts: np.ndarray, in_domain=None) -> list:
     for finiteness at once; rows are reduced only when some entry is not.
     """
     errors = [None] * len(pts)
-    if np.isfinite(pts).all():
+    if _every(np.isfinite(pts)):
         if in_domain is None:
             return errors
         ok = _evaluate(in_domain, pts, (), "in_domain", dtype=bool)
@@ -147,7 +164,7 @@ def _point_errors(pts: np.ndarray, in_domain=None) -> list:
         ok = finite.copy()
         if in_domain is not None:
             ok[finite] = _evaluate(in_domain, pts[finite], (), "in_domain", dtype=bool)
-    if ok.all():
+    if _every(ok):
         return errors
     for i in np.flatnonzero(~ok):
         errors[i] = ChartDomainError(
@@ -155,6 +172,11 @@ def _point_errors(pts: np.ndarray, in_domain=None) -> list:
             else f"chart point has non-finite entries: {pts[i]}"
         )
     return errors
+
+
+def _every(mask: np.ndarray) -> bool:
+    """``mask.all()`` without its Python-level wrapper, which costs more than the count on a one-row stack."""
+    return np.count_nonzero(mask) == mask.size
 
 
 def _raise_first(errors):
@@ -419,6 +441,12 @@ class MetricBundle:
         """Raise the first recorded per-point error, if any."""
         _raise_first(self.errors)
 
+    @functools.cached_property
+    def _dg_bracket(self) -> np.ndarray:
+        """``_bracket(dg)``, formed on first use: the Christoffel symbols, the Ricci tensor and
+        the Hessian of one bundle share it, and a flat bundle's Hessian never forms it."""
+        return _bracket(self.dg)
+
 
 def _norm1(a: np.ndarray) -> np.ndarray:
     """Matrix 1-norms (largest column sum of |a|) of a (P, d, d) stack."""
@@ -478,7 +506,7 @@ def _inverse(g: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, list]:
     """Stacked g^-1 with the condition check; per point None or the error."""
     ginv, cond, errors = _inverse_and_condition(g, pts)
     ok = cond <= COND_LIMIT   # False for nan too
-    if not ok.all():
+    if not _every(ok):
         for i in np.flatnonzero(~ok):
             errors[i] = errors[i] or DegenerateMetricError(
                 f"metric at {pts[i]} has condition number {cond[i]:.3e} (limit {COND_LIMIT:.0e})"
@@ -493,9 +521,7 @@ def metric_bundle(metric: MetricField, points, order: int = 1, scale=None) -> Me
     symbols, Hessians and norms), 2 adds ddg (curvature).  Points outside
     the chart domain or with an ill-conditioned metric are left out and
     recorded in ``errors``; callbacks never see them.  The points are
-    checked once, here.  The jet is then called once on the valid points;
-    if it is value-only, the FD stencils run once on the well-conditioned
-    ones.
+    checked once, here, the door of ``_metric_bundle``.
     ``scale``, one positive factor per point, gives the bundle of the metric
     scale_p * g at point p: a conformal family at per-point times.
     """
@@ -506,21 +532,37 @@ def metric_bundle(metric: MetricField, points, order: int = 1, scale=None) -> Me
             raise GeometryError(f"scale factors of shape {scale.shape} for {len(pts)} points")
     errors = _point_errors(pts, metric.in_domain)
     index, q, scale = _drop(errors, np.arange(len(pts)), errors, pts, scale)
-    g, *partials = _shaped_jet(metric, q, order)
+    return _metric_bundle(metric, q, order, scale, errors, index)
+
+
+def _metric_bundle(metric: MetricField, pts: np.ndarray, order: int, scale=None,
+                   errors=None, index=None) -> MetricBundle:
+    """``metric_bundle``'s core, on a (P, d) stack of finite points inside the chart.
+
+    It trusts its rows: the jet is called once on all of them, its shapes
+    are checked, and the rows whose metric is ill-conditioned are left out;
+    if the jet is value-only, the FD stencils run once on the rest.
+    ``scale`` is None or a (P,) float array.  The bundle's ``index`` and
+    ``errors`` refer to the rows of ``pts``, unless the door passes its own
+    per-point ``errors`` and the ``index`` of ``pts`` in them.
+    """
+    if errors is None:
+        errors, index = [None] * len(pts), np.arange(len(pts))
+    g, *partials = _shaped_jet(metric, pts, order)
     if scale is not None:
         g = scale[:, None, None] * g
-    ginv, bad = _inverse(g, q)
-    index, q, g, ginv, scale, *partials = _drop(errors, index, bad, q, g, ginv, scale, *partials)
+    ginv, bad = _inverse(g, pts)
+    index, pts, g, ginv, scale, *partials = _drop(errors, index, bad, pts, g, ginv, scale, *partials)
     if len(partials) < order:
         # a value-only jet: central differences of its value
-        partials = [_partials(None, metric.components, q, o, g.shape[1:], "metric")
+        partials = [_partials(None, metric.components, pts, o, g.shape[1:], "metric")
                     for o in range(1, order + 1)]
     dg, ddg = (*partials, None, None)[:2]
     if scale is not None:
         dg, ddg = (None if a is None else scale.reshape((-1,) + (1,) * (a.ndim - 1)) * a
                    for a in (dg, ddg))
     return MetricBundle(
-        points=q,
+        points=pts,
         index=index,
         errors=tuple(errors),
         g=g,
@@ -543,7 +585,7 @@ def _at_point(metric: MetricField, p, order: int) -> MetricBundle:
 
 
 def _symmetrized(T: np.ndarray) -> np.ndarray:
-    return 0.5 * (T + np.swapaxes(T, -1, -2))
+    return 0.5 * (T + T.swapaxes(-1, -2))
 
 
 def _bracket(dg: np.ndarray) -> np.ndarray:
@@ -557,8 +599,8 @@ def christoffel_batch(b: MetricBundle) -> np.ndarray:
     Gamma^a_{bc} = 1/2 g^{ad} (d_b g_dc + d_c g_bd - d_d g_bc); the result
     is symmetric in (b, c) exactly, given symmetric input components.
     """
-    gamma = 0.5 * np.einsum("pad,pdbc->pabc", b.ginv, _bracket(b.dg))
-    return 0.5 * (gamma + np.swapaxes(gamma, 2, 3))
+    gamma = 0.5 * np.einsum("pad,pdbc->pabc", b.ginv, b._dg_bracket)
+    return 0.5 * (gamma + gamma.swapaxes(2, 3))
 
 
 def ricci_batch(b: MetricBundle) -> np.ndarray:
@@ -574,7 +616,7 @@ def ricci_batch(b: MetricBundle) -> np.ndarray:
     ginv, dg, ddg, gamma = (
         np.ascontiguousarray(a) for a in (b.ginv, b.dg, b.ddg, christoffel_batch(b)))
     flat = ginv.reshape(P, 1, d * d)                                # g^am over the pair (a, m)
-    bracket = np.ascontiguousarray(_bracket(dg))                    # [m, b, c] = B_mbc
+    bracket = np.ascontiguousarray(b._dg_bracket)                   # [m, b, c] = B_mbc
     bracket_t = np.ascontiguousarray(bracket.transpose(0, 2, 1, 3)).reshape(P, d * d, d)
     dbracket = np.ascontiguousarray(_bracket(ddg.reshape(P * d, d, d, d)))  # [e, m, b, c] = d_e B_mbc
     # d_e g^-1 = -g^-1 (d_e g) g^-1, and its divergence u^m = d_a g^am
@@ -583,8 +625,7 @@ def ricci_batch(b: MetricBundle) -> np.ndarray:
     u = -(flat @ dg_ginv.reshape(P, d * d, d))
     # each term is twice its share of Ric: 2 d_a Gamma^a_bc, 2 d_c Gamma^a_ab as [c, b]
     div = u @ bracket.reshape(P, d, d * d) + flat @ dbracket.reshape(P, d * d, d * d)
-    trace = dginv.reshape(P, d, d * d) @ bracket_t
-    trace += (flat[:, None] @ dbracket.reshape(P, d, d * d, d))[:, :, 0]
+    trace = dginv.reshape(P, d, d * d) @ bracket_t + (flat[:, None] @ dbracket.reshape(P, d, d * d, d))[:, :, 0]
     # 2 Gamma^a_ae Gamma^e_bc, and 2 Gamma^a_ce Gamma^e_ab as [c, b]
     swapped = np.ascontiguousarray(gamma.transpose(0, 2, 1, 3))     # [c, a, e] = Gamma^a_ce
     quadratic = (flat @ bracket_t) @ gamma.reshape(P, d, d * d)
@@ -609,9 +650,9 @@ def hessian_batch(b: MetricBundle, f: ScalarField, grad: np.ndarray | None = Non
     if grad is None:
         grad = gradient_batch(b, f)
     ddf = _partials(f.d2, f.value, b.points, 2, (), "scalar")
-    if not b.dg.any():
+    if not np.count_nonzero(b.dg):
         return _symmetrized(ddf)
-    return _symmetrized(ddf - 0.5 * np.einsum("pd,pdab->pab", grad, _bracket(b.dg)))
+    return _symmetrized(ddf - 0.5 * np.einsum("pd,pdab->pab", grad, b._dg_bracket))
 
 
 def tensor_norm_batch(b: MetricBundle, T: np.ndarray) -> np.ndarray:

@@ -47,18 +47,19 @@ from .backgrounds import (
     HypersurfacePointData,
     MCFSolution,
     SliceStack,
+    _slice_stack,
     extrinsic_geometry_batch,
     hypersurface_point_data,
-    slice_stack,
 )
 from .canonical import CanonicalConfigError, CanonicalMetric, FormCorrection, ResidualSample, ResidualStack, _profiles
 from .geometry import (
     _drop,
+    _metric_bundle,
     _pairs,
+    _point_errors,
     _raise_first,
     _time_errors,
     christoffel_batch,
-    metric_bundle,
     scalar_d1,
 )
 
@@ -172,18 +173,18 @@ class _TrackStack(NamedTuple):
 def _slice_rows(track: SpaceTimeTrack, xs, ts) -> _SliceRows:
     """The N-independent half of the track evaluation at a stack of (x, t) pairs.
 
-    The times are checked in one pass (``_track_time_errors``);
-    ``slice_stack`` checks the points and evaluates the slices once on the
-    pairs still standing, and the track's space-time points, tangent
-    basis, second partials and orienting vectors are built from them.
+    The door of the track sweeps: the pairing, the times (one
+    ``_track_time_errors`` pass) and the points' finiteness are checked
+    once, here.  The slice core evaluates the slices once on the pairs
+    still standing, and the track's space-time points, tangent basis,
+    second partials and orienting vectors are built from them.
     """
-    mcf = track.mcf
     xs, times = _pairs(xs, ts, track.n)
     ts = times.tolist()
-    errors = _track_time_errors(track, ts)
-    index, x, t = _drop(errors, np.arange(len(ts)), errors, xs, times)
-    slices = slice_stack(mcf, x, t.tolist())
-    index, t = _drop(errors, index, slices.errors, t)
+    errors = [e or f for e, f in zip(_track_time_errors(track, ts), _point_errors(xs))]
+    slices = _slice_stack(track.mcf, xs, times, errors)
+    index = slices.index
+    t = times[index]
     F, Ft, Fx, Fxx, Fxt, Ftt = slices.jet
     n, P = track.n, len(F)
     z = np.empty((P, n + 2))
@@ -213,7 +214,8 @@ def _track_stack(track: SpaceTimeTrack, pairs: _SliceRows) -> _TrackStack:
     evaluated once on the pairs whose slices stand.
     """
     errors = list(pairs.errors)
-    st = metric_bundle(track.cm.field, pairs.z, order=1)
+    # z = (t, F): t in the background's domain and F in its chart, so z lies in the canonical chart
+    st = _metric_bundle(track.cm.field, pairs.z, 1)
     index, basis, ddPhi, lifted = _drop(errors, pairs.index, st.errors, pairs.basis, pairs.ddPhi, pairs.lifted)
     ext, bad = extrinsic_geometry_batch(basis, ddPhi, st.g, christoffel_batch(st), lifted)
     index, z, g, basis = _drop(errors, index, bad, st.points, st.g, basis)

@@ -569,7 +569,8 @@ class TestTimeValidator:
             stacks = mcf_canonical_sweep(mcf, cms, mcf.sample_xs(P, rng), ts)
             assert all(len(s.errors) == P for s in stacks)
             counts.append(len(calls))
-        assert counts[0] == counts[1] > 0
+        # the door checks every window at once; the slices and the track bundles trust its rows
+        assert counts == [1, 1]
 
 
 def stacked_entries():
@@ -612,16 +613,20 @@ class TestPairing:
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_a_count_mismatch_is_a_geometry_error(self, entry):
         dim, call, _ = self.ENTRIES[entry]
-        what = "vectors" if entry.endswith(" X") else "points"
         with pytest.raises(GeometryError) as info:
             call(self.rows(2, dim), [0.1, 0.15, 0.2])
-        assert type(info.value) is GeometryError and str(info.value) == f"3 times for 2 {what}"
+        assert type(info.value) is GeometryError and str(info.value) == f"3 times for 2 {self.row(entry)}s"
+
+    @staticmethod
+    def row(entry):
+        """What the error calls the rows of the stack under test."""
+        return "vector" if entry.endswith(" X") else "point"
 
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_a_wrong_dimension_is_a_chart_domain_error(self, entry):
         dim, call, _ = self.ENTRIES[entry]
         for count, times in ((2, [0.1, 0.15]), (1, [0.1])):
-            with pytest.raises(ChartDomainError, match=f"^point has dimension {dim + 1}, chart has {dim}$"):
+            with pytest.raises(ChartDomainError, match=f"^{self.row(entry)} has dimension {dim + 1}, chart has {dim}$"):
                 call(self.rows(count, dim + 1), times)
 
     @pytest.mark.parametrize("entry", ENTRIES)
@@ -632,7 +637,7 @@ class TestPairing:
         # times, and two 3-d x rows for a 2-d flow at three.
         dim, call, _ = self.ENTRIES[entry]
         times = [0.1, 0.15, 0.2][: 6 // dim]
-        with pytest.raises(ChartDomainError, match=f"^point has dimension {6 // dim}, chart has {dim}$"):
+        with pytest.raises(ChartDomainError, match=f"^{self.row(entry)} has dimension {6 // dim}, chart has {dim}$"):
             call(self.rows(dim, 6 // dim), times)
 
     @pytest.mark.parametrize("entry", ENTRIES)
@@ -853,8 +858,8 @@ class TestTrackStacks:
         x, t = mcf.sample_xs(1, np.random.default_rng(3))[0], 0.5 * mcf.time_domain[1]
         singles = [track_point_data(build_track(mcf, cm), x, t) for cm in cms]
         calls = []
-        slice_stack = track_module.slice_stack
-        monkeypatch.setattr(track_module, "slice_stack", lambda *args: calls.append(1) or slice_stack(*args))
+        slice_stack = track_module._slice_stack
+        monkeypatch.setattr(track_module, "_slice_stack", lambda *args: calls.append(1) or slice_stack(*args))
         sweep = track_point_sweep(mcf, cms, x, t)
         # one slice serves every metric
         assert calls == [1] and all(d.hyp is sweep[0].hyp for d in sweep)
@@ -1013,8 +1018,8 @@ class TestLimitRicciStacks:
     def test_one_curvature_call_and_empty_stack(self, monkeypatch):
         bg = model_background("round_sphere", dim=3, r0=1.0, direction="forward")
         calls = []
-        curvature = type(bg).curvature
-        monkeypatch.setattr(type(bg), "curvature", lambda *args: calls.append(1) or curvature(*args))
+        curvature = type(bg)._curvature
+        monkeypatch.setattr(type(bg), "_curvature", lambda *args: calls.append(1) or curvature(*args))
         rng = np.random.default_rng(0)
         assert len(limit_riccis(bg, rng.uniform(-1, 1, (6, 3)), bg.sample_points(6, rng), [0.1] * 6)) == 6
         assert limit_riccis(bg, np.empty((0, 3)), np.empty((0, 3)), []) == []
@@ -1335,6 +1340,64 @@ class TestZeroConnectionHessian:
         assert_same_bits(hess, full_contraction_hessian(b, f))
         ddf = geometry._partials(f.d2, f.value, b.points, 2, (), "scalar")
         assert not np.array_equal(hess, geometry._symmetrized(ddf))
+
+
+class TestCheckedAtTheDoor:
+    """The soliton kernel checks its rows once, at its door, and forms the metric bracket once."""
+
+    @staticmethod
+    def bracket_calls(monkeypatch):
+        """The shapes of the stacks ``geometry._bracket`` is called on, as it is called."""
+        shapes = []
+        bracket = geometry._bracket
+        monkeypatch.setattr(geometry, "_bracket", lambda a: shapes.append(a.shape) or bracket(a))
+        return shapes
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_bracket_of_dg_per_residual_call(self, monkeypatch, variant):
+        cm = canonical(variant, 3, 1e3)
+        rng = np.random.default_rng(6)
+        pts, ts = sphere_stack(3, 3, rng), rng.uniform(cm.t_min, cm.base.time_domain[1], 3)
+        shapes = self.bracket_calls(monkeypatch)
+        # dg is (P, 4, 4, 4); the Ricci tensor's bracket of ddg is (4 P, 4, 4, 4)
+        for P, call in ((3, lambda: ricci_soliton_residuals(cm, pts, ts)),
+                        (1, lambda: ricci_soliton_residual(cm, pts[0], ts[0]))):
+            shapes.clear()
+            call()
+            assert shapes.count((P, 4, 4, 4)) == 1 and len(shapes) == 2
+
+    def test_one_chart_evaluation_per_residual_call(self):
+        bg = model_background("round_sphere", dim=3, r0=1.0, direction="forward")
+        calls = {"sigma": 0, "space-time": 0}
+
+        def counted(name, predicate):
+            def inside(points):
+                calls[name] += 1
+                return predicate(points)
+            return inside
+
+        sigma = bg.conformal.sigma
+        sigma = dataclasses.replace(sigma, in_domain=counted("sigma", sigma.in_domain))
+        bg = dataclasses.replace(bg, conformal=dataclasses.replace(bg.conformal, sigma=sigma))
+        cm = build_canonical_metric(bg, "expanding", 1e3)
+        cm = dataclasses.replace(cm, field=dataclasses.replace(cm.field, in_domain=counted("space-time", cm.field.in_domain)))
+        rng = np.random.default_rng(8)
+        pts = sphere_stack(3, 4, rng)
+        pts[1, 0] = 0.001                           # outside the chart
+        ts = [0.05, 0.1, 0.15, 0.2 * cm.t_min]      # the last one below the floor
+        stack = ricci_soliton_residuals(cm, pts, ts)
+        assert stack.index.tolist() == [0, 2]
+        assert "outside chart domain" in str(stack.errors[1]) and "sampling floor" in str(stack.errors[3])
+        # the spatial domain once; the space-time chart, whose time window the door has checked, never
+        assert calls == {"sigma": 1, "space-time": 0}
+        ricci_soliton_residual(cm, pts[0], ts[0])
+        assert calls == {"sigma": 2, "space-time": 0}
+
+    def test_no_bracket_on_a_flat_quadrature_chunk(self, monkeypatch):
+        shapes = self.bracket_calls(monkeypatch)
+        gauss = model_background("gaussian_shrinker_flat", dim=3).soliton.potential(1.0)
+        assert weighted_functionals(flat_ball_domain(potential=gauss, grid=(6, 12, 4))).I_infty > 0
+        assert shapes == []
 
 
 class TestConditionEstimate:

@@ -82,6 +82,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             cfg_ricci(N_list=[-5.0, 100.0])
 
+    def test_a_sweep_without_N_list(self):
+        # a config without the key takes the empty default, which the sweep refuses
+        cfg = RunConfig.from_dict({"suite": "ricci_soliton_residual", "variant": "expanding",
+                                   "background": {"name": "euclidean_static"}})
+        assert cfg.N_list == []
+        with pytest.raises(ConfigError, match=r"^suite ricci_soliton_residual needs N_list with >= 1 entries$"):
+            run(cfg)
+
     def test_unknown_field(self):
         # the table's top-level keys are the fields of RunConfig, which takes them as given
         assert set(cli._CONFIG) == {f.name for f in dataclasses.fields(RunConfig)}
@@ -255,7 +263,7 @@ class TestSuites:
         assert report.summary["exact_zero"] is True
 
     def test_track_sweep_makes_one_batched_call_per_suite(self, monkeypatch):
-        calls = {"mcf_canonical_sweep": 0, "slice_stack": 0, "track_point_data": 0,
+        calls = {"mcf_canonical_sweep": 0, "_slice_stack": 0, "track_point_data": 0,
                  "mcf_canonical_residual": 0}
 
         def counted(module, name):
@@ -268,7 +276,7 @@ class TestSuites:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(cli, "mcf_canonical_sweep")
-        for name in ("slice_stack", "track_point_data", "mcf_canonical_residual"):
+        for name in ("_slice_stack", "track_point_data", "mcf_canonical_residual"):
             counted(track_module, name)
         cfg = RunConfig.from_dict({
             "suite": "mcf_soliton_residual",
@@ -282,7 +290,7 @@ class TestSuites:
         assert len(report.records) + len(report.errors) == 5 * 3
         # no silent fall-back to one evaluation per point, and the slices,
         # which do not depend on N, are evaluated once for all three N
-        assert calls == {"mcf_canonical_sweep": 1, "slice_stack": 1, "track_point_data": 0,
+        assert calls == {"mcf_canonical_sweep": 1, "_slice_stack": 1, "track_point_data": 0,
                          "mcf_canonical_residual": 0}
 
     @pytest.mark.parametrize("cfg", [
@@ -383,7 +391,7 @@ class TestSuites:
     @pytest.mark.parametrize("backend", ["analytic", "fd"])
     def test_christoffel_crosscheck_evaluates_the_background_once(self, monkeypatch, backend):
         # the closed forms' background half does not depend on N
-        calls = {"bundle": 0, "curvature": 0}
+        calls = {"_bundle": 0, "_curvature": 0}
         for name in calls:
             method = getattr(RicciFlowBackground, name)
 
@@ -400,7 +408,7 @@ class TestSuites:
             "samples": {"count": 3, "seed": 2, "backend": backend},
         }))
         assert report.passed
-        assert calls == {"bundle": 1, "curvature": 1}
+        assert calls == {"_bundle": 1, "_curvature": 1}
 
     def test_harnack_limits_suite(self):
         cfg = RunConfig.from_dict(
@@ -452,8 +460,8 @@ class TestSuites:
 
         calls = []
         for module in (backgrounds, track_module):
-            slice_stack = getattr(module, "slice_stack")
-            monkeypatch.setattr(module, "slice_stack",
+            slice_stack = getattr(module, "_slice_stack")
+            monkeypatch.setattr(module, "_slice_stack",
                                 lambda *args, fn=slice_stack: calls.append(1) or fn(*args))
         Ns = [1000.0, 2000.0, 4000.0]
         report = run(RunConfig.from_dict({"suite": "harnack_limits", "background": background, "mcf": flow,
@@ -472,8 +480,8 @@ class TestSuites:
 
     def test_harnack_ricci_limits_call_the_curvature_once(self, monkeypatch):
         calls = []
-        curvature = RicciFlowBackground.curvature
-        monkeypatch.setattr(RicciFlowBackground, "curvature", lambda *args: calls.append(1) or curvature(*args))
+        curvature = RicciFlowBackground._curvature
+        monkeypatch.setattr(RicciFlowBackground, "_curvature", lambda *args: calls.append(1) or curvature(*args))
         report = run(RunConfig.from_dict({
             "suite": "harnack_limits",
             "background": {"name": "round_sphere", "params": {"dim": 3, "r0": 1.0, "direction": "forward"}},

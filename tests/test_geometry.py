@@ -334,3 +334,23 @@ class TestErrors:
         m = flat_metric(2)
         with pytest.raises(ChartDomainError, match=r"^chart points must have shape \(d,\) or \(P, d\), got \(2, 1, 2\)$"):
             m.at(np.zeros((2, 1, 2)))
+
+
+class TestEmptyInput:
+    """An empty list is the empty stack for the stacked entries, and one point of dimension 0 for a single-point one."""
+
+    def test_an_empty_bundle(self):
+        b = metric_bundle(unit_sphere_metric(3), [], order=2)
+        assert (b.points.shape, b.g.shape, b.dg.shape, b.ddg.shape) == ((0, 3), (0, 3, 3), (0,) + (3,) * 3, (0,) + (3,) * 4)
+        assert b.index.tolist() == [] and b.errors == ()
+
+    def test_the_field_values_of_no_points(self):
+        assert unit_sphere_metric(3).at([]).shape == (0, 3, 3)
+        f = ScalarField.constant(1.0)
+        assert f.at([]).shape == (0,)
+        assert scalar_d1(f, []).shape == (0, 0)
+
+    @pytest.mark.parametrize("call", [inverse_metric, christoffel])
+    def test_a_single_point_call_refuses_it(self, call):
+        with pytest.raises(ChartDomainError, match=r"^point has dimension 0, chart has 3$"):
+            call(unit_sphere_metric(3), [])

@@ -136,6 +136,24 @@ for _variant, _direction, _digest in (
 # eight samples and two N: a flat background, where the spatial symbols
 # vanish and the shrinking G^0_bc slip still shows, and the dim-5 sphere
 # through the FD backend
+# the soliton kernel beyond the dim-3 sphere: the dim-5 sphere in every
+# variant, and the flat steady fixture, whose defect is an exact zero
+for _variant, _direction, _digest in (
+    ("expanding", "forward", "f02fffa0884be6c88f3e9e0ecc1c8113f5d1eee8f310d87d99685f81f72a49e3"),
+    ("shrinking", "backward", "0d88af10e1ca1403ee8a89b078c0a48781734236bf6b76fe37142fe8a726c393"),
+    ("steady", "backward", "22f2317e24f63c4ab91e213195e39fa52ec365a00c517f7d68e8f0c59907a7ed"),
+):
+    GOLDEN[f"ricci_soliton_residual/{_variant}-sphere-dim5"] = (
+        {**GOLDEN["ricci_soliton_residual"][0], "variant": _variant,
+         "background": {"name": "round_sphere", "params": {"dim": 5, "r0": 1.0, "direction": _direction}}},
+        _digest,
+    )
+GOLDEN["ricci_soliton_residual/steady-flat"] = (
+    {**GOLDEN["ricci_soliton_residual"][0], "variant": "steady",
+     "background": {"name": "euclidean_static", "params": {"dim": 3, "direction": "backward"}}},
+    "da407b1a96a0630bd107f39b611da3baae4f2dbfb29ebafa3dc2110ff348e0df",
+)
+
 GOLDEN["christoffel_crosscheck/flat-count8"] = (
     {"suite": "christoffel_crosscheck", "variant": "shrinking",
      "background": {"name": "euclidean_static", "params": {"dim": 3, "direction": "backward"}},

@@ -66,6 +66,13 @@ def test_every_exported_name_is_defined(module):
     assert not stale, f"cansol.{module}.__all__ names {stale}, which the module does not define"
 
 
+@pytest.mark.parametrize("module", MODULES + ["__init__"])
+def test_no_private_name_is_exported(module):
+    # the ``_``-private cores trust their input; the benchmark's tracer times what ``__all__`` lists
+    private = sorted(name for name in exported_names(parse(module)) if name.startswith("_"))
+    assert not private, f"cansol.{module}.__all__ names the private {private}"
+
+
 def test_the_traced_bindings_are_imports_that_nothing_else_uses():
     # an entry that is no longer needed goes from TRACED_BINDINGS
     for module, name in TRACED_BINDINGS:

@@ -230,7 +230,7 @@ class TestSolitonDefect:
         # w = g_00 at z comes with the track data; the metric is not evaluated again
         from cansol import geometry, track
 
-        calls = {"MetricField.at": 0, "metric_bundle": 0}
+        calls = {"MetricField.at": 0, "_metric_bundle": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -243,10 +243,10 @@ class TestSolitonDefect:
         d = track_point_data(tr, x, t)
         assert np.array_equal(d.g, tr.cm.field.at(d.z))
         monkeypatch.setattr(geometry.MetricField, "at", counted("MetricField.at", geometry.MetricField.at))
-        monkeypatch.setattr(track, "metric_bundle", counted("metric_bundle", track.metric_bundle))
+        monkeypatch.setattr(track, "_metric_bundle", counted("_metric_bundle", track._metric_bundle))
         for _ in range(2):
             closed_form_normal_potential(tr, x, t)
-        assert calls == {"MetricField.at": 0, "metric_bundle": 2}
+        assert calls == {"MetricField.at": 0, "_metric_bundle": 2}
 
     @pytest.mark.parametrize("variant", ["expanding", "shrinking", "steady"])
     def test_scaled_defect_bounded(self, variant):
