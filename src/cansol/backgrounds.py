@@ -346,8 +346,11 @@ class RicciFlowBackground:
         """The curvature of g(t_p) at a (P, m) stack of points p, one time each, checked as by ``bundle``.
 
         A bare (m,) point is a one-row stack: every array has a leading axis of length 1.
+        The first point outside the chart raises, after the times.
         """
-        return self._curvature(*self._paired(points, ts))
+        pts, ts = self._paired(points, ts)
+        _raise_first(_point_errors(pts, self.conformal.sigma.in_domain))
+        return self._curvature(pts, ts)
 
     def _curvature(self, pts: np.ndarray, ts: list) -> BackgroundCurvature:
         """``curvature``'s core: a (P, m) stack of points and their P float times, the times checked."""

@@ -48,7 +48,6 @@ from .geometry import (
     christoffel,  # noqa: F401  (canonical.christoffel, a binding the benchmark tracer patches)
     christoffel_batch,
     hessian_batch,
-    metric_bundle,
     ricci_batch,
     tensor_norm_batch,
 )
@@ -383,13 +382,15 @@ def limit_riccis(bg: RicciFlowBackground, Xs, points, ts) -> list:
     Ric(X, X) + g(X, grad R) + (dR/dt + R/t) / 2, assembled from background
     data only, from one background curvature call; it requires a forward
     background.  One entry per triple, in order: the float, or the
-    ``ChartDomainError`` of a time outside the background's domain.  An
-    entry does not depend on the rest of the stack.
+    ``ChartDomainError`` of a time outside the background's domain, else of
+    a point outside its chart.  An entry does not depend on the rest of the
+    stack.
     """
     if bg.direction != "forward":
         raise CanonicalConfigError("limit_riccis needs a forward background")
     p, t, X = _pairs(points, ts, bg.dim, Xs)
-    out = _time_errors(t.tolist(), bg.time_domain)
+    out = [e or f for e, f in zip(_time_errors(t.tolist(), bg.time_domain),
+                                  _point_errors(p, bg.conformal.sigma.in_domain))]
     index, X, p, t = _drop(out, np.arange(len(t)), out, X, p, t)
     c = bg._curvature(p, t.tolist())
     quad = (X[:, None] @ c.ric @ X[..., None]).ravel()
@@ -462,12 +463,20 @@ def _sweep_base(cms) -> RicciFlowBackground:
     return bg
 
 
-def _spacetime_stack(bg: RicciFlowBackground, points, ts) -> np.ndarray:
-    """The (P, m + 1) stack of space-time points z = (t, p) of a nonempty sample list."""
+def _spacetime_stack(cms, points, ts) -> np.ndarray:
+    """The door of the closed forms: the (P, m + 1) stack z = (t, p) of a nonempty sample list.
+
+    The metrics' one background, the pairing, and each pair's chart then
+    time are checked once, here; the first failing pair raises.
+    """
+    bg = _sweep_base(cms)
     p, t = _pairs(points, ts, bg.dim)
     if not len(t):
         raise CanonicalConfigError("no (p, t) samples: the closed-form tables need at least one")
-    return np.column_stack((t, p))
+    z = np.column_stack((t, p))
+    times = _time_errors(t.tolist(), bg.time_domain)
+    _raise_first([e or f for e, f in zip(_point_errors(z, cms[0].field.in_domain), times)])
+    return z
 
 
 def canonical_christoffel_closed_forms(cms, points, ts) -> list:
@@ -488,21 +497,16 @@ def canonical_christoffel_closed_forms(cms, points, ts) -> list:
     cms = list(cms)
     if not cms:
         return []
-    bg = _sweep_base(cms)
-    return _closed_forms(cms, _spacetime_stack(bg, points, ts))
+    return _closed_forms(cms, _spacetime_stack(cms, points, ts))
 
 
 def _closed_forms(cms, z: np.ndarray) -> list:
-    """``canonical_christoffel_closed_forms`` at a (P, m + 1) stack z = (t, p) of metrics on one background."""
+    """``canonical_christoffel_closed_forms``' core, at the (P, m + 1) stack z = (t, p) its door checked."""
     bg = cms[0].base
     m = bg.dim
     # the time column of z: a strided view whatever the layout of ts, so
     # every stack takes the same numpy loop and a row's bits do not vary
     t = z[:, 0]
-    times = _time_errors(t.tolist(), bg.time_domain)
-    _raise_first([e or f for e, f in zip(_point_errors(z, cms[0].field.in_domain), times)])
-
-    # the rows are checked: the background's cores take them as they are
     pts, ts = z[:, 1:], t.tolist()
     b = bg._bundle(pts, ts, 1)
     b.raise_error()
@@ -568,10 +572,10 @@ def christoffel_crosscheck(cms, samples) -> list:
     Returns one pair of per-symbol-class tables of relative errors per
     metric, in order: (derived, printed), against the two closed-form
     tables, from one engine evaluation per metric.  The samples are
-    stacked once, and one background evaluation serves the closed forms of
-    every metric (``canonical_christoffel_closed_forms``).  Each class is
-    scaled by the largest engine entry it contains over all samples;
-    classes that vanish in both evaluations report their absolute
+    stacked and checked once, as by ``canonical_christoffel_closed_forms``,
+    and one background evaluation serves the closed forms of every metric.
+    Each class is scaled by the largest engine entry it contains over all
+    samples; classes that vanish in both evaluations report their absolute
     mismatch.  Every metric must be built on one background; an empty
     ``cms`` gives [].
     """
@@ -579,10 +583,10 @@ def christoffel_crosscheck(cms, samples) -> list:
     if not cms:
         return []
     samples = list(samples)
-    z = _spacetime_stack(_sweep_base(cms), [p for p, _ in samples], [t for _, t in samples])
+    z = _spacetime_stack(cms, [p for p, _ in samples], [t for _, t in samples])
     engines = []
     for cm in cms:
-        b = metric_bundle(cm.field, z, order=1)
+        b = _metric_bundle(cm.field, z, 1)
         b.raise_error()
         engines.append(christoffel_batch(b))
     out = []

@@ -49,7 +49,6 @@ from .backgrounds import (
     SliceStack,
     _slice_stack,
     extrinsic_geometry_batch,
-    hypersurface_point_data,
 )
 from .canonical import CanonicalConfigError, CanonicalMetric, FormCorrection, ResidualSample, ResidualStack, _profiles
 from .geometry import (
@@ -90,11 +89,6 @@ class SpaceTimeTrack:
         return self.mcf.hypersurface_dim
 
 
-def _track_time_errors(track: SpaceTimeTrack, ts) -> list:
-    """``_time_errors`` in the track's windows: the flow's domain, the sampling floor, the ambient's domain."""
-    return _time_errors(ts, track.mcf.time_domain, track.mcf.ambient.time_domain, floor=track.cm.t_min)
-
-
 def build_track(mcf: MCFSolution, cm: CanonicalMetric) -> SpaceTimeTrack:
     """Pair a flow with a canonical metric built on the flow's own background."""
     a, b = mcf.ambient, cm.base
@@ -130,21 +124,17 @@ def _sigma_N(scale: float, H: float, w: float) -> float:
 
 
 class _SliceRows(NamedTuple):
-    """The N-independent half of a track stack: the checked pairs, their slices and track inputs.
+    """The N-independent half of a track stack: the checked pairs' slices and track inputs.
 
-    ``xs`` and ``ts`` are the pairs as floats, and ``errors`` has one
-    entry per pair: None, or the exception the sampling floor or the
-    slice recorded there.  Row j of ``slices``, ``z``, ``basis``,
-    ``ddPhi`` and ``lifted`` lies over pair ``index[j]``: its slice, its
-    space-time point (t, F), the track's tangent basis and second
-    partials there, and the lifted slice normal (0, nu).
+    ``slices.errors`` has one entry per pair: None, or the exception the
+    sampling floor or the slice recorded there.  Row j of ``slices``,
+    ``z``, ``basis``, ``ddPhi`` and ``lifted`` lies over pair
+    ``slices.index[j]``: its slice, its space-time point (t, F), the
+    track's tangent basis and second partials there, and the lifted slice
+    normal (0, nu).
     """
 
-    xs: np.ndarray
-    ts: list
-    errors: list
     slices: SliceStack
-    index: np.ndarray
     z: np.ndarray
     basis: np.ndarray
     ddPhi: np.ndarray
@@ -154,14 +144,12 @@ class _SliceRows(NamedTuple):
 class _TrackStack(NamedTuple):
     """Track geometry at a stack of (x, t) pairs, stacked over the pairs in ``index``.
 
-    ``pairs`` is the N-independent half it was built on, and ``errors``
-    has one entry per pair: None, or the exception ``track_point_data``
-    raises there.  Row j lies over pair ``index[j]``; ``z`` and ``g`` are
-    the space-time points and metrics there, and ``ext`` the
-    ``extrinsic_geometry_batch`` results of the track.
+    ``errors`` has one entry per pair: None, or the exception
+    ``track_point_data`` raises there.  Row j lies over pair ``index[j]``;
+    ``z`` and ``g`` are the space-time points and metrics there, and
+    ``ext`` the ``extrinsic_geometry_batch`` results of the track.
     """
 
-    pairs: _SliceRows
     index: np.ndarray
     errors: list
     z: np.ndarray
@@ -173,18 +161,18 @@ class _TrackStack(NamedTuple):
 def _slice_rows(track: SpaceTimeTrack, xs, ts) -> _SliceRows:
     """The N-independent half of the track evaluation at a stack of (x, t) pairs.
 
-    The door of the track sweeps: the pairing, the times (one
-    ``_track_time_errors`` pass) and the points' finiteness are checked
-    once, here.  The slice core evaluates the slices once on the pairs
+    The door of the track sweeps and oracles: the pairing, the times (one
+    ``_time_errors`` pass over the flow's domain, the sampling floor and
+    the ambient's domain) and the points' finiteness are checked once,
+    here.  The slice core evaluates the slices once on the pairs
     still standing, and the track's space-time points, tangent basis,
     second partials and orienting vectors are built from them.
     """
+    mcf = track.mcf
     xs, times = _pairs(xs, ts, track.n)
-    ts = times.tolist()
-    errors = [e or f for e, f in zip(_track_time_errors(track, ts), _point_errors(xs))]
-    slices = _slice_stack(track.mcf, xs, times, errors)
-    index = slices.index
-    t = times[index]
+    timed = _time_errors(times.tolist(), mcf.time_domain, mcf.ambient.time_domain, floor=track.cm.t_min)
+    slices = _slice_stack(mcf, xs, times, [e or f for e, f in zip(timed, _point_errors(xs))])
+    t = times[slices.index]
     F, Ft, Fx, Fxx, Fxt, Ftt = slices.jet
     n, P = track.n, len(F)
     z = np.empty((P, n + 2))
@@ -204,7 +192,7 @@ def _slice_rows(track: SpaceTimeTrack, xs, ts) -> _SliceRows:
     # the track normal is oriented toward the lifted slice normal (0, nu)
     lifted = np.zeros((P, n + 2))
     lifted[:, 1:] = slices.ext[2]
-    return _SliceRows(xs, ts, errors, slices, index, z, basis, ddPhi, lifted)
+    return _SliceRows(slices, z, basis, ddPhi, lifted)
 
 
 def _track_stack(track: SpaceTimeTrack, pairs: _SliceRows) -> _TrackStack:
@@ -213,22 +201,22 @@ def _track_stack(track: SpaceTimeTrack, pairs: _SliceRows) -> _TrackStack:
     The space-time metric and the track's extrinsic geometry are each
     evaluated once on the pairs whose slices stand.
     """
-    errors = list(pairs.errors)
+    errors = list(pairs.slices.errors)
     # z = (t, F): t in the background's domain and F in its chart, so z lies in the canonical chart
     st = _metric_bundle(track.cm.field, pairs.z, 1)
-    index, basis, ddPhi, lifted = _drop(errors, pairs.index, st.errors, pairs.basis, pairs.ddPhi, pairs.lifted)
+    index, basis, ddPhi, lifted = _drop(errors, pairs.slices.index, st.errors, pairs.basis, pairs.ddPhi, pairs.lifted)
     ext, bad = extrinsic_geometry_batch(basis, ddPhi, st.g, christoffel_batch(st), lifted)
     index, z, g, basis = _drop(errors, index, bad, st.points, st.g, basis)
-    return _TrackStack(pairs, index, errors, z, g, basis, ext)
+    return _TrackStack(index, errors, z, g, basis, ext)
 
 
-def _track_stacks(mcf: MCFSolution, cms, xs, ts) -> list:
-    """The track stack of each canonical metric of ``cms`` over the (x, t) pairs, on one slice evaluation."""
+def _track_stacks(mcf: MCFSolution, cms, xs, ts) -> tuple:
+    """The slices over the (x, t) pairs (None without metrics), and each metric's track stack on them."""
     tracks = [build_track(mcf, cm) for cm in cms]
     if not tracks:
-        return []
+        return None, []
     pairs = _slice_rows(tracks[0], xs, ts)
-    return [_track_stack(track, pairs) for track in tracks]
+    return pairs.slices, [_track_stack(track, pairs) for track in tracks]
 
 
 def track_point_sweep(mcf: MCFSolution, cms, x: np.ndarray, t: float) -> list:
@@ -240,12 +228,12 @@ def track_point_sweep(mcf: MCFSolution, cms, x: np.ndarray, t: float) -> list:
     ``mcf.ambient``.
     """
     cms = list(cms)
-    stacks = _track_stacks(mcf, cms, [x], [t])
+    slices, stacks = _track_stacks(mcf, cms, [x], [t])
     for stack in stacks:
         _raise_first(stack.errors)
     if not stacks:
         return []
-    hyp = stacks[0].pairs.slices.record(0)
+    hyp = slices.record(0)
     out = []
     for cm, stack in zip(cms, stacks):
         induced, induced_inv, nu, h, H_track = (a[0] for a in stack.ext)
@@ -301,7 +289,8 @@ def mcf_canonical_sweep(mcf: MCFSolution, cms, xs, ts) -> list:
     sampling floor is then the same for all of them.
     """
     cms = list(cms)
-    return [_residuals(cm, stack) for cm, stack in zip(cms, _track_stacks(mcf, cms, xs, ts))]
+    _, stacks = _track_stacks(mcf, cms, xs, ts)
+    return [_residuals(cm, stack) for cm, stack in zip(cms, stacks)]
 
 
 def mcf_canonical_residual(track: SpaceTimeTrack, x: np.ndarray, t: float) -> ResidualSample:
@@ -339,6 +328,13 @@ def closed_form_normal_potential(track: SpaceTimeTrack, x: np.ndarray, t: float)
     return cm.sign * cm.N * H / (2.0 * t**3 * w * sN)
 
 
+def _slice_record(track: SpaceTimeTrack, x: np.ndarray, t: float) -> HypersurfacePointData:
+    """The slice at one (x, t) pair, checked at the track's door: its first error raises."""
+    slices = _slice_rows(track, [x], [t]).slices
+    _raise_first(slices.errors)
+    return slices.record(0)
+
+
 def limit_inverse_metric(track: SpaceTimeTrack, x: np.ndarray, t: float) -> np.ndarray:
     """Degenerate large-N limit of the inverse induced metric, (n+1, n+1).
 
@@ -346,9 +342,8 @@ def limit_inverse_metric(track: SpaceTimeTrack, x: np.ndarray, t: float) -> np.n
     (steady); the time row and column vanish in the limit, the finite-N
     time-time entry being t / (H^2 + t w) and its analogues.
     """
-    _raise_first(_track_time_errors(track, [t]))
+    hyp = _slice_record(track, x, t)
     t = float(t)
-    hyp = hypersurface_point_data(track.mcf, x, t)
     n = track.n
     out = np.zeros((n + 1, n + 1))
     out[1:, 1:] = track.cm.time_scale(t) * hyp.induced_inv
@@ -431,12 +426,11 @@ def closed_form_second_ff(track: SpaceTimeTrack, x: np.ndarray, t: float) -> dic
     inverse has a stray tau; H^S ~ (t/sigma_N) H should read H/sigma_N
     (both limit to sqrt(t) H).
     """
-    _raise_first(_track_time_errors(track, [t]))
+    hyp = _slice_record(track, x, t)
     t = float(t)
     cm = track.cm
     n = track.n
 
-    hyp = hypersurface_point_data(track.mcf, x, t)
     T = hyp.tangents
     nu = hyp.normal
     H = hyp.mean_curvature

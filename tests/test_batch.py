@@ -25,6 +25,7 @@ from cansol.canonical import (
     build_canonical_metric,
     canonical_christoffel_closed_forms,
     canonical_ricci_quadratics,
+    christoffel_crosscheck,
     limit_riccis,
     ricci_soliton_residual,
     ricci_soliton_residuals,
@@ -60,6 +61,8 @@ from cansol.harnack import (
 )
 from cansol.track import (
     build_track,
+    closed_form_second_ff,
+    limit_inverse_metric,
     mcf_canonical_residual,
     mcf_canonical_sweep,
     track_point_data,
@@ -574,7 +577,8 @@ class TestTimeValidator:
 
 
 def stacked_entries():
-    """Each stacked entry as (chart dimension, call on (points, ts), count of pairs in its result)."""
+    """Each stacked entry as (chart dimension, call on (points, ts), count of pairs in its result,
+    per-pair errors of its result, or None for an entry that raises the first)."""
     sphere = model_background("round_sphere", dim=3, r0=1.0, direction="forward")
     flat = model_background("euclidean_static", dim=3, direction="forward")
     mcf = model_mcf("shrinking_sphere_flat", flat, r0=1.0)
@@ -584,20 +588,23 @@ def stacked_entries():
     def good(ts):
         return np.full((len(ts), 3), 1.0)
 
+    def errors(out):
+        return out.errors
+
     return {
-        "bundle": (3, sphere.bundle, lambda out: len(out.errors)),
-        "curvature": (3, sphere.curvature, lambda out: max(len(a) for a in out)),
-        "slice_stack": (2, lambda xs, ts: slice_stack(mcf, xs, ts), lambda out: len(out.errors)),
+        "bundle": (3, sphere.bundle, lambda out: len(out.errors), errors),
+        "curvature": (3, sphere.curvature, lambda out: max(len(a) for a in out), None),
+        "slice_stack": (2, lambda xs, ts: slice_stack(mcf, xs, ts), lambda out: len(out.errors), errors),
         "mcf_canonical_sweep": (2, lambda xs, ts: mcf_canonical_sweep(mcf, [track_cm], xs, ts),
-                                lambda out: len(out[0].errors)),
+                                lambda out: len(out[0].errors), lambda out: out[0].errors),
         "ricci_soliton_residuals": (3, lambda ps, ts: ricci_soliton_residuals(cm, ps, ts),
-                                    lambda out: len(out.errors)),
-        "canonical_ricci_quadratics": (3, lambda ps, ts: canonical_ricci_quadratics(cm, good(ts), ps, ts), len),
-        "canonical_ricci_quadratics X": (3, lambda Xs, ts: canonical_ricci_quadratics(cm, Xs, good(ts), ts), len),
-        "limit_riccis": (3, lambda ps, ts: limit_riccis(sphere, good(ts), ps, ts), len),
-        "limit_riccis X": (3, lambda Xs, ts: limit_riccis(sphere, Xs, good(ts), ts), len),
+                                    lambda out: len(out.errors), errors),
+        "canonical_ricci_quadratics": (3, lambda ps, ts: canonical_ricci_quadratics(cm, good(ts), ps, ts), len, list),
+        "canonical_ricci_quadratics X": (3, lambda Xs, ts: canonical_ricci_quadratics(cm, Xs, good(ts), ts), len, list),
+        "limit_riccis": (3, lambda ps, ts: limit_riccis(sphere, good(ts), ps, ts), len, list),
+        "limit_riccis X": (3, lambda Xs, ts: limit_riccis(sphere, Xs, good(ts), ts), len, list),
         "canonical_christoffel_closed_forms": (3, lambda ps, ts: canonical_christoffel_closed_forms([cm], ps, ts),
-                                               None),
+                                               None, None),
     }
 
 
@@ -612,7 +619,7 @@ class TestPairing:
 
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_a_count_mismatch_is_a_geometry_error(self, entry):
-        dim, call, _ = self.ENTRIES[entry]
+        dim, call, *_ = self.ENTRIES[entry]
         with pytest.raises(GeometryError) as info:
             call(self.rows(2, dim), [0.1, 0.15, 0.2])
         assert type(info.value) is GeometryError and str(info.value) == f"3 times for 2 {self.row(entry)}s"
@@ -624,7 +631,7 @@ class TestPairing:
 
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_a_wrong_dimension_is_a_chart_domain_error(self, entry):
-        dim, call, _ = self.ENTRIES[entry]
+        dim, call, *_ = self.ENTRIES[entry]
         for count, times in ((2, [0.1, 0.15]), (1, [0.1])):
             with pytest.raises(ChartDomainError, match=f"^{self.row(entry)} has dimension {dim + 1}, chart has {dim}$"):
                 call(self.rows(count, dim + 1), times)
@@ -635,25 +642,41 @@ class TestPairing:
         # but the rows have dimension 6 / dim: the same error, not a result.
         # Among them, three 2-d points for a 3-d canonical metric at two
         # times, and two 3-d x rows for a 2-d flow at three.
-        dim, call, _ = self.ENTRIES[entry]
+        dim, call, *_ = self.ENTRIES[entry]
         times = [0.1, 0.15, 0.2][: 6 // dim]
         with pytest.raises(ChartDomainError, match=f"^{self.row(entry)} has dimension {6 // dim}, chart has {dim}$"):
             call(self.rows(dim, 6 // dim), times)
 
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_times_must_be_one_dimensional(self, entry):
-        dim, call, _ = self.ENTRIES[entry]
+        dim, call, *_ = self.ENTRIES[entry]
         with pytest.raises(GeometryError, match=r"^times must have shape \(P,\), got \(2, 1\)$"):
             call(self.rows(2, dim), [[0.1], [0.15]])
 
-    @pytest.mark.parametrize("entry", [e for e, (_, _, size) in ENTRIES.items() if size is not None])
+    @pytest.mark.parametrize("entry", [e for e, (_, _, size, _) in ENTRIES.items() if size is not None])
     def test_an_empty_stack_gives_an_empty_result(self, entry):
-        dim, call, size = self.ENTRIES[entry]
+        dim, call, size, _ = self.ENTRIES[entry]
         for empty in ([], np.empty((0, dim))):
             assert size(call(empty, [])) == 0
 
+    # points outside the chart: a non-finite one in any chart, one in the pole band of the 3-sphere's
+    OUTSIDE = {2: ([math.nan, 1.0],), 3: ([1.0, math.nan, 1.0], [0.0, 1.0, 1.0])}
+
+    @pytest.mark.parametrize("entry", [e for e in ENTRIES if not e.endswith(" X")])
+    def test_a_point_outside_the_chart_is_a_chart_domain_error(self, entry):
+        dim, call, _, errors = self.ENTRIES[entry]
+        for bad in self.OUTSIDE[dim]:
+            rows, times = np.vstack((self.rows(1, dim), [bad], self.rows(1, dim))), [0.1, 0.15, 0.2]
+            if errors is None:
+                with pytest.raises(ChartDomainError):
+                    call(rows, times)
+            else:
+                got = errors(call(rows, times))
+                assert [isinstance(e, Exception) for e in got] == [False, True, False], bad
+                assert type(got[1]) is ChartDomainError
+
     def test_the_closed_forms_keep_their_config_error_for_no_samples(self):
-        _, call, _ = self.ENTRIES["canonical_christoffel_closed_forms"]
+        _, call, *_ = self.ENTRIES["canonical_christoffel_closed_forms"]
         for empty in ([], np.empty((0, 3))):
             with pytest.raises(CanonicalConfigError, match=r"no \(p, t\) samples"):
                 call(empty, [])
@@ -1087,13 +1110,16 @@ class TestClosedFormStacks:
                 canonical_christoffel_closed_forms([cm], [p], [t])
             assert str(single.value) == message
         pairs = [(good, 0.4), (good, 0.9)] + [pair for pair, _ in bad]
-        # each pair in turn leads the remaining stack, behind good ones
+        # each pair in turn leads the remaining stack, behind good ones; the
+        # cross-check has the same door
         for k, (_, message) in enumerate(bad):
             rest = pairs[:2] + pairs[2 + k:]
-            with pytest.raises(ChartDomainError) as stacked:
-                canonical_christoffel_closed_forms([cm], [p for p, _ in rest], [t for _, t in rest])
-            assert type(stacked.value) is ChartDomainError
-            assert str(stacked.value) == message
+            for call in (lambda: canonical_christoffel_closed_forms([cm], [p for p, _ in rest], [t for _, t in rest]),
+                         lambda: christoffel_crosscheck([cm], rest)):
+                with pytest.raises(ChartDomainError) as stacked:
+                    call()
+                assert type(stacked.value) is ChartDomainError
+                assert str(stacked.value) == message
 
 
 class TestPolynomialPartials:
@@ -1343,7 +1369,39 @@ class TestZeroConnectionHessian:
 
 
 class TestCheckedAtTheDoor:
-    """The soliton kernel checks its rows once, at its door, and forms the metric bracket once."""
+    """Each entry checks its rows once, at its door; the soliton kernel forms the metric bracket once."""
+
+    @staticmethod
+    def validator_calls(monkeypatch, name):
+        """A list that grows by one at each call of the validator ``geometry.<name>``, from any module."""
+        from cansol import backgrounds, canonical as canonical_module, track as track_module
+
+        calls = []
+        check = getattr(geometry, name)
+        for module in (geometry, backgrounds, canonical_module, track_module):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *args, **kw: calls.append(1) or check(*args, **kw))
+        return calls
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_point_check_per_crosscheck(self, monkeypatch, variant):
+        bg = canonical(variant, 3, 1.0).base
+        cms = [build_canonical_metric(bg, variant, N) for N in (1e2, 1e3, 1e4)]
+        cms[1] = dataclasses.replace(cms[1], field=cms[1].field.without_analytic_derivatives())
+        rng = np.random.default_rng(11)
+        samples = list(zip(sphere_stack(3, 8, rng), rng.uniform(cms[0].t_min, bg.time_domain[1], 8)))
+        calls = self.validator_calls(monkeypatch, "_point_errors")
+        assert len(christoffel_crosscheck(cms, samples)) == 3
+        # the door checks the stack once for the three engines and the closed forms
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("oracle", [closed_form_second_ff, limit_inverse_metric])
+    def test_one_time_check_per_track_oracle(self, monkeypatch, oracle):
+        mcf = _flow("shrinking_sphere_flat", 3, "forward")
+        track = build_track(mcf, build_canonical_metric(mcf.ambient, "expanding", 1e3))
+        calls = self.validator_calls(monkeypatch, "_time_errors")
+        oracle(track, np.array([1.1, 0.7]), 0.1)
+        assert len(calls) == 1
 
     @staticmethod
     def bracket_calls(monkeypatch):

@@ -87,7 +87,7 @@ class TestAgainstTheHandDerivedPartials:
         assert np.array_equal(v, R(ts))
         assert deviation(d1[:, None], dR(ts)[:, None]) <= TOL
         assert deviation(d2[:, None], d2R(ts)[:, None]) <= TOL
-        c = bg.curvature(np.zeros((len(ts), dim)), ts)
+        c = bg.curvature(np.ones((len(ts), dim)), ts)
         assert np.array_equal(c.R, R(ts))
         assert deviation(c.dRdt[:, None], dR(ts)[:, None]) <= TOL
         for t in ts[:2]:

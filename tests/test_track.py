@@ -139,13 +139,13 @@ class TestClosedFormSecondFF:
     @pytest.mark.parametrize("variant", ["expanding", "shrinking", "steady"])
     def test_one_slice_evaluation_serves_every_table(self, monkeypatch, variant):
         calls = []
-        evaluate = track_module.hypersurface_point_data
+        evaluate = track_module._slice_stack
 
         def counted(*args):
             calls.append(args)
             return evaluate(*args)
 
-        monkeypatch.setattr(track_module, "hypersurface_point_data", counted)
+        monkeypatch.setattr(track_module, "_slice_stack", counted)
         forms = closed_form_second_ff(sphere_track(variant, 100.0), np.array([1.1, 0.7]), 0.1)
         assert len(calls) == 1
         assert list(forms) == ["full", "leading"]
