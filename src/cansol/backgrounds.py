@@ -39,18 +39,16 @@ from .geometry import (
     MetricBundle,
     MetricField,
     ScalarField,
+    _door,
     _drop,
     _inverse,
     _metric_bundle,
     _one_point,
-    _pairs,
     _point_errors,
     _raise_first,
     _symmetrized,
-    _time_errors,
     christoffel_batch,
     hessian_batch,
-    metric_bundle,
     ricci_batch,
     scalar_d1,
 )
@@ -314,12 +312,10 @@ class RicciFlowBackground:
         if self.direction not in ("forward", "backward"):
             raise BackgroundError(f"unknown flow direction {self.direction!r}")
 
-    def _paired(self, points, ts) -> tuple:
-        """``_pairs`` of points and their times, the times as floats; the first outside the domain raises."""
-        pts, times = _pairs(points, ts, self.dim)
-        ts = times.tolist()
-        _raise_first(_time_errors(ts, self.time_domain))
-        return pts, ts
+    def _door(self, points, ts, *vectors, floor=-math.inf) -> tuple:
+        """``geometry._door`` of (point, time) pairs here: this background's time domain, then sigma's chart."""
+        return _door(points, ts, self.dim, (self.time_domain,), *vectors,
+                     floor=floor, in_domain=self.conformal.sigma.in_domain)
 
     @property
     def flat(self) -> bool:
@@ -329,28 +325,27 @@ class RicciFlowBackground:
     def bundle(self, points, ts, order: int = 1) -> MetricBundle:
         """The ``metric_bundle`` of g(t_p) = phi(t_p) sigma at a stack of points p, one time each.
 
-        The times are checked in order, and the first outside the domain
-        raises, as does a count of times other than the count of points;
-        sigma and its jet are evaluated once for the whole stack.
+        A pair that fails the door (its time, then its point) is left out and
+        its error recorded in ``errors``, as ``metric_bundle`` records a
+        point; sigma and its jet are evaluated once for the whole stack.
         """
-        c = self.conformal
-        pts, ts = self._paired(points, ts)
-        return metric_bundle(c.sigma, pts, order, scale=[c.phi(t) for t in ts])
+        errors, index, pts, times = self._door(points, ts)
+        return self._bundle(pts, times.tolist(), order, errors, index)
 
-    def _bundle(self, pts: np.ndarray, ts: list, order: int) -> MetricBundle:
-        """``bundle``'s core: a (P, m) stack of finite chart points and their P float times, all checked."""
+    def _bundle(self, pts: np.ndarray, ts: list, order: int, errors=None, index=None) -> MetricBundle:
+        """``bundle``'s core on checked rows: (P, m) chart points, P float times, the door's errors and index."""
         c = self.conformal
-        return _metric_bundle(c.sigma, pts, order, np.array([c.phi(t) for t in ts], dtype=float))
+        return _metric_bundle(c.sigma, pts, order, np.array([c.phi(t) for t in ts], dtype=float), errors, index)
 
     def curvature(self, points, ts) -> BackgroundCurvature:
         """The curvature of g(t_p) at a (P, m) stack of points p, one time each, checked as by ``bundle``.
 
         A bare (m,) point is a one-row stack: every array has a leading axis of length 1.
-        The first point outside the chart raises, after the times.
+        The first failing pair raises its error.
         """
-        pts, ts = self._paired(points, ts)
-        _raise_first(_point_errors(pts, self.conformal.sigma.in_domain))
-        return self._curvature(pts, ts)
+        errors, _, pts, times = self._door(points, ts)
+        _raise_first(errors)
+        return self._curvature(pts, times.tolist())
 
     def _curvature(self, pts: np.ndarray, ts: list) -> BackgroundCurvature:
         """``curvature``'s core: a (P, m) stack of points and their P float times, the times checked."""
@@ -360,9 +355,11 @@ class RicciFlowBackground:
         return BackgroundCurvature(np.asarray(c.ric_sigma(pts)), R, dRdt, np.zeros(pts.shape))
 
     def dt_metric_at(self, p: np.ndarray, t: float) -> np.ndarray:
-        _raise_first(_time_errors([t], self.time_domain))
+        """dg/dt at one (point, time) pair, checked as by ``curvature``."""
+        errors, _, pts, _ = self._door(_one_point(p), [t])
+        _raise_first(errors)
         dphi = jets.derivatives(self.conformal.phi, float(t), order=1)[1]
-        return dphi * np.asarray(self.conformal.sigma.components(p))
+        return dphi * np.asarray(self.conformal.sigma.components(pts))[0]
 
     def sample_points(self, count: int, rng: np.random.Generator) -> list[np.ndarray]:
         """Random chart points from ``sample_box``, away from coordinate singularities."""
@@ -839,14 +836,15 @@ class SliceStack(NamedTuple):
     """The geometry of M_t at a stack of (x, t) pairs, stacked over the pairs in ``index``.
 
     ``errors`` has one entry per pair: None, or the exception
-    ``hypersurface_point_data`` raises there.  ``ext`` holds the
-    ``extrinsic_geometry_batch`` results, ``g`` and ``ginv`` the ambient
+    ``hypersurface_point_data`` raises there.  Row j lies over pair
+    ``index[j]``: ``xs`` and ``ts`` hold the rows' points and times, ``ext``
+    the ``extrinsic_geometry_batch`` results, ``g`` and ``ginv`` the ambient
     metric at the image points.
     """
 
     mcf: MCFSolution
-    xs: np.ndarray                # (P, n), every pair
-    ts: list                      # P floats, every pair
+    xs: np.ndarray                # (P, n), the stacked rows
+    ts: list                      # P floats, the stacked rows
     index: np.ndarray
     errors: list
     jet: tuple
@@ -856,8 +854,7 @@ class SliceStack(NamedTuple):
 
     def record(self, j: int) -> HypersurfacePointData:
         """The ``HypersurfacePointData`` of stacked row j, with the ambient's curvature there."""
-        i = self.index[j]
-        x, t = self.xs[i], self.ts[i]
+        x, t = self.xs[j], self.ts[j]
         induced, induced_inv, nu, h, H = (a[j] for a in self.ext)
         jet = tuple(a[j] for a in self.jet)
         return HypersurfacePointData(
@@ -883,25 +880,20 @@ def slice_stack(mcf: MCFSolution, xs, ts) -> SliceStack:
 
     ``xs`` is a (P, n) stack of chart points and ``ts`` their P times.  Each
     pair is checked, and its failure recorded in ``errors``, as
-    ``metric_bundle`` does: a time outside the flow's domain, then the
-    ambient's (one ``_time_errors`` pass), then a non-finite x or an image
-    outside the ambient chart (``ChartDomainError``), then a degenerate
-    ambient or induced metric (``DegenerateMetricError``).  The flow's
-    callbacks and the ambient's ``bundle`` run once, on the pairs that pass.
+    ``metric_bundle`` does.  The door (``geometry._door``) checks a time
+    outside the flow's domain, then the ambient's, then a non-finite x; the
+    core, an image outside the ambient chart (``ChartDomainError``), then a
+    degenerate ambient or induced metric (``DegenerateMetricError``).  The
+    flow's callbacks and the ambient's bundle run once, on the pairs that pass.
     """
-    xs, times = _pairs(xs, ts, mcf.hypersurface_dim)
-    timed = _time_errors(times.tolist(), mcf.time_domain, mcf.ambient.time_domain)
-    return _slice_stack(mcf, xs, times, [e or f for e, f in zip(timed, _point_errors(xs))])
+    return _slice_stack(mcf, *_door(xs, ts, mcf.hypersurface_dim, (mcf.time_domain, mcf.ambient.time_domain)))
 
 
-def _slice_stack(mcf: MCFSolution, xs: np.ndarray, times: np.ndarray, errors: list) -> SliceStack:
-    """``slice_stack``'s core at a (P, n) stack of points and their (P,) times.
+def _slice_stack(mcf: MCFSolution, errors: list, index, x: np.ndarray, t: np.ndarray) -> SliceStack:
+    """``slice_stack``'s core on a door's output: its per-pair errors, index, (P, n) points and (P,) times.
 
-    ``errors`` holds, per pair, None or the error of its time or point,
-    checked by the caller; the pairs without one are evaluated.  The
-    images F_t(x) are checked against the ambient's chart here, once.
+    The images F_t(x) are checked against the ambient's chart here, once.
     """
-    index, x, t = _drop(errors, np.arange(len(times)), errors, xs, times)
     jet = tuple(np.asarray(a, dtype=float) for a in mcf.jet(x, t))
     amb = mcf.ambient
     index, x, t, *jet = _drop(errors, index, _point_errors(jet[0], amb.conformal.sigma.in_domain), x, t, *jet)
@@ -909,8 +901,8 @@ def _slice_stack(mcf: MCFSolution, xs: np.ndarray, times: np.ndarray, errors: li
     index, x, t, *jet = _drop(errors, index, b.errors, x, t, *jet)
     hint = np.asarray(mcf.orientation_hint(x, t), dtype=float)
     ext, bad = extrinsic_geometry_batch(jet[2], jet[3], b.g, christoffel_batch(b), hint)
-    index, g, ginv, *jet = _drop(errors, index, bad, b.g, b.ginv, *jet)
-    return SliceStack(mcf, xs, times.tolist(), index, errors, tuple(jet), ext, g, ginv)
+    index, x, t, g, ginv, *jet = _drop(errors, index, bad, x, t, b.g, b.ginv, *jet)
+    return SliceStack(mcf, x, t.tolist(), index, errors, tuple(jet), ext, g, ginv)
 
 
 def hypersurface_point_data(mcf: MCFSolution, x: np.ndarray, t: float) -> HypersurfacePointData:

@@ -41,8 +41,6 @@ from .geometry import (
     ScalarField,
     _drop,
     _metric_bundle,
-    _pairs,
-    _point_errors,
     _raise_first,
     _time_errors,
     christoffel,  # noqa: F401  (canonical.christoffel, a binding the benchmark tracer patches)
@@ -313,23 +311,18 @@ def _time_matrix(dim, value):
 def _soliton_bundle(cm: CanonicalMetric, points, ts, *vectors) -> tuple:
     """The order-2 bundle of ``cm`` at (p, t) pairs, and one entry per pair: None or its error.
 
-    The door of the soliton kernel: the pairing, the time windows with the
-    sampling floor, and the chart's spatial domain are each checked once,
-    here, and the bundle's core trusts the space-time points z = (t, p)
-    that pass.  A pair fails as the single-point ``ricci_soliton_residual``
+    The door of the soliton kernel is the background's: the pairing, the
+    time window with the sampling floor, and the spatial chart are each
+    checked once, and the bundle's core trusts the space-time points
+    z = (t, p) that pass, since the checked times lie inside the canonical
+    chart.  A pair fails as the single-point ``ricci_soliton_residual``
     does there; the returned index maps the bundle's rows to the pairs.
-    ``vectors``, stacks of one row per pair, come back after the bundle as
-    ``_pairs`` stacks them.
+    ``vectors``, stacks of one row per pair, come back after the bundle at
+    its rows.
     """
-    pts, ts, *vectors = _pairs(points, ts, cm.base.dim, *vectors)
-    errors = _time_errors(ts.tolist(), cm.base.time_domain, floor=cm.t_min)
-    index, z = _drop(errors, np.arange(len(ts)), errors, np.concatenate((ts[:, None], pts), axis=1))
-    # the times lie inside the background's domain, hence inside the chart's: p is left
-    sigma = cm.base.conformal.sigma
-    chart = None if sigma.in_domain is None else lambda z: sigma.in_domain(z[:, 1:])
-    index, z = _drop(errors, index, _point_errors(z, chart), z)
-    b = _metric_bundle(cm.field, z, 2)
-    index, = _drop(errors, index, b.errors)
+    errors, index, p, t, *vectors = cm.base._door(points, ts, *vectors, floor=cm.t_min)
+    b = _metric_bundle(cm.field, np.concatenate((t[:, None], p), axis=1), 2)
+    index, *vectors = _drop(errors, index, b.errors, *vectors)
     return errors, index, b, *vectors
 
 
@@ -369,7 +362,7 @@ def canonical_ricci_quadratics(cm: CanonicalMetric, Xs, points, ts) -> list:
     ``ricci_soliton_residuals`` records at (p, t).
     """
     out, index, b, X = _soliton_bundle(cm, points, ts, Xs)
-    Xbar = np.column_stack((np.ones(len(out)), X))[index]
+    Xbar = np.column_stack((np.ones(len(X)), X))
     quads = (Xbar[:, None] @ ricci_batch(b) @ Xbar[..., None]).ravel().tolist()
     for i, q in zip(index.tolist(), quads):
         out[i] = q
@@ -388,10 +381,7 @@ def limit_riccis(bg: RicciFlowBackground, Xs, points, ts) -> list:
     """
     if bg.direction != "forward":
         raise CanonicalConfigError("limit_riccis needs a forward background")
-    p, t, X = _pairs(points, ts, bg.dim, Xs)
-    out = [e or f for e, f in zip(_time_errors(t.tolist(), bg.time_domain),
-                                  _point_errors(p, bg.conformal.sigma.in_domain))]
-    index, X, p, t = _drop(out, np.arange(len(t)), out, X, p, t)
+    out, index, p, t, X = bg._door(points, ts, Xs)
     c = bg._curvature(p, t.tolist())
     quad = (X[:, None] @ c.ric @ X[..., None]).ravel()
     transport = (X[:, None] @ c.dRdy[..., None]).ravel()
@@ -466,17 +456,15 @@ def _sweep_base(cms) -> RicciFlowBackground:
 def _spacetime_stack(cms, points, ts) -> np.ndarray:
     """The door of the closed forms: the (P, m + 1) stack z = (t, p) of a nonempty sample list.
 
-    The metrics' one background, the pairing, and each pair's chart then
-    time are checked once, here; the first failing pair raises.
+    The metrics' one background, then its door: the pairing, each pair's
+    time, then its point in the background's chart, checked once, here,
+    for every metric; the first failing pair raises.
     """
-    bg = _sweep_base(cms)
-    p, t = _pairs(points, ts, bg.dim)
-    if not len(t):
+    errors, _, p, t = _sweep_base(cms)._door(points, ts)
+    if not errors:
         raise CanonicalConfigError("no (p, t) samples: the closed-form tables need at least one")
-    z = np.column_stack((t, p))
-    times = _time_errors(t.tolist(), bg.time_domain)
-    _raise_first([e or f for e, f in zip(_point_errors(z, cms[0].field.in_domain), times)])
-    return z
+    _raise_first(errors)
+    return np.concatenate((t[:, None], p), axis=1)
 
 
 def canonical_christoffel_closed_forms(cms, points, ts) -> list:
@@ -491,8 +479,8 @@ def canonical_christoffel_closed_forms(cms, points, ts) -> list:
     spatial symbols and the G^a_00 column serve every metric, which adds
     only its time-time profile and the entries that carry N or its sign.
     Every metric must be built on one background; an empty ``cms`` gives
-    [].  The first failing pair raises its error: a point outside the
-    chart, else a time outside the domain.
+    [].  The first failing pair raises its error: a time outside the
+    domain, else a point outside the chart.
     """
     cms = list(cms)
     if not cms:

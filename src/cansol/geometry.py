@@ -21,11 +21,13 @@ contiguous.  numpy's matmul takes another path on a strided operand, and
 a one-row stack can count as contiguous where a longer one does not.
 
 Input is checked at the door.  A public stacked entry validates what it
-is given once: the stack's shape and pairing, its times, its points'
-finiteness and chart domain.  It then hands the rows that pass to a
-``_``-private core, which trusts them and checks only what it computes
-itself (a callback's shapes, the conditioning of g).  ``metric_bundle``
-is the door of the core ``_metric_bundle``; entries in other modules
+is given once, through ``_door``: the stack's shape and pairing, then
+each pair's time, then its point's finiteness and chart domain, so a
+pair's error is the first it meets in that order, whatever the entry.
+It then hands the rows that pass to a ``_``-private core, which trusts
+them and checks only what it computes itself (a callback's shapes, the
+conditioning of g).  ``metric_bundle`` is the door of the core
+``_metric_bundle`` for points without times; entries in other modules
 that have validated their rows call the cores directly.
 
 Conventions
@@ -124,15 +126,25 @@ def _point_stack(coords, dim: int | None = None, row: str = "point") -> tuple[np
     return pts, single
 
 
-def _pairs(points, ts, dim: int, *vectors) -> tuple:
-    """The one pairing check of the stacked entries: (points, times, *vectors).
+def _vector(v, dim: int) -> np.ndarray:
+    """One (dim,) float vector at a point; any other shape raises the door's ``ChartDomainError``."""
+    V, single = _point_stack(v, dim, "vector")
+    if not single:
+        raise ChartDomainError(f"chart vector must have shape ({dim},), got {V.shape}")
+    return V[0]
 
-    ``points`` and each of ``vectors`` come back as (P, dim) float stacks,
-    and ``ts`` as the P float times of the pairs.  A bare (dim,) point is a
-    one-row stack and an empty list the empty one.  A stack of another
-    dimension raises the ``ChartDomainError`` of ``metric_bundle``, naming
-    its rows; a count of times other than the count of rows, a
-    ``GeometryError``.
+
+def _door(points, ts, dim: int, windows, *vectors, floor=-math.inf, in_domain=None) -> tuple:
+    """The one door of the stacked entries: (errors, index, points, times, *vectors).
+
+    It checks the pairing of ``points`` and ``vectors`` with ``ts``, then
+    each pair's time (``_time_errors`` over ``windows`` with ``floor``),
+    then its point (finiteness and ``in_domain``).  A bare (dim,) point is a
+    one-row stack and an empty list the empty one.  Rows of another
+    dimension raise the ``ChartDomainError`` of ``metric_bundle``; times
+    that are not 1-d or not one per row, a ``GeometryError``.  ``errors``
+    holds each pair's first error or None; the (P, dim) float stacks and
+    the (P,) times come back at the rows that pass, ``index`` their pairs.
     """
     times = np.asarray(ts, dtype=float)
     if times.ndim != 1:
@@ -144,7 +156,10 @@ def _pairs(points, ts, dim: int, *vectors) -> tuple:
         if len(rows) != len(times):
             raise GeometryError(f"{len(times)} times for {len(rows)} {row}s")
         stacks.append(rows)
-    return (stacks[0], times, *stacks[1:])
+    errors = _time_errors(times.tolist(), *windows, floor=floor)
+    index, times, *stacks = _drop(errors, np.arange(len(times)), errors, times, *stacks)
+    index, times, *stacks = _drop(errors, index, _point_errors(stacks[0], in_domain), times, *stacks)
+    return (errors, index, stacks[0], times, *stacks[1:])
 
 
 def _point_errors(pts: np.ndarray, in_domain=None) -> list:

@@ -38,6 +38,7 @@ from .canonical import CanonicalConfigError
 from .geometry import (
     MetricField,
     ScalarField,
+    _vector,
     gradient_batch,
     hessian_batch,
     inverse_metric,  # noqa: F401  (harnack.inverse_metric, a binding the benchmark tracer patches)
@@ -82,7 +83,7 @@ def limit_second_ff(hyp: HypersurfacePointData, V: np.ndarray) -> float:
     """
     if hyp.ambient.direction != "forward":
         raise CanonicalConfigError("the limit form is defined along the forward flow")
-    V = np.asarray(V, dtype=float)
+    V = _vector(V, len(hyp.x))
     ric, dRdy = hyp.curvature.ric, hyp.curvature.dRdy
     return (
         hyp.dt_mean_curvature
@@ -105,7 +106,7 @@ def stripped_track_form(d: TrackPointData, V: np.ndarray) -> float:
     provenance blocks.  ``d`` is the data of one metric at one pair, from
     ``track_point_data`` or a ``track_point_sweep``.
     """
-    W = np.concatenate(([1.0], np.asarray(V, dtype=float)))
+    W = np.concatenate(([1.0], _vector(V, len(d.x))))
     return float(W @ d.second_ff @ W) * d.t * d.sigma_N
 
 
@@ -121,7 +122,7 @@ def tangential_gradient(hyp: HypersurfacePointData, df: np.ndarray):
     potential by its differential, so one evaluation serves every form.
     Returns (chart components w.r.t. the slice tangents, ambient vector).
     """
-    grad_amb = hyp.ginv @ df
+    grad_amb = hyp.ginv @ _vector(df, len(hyp.g))
     tang = grad_amb - float(grad_amb @ hyp.g @ hyp.normal) * hyp.normal
     comps = hyp.induced_inv @ (hyp.tangents @ hyp.g @ tang)
     return comps, tang

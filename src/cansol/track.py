@@ -52,12 +52,10 @@ from .backgrounds import (
 )
 from .canonical import CanonicalConfigError, CanonicalMetric, FormCorrection, ResidualSample, ResidualStack, _profiles
 from .geometry import (
+    _door,
     _drop,
     _metric_bundle,
-    _pairs,
-    _point_errors,
     _raise_first,
-    _time_errors,
     christoffel_batch,
     scalar_d1,
 )
@@ -161,22 +159,20 @@ class _TrackStack(NamedTuple):
 def _slice_rows(track: SpaceTimeTrack, xs, ts) -> _SliceRows:
     """The N-independent half of the track evaluation at a stack of (x, t) pairs.
 
-    The door of the track sweeps and oracles: the pairing, the times (one
-    ``_time_errors`` pass over the flow's domain, the sampling floor and
-    the ambient's domain) and the points' finiteness are checked once,
-    here.  The slice core evaluates the slices once on the pairs
-    still standing, and the track's space-time points, tangent basis,
-    second partials and orienting vectors are built from them.
+    The door of the track sweeps and oracles: ``geometry._door`` checks
+    the pairing, the times (the flow's domain, the sampling floor, then the
+    ambient's domain) and the points' finiteness once, here.  The slice
+    core evaluates the slices once on the pairs still standing, and the
+    track's space-time points, tangent basis, second partials and
+    orienting vectors are built from them.
     """
     mcf = track.mcf
-    xs, times = _pairs(xs, ts, track.n)
-    timed = _time_errors(times.tolist(), mcf.time_domain, mcf.ambient.time_domain, floor=track.cm.t_min)
-    slices = _slice_stack(mcf, xs, times, [e or f for e, f in zip(timed, _point_errors(xs))])
-    t = times[slices.index]
+    windows = (mcf.time_domain, mcf.ambient.time_domain)
+    slices = _slice_stack(mcf, *_door(xs, ts, track.n, windows, floor=track.cm.t_min))
     F, Ft, Fx, Fxx, Fxt, Ftt = slices.jet
     n, P = track.n, len(F)
     z = np.empty((P, n + 2))
-    z[:, 0] = t
+    z[:, 0] = slices.ts
     z[:, 1:] = F
     # tangent basis: row 0 is d/dt + dF/dt, rows 1..n are (0, d_i F)
     basis = np.zeros((P, n + 1, n + 2))

@@ -199,9 +199,26 @@ class TestModelBackgrounds:
         bg = model_background("round_sphere", dim=3, r0=1.0, direction="forward")
         assert bg.time_domain[1] < 0.25
         p = np.array([1.2, 1.0, 0.5])
-        for ask in (bg.bundle, bg.curvature):
-            with pytest.raises(ChartDomainError, match=re.escape("time 0.3 outside domain (0.0, 0.2]")):
-                ask([p, p], [0.1, 0.3])
+        message = "time 0.3 outside domain (0.0, 0.2]"
+        # the bundle records the pair's error, as it does a point's; the curvature raises it
+        b = bg.bundle([p, p], [0.1, 0.3])
+        assert b.index.tolist() == [0] and b.errors[0] is None
+        assert type(b.errors[1]) is ChartDomainError and str(b.errors[1]) == message
+        with pytest.raises(ChartDomainError, match=re.escape(message)):
+            bg.curvature([p, p], [0.1, 0.3])
+
+    def test_time_derivative_is_checked_as_the_curvature(self):
+        # the pole band of the 3-sphere chart, and a non-finite point, at a time inside the domain
+        bg = model_background("round_sphere", dim=3, r0=1.0, direction="forward")
+        for p, message in (([0.0, 1.0, 1.0], "point [0. 1. 1.] outside chart domain"),
+                           ([math.nan, 1.0, 1.0], "chart point has non-finite entries: [nan  1.  1.]"),
+                           ([1.2, 1.0, 0.5, 1.0], "point has dimension 4, chart has 3")):
+            for ask in (lambda: bg.dt_metric_at(np.array(p), 0.1), lambda: bg.curvature([p], [0.1])):
+                with pytest.raises(ChartDomainError) as info:
+                    ask()
+                assert str(info.value) == message
+        with pytest.raises(ChartDomainError, match=re.escape("time 0.3 outside domain (0.0, 0.2]")):
+            bg.dt_metric_at(np.array([1.2, 1.0, 0.5]), 0.3)
 
     @pytest.mark.parametrize(
         "name,kwargs",

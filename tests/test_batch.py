@@ -555,11 +555,11 @@ class TestTimeValidator:
         assert [kind for kind, _ in _recorded(stack.errors[:-1])] == [ChartDomainError] * (len(ts) - 1)
 
     def test_a_sweep_checks_its_times_a_fixed_number_of_times(self, monkeypatch):
-        from cansol import backgrounds, canonical as canonical_module, cli, track as track_module
+        from cansol import canonical as canonical_module, cli
 
         calls = []
         check = geometry._time_errors
-        for module in (geometry, backgrounds, canonical_module, track_module, cli):
+        for module in (geometry, canonical_module, cli):
             monkeypatch.setattr(module, "_time_errors", lambda *args, **kw: calls.append(1) or check(*args, **kw))
         mcf = _flow("shrinking_sphere_flat", 3, "forward")
         cms = [build_canonical_metric(mcf.ambient, "expanding", N) for N in (1e2, 1e4)]
@@ -609,7 +609,7 @@ def stacked_entries():
 
 
 class TestPairing:
-    """``geometry._pairs``, the one pairing check: every stacked entry refuses a mispaired stack."""
+    """``geometry._door`` checks the pairing first: every stacked entry refuses a mispaired stack."""
 
     ENTRIES = stacked_entries()
 
@@ -680,6 +680,49 @@ class TestPairing:
         for empty in ([], np.empty((0, 3))):
             with pytest.raises(CanonicalConfigError, match=r"no \(p, t\) samples"):
                 call(empty, [])
+
+
+class TestOneDoor:
+    """``geometry._door``: every entry checks a (point, time) pair in one order and gives it one error."""
+
+    @staticmethod
+    def first(errors):
+        """The (class, message) of the one entry of a one-pair result, or None for a value."""
+        [e] = errors
+        return (type(e), str(e)) if isinstance(e, Exception) else None
+
+    def test_one_pair_one_error(self):
+        bg = model_background("round_sphere", dim=3, r0=1.0, direction="forward")
+        cm = build_canonical_metric(bg, "expanding", 1e3)
+        T = bg.time_domain[1]
+        good, t = np.array([1.1, 0.7, 2.0]), 0.5 * T
+        assert cm.t_min < t
+        X = np.ones(3)
+        entries = {
+            "bundle": lambda p, t: self.first(bg.bundle([p], [t]).errors),
+            "curvature": lambda p, t: _raised(bg.curvature, [p], [t]),
+            "dt_metric_at": lambda p, t: _raised(bg.dt_metric_at, p, t),
+            "ricci_soliton_residuals": lambda p, t: self.first(ricci_soliton_residuals(cm, [p], [t]).errors),
+            "canonical_ricci_quadratics": lambda p, t: self.first(canonical_ricci_quadratics(cm, [X], [p], [t])),
+            "limit_riccis": lambda p, t: self.first(limit_riccis(bg, [X], [p], [t])),
+            "canonical_christoffel_closed_forms": lambda p, t: _raised(canonical_christoffel_closed_forms, [cm], [p], [t]),
+            "christoffel_crosscheck": lambda p, t: _raised(christoffel_crosscheck, [cm], [(p, t)]),
+        }
+        # each pair's time window first, then its point p, whatever the entry
+        cases = [
+            ((good, math.nan), f"time nan outside domain (0.0, {T}]"),
+            ((good, 0.0), f"time 0.0 outside domain (0.0, {T}]"),
+            ((good, -0.1), f"time -0.1 outside domain (0.0, {T}]"),
+            ((good, T * (1 + 5e-4)), f"time {T * (1 + 5e-4)} outside domain (0.0, {T}]"),   # inside the chart's overhang
+            ((good, 1.5 * T), f"time {1.5 * T} outside domain (0.0, {T}]"),
+            ((np.array([0.0, 1.0, 1.0]), t), "point [0. 1. 1.] outside chart domain"),           # the pole band
+            ((np.array([1.0, math.nan, 1.0]), t), "chart point has non-finite entries: [ 1. nan  1.]"),
+        ]
+        for (p, t_bad), message in cases:
+            got = {name: entry(p, t_bad) for name, entry in entries.items()}
+            assert got == dict.fromkeys(entries, (ChartDomainError, message)), (p, t_bad)
+        assert {name: entry(good, t) for name, entry in entries.items()} == dict.fromkeys(entries)
+
 
 class TestCallbackContract:
     def test_per_point_shape_only_from_a_single_point(self):
@@ -1095,15 +1138,15 @@ class TestClosedFormStacks:
     def test_first_failing_pair_raises_the_pointwise_error(self):
         cm = canonical("shrinking", 3, 1e3)
         good = np.array([1.1, 0.7, 2.0])
-        # a point's chart check comes before its time check
+        # a pair's time check comes before its chart check, which reads the point p
         bad = [
-            ((np.array([0.005, 1.0, 1.0]), 0.3), "point [0.3   0.005 1.    1.   ] outside chart domain"),
-            ((np.array([np.nan, 1.0, 1.0]), 0.3), "chart point has non-finite entries: [0.3 nan 1.  1. ]"),
-            ((good, float("nan")), "chart point has non-finite entries: [nan 1.1 0.7 2. ]"),
-            ((good, -0.1), "point [-0.1  1.1  0.7  2. ] outside chart domain"),
-            ((good, 0.0), "point [0.  1.1 0.7 2. ] outside chart domain"),
+            ((np.array([0.005, 1.0, 1.0]), 0.3), "point [0.005 1.    1.   ] outside chart domain"),
+            ((np.array([np.nan, 1.0, 1.0]), 0.3), "chart point has non-finite entries: [nan  1.  1.]"),
+            ((good, float("nan")), "time nan outside domain (0.0, 1.0]"),
+            ((good, -0.1), "time -0.1 outside domain (0.0, 1.0]"),
+            ((good, 0.0), "time 0.0 outside domain (0.0, 1.0]"),
             ((good, 1.0005), "time 1.0005 outside domain (0.0, 1.0]"),      # past T, inside the chart
-            ((good, 1.5), "point [1.5 1.1 0.7 2. ] outside chart domain"),
+            ((good, 1.5), "time 1.5 outside domain (0.0, 1.0]"),
         ]
         for (p, t), message in bad:
             with pytest.raises(ChartDomainError) as single:
@@ -1394,6 +1437,28 @@ class TestCheckedAtTheDoor:
         assert len(christoffel_crosscheck(cms, samples)) == 3
         # the door checks the stack once for the three engines and the closed forms
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("entry", stacked_entries())
+    def test_one_door_per_entry_call(self, monkeypatch, entry):
+        dim, call, *_ = stacked_entries()[entry]
+        calls = self.validator_calls(monkeypatch, "_door")
+        call(TestPairing.rows(3, dim), [0.1, 0.15, 0.12])
+        assert len(calls) == 1
+
+    def test_one_door_per_sweep_over_several_metrics(self, monkeypatch):
+        mcf = _flow("shrinking_sphere_flat", 3, "forward")
+        cms = [build_canonical_metric(mcf.ambient, "expanding", N) for N in (1e2, 1e3, 1e4)]
+        bg = canonical("expanding", 3, 1.0).base
+        sphere_cms = [build_canonical_metric(bg, "expanding", N) for N in (1e2, 1e3, 1e4)]
+        rng = np.random.default_rng(12)
+        pts, ts = sphere_stack(3, 4, rng), rng.uniform(sphere_cms[0].t_min, bg.time_domain[1], 4)
+        calls = self.validator_calls(monkeypatch, "_door")
+        for sweep in (lambda: mcf_canonical_sweep(mcf, cms, mcf.sample_xs(4, rng), [0.1] * 4),
+                      lambda: canonical_christoffel_closed_forms(sphere_cms, pts, ts),
+                      lambda: christoffel_crosscheck(sphere_cms, list(zip(pts, ts)))):
+            calls.clear()
+            assert len(sweep()) == 3
+            assert len(calls) == 1
 
     @pytest.mark.parametrize("oracle", [closed_form_second_ff, limit_inverse_metric])
     def test_one_time_check_per_track_oracle(self, monkeypatch, oracle):

@@ -12,7 +12,7 @@ from cansol.backgrounds import (
     model_mcf,
 )
 from cansol.canonical import CanonicalConfigError, build_canonical_metric, limit_riccis
-from cansol.geometry import ScalarField, hessian_batch, scalar_d1
+from cansol.geometry import ChartDomainError, ScalarField, hessian_batch, scalar_d1
 from cansol.harnack import (
     QuadratureError,
     WeightedManifoldData,
@@ -210,6 +210,39 @@ class TestBoundaryIntegrand:
             assert np.allclose(scalar_d1(f, p), scalar_d1(fd, p), atol=1e-8)
             b = flat.bundle([p], [0.5])
             assert np.allclose(hessian_batch(b, f)[0], hessian_batch(b, fd)[0], atol=1e-6)
+
+
+class TestOnePointFormInput:
+    """The slice and track forms take one vector of the chart's dimension; any other is a typed error."""
+
+    @staticmethod
+    def forms():
+        """Each form as (call on its vector, the chart dimension it asks for)."""
+        bg = flat_fwd()
+        mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
+        x, t = np.array([1.1, 0.7]), 0.1
+        hyp = hypersurface_point_data(mcf, x, t)
+        d = track_point_data(build_track(mcf, build_canonical_metric(bg, "expanding", 1e3)), x, t)
+        return {
+            "limit_second_ff": (lambda V: limit_second_ff(hyp, V), 2),
+            "stripped_track_form": (lambda V: stripped_track_form(d, V), 2),
+            "tangential_gradient": (lambda df: tangential_gradient(hyp, df), 3),
+            "lott_boundary_integrand": (lambda df: lott_boundary_integrand(hyp, df), 3),
+            "lott_match_defect": (lambda df: lott_match_defect(hyp, df), 3),
+        }
+
+    @pytest.mark.parametrize("form", ["limit_second_ff", "stripped_track_form", "tangential_gradient",
+                                      "lott_boundary_integrand", "lott_match_defect"])
+    def test_a_wrong_vector_is_a_chart_domain_error(self, form):
+        call, dim = self.forms()[form]
+        for k in (dim - 1, dim + 1):
+            with pytest.raises(ChartDomainError) as info:
+                call(np.ones(k))
+            assert type(info.value) is ChartDomainError
+            assert str(info.value) == f"vector has dimension {k}, chart has {dim}"
+        for stack in (np.ones((1, dim)), np.ones((2, dim))):
+            with pytest.raises(ChartDomainError, match=rf"^chart vector must have shape \({dim},\), got "):
+                call(stack)
 
 
 class TestWeightedCurvatures:

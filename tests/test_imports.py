@@ -78,3 +78,23 @@ def test_the_traced_bindings_are_imports_that_nothing_else_uses():
     for module, name in TRACED_BINDINGS:
         tree = parse(module)
         assert name in imported_names(tree) and name not in used_names(tree) | exported_names(tree)
+
+
+def called_names(node: ast.AST) -> set:
+    return {n.func.id for n in ast.walk(node) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+
+
+def test_one_door_checks_both_times_and_points():
+    # a (point, time) pair is checked by ``geometry._door`` alone, so every entry checks it in one order
+    both = sorted(
+        f"{module}.{node.name}"
+        for module in MODULES
+        for node in ast.walk(parse(module))
+        if isinstance(node, ast.FunctionDef) and {"_time_errors", "_point_errors"} <= called_names(node)
+    )
+    assert both == ["geometry._door"]
+    for module in MODULES + ["__init__"]:
+        tree = parse(module)
+        names = used_names(tree) | imported_names(tree) | {
+            n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        assert "_pairs" not in names, f"cansol.{module} still names _pairs"
