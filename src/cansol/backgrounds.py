@@ -356,10 +356,14 @@ class RicciFlowBackground:
 
     def dt_metric_at(self, p: np.ndarray, t: float) -> np.ndarray:
         """dg/dt at one (point, time) pair, checked as by ``curvature``."""
-        errors, _, pts, _ = self._door(_one_point(p), [t])
+        errors, _, pts, times = self._door(_one_point(p), [t])
         _raise_first(errors)
-        dphi = jets.derivatives(self.conformal.phi, float(t), order=1)[1]
-        return dphi * np.asarray(self.conformal.sigma.components(pts))[0]
+        return self._dt_metric(pts, times.tolist())[0]
+
+    def _dt_metric(self, pts: np.ndarray, ts: list) -> np.ndarray:
+        """``dt_metric_at``'s core: dg/dt at a (P, m) stack of checked points and their P float times."""
+        dphi = jets.derivatives(self.conformal.phi, ts, order=1)[1]
+        return dphi[:, None, None] * self.conformal.sigma.components(pts)
 
     def sample_points(self, count: int, rng: np.random.Generator) -> list[np.ndarray]:
         """Random chart points from ``sample_box``, away from coordinate singularities."""
@@ -716,7 +720,7 @@ def ricci_flow_residual(bg: RicciFlowBackground, p: np.ndarray, t: float) -> np.
     b = bg.bundle(_one_point(p), [t], order=2)
     b.raise_error()
     sign = -2.0 if bg.direction == "forward" else 2.0
-    return _symmetrized(bg.dt_metric_at(b.points[0], t) - sign * ricci_batch(b)[0])
+    return _symmetrized(bg._dt_metric(b.points, [float(t)])[0] - sign * ricci_batch(b)[0])
 
 
 def gradient_soliton_residual(

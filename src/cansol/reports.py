@@ -13,6 +13,8 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -77,44 +79,64 @@ def _plain(obj):
 _quoted = json.encoder.encode_basestring_ascii
 
 
-def _render(obj, pad: str, memo: dict) -> str:
-    """``obj`` as ``json.dumps(_plain(obj), sort_keys=True, indent=2)`` writes it at indent ``pad``.
-
-    Containers are laid out here; strings and finite floats use the encoder's own functions.
-    ``memo`` lives for one rendering.  It maps ``(id(c), pad)`` to the text of each container
-    ``c`` written so far, so a container that the report holds in several places (a sweep's
-    point list sits in every record of that point) is laid out once per indent.  The
-    containers it names belong to the rendered object and outlive the rendering, so no id in
-    it is reused.  The temporary list from an array's ``tolist()`` gets a memo of its own,
-    which ends with that list.
-    """
-    if isinstance(obj, float) and math.isfinite(obj):
-        return float.__repr__(obj)
-    if isinstance(obj, str):
-        return _quoted(obj)
-    key = (id(obj), pad)
-    text = memo.get(key)
-    if text is not None:
-        return text
+def _layout(keys: tuple, pad: str) -> tuple:
+    """A dict's value getter in sorted key order, ``%`` template of quoted keys and value indents."""
+    order = sorted(keys)
     inner = pad + "  "
-    if isinstance(obj, np.ndarray) and obj.ndim:
-        text = _render(obj.tolist(), pad, {})
-    elif isinstance(obj, dict):
-        items = ",\n".join(f"{inner}{_quoted(k)}: {_render(obj[k], inner, memo)}" for k in sorted(obj))
-        text = f"{{\n{items}\n{pad}}}" if obj else "{}"
-    elif isinstance(obj, (list, tuple)):
-        items = ",\n".join(inner + _render(v, inner, memo) for v in obj)
-        text = f"[\n{items}\n{pad}]" if obj else "[]"
-    else:
+    slots = ",".join(f"\n{inner}{_quoted(k).replace('%', '%%')}: %s" for k in order)
+    values = itemgetter(*order) if len(order) > 1 else lambda d: [d[k] for k in order]
+    return values, f"{{{slots}\n{pad}}}" if keys else "{}", (inner,) * len(order)
+
+
+class _Renderer:
+    """One rendering: ``render(obj, pad)`` is ``obj`` as ``_dumps`` writes it at indent ``pad``.
+
+    It dispatches on exact types, and its memos end with it: ``layouts`` holds a ``_layout``
+    per dict shape (key order, indent); ``numbers`` the repr of each finite non-zero float or
+    ``np.float64`` value (``0.0 == -0.0`` prints two ways); ``shared`` the text of each list or
+    tuple by ``(id, pad)``, so a point list held in several places is laid out once per indent.
+    Those lists outlive the rendering, so no id is reused; an array's ``tolist()`` gets a
+    renderer of its own.  NaN, infinities and every other value go through ``_plain``.
+    """
+
+    def __init__(self):
+        self.layouts, self.numbers, self.shared = {}, {}, {}
+
+    def render(self, obj, pad: str) -> str:
+        cls = type(obj)
+        if (cls is float or cls is np.float64) and math.isfinite(obj):
+            text = self.numbers.get(obj)
+            if text is None:
+                text = float.__repr__(obj)
+                if obj:
+                    self.numbers[obj] = text
+            return text
+        if cls is str:
+            return _quoted(obj)
+        if isinstance(obj, dict):
+            keys = tuple(obj)
+            layout = self.layouts.get((keys, pad))
+            if layout is None:
+                layout = self.layouts[keys, pad] = _layout(keys, pad)
+            values, template, pads = layout
+            return template % tuple(map(self.render, values(obj), pads))
+        if isinstance(obj, (list, tuple)):
+            key = (id(obj), pad)
+            text = self.shared.get(key)
+            if text is None:
+                inner = pad + "  "
+                items = f",\n{inner}".join(map(self.render, obj, repeat(inner)))
+                text = self.shared[key] = f"[\n{inner}{items}\n{pad}]" if obj else "[]"
+            return text
+        if isinstance(obj, np.ndarray) and obj.ndim:
+            return _Renderer().render(obj.tolist(), pad)
         return json.dumps(_plain(obj))
-    memo[key] = text
-    return text
 
 
 def _dumps(d: dict) -> str:
     """``json.dumps(_plain(d), sort_keys=True, indent=2) + "\\n"``, byte for byte."""
     try:
-        return _render(d, "", {}) + "\n"
+        return _Renderer().render(d, "") + "\n"
     except TypeError:
         # a key that is not a string, or a value json cannot encode
         return json.dumps(_plain(d), sort_keys=True, indent=2) + "\n"

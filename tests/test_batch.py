@@ -13,9 +13,11 @@ import reference_kernel as ref
 from cansol import harnack
 from cansol.backgrounds import (
     extrinsic_geometry_batch,
+    gradient_soliton_residual,
     hypersurface_point_data,
     model_background,
     model_mcf,
+    ricci_flow_residual,
     slice_stack,
     unit_sphere_metric,
 )
@@ -1459,6 +1461,19 @@ class TestCheckedAtTheDoor:
             calls.clear()
             assert len(sweep()) == 3
             assert len(calls) == 1
+
+    @pytest.mark.parametrize("residual", ["ricci_flow", "gradient_soliton"])
+    def test_one_door_per_background_residual(self, monkeypatch, residual):
+        # the time derivative of the Ricci-flow residual reads the bundle's checked row
+        if residual == "ricci_flow":
+            bg = model_background("round_sphere", dim=3, r0=1.0, direction="forward")
+            call = lambda p, t: ricci_flow_residual(bg, p, t)
+        else:
+            bg = model_background("gaussian_shrinker_flat", dim=3)
+            call = lambda p, t: gradient_soliton_residual(bg, bg.soliton, p, t)
+        calls = self.validator_calls(monkeypatch, "_door")
+        assert call(np.array([1.2, 1.0, 0.5]), 0.1).shape == (3, 3)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("oracle", [closed_form_second_ff, limit_inverse_metric])
     def test_one_time_check_per_track_oracle(self, monkeypatch, oracle):

@@ -10,6 +10,7 @@ thread); another numpy or BLAS build may round the last digits
 differently.
 """
 
+import collections
 import contextlib
 import copy
 import hashlib
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cansol.cli import RunConfig, main, run
-from cansol.reports import ResidualReport, _plain, render_json
+from cansol.reports import ResidualReport, _plain, _Renderer, render_json
 
 FLAT3 = {"name": "euclidean_static", "params": {"dim": 3, "direction": "forward"}}
 SHRINKING_SPHERE = {"name": "shrinking_sphere_flat", "params": {"r0": 1.0}}
@@ -301,6 +302,85 @@ def test_renderer_falls_back_to_the_encoder():
     report.summary = {"bad": object()}
     with pytest.raises(TypeError, match="not JSON serializable"):
         render_json(report)
+
+
+def _renderer_bytes(report):
+    """The report as the renderer writes it, without the encoder fallback."""
+    return _Renderer().render(report.as_dict(), "") + "\n"
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+_SHARED_DICT = {"b": 1.5, "a": [2.5, -0.0]}
+
+# values whose text the renderer's memos could mix up: equal values that print
+# differently, one value of several types, keys that are format directives,
+# and one dict shape or one dict object in several places
+RENDERER_EDGE_CASES = {
+    "zero, then minus zero": [0.0, -0.0, np.float64(0.0), np.float64(-0.0), {"z": 0.0, "m": -0.0}, -0.0],
+    "minus zero, then zero": [-0.0, 0.0, np.float64(-0.0), np.float64(0.0), {"m": -0.0, "z": 0.0}, 0.0],
+    "float, float64 and float32 of one value": [0.1, np.float64(0.1), np.float32(0.1),
+                                                np.float64(np.float32(0.1)), 0.1, np.float32(0.1)],
+    "bool, int and float": [True, 1, 1.0, False, 0, 0.0, 1, True],
+    "float, int and bool": [1.0, 1, True, 0.0, 0, False],
+    "keys with percent signs": {"%": 1.0, "%s": [2.0], "a%sb%d%%": "%s", "%(x)s": {"%": "%%"}},
+    "one key set in two orders": [{"b": 1.0, "a": 2.0}, {"a": 3.0, "b": 4.0}, {"b": 5.0, "a": 6.0}],
+    "one dict at two indents": {"top": _SHARED_DICT, "deeper": [_SHARED_DICT, {"x": _SHARED_DICT}]},
+    "subclasses": {"float": _Float(2.5), "str": _Str("s%"), "ordered": collections.OrderedDict(b=1.0, a=[2.0]),
+                   "named": collections.namedtuple("Pair", "x y")(0.5, 0.25), "one key": {"k": 7}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(RENDERER_EDGE_CASES))
+def test_renderer_edge_cases_write_the_encoder_bytes(case):
+    report = ResidualReport(suite="functionals", config={"case": case})
+    report.records = [RENDERER_EDGE_CASES[case], {"again": RENDERER_EDGE_CASES[case]}]
+    report.summary = {"value": RENDERER_EDGE_CASES[case]}
+    assert _renderer_bytes(report) == _encoder_bytes(report)
+    assert render_json(report) == _encoder_bytes(report)
+
+
+_scalars = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.sampled_from([0.0, -0.0, np.float64(-0.0), 5e-324, -5e-324, 2.2250738585072014e-308]),
+    st.integers(-3, 3) | st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(st.sampled_from('a%s"\u00e9\u2207\\\n '), max_size=4),
+)
+_keys = st.text(st.sampled_from('ab%s"\u00e9\u2207'), max_size=3)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_keys, inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@st.composite
+def reports_with_shared_containers(draw):
+    """A report whose containers sit in several places, at several indents."""
+    pool = draw(st.lists(st.lists(_values, max_size=3) | st.dictionaries(_keys, _values, max_size=3),
+                         min_size=1, max_size=3))
+    picks = draw(st.lists(st.sampled_from(pool), max_size=5))
+    report = ResidualReport(suite="functionals", config={"picks": picks})
+    report.records = [{"x": pool[0], "value": draw(_values)}, {"x": pool[0], "nested": {"deeper": picks}}]
+    report.summary = draw(st.dictionaries(_keys, _values, max_size=3))
+    return report
+
+
+@settings(max_examples=30, deadline=None)
+@given(reports_with_shared_containers())
+def test_renderer_writes_the_encoder_bytes_for_any_report(report):
+    assert render_json(report) == _encoder_bytes(report)
 
 
 # the values a fuzzed key takes: wrong types, non-finite and small numbers,

@@ -98,3 +98,16 @@ def test_one_door_checks_both_times_and_points():
         names = used_names(tree) | imported_names(tree) | {
             n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
         assert "_pairs" not in names, f"cansol.{module} still names _pairs"
+
+
+def test_reports_lay_out_and_format_floats_in_one_place():
+    # one renderer: the recursive ``_render`` is gone, and one function formats every float,
+    # so no fast path stands beside a slow one
+    functions = [n for n in ast.walk(parse("reports")) if isinstance(n, ast.FunctionDef)]
+    assert "_render" not in {f.name for f in functions}
+    formats = [
+        f.name for f in functions
+        if any(isinstance(n, ast.Attribute) and n.attr == "__repr__" and isinstance(n.value, ast.Name)
+               and n.value.id == "float" for n in ast.walk(f))
+    ]
+    assert formats == ["render"]
