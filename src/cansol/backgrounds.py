@@ -110,15 +110,17 @@ def unit_sphere_metric(d: int) -> MetricField:
         g = y[..., 0, :, None] * eye
         if not order:
             return (g,)
-        out = [g] + [np.zeros(y.shape[:-2] + (d,) * (2 + o)) for o in range(1, order + 1)]
-        out[1][..., :m, diag, diag] = y[..., 1 : 1 + m, :]
-        if order > 1:
-            out[2][..., :m, :m, diag, diag] = y[..., dd_rows, :]
-        return tuple(out)
+        dg = np.zeros(y.shape[:-2] + (d,) * 3)
+        dg[..., :m, diag, diag] = y[..., 1 : 1 + m, :]
+        if order < 2:
+            return g, dg
+        ddg = np.zeros(y.shape[:-2] + (d,) * 4)
+        ddg[..., :m, :m, diag, diag] = y.take(dd_rows, axis=-2)
+        return g, dg, ddg
 
     def in_domain(p):
         q = p[..., : d - 1]
-        return ((q > POLE_BAND) & (q < math.pi - POLE_BAND)).all(axis=-1)
+        return np.logical_and.reduce((q > POLE_BAND) & (q < math.pi - POLE_BAND), axis=-1)
 
     return MetricField(dim=d, jet=jet, in_domain=in_domain)
 
@@ -160,7 +162,7 @@ def _angle_products(kinds: np.ndarray, orders: np.ndarray):
     block[used] = np.arange(len(used))
     # each factor's place in the values [1, then each used value of every angle]
     places = np.where(value > 0, 1 + block[value] * n + np.arange(n), 0)
-    fns = [_VALUES[v] for v in used]
+    fns = [(np.s_[..., 1 + j * n : 1 + (j + 1) * n], _VALUES[v]) for j, v in enumerate(used)]
     cosines = not set(used) <= {1, 3, 5}
 
     def partials(x):
@@ -168,9 +170,9 @@ def _angle_products(kinds: np.ndarray, orders: np.ndarray):
         c = np.cos(x) if cosines else None
         values = np.empty(s.shape[:-1] + (1 + len(fns) * n,))
         values[..., 0] = 1.0
-        for j, f in enumerate(fns):
-            values[..., 1 + j * n : 1 + (j + 1) * n] = f(s, c)
-        y = np.multiply.accumulate(values[..., places], axis=-1)[..., -1]
+        for span, f in fns:
+            values[span] = f(s, c)
+        y = np.multiply.accumulate(values.take(places, axis=-1), axis=-1)[..., -1]
         return y if everywhere else np.where(live, y, 0.0)
 
     return partials

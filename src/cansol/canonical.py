@@ -237,29 +237,30 @@ def build_canonical_metric(bg: RicciFlowBackground, variant: str, N: float) -> C
         order = len(sig) - 1
         if order:
             t = jets.Jet.variable(z[:, 0], order)
-            w, psi = (jets.lift(a, t) for a in profiles(t))
+            w, psi = [jets.lift(a, t) for a in profiles(t)]
             w0, psi0 = w.v, psi.v
         else:
             w0, psi0 = profiles(z[..., 0])
-        # psi and its t-derivatives, broadcast against sigma's blocks
+        # psi and its t-derivatives times sigma's blocks, each product written into its block
         p0 = np.asarray(psi0)[..., None, None]
         g = np.zeros(z.shape[:-1] + (dim, dim))
         g[..., 0, 0] = w0
-        g[..., 1:, 1:] = p0 * sig[0]
+        np.multiply(p0, sig[0], out=g[..., 1:, 1:])
         if not order:
             return (g,)
-        out = [g] + [np.zeros((len(z),) + (dim,) * (2 + o)) for o in range(1, order + 1)]
+        dg = np.zeros((len(z), dim, dim, dim))
         p1 = psi.d1[:, None, None]
-        out[1][:, 0, 0, 0] = w.d1
-        out[1][:, 0, 1:, 1:] = p1 * sig[0]
-        out[1][:, 1:, 1:, 1:] = p0[:, None] * sig[1]
-        if order > 1:
-            ddg = out[2]
-            ddg[:, 0, 0, 0, 0] = w.d2
-            ddg[:, 0, 0, 1:, 1:] = psi.d2[:, None, None] * sig[0]
-            ddg[:, 0, 1:, 1:, 1:] = ddg[:, 1:, 0, 1:, 1:] = p1[:, None] * sig[1]
-            ddg[:, 1:, 1:, 1:, 1:] = p0[:, None, None] * sig[2]
-        return tuple(out)
+        dg[:, 0, 0, 0] = w.d1
+        np.multiply(p1, sig[0], out=dg[:, 0, 1:, 1:])
+        np.multiply(p0[:, None], sig[1], out=dg[:, 1:, 1:, 1:])
+        if order < 2:
+            return g, dg
+        ddg = np.zeros((len(z), dim, dim, dim, dim))
+        ddg[:, 0, 0, 0, 0] = w.d2
+        np.multiply(psi.d2[:, None, None], sig[0], out=ddg[:, 0, 0, 1:, 1:])
+        ddg[:, 1:, 0, 1:, 1:] = np.multiply(p1[:, None], sig[1], out=ddg[:, 0, 1:, 1:, 1:])
+        np.multiply(p0[:, None, None], sig[2], out=ddg[:, 1:, 1:, 1:, 1:])
+        return g, dg, ddg
 
     def in_domain(z):
         inside = (0.0 < z[..., 0]) & (z[..., 0] <= t_max)
@@ -291,14 +292,14 @@ def build_canonical_metric(bg: RicciFlowBackground, variant: str, N: float) -> C
     )
 
 
-def _time_covector(dim, value):
-    v = np.zeros(np.shape(value) + (dim,))
+def _time_covector(dim, value: np.ndarray):
+    v = np.zeros(value.shape + (dim,))
     v[..., 0] = value
     return v
 
 
-def _time_matrix(dim, value):
-    a = np.zeros(np.shape(value) + (dim, dim))
+def _time_matrix(dim, value: np.ndarray):
+    a = np.zeros(value.shape + (dim, dim))
     a[..., 0, 0] = value
     return a
 

@@ -232,8 +232,9 @@ def _run_ricci_soliton(cfg: RunConfig, report: ResidualReport):
         # one pointwise call per point: the benchmark's own tests count these
         # calls per sweep point, so this sweep stays unbatched until the
         # benchmark counts the points that reach a stacked call instead.  Each
-        # point pays the fixed cost of a one-row ``ricci_soliton_residuals``,
-        # whose door checks the pair once before the kernel runs.
+        # point pays the fixed cost of a one-row ``ricci_soliton_residuals``:
+        # one door, one order-2 canonical jet (sigma's, the time profiles'),
+        # one inverse, then Ricci, Hessian and norm; README times each stage.
         return _pointwise(cm, pts, ts)
 
     sups_per_N = _defect_sweep(report, Ns, map(residuals, cms), "point", pts, ts)

@@ -434,7 +434,7 @@ def scalar_d1(f: ScalarField, p: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class MetricBundle:
     """g, g^-1, dg and (at order 2) ddg at the valid points of a stack.
 
@@ -442,6 +442,7 @@ class MetricBundle:
     stack that passed the chart-domain and conditioning checks; ``index``
     gives their positions in that stack.  ``errors`` has one entry per
     input point: None, or the exception a single-point call raises there.
+    Not frozen: a frozen dataclass's ``__init__`` costs a one-row bundle more.
     """
 
     points: np.ndarray          # (P, d)
@@ -480,20 +481,21 @@ def _inverse_and_condition(g: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, 
     number, and much cheaper than an SVD.  A stack of diagonal matrices with
     finite positive entries (every catalog metric) is inverted entrywise,
     which gives LAPACK's bits: 1/d on the diagonal, and max(d) * max(1/d) as
-    the condition estimate.  Both maxima reduce over the d rows of a
-    contiguous (d, P) copy of the diagonals, so each step runs along the
-    stack axis rather than along one length-d row at a time.  Any other
-    stack goes to LAPACK whole.
+    the condition estimate.  Both maxima reduce over the d rows of a contiguous
+    (d, P) copy of the diagonals, along the stack axis, by the ufuncs' own
+    reductions (``ndarray.max`` adds a Python wrapper).  Any other stack goes
+    to LAPACK whole.
     """
     errors = [None] * len(g)
     P, d = g.shape[:2]
     diag = g.reshape(P, d * d)[:, :: d + 1]
-    if P and np.count_nonzero(g) == diag.size and (lo := diag.min()) > _TINY and (hi := diag.max()) <= _HUGE:
+    if (P and np.count_nonzero(g) == diag.size and (lo := np.minimum.reduce(diag, None)) > _TINY
+            and (hi := np.maximum.reduce(diag, None)) <= _HUGE):
         rows = np.ascontiguousarray(diag.T)
         inv = 1.0 / rows
         ginv = np.zeros((P, d, d))   # C order, so the reshape below is a view
         ginv.reshape(P, d * d)[:, :: d + 1] = inv.T
-        rmax, imax = rows.max(axis=0), inv.max(axis=0)
+        rmax, imax = np.maximum.reduce(rows, 0), np.maximum.reduce(inv, 0)
         # no estimate exceeds max(d) * (1 / min(d)) over the stack; only when
         # that bound overflows may one, to inf, which the check refuses
         if float(hi) * (1.0 / float(lo)) < math.inf:
@@ -576,15 +578,7 @@ def _metric_bundle(metric: MetricField, pts: np.ndarray, order: int, scale=None,
     if scale is not None:
         dg, ddg = (None if a is None else scale.reshape((-1,) + (1,) * (a.ndim - 1)) * a
                    for a in (dg, ddg))
-    return MetricBundle(
-        points=pts,
-        index=index,
-        errors=tuple(errors),
-        g=g,
-        ginv=ginv,
-        dg=dg,
-        ddg=ddg,
-    )
+    return MetricBundle(pts, index, tuple(errors), g, ginv, dg, ddg)
 
 
 def _at_point(metric: MetricField, p, order: int) -> MetricBundle:
@@ -628,8 +622,7 @@ def ricci_batch(b: MetricBundle) -> np.ndarray:
     if b.ddg is None:
         raise GeometryError("ricci needs a bundle of order 2")
     P, d = b.g.shape[:2]
-    ginv, dg, ddg, gamma = (
-        np.ascontiguousarray(a) for a in (b.ginv, b.dg, b.ddg, christoffel_batch(b)))
+    ginv, dg, ddg, gamma = map(np.ascontiguousarray, (b.ginv, b.dg, b.ddg, christoffel_batch(b)))
     flat = ginv.reshape(P, 1, d * d)                                # g^am over the pair (a, m)
     bracket = np.ascontiguousarray(b._dg_bracket)                   # [m, b, c] = B_mbc
     bracket_t = np.ascontiguousarray(bracket.transpose(0, 2, 1, 3)).reshape(P, d * d, d)

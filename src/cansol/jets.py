@@ -127,7 +127,7 @@ def _filled(a, like):
     """A derivative as an array: a constant one (a scalar) filled to the shape of the value ``like``."""
     if type(a) is np.ndarray:
         return a
-    out = np.empty(np.shape(like))
+    out = np.empty(like.shape)
     out.fill(a)
     return out
 

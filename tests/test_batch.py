@@ -205,20 +205,27 @@ class TestBatchIndependence:
         pts = spacetime_stack(cm, 200, np.random.default_rng(11))
         assert_stack_matches_single_points(cm.field, cm.potential, pts)
 
-    def test_sweep_records_equal_single_point_calls(self):
+    # every shape of the benchmark's soliton sweep: the round sphere in dims 3
+    # and 5 in each variant, and the flat steady fixture whose defect is zero
+    @pytest.mark.parametrize("variant, background", [
+        *((var, {"name": "round_sphere", "params": {"dim": dim, "r0": 1.0, "direction": direction}})
+          for dim in (3, 5) for var, direction in (("expanding", "forward"), ("shrinking", "backward"),
+                                                   ("steady", "backward"))),
+        ("steady", {"name": "euclidean_static", "params": {"dim": 3, "direction": "backward"}}),
+    ], ids=lambda v: v if isinstance(v, str) else f"{v['name']}{v['params']['dim']}")
+    def test_sweep_records_equal_single_point_calls(self, variant, background):
         cfg = {
             "suite": "ricci_soliton_residual",
-            "variant": "shrinking",
-            "background": {"name": "round_sphere",
-                           "params": {"dim": 3, "r0": 1.0, "direction": "backward"}},
+            "variant": variant,
+            "background": background,
             "N_list": [1e2, 1e4],
             "samples": {"count": 7, "seed": 5},
         }
         report = run(RunConfig.from_dict(cfg))
-        bg = model_background("round_sphere", dim=3, r0=1.0, direction="backward")
+        bg = model_background(background["name"], **background["params"])
         assert len(report.records) == 14
         for rec in report.records:
-            cm = build_canonical_metric(bg, "shrinking", rec["N"])
+            cm = build_canonical_metric(bg, variant, rec["N"])
             s = ricci_soliton_residual(cm, np.asarray(rec["point"]), rec["t"])
             assert s.scaled_norm == rec["scaled_norm"]
             assert s.norm == rec["norm"]
@@ -1474,6 +1481,30 @@ class TestCheckedAtTheDoor:
         calls = self.validator_calls(monkeypatch, "_door")
         assert call(np.array([1.2, 1.0, 0.5]), 0.1).shape == (3, 3)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("dim", [3, 5])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_a_one_row_residual_evaluates_each_stage_once(self, monkeypatch, variant, dim):
+        # the fixed cost of the pointwise soliton sweep: a second evaluation on
+        # this path would show as a second call here
+        jet_calls = []
+
+        def counted(field, name):
+            jet = field.jet
+            return dataclasses.replace(field, jet=lambda x, order: jet_calls.append((name, order)) or jet(x, order))
+
+        base = canonical(variant, dim, 1.0).base
+        bg = dataclasses.replace(base, conformal=dataclasses.replace(
+            base.conformal, sigma=counted(base.conformal.sigma, "sigma")))
+        cm = build_canonical_metric(bg, variant, 1e3)
+        cm = dataclasses.replace(cm, field=counted(cm.field, "canonical"))
+        doors = self.validator_calls(monkeypatch, "_door")
+        inverses = self.validator_calls(monkeypatch, "_inverse_and_condition")
+        p, t = sphere_stack(dim, 1, np.random.default_rng(dim))[0], 0.5 * bg.time_domain[1]
+        sample = ricci_soliton_residual(cm, p, t)
+        assert (len(doors), len(inverses)) == (1, 1)
+        assert sorted(jet_calls) == [("canonical", 2), ("sigma", 2)]
+        assert sample.scaled_norm == ricci_soliton_residual(canonical(variant, dim, 1e3), p, t).scaled_norm
 
     @pytest.mark.parametrize("oracle", [closed_form_second_ff, limit_inverse_metric])
     def test_one_time_check_per_track_oracle(self, monkeypatch, oracle):

@@ -334,6 +334,8 @@ RENDERER_EDGE_CASES = {
     "one dict at two indents": {"top": _SHARED_DICT, "deeper": [_SHARED_DICT, {"x": _SHARED_DICT}]},
     "subclasses": {"float": _Float(2.5), "str": _Str("s%"), "ordered": collections.OrderedDict(b=1.0, a=[2.0]),
                    "named": collections.namedtuple("Pair", "x y")(0.5, 0.25), "one key": {"k": 7}},
+    "0-d arrays": {"float": np.array(1.5), "nan": np.array(np.nan), "int": np.array(3), "bool": np.array(True),
+                   "in a list": [np.array(-0.0), np.array(2.5), np.array(False)]},
 }
 
 
@@ -344,6 +346,14 @@ def test_renderer_edge_cases_write_the_encoder_bytes(case):
     report.summary = {"value": RENDERER_EDGE_CASES[case]}
     assert _renderer_bytes(report) == _encoder_bytes(report)
     assert render_json(report) == _encoder_bytes(report)
+
+
+def test_a_0d_array_renders_as_its_scalar():
+    report = ResidualReport(suite="functionals", config={})
+    report.summary = {"v": np.array(1.5), "nan": np.array(np.nan), "in a list": [np.array(7)]}
+    text = render_json(report)
+    assert '"v": 1.5' in text and '"nan": "nan"' in text and '"in a list": [\n      7\n    ]' in text
+    assert text == _encoder_bytes(report)
 
 
 _scalars = st.one_of(
