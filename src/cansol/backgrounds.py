@@ -791,6 +791,15 @@ class HypersurfacePointData:
     tangents = property(lambda self: self.jet[2])   # (n, n+1) rows d_i F
 
 
+@functools.lru_cache(maxsize=16)
+def _minor_columns(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of the m signed n x n minors of an n x m matrix, and their signs; shared, so read-only."""
+    drop = np.arange(n) + (np.arange(n) >= np.arange(m)[:, None])   # row k: every column but k
+    signs = (-1.0) ** np.arange(m)
+    drop.flags.writeable = signs.flags.writeable = False
+    return drop, signs
+
+
 def extrinsic_geometry_batch(tangents, second_partials, g, gamma, hint):
     """(induced, induced_inv, normal, h, H) of a hypersurface at a stack of P points.
 
@@ -811,24 +820,26 @@ def extrinsic_geometry_batch(tangents, second_partials, g, gamma, hint):
     """
     tangents, second_partials, g, gamma, hint = (
         np.ascontiguousarray(a) for a in (tangents, second_partials, g, gamma, hint))
-    induced = tangents @ g @ tangents.transpose(0, 2, 1)
+    Tg = tangents @ g
+    induced = Tg @ tangents.transpose(0, 2, 1)
     induced = 0.5 * (induced + induced.transpose(0, 2, 1))
     induced_inv, errors = _inverse(induced, tangents)
-    for i, cause in enumerate(errors):
-        if cause is not None:
-            errors[i] = DegenerateMetricError("degenerate induced metric")
-            errors[i].__cause__ = cause
-    _, tangents, second_partials, g, gamma, hint, induced, induced_inv = _drop(
-        errors, np.arange(len(errors)), errors, tangents, second_partials, g, gamma, hint, induced, induced_inv)
+    if errors.count(None) != len(errors):
+        for i, cause in enumerate(errors):
+            if cause is not None:
+                errors[i] = DegenerateMetricError("degenerate induced metric")
+                errors[i].__cause__ = cause
+        _, tangents, second_partials, g, gamma, hint, Tg, induced, induced_inv = _drop(
+            errors, np.arange(len(errors)), errors, tangents, second_partials, g, gamma, hint, Tg, induced,
+            induced_inv)
     # the null vector of the n x m matrix T g from its signed n x n minors,
     # then g-normalized and oriented: g(nu, hint) keeps its sign
-    n, m = tangents.shape[1:]
-    drop = np.arange(n) + (np.arange(n) >= np.arange(m)[:, None])   # row k: every column but k
-    minors = np.ascontiguousarray((tangents @ g)[:, :, drop].transpose(0, 2, 1, 3))
-    nu = np.ascontiguousarray(np.linalg.det(minors)) * (-1.0) ** np.arange(m)
+    drop, signs = _minor_columns(*tangents.shape[1:])
+    minors = np.ascontiguousarray(Tg[:, :, drop].transpose(0, 2, 1, 3))
+    nu = np.ascontiguousarray(np.linalg.det(minors)) * signs
     g_nu = g @ nu[..., None]
     scale = np.sqrt(nu[:, None] @ g_nu)
-    scale = np.where(hint[:, None] @ g_nu < 0.0, -scale, scale)
+    np.negative(scale, out=scale, where=hint[:, None] @ g_nu < 0.0)
     nu, g_nu = nu / scale[:, 0], g_nu / scale
     # (D_{T_i} T_j)^c = dd_ij F^c + Gamma^c_ab T_i^a T_j^b, staged as T (Gamma T^T)
     gamma_T = gamma @ np.ascontiguousarray(tangents.transpose(0, 2, 1))[:, None]

@@ -39,7 +39,6 @@ from .backgrounds import VARIANT_SIGNS, RicciFlowBackground
 from .geometry import (
     MetricField,
     ScalarField,
-    _drop,
     _metric_bundle,
     _raise_first,
     _time_errors,
@@ -322,9 +321,9 @@ def _soliton_bundle(cm: CanonicalMetric, points, ts, *vectors) -> tuple:
     its rows.
     """
     errors, index, p, t, *vectors = cm.base._door(points, ts, *vectors, floor=cm.t_min)
-    b = _metric_bundle(cm.field, np.concatenate((t[:, None], p), axis=1), 2)
-    index, *vectors = _drop(errors, index, b.errors, *vectors)
-    return errors, index, b, *vectors
+    # the core records a degenerate row in the door's errors and narrows its index
+    b = _metric_bundle(cm.field, np.concatenate((t[:, None], p), axis=1), 2, None, errors, index)
+    return (errors, b.index, b, *(v[np.searchsorted(index, b.index)] for v in vectors))
 
 
 def ricci_soliton_residuals(cm: CanonicalMetric, points, ts) -> ResidualStack:

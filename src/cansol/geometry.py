@@ -47,9 +47,8 @@ Conventions
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -452,16 +451,20 @@ class MetricBundle:
     ginv: np.ndarray            # (P, d, d)
     dg: np.ndarray | None       # (P, d, d, d), [p, a, b, c] = d_a g_bc
     ddg: np.ndarray | None      # (P, d, d, d, d)
+    _dg_memo: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def raise_error(self):
         """Raise the first recorded per-point error, if any."""
         _raise_first(self.errors)
 
-    @functools.cached_property
+    @property
     def _dg_bracket(self) -> np.ndarray:
         """``_bracket(dg)``, formed on first use: the Christoffel symbols, the Ricci tensor and
-        the Hessian of one bundle share it, and a flat bundle's Hessian never forms it."""
-        return _bracket(self.dg)
+        the Hessian of one bundle share it, and a flat bundle's Hessian never forms it.  A plain
+        memo, since ``cached_property`` takes a lock per bundle."""
+        if self._dg_memo is None:
+            self._dg_memo = _bracket(self.dg)
+        return self._dg_memo
 
 
 def _norm1(a: np.ndarray) -> np.ndarray:
@@ -515,7 +518,9 @@ def _inverse_and_condition(g: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, 
                 except np.linalg.LinAlgError:
                     ginv[i] = np.eye(d)
                     errors[i] = DegenerateMetricError(f"metric at {pts[i]} is singular")
-        cond = _norm1(g) * _norm1(ginv)
+        # both 1-norms from one reduction over the stacked pair
+        norms = _norm1(np.concatenate((g, ginv)))
+        cond = norms[:P] * norms[P:]
     return ginv, cond, errors
 
 

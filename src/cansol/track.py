@@ -55,9 +55,9 @@ from .geometry import (
     _door,
     _drop,
     _metric_bundle,
+    _partials,
     _raise_first,
     christoffel_batch,
-    scalar_d1,
 )
 
 __all__ = [
@@ -77,10 +77,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpaceTimeTrack:
-    """A hypersurface flow paired with the canonical metric it lives in."""
+    """A hypersurface flow paired with the canonical metric it lives in.
+
+    The metric must be built on the flow's own ambient background; the
+    pairing is checked once, when the track is made.
+    """
 
     mcf: MCFSolution
     cm: CanonicalMetric
+
+    def __post_init__(self):
+        a, b = self.mcf.ambient, self.cm.base
+        if a is not b:
+            raise CanonicalConfigError(
+                f"canonical metric built on a background ({b.name}, dim {b.dim}) other than "
+                f"the flow's ambient ({a.name}, dim {a.dim}); build it on mcf.ambient"
+            )
 
     @property
     def n(self) -> int:
@@ -89,12 +101,6 @@ class SpaceTimeTrack:
 
 def build_track(mcf: MCFSolution, cm: CanonicalMetric) -> SpaceTimeTrack:
     """Pair a flow with a canonical metric built on the flow's own background."""
-    a, b = mcf.ambient, cm.base
-    if a is not b:
-        raise CanonicalConfigError(
-            f"canonical metric built on a background ({b.name}, dim {b.dim}) other than "
-            f"the flow's ambient ({a.name}, dim {a.dim}); build it on mcf.ambient"
-        )
     return SpaceTimeTrack(mcf, cm)
 
 
@@ -171,9 +177,7 @@ def _slice_rows(track: SpaceTimeTrack, xs, ts) -> _SliceRows:
     slices = _slice_stack(mcf, *_door(xs, ts, track.n, windows, floor=track.cm.t_min))
     F, Ft, Fx, Fxx, Fxt, Ftt = slices.jet
     n, P = track.n, len(F)
-    z = np.empty((P, n + 2))
-    z[:, 0] = slices.ts
-    z[:, 1:] = F
+    z = np.concatenate((np.array(slices.ts)[:, None], F), axis=1)
     # tangent basis: row 0 is d/dt + dF/dt, rows 1..n are (0, d_i F)
     basis = np.zeros((P, n + 1, n + 2))
     basis[:, 0, 0] = 1.0
@@ -262,7 +266,9 @@ def track_point_data(track: SpaceTimeTrack, x: np.ndarray, t: float) -> TrackPoi
 def _residuals(cm: CanonicalMetric, stack: _TrackStack) -> ResidualStack:
     """The soliton defect in ``cm`` at the pairs of ``stack``, and their norms."""
     nu = stack.ext[2]
-    df = scalar_d1(cm.potential, stack.z)
+    # z passed the track's door, so the potential's partials skip the point check
+    f = cm.potential
+    df = _partials(f.d1, f.value, stack.z, 1, (), "scalar")
     nu_f = (nu[:, None] @ df[..., None])[:, 0, 0]
     # H^S - nu^S f on forward (expanding) tracks, H^S + nu^S f on backward ones
     values = stack.ext[-1] + (-nu_f if cm.sign > 0 else nu_f)
@@ -295,9 +301,9 @@ def mcf_canonical_residual(track: SpaceTimeTrack, x: np.ndarray, t: float) -> Re
     Entirely engine-evaluated: H^S from the kernel second fundamental
     form, nu^S f as the directional derivative of the canonical potential
     along the kernel normal.  This is the single-pair, one-metric case of
-    ``mcf_canonical_sweep``.
+    ``mcf_canonical_sweep``, on the track's own pairing of flow and metric.
     """
-    [stack] = mcf_canonical_sweep(track.mcf, [track.cm], [x], [t])
+    stack = _residuals(track.cm, _track_stack(track, _slice_rows(track, [x], [t])))
     [exc] = stack.errors
     if exc is not None:
         raise exc

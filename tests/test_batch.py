@@ -62,6 +62,7 @@ from cansol.harnack import (
     weighted_functionals,
 )
 from cansol.track import (
+    SpaceTimeTrack,
     build_track,
     closed_form_second_ff,
     limit_inverse_metric,
@@ -963,6 +964,9 @@ class TestTrackStacks:
         cms = [build_canonical_metric(b, "steady", 1e4) for b in (mcf.ambient, twin)]
         with pytest.raises(CanonicalConfigError, match="other than the flow's ambient"):
             mcf_canonical_sweep(mcf, cms, mcf.sample_xs(2, np.random.default_rng(0)), [0.5, 0.6])
+        # a track is checked when it is made, so a one-row call never meets an unchecked pairing
+        with pytest.raises(CanonicalConfigError, match="other than the flow's ambient"):
+            SpaceTimeTrack(mcf, cms[1])
         assert mcf_canonical_sweep(mcf, [], [np.array([1.0, 2.0])], [0.5]) == []
 
     @pytest.mark.parametrize("flow, dim, direction", [
@@ -1506,6 +1510,24 @@ class TestCheckedAtTheDoor:
         assert sorted(jet_calls) == [("canonical", 2), ("sigma", 2)]
         assert sample.scaled_norm == ricci_soliton_residual(canonical(variant, dim, 1e3), p, t).scaled_norm
 
+    @pytest.mark.parametrize("flow, dim, variant", [
+        ("shrinking_sphere_flat", 3, "expanding"), ("shrinking_sphere_flat", 5, "shrinking"),
+        ("equator_in_sphere", 3, "steady"),
+    ])
+    def test_a_one_row_track_residual_checks_its_pair_once(self, monkeypatch, flow, dim, variant):
+        # the door checks (x, t) and the slice core the image F_t(x); the space-time
+        # point z = (t, F) is built from checked rows, and nothing checks it again
+        mcf = _flow(flow, dim, DIRECTION[variant])
+        track = build_track(mcf, build_canonical_metric(mcf.ambient, variant, 1e3))
+        x = mcf.sample_xs(1, np.random.default_rng(dim))[0]
+        t = 0.5 * (track.cm.t_min + min(mcf.time_domain[1], mcf.ambient.time_domain[1]))
+        want = mcf_canonical_residual(track, x, t)
+        doors = self.validator_calls(monkeypatch, "_door")
+        points = self.validator_calls(monkeypatch, "_point_errors")
+        times = self.validator_calls(monkeypatch, "_time_errors")
+        assert mcf_canonical_residual(track, x, t).value == want.value
+        assert (len(doors), len(points), len(times)) == (1, 2, 1)
+
     @pytest.mark.parametrize("oracle", [closed_form_second_ff, limit_inverse_metric])
     def test_one_time_check_per_track_oracle(self, monkeypatch, oracle):
         mcf = _flow("shrinking_sphere_flat", 3, "forward")
@@ -1570,7 +1592,8 @@ class TestCheckedAtTheDoor:
 
 
 class TestConditionEstimate:
-    """The diagonal path, reduced along the stack axis, has the bits of the row-wise max(d) * max(1/d)."""
+    """Each path's estimate has the bits of its row-wise formula: max(d) * max(1/d) on the
+    diagonal path, |g|_1 |g^-1|_1 on LAPACK's."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_equals_the_row_wise_formula(self, d):
@@ -1588,6 +1611,23 @@ class TestConditionEstimate:
         _, cond, errors = geometry._inverse_and_condition(g, np.zeros((P, d)))
         assert errors == [None] * P
         assert_same_bits(cond, diag.max(axis=1) * (1.0 / diag).max(axis=1))
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    @pytest.mark.parametrize("P", [1, 7, 64])
+    def test_full_stacks_fold_both_norms_into_one_reduction(self, P, d, lapack_calls):
+        # the LAPACK path reduces g and g^-1 as one stacked pair; each estimate
+        # keeps the bits of the two 1-norms taken apart
+        rng = np.random.default_rng(100 * d + P)
+        a = rng.normal(size=(2 * P, d, d))
+        g = a @ a.transpose(0, 2, 1) + d * np.eye(d)
+        g = 0.5 * (g + g.transpose(0, 2, 1))
+        for stack in (g[:P], g[::2]):
+            ginv, cond, errors = geometry._inverse_and_condition(stack, np.zeros((P, d)))
+            want_inv, want_cond = lapack_inverse(np.ascontiguousarray(stack))
+            assert_same_bits(ginv, want_inv)
+            assert_same_bits(cond, want_cond)
+            assert errors == [None] * P
+        assert lapack_calls == [(P, d, d)] * 2
 
 
 def point_errors_by_row(pts, in_domain):
@@ -1716,6 +1756,23 @@ class TestHypersurfaceKernel:
         tol = 16.0 * np.finfo(float).eps * np.sqrt(cond[:-1])
         assert (gaps[:, :3] <= tol[:, None]).all()
         assert (gaps[:, 3] == 0.0).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_a_flipped_hint_negates_the_normal_and_h_only(self, n):
+        rng = np.random.default_rng(20 + n)
+        P = 9
+        args = hypersurface_stack(n, P, rng)
+        ext, errors = extrinsic_geometry_batch(*args)
+        assert errors == [None] * P
+        flip = np.array([True, False, True, True, False, False, True, False, True])
+        for hint, flipped in ((-args[-1], np.ones(P, bool)), (np.where(flip[:, None], -args[-1], args[-1]), flip)):
+            got, got_errors = extrinsic_geometry_batch(*args[:-1], hint)
+            assert got_errors == [None] * P
+            for same in (0, 1):                       # induced, induced_inv
+                assert_same_bits(got[same], ext[same])
+            for k in (2, 3, 4):                       # nu, h, H
+                sign = np.where(flipped, -1.0, 1.0).reshape((P,) + (1,) * (ext[k].ndim - 1))
+                assert_same_bits(got[k], sign * ext[k])
 
     def test_empty_and_all_degenerate_stacks(self):
         args = hypersurface_stack(2, 2, np.random.default_rng(3))
