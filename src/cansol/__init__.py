@@ -20,7 +20,7 @@ from .backgrounds import (
     MCFSolution,
     RicciFlowBackground,
     gradient_soliton_residual,
-    hypersurface_point_data,
+    slice_stack,
     mcf_soliton_residual,
     model_background,
     model_mcf,
@@ -37,12 +37,12 @@ from .canonical import (
 )
 from .track import (
     SpaceTimeTrack,
-    TrackPointData,
+    TrackStack,
     build_track,
     closed_form_second_ff,
     limit_inverse_metric,
     mcf_canonical_residual,
-    track_point_data,
+    track_stacks,
 )
 from .harnack import (
     WeightedManifoldData,

@@ -13,8 +13,8 @@ A background answers at a stack of (point, time) rows: ``bundle`` and
 ``MCFSolution.jet(x, t)`` on a point or a stack, and the partials of its
 mean curvature, dH/dx and dH/dt, which every flow supplies;
 ``slice_stack`` reads the jet once per stack and carries it to the
-space-time track.  The single-point slice, ``hypersurface_point_data``,
-is the P = 1 case of ``slice_stack``.
+space-time track; the forms that read a slice take the ``SliceStack``
+and read the curvature and H partials at its rows once (``_flow_terms``).
 
 Orientation convention: the unit normal nu is chosen so that a round
 sphere in flat space has positive mean curvature with the outward normal
@@ -61,7 +61,6 @@ __all__ = [
     "BackgroundCurvature",
     "GradientSolitonData",
     "MCFSolution",
-    "HypersurfacePointData",
     "BackgroundError",
     "model_background",
     "model_mcf",
@@ -71,7 +70,6 @@ __all__ = [
     "gradient_soliton_residual",
     "mcf_soliton_residual",
     "SliceStack",
-    "hypersurface_point_data",
     "slice_stack",
     "extrinsic_geometry_batch",
     "unit_sphere_metric",
@@ -753,42 +751,16 @@ def mcf_soliton_residual(
     """
     if sign not in (+1.0, -1.0, 1, -1):
         raise BackgroundError(f"sign must be +1 or -1, got {sign}")
-    data = hypersurface_point_data(mcf, x, t)
-    nu_f = float(data.normal @ scalar_d1(potential(t), data.position))
-    return data.mean_curvature + float(sign) * nu_f
+    stack = slice_stack(mcf, _one_point(x), [t])
+    _raise_first(stack.errors)
+    nu, H = stack.ext[2][0], float(stack.ext[-1][0])
+    nu_f = float(nu @ scalar_d1(potential(t), stack.jet[0][0]))
+    return H + float(sign) * nu_f
 
 
 # ---------------------------------------------------------------------------
-# hypersurface pointwise geometry
+# hypersurface geometry at a stack of pairs
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HypersurfacePointData:
-    """Extrinsic geometry of M_t at one point of the hypersurface chart.
-
-    ``ambient`` is the background M_t lives in; the slice-level forms read
-    it and ``t`` from here, so a slice cannot meet another background or time.
-    """
-
-    ambient: RicciFlowBackground
-    x: np.ndarray
-    t: float
-    jet: tuple                    # the flow's 2-jet at (x, t), see MCFSolution
-    g: np.ndarray                 # ambient g_ab(t) at F_t(x)
-    ginv: np.ndarray
-    curvature: BackgroundCurvature  # the ambient's, one row at (F_t(x), t)
-    induced: np.ndarray           # g_ij
-    induced_inv: np.ndarray
-    normal: np.ndarray            # unit, catalog orientation
-    second_ff: np.ndarray         # h_ij = -<D_{T_i} T_j, nu>
-    mean_curvature: float
-    dx_mean_curvature: np.ndarray # coordinate partials d_i H
-    dt_mean_curvature: float
-
-    position = property(lambda self: self.jet[0])   # F_t(x) in the ambient chart
-    velocity = property(lambda self: self.jet[1])   # d_t F
-    tangents = property(lambda self: self.jet[2])   # (n, n+1) rows d_i F
 
 
 @functools.lru_cache(maxsize=16)
@@ -852,11 +824,14 @@ def extrinsic_geometry_batch(tangents, second_partials, g, gamma, hint):
 class SliceStack(NamedTuple):
     """The geometry of M_t at a stack of (x, t) pairs, stacked over the pairs in ``index``.
 
-    ``errors`` has one entry per pair: None, or the exception
-    ``hypersurface_point_data`` raises there.  Row j lies over pair
-    ``index[j]``: ``xs`` and ``ts`` hold the rows' points and times, ``ext``
-    the ``extrinsic_geometry_batch`` results, ``g`` and ``ginv`` the ambient
-    metric at the image points.
+    ``errors`` has one entry per pair: None, or the exception its check
+    or its geometry raised.  Row j lies over pair ``index[j]``: ``xs`` and
+    ``ts`` hold the rows' points and times, ``jet`` the flow's 2-jet there
+    (``jet[0]`` the image points F_t(x), ``jet[2]`` the tangents), ``ext``
+    the ``extrinsic_geometry_batch`` results (induced metric, its inverse,
+    normal, h, H), ``g`` and ``ginv`` the ambient metric at the images.
+    ``mcf.ambient`` is the background M_t lives in, so a slice cannot meet
+    another background.
     """
 
     mcf: MCFSolution
@@ -869,27 +844,12 @@ class SliceStack(NamedTuple):
     g: np.ndarray
     ginv: np.ndarray
 
-    def record(self, j: int) -> HypersurfacePointData:
-        """The ``HypersurfacePointData`` of stacked row j, with the ambient's curvature there."""
-        x, t = self.xs[j], self.ts[j]
-        induced, induced_inv, nu, h, H = (a[j] for a in self.ext)
-        jet = tuple(a[j] for a in self.jet)
-        return HypersurfacePointData(
-            ambient=self.mcf.ambient,
-            x=x,
-            t=t,
-            jet=jet,
-            g=self.g[j],
-            ginv=self.ginv[j],
-            curvature=BackgroundCurvature._make(a[0] for a in self.mcf.ambient._curvature(jet[0][None], [t])),
-            induced=induced,
-            induced_inv=induced_inv,
-            normal=nu,
-            second_ff=h,
-            mean_curvature=float(H),
-            dx_mean_curvature=np.asarray(self.mcf.dx_mean_curvature(x, t), dtype=float),
-            dt_mean_curvature=float(self.mcf.dt_mean_curvature(x, t)),
-        )
+    def take(self, rows) -> "SliceStack":
+        """The stack of the rows ``rows`` of this one, in that order; a row may repeat, and keeps its bits."""
+        rows = np.asarray(rows, dtype=int)
+        return self._replace(xs=self.xs[rows], ts=[self.ts[j] for j in rows.tolist()], index=self.index[rows],
+                             jet=tuple(a[rows] for a in self.jet), ext=tuple(a[rows] for a in self.ext),
+                             g=self.g[rows], ginv=self.ginv[rows])
 
 
 def slice_stack(mcf: MCFSolution, xs, ts) -> SliceStack:
@@ -922,13 +882,9 @@ def _slice_stack(mcf: MCFSolution, errors: list, index, x: np.ndarray, t: np.nda
     return SliceStack(mcf, x, t.tolist(), index, errors, tuple(jet), ext, g, ginv)
 
 
-def hypersurface_point_data(mcf: MCFSolution, x: np.ndarray, t: float) -> HypersurfacePointData:
-    """Compute induced metric, normal, h, H and H-derivatives at (x, t).
-
-    The one-pair case of ``slice_stack``: it raises the error that
-    ``slice_stack`` records at (x, t).  The H-derivatives are the flow's
-    own callbacks.
-    """
-    stack = slice_stack(mcf, _one_point(x), [t])
-    _raise_first(stack.errors)
-    return stack.record(0)
+def _flow_terms(stack: SliceStack) -> tuple:
+    """(``BackgroundCurvature``, dH/dx, dH/dt) at the rows of ``stack``, one read of each."""
+    mcf, ts = stack.mcf, np.array(stack.ts)
+    return (mcf.ambient._curvature(stack.jet[0], stack.ts),
+            np.asarray(mcf.dx_mean_curvature(stack.xs, ts), dtype=float),
+            np.asarray(mcf.dt_mean_curvature(stack.xs, ts), dtype=float))

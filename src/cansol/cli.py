@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import backgrounds as bgmod
-from .backgrounds import _POSITIVE, _check, _List, _Number, hypersurface_point_data, model_background, model_mcf
+from .backgrounds import _POSITIVE, _check, _List, _Number, model_background, model_mcf, slice_stack
 from .canonical import (
     CHRISTOFFEL_CORRECTIONS,
     T_MIN_FRACTION,
@@ -36,7 +36,7 @@ from .canonical import (
     limit_riccis,
     ricci_soliton_residual,
 )
-from .geometry import FD_H1, FD_H2, ChartDomainError, DegenerateMetricError, ScalarField, _time_errors
+from .geometry import FD_H1, FD_H2, ChartDomainError, DegenerateMetricError, ScalarField, _raise_first, _time_errors
 from .harnack import (
     flat_ball_domain,
     limit_second_ff,
@@ -46,7 +46,7 @@ from .harnack import (
     weighted_functionals,
 )
 from .reports import EmitError, ResidualReport, emit
-from .track import mcf_canonical_sweep, track_point_sweep
+from .track import mcf_canonical_sweep, track_stacks
 
 __all__ = ["ConfigError", "RunConfig", "run", "main", "SUITES"]
 
@@ -77,6 +77,13 @@ class RunConfig:
         _check(raw, _CONFIG, "", ConfigError)
         if "suite" not in raw:
             raise ConfigError(f"config needs a suite, one of {list(SUITES)}")
+        top, samples, tolerances = _SUITE_KEYS[raw["suite"]]
+        read = {"suite", "output", "samples", "tolerances", *top,
+                *(f"samples.{k}" for k in samples), *(f"tolerances.{k}" for k in tolerances)}
+        given = [*raw, *(f"{b}.{k}" for b in ("samples", "tolerances") for k in raw.get(b, {}))]
+        unread = [k for k in given if k not in read]
+        if unread:
+            raise ConfigError(f"suite {raw['suite']} does not read {', '.join(unread)}")
         return RunConfig(**raw)
 
 
@@ -347,15 +354,16 @@ def _run_harnack_limits(cfg: RunConfig, report: ResidualReport):
 
     track_checked = True
     if cfg.mcf:
-        try:
-            # one slice evaluation serves the limit form and every N
-            data = track_point_sweep(mcf, cms, x, t)
-        except _POINT_ERRORS as exc:
+        # one slice evaluation serves the limit form and every N; the slice's
+        # error is every stack's, so the first stack's comes first
+        stacks = track_stacks(mcf, cms, [x], [t])
+        exc = next((s.errors[0] for s in stacks if s.errors[0] is not None), None)
+        if exc is not None:
             track_checked = False
             report.errors.append({"kind": "stripped_track_limit", "x": list(x), "t": t, "error": str(exc)})
         else:
-            target = limit_second_ff(data[0].hyp, V)
-            errs = [abs(stripped_track_form(d, V) - target) for d in data]
+            [target] = limit_second_ff(stacks[0].slices, [V]).tolist()
+            errs = [abs(stripped_track_form(s, [V]).item() - target) for s in stacks]
             record(errs, kind="stripped_track_limit", x=list(x), t=t, V=list(V))
 
     all_in_band = all(r["in_band"] for r in report.records)
@@ -383,13 +391,15 @@ def _run_lott_match(cfg: RunConfig, report: ResidualReport):
         raise ConfigError(f"lott_match evaluates one slice: samples.times needs one entry, got {times!r}")
     # one slice serves every potential, so a time outside the flow's domain is the config's error
     _reject_times(cfg, mcf, times)
-    hyp = hypersurface_point_data(mcf, x, times[0])
+    # one slice evaluation, its row taken once per potential
+    stack = slice_stack(mcf, [x], times)
+    _raise_first(stack.errors)
+    stack = stack.take([0] * count)
 
     worst = 0.0
     # one pass over the monomial table gives every potential's differential at the slice point
-    grads = random_polynomial_gradients(bg.dim, rng, count, hyp.position)
-    for k, df in enumerate(grads):
-        defect = abs(lott_match_defect(hyp, df))
+    grads = random_polynomial_gradients(bg.dim, rng, count, stack.jet[0][0])
+    for k, defect in enumerate(np.abs(lott_match_defect(stack, grads)).tolist()):
         report.records.append({"potential_index": k, "defect": defect})
         worst = max(worst, defect)
 
@@ -441,6 +451,18 @@ _RUNNERS = {
     "functionals": _run_functionals,
 }
 SUITES = tuple(_RUNNERS)
+
+# the keys each suite reads besides ``suite`` and ``output``: top-level, then
+# in ``samples`` and ``tolerances``; any other key is refused, not ignored
+_DRAWS = ("count", "seed", "t_range", "times")
+_SUITE_KEYS = {
+    "ricci_soliton_residual": (("variant", "background", "N_list"), _DRAWS, ("ratio",)),
+    "mcf_soliton_residual": (("variant", "background", "mcf", "N_list"), _DRAWS, ("ratio",)),
+    "christoffel_crosscheck": (("variant", "background", "N_list"), (*_DRAWS, "backend"), ("rel_error",)),
+    "harnack_limits": (("background", "mcf", "N_list"), _DRAWS, ("ratio_band",)),
+    "lott_match": (("background", "mcf"), ("count", "seed", "times"), ("defect",)),
+    "functionals": ((), ("potential", "grid"), ("refinement",)),
+}
 
 # the run configuration: each block's accepted keys, and the type and range
 # of each value; a key left out takes its suite's default

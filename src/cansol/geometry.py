@@ -125,14 +125,6 @@ def _point_stack(coords, dim: int | None = None, row: str = "point") -> tuple[np
     return pts, single
 
 
-def _vector(v, dim: int) -> np.ndarray:
-    """One (dim,) float vector at a point; any other shape raises the door's ``ChartDomainError``."""
-    V, single = _point_stack(v, dim, "vector")
-    if not single:
-        raise ChartDomainError(f"chart vector must have shape ({dim},), got {V.shape}")
-    return V[0]
-
-
 def _door(points, ts, dim: int, windows, *vectors, floor=-math.inf, in_domain=None) -> tuple:
     """The one door of the stacked entries: (errors, index, points, times, *vectors).
 

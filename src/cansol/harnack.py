@@ -15,6 +15,10 @@ Three strands meet here:
   integrand of their evolution, which ``limit_second_ff(-grad f)``
   reproduces up to the H/(2t) term.
 
+The slice and track forms take a ``SliceStack`` (or a ``TrackStack``) and
+one vector or differential per row, and return (P,) arrays; a row's value
+does not depend on its stack.
+
 Quadrature is product trapezoid on explicit chart grids with sqrt(det g)
 densities baked into the weights.  ``weighted_functionals`` takes the grid
 through the batched kernel once, in chunks of QUADRATURE_CHUNK nodes, and
@@ -27,18 +31,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, permutations
 from typing import NamedTuple
 
 import numpy as np
 
-from .backgrounds import POLE_BAND, HypersurfacePointData, model_background
+from .backgrounds import POLE_BAND, SliceStack, _flow_terms, model_background
 from .canonical import CanonicalConfigError
 from .geometry import (
+    GeometryError,
     MetricField,
     ScalarField,
-    _vector,
+    _point_stack,
     gradient_batch,
     hessian_batch,
     inverse_metric,  # noqa: F401  (harnack.inverse_metric, a binding the benchmark tracer patches)
@@ -46,7 +51,7 @@ from .geometry import (
     scalar_curvature_batch,
     scalar_d1,
 )
-from .track import TrackPointData
+from .track import TrackStack
 
 __all__ = [
     "limit_second_ff",
@@ -74,40 +79,60 @@ class QuadratureError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def limit_second_ff(hyp: HypersurfacePointData, V: np.ndarray) -> float:
-    """Large-N limit of the track's second fundamental form on V + d/dt.
+def _row_vectors(vectors, count: int, dim: int) -> np.ndarray:
+    """One (dim,) vector per stacked row, (count, dim); else a ``ChartDomainError`` or ``GeometryError``."""
+    V, _ = _point_stack(vectors, dim, "vector")
+    if len(V) != count:
+        raise GeometryError(f"{len(V)} vectors for {count} stacked rows")
+    return V
+
+
+def _chain(a: np.ndarray, *B: np.ndarray) -> np.ndarray:
+    """a_p . B1_p ... Bk_p c_p at every row p, (P,), with c the last of B: one stacked matmul chain."""
+    return (reduce(np.matmul, B[:-1], a[:, None]) @ B[-1][..., None])[:, 0, 0]
+
+
+def limit_second_ff(stack: SliceStack, Vs) -> np.ndarray:
+    """Large-N limit of the track's second fundamental form on V + d/dt, at each row of ``stack``.
 
     dH/dt + h(V, V) + H/(2t) + 2 <V, grad H> + 2 Ric(V, nu)
     - H Ric(nu, nu) + nu(R)/2, assembled from the slice and its background
-    only (no N enters).  Reduces to Z~(V, V) when the background is flat.
+    only (no N enters), with ``Vs`` one (n,) vector per row.  Reduces to
+    Z~(V, V) when the background is flat.
     """
-    if hyp.ambient.direction != "forward":
+    V = _row_vectors(Vs, len(stack.xs), stack.xs.shape[1])
+    return _limit_form(stack, _flow_terms(stack), V)
+
+
+def _limit_form(stack: SliceStack, terms: tuple, V: np.ndarray) -> np.ndarray:
+    """``limit_second_ff`` on checked rows V, given the stack's ``_flow_terms``."""
+    if stack.mcf.ambient.direction != "forward":
         raise CanonicalConfigError("the limit form is defined along the forward flow")
-    V = _vector(V, len(hyp.x))
-    ric, dRdy = hyp.curvature.ric, hyp.curvature.dRdy
+    (ric, _, _, dRdy), dH, dHdt = terms
+    _, _, nu, h, H = stack.ext
     return (
-        hyp.dt_mean_curvature
-        + float(V @ hyp.second_ff @ V)
-        + hyp.mean_curvature / (2.0 * hyp.t)
-        + 2.0 * float(V @ hyp.dx_mean_curvature)
-        + 2.0 * float(V @ hyp.tangents @ ric @ hyp.normal)
-        - hyp.mean_curvature * float(hyp.normal @ ric @ hyp.normal)
-        + 0.5 * float(hyp.normal @ dRdy)
+        dHdt
+        + _chain(V, h, V)
+        + H / (2.0 * np.array(stack.ts))
+        + 2.0 * _chain(V, dH)
+        + 2.0 * _chain(V, stack.jet[2], ric, nu)
+        - H * _chain(nu, ric, nu)
+        + 0.5 * _chain(nu, dRdy)
     )
 
 
-def stripped_track_form(d: TrackPointData, V: np.ndarray) -> float:
-    """Finite-N track form on the lifted vector at the track point ``d``, normalization removed.
+def stripped_track_form(stack: TrackStack, Vs) -> np.ndarray:
+    """Finite-N track form on the lifted vectors at each row of ``stack``, normalization removed.
 
     Evaluates h^S(V + d/dt, V + d/dt) and multiplies by t sigma_N, the
     explicit prefactor of the closed forms; without the stripping the
     sigma_N -> 1/sqrt(t) limit would rescale the comparison against
     ``limit_second_ff``.  This normalization choice is recorded in run
-    provenance blocks.  ``d`` is the data of one metric at one pair, from
-    ``track_point_data`` or a ``track_point_sweep``.
+    provenance blocks.  ``Vs`` holds one (n,) vector per row of the stack.
     """
-    W = np.concatenate(([1.0], _vector(V, len(d.x))))
-    return float(W @ d.second_ff @ W) * d.t * d.sigma_N
+    V = _row_vectors(Vs, len(stack.index), stack.slices.xs.shape[1])
+    W = np.column_stack((np.ones(len(V)), V))
+    return _chain(W, stack.ext[3], W) * stack.z[:, 0] * stack.sigma_N
 
 
 # ---------------------------------------------------------------------------
@@ -115,55 +140,57 @@ def stripped_track_form(d: TrackPointData, V: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def tangential_gradient(hyp: HypersurfacePointData, df: np.ndarray):
-    """Boundary gradient of a potential f at a slice point, from its differential there.
+def tangential_gradient(stack: SliceStack, dfs):
+    """Boundary gradients of potentials at the rows of ``stack``, from their differentials ``dfs`` there.
 
-    ``df`` is ``scalar_d1(f, hyp.position)``: the slice forms take a
-    potential by its differential, so one evaluation serves every form.
-    Returns (chart components w.r.t. the slice tangents, ambient vector).
+    The slice forms take a potential f by its differential, ``scalar_d1(f,
+    stack.jet[0])``, so one evaluation serves every form.  Returns the (P, n)
+    chart components w.r.t. the slice tangents and the (P, n+1) ambient vectors.
     """
-    grad_amb = hyp.ginv @ _vector(df, len(hyp.g))
-    tang = grad_amb - float(grad_amb @ hyp.g @ hyp.normal) * hyp.normal
-    comps = hyp.induced_inv @ (hyp.tangents @ hyp.g @ tang)
-    return comps, tang
+    df = _row_vectors(dfs, len(stack.xs), stack.g.shape[1])
+    g, nu = stack.g, stack.ext[2]
+    grad = (stack.ginv @ df[..., None])[..., 0]
+    tang = grad - _chain(grad, g, nu)[:, None] * nu
+    return (stack.ext[1] @ (stack.jet[2] @ g @ tang[..., None]))[..., 0], tang
 
 
-def lott_boundary_integrand(hyp: HypersurfacePointData, df: np.ndarray) -> float:
-    """Boundary integrand of the weighted functional's evolution.
+def lott_boundary_integrand(stack: SliceStack, dfs) -> np.ndarray:
+    """Boundary integrand of the weighted functional's evolution, at each row of ``stack``.
 
     dH/dt - 2 <grad f, grad H> + h(grad f, grad f) - 2 Ric(nu, grad f)
     + nu(R)/2 - H Ric(nu, nu), with grad f the boundary-tangential
-    gradient of the potential with differential ``df``.  dH/dt must come
-    with the hypersurface data; there is no hidden time differencing across
+    gradient of the potential with differential ``dfs`` (one per row).
+    dH/dt comes with the flow; there is no hidden time differencing across
     unrelated snapshots.
     """
-    return _lott_integrand(hyp, *tangential_gradient(hyp, df))
+    return _lott_integrand(stack, _flow_terms(stack), *tangential_gradient(stack, dfs))
 
 
-def _lott_integrand(hyp: HypersurfacePointData, comps: np.ndarray, tang: np.ndarray) -> float:
-    """``lott_boundary_integrand`` given the boundary gradient (comps, tang) of f."""
-    ric, dRdy = hyp.curvature.ric, hyp.curvature.dRdy
+def _lott_integrand(stack: SliceStack, terms: tuple, comps: np.ndarray, tang: np.ndarray) -> np.ndarray:
+    """``lott_boundary_integrand`` given the ``_flow_terms`` and the boundary gradients (comps, tang)."""
+    (ric, _, _, dRdy), dH, dHdt = terms
+    _, _, nu, h, H = stack.ext
     return (
-        hyp.dt_mean_curvature
-        - 2.0 * float(comps @ hyp.dx_mean_curvature)
-        + float(comps @ hyp.second_ff @ comps)
-        - 2.0 * float(hyp.normal @ ric @ tang)
-        + 0.5 * float(hyp.normal @ dRdy)
-        - hyp.mean_curvature * float(hyp.normal @ ric @ hyp.normal)
+        dHdt
+        - 2.0 * _chain(comps, dH)
+        + _chain(comps, h, comps)
+        - 2.0 * _chain(nu, ric, tang)
+        + 0.5 * _chain(nu, dRdy)
+        - H * _chain(nu, ric, nu)
     )
 
 
-def lott_match_defect(hyp: HypersurfacePointData, df: np.ndarray) -> float:
-    """limit_second_ff(-grad f) - boundary integrand - H/(2t) on one slice, f given by ``df``.
+def lott_match_defect(stack: SliceStack, dfs) -> np.ndarray:
+    """limit_second_ff(-grad f) - boundary integrand - H/(2t) at each row of ``stack``, f given by ``dfs``.
 
     Identically zero: the limit form evaluated on the negative boundary
     gradient reproduces the evolution integrand up to the H/(2t) term.  One
-    boundary gradient serves both sides.
+    boundary gradient and one read of the flow terms serve both sides.
     """
-    comps, tang = tangential_gradient(hyp, df)
-    lhs = limit_second_ff(hyp, -comps)
-    rhs = _lott_integrand(hyp, comps, tang)
-    return lhs - rhs - hyp.mean_curvature / (2.0 * hyp.t)
+    comps, tang = tangential_gradient(stack, dfs)
+    terms = _flow_terms(stack)
+    lhs = _limit_form(stack, terms, -comps)
+    return lhs - _lott_integrand(stack, terms, comps, tang) - stack.ext[-1] / (2.0 * np.array(stack.ts))
 
 
 # ---------------------------------------------------------------------------

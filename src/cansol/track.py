@@ -18,15 +18,14 @@ The theorems under test say Sigma is an approximate soliton: the defect
     shrinking:  E~_N = H^S + nu^S f        (f = +N/(2 tau))
     steady:     E~_N = H^S + nu^S f        (f = -N tau)
 
-stays O(1/N), i.e. N |E~_N| is bounded.  ``mcf_canonical_sweep``
-evaluates the defect on a stack of (x, t) pairs for a list of canonical
+stays O(1/N), i.e. N |E~_N| is bounded.  ``track_stacks`` evaluates the
+track geometry on a stack of (x, t) pairs for a list of canonical
 metrics: the slices, which do not depend on N, once, and the track
-geometry once per metric.  It returns one ``ResidualStack`` per metric:
-the per-pair errors, the index of the pairs that evaluate, and their
-defects and norms.  ``track_point_sweep`` gives the full track geometry
-at one pair in each metric, from one slice evaluation.
-``mcf_canonical_residual`` and ``track_point_data`` are the single-pair,
-one-metric cases, and a pair's result does not depend on its stack.
+geometry once per metric.  Each ``TrackStack`` carries its metric and
+its slices, and ``mcf_canonical_sweep`` maps it to a ``ResidualStack``;
+``mcf_canonical_residual`` is the single-pair, one-metric case.  A pair's
+result does not depend on its stack.  The oracles take a track and a
+stack of pairs, and raise the first failing pair's error.
 
 As with the Christoffel tables, the reference closed forms for h^S
 circulate with slips in their O(1/N) correction terms;
@@ -37,16 +36,15 @@ records the differences.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .backgrounds import (
-    HypersurfacePointData,
     MCFSolution,
     SliceStack,
+    _flow_terms,
     _slice_stack,
     extrinsic_geometry_batch,
 )
@@ -62,11 +60,10 @@ from .geometry import (
 
 __all__ = [
     "SpaceTimeTrack",
-    "TrackPointData",
+    "TrackStack",
     "SECOND_FF_CORRECTIONS",
     "build_track",
-    "track_point_data",
-    "track_point_sweep",
+    "track_stacks",
     "closed_form_second_ff",
     "closed_form_normal_potential",
     "mcf_canonical_residual",
@@ -104,27 +101,9 @@ def build_track(mcf: MCFSolution, cm: CanonicalMetric) -> SpaceTimeTrack:
     return SpaceTimeTrack(mcf, cm)
 
 
-@dataclass(frozen=True)
-class TrackPointData:
-    """Pointwise extrinsic geometry of the track, plus the slice data."""
-
-    x: np.ndarray
-    t: float
-    z: np.ndarray                # ambient space-time point (t, F_t(x))
-    g: np.ndarray                # (n+2, n+2) canonical metric at z
-    basis: np.ndarray            # (n+1, n+2) tangent vectors, row 0 = time leg
-    induced: np.ndarray          # (n+1, n+1)
-    induced_inv: np.ndarray
-    normal: np.ndarray           # (n+2,) unit space-time normal nu^S
-    sigma_N: float
-    second_ff: np.ndarray        # (n+1, n+1), chart index 0 = time
-    mean_curvature: float        # H^S
-    hyp: HypersurfacePointData   # geometry of the slice M_t
-
-
-def _sigma_N(scale: float, H: float, w: float) -> float:
+def _sigma_N(scale, H, w):
     """Normalization of the track normal at time scale ``scale`` (t, or 1 when steady)."""
-    return math.sqrt(1.0 / scale + H**2 / (scale**2 * w))
+    return np.sqrt(1.0 / scale + H**2 / (scale**2 * w))
 
 
 class _SliceRows(NamedTuple):
@@ -145,21 +124,33 @@ class _SliceRows(NamedTuple):
     lifted: np.ndarray
 
 
-class _TrackStack(NamedTuple):
-    """Track geometry at a stack of (x, t) pairs, stacked over the pairs in ``index``.
+class TrackStack(NamedTuple):
+    """Track geometry in the metric ``cm`` at a stack of (x, t) pairs, stacked over the pairs in ``index``.
 
-    ``errors`` has one entry per pair: None, or the exception
-    ``track_point_data`` raises there.  Row j lies over pair ``index[j]``;
-    ``z`` and ``g`` are the space-time points and metrics there, and
-    ``ext`` the ``extrinsic_geometry_batch`` results of the track.
+    ``errors`` has one entry per pair: None, or the exception its check,
+    its slice or its track raised.  Row j lies over pair ``index[j]``;
+    ``z`` and ``g`` are the space-time points (t, F) and metrics there,
+    ``basis`` the tangent basis (row 0 the time leg), and ``ext`` the
+    ``extrinsic_geometry_batch`` results of the track (chart index 0 =
+    time).  ``slices`` are the slices the track was built on, shared by
+    every metric of a sweep.
     """
 
+    cm: CanonicalMetric
+    slices: SliceStack
     index: np.ndarray
     errors: list
     z: np.ndarray
     g: np.ndarray
     basis: np.ndarray
     ext: tuple
+
+    @property
+    def sigma_N(self) -> np.ndarray:
+        """The track normal's normalization at each row, (P,), on Python floats: array ``**`` rounds otherwise."""
+        H = self.slices.ext[-1][np.searchsorted(self.slices.index, self.index)].tolist()
+        return np.array([_sigma_N(self.cm.time_scale(t), h, w)
+                         for t, h, w in zip(self.z[:, 0].tolist(), H, self.g[:, 0, 0].tolist())])
 
 
 def _slice_rows(track: SpaceTimeTrack, xs, ts) -> _SliceRows:
@@ -195,7 +186,7 @@ def _slice_rows(track: SpaceTimeTrack, xs, ts) -> _SliceRows:
     return _SliceRows(slices, z, basis, ddPhi, lifted)
 
 
-def _track_stack(track: SpaceTimeTrack, pairs: _SliceRows) -> _TrackStack:
+def _track_stack(track: SpaceTimeTrack, pairs: _SliceRows) -> TrackStack:
     """The N-dependent half: the track's extrinsic geometry in ``track.cm`` over ``pairs``.
 
     The space-time metric and the track's extrinsic geometry are each
@@ -207,65 +198,29 @@ def _track_stack(track: SpaceTimeTrack, pairs: _SliceRows) -> _TrackStack:
     index, basis, ddPhi, lifted = _drop(errors, pairs.slices.index, st.errors, pairs.basis, pairs.ddPhi, pairs.lifted)
     ext, bad = extrinsic_geometry_batch(basis, ddPhi, st.g, christoffel_batch(st), lifted)
     index, z, g, basis = _drop(errors, index, bad, st.points, st.g, basis)
-    return _TrackStack(index, errors, z, g, basis, ext)
+    return TrackStack(track.cm, pairs.slices, index, errors, z, g, basis, ext)
 
 
-def _track_stacks(mcf: MCFSolution, cms, xs, ts) -> tuple:
-    """The slices over the (x, t) pairs (None without metrics), and each metric's track stack on them."""
+def track_stacks(mcf: MCFSolution, cms, xs, ts) -> list:
+    """The track geometry at a stack of (x, t) pairs in each canonical metric of ``cms``, one ``TrackStack`` each.
+
+    The door and the slices run once, the space-time metric and the track's
+    extrinsic geometry once per metric.  A pair's error is a
+    ``ChartDomainError`` (a time outside the flow's domain or below the
+    sampling floor, a point outside the chart) or a ``DegenerateMetricError``
+    (a degenerate slice or track metric).  Every metric must be built on
+    ``mcf.ambient``, as in ``build_track``, so the floor is the same for all.
+    """
     tracks = [build_track(mcf, cm) for cm in cms]
     if not tracks:
-        return None, []
-    pairs = _slice_rows(tracks[0], xs, ts)
-    return pairs.slices, [_track_stack(track, pairs) for track in tracks]
-
-
-def track_point_sweep(mcf: MCFSolution, cms, x: np.ndarray, t: float) -> list:
-    """``track_point_data`` at (x, t) in each canonical metric of ``cms``, from one slice evaluation.
-
-    One ``TrackPointData`` per metric, in order, all sharing the slice
-    record ``hyp``.  The first error raises: the slice's, else that of the
-    first metric whose track fails.  Every metric must be built on
-    ``mcf.ambient``.
-    """
-    cms = list(cms)
-    slices, stacks = _track_stacks(mcf, cms, [x], [t])
-    for stack in stacks:
-        _raise_first(stack.errors)
-    if not stacks:
         return []
-    hyp = slices.record(0)
-    out = []
-    for cm, stack in zip(cms, stacks):
-        induced, induced_inv, nu, h, H_track = (a[0] for a in stack.ext)
-        out.append(TrackPointData(
-            x=hyp.x,
-            t=hyp.t,
-            z=stack.z[0],
-            g=stack.g[0],
-            basis=stack.basis[0],
-            induced=induced,
-            induced_inv=induced_inv,
-            normal=nu,
-            sigma_N=_sigma_N(cm.time_scale(hyp.t), hyp.mean_curvature, float(stack.g[0, 0, 0])),
-            second_ff=h,
-            mean_curvature=float(H_track),
-            hyp=hyp,
-        ))
-    return out
+    pairs = _slice_rows(tracks[0], xs, ts)
+    return [_track_stack(track, pairs) for track in tracks]
 
 
-def track_point_data(track: SpaceTimeTrack, x: np.ndarray, t: float) -> TrackPointData:
-    """Engine evaluation of the track geometry at chart point (x, t).
-
-    The one-metric case of ``track_point_sweep``.
-    """
-    [data] = track_point_sweep(track.mcf, [track.cm], x, t)
-    return data
-
-
-def _residuals(cm: CanonicalMetric, stack: _TrackStack) -> ResidualStack:
-    """The soliton defect in ``cm`` at the pairs of ``stack``, and their norms."""
-    nu = stack.ext[2]
+def _residuals(stack: TrackStack) -> ResidualStack:
+    """The soliton defect in the stack's metric at its pairs, and their norms."""
+    cm, nu = stack.cm, stack.ext[2]
     # z passed the track's door, so the potential's partials skip the point check
     f = cm.potential
     df = _partials(f.d1, f.value, stack.z, 1, (), "scalar")
@@ -280,19 +235,10 @@ def mcf_canonical_sweep(mcf: MCFSolution, cms, xs, ts) -> list:
 
     Returns one ``ResidualStack`` per metric, in order: the defects
     H^S -+ nu^S f and their norms at the pairs that evaluate, and per pair
-    None or the exception the single-pair call raises there: a
-    ``ChartDomainError`` (a time outside the flow's domain or below the
-    sampling floor, a point outside the chart) or a
-    ``DegenerateMetricError`` (a degenerate slice or track metric).  The
-    slices M_t do not depend on N, so the time and chart checks and the
-    slice geometry run once for the whole sweep; the space-time metric, the
-    track's extrinsic geometry and nu^S f run once per metric.  Every
-    metric must be built on ``mcf.ambient``, as in ``build_track``; the
-    sampling floor is then the same for all of them.
+    None or the exception the single-pair call raises there, from the
+    ``track_stacks`` of the sweep; nu^S f runs once per metric.
     """
-    cms = list(cms)
-    _, stacks = _track_stacks(mcf, cms, xs, ts)
-    return [_residuals(cm, stack) for cm, stack in zip(cms, stacks)]
+    return [_residuals(stack) for stack in track_stacks(mcf, cms, xs, ts)]
 
 
 def mcf_canonical_residual(track: SpaceTimeTrack, x: np.ndarray, t: float) -> ResidualSample:
@@ -303,7 +249,7 @@ def mcf_canonical_residual(track: SpaceTimeTrack, x: np.ndarray, t: float) -> Re
     along the kernel normal.  This is the single-pair, one-metric case of
     ``mcf_canonical_sweep``, on the track's own pairing of flow and metric.
     """
-    stack = _residuals(track.cm, _track_stack(track, _slice_rows(track, [x], [t])))
+    stack = _residuals(_track_stack(track, _slice_rows(track, [x], [t])))
     [exc] = stack.errors
     if exc is not None:
         raise exc
@@ -318,37 +264,34 @@ def mcf_canonical_residual(track: SpaceTimeTrack, x: np.ndarray, t: float) -> Re
     )
 
 
-def closed_form_normal_potential(track: SpaceTimeTrack, x: np.ndarray, t: float) -> float:
-    """Reference closed form of nu^S f (per variant), for cross-checking."""
-    cm = track.cm
-    data = track_point_data(track, x, t)
-    H = data.hyp.mean_curvature
-    w = float(data.g[0, 0])
-    sN = data.sigma_N
+def closed_form_normal_potential(track: SpaceTimeTrack, xs, ts) -> np.ndarray:
+    """Reference closed form of nu^S f (per variant) at a stack of (x, t) pairs, (P,), for cross-checking.
+
+    w is the time-time entry of the track's own metric rows; the first
+    failing pair raises its error.
+    """
+    stack = _track_stack(track, _slice_rows(track, xs, ts))
+    _raise_first(stack.errors)
+    cm, t = track.cm, stack.z[:, 0]
+    H, w, sN = stack.slices.ext[-1], stack.g[:, 0, 0], stack.sigma_N
     if cm.sign == 0:
         return -cm.N * H / (w * sN)
     return cm.sign * cm.N * H / (2.0 * t**3 * w * sN)
 
 
-def _slice_record(track: SpaceTimeTrack, x: np.ndarray, t: float) -> HypersurfacePointData:
-    """The slice at one (x, t) pair, checked at the track's door: its first error raises."""
-    slices = _slice_rows(track, [x], [t]).slices
-    _raise_first(slices.errors)
-    return slices.record(0)
-
-
-def limit_inverse_metric(track: SpaceTimeTrack, x: np.ndarray, t: float) -> np.ndarray:
-    """Degenerate large-N limit of the inverse induced metric, (n+1, n+1).
+def limit_inverse_metric(track: SpaceTimeTrack, xs, ts) -> np.ndarray:
+    """Degenerate large-N limit of the inverse induced metric at a stack of (x, t) pairs, (P, n+1, n+1).
 
     Spatial block t g^{ij} (expanding), tau g^{ij} (shrinking) or g^{ij}
     (steady); the time row and column vanish in the limit, the finite-N
-    time-time entry being t / (H^2 + t w) and its analogues.
+    time-time entry being t / (H^2 + t w) and its analogues.  The first
+    failing pair raises its error.
     """
-    hyp = _slice_record(track, x, t)
-    t = float(t)
-    n = track.n
-    out = np.zeros((n + 1, n + 1))
-    out[1:, 1:] = track.cm.time_scale(t) * hyp.induced_inv
+    slices = _slice_rows(track, xs, ts).slices
+    _raise_first(slices.errors)
+    induced_inv = slices.ext[1]
+    out = np.zeros((len(induced_inv),) + (track.n + 1,) * 2)
+    out[:, 1:, 1:] = track.cm.time_scale(np.array(slices.ts)[:, None, None]) * induced_inv
     return out
 
 
@@ -413,13 +356,14 @@ SECOND_FF_CORRECTIONS = (
     ),
 )
 
-def closed_form_second_ff(track: SpaceTimeTrack, x: np.ndarray, t: float) -> dict:
-    """Closed-form second fundamental forms of the track at (x, t), from one slice evaluation.
+def closed_form_second_ff(track: SpaceTimeTrack, xs, ts) -> dict:
+    """Closed-form second fundamental forms of the track at a stack of (x, t) pairs, from one slice evaluation.
 
     Returns ``{"full": (derived, printed), "leading": (derived, printed)}``:
-    (n+1, n+1) arrays, chart index 0 = time as in ``track_point_data``, of
+    (P, n+1, n+1) stacks, chart index 0 = time as in a ``TrackStack``, of
     the complete reference expression and of its up-to-O(1/N) version, each
     as rederived and as printed (``SECOND_FF_CORRECTIONS`` lists the slips).
+    The first failing pair raises its error.
 
     Three further reference slips need no table, since the engine's values
     are used: h^S is defined without the ambient covariant derivative of the
@@ -428,34 +372,32 @@ def closed_form_second_ff(track: SpaceTimeTrack, x: np.ndarray, t: float) -> dic
     inverse has a stray tau; H^S ~ (t/sigma_N) H should read H/sigma_N
     (both limit to sqrt(t) H).
     """
-    hyp = _slice_record(track, x, t)
-    t = float(t)
+    slices = _slice_rows(track, xs, ts).slices
+    _raise_first(slices.errors)
     cm = track.cm
     n = track.n
-
-    T = hyp.tangents
-    nu = hyp.normal
-    H = hyp.mean_curvature
-    g = hyp.induced
-    dH = hyp.dx_mean_curvature
-    dHdt = hyp.dt_mean_curvature
-
-    ric, R, dRdt, dRdy = hyp.curvature
-    ric_TT = T @ ric @ T.T
-    ric_Tnu = T @ ric @ nu
-    ric_nunu = float(nu @ ric @ nu)
-    T_R = T @ dRdy
-    nu_R = float(nu @ dRdy)
+    (ric, R, dRdt, dRdy), dH, dHdt = _flow_terms(slices)
+    g, _, nu, spatial, H = slices.ext
+    T = slices.jet[2]
+    Tt = T.transpose(0, 2, 1)
+    P = len(T)
+    # per row: a scalar is a (P, 1, 1) block, a covector along the tangents a (P, 1, n) row
+    t, R, dRdt, dHdt, H = (np.reshape(a, (P, 1, 1)) for a in (np.array(slices.ts), R, dRdt, dHdt, H))
+    nu_row, dH = nu[:, None], dH[:, None]
+    ric_TT = T @ ric @ Tt
+    ric_Tnu = nu_row @ ric @ Tt
+    ric_nunu = nu_row @ ric @ nu[..., None]
+    T_R = dRdy[:, None] @ Tt
+    nu_R = nu_row @ dRdy[..., None]
 
     s = cm.sign
     m = n + 1
-    w, _ = _profiles(cm.base, s, cm.N)(t)
+    w = np.broadcast_to(_profiles(cm.base, s, cm.N)(t)[0], t.shape)
     scale = cm.time_scale(t)
     sN = _sigma_N(scale, H, w)
     pref = 1.0 / (scale * sN)
 
     # the leading (spatial, mixed, time-time) blocks, and each table's corrections
-    spatial = hyp.second_ff
     if s == 0:
         NR = cm.N + R
         mixed = dH - ric_Tnu
@@ -487,10 +429,11 @@ def closed_form_second_ff(track: SpaceTimeTrack, x: np.ndarray, t: float) -> dic
         )
 
     def form(pref, d_spatial=0.0, d_mixed=0.0, d_tt=0.0):
-        out = np.empty((m, m))
-        out[1:, 1:] = spatial + d_spatial
-        out[1:, 0] = out[0, 1:] = mixed + d_mixed
-        out[0, 0] = tt + d_tt
+        out = np.empty((P, m, m))
+        out[:, 1:, 1:] = spatial + d_spatial
+        out[:, :1, 1:] = mixed + d_mixed
+        out[:, 1:, :1] = out[:, :1, 1:].transpose(0, 2, 1)
+        out[:, :1, :1] = tt + d_tt
         return pref * out
 
     # the printed leading prefactor is 1/(t sigma_N): a stray 1/tau when steady

@@ -13,8 +13,9 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 
 from cansol.backgrounds import POLE_BAND, slice_stack
-from cansol.geometry import MetricField, hessian_batch
+from cansol.geometry import MetricField, _raise_first, hessian_batch
 from cansol.harnack import _periodic_nodes, _trapezoid_nodes
+from cansol.track import track_stacks
 
 
 def inverse_metric(metric, p):
@@ -297,6 +298,20 @@ def canonical_partials(cm):
         return out
 
     return d1, d2
+
+
+def one_slice(mcf, x, t):
+    """The one-row ``slice_stack`` at (x, t); the pair's error raises."""
+    stack = slice_stack(mcf, [x], [t])
+    _raise_first(stack.errors)
+    return stack
+
+
+def one_track(track, x, t):
+    """The one-row ``TrackStack`` of ``track`` at (x, t); the pair's error raises."""
+    [stack] = track_stacks(track.mcf, [track.cm], [x], [t])
+    _raise_first(stack.errors)
+    return stack
 
 
 def mean_curvature_differences(mcf, x, t, h=1e-5):

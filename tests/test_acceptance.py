@@ -12,11 +12,11 @@ import time
 import numpy as np
 
 from cansol.backgrounds import (
-    hypersurface_point_data,
     model_background,
     model_mcf,
     mcf_soliton_residual,
     gradient_soliton_residual,
+    slice_stack,
 )
 from cansol.canonical import (
     CHRISTOFFEL_CORRECTIONS,
@@ -41,7 +41,7 @@ from cansol.track import (
     build_track,
     closed_form_second_ff,
     mcf_canonical_residual,
-    track_point_data,
+    track_stacks,
 )
 
 N_SWEEP = (1e2, 1e3, 1e4)
@@ -166,16 +166,15 @@ def test_criterion_3_closed_form_crosschecks():
     mcf = model_mcf("shrinking_sphere_flat", flat_f, r0=1.0)
     x, t = np.array([1.1, 0.7]), 0.1
     tr = build_track(mcf, build_canonical_metric(flat_f, "expanding", 100.0))
-    d = track_point_data(tr, x, t)
-    derived, printed_mid = closed_form_second_ff(tr, x, t)["full"]
-    hs_err = np.max(np.abs(d.second_ff - derived)) / np.max(np.abs(d.second_ff))
     tr_big = build_track(mcf, build_canonical_metric(flat_f, "expanding", 1e8))
-    d_big = track_point_data(tr_big, x, t)
-    [_, printed_big] = closed_form_second_ff(tr_big, x, t)["full"]
-    hs_err_printed = np.max(np.abs(d_big.second_ff - printed_big)) / np.max(np.abs(d_big.second_ff))
+    h, h_big = (stack.ext[3] for stack in track_stacks(mcf, [tr.cm, tr_big.cm], [x], [t]))
+    derived, printed_mid = closed_form_second_ff(tr, [x], [t])["full"]
+    hs_err = np.max(np.abs(h - derived)) / np.max(np.abs(h))
+    [_, printed_big] = closed_form_second_ff(tr_big, [x], [t])["full"]
+    hs_err_printed = np.max(np.abs(h_big - printed_big)) / np.max(np.abs(h_big))
 
     # the literal printed evaluation at moderate N must measurably deviate
-    slip_visible = np.max(np.abs(d.second_ff - printed_mid)) / np.max(np.abs(d.second_ff)) > 1e-4
+    slip_visible = np.max(np.abs(h - printed_mid)) / np.max(np.abs(h)) > 1e-4
 
     registry = {(c.variant, c.symbol) for c in CHRISTOFFEL_CORRECTIONS}
     logged = printed_slips <= registry and {
@@ -237,17 +236,15 @@ def test_criterion_5_flat_identity_and_track_limit():
     x, t = np.array([1.1, 0.7]), 0.1
     rng = np.random.default_rng(55)
 
-    halving_ok = True
-    for _ in range(3):
-        V = rng.uniform(-1.0, 1.0, 2)
-        target = limit_second_ff(hypersurface_point_data(mcf, x, t), V)
-        errs = []
-        for N in (1e3, 2e3, 4e3):
-            tr = build_track(mcf, build_canonical_metric(bg, "expanding", N))
-            errs.append(abs(stripped_track_form(track_point_data(tr, x, t), V) - target))
-        halving_ok = halving_ok and all(0.3 < b / a < 0.7 for a, b in zip(errs, errs[1:]))
+    # three vectors V at the one pair (x, t): a stack of three equal rows
+    Vs = rng.uniform(-1.0, 1.0, (3, 2))
+    stacks = track_stacks(mcf, [build_canonical_metric(bg, "expanding", N) for N in (1e3, 2e3, 4e3)],
+                          [x] * 3, [t] * 3)
+    target = limit_second_ff(stacks[0].slices, Vs)
+    errs = [np.abs(stripped_track_form(stack, Vs) - target) for stack in stacks]
+    halving_ok = all(np.all((0.3 < b / a) & (b / a < 0.7)) for a, b in zip(errs, errs[1:]))
 
-    z0 = limit_second_ff(hypersurface_point_data(mcf, x, t), np.zeros(2))
+    [z0] = limit_second_ff(slice_stack(mcf, [x], [t]), [np.zeros(2)]).tolist()
     value_ok = abs(z0 - 21.5165) <= 1e-3
     verdict(5, halving_ok and value_ok, f"halving ok; Z~(0) = {z0:.5f} = 21.5165 +- 1e-3")
 
@@ -257,12 +254,11 @@ def test_criterion_6_lott_boundary_match():
     bg = background("euclidean_static", dim=3, direction="forward")
     mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
     x, t = np.array([1.1, 0.7]), 0.1
-    hyp = hypersurface_point_data(mcf, x, t)
+    # twenty seeded potentials at the one pair (x, t): a stack of twenty equal rows
+    hyp = slice_stack(mcf, [x] * 20, [t] * 20)
     rng = np.random.default_rng(2026)
-    worst = 0.0
-    for _ in range(20):
-        f = random_polynomial_field(3, rng)
-        worst = max(worst, abs(lott_match_defect(hyp, scalar_d1(f, hyp.position))))
+    dfs = [scalar_d1(random_polynomial_field(3, rng), p) for p in hyp.jet[0]]
+    worst = float(np.max(np.abs(lott_match_defect(hyp, dfs))))
     verdict(6, worst < 1e-6, f"max match defect over 20 seeded potentials {worst:.2e} < 1e-6")
 
 
@@ -291,11 +287,8 @@ def test_criterion_7_exact_soliton_fixtures():
         direction = "forward" if variant == "expanding" else "backward"
         bg = background("euclidean_static", dim=3, direction=direction)
         mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
-        errs = []
-        for N in (1e3, 2e3, 4e3):
-            tr = build_track(mcf, build_canonical_metric(bg, variant, N))
-            d = track_point_data(tr, x, t)
-            errs.append(abs(d.mean_curvature - scale * d.hyp.mean_curvature))
+        stacks = track_stacks(mcf, [build_canonical_metric(bg, variant, N) for N in (1e3, 2e3, 4e3)], [x], [t])
+        errs = [abs(stack.ext[-1] - scale * stack.slices.ext[-1]).item() for stack in stacks]
         # the steady 1/N coefficient cancels at n = 2, so decay there is
         # faster than halving; require at-least-halving throughout
         conv_ok = conv_ok and all(b / a < 0.7 for a, b in zip(errs, errs[1:]))

@@ -16,8 +16,8 @@ from cansol.backgrounds import (
     MCFSolution,
     catalog_background_names,
     catalog_mcf_names,
+    _flow_terms,
     gradient_soliton_residual,
-    hypersurface_point_data,
     mcf_soliton_residual,
     model_background,
     model_mcf,
@@ -290,20 +290,20 @@ class TestModelMCF:
     def test_equator_is_static_and_minimal(self, rng):
         bg = model_background("round_sphere", dim=3, r0=1.0, direction="backward")
         mcf = model_mcf("equator_in_sphere", bg)
-        for t in sample_times(bg, 3, rng):
-            for x in mcf.sample_xs(3, rng):
-                data = hypersurface_point_data(mcf, x, t)
-                assert np.allclose(data.velocity, 0.0)
-                assert data.mean_curvature == pytest.approx(0.0, abs=1e-10)
-                assert np.max(np.abs(data.second_ff)) < 1e-10
+        ts = np.repeat(sample_times(bg, 3, rng), 3)
+        stack = slice_stack(mcf, mcf.sample_xs(9, rng), ts)
+        assert stack.index.tolist() == list(range(9))
+        assert np.allclose(stack.jet[1], 0.0)
+        assert np.max(np.abs(stack.ext[-1])) < 1e-10
+        assert np.max(np.abs(stack.ext[3])) < 1e-10
 
     def test_static_plane_flat(self, rng):
         bg = model_background("euclidean_static", dim=3)
         mcf = model_mcf("static_plane_flat", bg)
-        data = hypersurface_point_data(mcf, np.array([0.4, -0.2]), 0.5)
-        assert data.mean_curvature == 0.0
-        assert np.allclose(data.second_ff, 0.0)
-        res = ricci_flow_residual(bg, data.position, 0.5)
+        data = ref.one_slice(mcf, np.array([0.4, -0.2]), 0.5)
+        assert data.ext[-1].tolist() == [0.0]
+        assert np.allclose(data.ext[3], 0.0)
+        res = ricci_flow_residual(bg, data.jet[0][0], 0.5)
         assert np.allclose(res, 0.0)
 
     def test_incompatible_background(self):
@@ -323,7 +323,7 @@ class TestModelMCF:
         mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
         assert mcf.ambient is bg
         x, t = np.array([1.1, 0.7]), 0.1
-        assert hypersurface_point_data(mcf, x, t).mean_curvature == pytest.approx(2.0 / math.sqrt(0.6), rel=1e-12)
+        assert ref.one_slice(mcf, x, t).ext[-1].item() == pytest.approx(2.0 / math.sqrt(0.6), rel=1e-12)
         assert model_mcf("static_plane_flat", bg).ambient is bg
 
     @pytest.mark.parametrize(
@@ -339,18 +339,19 @@ class TestModelMCF:
         bg = model_background(kwargs.pop("name"), **kwargs)
         mcf = model_mcf(mcf_name, bg)
         lo, hi = mcf.time_domain
-        for t in np.random.default_rng(1).uniform(0.05 * hi, hi, 5):
-            for x in mcf.sample_xs(10, rng):
-                data = hypersurface_point_data(mcf, x, t)
-                g = data.g
-                assert np.array_equal(g, metric_rows(bg, [data.position], [t])[0])
-                normal_speed = float(data.velocity @ g @ data.normal)
-                assert normal_speed == pytest.approx(-data.mean_curvature, abs=1e-8)
-                # tangential reparametrization allowed: compare projections only
-                tangential = data.velocity - normal_speed * data.normal
-                proj = data.tangents @ g @ tangential
-                recon = data.induced_inv @ proj
-                assert np.allclose(data.tangents.T @ recon, tangential, atol=1e-8)
+        ts = np.repeat(np.random.default_rng(1).uniform(0.05 * hi, hi, 5), 10)
+        stack = slice_stack(mcf, mcf.sample_xs(50, rng), ts)
+        assert stack.index.tolist() == list(range(50))
+        F, Ft, T = stack.jet[:3]
+        g, (_, induced_inv, nu, _, H) = stack.g, stack.ext
+        assert np.array_equal(g, metric_rows(bg, F, ts))
+        normal_speed = np.einsum("pa,pab,pb->p", Ft, g, nu)
+        assert normal_speed == pytest.approx(-H, abs=1e-8)
+        # tangential reparametrization allowed: compare projections only
+        tangential = Ft - normal_speed[:, None] * nu
+        proj = np.einsum("pia,pab,pb->pi", T, g, tangential)
+        recon = np.einsum("pij,pj->pi", induced_inv, proj)
+        assert np.allclose(np.einsum("pia,pi->pa", T, recon), tangential, atol=1e-8)
 
     @pytest.mark.parametrize("dim", [3, 5])
     @pytest.mark.parametrize(
@@ -391,12 +392,13 @@ class TestModelMCF:
         bg = model_background("euclidean_static", dim=3)
         mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
         x, t = np.array([0.9, 2.1]), 0.1
-        data = hypersurface_point_data(mcf, x, t)
+        data = ref.one_slice(mcf, x, t)
+        _, _, dHdt = _flow_terms(data)
         r = math.sqrt(0.6)
-        assert data.mean_curvature == pytest.approx(2.0 / r, rel=1e-10)
-        assert data.dt_mean_curvature == pytest.approx(4.0 / r**3, rel=1e-12)
+        assert data.ext[-1].item() == pytest.approx(2.0 / r, rel=1e-10)
+        assert dHdt.item() == pytest.approx(4.0 / r**3, rel=1e-12)
         # h = g / r with the outward orientation
-        assert np.allclose(data.second_ff, data.induced / r, atol=1e-10)
+        assert np.allclose(data.ext[3], data.ext[0] / r, atol=1e-10)
 
     @pytest.mark.parametrize("name", catalog_mcf_names())
     def test_mean_curvature_partials_match_differences_of_the_engine(self, name, rng):
@@ -406,11 +408,12 @@ class TestModelMCF:
         mcf = model_mcf(name, bg)
         hi = mcf.time_domain[1]
         for t in [*rng.uniform(0.1 * hi, 0.9 * hi, 3), hi]:
-            for x in mcf.sample_xs(3, rng):
-                data = hypersurface_point_data(mcf, x, t)
+            xs = mcf.sample_xs(3, rng)
+            _, dH, dHdt = _flow_terms(slice_stack(mcf, xs, [t] * 3))
+            for x, dH_x, dHdt_x in zip(xs, dH, dHdt):
                 dxH, dtH = ref.mean_curvature_differences(mcf, x, t)
-                assert np.allclose(data.dx_mean_curvature, dxH, rtol=1e-6, atol=1e-7)
-                assert data.dt_mean_curvature == pytest.approx(dtH, rel=1e-6, abs=1e-7)
+                assert np.allclose(dH_x, dxH, rtol=1e-6, atol=1e-7)
+                assert dHdt_x == pytest.approx(dtH, rel=1e-6, abs=1e-7)
 
     def test_every_catalog_flow_has_an_ambient_here(self):
         assert sorted(FLOW_AMBIENTS) == sorted(catalog_mcf_names())
@@ -425,7 +428,7 @@ class TestModelMCF:
     def test_slice_carries_its_background(self):
         bg = model_background("euclidean_static", dim=3)
         mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
-        assert hypersurface_point_data(mcf, np.array([1.1, 0.7]), 0.1).ambient is bg
+        assert ref.one_slice(mcf, np.array([1.1, 0.7]), 0.1).mcf.ambient is bg
 
 
 class TestGradientSolitonResidual:
@@ -611,11 +614,11 @@ class TestExtrinsicGeometry:
         bg = model_background("euclidean_static", dim=3, direction="forward")
         mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
         with pytest.raises(DegenerateMetricError, match="degenerate induced metric"):
-            hypersurface_point_data(mcf, np.array([1e-7, 0.3]), 0.1)
+            ref.one_slice(mcf, np.array([1e-7, 0.3]), 0.1)
 
-    def test_one_pair_raises_what_the_stack_records(self):
-        # each check has one home: the single pair raises the class and message
-        # that slice_stack records for it inside a stack
+    def test_one_pair_records_what_the_stack_records(self):
+        # each check has one home: a one-row stack records the class and message
+        # that slice_stack records for the pair inside a longer stack, and its row's bits
         flat = model_mcf("shrinking_sphere_flat", model_background("euclidean_static", dim=3))
         sphere = model_mcf("equator_in_sphere", model_background("round_sphere", dim=3, direction="backward"))
         good = np.array([1.1, 0.7])
@@ -630,13 +633,14 @@ class TestExtrinsicGeometry:
             assert [type(e) for e in stack.errors] == [type(None), ChartDomainError, ChartDomainError, bad, type(None)]
             assert stack.index.tolist() == [0, 4]
             for i, (x, t, exc) in enumerate(zip(xs, ts, stack.errors)):
+                one = slice_stack(mcf, [x], [t])
                 if exc is None:
-                    row = stack.record(stack.index.tolist().index(i))
-                    assert hypersurface_point_data(mcf, x, t).second_ff.tobytes() == row.second_ff.tobytes()
+                    j = stack.index.tolist().index(i)
+                    assert one.ext[3][0].tobytes() == stack.ext[3][j].tobytes()
                     continue
-                with pytest.raises(GeometryError) as info:
-                    hypersurface_point_data(mcf, x, t)
-                assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+                [got] = one.errors
+                assert isinstance(got, GeometryError)
+                assert (type(got), str(got)) == (type(exc), str(exc))
 
     def test_stack_checks_the_ambient_time_after_the_flow_time(self):
         # a flow whose own time domain outlasts its ambient's
@@ -775,7 +779,9 @@ class TestStackedAnswers:
         ("shrinking_sphere_flat", "euclidean_static", dict(dim=3)),
         ("equator_in_sphere", "round_sphere", dict(dim=4, direction="forward")),
     ])
-    def test_slice_records_carry_the_ambient_rows(self, flow, name, params):
+    def test_slices_carry_the_ambient_rows(self, flow, name, params):
+        # the slice's g and g^-1, and the curvature its forms read, are the
+        # ambient's at the images, row by row and in a one-row stack alike
         bg = model_background(name, **params)
         mcf = model_mcf(flow, bg)
         rng = np.random.default_rng(8)
@@ -783,12 +789,26 @@ class TestStackedAnswers:
         ts = rng.uniform(0.1 * mcf.time_domain[1], mcf.time_domain[1], 4).tolist()
         stack = slice_stack(mcf, xs, ts)
         for j, (x, t) in enumerate(zip(xs, ts)):
-            hyp = hypersurface_point_data(mcf, x, t)
-            b, c = bg.bundle([hyp.position], [t], order=0), bg.curvature([hyp.position], [t])
-            row = stack.record(j)
-            for data in (hyp, row):
-                assert data.g.tobytes() == b.g[0].tobytes() and data.ginv.tobytes() == b.ginv[0].tobytes()
-                assert all(a.tobytes() == b_[0].tobytes() for a, b_ in zip(data.curvature, c))
+            one = ref.one_slice(mcf, x, t)
+            b, c = bg.bundle(one.jet[0], [t], order=0), bg.curvature(one.jet[0], [t])
+            for data, k in ((one, 0), (stack, j)):
+                assert data.g[k].tobytes() == b.g[0].tobytes() and data.ginv[k].tobytes() == b.ginv[0].tobytes()
+                assert all(a[k].tobytes() == b_[0].tobytes() for a, b_ in zip(_flow_terms(data)[0], c))
+
+    def test_taken_rows_keep_their_bits(self):
+        # a taken stack, rows repeated and reordered, is the stack of those pairs, bit for bit
+        mcf = model_mcf("equator_in_sphere", model_background("round_sphere", dim=4, direction="forward"))
+        rng = np.random.default_rng(12)
+        xs = np.array(mcf.sample_xs(4, rng))
+        ts = rng.uniform(0.1 * mcf.time_domain[1], mcf.time_domain[1], 4)
+        stack = slice_stack(mcf, xs, ts)
+        rows = [2, 0, 2, 3, 2]
+        taken, direct = stack.take(rows), slice_stack(mcf, xs[rows], ts[rows])
+        assert taken.mcf is mcf and taken.errors is stack.errors and taken.index.tolist() == rows
+        assert taken.ts == direct.ts
+        for a, b in zip((taken.xs, *taken.jet, *taken.ext, taken.g, taken.ginv),
+                        (direct.xs, *direct.jet, *direct.ext, direct.g, direct.ginv)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_a_time_count_other_than_the_point_count_raises(self, count):

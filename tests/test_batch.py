@@ -14,7 +14,6 @@ from cansol import harnack
 from cansol.backgrounds import (
     extrinsic_geometry_batch,
     gradient_soliton_residual,
-    hypersurface_point_data,
     model_background,
     model_mcf,
     ricci_flow_residual,
@@ -64,12 +63,12 @@ from cansol.harnack import (
 from cansol.track import (
     SpaceTimeTrack,
     build_track,
+    closed_form_normal_potential,
     closed_form_second_ff,
     limit_inverse_metric,
     mcf_canonical_residual,
     mcf_canonical_sweep,
-    track_point_data,
-    track_point_sweep,
+    track_stacks,
 )
 
 DIRECTION = {"expanding": "forward", "shrinking": "backward", "steady": "backward"}
@@ -926,37 +925,41 @@ class TestTrackStacks:
             assert kinds == [{ChartDomainError}] * 3
 
     @pytest.mark.parametrize("variant, flow", [("expanding", "shrinking_sphere_flat"), ("steady", "equator_in_sphere")])
-    def test_point_sweep_matches_one_track_per_N(self, monkeypatch, variant, flow):
+    def test_track_stacks_match_one_track_per_N(self, monkeypatch, variant, flow):
         from cansol import track as track_module
 
         mcf = _flow(flow, 3, DIRECTION[variant])
         cms = [build_canonical_metric(mcf.ambient, variant, N) for N in (1e3, 2e3, 4e3)]
-        x, t = mcf.sample_xs(1, np.random.default_rng(3))[0], 0.5 * mcf.time_domain[1]
-        singles = [track_point_data(build_track(mcf, cm), x, t) for cm in cms]
+        rng = np.random.default_rng(3)
+        xs, ts = mcf.sample_xs(3, rng), rng.uniform(cms[0].t_min, mcf.time_domain[1], 3)
+        singles = [track_stacks(mcf, [cm], xs, ts)[0] for cm in cms]
         calls = []
         slice_stack = track_module._slice_stack
         monkeypatch.setattr(track_module, "_slice_stack", lambda *args: calls.append(1) or slice_stack(*args))
-        sweep = track_point_sweep(mcf, cms, x, t)
-        # one slice serves every metric
-        assert calls == [1] and all(d.hyp is sweep[0].hyp for d in sweep)
-        for got, want in zip(sweep, singles):
-            for name in ("z", "g", "basis", "induced", "induced_inv", "normal", "second_ff"):
+        stacks = track_stacks(mcf, cms, xs, ts)
+        # one slice serves every metric, and each stack carries its own metric
+        assert calls == [1] and all(stack.slices is stacks[0].slices for stack in stacks)
+        assert [stack.cm for stack in stacks] == cms
+        for got, want in zip(stacks, singles):
+            assert got.index.tolist() == want.index.tolist() == [0, 1, 2]
+            for name in ("z", "g", "basis", "sigma_N"):
                 assert_same_bits(getattr(got, name), getattr(want, name))
-            assert (got.t, got.sigma_N, got.mean_curvature) == (want.t, want.sigma_N, want.mean_curvature)
-            assert_same_bits(got.hyp.second_ff, want.hyp.second_ff)
-        assert track_point_sweep(mcf, [], x, t) == []
+            for a, b in zip(got.ext + got.slices.ext, want.ext + want.slices.ext):
+                assert_same_bits(a, b)
+        assert track_stacks(mcf, [], xs, ts) == []
 
-    def test_point_sweep_raises_the_first_error(self):
+    def test_track_stacks_keep_each_metrics_errors(self):
         mcf = _flow("shrinking_sphere_flat", 3, "forward")
         # at N = 1e8 the track metric at (x0, t_min) is degenerate; N = 1e2 is not
         cms = [build_canonical_metric(mcf.ambient, "expanding", N) for N in (1e2, 1e8)]
         x0 = np.array([0.1, 0.3])
-        with pytest.raises(DegenerateMetricError, match="degenerate induced metric"):
-            track_point_sweep(mcf, cms, x0, cms[0].t_min)
-        assert len(track_point_sweep(mcf, cms[:1], x0, cms[0].t_min)) == 1
+        stacks = track_stacks(mcf, cms, [x0, x0], [cms[0].t_min, 0.5 * cms[0].t_min])
+        [ok, low], [degenerate, low_too] = (stack.errors for stack in stacks)
+        assert ok is None and stacks[0].index.tolist() == [0]
+        assert isinstance(degenerate, DegenerateMetricError) and str(degenerate) == "degenerate induced metric"
+        assert stacks[1].index.tolist() == []
         # the slice's error is every metric's
-        with pytest.raises(ChartDomainError, match="below the sampling floor"):
-            track_point_sweep(mcf, cms, x0, 0.5 * cms[0].t_min)
+        assert low is low_too and isinstance(low, ChartDomainError) and "below the sampling floor" in str(low)
 
     def test_sweep_rejects_a_metric_on_another_background(self):
         mcf = _flow("equator_in_sphere", 3, "backward")
@@ -1217,11 +1220,12 @@ class TestPolynomialPartials:
 
     def test_defects_from_the_gradient_pass_equal_the_fields(self):
         bg = model_background("euclidean_static", dim=3, direction="forward")
-        hyp = hypersurface_point_data(model_mcf("shrinking_sphere_flat", bg, r0=1.0), np.array([1.1, 0.7]), 0.1)
-        grads = random_polynomial_gradients(3, np.random.default_rng(5), 16, hyp.position)
+        hyp = slice_stack(model_mcf("shrinking_sphere_flat", bg, r0=1.0), [[1.1, 0.7]] * 16, [0.1] * 16)
+        p = hyp.jet[0][0]
+        grads = random_polynomial_gradients(3, np.random.default_rng(5), 16, p)
         rng = np.random.default_rng(5)
-        want = [lott_match_defect(hyp, scalar_d1(random_polynomial_field(3, rng), hyp.position)) for _ in range(16)]
-        assert [lott_match_defect(hyp, df) for df in grads] == want
+        fields = [scalar_d1(random_polynomial_field(3, rng), p) for _ in range(16)]
+        assert_same_bits(lott_match_defect(hyp, grads), lott_match_defect(hyp, fields))
 
 
 _LAPACK_INV = np.linalg.inv     # the references stay uncounted by ``lapack_calls``
@@ -1528,12 +1532,12 @@ class TestCheckedAtTheDoor:
         assert mcf_canonical_residual(track, x, t).value == want.value
         assert (len(doors), len(points), len(times)) == (1, 2, 1)
 
-    @pytest.mark.parametrize("oracle", [closed_form_second_ff, limit_inverse_metric])
+    @pytest.mark.parametrize("oracle", [closed_form_second_ff, closed_form_normal_potential, limit_inverse_metric])
     def test_one_time_check_per_track_oracle(self, monkeypatch, oracle):
         mcf = _flow("shrinking_sphere_flat", 3, "forward")
         track = build_track(mcf, build_canonical_metric(mcf.ambient, "expanding", 1e3))
         calls = self.validator_calls(monkeypatch, "_time_errors")
-        oracle(track, np.array([1.1, 0.7]), 0.1)
+        oracle(track, [[1.1, 0.7], [0.4, 2.0]], [0.1, 0.15])
         assert len(calls) == 1
 
     @staticmethod

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference_kernel as ref
 from cansol import cli, reports
 from cansol import track as track_module
 from cansol.backgrounds import RicciFlowBackground
@@ -141,6 +142,51 @@ class TestConfigValidation:
         table = {block: list(spec) for block, spec in cli._CONFIG.items() if isinstance(spec, dict)}
         assert listed == table
 
+    def test_readme_suite_keys_match_the_suite_table(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        bullets = readme.split("each suite reads:\n\n", 1)[1].split("\n\n", 1)[0]
+        listed = {}
+        for bullet in bullets.split("\n* "):
+            suite, keys = bullet.split(":", 1)
+            top, *blocks = keys.rstrip(";.").split(";")
+            listed[re.findall(r"`(\w+)`", suite)[0]] = (
+                tuple(re.findall(r"`(\w+)`", top)),
+                *(tuple(re.findall(r"`(\w+)`", block.split(":", 1)[1])) for block in blocks),
+            )
+        assert listed == cli._SUITE_KEYS
+        assert list(listed) == list(cli.SUITES)
+
+    @pytest.mark.parametrize("suite, raw, unread", [
+        ("harnack_limits", {"variant": "shrinking"}, "variant"),
+        ("lott_match", {"samples": {"t_range": [0.05, 0.1], "grid": [2, 2, 2], "backend": "fd"},
+                        "tolerances": {"ratio": 2.0}},
+         "samples.t_range, samples.grid, samples.backend, tolerances.ratio"),
+        ("ricci_soliton_residual", {"samples": {"potential": "zero"}, "tolerances": {"defect": 1e-3}},
+         "samples.potential, tolerances.defect"),
+        ("functionals", {"N_list": [1.0], "samples": {"seed": 3}}, "N_list, samples.seed"),
+    ])
+    def test_a_key_the_suite_does_not_read_is_refused(self, tmp_path, capsys, suite, raw, unread):
+        # the key would be echoed in the report and change nothing else
+        with pytest.raises(ConfigError, match=rf"^suite {suite} does not read {re.escape(unread)}$"):
+            RunConfig.from_dict({"suite": suite, **raw})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"suite": suite, **raw, "output": {"path": str(tmp_path / "out.json")}}))
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: suite {suite} does not read {unread}\n"
+        assert not (tmp_path / "out.json").exists()
+
+    def test_every_suite_takes_every_key_it_reads(self):
+        values = {"variant": "expanding", "background": {"name": "euclidean_static"},
+                  "mcf": {"name": "static_plane_flat"}, "N_list": [1.0],
+                  "count": 1, "seed": 0, "t_range": [0.1, 0.2], "times": [0.1], "backend": "fd",
+                  "potential": "zero", "grid": [2, 2, 2], "ratio": 1.5, "rel_error": 1e-9,
+                  "ratio_band": [0.3, 0.7], "defect": 1e-6, "refinement": 1e-3}
+        for suite, (top, samples, tolerances) in cli._SUITE_KEYS.items():
+            cfg = RunConfig.from_dict({"suite": suite, "output": {}, **{k: values[k] for k in top},
+                                       "samples": {k: values[k] for k in samples},
+                                       "tolerances": {k: values[k] for k in tolerances}})
+            assert cfg.suite == suite
+
     def test_bad_background(self):
         cfg = cfg_ricci(background={"name": "torus"})
         with pytest.raises(ConfigError):
@@ -263,8 +309,7 @@ class TestSuites:
         assert report.summary["exact_zero"] is True
 
     def test_track_sweep_makes_one_batched_call_per_suite(self, monkeypatch):
-        calls = {"mcf_canonical_sweep": 0, "_slice_stack": 0, "track_point_data": 0,
-                 "mcf_canonical_residual": 0}
+        calls = {"mcf_canonical_sweep": 0, "_slice_stack": 0, "mcf_canonical_residual": 0}
 
         def counted(module, name):
             fn = getattr(module, name)
@@ -276,7 +321,7 @@ class TestSuites:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(cli, "mcf_canonical_sweep")
-        for name in ("_slice_stack", "track_point_data", "mcf_canonical_residual"):
+        for name in ("_slice_stack", "mcf_canonical_residual"):
             counted(track_module, name)
         cfg = RunConfig.from_dict({
             "suite": "mcf_soliton_residual",
@@ -290,8 +335,7 @@ class TestSuites:
         assert len(report.records) + len(report.errors) == 5 * 3
         # no silent fall-back to one evaluation per point, and the slices,
         # which do not depend on N, are evaluated once for all three N
-        assert calls == {"mcf_canonical_sweep": 1, "_slice_stack": 1, "track_point_data": 0,
-                         "mcf_canonical_residual": 0}
+        assert calls == {"mcf_canonical_sweep": 1, "_slice_stack": 1, "mcf_canonical_residual": 0}
 
     @pytest.mark.parametrize("cfg", [
         cfg_ricci(),
@@ -453,29 +497,38 @@ class TestSuites:
          {"name": "equator_in_sphere"}),
     ])
     def test_harnack_track_errors_equal_the_pointwise_forms(self, monkeypatch, background, flow):
-        from cansol import backgrounds
-        from cansol.backgrounds import hypersurface_point_data, model_background, model_mcf
+        from cansol import backgrounds, harnack
+        from cansol.backgrounds import model_background, model_mcf
         from cansol.canonical import build_canonical_metric
         from cansol.harnack import limit_second_ff, stripped_track_form
 
         calls = []
+
+        def counted(module, name):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args: calls.append(name) or fn(*args))
+
         for module in (backgrounds, track_module):
-            slice_stack = getattr(module, "_slice_stack")
-            monkeypatch.setattr(module, "_slice_stack",
-                                lambda *args, fn=slice_stack: calls.append(1) or fn(*args))
+            counted(module, "_slice_stack")
+        counted(cli, "track_stacks")
+        for name in ("limit_second_ff", "stripped_track_form"):
+            counted(cli, name)
+        counted(harnack, "_flow_terms")
         Ns = [1000.0, 2000.0, 4000.0]
         report = run(RunConfig.from_dict({"suite": "harnack_limits", "background": background, "mcf": flow,
                                           "N_list": Ns, "samples": {"count": 2, "seed": 11}}))
-        # one slice evaluation for the limit form and every N (4 when each N had its own)
-        assert calls == [1]
+        # one stacked track call and one slice evaluation serve the limit form and every N
+        # (4 slice evaluations when each N had its own), and the limit form reads the flow once
+        assert calls == ["track_stacks", "_slice_stack", "limit_second_ff", "_flow_terms"] + ["stripped_track_form"] * 3
         track = report.records[-1]
         assert track["kind"] == "stripped_track_limit"
+        # each error is that of the forms on the pair's one-row stacks
         bg = model_background(background["name"], **background["params"])
         mcf = model_mcf(flow["name"], bg, **flow.get("params", {}))
         x, t, V = np.array(track["x"]), track["t"], np.array(track["V"])
-        target = limit_second_ff(hypersurface_point_data(mcf, x, t), V)
+        [target] = limit_second_ff(ref.one_slice(mcf, x, t), [V]).tolist()
         tracks = [track_module.build_track(mcf, build_canonical_metric(bg, "expanding", N)) for N in Ns]
-        assert track["errors"] == [abs(stripped_track_form(track_module.track_point_data(tr, x, t), V) - target)
+        assert track["errors"] == [abs(stripped_track_form(ref.one_track(tr, x, t), [V]).item() - target)
                                    for tr in tracks]
 
     def test_harnack_ricci_limits_call_the_curvature_once(self, monkeypatch):
@@ -505,6 +558,31 @@ class TestSuites:
         assert report.passed
         assert report.summary["max_defect"] < 1e-6
         assert report.provenance["potential_seed"] == 2026
+
+    @pytest.mark.parametrize("count", [1, 16, 64])
+    def test_lott_match_makes_one_stacked_call_whatever_its_count(self, monkeypatch, count):
+        # no loop over the potentials: one slice evaluation, one defect call,
+        # and one read of the flow terms serve all of them
+        from cansol import backgrounds, harnack
+
+        calls = []
+
+        def counted(module, name):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args: calls.append(name) or fn(*args))
+
+        counted(cli, "slice_stack")
+        counted(backgrounds, "_slice_stack")
+        counted(cli, "lott_match_defect")
+        counted(harnack, "_flow_terms")
+        report = run(RunConfig.from_dict({
+            "suite": "lott_match",
+            "background": {"name": "euclidean_static", "params": {"dim": 3, "direction": "forward"}},
+            "mcf": {"name": "shrinking_sphere_flat", "params": {"r0": 1.0}},
+            "samples": {"count": count, "seed": 4, "times": [0.1]},
+        }))
+        assert report.passed and len(report.records) == count
+        assert calls == ["slice_stack", "_slice_stack", "lott_match_defect", "_flow_terms"]
 
     @pytest.mark.parametrize("count", [1, 7])
     def test_lott_match_reads_the_ambient_data_from_the_slice(self, monkeypatch, count):
@@ -928,6 +1006,8 @@ class TestMainEntry:
             "N_list": [1000.0, 2000.0, 4000.0],
             "output": {"path": str(tmp_path / "out.json")},
         }
+        # the keys the suite reads
+        cfg = {k: v for k, v in cfg.items() if k in ("suite", "output", *cli._SUITE_KEYS[suite][0])}
         assert main(["run", "--config", str(self.write_cfg(tmp_path, cfg))]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not (tmp_path / "out.json").exists()

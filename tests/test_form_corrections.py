@@ -96,10 +96,11 @@ def test_second_ff_flags_match_the_catalog(variant):
             for name in flows:
                 track = build_track(model_mcf(name, bg), cm)
                 ts = rng.uniform(cm.t_min, track.mcf.time_domain[1], POINTS)
-                for x, t in zip(track.mcf.sample_xs(POINTS, rng), ts):
-                    forms = closed_form_second_ff(track, x, t)
+                forms = closed_form_second_ff(track, track.mcf.sample_xs(POINTS, rng), ts)
+                # each sample's blocks on their own scale
+                for i in range(POINTS):
                     for symbol, (form, idx) in TRACK_BLOCKS.items():
-                        derived, printed = forms[form]
+                        derived, printed = (a[i] for a in forms[form])
                         seen[symbol] |= differs(printed[idx], derived[idx])
                         # a block with no registered correction is the same formula
                         if symbol not in registered:

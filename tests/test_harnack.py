@@ -5,14 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cansol.backgrounds import (
-    hypersurface_point_data,
-    model_background,
-    model_mcf,
-)
+import reference_kernel as ref
+from cansol.backgrounds import model_background, model_mcf, slice_stack
 from cansol.canonical import CanonicalConfigError, build_canonical_metric, limit_riccis
-from cansol.geometry import ChartDomainError, ScalarField, hessian_batch, scalar_d1
+from cansol.geometry import ChartDomainError, GeometryError, ScalarField, hessian_batch, scalar_d1
 from cansol.harnack import (
     QuadratureError,
     WeightedManifoldData,
@@ -27,7 +25,13 @@ from cansol.harnack import (
     weighted_functionals,
     weighted_scalar_curvature,
 )
-from cansol.track import build_track, track_point_data
+from cansol.track import (
+    build_track,
+    closed_form_normal_potential,
+    closed_form_second_ff,
+    limit_inverse_metric,
+    track_stacks,
+)
 
 
 def flat_fwd():
@@ -83,23 +87,26 @@ class TestFlowHarnack:
             limit_riccis(bg, [np.zeros(3)], [np.zeros(3)], [0.5])
 
 
+def limit_at(mcf, x, t, V):
+    """``limit_second_ff`` on V at the one pair (x, t), a float."""
+    return limit_second_ff(ref.one_slice(mcf, x, t), [V]).item()
+
+
 class TestHypersurfaceHarnack:
     """Z~(V, V), which ``limit_second_ff`` is on a flat background."""
 
     def test_shrinking_sphere_zero_vector(self):
         # dH/dt + H/(2t) = n^2/r^3 + n/(2 t r) at n=2, r0=1, t=0.1
         mcf = model_mcf("shrinking_sphere_flat", flat_fwd(), r0=1.0)
-        val = limit_second_ff(hypersurface_point_data(mcf, np.array([1.1, 0.7]), 0.1), np.zeros(2))
-        assert val == pytest.approx(21.5165, abs=1e-3)
+        assert limit_at(mcf, np.array([1.1, 0.7]), 0.1, np.zeros(2)) == pytest.approx(21.5165, abs=1e-3)
 
     def test_shrinking_sphere_unit_tangent(self):
         mcf = model_mcf("shrinking_sphere_flat", flat_fwd(), r0=1.0)
         x, t = np.array([1.1, 0.7]), 0.1
-        hyp = hypersurface_point_data(mcf, x, t)
         V = np.zeros(2)
-        V[0] = 1.0 / math.sqrt(hyp.induced[0, 0])
+        V[0] = 1.0 / math.sqrt(ref.one_slice(mcf, x, t).ext[0][0, 0, 0])
         # previous value plus h(V, V) = 1/sqrt(0.6)
-        assert limit_second_ff(hyp, V) == pytest.approx(22.8076, abs=1e-3)
+        assert limit_at(mcf, x, t, V) == pytest.approx(22.8076, abs=1e-3)
 
     def test_shrinking_sphere_hand_formula_everywhere(self):
         # h = g_M / r on the sphere of radius r = sqrt(1 - 4t), and H = 2/r is
@@ -107,99 +114,83 @@ class TestHypersurfaceHarnack:
         mcf = model_mcf("shrinking_sphere_flat", flat_fwd(), r0=1.0)
         rng = np.random.default_rng(11)
         hi = mcf.time_domain[1]
-        for _ in range(5):
-            x = mcf.sample_xs(1, rng)[0]
-            t = float(rng.uniform(0.05 * hi, hi))
-            V = rng.uniform(-2, 2, 2)
-            hyp = hypersurface_point_data(mcf, x, t)
-            r = math.sqrt(1.0 - 4.0 * t)
-            hand = 4.0 / r**3 + float(V @ hyp.induced @ V) / r + 1.0 / (t * r)
-            assert limit_second_ff(hyp, V) == pytest.approx(hand, rel=1e-9)
+        xs, ts, Vs = mcf.sample_xs(5, rng), rng.uniform(0.05 * hi, hi, 5), rng.uniform(-2, 2, (5, 2))
+        stack = slice_stack(mcf, xs, ts)
+        r = np.sqrt(1.0 - 4.0 * ts)
+        hand = 4.0 / r**3 + np.einsum("pi,pij,pj->p", Vs, stack.ext[0], Vs) / r + 1.0 / (ts * r)
+        assert limit_second_ff(stack, Vs) == pytest.approx(hand, rel=1e-9)
 
     def test_static_plane_vanishes(self):
         mcf = model_mcf("static_plane_flat", flat_fwd())
-        hyp = hypersurface_point_data(mcf, np.array([0.2, 0.4]), 0.5)
-        for V in (np.zeros(2), np.array([1.0, -3.0])):
-            assert limit_second_ff(hyp, V) == 0.0
+        stack = slice_stack(mcf, [[0.2, 0.4]] * 2, [0.5] * 2)
+        assert limit_second_ff(stack, [np.zeros(2), [1.0, -3.0]]).tolist() == [0.0, 0.0]
 
     def test_backward_background_rejected(self):
         bg = model_background("euclidean_static", dim=3, direction="backward")
-        mcf = model_mcf("static_plane_flat", bg)
-        with pytest.raises(CanonicalConfigError, match="forward flow"):
-            limit_second_ff(hypersurface_point_data(mcf, np.array([0.2, 0.4]), 0.5), np.zeros(2))
+        stack = ref.one_slice(model_mcf("static_plane_flat", bg), np.array([0.2, 0.4]), 0.5)
+        for form, vector in ((limit_second_ff, np.zeros(2)), (lott_match_defect, np.zeros(3))):
+            with pytest.raises(CanonicalConfigError, match="forward flow"):
+                form(stack, [vector])
 
 
 class TestLimitSecondFF:
     def test_equator_in_forward_sphere_vanishes(self):
-        bg = sphere_fwd()
-        mcf = model_mcf("equator_in_sphere", bg)
-        val = limit_second_ff(hypersurface_point_data(mcf, np.array([1.2, 0.4]), 0.1), np.zeros(2))
-        assert val == pytest.approx(0.0, abs=1e-12)
+        mcf = model_mcf("equator_in_sphere", sphere_fwd())
+        assert limit_at(mcf, np.array([1.2, 0.4]), 0.1, np.zeros(2)) == pytest.approx(0.0, abs=1e-12)
 
     def test_shrinking_sphere_zero_vector_value(self):
-        bg = flat_fwd()
-        mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
-        val = limit_second_ff(hypersurface_point_data(mcf, np.array([1.1, 0.7]), 0.1), np.zeros(2))
-        assert val == pytest.approx(21.5165, abs=1e-3)
+        mcf = model_mcf("shrinking_sphere_flat", flat_fwd(), r0=1.0)
+        assert limit_at(mcf, np.array([1.1, 0.7]), 0.1, np.zeros(2)) == pytest.approx(21.5165, abs=1e-3)
 
     @pytest.mark.parametrize("which_v", ["zero", "unit"])
     def test_stripped_track_form_converges(self, which_v):
         bg = flat_fwd()
         mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
         x, t = np.array([1.1, 0.7]), 0.1
-        hyp = hypersurface_point_data(mcf, x, t)
+        cms = [build_canonical_metric(bg, "expanding", N) for N in (1e3, 2e3, 4e3)]
+        stacks = track_stacks(mcf, cms, [x], [t])
         V = np.zeros(2)
         if which_v == "unit":
-            V[0] = 1.0 / math.sqrt(hyp.induced[0, 0])
-        target = limit_second_ff(hyp, V)
-        errs = []
-        for N in (1e3, 2e3, 4e3):
-            tr = build_track(mcf, build_canonical_metric(bg, "expanding", N))
-            errs.append(abs(stripped_track_form(track_point_data(tr, x, t), V) - target))
+            V[0] = 1.0 / math.sqrt(stacks[0].slices.ext[0][0, 0, 0])
+        target = limit_second_ff(stacks[0].slices, [V])
+        errs = [abs(stripped_track_form(stack, [V]) - target).item() for stack in stacks]
         for a, b in zip(errs, errs[1:]):
             assert 0.3 < b / a < 0.7
 
 
 class TestBoundaryIntegrand:
     def test_constant_potential_static_minimal_boundary(self):
-        bg = flat_fwd()
-        mcf = model_mcf("static_plane_flat", bg)
-        hyp = hypersurface_point_data(mcf, np.array([0.1, 0.9]), 0.5)
-        val = lott_boundary_integrand(hyp, scalar_d1(ScalarField.constant(2.0), hyp.position))
-        assert val == 0.0
+        mcf = model_mcf("static_plane_flat", flat_fwd())
+        stack = ref.one_slice(mcf, np.array([0.1, 0.9]), 0.5)
+        val = lott_boundary_integrand(stack, scalar_d1(ScalarField.constant(2.0), stack.jet[0]))
+        assert val.tolist() == [0.0]
 
     def test_radial_potential_leaves_dHdt(self):
         # grad f is purely normal on the sphere, so only dH/dt survives
-        bg = flat_fwd()
-        mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
-        x, t = np.array([1.1, 0.7]), 0.1
-        hyp = hypersurface_point_data(mcf, x, t)
-        val = lott_boundary_integrand(hyp, scalar_d1(gaussian_potential(), hyp.position))
+        mcf = model_mcf("shrinking_sphere_flat", flat_fwd(), r0=1.0)
+        stack = ref.one_slice(mcf, np.array([1.1, 0.7]), 0.1)
+        val = lott_boundary_integrand(stack, scalar_d1(gaussian_potential(), stack.jet[0]))
         r = math.sqrt(0.6)
-        assert val == pytest.approx(4.0 / r**3, rel=1e-10)
+        assert val.item() == pytest.approx(4.0 / r**3, rel=1e-10)
 
     def test_tangential_gradient_is_tangent(self):
         bg = flat_fwd()
         mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
-        x, t = np.array([1.1, 0.7]), 0.1
-        hyp = hypersurface_point_data(mcf, x, t)
-        f = random_polynomial_field(3, np.random.default_rng(5))
-        comps, tang = tangential_gradient(hyp, scalar_d1(f, hyp.position))
-        [g] = bg.bundle([hyp.position], [t], order=0).g
-        assert abs(float(tang @ g @ hyp.normal)) < 1e-12
-        assert np.allclose(comps @ hyp.tangents, tang, atol=1e-12)
+        rng = np.random.default_rng(5)
+        xs, ts = mcf.sample_xs(4, rng), rng.uniform(0.05, mcf.time_domain[1], 4)
+        stack = slice_stack(mcf, xs, ts)
+        f = random_polynomial_field(3, rng)
+        comps, tang = tangential_gradient(stack, scalar_d1(f, stack.jet[0]))
+        g, nu = bg.bundle(stack.jet[0], ts, order=0).g, stack.ext[2]
+        assert np.max(np.abs(np.einsum("pa,pab,pb->p", tang, g, nu))) < 1e-12
+        assert np.allclose(np.einsum("pi,pia->pa", comps, stack.jet[2]), tang, atol=1e-12)
 
     def test_match_identity_for_seeded_polynomials(self):
-        bg = flat_fwd()
-        mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
-        x, t = np.array([1.1, 0.7]), 0.1
-        hyp = hypersurface_point_data(mcf, x, t)
+        mcf = model_mcf("shrinking_sphere_flat", flat_fwd(), r0=1.0)
+        stack = slice_stack(mcf, [[1.1, 0.7]] * 20, [0.1] * 20)
         rng = np.random.default_rng(2026)
-        worst = 0.0
-        for _ in range(20):
-            f = random_polynomial_field(3, rng)
-            worst = max(worst, abs(lott_match_defect(hyp, scalar_d1(f, hyp.position))))
-        assert worst < 1e-6
+        dfs = [scalar_d1(random_polynomial_field(3, rng), p) for p in stack.jet[0]]
+        assert np.max(np.abs(lott_match_defect(stack, dfs))) < 1e-6
 
     def test_polynomial_field_derivatives_consistent(self):
         f = random_polynomial_field(3, np.random.default_rng(17))
@@ -212,20 +203,72 @@ class TestBoundaryIntegrand:
             assert np.allclose(hessian_batch(b, f)[0], hessian_batch(b, fd)[0], atol=1e-6)
 
 
-class TestOnePointFormInput:
-    """The slice and track forms take one vector of the chart's dimension; any other is a typed error."""
+# (background, its parameters, flow): every case is a forward background,
+# so the limit form and the expanding track are defined on it
+STACK_CASES = [
+    ("euclidean_static", {"dim": 3}, "shrinking_sphere_flat"),
+    ("euclidean_static", {"dim": 4}, "shrinking_sphere_flat"),
+    ("round_sphere", {"dim": 3, "direction": "forward"}, "equator_in_sphere"),
+]
+
+
+def stacked_forms(mcf, cm, xs, ts, Vs, dfs):
+    """Every stacked slice and track form at the (x, t) pairs, one array per form, in one call each."""
+    track = build_track(mcf, cm)
+    slices = slice_stack(mcf, xs, ts)
+    [stack] = track_stacks(mcf, [cm], xs, ts)
+    comps, tang = tangential_gradient(slices, dfs)
+    derived, printed = closed_form_second_ff(track, xs, ts)["full"]
+    return {
+        "limit_second_ff": limit_second_ff(slices, Vs),
+        "stripped_track_form": stripped_track_form(stack, Vs),
+        "sigma_N": stack.sigma_N,
+        "tangential_gradient comps": comps,
+        "tangential_gradient tang": tang,
+        "lott_boundary_integrand": lott_boundary_integrand(slices, dfs),
+        "lott_match_defect": lott_match_defect(slices, dfs),
+        "closed_form_second_ff derived": derived,
+        "closed_form_second_ff printed": printed,
+        "closed_form_normal_potential": closed_form_normal_potential(track, xs, ts),
+        "limit_inverse_metric": limit_inverse_metric(track, xs, ts),
+    }
+
+
+class TestStackedForms:
+    """Each slice and track form takes a stack, and a row's value does not depend on its stack."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=st.sampled_from(STACK_CASES), seed=st.integers(0, 2**16), data=st.data())
+    def test_rows_do_not_depend_on_their_stack(self, case, seed, data):
+        name, params, flow = case
+        bg = model_background(name, **params)
+        mcf = model_mcf(flow, bg)
+        cm = build_canonical_metric(bg, "expanding", 1e3)
+        P = data.draw(st.integers(1, 6), label="P")
+        order = data.draw(st.permutations(range(P)), label="order")
+        rng = np.random.default_rng(seed)
+        xs = np.array(mcf.sample_xs(P, rng))[order]
+        ts = rng.uniform(cm.t_min, mcf.time_domain[1], P)[order]
+        Vs = rng.uniform(-1.0, 1.0, (P, bg.dim - 1))[order]
+        dfs = rng.uniform(-1.0, 1.0, (P, bg.dim))[order]
+        stacked = stacked_forms(mcf, cm, xs, ts, Vs, dfs)
+        for j in range(P):
+            one = stacked_forms(mcf, cm, xs[j : j + 1], ts[j : j + 1], Vs[j : j + 1], dfs[j : j + 1])
+            for form, rows in stacked.items():
+                assert len(rows) == P, form
+                assert rows[j].tobytes() == one[form][0].tobytes(), (form, j)
 
     @staticmethod
     def forms():
-        """Each form as (call on its vector, the chart dimension it asks for)."""
+        """Each form on a one-row stack as (call on its vector, the chart dimension it asks for)."""
         bg = flat_fwd()
         mcf = model_mcf("shrinking_sphere_flat", bg, r0=1.0)
         x, t = np.array([1.1, 0.7]), 0.1
-        hyp = hypersurface_point_data(mcf, x, t)
-        d = track_point_data(build_track(mcf, build_canonical_metric(bg, "expanding", 1e3)), x, t)
+        hyp = ref.one_slice(mcf, x, t)
+        track = ref.one_track(build_track(mcf, build_canonical_metric(bg, "expanding", 1e3)), x, t)
         return {
             "limit_second_ff": (lambda V: limit_second_ff(hyp, V), 2),
-            "stripped_track_form": (lambda V: stripped_track_form(d, V), 2),
+            "stripped_track_form": (lambda V: stripped_track_form(track, V), 2),
             "tangential_gradient": (lambda df: tangential_gradient(hyp, df), 3),
             "lott_boundary_integrand": (lambda df: lott_boundary_integrand(hyp, df), 3),
             "lott_match_defect": (lambda df: lott_match_defect(hyp, df), 3),
@@ -236,13 +279,17 @@ class TestOnePointFormInput:
     def test_a_wrong_vector_is_a_chart_domain_error(self, form):
         call, dim = self.forms()[form]
         for k in (dim - 1, dim + 1):
-            with pytest.raises(ChartDomainError) as info:
-                call(np.ones(k))
-            assert type(info.value) is ChartDomainError
-            assert str(info.value) == f"vector has dimension {k}, chart has {dim}"
-        for stack in (np.ones((1, dim)), np.ones((2, dim))):
-            with pytest.raises(ChartDomainError, match=rf"^chart vector must have shape \({dim},\), got "):
-                call(stack)
+            for vector in (np.ones(k), np.ones((1, k))):
+                with pytest.raises(ChartDomainError) as info:
+                    call(vector)
+                assert type(info.value) is ChartDomainError
+                assert str(info.value) == f"vector has dimension {k}, chart has {dim}"
+        with pytest.raises(ChartDomainError, match=r"^chart vectors must have shape \(d,\) or \(P, d\), got "):
+            call(np.ones((1, 1, dim)))
+        # one vector per stacked row: a bare vector is the one row's
+        with pytest.raises(GeometryError, match=r"^2 vectors for 1 stacked rows$"):
+            call(np.ones((2, dim)))
+        assert np.array_equal(call(np.ones(dim))[0], call(np.ones((1, dim)))[0])
 
 
 class TestWeightedCurvatures:
