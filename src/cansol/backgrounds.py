@@ -205,13 +205,13 @@ def _sphere_metric_tables(d: int) -> tuple:
 
 @functools.lru_cache(maxsize=16)
 def _embedding_tables(n: int) -> tuple:
-    """The unit n-sphere embedding's tables of orders 0 and 2, and its second-partial rows.
+    """The unit n-sphere embedding's table of order 2, and its second-partial rows.
 
     Component m is sin x_0 ... sin x_{m-1} cos x_m, the last one all sines.
     """
     orders, dd_rows = _partial_orders(n, n)
     kinds = np.tril(np.ones((n + 1, n), dtype=int), -1) + 2 * np.eye(n + 1, n, dtype=int)
-    return (_angle_products(kinds, orders[:1]), _angle_products(kinds, orders)), dd_rows
+    return _angle_products(kinds, orders), dd_rows
 
 
 def sphere_embedding_jet(n: int):
@@ -222,7 +222,7 @@ def sphere_embedding_jet(n: int):
     vectorized pass.  x is one point (n,) or a stack (..., n); the results
     gain its leading shape.
     """
-    (_, partials), dd_rows = _embedding_tables(n)
+    partials, dd_rows = _embedding_tables(n)
 
     def jet(x):
         y = partials(x)
@@ -568,10 +568,14 @@ class MCFSolution:
     (n+1,), (n, n+1), (n, n, n+1), (n, n+1) and (n+1,) at one point.
     ``dx_mean_curvature`` and ``dt_mean_curvature`` give the analytic
     partials of H, (n,) and a scalar per point; every flow supplies both.
-    Everything else (induced metric, normal, second fundamental form, H
-    itself) is computed by the kernel.  Every callback takes x of shape
-    (n,) or a stack (..., n), with t broadcastable to the leading shape,
-    and its results gain that leading shape.  ``time_domain`` defaults to
+    ``orientation_hint(F)`` is an ambient vector field at image points F
+    of shape (n+1,) or (..., n+1), read at the images the jet gave; the
+    unit normal points to the side of the hypersurface it points to, which
+    is all that matters of it.  Everything else (induced metric, normal,
+    second fundamental form, H itself) is computed by the kernel.  Every
+    other callback takes x of shape (n,) or a stack (..., n), with t
+    broadcastable to the leading shape, and its results gain that leading
+    shape.  ``time_domain`` defaults to
     the ambient's; ``sample_box`` is the (low, high) box that
     ``sample_xs`` draws from.
     """
@@ -580,7 +584,7 @@ class MCFSolution:
     hypersurface_dim: int
     ambient: RicciFlowBackground
     jet: Callable[[np.ndarray, float], tuple]
-    orientation_hint: Callable[[np.ndarray, float], np.ndarray]
+    orientation_hint: Callable[[np.ndarray], np.ndarray]
     dx_mean_curvature: Callable[[np.ndarray, float], np.ndarray]
     dt_mean_curvature: Callable[[np.ndarray, float], float]
     time_domain: tuple[float, float] | None = None
@@ -598,8 +602,6 @@ def _shrinking_sphere_flat(bg, n, r0):
     if not bg.flat:
         raise BackgroundError("shrinking_sphere_flat needs a flat background")
     omega_jet = sphere_embedding_jet(n)
-    # the outward hint is omega alone, not a second full jet
-    omega = _embedding_tables(n)[0][0]
     t_sing = r0**2 / (2.0 * n)
     T = min(bg.time_domain[1], 0.8 * t_sing)
 
@@ -619,7 +621,8 @@ def _shrinking_sphere_flat(bg, n, r0):
         hypersurface_dim=n,
         ambient=bg,
         jet=jet,
-        orientation_hint=lambda x, t: omega(x)[..., 0, :],
+        # F = r omega with r > 0 points outward, as omega does
+        orientation_hint=lambda F: F,
         dx_mean_curvature=lambda x, t: np.zeros(np.shape(x)),
         dt_mean_curvature=lambda x, t: _per_time(lambda s: n**2 / r(s) ** 3, t, np.shape(x)[:-1]),
         time_domain=(0.0, T),
@@ -636,7 +639,7 @@ def _equator_in_sphere(bg, n):
         ambient=bg,
         # the polar angle pi/2 prepended to x
         jet=lambda x, t: _static_jet(x, math.pi / 2.0, 0, np.eye(n, n + 1, k=1)),
-        orientation_hint=lambda x, t: _static_hint(x, 0),
+        orientation_hint=lambda F: _static_hint(F, 0),
         dx_mean_curvature=lambda x, t: np.zeros(np.shape(x)),
         dt_mean_curvature=lambda x, t: np.zeros(np.shape(x)[:-1]),
         sample_box=_polar_box(n),
@@ -652,7 +655,7 @@ def _static_plane_flat(bg, n, height):
         ambient=bg,
         # the coordinate ``height`` appended to x
         jet=lambda x, t: _static_jet(x, height, n, np.eye(n, n + 1)),
-        orientation_hint=lambda x, t: _static_hint(x, n),
+        orientation_hint=lambda F: _static_hint(F, n),
         dx_mean_curvature=lambda x, t: np.zeros(np.shape(x)),
         dt_mean_curvature=lambda x, t: np.zeros(np.shape(x)[:-1]),
     )
@@ -698,10 +701,9 @@ def _static_jet(x, value: float, k: int, tangents: np.ndarray) -> tuple:
             np.zeros(lead + (n, n, m)), np.zeros(lead + (n, m)), np.zeros(lead + (m,)))
 
 
-def _static_hint(x, k: int) -> np.ndarray:
-    """Unit coordinate vector e_k of the (n+1)-dimensional ambient chart, per point of x."""
-    x = np.asarray(x)
-    hint = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+def _static_hint(F, k: int) -> np.ndarray:
+    """Unit coordinate vector e_k of the ambient chart, at each image point of F."""
+    hint = np.zeros(np.shape(F))
     hint[..., k] = 1.0
     return hint
 
@@ -870,15 +872,19 @@ def _slice_stack(mcf: MCFSolution, errors: list, index, x: np.ndarray, t: np.nda
     """``slice_stack``'s core on a door's output: its per-pair errors, index, (P, n) points and (P,) times.
 
     The images F_t(x) are checked against the ambient's chart here, once.
+    The ambient bundle records its failures in ``errors`` itself; the
+    other rows are gathered again only if it dropped one.
     """
     jet = tuple(np.asarray(a, dtype=float) for a in mcf.jet(x, t))
     amb = mcf.ambient
     index, x, t, *jet = _drop(errors, index, _point_errors(jet[0], amb.conformal.sigma.in_domain), x, t, *jet)
-    b = amb._bundle(jet[0], t.tolist(), 1)
-    index, x, t, *jet = _drop(errors, index, b.errors, x, t, *jet)
-    hint = np.asarray(mcf.orientation_hint(x, t), dtype=float)
+    b = amb._bundle(jet[0], t.tolist(), 1, errors, index)
+    if len(b.index) < len(index):
+        rows = np.searchsorted(index, b.index)
+        x, t, jet = x[rows], t[rows], [a[rows] for a in jet]
+    hint = np.asarray(mcf.orientation_hint(jet[0]), dtype=float)
     ext, bad = extrinsic_geometry_batch(jet[2], jet[3], b.g, christoffel_batch(b), hint)
-    index, x, t, g, ginv, *jet = _drop(errors, index, bad, x, t, b.g, b.ginv, *jet)
+    index, x, t, g, ginv, *jet = _drop(errors, b.index, bad, x, t, b.g, b.ginv, *jet)
     return SliceStack(mcf, x, t.tolist(), index, errors, tuple(jet), ext, g, ginv)
 
 

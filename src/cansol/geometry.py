@@ -603,8 +603,12 @@ def christoffel_batch(b: MetricBundle) -> np.ndarray:
     """Christoffel symbols [p, a, b, c] = Gamma^a_{bc} at the bundle's points.
 
     Gamma^a_{bc} = 1/2 g^{ad} (d_b g_dc + d_c g_bd - d_d g_bc); the result
-    is symmetric in (b, c) exactly, given symmetric input components.
+    is symmetric in (b, c) exactly, given symmetric input components.  When
+    every metric partial of the stack is zero, Gamma = 0 (+0.0, the bits of
+    the contraction) and nothing is contracted.
     """
+    if not np.count_nonzero(b.dg):
+        return np.zeros(b.dg.shape)
     gamma = 0.5 * np.einsum("pad,pdbc->pabc", b.ginv, b._dg_bracket)
     return 0.5 * (gamma + gamma.swapaxes(2, 3))
 

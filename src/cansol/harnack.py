@@ -43,13 +43,14 @@ from .geometry import (
     GeometryError,
     MetricField,
     ScalarField,
+    _evaluate,
+    _partials,
     _point_stack,
     gradient_batch,
     hessian_batch,
     inverse_metric,  # noqa: F401  (harnack.inverse_metric, a binding the benchmark tracer patches)
     metric_bundle,
     scalar_curvature_batch,
-    scalar_d1,
 )
 from .track import TrackStack
 
@@ -240,7 +241,8 @@ def _weighted_scalar_curvatures(wm: WeightedManifoldData, pts: np.ndarray) -> tu
     """(R^inf, R) at a (P, d) stack of interior points, R^inf = R + 2 Lap f - |grad f|^2.
 
     One bundle (order 2 only when R comes from the engine, not the closed
-    form) and one evaluation of df serve every term.
+    form) and one evaluation of df serve every term.  The bundle checks
+    the points once; the closed form reads its checked rows.
     """
     closed = wm.scalar_curvature_at
     b = metric_bundle(wm.metric, pts, order=1 if closed is not None else 2)
@@ -248,14 +250,15 @@ def _weighted_scalar_curvatures(wm: WeightedManifoldData, pts: np.ndarray) -> tu
     grad = gradient_batch(b, wm.potential)
     lap = np.einsum("pab,pab->p", b.ginv, hessian_batch(b, wm.potential, grad))
     grad_sq = np.einsum("pa,pab,pb->p", grad, b.g, grad)
-    R = closed.at(b.points) if closed is not None else scalar_curvature_batch(b)
+    R = _evaluate(closed.value, b.points, (), "scalar") if closed is not None else scalar_curvature_batch(b)
     return R + 2.0 * lap - grad_sq, R
 
 
 def _weighted_mean_curvatures(wm: WeightedManifoldData, idx) -> np.ndarray:
-    """H^inf = H - nu f at the boundary samples ``idx``."""
+    """H^inf = H - nu f at the boundary samples ``idx``, which ``WeightedManifoldData`` checked."""
+    f = wm.potential
     nu_f = np.einsum("pa,pa->p", wm.boundary_normals[idx],
-                     scalar_d1(wm.potential, wm.boundary_points[idx]))
+                     _partials(f.d1, f.value, wm.boundary_points[idx], 1, (), "scalar"))
     return wm.boundary_mean_curvatures[idx] - nu_f
 
 
@@ -286,18 +289,21 @@ class WeightedFunctionals(NamedTuple):
 def weighted_functionals(wm: WeightedManifoldData) -> WeightedFunctionals:
     """I_infty and I_GHY over the supplied grids, from one loop over the chunks.
 
-    Each interior chunk's bundle, R, e^-f and weights serve both sums.
+    Each interior chunk's bundle, R, e^-f and weights serve both sums.  The
+    potential is read without a second check, at interior rows the chunk's
+    bundle checked and at boundary rows ``WeightedManifoldData`` checked.
     """
+    f = wm.potential
     terms_inf, terms_ghy = [], []
     for sl in _chunks(len(wm.interior_points)):
         pts = wm.interior_points[sl]
         r_inf, R = _weighted_scalar_curvatures(wm, pts)
-        w, ef = wm.interior_weights[sl], np.exp(-wm.potential.at(pts))
+        w, ef = wm.interior_weights[sl], np.exp(-_evaluate(f.value, pts, (), "scalar"))
         terms_inf.append(w * r_inf * ef)
         terms_ghy.append(w * R * ef)
     for sl in _chunks(len(wm.boundary_points)):
         terms_inf.append(2.0 * wm.boundary_weights[sl] * _weighted_mean_curvatures(wm, sl)
-                         * np.exp(-wm.potential.at(wm.boundary_points[sl])))
+                         * np.exp(-_evaluate(f.value, wm.boundary_points[sl], (), "scalar")))
     terms_ghy.append(2.0 * wm.boundary_weights * wm.boundary_mean_curvatures)
     return WeightedFunctionals(math.fsum(np.concatenate(terms_inf).tolist()),
                                math.fsum(np.concatenate(terms_ghy).tolist()))

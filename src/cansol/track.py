@@ -190,14 +190,19 @@ def _track_stack(track: SpaceTimeTrack, pairs: _SliceRows) -> TrackStack:
     """The N-dependent half: the track's extrinsic geometry in ``track.cm`` over ``pairs``.
 
     The space-time metric and the track's extrinsic geometry are each
-    evaluated once on the pairs whose slices stand.
+    evaluated once on the pairs whose slices stand.  The canonical bundle
+    records its failures in ``errors`` itself; the other rows are gathered
+    again only if it dropped one.
     """
-    errors = list(pairs.slices.errors)
+    errors, index = list(pairs.slices.errors), pairs.slices.index
     # z = (t, F): t in the background's domain and F in its chart, so z lies in the canonical chart
-    st = _metric_bundle(track.cm.field, pairs.z, 1)
-    index, basis, ddPhi, lifted = _drop(errors, pairs.slices.index, st.errors, pairs.basis, pairs.ddPhi, pairs.lifted)
+    st = _metric_bundle(track.cm.field, pairs.z, 1, None, errors, index)
+    basis, ddPhi, lifted = pairs.basis, pairs.ddPhi, pairs.lifted
+    if len(st.index) < len(index):
+        rows = np.searchsorted(index, st.index)
+        basis, ddPhi, lifted = basis[rows], ddPhi[rows], lifted[rows]
     ext, bad = extrinsic_geometry_batch(basis, ddPhi, st.g, christoffel_batch(st), lifted)
-    index, z, g, basis = _drop(errors, index, bad, st.points, st.g, basis)
+    index, z, g, basis = _drop(errors, st.index, bad, st.points, st.g, basis)
     return TrackStack(track.cm, pairs.slices, index, errors, z, g, basis, ext)
 
 

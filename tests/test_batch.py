@@ -324,26 +324,29 @@ class TestPointwiseReference:
         assert np.max(np.abs(fd - ric)) <= 1e-5 * np.max(np.abs(ric))
 
 
-def degenerate_at(cm, t_singular, t_ill):
-    """cm with a singular metric at time t_singular and an ill-conditioned one at t_ill.
+def degenerate_field(base, singular, ill):
+    """The field ``base`` made singular where a point's first coordinate is ``singular``
+    and ill-conditioned where it is ``ill``.
 
     The jet's value part carries the defect, so the bundles of every order
     see it.
     """
-    base = cm.field
-
     def degenerate(z, g):
         g = np.array(g)
-        g[z[..., 0] == t_singular] = 0.0
-        g[z[..., 0] == t_ill, 0, 0] *= 1e-20
+        g[z[..., 0] == singular] = 0.0
+        g[z[..., 0] == ill, 0, 0] *= 1e-20
         return g
 
     def jet(z, order):
         g, *partials = base.jet(z, order)
         return (degenerate(z, g), *partials)
 
-    field = dataclasses.replace(base, jet=jet)
-    return dataclasses.replace(cm, field=field)
+    return dataclasses.replace(base, jet=jet)
+
+
+def degenerate_at(cm, t_singular, t_ill):
+    """cm with a singular metric at time t_singular and an ill-conditioned one at t_ill."""
+    return dataclasses.replace(cm, field=degenerate_field(cm.field, t_singular, t_ill))
 
 
 def stack_entries(stack):
@@ -982,16 +985,17 @@ class TestTrackStacks:
         rng = np.random.default_rng(7)
         xs = np.array(mcf.sample_xs(9, rng))
         ts = rng.uniform(0.01, mcf.time_domain[1], 9)
+        # the hint is an ambient field, read at the images the jet gives
         stacked = {
             "jet": mcf.jet(xs, ts),
-            "hint": (mcf.orientation_hint(xs, ts),),
+            "hint": (mcf.orientation_hint(mcf.jet(xs, ts)[0]),),
             "dx": (mcf.dx_mean_curvature(xs, ts),),
             "dt": (mcf.dt_mean_curvature(xs, ts),),
         }
         for i, (x, t) in enumerate(zip(xs, ts)):
             single = {
                 "jet": mcf.jet(x, t),
-                "hint": (mcf.orientation_hint(x, t),),
+                "hint": (mcf.orientation_hint(mcf.jet(x, t)[0]),),
                 "dx": (mcf.dx_mean_curvature(x, t),),
                 "dt": (mcf.dt_mean_curvature(x, t),),
             }
@@ -1003,6 +1007,65 @@ class TestTrackStacks:
         grid = xs[:6].reshape(2, 3, -1)
         for a, b in zip(mcf.jet(grid, ts[:2, None]), mcf.jet(xs[:6], np.repeat(ts[:2], 3))):
             assert np.array_equal(a.reshape(b.shape), b)
+
+
+def slice_rows(stack):
+    """The arrays of a ``SliceStack``, one row per stacked pair."""
+    return [stack.xs, np.array(stack.ts), *stack.jet, *stack.ext, stack.g, stack.ginv]
+
+
+class TestRealignedRows:
+    """A bundle core that drops a row records its pair's error itself; the stack gathers its other rows again."""
+
+    @staticmethod
+    def assert_errors_of_one_row_calls(errors, one_row, count):
+        """``errors`` holds, per pair, the class and message that ``one_row(i)`` records; ``count`` pairs fail."""
+        assert sum(e is not None for e in errors) == count
+        for i, exc in enumerate(errors):
+            [alone] = one_row(i)
+            assert (type(exc), str(exc)) == (type(alone), str(alone))
+
+    def test_a_slice_whose_ambient_bundle_drops_a_row(self):
+        flat = model_background("euclidean_static", dim=3, direction="forward")
+        # the plane's image F = (x, height) starts with x[0]: pair 1 is singular, pair 3 ill-conditioned
+        sigma = degenerate_field(flat.conformal.sigma, singular=0.25, ill=-0.5)
+        bg = dataclasses.replace(flat, conformal=dataclasses.replace(flat.conformal, sigma=sigma))
+        mcf = model_mcf("static_plane_flat", bg, height=0.5)
+        # pair 0 fails at the door, so the bundle's rows are not its pairs
+        xs = np.array([[np.nan, 0.0], [1.0, 0.2], [0.25, 0.3], [-1.2, 0.7], [-0.5, 1.1], [0.9, -0.4]])
+        ts = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+        stack = slice_stack(mcf, xs, ts)
+        assert stack.index.tolist() == [1, 3, 5]
+        assert [type(e) for e in stack.errors[::2]] == [ChartDomainError] + [DegenerateMetricError] * 2
+        assert "singular" in str(stack.errors[2]) and "condition number" in str(stack.errors[4])
+        alone = [slice_stack(mcf, xs[i : i + 1], ts[i : i + 1]) for i in range(len(ts))]
+        self.assert_errors_of_one_row_calls(stack.errors, lambda i: alone[i].errors, 3)
+        for j, i in enumerate(stack.index.tolist()):
+            for got, want in zip(slice_rows(stack.take([j])), slice_rows(alone[i])):
+                assert_same_bits(got, want)
+
+    def test_a_track_whose_canonical_bundle_drops_a_row(self):
+        mcf = _flow("shrinking_sphere_flat", 3, "forward")
+        cm = build_canonical_metric(mcf.ambient, "expanding", 1e3)
+        # pair 0 lies below the sampling floor, so the bundle's rows are not its pairs;
+        # pair 2 has a singular space-time metric, pair 4 an ill-conditioned one
+        ts = [0.5 * cm.t_min, *np.linspace(cm.t_min, mcf.time_domain[1], 7)[1:-1]]
+        cm = degenerate_at(cm, t_singular=ts[2], t_ill=ts[4])
+        xs = mcf.sample_xs(6, np.random.default_rng(5))
+        [stack] = track_stacks(mcf, [cm], xs, ts)
+        assert stack.slices.index.tolist() == [1, 2, 3, 4, 5]
+        assert stack.index.tolist() == [1, 3, 5]
+        assert [type(e) for e in stack.errors[::2]] == [ChartDomainError] + [DegenerateMetricError] * 2
+        assert "singular" in str(stack.errors[2]) and "condition number" in str(stack.errors[4])
+        alone = [track_stacks(mcf, [cm], xs[i : i + 1], ts[i : i + 1])[0] for i in range(len(ts))]
+        self.assert_errors_of_one_row_calls(stack.errors, lambda i: alone[i].errors, 3)
+        for j, i in enumerate(stack.index.tolist()):
+            for name in ("z", "g", "basis", "sigma_N"):
+                assert_same_bits(getattr(stack, name)[j], getattr(alone[i], name)[0])
+            for got, want in zip(stack.ext, alone[i].ext):
+                assert_same_bits(got[j], want[0])
+        track = build_track(mcf, cm)
+        assert_same_entries(one_metric_sweep(track, xs, ts), _pointwise_loop(mcf_canonical_residual, track, xs, ts))
 
 
 class TestRicciQuadraticStacks:
@@ -1428,6 +1491,43 @@ class TestZeroConnectionHessian:
         assert not np.array_equal(hess, geometry._symmetrized(ddf))
 
 
+def constant_metric(A, zeros):
+    """The constant metric A, whose jet gives its partials as ``zeros``, a (d, d, d) table of signed zeros."""
+    d = len(A)
+
+    def jet(p, order):
+        lead = p.shape[:-1]
+        partials = (np.broadcast_to(zeros, lead + (d, d, d)).copy(), np.zeros(lead + (d,) * 4))
+        return (np.zeros(lead + (d, d)) + A, *partials)[: order + 1]
+
+    return MetricField(dim=d, jet=jet)
+
+
+class TestZeroConnectionChristoffel:
+    """On a stack whose metric partials all vanish, ``christoffel_batch`` returns zeros,
+    with the bits of the contraction."""
+
+    @pytest.mark.parametrize("P", [1, 64])
+    @pytest.mark.parametrize("case", ["euclidean_static", "non_diagonal", "negative_zeros"])
+    def test_flat_bundles_keep_the_bits_of_the_contraction(self, case, P):
+        rng = np.random.default_rng(P)
+        # positive definite (eigenvalues about 1.1, 2.2 and 3.2); it and its inverse hold negative entries
+        A = np.array([[2.0, -0.5, 0.5], [-0.5, 1.5, 0.25], [0.5, 0.25, 3.0]])
+        metric = {
+            "euclidean_static": model_background("euclidean_static", dim=3).conformal.sigma,
+            "non_diagonal": constant_metric(A, np.zeros((3, 3, 3))),
+            # half the partials -0.0, so the bracket holds -0.0 where its terms mix
+            "negative_zeros": constant_metric(A, np.where(rng.random((3, 3, 3)) < 0.5, -0.0, 0.0)),
+        }[case]
+        b = metric_bundle(metric, rng.uniform(-2.0, 2.0, (P, 3)), order=1)
+        assert not b.dg.any() and np.signbit(b.dg).any() == (case == "negative_zeros")
+        assert (b.ginv < 0).any() == (case != "euclidean_static")
+        gamma = 0.5 * np.einsum("pad,pdbc->pabc", b.ginv, geometry._bracket(b.dg))
+        want = 0.5 * (gamma + gamma.swapaxes(2, 3))
+        assert not np.signbit(want).any()
+        assert_same_bits(christoffel_batch(b), want)
+
+
 class TestCheckedAtTheDoor:
     """Each entry checks its rows once, at its door; the soliton kernel forms the metric bracket once."""
 
@@ -1531,6 +1631,40 @@ class TestCheckedAtTheDoor:
         times = self.validator_calls(monkeypatch, "_time_errors")
         assert mcf_canonical_residual(track, x, t).value == want.value
         assert (len(doors), len(points), len(times)) == (1, 2, 1)
+
+    @pytest.mark.parametrize("dim, variant", [(3, "expanding"), (5, "shrinking")])
+    def test_a_one_row_track_residual_evaluates_the_angle_table_once(self, monkeypatch, dim, variant):
+        # the normal is oriented by the image F = r omega, so omega's angle table runs for the jet alone
+        from cansol import backgrounds
+
+        calls = []
+        tables = backgrounds._embedding_tables
+
+        def counted(n):
+            table, dd_rows = tables(n)
+            return (lambda x: calls.append(np.shape(x)) or table(x)), dd_rows
+
+        monkeypatch.setattr(backgrounds, "_embedding_tables", counted)
+        mcf = _flow("shrinking_sphere_flat", dim, DIRECTION[variant])
+        track = build_track(mcf, build_canonical_metric(mcf.ambient, variant, 1e3))
+        x = mcf.sample_xs(1, np.random.default_rng(dim))[0]
+        t = 0.5 * (track.cm.t_min + mcf.time_domain[1])
+        sample = mcf_canonical_residual(track, x, t)
+        assert calls == [(1, dim - 1)]
+        monkeypatch.undo()
+        mcf = _flow("shrinking_sphere_flat", dim, DIRECTION[variant])
+        track = build_track(mcf, build_canonical_metric(mcf.ambient, variant, 1e3))
+        assert sample.value == mcf_canonical_residual(track, x, t).value
+
+    def test_a_one_point_weighted_scalar_curvature_checks_its_point_once(self, monkeypatch):
+        # the bundle checks the point; the closed-form R reads the checked row
+        gauss = model_background("gaussian_shrinker_flat", dim=3).soliton.potential(1.0)
+        wm = flat_ball_domain(potential=gauss, grid=(4, 8, 4))
+        p = wm.interior_points[5]
+        want = harnack.weighted_scalar_curvature(wm, p)
+        calls = self.validator_calls(monkeypatch, "_point_errors")
+        assert harnack.weighted_scalar_curvature(wm, p) == want
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("oracle", [closed_form_second_ff, closed_form_normal_potential, limit_inverse_metric])
     def test_one_time_check_per_track_oracle(self, monkeypatch, oracle):
